@@ -21,10 +21,14 @@ tasks rather than ``groupby().map_groups``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+import pickle
 
+import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 
 from ..config import SINK_EMAIL, SINK_EXTERNAL, EngineConfig, Lookups
 from ..rules.model import RuleSet
@@ -36,24 +40,71 @@ from ..stages.classify import (
 from ..stages.correlate import make_list_correlator
 
 
-# per-worker compiled-classifier cache (see run_engine.classify_batch)
-_WORKER_CLASSIFIERS: dict = {}
+# per-worker cache of compiled classifiers and correlators, keyed on
+# (kind, ``compile_key``) — equal inputs hit across runs. Only
+# ``_worker_cached`` touches it: workers import that plain function by
+# reference, whereas a dict named directly in a task or a Ray Data
+# closure is pickled by value, a fresh empty copy on every run.
+_WORKER_COMPILED: dict = {}
+_WORKER_CACHE_SIZE = 8
 
 
-@dataclass
+def compile_key(ruleset: RuleSet, lookups: Lookups, config: EngineConfig,
+                list_form: bool) -> str:
+    """Digest of everything a compiled classifier or correlator depends
+    on. Computed once per run on the driver; equal inputs give the same
+    key across runs, so workers keep their compiled objects."""
+    return hashlib.sha256(pickle.dumps(
+        (ruleset, lookups, config, list_form), protocol=5)).hexdigest()
+
+
+def _worker_cached(kind: str, key: str, build):
+    obj = _WORKER_COMPILED.get((kind, key))
+    if obj is None:
+        if len(_WORKER_COMPILED) >= _WORKER_CACHE_SIZE:
+            _WORKER_COMPILED.clear()
+        obj = _WORKER_COMPILED[(kind, key)] = build()
+    return obj
+
+
 class EngineResult:
     """Lazy handles over the match stream. ``matches`` rows are the
     saganfound analog (one row per routed rule match, pre-suppression);
     ``routed()`` filters to post-suppression alerts; ``routed_exploded()``
-    fans out per sink."""
+    fans out per sink.
 
-    matches: "ray.data.Dataset"
-    ruleset: RuleSet
-    config: EngineConfig
-    # per-task partial (sid, hits, emits) table refs produced inline by the
-    # correlation exchange — counts come from these tiny tables instead of
-    # a second pass over the match stream
-    count_refs: list | None = None
+    ``count_refs``: per-task partial (sid, hits, emits) table refs produced
+    inline by the correlation exchange — counts come from these tiny
+    tables instead of a second pass over the match stream.
+    ``list_refs``: the exchange's LIST_MATCH_SCHEMA output blocks; when
+    given, ``matches`` is built from them on first access, so the counts
+    never wait on Dataset metadata."""
+
+    def __init__(self, matches=None, ruleset: RuleSet | None = None,
+                 config: EngineConfig | None = None,
+                 count_refs: list | None = None, *,
+                 list_refs: list | None = None):
+        self._matches = matches
+        self.ruleset = ruleset
+        self.config = config
+        self.count_refs = count_refs
+        self._list_refs = list_refs
+
+    @property
+    def matches(self) -> "ray.data.Dataset":
+        if self._matches is None and self._list_refs is not None:
+            import ray.data as rd
+
+            # the public match stream is the exploded MATCH_SCHEMA — a lazy
+            # vectorized explode over the list-form refs (batch_size=None:
+            # whole blocks, zero re-slicing)
+            self._matches = rd.from_arrow_refs(self._list_refs).map_batches(
+                explode_match_lists, batch_format="pyarrow", batch_size=None)
+        return self._matches
+
+    @matches.setter
+    def matches(self, ds) -> None:
+        self._matches = ds
 
     def routed(self):
         return self.matches.map_batches(
@@ -127,8 +178,6 @@ class EngineResult:
         matches of one classify output block, reduce-side partials one
         correlation bucket — with per-sid hit/emit counts. The operational
         answer to 'which partition produced what'."""
-        import ray
-
         empty = pa.table({"sid": pa.array([], pa.int64()),
                           "hits": pa.array([], pa.int64()),
                           "emits": pa.array([], pa.int64()),
@@ -222,11 +271,10 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
     (~8 KB/block incl. all fixed costs, stress_exchange --engine) and a
     mid-run loss degrades to a bucket-granular incremental re-run via the
     snapshots instead of a task retry."""
-    import ray
-
     config = config or EngineConfig()
+    lookups = lookups or Lookups()
     ruleset_ref = ray.put(ruleset)
-    lookups_ref = ray.put(lookups or Lookups())
+    lookups_ref = ray.put(lookups)
 
     # ``concurrency`` is accepted for API compatibility but unused: the
     # classify stage runs as stateless tasks that scale with the session.
@@ -235,8 +283,11 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
     # Stateless tasks + per-worker classifier cache instead of an actor
     # pool: the compiled ruleset is cheap to build (ms) but an actor pool
     # pays seconds of spin-up per execution; plain tasks reuse Ray's warm
-    # worker processes and schedule elastically. The cache keys on the
-    # broadcast ref so a new ruleset invalidates it.
+    # worker processes and schedule elastically. The cache keys on a
+    # digest of the compile inputs (not on the per-run broadcast refs), so
+    # repeated runs over the same ruleset reuse the compiled classifier —
+    # and its learned content-group state — while any change to the
+    # ruleset, lookups or config invalidates it.
     #
     # The exchange path classifies in LIST form (one row per matched
     # turn × class, LIST_MATCH_SCHEMA) so the wide legs — classify output
@@ -244,16 +295,12 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
     # text per matching rule; stateless rulesets skip the exchange and
     # emit the exploded MATCH_SCHEMA directly.
     list_form = ruleset.has_stateful
-    rs_key = (ruleset_ref.binary(), list_form)
+    key = compile_key(ruleset, lookups, config, list_form)
 
     def classify_batch(tbl: pa.Table) -> pa.Table:
-        cls = _WORKER_CLASSIFIERS.get(rs_key)
-        if cls is None:
-            cls = RuleClassifier(ray.get(ruleset_ref), ray.get(lookups_ref),
-                                 config, list_form=list_form)
-            if len(_WORKER_CLASSIFIERS) > 4:
-                _WORKER_CLASSIFIERS.clear()
-            _WORKER_CLASSIFIERS[rs_key] = cls
+        cls = _worker_cached("classifier", key, lambda: RuleClassifier(
+            ray.get(ruleset_ref), ray.get(lookups_ref), config,
+            list_form=list_form))
         return cls(tbl)
 
     matches = ds.map_batches(
@@ -263,42 +310,42 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
         num_cpus=1,
     )
 
-    if ruleset.has_stateful:
-        # one reduce task per ~2 cores: fewer buckets = fewer tiny object
-        # transfers in the exchange; raise for bigger clusters/inputs
-        n_buckets = max(4, int(ray.cluster_resources().get("CPU", 8)) // 2)
-        if state_dir is not None:
-            from ..state.snapshot import read_state_meta, write_state_meta
+    if not ruleset.has_stateful:
+        return EngineResult(matches=matches, ruleset=ruleset, config=config)
 
-            # the first run fixes the bucket layout for the state dir;
-            # later incremental runs ADOPT it regardless of session size
-            # (the conv→bucket mapping must match the stored snapshots —
-            # the layout-compatibility rule the reference enforces on its
-            # mmap files, ipc.c:504-517)
-            stored = read_state_meta(state_dir)
-            if stored is not None:
-                n_buckets = stored
-            else:
-                write_state_meta(state_dir, n_buckets)
-        if shared_bits is not None:
-            # eager get-or-create so the detached store exists before
-            # bucket tasks race to resolve the name
-            from ..state.shared import shared_bit_store
+    # one reduce task per ~2 cores: fewer buckets = fewer tiny object
+    # transfers in the exchange; raise for bigger clusters/inputs
+    n_buckets = max(4, int(ray.cluster_resources().get("CPU", 8)) // 2)
+    if state_dir is not None:
+        from ..state.snapshot import read_state_meta, write_state_meta
 
-            shared_bit_store(shared_bits)
-        list_matches, count_refs = _correlate_exchange(
-            matches, ruleset, n_buckets, state_dir=state_dir,
-            max_bucket_bytes=max_bucket_bytes, task_retries=task_retries,
-            shared_bits=shared_bits)
-        # public match stream stays the exploded MATCH_SCHEMA — a lazy
-        # vectorized explode over the list-form refs (batch_size=None:
-        # whole blocks, zero re-slicing)
-        exploded = list_matches.map_batches(
-            explode_match_lists, batch_format="pyarrow", batch_size=None)
-        return EngineResult(matches=exploded, ruleset=ruleset, config=config,
-                            count_refs=count_refs)
+        # the first run fixes the bucket layout for the state dir;
+        # later incremental runs ADOPT it regardless of session size
+        # (the conv→bucket mapping must match the stored snapshots —
+        # the layout-compatibility rule the reference enforces on its
+        # mmap files, ipc.c:504-517)
+        stored = read_state_meta(state_dir)
+        if stored is not None:
+            n_buckets = stored
+        else:
+            write_state_meta(state_dir, n_buckets)
+    if shared_bits is not None:
+        # eager get-or-create so the detached store exists before
+        # bucket tasks race to resolve the name
+        from ..state.shared import shared_bit_store
 
-    return EngineResult(matches=matches, ruleset=ruleset, config=config)
+        shared_bit_store(shared_bits)
+    list_refs, count_refs = _correlate_exchange(
+        matches, (key, [ruleset_ref], state_dir, shared_bits), n_buckets,
+        max_bucket_bytes=max_bucket_bytes, task_retries=task_retries)
+    # completion barrier: every exchange task has finished (state_dir
+    # snapshots and shared-bit publishes are complete) and a failed task
+    # raises here; count tables are tiny, the match blocks stay remote
+    refs = list_refs + count_refs
+    ray.wait(refs, num_returns=len(refs), fetch_local=False)
+    ray.get(count_refs)
+    return EngineResult(ruleset=ruleset, config=config,
+                        count_refs=count_refs, list_refs=list_refs)
 
 
 def run_engine_dynamic(ds, ruleset: RuleSet, lookups: Lookups | None = None,
@@ -342,11 +389,165 @@ def run_engine_dynamic(ds, ruleset: RuleSet, lookups: Lookups | None = None,
                        batch_size=batch_size), loaded)
 
 
-def _correlate_exchange(matches_ds, ruleset: RuleSet, n_buckets: int,
-                        state_dir: str | None = None,
+def _count_partial(tbl: pa.Table) -> pa.Table:
+    """(sid, hits, emits) partial for one match table — accepts both the
+    list-form stream (flattens the tiny sid/emit lists; text never
+    touched) and exploded tables."""
+    if len(tbl) == 0:
+        return pa.table({"sid": pa.array([], pa.int64()),
+                         "hits": pa.array([], pa.int64()),
+                         "emits": pa.array([], pa.int64())})
+    sid_col = tbl.column("sid").combine_chunks()
+    emit_col = tbl.column("emit").combine_chunks()
+    if pa.types.is_list(sid_col.type):
+        sid_col = pc.list_flatten(sid_col)
+        emit_col = pc.list_flatten(emit_col)
+    t = pa.table({"sid": sid_col,
+                  "emit": pc.cast(emit_col, pa.int64())})
+    g = pa.TableGroupBy(t, "sid").aggregate([([], "count_all"), ("emit", "sum")])
+    return g.rename_columns(["sid", "hits", "emits"])
+
+
+def _bucket_takes(tbl: pa.Table, assign: np.ndarray, k: int) -> list:
+    """One COMPACT table per bucket via per-bucket ``take`` — never
+    ``slice`` of a sorted take: a sliced Arrow table pickles its FULL
+    backing buffers (measured: a 200-row bucket slice of a 515 KB
+    stateful table serialized 519 KB — ×n_buckets redundant bytes per
+    block, the same buffer-sharing trap that sank the r4 dictionary
+    variant). Total copy work equals the single big take."""
+    order = np.argsort(assign, kind="stable")
+    bounds = np.searchsorted(assign[order], np.arange(k + 1))
+    return [tbl.take(pa.array(order[bounds[i]:bounds[i + 1]]))
+            for i in range(k)]
+
+
+def _conv_hash(tbl: pa.Table) -> np.ndarray:
+    # categorize=False: value-PURE hash (datapipe/hashing.py) — the
+    # default factorize path conflates NUL-containing conv_ids with their
+    # strlen-truncated twins DEPENDING ON BLOCK CONTENT, which would split
+    # one conversation's state across buckets
+    conv = tbl.column("conv_id").to_numpy(zero_copy_only=False)
+    return pd.util.hash_array(conv.astype(object), categorize=False)
+
+
+# The exchange's tasks live at module level: they are exported to the
+# workers once per session, not pickled again on every engine run.
+
+@ray.remote
+def _split_block(tbl: pa.Table, nb: int):
+    """Map side: stateless slice + per-bucket stateful tables (with a tiny
+    per-bucket byte-size array for the driver's skew check) + the
+    stateless count partial."""
+    sf = tbl.column("stateful").combine_chunks()
+    stateless = tbl.filter(pc.invert(sf))
+    state = tbl.filter(sf)
+    b = (_conv_hash(state) % nb).astype(np.int64)
+    parts = _bucket_takes(state, b, nb)
+    sizes = np.array([s.nbytes for s in parts], dtype=np.int64)
+    return (stateless, _count_partial(stateless), sizes, *parts)
+
+
+@ray.remote
+def _refine_block(tbl: pa.Table, nb: int, k: int):
+    """Salting path for oversized buckets: finer conv-hash split
+    ((h // nb) % k) — conversations stay whole, so the per-conv ordered
+    replay is unaffected (SURVEY §4 hard part #4; a single conversation
+    bigger than the bound still lands in one task)."""
+    if len(tbl) == 0:
+        return tuple(tbl.slice(0, 0) for _ in range(k))
+    b = ((_conv_hash(tbl) // nb) % k).astype(np.int64)
+    return tuple(_bucket_takes(tbl, b, k))
+
+
+@ray.remote(num_returns=2)
+def _corr_bucket(run, bucket_id, *tables):
+    """Reduce side: ordered replay of one bucket + its count partial;
+    optionally resumes from / snapshots to the bucket's state file,
+    and/or syncs xbits through the shared store (xbit-redis analog:
+    fetch-authoritative before the replay, publish the delta after —
+    state/shared.py documents the exact semantics).
+
+    ``run`` is ``(compile_key, [ruleset_ref], state_dir, shared_bits)``;
+    the ref rides in a list so Ray does not resolve it per task — the
+    worker builds its correlator once per key."""
+    key, (ruleset_ref,), state_dir, shared_bits = run
+    correlate_lists = _worker_cached(
+        "correlator", key, lambda: make_list_correlator(ray.get(ruleset_ref)))
+    init_states = out_states = None
+    if state_dir is not None:
+        from ..state.snapshot import load_bucket_state, save_bucket_state
+
+        init_states = load_bucket_state(state_dir, bucket_id)
+        out_states = dict(init_states)
+    parts = [t for t in tables if len(t)]
+    if not parts:
+        if state_dir is not None:
+            save_bucket_state(state_dir, bucket_id, out_states)
+        e = LIST_MATCH_SCHEMA.empty_table()
+        return e, _count_partial(e)
+    tbl = pa.concat_tables(parts)
+    pre = store = convs = None
+    if shared_bits is not None:
+        from ..state.shared import (bit_delta_ops, merge_shared_bits,
+                                    shared_bit_store)
+
+        if init_states is None:
+            init_states, out_states = {}, {}
+        store = shared_bit_store(shared_bits)
+        convs = set(tbl.column("conv_id").to_pylist())
+        pre = merge_shared_bits(init_states, convs,
+                                ray.get(store.fetch.remote()))
+    out = correlate_lists(tbl, init_states=init_states, out_states=out_states)
+    if store is not None:
+        ops = bit_delta_ops(pre, out_states, convs)
+        if ops:
+            ray.get(store.apply.remote(ops))
+    if state_dir is not None:
+        # per-conversation watermarks (max ts seen per conv in this run) —
+        # a bucket-global max could prune live bits of convs whose stream
+        # lags the bucket's fastest conv
+        wm_tbl = pa.TableGroupBy(
+            tbl.select(["conv_id", "ts_epoch"]), "conv_id"
+        ).aggregate([("ts_epoch", "max")])
+        watermarks = dict(zip(
+            wm_tbl.column("conv_id").to_pylist(),
+            (int(v) for v in wm_tbl.column("ts_epoch_max").to_pylist())))
+        save_bucket_state(state_dir, bucket_id, out_states,
+                          watermarks=watermarks)
+    return out, _count_partial(out)
+
+
+@ray.remote
+def _coalesce(*tables):
+    """Concat small per-block bucket slices (empty slices keep the schema
+    alive) — bounds driver-held refs per bucket."""
+    parts = [t for t in tables if len(t)] or [tables[0]]
+    return pa.concat_tables(parts)
+
+
+@ray.remote
+def _combine_counts(labels, *tables):
+    """Tree-combine of (sid, hits, emits) partials: label each with its
+    partition id and concat, so the driver holds one ref per
+    ~COALESCE_PARTS partials instead of one per classify block."""
+    parts = []
+    for lbl, t in zip(labels, tables):
+        parts.append(t.append_column(
+            "part", pa.array([lbl] * len(t), pa.string())))
+    return pa.concat_tables(parts)
+
+
+@ray.remote
+def _sum_sizes(*arrays):
+    out = arrays[0].copy()
+    for a in arrays[1:]:
+        out += a
+    return out
+
+
+def _correlate_exchange(matches_ds, run: tuple, n_buckets: int,
                         max_bucket_bytes: int = 256 << 20,
-                        task_retries: int = 3,
-                        shared_bits: str | None = None):
+                        task_retries: int = 3):
     """Two-stage hash exchange + per-bucket ordered replay for the
     stateful tail — raw Ray core, not ``groupby().map_groups``.
 
@@ -390,154 +591,16 @@ def _correlate_exchange(matches_ds, ruleset: RuleSet, n_buckets: int,
     family (stateless slice, count partial, size array) funnels through
     a Coalescer (`tools/stress_exchange.py --engine` measures RSS flat
     in block count).
-    """
-    import numpy as _np
-    import pandas as _pd
-    import ray
-    import ray.data as rd
 
+    ``run`` is the ``_corr_bucket`` run tuple. Returns the
+    LIST_MATCH_SCHEMA output refs (stateless slices, then buckets) and the
+    coalesced count-partial refs.
+    """
+    # driver-side only: workers that import this module for its tasks
+    # never load the datapipe package
     from ..datapipe.exchange import COALESCE_PARTS, Coalescer
 
-    correlate_lists = make_list_correlator(ruleset)
-
-    def _count_partial(tbl: pa.Table) -> pa.Table:
-        """(sid, hits, emits) partial for one match table — accepts both
-        the list-form stream (flattens the tiny sid/emit lists; text never
-        touched) and exploded tables."""
-        if len(tbl) == 0:
-            return pa.table({"sid": pa.array([], pa.int64()),
-                             "hits": pa.array([], pa.int64()),
-                             "emits": pa.array([], pa.int64())})
-        sid_col = tbl.column("sid").combine_chunks()
-        emit_col = tbl.column("emit").combine_chunks()
-        if pa.types.is_list(sid_col.type):
-            sid_col = pc.list_flatten(sid_col)
-            emit_col = pc.list_flatten(emit_col)
-        t = pa.table({"sid": sid_col,
-                      "emit": pc.cast(emit_col, pa.int64())})
-        g = pa.TableGroupBy(t, "sid").aggregate([([], "count_all"), ("emit", "sum")])
-        return g.rename_columns(["sid", "hits", "emits"])
-
-    def _bucket_takes(tbl: pa.Table, assign: "_np.ndarray", k: int) -> list:
-        """One COMPACT table per bucket via per-bucket ``take`` — never
-        ``slice`` of a sorted take: a sliced Arrow table pickles its FULL
-        backing buffers (measured: a 200-row bucket slice of a 515 KB
-        stateful table serialized 519 KB — ×n_buckets redundant bytes per
-        block, the same buffer-sharing trap that sank the r4 dictionary
-        variant). Total copy work equals the single big take."""
-        order = _np.argsort(assign, kind="stable")
-        bounds = _np.searchsorted(assign[order], _np.arange(k + 1))
-        return [tbl.take(pa.array(order[bounds[i]:bounds[i + 1]]))
-                for i in range(k)]
-
-    @ray.remote
-    def split_block(tbl: pa.Table, nb: int):
-        """Map side: stateless slice + per-bucket stateful tables (with a
-        tiny per-bucket byte-size array for the driver's skew check) +
-        the stateless count partial."""
-        sf = tbl.column("stateful").combine_chunks()
-        stateless = tbl.filter(pc.invert(sf))
-        state = tbl.filter(sf)
-        conv = state.column("conv_id").to_numpy(zero_copy_only=False)
-        # categorize=False: value-PURE hash (datapipe/hashing.py) — the
-        # default factorize path conflates NUL-containing conv_ids with
-        # their strlen-truncated twins DEPENDING ON BLOCK CONTENT, which
-        # would split one conversation's state across buckets
-        b = (_pd.util.hash_array(conv.astype(object), categorize=False)
-             % nb).astype(_np.int64)
-        parts = _bucket_takes(state, b, nb)
-        sizes = _np.array([s.nbytes for s in parts], dtype=_np.int64)
-        return (stateless, _count_partial(stateless), sizes, *parts)
-
-    @ray.remote
-    def refine_block(tbl: pa.Table, nb: int, k: int):
-        """Salting path for oversized buckets: finer conv-hash split
-        ((h // nb) % k) — conversations stay whole, so the per-conv
-        ordered replay is unaffected (SURVEY §4 hard part #4; a single
-        conversation bigger than the bound still lands in one task)."""
-        if len(tbl) == 0:
-            return tuple(tbl.slice(0, 0) for _ in range(k))
-        conv = tbl.column("conv_id").to_numpy(zero_copy_only=False)
-        h = _pd.util.hash_array(conv.astype(object), categorize=False)
-        b = ((h // nb) % k).astype(_np.int64)
-        return tuple(_bucket_takes(tbl, b, k))
-
-    @ray.remote(num_returns=2)
-    def corr_bucket(bucket_id, *tables):
-        """Reduce side: ordered replay of one bucket + its count partial;
-        optionally resumes from / snapshots to the bucket's state file,
-        and/or syncs xbits through the shared store (xbit-redis analog:
-        fetch-authoritative before the replay, publish the delta after —
-        state/shared.py documents the exact semantics)."""
-        init_states = out_states = None
-        if state_dir is not None:
-            from ..state.snapshot import load_bucket_state, save_bucket_state
-
-            init_states = load_bucket_state(state_dir, bucket_id)
-            out_states = dict(init_states)
-        parts = [t for t in tables if len(t)]
-        if not parts:
-            if state_dir is not None:
-                save_bucket_state(state_dir, bucket_id, out_states)
-            e = LIST_MATCH_SCHEMA.empty_table()
-            return e, _count_partial(e)
-        tbl = pa.concat_tables(parts)
-        pre = store = convs = None
-        if shared_bits is not None:
-            from ..state.shared import (bit_delta_ops, merge_shared_bits,
-                                        shared_bit_store)
-
-            if init_states is None:
-                init_states, out_states = {}, {}
-            store = shared_bit_store(shared_bits)
-            convs = set(tbl.column("conv_id").to_pylist())
-            pre = merge_shared_bits(init_states, convs,
-                                    ray.get(store.fetch.remote()))
-        out = correlate_lists(tbl, init_states=init_states,
-                              out_states=out_states)
-        if store is not None:
-            ops = bit_delta_ops(pre, out_states, convs)
-            if ops:
-                ray.get(store.apply.remote(ops))
-        if state_dir is not None:
-            # per-conversation watermarks (max ts seen per conv in this
-            # run) — a bucket-global max could prune live bits of convs
-            # whose stream lags the bucket's fastest conv
-            wm_tbl = pa.TableGroupBy(
-                tbl.select(["conv_id", "ts_epoch"]), "conv_id"
-            ).aggregate([("ts_epoch", "max")])
-            watermarks = dict(zip(
-                wm_tbl.column("conv_id").to_pylist(),
-                (int(v) for v in wm_tbl.column("ts_epoch_max").to_pylist())))
-            save_bucket_state(state_dir, bucket_id, out_states,
-                              watermarks=watermarks)
-        return out, _count_partial(out)
-
-    @ray.remote
-    def coalesce(*tables):
-        """Concat small per-block bucket slices (empty slices keep the
-        schema alive) — bounds driver-held refs per bucket."""
-        parts = [t for t in tables if len(t)] or [tables[0]]
-        return pa.concat_tables(parts)
-
-    @ray.remote
-    def combine_counts(labels, *tables):
-        """Tree-combine of (sid, hits, emits) partials: label each with
-        its partition id and concat, so the driver holds one ref per
-        ~COALESCE_PARTS partials instead of one per classify block."""
-        parts = []
-        for lbl, t in zip(labels, tables):
-            parts.append(t.append_column(
-                "part", pa.array([lbl] * len(t), pa.string())))
-        return pa.concat_tables(parts)
-
-    @ray.remote
-    def sum_sizes(*arrays):
-        out = arrays[0].copy()
-        for a in arrays[1:]:
-            out += a
-        return out
-
+    state_dir = run[2]
     # stream classify output blocks into split tasks as they finish, so
     # the map side of the exchange overlaps the classify stage. EVERY
     # per-block ref family funnels through a Coalescer, so driver-held
@@ -549,10 +612,10 @@ def _correlate_exchange(matches_ds, ruleset: RuleSet, n_buckets: int,
     #   count partials  → labeled concat (labels survive; metrics() reads
     #     the `part` column, not ref identity),
     #   size arrays     → remote elementwise sum.
-    _co = coalesce.options(max_retries=task_retries)
+    _co = _coalesce.options(max_retries=task_retries)
     stateless_parts = Coalescer(_co)
     count_parts = Coalescer(_co)
-    size_parts = Coalescer(sum_sizes.options(max_retries=task_retries))
+    size_parts = Coalescer(_sum_sizes.options(max_retries=task_retries))
     pending_counts: list = []
     pending_labels: list = []
 
@@ -560,7 +623,7 @@ def _correlate_exchange(matches_ds, ruleset: RuleSet, n_buckets: int,
         pending_counts.append(ref)
         pending_labels.append(label)
         if flush or len(pending_counts) >= COALESCE_PARTS:
-            count_parts.add(combine_counts.options(
+            count_parts.add(_combine_counts.options(
                 max_retries=task_retries).remote(
                 list(pending_labels), *pending_counts))
             pending_counts.clear()
@@ -570,8 +633,8 @@ def _correlate_exchange(matches_ds, ruleset: RuleSet, n_buckets: int,
     n_blocks = 0
     for bundle in matches_ds.iter_internal_ref_bundles():
         for block_ref in bundle.block_refs:
-            outs = split_block.options(num_returns=n_buckets + 3,
-                                       max_retries=task_retries).remote(
+            outs = _split_block.options(num_returns=n_buckets + 3,
+                                        max_retries=task_retries).remote(
                 block_ref, n_buckets)
             stateless_parts.add(outs[0])
             push_count(outs[1], f"p{n_blocks:05d}")
@@ -580,7 +643,7 @@ def _correlate_exchange(matches_ds, ruleset: RuleSet, n_buckets: int,
                 bucket_parts[k].add(outs[k + 3])
             n_blocks += 1
 
-    bucket_bytes = _np.zeros(n_buckets, dtype=_np.int64)
+    bucket_bytes = np.zeros(n_buckets, dtype=np.int64)
     for s in ray.get(size_parts.parts()):
         bucket_bytes += s
 
@@ -593,25 +656,24 @@ def _correlate_exchange(matches_ds, ruleset: RuleSet, n_buckets: int,
             # the 1:1 bucket↔snapshot-file layout and skip refinement)
             subs: list[list] = [[] for _ in range(sub)]
             for part in bucket_parts[k].parts():
-                sub_outs = refine_block.options(num_returns=sub,
-                                                max_retries=task_retries).remote(
+                sub_outs = _refine_block.options(num_returns=sub,
+                                                 max_retries=task_retries).remote(
                     part, n_buckets, sub)
                 for j in range(sub):
                     subs[j].append(sub_outs[j])
             for j in range(sub):
-                tbl_ref, cnt_ref = corr_bucket.options(
-                    max_retries=task_retries).remote(k, *subs[j])
+                tbl_ref, cnt_ref = _corr_bucket.options(
+                    max_retries=task_retries).remote(run, k, *subs[j])
                 reduced_refs.append(tbl_ref)
                 push_count(cnt_ref, f"b{k:04d}.{j}")
         else:
-            tbl_ref, cnt_ref = corr_bucket.options(
-                max_retries=task_retries).remote(k, *bucket_parts[k].parts())
+            tbl_ref, cnt_ref = _corr_bucket.options(
+                max_retries=task_retries).remote(run, k, *bucket_parts[k].parts())
             reduced_refs.append(tbl_ref)
             push_count(cnt_ref, f"b{k:04d}")
     if pending_counts:
         push_count(pending_counts.pop(), pending_labels.pop(), flush=True)
-    return (rd.from_arrow_refs(stateless_parts.parts() + reduced_refs),
-            count_parts.parts())
+    return stateless_parts.parts() + reduced_refs, count_parts.parts()
 
 
 def input_counters(ds, config: EngineConfig | None = None) -> dict[str, int]:

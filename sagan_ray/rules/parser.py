@@ -83,7 +83,7 @@ def _split_options(body: str) -> list[str]:
 
 
 def _unquote(s: str) -> str:
-    """Strip surrounding quotes and unescape \" / \; (the characters the
+    """Strip surrounding quotes and unescape \" / \\; (the characters the
     option tokenizer itself escapes). Backslashes are otherwise passed
     through VERBATIM — the reference hands the quoted bytes to
     pcre_compile unmodified, so collapsing '\\\\' would turn the pcre

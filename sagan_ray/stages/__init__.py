@@ -1,2 +1,1 @@
 from .classify import RuleClassifier, MATCH_SCHEMA  # noqa: F401
-from .correlate import correlate_group_fn  # noqa: F401

@@ -7,15 +7,16 @@ CIDR/intel lookups, JSON) run only on the rows that survived the cheap
 text predicates — the batch equivalent of the reference's
 cheapness-ordered short-circuit (doc/source/high-performance.rst:78-93).
 
-Used as an actor pool: ``ds.map_batches(RuleClassifier, fn_constructor_args
-=(ruleset_ref, lookups_ref, config), concurrency=N, batch_format="pyarrow")``
-— rule compilation (regexes, window plans, lookup tables) happens once per
-actor in ``__init__``, never per batch.
+Used from plain Ray Data tasks: ``pipelines.engine.run_engine`` maps
+batches through a ``RuleClassifier`` that each worker process builds once
+per ``compile_key`` and caches — rule compilation (regexes, window plans,
+lookup tables) happens once per worker in ``__init__``, never per batch.
 
-Output is the *exploded match table*: one row per (input row × stateless-
-matched rule), tagged ``stateful`` when the rule touches correlation state
-and therefore still needs the per-conv ordered pass
-(sagan_ray.stages.correlate).
+Output is the *exploded match table* (MATCH_SCHEMA): one row per (input
+row × stateless-matched rule), tagged ``stateful`` when the rule touches
+correlation state and therefore still needs the per-conv ordered pass
+(sagan_ray.stages.correlate) — or, with ``list_form=True``, the same
+matches as LIST_MATCH_SCHEMA rows, one per matched turn × class.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def _required_literal(rx: str) -> tuple[str, bool] | None:
 
 
 class _RulePlan:
-    """Per-rule compiled evaluation plan (built once per actor)."""
+    """Per-rule compiled evaluation plan (built once per classifier)."""
 
     __slots__ = ("rule", "prematch_role", "prematch_tool", "meta_regexes",
                  "pcre_re2", "pcre_py", "needs_ips", "needs_json",
@@ -253,8 +254,8 @@ class _RulePlan:
 
 
 class RuleClassifier:
-    """Actor-pool batch classifier. ``__init__`` once per actor (compiles
-    the ruleset, loads broadcast lookups); ``__call__`` per Arrow batch."""
+    """Batch classifier. ``__init__`` once per worker (compiles the
+    ruleset, loads broadcast lookups); ``__call__`` per Arrow batch."""
 
     def __init__(self, ruleset, lookups=None, config: EngineConfig | None = None,
                  list_form: bool = False):
@@ -280,12 +281,27 @@ class RuleClassifier:
             any(f == "username" for f, _ in r.json_maps)
             for r in ruleset)
         self.any_json = any(p.needs_json for p in self.plans) or self.needs_username
+        # per-rule field-fill plan for _explode: (fills ip/port fields?,
+        # needs its match_stateless field dict per match?, default
+        # src_port, default dst_port). Rules whose username can only be the
+        # .username JSON fallback (no json_map/normalize source) never need
+        # the per-match field dict for it.
+        self._field_plans = []
+        for r, pl in zip(ruleset, self.plans):
+            dynamic = bool(r.parse_src_ip or r.parse_dst_ip or r.json_maps
+                           or r.normalize)
+            uname_simple = not (r.normalize or "username" in pl.jm_fields)
+            self._field_plans.append((
+                dynamic or bool(r.default_src_port or r.default_dst_port),
+                dynamic or (self.needs_username and not uname_simple),
+                r.default_src_port, r.default_dst_port))
+        self.any_extract = any(fp[0] for fp in self._field_plans)
         # stateless pass rules truncate later hits with certainty
         self.stateless_pass_idx = [r.idx for r in ruleset
                                    if r.action == "pass" and not r.is_stateful]
         self.stateful_pass_idx = [r.idx for r in ruleset
                                   if r.action == "pass" and r.is_stateful]
-        # one RE2 alternation per intel table (compiled once per actor,
+        # one RE2 alternation per intel table (compiled once per worker,
         # one kernel pass per kind — not one pass per intel value, which
         # is O(|feed|) kernel launches with a real 100k-entry feed)
         import re as _re
@@ -530,53 +546,52 @@ class RuleClassifier:
                           for r in rules], dtype=bool)[rule_idx]
         emits = emits & ~stateful  # stateful verdicts decided by correlator
 
-        # per-hit extracted fields (rule-specific positional picks); only
-        # rules that pick positions / defaults pay the python loop
+        # per-hit extracted fields, filled rule by rule: constant-field
+        # rules (no parse_*/json_map/normalize source) fill their matches
+        # with one numpy assignment; only dynamic-field rules loop, each
+        # over its own matches, reading the field dicts ``_residual``
+        # memoized
         m = len(row_idx)
-        src_ips = [""] * m
-        dst_ips = [""] * m
+        src_ips = np.full(m, "", dtype=object)
+        dst_ips = np.full(m, "", dtype=object)
         src_ports = np.zeros(m, dtype=np.int32)
         dst_ports = np.zeros(m, dtype=np.int32)
-        usernames = [""] * m
-        # rules whose extracted fields are non-trivial; residual-matched
-        # rules have their field dicts memoized already. Default-port-only
-        # rules (no parse_*/json_map/normalize source) have CONSTANT
-        # fields — fill directly, never per-row match_stateless.
-        dynamic_fields = [bool(r.parse_src_ip or r.parse_dst_ip
-                               or r.json_maps or r.normalize)
-                          for r in rules]
-        need_extract = [dynamic_fields[r.idx]
-                        or bool(r.default_src_port or r.default_dst_port)
-                        for r in rules]
-        if any(need_extract) or self.needs_username:
+        usernames = np.full(m, "", dtype=object)
+        needs_username = self.needs_username
+        if m and (needs_username or self.any_extract):
             fields = ctx.match_fields
-            # rules whose username can only be the .username JSON fallback
-            # (no json_map/normalize source) read it directly — no full
-            # match_stateless pass per match row
-            uname_simple = [not (r.normalize or "username" in pl.jm_fields)
-                            for r, pl in zip(rules, self.plans)]
-            for k in range(m):
-                ri = rule_idx[k]
-                i = int(row_idx[k])
-                if dynamic_fields[ri] or (self.needs_username
-                                          and not uname_simple[ri]):
-                    f = fields.get((ri, i))
-                    if f is None:
-                        f = match_stateless(rules[ri], ctx.row_cache(i),
-                                            self.lookups)
-                    if f is not None:
-                        if need_extract[ri]:
+            by_rule = np.argsort(rule_idx, kind="stable")
+            runs = np.split(by_rule, np.flatnonzero(np.diff(rule_idx[by_rule])) + 1)
+            uname_fallback = None
+            for ks in runs:
+                ri = int(rule_idx[ks[0]])
+                extract, per_match, sp_default, dp_default = self._field_plans[ri]
+                rows = row_idx[ks]
+                if per_match:
+                    # rows whose field dict is missing fall back below
+                    missed = np.zeros(len(ks), dtype=bool)
+                    for j, (k, i) in enumerate(zip(ks.tolist(), rows.tolist())):
+                        f = fields.get((ri, i))
+                        if f is None:
+                            f = match_stateless(rules[ri], ctx.row_cache(i),
+                                                self.lookups)
+                        if f is None:
+                            missed[j] = True
+                            continue
+                        if extract:
                             src_ips[k], dst_ips[k] = f["src_ip"], f["dst_ip"]
                             src_ports[k], dst_ports[k] = f["src_port"], f["dst_port"]
-                        if self.needs_username:
+                        if needs_username:
                             usernames[k] = f["username"]
-                        continue
-                if need_extract[ri]:
+                    ks, rows = ks[missed], rows[missed]
+                if extract:
                     # default-port-only rule: constant fields
-                    src_ports[k] = rules[ri].default_src_port
-                    dst_ports[k] = rules[ri].default_dst_port
-                if self.needs_username:
-                    usernames[k] = ctx.username_row(i)
+                    src_ports[ks] = sp_default
+                    dst_ports[ks] = dp_default
+                if needs_username and len(ks):
+                    if uname_fallback is None:
+                        uname_fallback = ctx.username_fallback(row_idx)
+                    usernames[ks] = uname_fallback[rows]
 
         if not self.list_form:
             take = pa.array(row_idx, pa.int64())
@@ -868,6 +883,19 @@ class _BatchCtx:
     def username_row(self, i: int) -> str:
         j = self.json_row(i)
         return j.get(".username", "") if j else ""
+
+    def username_fallback(self, rows: np.ndarray) -> np.ndarray:
+        """Per-row ``.username`` JSON fallback (length-n object array),
+        parsed once per distinct row of ``rows`` that contains a ``{`` —
+        an exact superset of the rows ``try_parse_json_text`` accepts; the
+        rest read ""."""
+        out = np.full(len(self.ts_epoch), "", dtype=object)
+        brace = pc.match_substring(self._text, "{").to_numpy(
+            zero_copy_only=False).astype(bool, copy=False)
+        uniq = np.unique(rows)
+        for i in uniq[brace[uniq]].tolist():
+            out[i] = self.username_row(i)
+        return out
 
 
 # ----------------------------------------------------------------------

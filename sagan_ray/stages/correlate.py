@@ -7,268 +7,194 @@ src/flexbit-mmap.c (condition 66-843, count 851-918, set 925-1639),
 src/after.c:51-229, src/threshold.c:54-234, applied in engine order
 engine.c:1370-1453. The reference shares this state across all threads via
 mmap; here state is scoped per ``conv_id`` (SURVEY.md §4.3 — the track
-fields ≙ conv_id) and rows are replayed in ``(turn_idx, rule_idx)`` order
-inside ``groupby("conv_id").map_groups``, which makes the verdicts exact
+fields ≙ conv_id) and rows are replayed in ``(conv_id, turn_idx,
+rule_idx)`` order inside one reduce task per exchange bucket
+(``pipelines.engine._correlate_exchange``), which makes the verdicts exact
 and deterministic instead of arrival-order-approximate.
 
 Only *matched* rows of *stateful* rules flow through this stage (the
-classify stage already decided every stateless predicate), so the shuffle
-this groupby implies moves a small fraction of the input. Skew note: a
-conversation's stateful matches all land in one group; the classify-side
-reduction bounds group size, and pathological convs degrade to one
-sequential task without blocking other groups.
+classify stage already decided every stateless predicate), so the exchange
+moves a small fraction of the input. Skew note: a conversation's stateful
+matches all land in one bucket; the classify-side reduction bounds bucket
+size, and pathological convs degrade to one sequential task without
+blocking other buckets.
 """
 
 from __future__ import annotations
 
-import pandas as pd
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..rules.model import RuleSet
 from ..oracle.evaluator import ReferenceEvaluator, _ConvState
+from .classify import LIST_MATCH_SCHEMA
 
 
-def make_correlator(ruleset: RuleSet):
-    """Build the map_groups callable. The ruleset rides the closure (small,
-    broadcast by Ray once per task)."""
+class _Counters:
+    """Counter sink for the oracle's after/threshold helpers."""
+
+    def __init__(self):
+        self.counters = {"after_total": 0, "threshold_total": 0}
+
+
+def make_list_correlator(ruleset: RuleSet):
+    """Build the reduce-side replay over ``stages.classify.LIST_MATCH_SCHEMA``
+    tables (one row per matched turn × class, per-match list columns).
+
+    Only the SMALL columns are flattened, to Python lists; the (large)
+    ``text`` column is never exploded — survivors regroup into list rows
+    keyed by their input row, so each surviving turn's text crosses the
+    object store once regardless of how many of its rules survive."""
 
     # Reuse the oracle's state-machine primitives so the correlation
     # semantics have exactly one implementation to diverge from (the
     # stateless half is what the vectorized classifier re-implements).
     helper = ReferenceEvaluator(ruleset)
 
-    # per-rule static predicates, computed once — not re-scanned per row
-    # in the ~1M-row replay loop
-    rule_static = [
-        (any(x.op in ("set", "unset") for x in r.xbits),
-         [f for f in r.flexbits if f.op in ("isset", "isnotset")],
-         [f for f in r.flexbits if f.op == "count"])
-        for r in ruleset.rules]
+    # per-rule plan, built once — never re-derived in the per-match loop:
+    # (rule, xbit condition?, flexbit isset/isnotset atoms, flexbit count
+    #  atoms, after?, threshold?, xbit set/unset?, flexbit (is_set, atom)
+    #  writes in rule order, pass?, alerts when it survives?)
+    plans = []
+    for r in ruleset.rules:
+        setunset = any(x.op in ("set", "unset") for x in r.xbits)
+        plans.append((
+            r,
+            bool(r.xbits) and not setunset,
+            [f for f in r.flexbits if f.op in ("isset", "isnotset")],
+            [f for f in r.flexbits if f.op == "count"],
+            r.after is not None,
+            r.threshold is not None,
+            setunset,
+            [(f.op == "set", f) for f in r.flexbits if f.op in ("set", "unset")],
+            r.action == "pass",
+            r.action == "alert" and not (bool(r.flexbits) and r.flexbit_noalert),
+        ))
 
-    def correlate(df: pd.DataFrame,
-                  init_states: dict | None = None,
-                  out_states: dict | None = None) -> pd.DataFrame:
-        """Processes a block that may hold MANY conversations (bucketed by
-        hash(conv_id)): rows are sorted by (conv_id, turn_idx, rule_idx)
-        and per-conv state resets at each conv boundary — one python call
-        per bucket instead of one per conversation."""
-        df = df.sort_values(["conv_id", "turn_idx", "rule_idx"], kind="mergesort")
+    def replay(matches, init_states, out_states):
+        """The state machine over (conv, turn, stateful, ts, rule_idx, emit,
+        src_ip, dst_ip, src_port, dst_port, username) match tuples sorted
+        by (conv, turn, rule). Returns (positions that route, their emit
+        verdicts)."""
+        keep: list[int] = []
+        keep_emit: list[bool] = []
+        res = _Counters()
+        init = init_states or {}
         st = _ConvState()
-        rules = ruleset.rules
-
-        routed_flags = []    # per input record: is it a hit (routing passed)?
-        emit_flags = []      # per input record: does it alert (post-suppression)?
-
-        conv_ids = df["conv_id"].to_numpy()
-        rule_idx = df["rule_idx"].to_numpy()
-        turn_idx = df["turn_idx"].to_numpy()
-        stateful_f = df["stateful"].to_numpy()
-        emit_in = df["emit"].to_numpy()
-        ts_epoch = df["ts_epoch"].to_numpy()
-        src_ips = df["src_ip"].to_numpy()
-        dst_ips = df["dst_ip"].to_numpy()
-        src_ports = df["src_port"].to_numpy()
-        dst_ports = df["dst_port"].to_numpy()
-        usernames = df["username"].to_numpy()
-
-        class _Res:  # counter sink for the helper methods
-            counters = {"after_total": 0, "threshold_total": 0}
-
-        res = _Res()
-        skip_turn = -1  # pass short-circuit: skip remaining matches of turn
         cur_conv = None
-        for k in range(len(df)):
-            if conv_ids[k] != cur_conv:
+        skip_turn = -1  # pass short-circuit: skip remaining matches of turn
+        for k, (c, t, sf, now, ri, e, s_ip, d_ip, sp, dp, u) in enumerate(
+                matches):
+            if c != cur_conv:
                 if out_states is not None and cur_conv is not None:
                     out_states[cur_conv] = st
-                cur_conv = conv_ids[k]
+                cur_conv = c
                 # checkpoint resume: continue a conversation's state from a
                 # prior incremental run (the mmap-persistence analog,
                 # reference src/ipc.c:458-733); requires later runs to
                 # carry strictly later turn_idx for the conv
-                st = (init_states or {}).get(cur_conv) or _ConvState()
+                st = init.get(c) or _ConvState()
                 skip_turn = -1
-            if not stateful_f[k]:
+            if not sf:
                 # stateless verdict is already final (classify stage);
                 # pass-through — such rows never touch state, and any row
                 # whose fate depends on a stateful pass rule was flagged
                 # stateful wholesale by the classifier
-                routed_flags.append(True)
-                emit_flags.append(bool(emit_in[k]))
+                keep.append(k)
+                keep_emit.append(bool(e))
                 continue
-            t = int(turn_idx[k])
             if t == skip_turn:
-                routed_flags.append(False)
-                emit_flags.append(False)
                 continue
-            ri = int(rule_idx[k])
-            rule = rules[ri]
-            has_setunset, conds, counts = rule_static[ri]
-            now = int(ts_epoch[k])
-            src_ip, dst_ip = src_ips[k], dst_ips[k]
-            sp, dp = int(src_ports[k]), int(dst_ports[k])
-            user = usernames[k]
+            (rule, xcond, conds, counts, has_after, has_thresh, setunset,
+             flex_writes, is_pass, alerts) = plans[ri]
 
             # ---- state conditions (routing gates) --------------------
-            routed = True
-            if rule.xbits and not has_setunset:
-                routed = helper._xbit_condition(rule, st, src_ip, dst_ip, now)
-            if routed and rule.flexbits:
-                if conds and not helper._flexbit_condition(
-                        conds, st, src_ip, dst_ip, sp, dp, user, now):
-                    routed = False
-                if routed and counts and not all(
-                        helper._flexbit_count(f, st, src_ip, dst_ip, now)
-                        for f in counts):
-                    routed = False
-
-            if not routed:
-                routed_flags.append(False)
-                emit_flags.append(False)
+            if xcond and not helper._xbit_condition(rule, st, s_ip, d_ip, now):
+                continue
+            if conds and not helper._flexbit_condition(
+                    conds, st, s_ip, d_ip, sp, dp, u, now):
+                continue
+            if counts and not all(
+                    helper._flexbit_count(f, st, s_ip, d_ip, now)
+                    for f in counts):
                 continue
 
-            routed_flags.append(True)  # saganfound analog
+            keep.append(k)  # saganfound analog
 
             # ---- after / threshold ----------------------------------
-            after_flag = False
-            if rule.after is not None:
-                after_flag = helper._after(rule, st, src_ip, dst_ip, sp, dp,
-                                           user, now, res)
-            thresh_flag = False
-            if rule.threshold is not None and not after_flag:
-                thresh_flag = helper._threshold(rule, st, src_ip, dst_ip, sp,
-                                                dp, user, now, res)
-            if after_flag or thresh_flag:
-                emit_flags.append(False)
+            suppressed = has_after and helper._after(
+                rule, st, s_ip, d_ip, sp, dp, u, now, res)
+            if not suppressed and has_thresh:
+                suppressed = helper._threshold(
+                    rule, st, s_ip, d_ip, sp, dp, u, now, res)
+            if suppressed:
+                keep_emit.append(False)
                 continue
 
             # ---- sets ------------------------------------------------
-            if has_setunset:
-                helper._xbit_set(rule, st, src_ip, dst_ip, now)
-            for f in rule.flexbits:
-                if f.op == "set":
-                    helper._flexbit_set(f, st, src_ip, dst_ip, sp, dp, user, now)
-                elif f.op == "unset":
-                    helper._flexbit_unset(f, st, src_ip, dst_ip, sp, dp, user)
+            if setunset:
+                helper._xbit_set(rule, st, s_ip, d_ip, now)
+            for is_set, f in flex_writes:
+                if is_set:
+                    helper._flexbit_set(f, st, s_ip, d_ip, sp, dp, u, now)
+                else:
+                    helper._flexbit_unset(f, st, s_ip, d_ip, sp, dp, u)
 
-            if rule.action == "pass":
-                emit_flags.append(False)
+            if is_pass:
+                keep_emit.append(False)
                 skip_turn = t
                 continue
-
-            noalert = bool(rule.flexbits) and rule.flexbit_noalert
-            emit_flags.append(rule.action == "alert" and not noalert)
+            keep_emit.append(alerts)
 
         if out_states is not None and cur_conv is not None:
             out_states[cur_conv] = st
-
-        out = df.copy()
-        out["routed"] = routed_flags
-        out["emit"] = emit_flags
-        # keep only hits (routing passed): these are the saganfound records
-        return out[out["routed"]].drop(columns=["routed"])
-
-    return correlate
-
-
-def correlate_group_fn(ruleset: RuleSet):
-    return make_correlator(ruleset)
-
-
-def make_arrow_correlator(ruleset: RuleSet):
-    """Arrow-native variant for the exchange reduce side: sorts the bucket
-    table with an Arrow kernel and runs the state machine over numpy views
-    of the key/meta columns only — the (large) ``text`` column is never
-    materialized as Python objects; survivors are selected with ``take``.
-    Semantics identical to make_correlator (delegates to the same machine
-    via a shared row loop against the oracle helpers)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    pandas_correlate = make_correlator(ruleset)
-
-    def correlate_tbl(tbl: pa.Table, init_states=None, out_states=None) -> pa.Table:
-        if len(tbl) == 0:
-            return tbl
-        idx = pc.sort_indices(
-            tbl, sort_keys=[("conv_id", "ascending"),
-                            ("turn_idx", "ascending"),
-                            ("rule_idx", "ascending")])
-        tbl = tbl.take(idx)
-        # pandas frame over the SMALL columns only (text/role/tool excluded)
-        import pandas as pd
-
-        small_cols = ["conv_id", "turn_idx", "rule_idx", "ts_epoch",
-                      "src_ip", "dst_ip", "src_port", "dst_port",
-                      "username", "stateful", "emit"]
-        df = tbl.select(small_cols).to_pandas()
-        out = pandas_correlate(df, init_states=init_states,
-                               out_states=out_states)
-        keep = np.asarray(out.index, dtype=np.int64)
-        kept = tbl.take(pa.array(np.sort(keep)))
-        emit_by_pos = pd.Series(out["emit"].to_numpy(), index=out.index)
-        emit_sorted = emit_by_pos.loc[np.sort(keep)].to_numpy()
-        return kept.set_column(kept.schema.get_field_index("emit"), "emit",
-                               pa.array(emit_sorted.astype(bool)))
-
-    return correlate_tbl
-
-
-def make_list_correlator(ruleset: RuleSet):
-    """List-form variant for the exchange reduce side (input/output
-    ``stages.classify.LIST_MATCH_SCHEMA`` — one row per matched turn ×
-    class, per-match list columns). Only the SMALL columns flatten into
-    the replay frame; the (large) ``text`` column is never exploded —
-    survivors regroup into list rows keyed by their input row, so each
-    surviving turn's text crosses the object store once regardless of how
-    many of its rules survive. Semantics delegate to the same
-    ``make_correlator`` state machine as the exploded variant."""
-    import numpy as np
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from .classify import LIST_MATCH_SCHEMA
-
-    pandas_correlate = make_correlator(ruleset)
+        return keep, keep_emit
 
     def correlate_lists(tbl: pa.Table, init_states=None, out_states=None) -> pa.Table:
+        """Replay one bucket that may hold MANY conversations: per-conv
+        state resets at each conv boundary — one Python call per bucket
+        instead of one per conversation."""
         if len(tbl) == 0:
             return tbl
         cols = {n: tbl.column(n).combine_chunks() for n in tbl.column_names}
         lens = pc.list_value_length(cols["rule_idx"]).to_numpy().astype(np.int64)
         parent = np.repeat(np.arange(len(tbl), dtype=np.int64), lens)
+        flat = {n: pc.list_flatten(cols[n]) for n in (
+            "rule_idx", "sid", "emit", "src_ip", "dst_ip", "src_port",
+            "dst_port", "username")}
 
-        def rep_np(name):
-            return cols[name].to_numpy(zero_copy_only=False)[parent]
+        # (conv, turn, rule) order over the exploded matches; stable, so
+        # ties keep the classify emit order
+        take_parent = pa.array(parent)
+        order = pc.sort_indices(
+            pa.table({"c": cols["conv_id"].take(take_parent),
+                      "t": cols["turn_idx"].take(take_parent),
+                      "r": flat["rule_idx"]}),
+            sort_keys=[("c", "ascending"), ("t", "ascending"),
+                       ("r", "ascending")]).to_numpy()
+        row = parent[order]
 
-        def flat_np(name):
-            return pc.list_flatten(cols[name]).to_numpy(zero_copy_only=False)
+        def per_row(name):
+            return cols[name].to_numpy(zero_copy_only=False)[row].tolist()
 
-        # exploded SMALL frame in parent-major order (matches within a
-        # row already rule_idx-ascending from the classify emit; the
-        # correlator sorts by (conv, turn, rule) itself and reports
-        # survivors by THIS frame's positions)
-        df = pd.DataFrame({
-            "conv_id": rep_np("conv_id"),
-            "turn_idx": rep_np("turn_idx"),
-            "rule_idx": flat_np("rule_idx"),
-            "ts_epoch": rep_np("ts_epoch"),
-            "src_ip": flat_np("src_ip"),
-            "dst_ip": flat_np("dst_ip"),
-            "src_port": flat_np("src_port"),
-            "dst_port": flat_np("dst_port"),
-            "username": flat_np("username"),
-            "stateful": rep_np("stateful"),
-            "emit": flat_np("emit"),
-        })
-        out = pandas_correlate(df, init_states=init_states,
-                               out_states=out_states)
-        keep = np.sort(np.asarray(out.index, dtype=np.int64))
-        if len(keep) == 0:
+        def per_match(name):
+            return flat[name].to_numpy(zero_copy_only=False)[order].tolist()
+
+        keep, keep_emit = replay(zip(
+            per_row("conv_id"), per_row("turn_idx"), per_row("stateful"),
+            per_row("ts_epoch"), per_match("rule_idx"), per_match("emit"),
+            per_match("src_ip"), per_match("dst_ip"), per_match("src_port"),
+            per_match("dst_port"), per_match("username")),
+            init_states, out_states)
+        if not keep:
             return LIST_MATCH_SCHEMA.empty_table()
-        emit_by_pos = pd.Series(out["emit"].to_numpy(), index=out.index)
-        emit_sorted = emit_by_pos.loc[keep].to_numpy().astype(bool)
+
+        # survivors back in exploded (parent-major) order
+        pos = order[np.asarray(keep, dtype=np.int64)]
+        by_pos = np.argsort(pos, kind="stable")
+        keep = pos[by_pos]
+        emit_sorted = np.asarray(keep_emit, dtype=bool)[by_pos]
 
         # regroup survivors by parent row (parent is globally
         # non-decreasing, so sorted ``keep`` keeps runs contiguous and
@@ -281,8 +207,7 @@ def make_list_correlator(ruleset: RuleSet):
         keep_arr = pa.array(keep, pa.int64())
 
         def lst(name):
-            return pa.ListArray.from_arrays(
-                offsets, pc.list_flatten(cols[name]).take(keep_arr))
+            return pa.ListArray.from_arrays(offsets, flat[name].take(keep_arr))
 
         return pa.Table.from_arrays([
             cols["conv_id"].take(take_rows),
