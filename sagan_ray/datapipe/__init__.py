@@ -3,172 +3,88 @@ deduplication (exact, MinHash-LSH, SimHash, n-gram Jaccard, embedding
 cosine), similarity search (brute-force + IVF), text analysis (language
 ID, quality scoring, token counts, fingerprints), and multimodal column
 plumbing. All Ray-Data-first: vectorized map_batches + pre-aggregated
-groupbys."""
+groupbys.
 
-from .dedup import (  # noqa: F401
-    cdc_chunk_hashes,
-    cdc_chunk_stats,
-    cdc_coverage_vs_prior,
-    connected_components,
-    ngram_containment_pairs,
-    normalize_text_col,
-    dedup_against_prior,
-    dedup_cluster_best,
-    dedup_cluster_reps,
-    embedding_near_dup,
-    embedding_near_dup_exact,
-    exact_dedup,
-    fuzzy_dedup_against_prior,
-    exact_dedup_normalized,
-    minhash_join,
-    minhash_lsh_candidates,
-    minhash_lsh_dedup,
-    ngram_jaccard_pairs,
-    simhash_dedup,
-    verify_pairs_jaccard,
-)
-from .graph import (  # noqa: F401
-    bfs_distances,
-    label_propagation,
-    pagerank,
-    synth_link_graph,
-)
-from .diff import (  # noqa: F401
-    snapshot_diff,
-)
-from .profile import (  # noqa: F401
-    k_anonymity,
-    l_diversity,
-    profile_table,
-    validate_table,
-)
-from .web import (  # noqa: F401
-    domain_filter,
-    domain_stats,
-    extract_urls,
-    synth_web_docs,
-    url_dedup,
-)
-from .phash import (  # noqa: F401
-    phash64,
-    phash_dedup,
-    phash_table,
-    synth_phash_media,
-)
-from .ann import (  # noqa: F401
-    brute_force_topk,
-    ivf_index_stats,
-    knn_graph,
-    knn_graph_ivf,
-    build_ivfpq_index,
-    hard_negative_topk,
-    build_pq_index,
-    compact_ivf_index,
-    compact_pq_index,
-    ivf_topk,
-    mmr_topk,
-    pq_topk,
-    quantize_embeddings,
-    quantized_topk,
-    search_ivfpq_index,
-    search_pq_index,
-    update_pq_index,
-)
-from .ann import (  # noqa: F401
-    build_ivf_index,
-    search_ivf_index,
-    update_ivf_index,
-)
-from .cluster import (  # noqa: F401
-    fit_centroids,
-    embedding_outliers,
-    kcenter_coreset,
-    kmeans_assign,
-    semantic_dedup_filter,
-    semantic_near_dup,
-)
-from .decomp import fit_pca, pca_project  # noqa: F401
-from .curate import (  # noqa: F401
-    blocklist_flags,
-    decontaminate,
-    split_by_cluster,
-    group_topk,
-    mix_sources,
-    pii_pseudonymize,
-    pii_redact,
-    rewrite_pseudonyms,
-    sample_balanced,
-    sample_bottomk,
-    sample_per_group,
-    sample_stratified,
-    sample_token_budget,
-    sample_token_budget_by_group,
-    sample_weighted,
-    shuffle_shards,
-)
-from .events import (  # noqa: F401
-    cohort_retention,
-    user_paths,
-    debounce,
-    cusum_alarm,
-    funnel_stages,
-    holt_forecast,
-    props_key_agg,
-    running_totals,
-    sequence_counts,
-    ses_forecast,
-    type_trend,
-    window_rate_limit,
-    window_topk,
-    step_latency,
-    transition_counts,
-)
-from .exchange import hash_group_apply  # noqa: F401
-from .index import (  # noqa: F401
-    build_inverted_index,
-    search_index,
-    update_inverted_index,
-)
-from .search import bm25_topk, tfidf_similar  # noqa: F401
-from .winnow import winnow_pairs  # noqa: F401
-from .sketch import (  # noqa: F401
-    bloom_membership,
-    cms_word_counts,
-    hll_group_distinct,
-    hll_vocab,
-)
-from .pack import chunk_documents, pack_sequences  # noqa: F401
-from .stats import (  # noqa: F401
-    group_outlier_flags,
-    group_percentiles,
-    group_quantile_sketch,
-    histogram,
-    percentiles,
-    rank_normalize,
-    rolling_window_count,
-)
-from .joins import (  # noqa: F401
-    asof_join,
-    bloom_semijoin,
-    hash_join,
-    range_join_count,
-    range_join_pairs,
-)
-from .textstats import (  # noqa: F401
-    bigram_nll,
-    byte_entropy,
-    collocations,
-    corpus_stats,
-    cross_doc_dup,
-    distinctive_terms,
-    fingerprint,
-    heavy_hitters,
-    langid,
-    quality,
-    remove_dup_spans,
-    repetition,
-    source_divergence,
-    source_overlap,
-    token_counts,
-    unigram_nll,
-)
+Submodules load on first use of one of their names (PEP 562): a Ray
+worker that imports one submodule, e.g. the exchange tasks, does not
+import the rest."""
+
+import importlib
+
+_EXPORTS = {
+    "dedup": """
+        cdc_chunk_hashes cdc_chunk_stats cdc_coverage_vs_prior
+        connected_components ngram_containment_pairs normalize_text_col
+        dedup_against_prior dedup_cluster_best dedup_cluster_reps
+        embedding_near_dup embedding_near_dup_exact exact_dedup
+        fuzzy_dedup_against_prior exact_dedup_normalized minhash_join
+        minhash_lsh_candidates minhash_lsh_dedup ngram_jaccard_pairs
+        simhash_dedup verify_pairs_jaccard
+    """,
+    "graph": "bfs_distances label_propagation pagerank synth_link_graph",
+    "diff": "snapshot_diff",
+    "profile": "k_anonymity l_diversity profile_table validate_table",
+    "web": "domain_filter domain_stats extract_urls synth_web_docs url_dedup",
+    "phash": "phash64 phash_dedup phash_table synth_phash_media",
+    "ann": """
+        brute_force_topk ivf_index_stats knn_graph knn_graph_ivf
+        build_ivfpq_index hard_negative_topk build_pq_index
+        compact_ivf_index compact_pq_index ivf_topk mmr_topk pq_topk
+        quantize_embeddings quantized_topk search_ivfpq_index
+        search_pq_index update_pq_index build_ivf_index search_ivf_index
+        update_ivf_index
+    """,
+    "cluster": """
+        fit_centroids embedding_outliers kcenter_coreset kmeans_assign
+        semantic_dedup_filter semantic_near_dup
+    """,
+    "decomp": "fit_pca pca_project",
+    "curate": """
+        blocklist_flags decontaminate split_by_cluster group_topk
+        mix_sources pii_pseudonymize pii_redact rewrite_pseudonyms
+        sample_balanced sample_bottomk sample_per_group
+        sample_stratified sample_token_budget
+        sample_token_budget_by_group sample_weighted shuffle_shards
+    """,
+    "events": """
+        cohort_retention user_paths debounce cusum_alarm funnel_stages
+        holt_forecast props_key_agg running_totals sequence_counts
+        ses_forecast type_trend window_rate_limit window_topk
+        step_latency transition_counts
+    """,
+    "exchange": "hash_group_apply",
+    "index": "build_inverted_index search_index update_inverted_index",
+    "search": "bm25_topk tfidf_similar",
+    "winnow": "winnow_pairs",
+    "sketch": "bloom_membership cms_word_counts hll_group_distinct hll_vocab",
+    "pack": "chunk_documents pack_sequences",
+    "stats": """
+        group_outlier_flags group_percentiles group_quantile_sketch
+        histogram percentiles rank_normalize rolling_window_count
+    """,
+    "joins": """
+        asof_join bloom_semijoin hash_join range_join_count
+        range_join_pairs
+    """,
+    "textstats": """
+        bigram_nll byte_entropy collocations corpus_stats cross_doc_dup
+        distinctive_terms fingerprint heavy_hitters langid quality
+        remove_dup_spans repetition source_divergence source_overlap
+        token_counts unigram_nll
+    """,
+}
+_MODULE_OF = {name: mod for mod, names in _EXPORTS.items()
+              for name in names.split()}
+
+
+def __getattr__(name: str):
+    mod = _MODULE_OF.get(name)
+    if mod is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{mod}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_MODULE_OF))

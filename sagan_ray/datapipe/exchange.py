@@ -1,44 +1,139 @@
-"""Reusable bucketed hash exchange — the custom wide-operator primitive.
+"""The repo's one bucketed hash exchange — the custom wide-operator primitive.
 
-``hash_group_apply(ds, key_cols, bucket_fn)`` hash-partitions a Dataset's
-rows by key into N buckets (all rows of a key land in exactly one bucket)
-and runs ``bucket_fn`` once per bucket over the concatenated slice.
+Every keyed repartition runs through ``shuffle`` below. It has two
+clients: ``hash_group_apply`` (client_stats, events, the dedup
+operators, ...) and the engine's correlation stage
+(``pipelines.engine``), which keys on ``conv_id`` the way Sagan keys its
+correlation state on the source IP. The shared core owns the key hash,
+the map-side split, the salting refine, ref coalescing and the salting
+policy; each client brings only its reduce task. One repartition
+operator serving every client, split into a map and a reduce side, is
+the shape argued for by Hyper Dimension Shuffle (VLDB 2019).
 
-Why not ``ds.groupby(...).map_groups``: measured on this workload family,
-Ray Data's sort-based groupby costs 10-70 s where the grouped work itself
-is <1 s (see CLAUDE.md perf notes); this exchange is two stages of plain
-Ray tasks with streaming map-side submission, so it overlaps whatever
-produced ``ds``. Used by the correlation stage (specialised version in
-pipelines.engine), client_stats, and the dedup operators.
-
-Contract for ``bucket_fn(df: pandas.DataFrame) -> pandas.DataFrame``:
-receives every row of its bucket (all rows sharing a key together,
-unsorted); must handle the empty frame; does its own within-bucket
-grouping (vectorized — sort + boundaries — not pandas groupby.apply).
+Why not ``ds.groupby(...).map_groups``: measured on this workload family
+(2M turns / 1.4M matches, 32 CPUs), Ray Data's sort-based groupby costs
+10-70 s of shuffle/convert overhead where the grouped work itself is
+<1 s — per-key ordered stateful scanning is the one operator the Dataset
+API can't express efficiently (SURVEY.md §4.2). This exchange is two
+stages of plain Ray tasks with streaming map-side submission
+(``iter_internal_ref_bundles``), so it overlaps whatever produced ``ds``.
 
 Scale behavior: map-side split tasks report per-bucket byte sizes (tiny
 arrays); before launching a reduce the driver re-splits any bucket whose
-total exceeds ``max_bucket_bytes`` by a FINER key hash into k sub-tasks
-(the salting path — keys stay whole, so the bucket_fn contract holds).
-Reduce-task memory is therefore bounded by max_bucket_bytes regardless of
-input size or key skew; only a single key whose rows alone exceed the
-bound still lands in one sub-task (inherent to key locality — SURVEY §4
-hard part #4).
+total exceeds ``max_bucket_bytes`` by a FINER key hash into
+``min(64, ceil(bytes / max_bucket_bytes))`` sub-buckets (the salting
+path — keys stay whole, so per-key reduce contracts hold). Reduce-task
+memory is therefore bounded by max_bucket_bytes regardless of input size
+or key skew; only a single key whose rows alone exceed the bound still
+lands in one sub-task (inherent to key locality — SURVEY §4 hard part
+#4). A caller that needs a fixed bucket layout (the engine's per-bucket
+state snapshots) passes ``max_bucket_bytes=None`` to turn salting off.
 
-Driver memory: per-bucket part lists COALESCE once they exceed
-``COALESCE_PARTS`` refs (a remote concat collapses them to one), so the
-driver holds O(n_buckets × COALESCE_PARTS) object refs rather than
-O(blocks × n_buckets) — flat RSS on many-thousand-block inputs
-(tools/stress_exchange.py; numbers in BASELINE.md)."""
+Failure story (documented stance): split and reduce tasks are
+deterministic ``@ray.remote`` tasks, so a worker crash retries
+transparently (``task_retries``, Ray's default 3) and a lost task OUTPUT
+is lineage-reconstructed while its inputs remain addressable; what is
+NOT recoverable is a lost INPUT block (streaming-executor output — no
+lineage once its bundle is consumed). On that loss the run fails and
+re-runs — and the engine's ``state_dir`` makes that re-run incremental
+at BUCKET granularity (each reduce snapshots its correlation state +
+per-conv watermarks), the same recovery unit the reference gets from
+mmap files surviving a crash (src/ipc.c:458-733).
+
+Driver memory: EVERY per-block ref family — bucket parts, size arrays
+and a client's side outputs — funnels through a ``Coalescer`` (a remote
+concat or sum every ``COALESCE_PARTS`` refs), so the driver holds
+O(n_buckets × COALESCE_PARTS) object refs rather than O(blocks ×
+n_buckets); a 100 TB input is ~1.6 M blocks, and per-block refs at ~9 KB
+of RSS each would be ~14 GB. What remains per block is Ray task lineage:
+~30 KB of driver memory per block at the default ``task_retries`` (task
+specs pinned while the coalesced outputs live). ``task_retries=0`` makes
+driver memory flat (~8 KB/block incl. all fixed costs), and with the
+engine's ``state_dir`` a mid-run loss then degrades to a bucket-granular
+incremental re-run instead of a task retry (tools/stress_exchange.py;
+numbers in BASELINE.md)."""
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import ray
+
+from .hashing import hash_array_pure
 
 DEFAULT_MAX_BUCKET_BYTES = 256 << 20
 COALESCE_PARTS = 32
+
+
+def default_n_buckets() -> int:
+    """One reduce task per ~2 cores: fewer buckets = fewer tiny object
+    transfers; raise for bigger clusters/inputs."""
+    return max(4, int(ray.cluster_resources().get("CPU", 8)) // 2)
+
+
+def key_hash(tbl: pa.Table, cols: list[str]) -> np.ndarray:
+    """Value-pure uint64 hash of each row's key: ``hash_array_pure`` per
+    column, combined as ``h * 1000003 ^ h_col`` for multi-column keys.
+    Integer and boolean columns with nulls are null-filled first so a
+    column converts to one numpy dtype in every block (a null-free block
+    would otherwise hash 3 as int64 and a null-bearing one as 3.0)."""
+    if len(tbl) == 0:           # also column-less empty blocks
+        return np.zeros(0, np.uint64)
+    h = None
+    for c in cols:
+        col = tbl.column(c)
+        if col.null_count and pa.types.is_integer(col.type):
+            col = col.fill_null(0)
+        elif col.null_count and pa.types.is_boolean(col.type):
+            col = col.fill_null(False)
+        x = hash_array_pure(col.to_numpy(zero_copy_only=False))
+        h = x if h is None else h * np.uint64(1000003) ^ x
+    return h
+
+
+def bucket_takes(tbl: pa.Table, assign: np.ndarray, k: int) -> list:
+    """One COMPACT table per bucket via per-bucket ``take`` — never
+    ``slice`` of a sorted take: a sliced Arrow table pickles its FULL
+    backing buffers (measured: a 200-row bucket slice of a 515 KB table
+    serialized 519 KB — ×k redundant bytes per block). Total copy work
+    equals the single big take."""
+    order = np.argsort(assign, kind="stable")
+    bounds = np.searchsorted(assign[order], np.arange(k + 1))
+    return [tbl.take(pa.array(order[bounds[i]:bounds[i + 1]]))
+            for i in range(k)]
+
+
+@ray.remote
+def split_block(tbl: pa.Table, key_cols: list[str], nb: int, k: int = 0,
+                side=None, block: int = 0):
+    """Map side: one table per ``h % nb`` bucket plus a per-bucket byte
+    size array for the driver's salting check. With ``k`` > 0 it is the
+    refine task instead: one oversized bucket's part splits ``k`` ways by
+    the finer ``(h // nb) % k``, independent of the coarse assignment.
+
+    ``side(tbl, block)`` (a module-level function) may peel extra
+    per-block outputs off first: it returns the table to split and a
+    tuple of outputs, which lead the returns."""
+    extra = ()
+    if side is not None:
+        tbl, extra = side(tbl, block)
+    h = key_hash(tbl, key_cols)
+    assign = ((h // nb) % k if k else h % nb).astype(np.int64)
+    parts = bucket_takes(tbl, assign, k or nb)
+    return (*extra, np.array([p.nbytes for p in parts], dtype=np.int64),
+            *parts)
+
+
+@ray.remote
+def _coalesce(*tables):
+    """Concat small per-block tables (empty ones keep the schema alive)."""
+    parts = [t for t in tables if len(t)] or [tables[0]]
+    return pa.concat_tables(parts)
+
+
+@ray.remote
+def _sum_sizes(*arrays):
+    return sum(arrays[1:], arrays[0].copy())
 
 
 class Coalescer:
@@ -67,103 +162,89 @@ class Coalescer:
         return self.supers + self.chunks + self.fresh
 
 
+def shuffle(ds, key_cols: list[str], n_buckets: int, *, side=None,
+            n_side: int = 0,
+            max_bucket_bytes: int | None = DEFAULT_MAX_BUCKET_BYTES,
+            task_retries: int = 3):
+    """Map side and salting of the exchange; the caller launches the
+    reduces. ``side``/``n_side``: see ``split_block``.
+
+    Returns ``(sides, buckets)``: one Coalescer per side output, and one
+    ``(bucket, label, parts, nbytes)`` per reduce to launch in bucket
+    order — ``label`` is ``b<bucket>`` or, for a salted sub-bucket,
+    ``b<bucket>.<sub>``."""
+    coalesce = _coalesce.options(max_retries=task_retries)
+    sides = [Coalescer(coalesce) for _ in range(n_side)]
+    sizes = Coalescer(_sum_sizes.options(max_retries=task_retries))
+    buckets = [Coalescer(coalesce) for _ in range(n_buckets)]
+    split = split_block.options(num_returns=n_side + 1 + n_buckets,
+                                max_retries=task_retries)
+    n_blocks = 0
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref in bundle.block_refs:
+            outs = split.remote(ref, key_cols, n_buckets, 0, side, n_blocks)
+            for c, out in zip(sides + [sizes] + buckets, outs):
+                c.add(out)
+            n_blocks += 1
+    bucket_bytes = sum(ray.get(sizes.parts()), np.zeros(n_buckets, np.int64))
+
+    refined = {}
+    for b, nbytes in enumerate(bucket_bytes):
+        k = 1 if max_bucket_bytes is None else int(
+            min(64, -(-int(nbytes) // max(1, max_bucket_bytes))))
+        if k >= 2:
+            refine = split_block.options(num_returns=k + 1,
+                                         max_retries=task_retries)
+            refined[b] = [refine.remote(p, key_cols, n_buckets, k)
+                          for p in buckets[b].parts()]
+    out = []
+    for b, nbytes in enumerate(bucket_bytes):
+        if b not in refined:
+            out.append((b, f"b{b:04d}", buckets[b].parts(), int(nbytes)))
+            continue
+        outs = refined[b]
+        sub_bytes = sum(ray.get([o[0] for o in outs]))
+        out.extend((b, f"b{b:04d}.{j}", [o[j + 1] for o in outs], int(n))
+                   for j, n in enumerate(sub_bytes))
+    return sides, out
+
+
+@ray.remote
+def _apply_pandas(fn, *tables):
+    """hash_group_apply's reduce: ``fn`` is ``(bucket_fn, out_schema)``."""
+    bucket_fn, out_schema = fn
+    df = pa.concat_tables([t for t in tables if len(t)]).to_pandas()
+    out = pa.Table.from_pandas(bucket_fn(df), preserve_index=False)
+    if out_schema is not None:
+        out = out.select(out_schema.names).cast(out_schema)
+    return out
+
+
 def hash_group_apply(ds, key_cols: list[str], bucket_fn,
                      n_buckets: int | None = None,
                      out_schema: pa.Schema | None = None,
                      max_bucket_bytes: int = DEFAULT_MAX_BUCKET_BYTES):
-    """Returns a Dataset of bucket_fn outputs. ``out_schema`` (optional)
-    casts/normalizes each bucket's output so empties keep their schema."""
-    import ray
+    """Hash-partition ``ds``'s rows by key into N buckets (all rows of a
+    key land in exactly one bucket) and return a Dataset of
+    ``bucket_fn`` outputs, one per non-empty bucket. ``out_schema``
+    (optional) casts/normalizes each output so empties keep their schema.
+
+    Contract for ``bucket_fn(df: pandas.DataFrame) -> pandas.DataFrame``:
+    receives every row of its bucket (all rows sharing a key together,
+    unsorted); must handle the empty frame; does its own within-bucket
+    grouping (vectorized — sort + boundaries — not pandas
+    groupby.apply)."""
     import ray.data as rd
 
-    if n_buckets is None:
-        n_buckets = max(4, int(ray.cluster_resources().get("CPU", 8)) // 2)
-
-    def _partition(tbl: pa.Table, assign: np.ndarray, k: int):
-        # one COMPACT table per bucket via per-bucket take — never slice
-        # of a sorted take: a sliced Arrow table pickles its FULL backing
-        # buffers, shipping ×k redundant bytes per split task (see
-        # pipelines/engine.py::_bucket_takes; measured 16× on the
-        # correlation exchange map side)
-        order = np.argsort(assign, kind="stable")
-        bounds = np.searchsorted(assign[order], np.arange(k + 1))
-        return [tbl.take(pa.array(order[bounds[i]:bounds[i + 1]]))
-                for i in range(k)]
-
-    def _key_hash(tbl: pa.Table) -> np.ndarray:
-        kdf = tbl.select(key_cols).to_pandas()
-        return pd.util.hash_pandas_object(kdf, index=False).to_numpy()
-
-    @ray.remote
-    def split(tbl: pa.Table, nb: int):
-        if len(tbl) == 0:
-            return (np.zeros(nb, dtype=np.int64),
-                    *(tbl.slice(0, 0) for _ in range(nb)))
-        b = (_key_hash(tbl) % nb).astype(np.int64)
-        slices = _partition(tbl, b, nb)
-        sizes = np.array([s.nbytes for s in slices], dtype=np.int64)
-        return (sizes, *slices)
-
-    @ray.remote
-    def refine(tbl: pa.Table, nb: int, k: int):
-        """Finer split of one oversized-bucket part by (h // nb) % k —
-        independent of the coarse assignment, keys stay whole."""
-        if len(tbl) == 0:
-            return tuple(tbl.slice(0, 0) for _ in range(k))
-        b = ((_key_hash(tbl) // nb) % k).astype(np.int64)
-        return tuple(_partition(tbl, b, k))
-
-    @ray.remote
-    def coalesce(*tables):
-        """Concat many small per-block bucket slices into one table so the
-        driver's ref count per bucket stays bounded (empty slices keep the
-        schema alive)."""
-        parts = [t for t in tables if len(t)] or [tables[0]]
-        return pa.concat_tables(parts)
-
-    @ray.remote
-    def reduce_bucket(*tables):
-        parts = [t for t in tables if len(t)]
-        if not parts:
-            if out_schema is not None:
-                return out_schema.empty_table()
-            return None
-        df = pa.concat_tables(parts).to_pandas()
-        out = bucket_fn(df)
-        tbl = pa.Table.from_pandas(out, preserve_index=False)
-        if out_schema is not None:
-            tbl = tbl.select(out_schema.names).cast(out_schema)
-        return tbl
-
-    buckets = [Coalescer(coalesce) for _ in range(n_buckets)]
-    size_refs: list = []
-    for bundle in ds.iter_internal_ref_bundles():
-        for ref in bundle.block_refs:
-            outs = split.options(num_returns=n_buckets + 1).remote(ref, n_buckets)
-            size_refs.append(outs[0])
-            for i in range(n_buckets):
-                buckets[i].add(outs[i + 1])
-
-    bucket_bytes = np.zeros(n_buckets, dtype=np.int64)
-    for s in ray.get(size_refs):
-        bucket_bytes += s
-
-    refs = []
-    for i in range(n_buckets):
-        k = int(min(64, -(-int(bucket_bytes[i]) // max(1, max_bucket_bytes))))
-        if k >= 2:
-            subs: list[list] = [[] for _ in range(k)]
-            for part in buckets[i].parts():
-                sub_outs = refine.options(num_returns=k).remote(
-                    part, n_buckets, k)
-                for j in range(k):
-                    subs[j].append(sub_outs[j])
-            refs.extend(reduce_bucket.remote(*subs[j]) for j in range(k))
-        else:
-            refs.append(reduce_bucket.remote(*buckets[i].parts()))
-    if out_schema is None:
-        vals = ray.get(refs)
-        refs = [r for r, v in zip(refs, vals) if v is not None]
-        if not refs:
-            return rd.from_items([])
-    return rd.from_arrow_refs(refs)
+    _, buckets = shuffle(ds, key_cols, n_buckets or default_n_buckets(),
+                         max_bucket_bytes=max_bucket_bytes)
+    # the driver holds every bucket's byte size, so empty buckets launch
+    # no reduce and no output is ever pulled to the driver
+    fn = ray.put((bucket_fn, out_schema))
+    refs = [_apply_pandas.remote(fn, *parts)
+            for _, _, parts, nbytes in buckets if nbytes]
+    if refs:
+        return rd.from_arrow_refs(refs)
+    if out_schema is not None:
+        return rd.from_arrow(out_schema.empty_table())
+    return rd.from_items([])

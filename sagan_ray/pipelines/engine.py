@@ -5,8 +5,9 @@ Ray-Data-first shape (SURVEY.md §3.4):
     ds = ray.data.read_parquet(transcripts)
     matches = ds.map_batches(classify_batch)   # fused parse+classify (tasks,
                                                # per-worker compiled ruleset)
-    matches → _correlate_exchange              # ONE hash exchange on
-                                               # hash(conv_id): per-bucket
+    matches → shuffle(conv_id) → _corr_bucket  # the repo's ONE hash
+                                               # exchange (datapipe/
+                                               # exchange.py): per-bucket
                                                # ordered replay of the
                                                # stateful tail; stateless
                                                # verdicts pass through
@@ -15,8 +16,10 @@ Ray-Data-first shape (SURVEY.md §3.4):
 
 Only matched rows cross the exchange (stateful ones carry state); the
 ruleset and lookup tables are broadcast once via ``ray.put`` and compiled
-once per worker. See _correlate_exchange for why the exchange is raw Ray
-tasks rather than ``groupby().map_groups``.
+once per worker. This module keeps only the exchange's correlation
+client: the ``_peel_stateless`` side function of its map task, the
+``_corr_bucket`` reduce task and, in ``run_engine``, the driver loop
+between them.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from __future__ import annotations
 import hashlib
 import pickle
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray
@@ -138,86 +139,50 @@ class EngineResult:
         return self.matches.map_batches(explode, batch_format="pyarrow")
 
     # ---- aggregates (parity gates) -----------------------------------
-    def _sid_counts(self, emitted_only: bool) -> dict[int, int]:
-        """Per-sid counts. When the correlation exchange ran, the partial
-        count tables were produced inline by its tasks (zero extra
-        passes); otherwise one pre-aggregated pass over the match stream
-        (one partial row per sid per batch crosses the exchange)."""
-        import ray
-
-        col = "emits" if emitted_only else "hits"
+    def _count_tables(self) -> list[pa.Table]:
+        """(sid, hits, emits, part) count tables. When the correlation
+        exchange ran, its tasks produced them inline (zero extra passes);
+        otherwise (stateless ruleset) one pre-aggregated pass over the
+        match stream — one partial row per sid per batch crosses the
+        groupby, and partition granularity is not available."""
         if self.count_refs is not None:
-            out: dict[int, int] = {}
-            for t in ray.get(list(self.count_refs)):
-                for sid, n in zip(t.column("sid").to_pylist(),
-                                  t.column(col).to_pylist()):
-                    if n:
-                        out[sid] = out.get(sid, 0) + int(n)
-            return out
-
-        def partial(tbl: pa.Table) -> pa.Table:
-            if emitted_only:
-                tbl = tbl.filter(tbl.column("emit").combine_chunks())
-            g = pa.TableGroupBy(tbl.select(["sid"]), "sid").aggregate([([], "count_all")])
-            return g.rename_columns(["sid", "n"])
-
+            return ray.get(list(self.count_refs))
         from ray.data.aggregate import Sum
 
-        df = (self.matches.map_batches(partial, batch_format="pyarrow")
-              .groupby("sid").aggregate(Sum("n", alias_name="n")).to_pandas())
+        df = (self.matches.map_batches(_count_partial, batch_format="pyarrow")
+              .groupby("sid").aggregate(Sum("hits", alias_name="hits"),
+                                        Sum("emits", alias_name="emits"))
+              .to_pandas())
         if df.empty:        # zero matches: the empty frame has no columns
-            return {}
-        return dict(zip(df["sid"].astype(int), df["n"].astype(int)))
+            return []
+        cols = {c: pa.array(df[c].astype("int64"))
+                for c in ("sid", "hits", "emits")}
+        return [pa.table({**cols,
+                          "part": pa.array(["all"] * len(df), pa.string())})]
+
+    def _sid_counts(self, emitted_only: bool) -> dict[int, int]:
+        col = "emits" if emitted_only else "hits"
+        out: dict[int, int] = {}
+        for t in self._count_tables():
+            for sid, n in zip(t.column("sid").to_pylist(),
+                              t.column(col).to_pylist()):
+                if n:
+                    out[sid] = out.get(sid, 0) + int(n)
+        return out
 
     def hit_counts(self) -> dict[int, int]:
         return self._sid_counts(emitted_only=False)
 
     def metrics(self) -> pa.Table:
         """Per-partition lineage/metrics table (SURVEY.md §4.2): one row
-        per exchange partial — map-side partials carry the stateless
-        matches of one classify output block, reduce-side partials one
-        correlation bucket — with per-sid hit/emit counts. The operational
-        answer to 'which partition produced what'."""
-        empty = pa.table({"sid": pa.array([], pa.int64()),
-                          "hits": pa.array([], pa.int64()),
-                          "emits": pa.array([], pa.int64()),
-                          "part": pa.array([], pa.string())})
-        if self.count_refs is None:
-            # stateless ruleset: no exchange ran, so aggregate one
-            # partial pass over the match stream (consumes it once;
-            # partition granularity is not available without refs)
-            from ray.data.aggregate import Sum
-
-            def partial(tbl: pa.Table) -> pa.Table:
-                if len(tbl) == 0:
-                    return pa.table({"sid": pa.array([], pa.int64()),
-                                     "hits": pa.array([], pa.int64()),
-                                     "emits": pa.array([], pa.int64())})
-                t = pa.table({"sid": tbl.column("sid").combine_chunks(),
-                              "emit": pc.cast(tbl.column("emit").combine_chunks(),
-                                              pa.int64())})
-                g = pa.TableGroupBy(t, "sid").aggregate(
-                    [([], "count_all"), ("emit", "sum")])
-                return g.rename_columns(["sid", "hits", "emits"])
-
-            df = (self.matches.map_batches(partial, batch_format="pyarrow")
-                  .groupby("sid").aggregate(Sum("hits", alias_name="hits"),
-                                            Sum("emits", alias_name="emits"))
-                  .to_pandas())
-            if df.empty:
-                return empty
-            return pa.table({
-                "sid": pa.array(df["sid"].astype("int64")),
-                "hits": pa.array(df["hits"].astype("int64")),
-                "emits": pa.array(df["emits"].astype("int64")),
-                "part": pa.array(["all"] * len(df), pa.string()),
-            })
-        # combined partial tables already carry their partition labels
-        # (map-side blocks as p<block>, reduce buckets as b<bucket>[.sub])
-        parts = [empty]
-        for t in ray.get(list(self.count_refs)):
-            parts.append(t.select(["sid", "hits", "emits", "part"]))
-        return pa.concat_tables(parts)
+        per exchange partial — map-side partials (``p<block>``) carry the
+        stateless matches of one classify output block, reduce-side
+        partials (``b<bucket>[.<sub>]``) one correlation bucket — with
+        per-sid hit/emit counts; a stateless ruleset reports ``all``. The
+        operational answer to 'which partition produced what'."""
+        empty = _count_partial(pa.table({}), "")   # the schema, no rows
+        return pa.concat_tables(
+            [empty] + [t.select(empty.schema.names) for t in self._count_tables()])
 
     def routed_counts(self) -> dict[tuple[str, int], int]:
         """Per-(sink, sid) alert counts. The sink fan-out is resolved
@@ -242,7 +207,7 @@ class EngineResult:
 
 def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
                config: EngineConfig | None = None, *,
-               concurrency=None, batch_size: int = 16384,
+               batch_size: int = 16384,
                state_dir: str | None = None,
                max_bucket_bytes: int = 256 << 20,
                task_retries: int = 3,
@@ -262,23 +227,13 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
     conversation's state (requires later runs to carry strictly later
     turn_idx per conv; see sagan_ray.state.snapshot).
 
-    ``task_retries``: max_retries for the exchange's raw Ray tasks.
-    The default (Ray's 3) keeps worker-crash retries and lineage
-    reconstruction, at a measured ~30 KB of driver memory per classify
-    block of retained lineage (task specs pinned while the coalesced
-    outputs live). For 1 M+-block inputs (100 TB tier), run
-    ``task_retries=0`` with a ``state_dir``: driver memory goes flat
-    (~8 KB/block incl. all fixed costs, stress_exchange --engine) and a
-    mid-run loss degrades to a bucket-granular incremental re-run via the
-    snapshots instead of a task retry."""
+    ``task_retries``: max_retries for the exchange's raw Ray tasks; 0
+    with a ``state_dir`` is the flat-driver-memory recipe for 1 M+-block
+    inputs (datapipe/exchange.py documents the trade)."""
     config = config or EngineConfig()
     lookups = lookups or Lookups()
     ruleset_ref = ray.put(ruleset)
     lookups_ref = ray.put(lookups)
-
-    # ``concurrency`` is accepted for API compatibility but unused: the
-    # classify stage runs as stateless tasks that scale with the session.
-    del concurrency
 
     # Stateless tasks + per-worker classifier cache instead of an actor
     # pool: the compiled ruleset is cheap to build (ms) but an actor pool
@@ -313,9 +268,10 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
     if not ruleset.has_stateful:
         return EngineResult(matches=matches, ruleset=ruleset, config=config)
 
-    # one reduce task per ~2 cores: fewer buckets = fewer tiny object
-    # transfers in the exchange; raise for bigger clusters/inputs
-    n_buckets = max(4, int(ray.cluster_resources().get("CPU", 8)) // 2)
+    # lazy: stateless runs never load the datapipe package
+    from ..datapipe.exchange import default_n_buckets, shuffle
+
+    n_buckets = default_n_buckets()
     if state_dir is not None:
         from ..state.snapshot import read_state_meta, write_state_meta
 
@@ -335,9 +291,28 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
         from ..state.shared import shared_bit_store
 
         shared_bit_store(shared_bits)
-    list_refs, count_refs = _correlate_exchange(
-        matches, (key, [ruleset_ref], state_dir, shared_bits), n_buckets,
-        max_bucket_bytes=max_bucket_bytes, task_retries=task_retries)
+
+    # The correlation stage is a client of the shared hash exchange
+    # (datapipe/exchange.py documents its rationale, failure story and
+    # driver-memory bound). Map side: each classify output block (LIST
+    # form — a matched turn's text crosses each wire at most once per
+    # class, not once per matching rule) sheds its stateless slice and
+    # count partial, and its stateful rows split by hash(conv_id), so
+    # every conversation lands wholly in one bucket. Reduce side: one
+    # ordered replay per bucket. state_dir runs keep the 1:1
+    # bucket↔snapshot-file layout, so they never salt.
+    (stateless, counts), buckets = shuffle(
+        matches, ["conv_id"], n_buckets, side=_peel_stateless, n_side=2,
+        max_bucket_bytes=None if state_dir is not None else max_bucket_bytes,
+        task_retries=task_retries)
+    run = (key, [ruleset_ref], state_dir, shared_bits)
+    corr = _corr_bucket.options(max_retries=task_retries)
+    reduced = []
+    for b, label, parts, _ in buckets:
+        tbl_ref, cnt_ref = corr.remote(run, b, label, *parts)
+        reduced.append(tbl_ref)
+        counts.add(cnt_ref)
+    list_refs, count_refs = stateless.parts() + reduced, counts.parts()
     # completion barrier: every exchange task has finished (state_dir
     # snapshots and shared-bit publishes are complete) and a failed task
     # raises here; count tables are tiny, the match blocks stay remote
@@ -389,78 +364,44 @@ def run_engine_dynamic(ds, ruleset: RuleSet, lookups: Lookups | None = None,
                        batch_size=batch_size), loaded)
 
 
-def _count_partial(tbl: pa.Table) -> pa.Table:
+def _count_partial(tbl: pa.Table, label: str | None = None) -> pa.Table:
     """(sid, hits, emits) partial for one match table — accepts both the
     list-form stream (flattens the tiny sid/emit lists; text never
-    touched) and exploded tables."""
+    touched) and exploded tables. ``label`` adds the ``part`` column
+    metrics() reports (``p<block>`` map side, ``b<bucket>[.<sub>]``
+    reduce side)."""
     if len(tbl) == 0:
-        return pa.table({"sid": pa.array([], pa.int64()),
-                         "hits": pa.array([], pa.int64()),
-                         "emits": pa.array([], pa.int64())})
-    sid_col = tbl.column("sid").combine_chunks()
-    emit_col = tbl.column("emit").combine_chunks()
-    if pa.types.is_list(sid_col.type):
-        sid_col = pc.list_flatten(sid_col)
-        emit_col = pc.list_flatten(emit_col)
-    t = pa.table({"sid": sid_col,
-                  "emit": pc.cast(emit_col, pa.int64())})
-    g = pa.TableGroupBy(t, "sid").aggregate([([], "count_all"), ("emit", "sum")])
-    return g.rename_columns(["sid", "hits", "emits"])
+        g = pa.table({"sid": pa.array([], pa.int64()),
+                      "hits": pa.array([], pa.int64()),
+                      "emits": pa.array([], pa.int64())})
+    else:
+        sid_col = tbl.column("sid").combine_chunks()
+        emit_col = tbl.column("emit").combine_chunks()
+        if pa.types.is_list(sid_col.type):
+            sid_col = pc.list_flatten(sid_col)
+            emit_col = pc.list_flatten(emit_col)
+        t = pa.table({"sid": sid_col,
+                      "emit": pc.cast(emit_col, pa.int64())})
+        g = pa.TableGroupBy(t, "sid").aggregate(
+            [([], "count_all"), ("emit", "sum")]
+        ).rename_columns(["sid", "hits", "emits"])
+    if label is None:
+        return g
+    return g.append_column("part", pa.array([label] * len(g), pa.string()))
 
 
-def _bucket_takes(tbl: pa.Table, assign: np.ndarray, k: int) -> list:
-    """One COMPACT table per bucket via per-bucket ``take`` — never
-    ``slice`` of a sorted take: a sliced Arrow table pickles its FULL
-    backing buffers (measured: a 200-row bucket slice of a 515 KB
-    stateful table serialized 519 KB — ×n_buckets redundant bytes per
-    block, the same buffer-sharing trap that sank the r4 dictionary
-    variant). Total copy work equals the single big take."""
-    order = np.argsort(assign, kind="stable")
-    bounds = np.searchsorted(assign[order], np.arange(k + 1))
-    return [tbl.take(pa.array(order[bounds[i]:bounds[i + 1]]))
-            for i in range(k)]
-
-
-def _conv_hash(tbl: pa.Table) -> np.ndarray:
-    # categorize=False: value-PURE hash (datapipe/hashing.py) — the
-    # default factorize path conflates NUL-containing conv_ids with their
-    # strlen-truncated twins DEPENDING ON BLOCK CONTENT, which would split
-    # one conversation's state across buckets
-    conv = tbl.column("conv_id").to_numpy(zero_copy_only=False)
-    return pd.util.hash_array(conv.astype(object), categorize=False)
-
-
-# The exchange's tasks live at module level: they are exported to the
-# workers once per session, not pickled again on every engine run.
-
-@ray.remote
-def _split_block(tbl: pa.Table, nb: int):
-    """Map side: stateless slice + per-bucket stateful tables (with a tiny
-    per-bucket byte-size array for the driver's skew check) + the
-    stateless count partial."""
+def _peel_stateless(tbl: pa.Table, block: int):
+    """``split_block`` side function: the stateless slice (verdicts
+    already final) and its count partial leave before the conv_id split
+    of the stateful rows."""
     sf = tbl.column("stateful").combine_chunks()
     stateless = tbl.filter(pc.invert(sf))
-    state = tbl.filter(sf)
-    b = (_conv_hash(state) % nb).astype(np.int64)
-    parts = _bucket_takes(state, b, nb)
-    sizes = np.array([s.nbytes for s in parts], dtype=np.int64)
-    return (stateless, _count_partial(stateless), sizes, *parts)
-
-
-@ray.remote
-def _refine_block(tbl: pa.Table, nb: int, k: int):
-    """Salting path for oversized buckets: finer conv-hash split
-    ((h // nb) % k) — conversations stay whole, so the per-conv ordered
-    replay is unaffected (SURVEY §4 hard part #4; a single conversation
-    bigger than the bound still lands in one task)."""
-    if len(tbl) == 0:
-        return tuple(tbl.slice(0, 0) for _ in range(k))
-    b = ((_conv_hash(tbl) // nb) % k).astype(np.int64)
-    return tuple(_bucket_takes(tbl, b, k))
+    return (tbl.filter(sf),
+            (stateless, _count_partial(stateless, f"p{block:05d}")))
 
 
 @ray.remote(num_returns=2)
-def _corr_bucket(run, bucket_id, *tables):
+def _corr_bucket(run, bucket_id, label, *tables):
     """Reduce side: ordered replay of one bucket + its count partial;
     optionally resumes from / snapshots to the bucket's state file,
     and/or syncs xbits through the shared store (xbit-redis analog:
@@ -484,7 +425,7 @@ def _corr_bucket(run, bucket_id, *tables):
         if state_dir is not None:
             save_bucket_state(state_dir, bucket_id, out_states)
         e = LIST_MATCH_SCHEMA.empty_table()
-        return e, _count_partial(e)
+        return e, _count_partial(e, label)
     tbl = pa.concat_tables(parts)
     pre = store = convs = None
     if shared_bits is not None:
@@ -514,166 +455,7 @@ def _corr_bucket(run, bucket_id, *tables):
             (int(v) for v in wm_tbl.column("ts_epoch_max").to_pylist())))
         save_bucket_state(state_dir, bucket_id, out_states,
                           watermarks=watermarks)
-    return out, _count_partial(out)
-
-
-@ray.remote
-def _coalesce(*tables):
-    """Concat small per-block bucket slices (empty slices keep the schema
-    alive) — bounds driver-held refs per bucket."""
-    parts = [t for t in tables if len(t)] or [tables[0]]
-    return pa.concat_tables(parts)
-
-
-@ray.remote
-def _combine_counts(labels, *tables):
-    """Tree-combine of (sid, hits, emits) partials: label each with its
-    partition id and concat, so the driver holds one ref per
-    ~COALESCE_PARTS partials instead of one per classify block."""
-    parts = []
-    for lbl, t in zip(labels, tables):
-        parts.append(t.append_column(
-            "part", pa.array([lbl] * len(t), pa.string())))
-    return pa.concat_tables(parts)
-
-
-@ray.remote
-def _sum_sizes(*arrays):
-    out = arrays[0].copy()
-    for a in arrays[1:]:
-        out += a
-    return out
-
-
-def _correlate_exchange(matches_ds, run: tuple, n_buckets: int,
-                        max_bucket_bytes: int = 256 << 20,
-                        task_retries: int = 3):
-    """Two-stage hash exchange + per-bucket ordered replay for the
-    stateful tail — raw Ray core, not ``groupby().map_groups``.
-
-    Rationale (measured at 2M turns / 1.4M matches, 32 CPUs): the
-    correlation state machine itself is ~1 s single-threaded, but Ray
-    Data's sort-based ``groupby('bucket').map_groups`` costs 12-70 s of
-    shuffle/convert overhead — per-key ordered stateful scanning is the
-    one operator the Dataset API can't express efficiently (SURVEY.md
-    §4.2), so per the custom-operator guidance it drops to Ray tasks:
-
-      stage 1 (map): each classify output block (LIST form — one row per
-        matched turn × class, per-match list columns) splits into a
-        stateless slice (verdicts already final) + one slice per
-        hash(conv_id) bucket;
-      stage 2 (reduce): one task per bucket concatenates its slices and
-        replays the state machine over the flattened SMALL columns
-        (make_list_correlator — text never explodes), regrouping
-        survivors into list rows.
-
-    The whole exchange moves LIST-form rows: a matched turn's text
-    crosses every wire exactly once per class (≤2×) instead of once per
-    matching rule — the round-4 measured 1.6-2× byte amplification of
-    the widest stream in the system.
-
-    Every conversation lands wholly in one bucket task (the partitioning
-    assumption correlation needs); n_buckets bounds reduce-task memory at
-    scale — raise it for bigger inputs, salt only if one conversation's
-    *matches* outgrow a worker (SURVEY.md §4 hard part #4).
-
-    Failure story (documented stance): split/refine/corr tasks are
-    deterministic ``@ray.remote`` tasks, so a worker crash retries
-    transparently (Ray default max_retries) and a lost task OUTPUT is
-    lineage-reconstructed while its inputs remain addressable; what is
-    NOT recoverable is a lost CLASSIFY block (streaming-executor output —
-    no lineage once its bundle is consumed). On that loss the run fails
-    and re-runs — and with ``state_dir`` set the re-run is incremental at
-    BUCKET granularity (each reduce snapshots its correlation state +
-    per-conv watermarks), the same recovery unit the reference gets from
-    mmap files surviving a crash (src/ipc.c:458-733). Driver footprint
-    is O(COALESCE_PARTS + n_buckets) held refs: every per-block ref
-    family (stateless slice, count partial, size array) funnels through
-    a Coalescer (`tools/stress_exchange.py --engine` measures RSS flat
-    in block count).
-
-    ``run`` is the ``_corr_bucket`` run tuple. Returns the
-    LIST_MATCH_SCHEMA output refs (stateless slices, then buckets) and the
-    coalesced count-partial refs.
-    """
-    # driver-side only: workers that import this module for its tasks
-    # never load the datapipe package
-    from ..datapipe.exchange import COALESCE_PARTS, Coalescer
-
-    state_dir = run[2]
-    # stream classify output blocks into split tasks as they finish, so
-    # the map side of the exchange overlaps the classify stage. EVERY
-    # per-block ref family funnels through a Coalescer, so driver-held
-    # refs stay O(COALESCE_PARTS + n_buckets) regardless of block count
-    # (a 100 TB input is ~1.6 M blocks — per-block refs at ~9 KB RSS each
-    # would be ~14 GB of driver memory):
-    #   stateless slices → remote concat (also merges many tiny blocks
-    #     into fewer, larger downstream blocks),
-    #   count partials  → labeled concat (labels survive; metrics() reads
-    #     the `part` column, not ref identity),
-    #   size arrays     → remote elementwise sum.
-    _co = _coalesce.options(max_retries=task_retries)
-    stateless_parts = Coalescer(_co)
-    count_parts = Coalescer(_co)
-    size_parts = Coalescer(_sum_sizes.options(max_retries=task_retries))
-    pending_counts: list = []
-    pending_labels: list = []
-
-    def push_count(ref, label: str, flush: bool = False) -> None:
-        pending_counts.append(ref)
-        pending_labels.append(label)
-        if flush or len(pending_counts) >= COALESCE_PARTS:
-            count_parts.add(_combine_counts.options(
-                max_retries=task_retries).remote(
-                list(pending_labels), *pending_counts))
-            pending_counts.clear()
-            pending_labels.clear()
-
-    bucket_parts = [Coalescer(_co) for _ in range(n_buckets)]
-    n_blocks = 0
-    for bundle in matches_ds.iter_internal_ref_bundles():
-        for block_ref in bundle.block_refs:
-            outs = _split_block.options(num_returns=n_buckets + 3,
-                                        max_retries=task_retries).remote(
-                block_ref, n_buckets)
-            stateless_parts.add(outs[0])
-            push_count(outs[1], f"p{n_blocks:05d}")
-            size_parts.add(outs[2])
-            for k in range(n_buckets):
-                bucket_parts[k].add(outs[k + 3])
-            n_blocks += 1
-
-    bucket_bytes = np.zeros(n_buckets, dtype=np.int64)
-    for s in ray.get(size_parts.parts()):
-        bucket_bytes += s
-
-    reduced_refs: list = []
-    for k in range(n_buckets):
-        sub = int(min(64, -(-int(bucket_bytes[k]) // max(1, max_bucket_bytes))))
-        if sub >= 2 and state_dir is None:
-            # skewed bucket: salt by finer conv hash into `sub` tasks so
-            # reduce memory stays bounded at scale (state_dir runs keep
-            # the 1:1 bucket↔snapshot-file layout and skip refinement)
-            subs: list[list] = [[] for _ in range(sub)]
-            for part in bucket_parts[k].parts():
-                sub_outs = _refine_block.options(num_returns=sub,
-                                                 max_retries=task_retries).remote(
-                    part, n_buckets, sub)
-                for j in range(sub):
-                    subs[j].append(sub_outs[j])
-            for j in range(sub):
-                tbl_ref, cnt_ref = _corr_bucket.options(
-                    max_retries=task_retries).remote(run, k, *subs[j])
-                reduced_refs.append(tbl_ref)
-                push_count(cnt_ref, f"b{k:04d}.{j}")
-        else:
-            tbl_ref, cnt_ref = _corr_bucket.options(
-                max_retries=task_retries).remote(run, k, *bucket_parts[k].parts())
-            reduced_refs.append(tbl_ref)
-            push_count(cnt_ref, f"b{k:04d}")
-    if pending_counts:
-        push_count(pending_counts.pop(), pending_labels.pop(), flush=True)
-    return stateless_parts.parts() + reduced_refs, count_parts.parts()
+    return out, _count_partial(out, label)
 
 
 def input_counters(ds, config: EngineConfig | None = None) -> dict[str, int]:

@@ -8,9 +8,10 @@ src/after.c:51-229, src/threshold.c:54-234, applied in engine order
 engine.c:1370-1453. The reference shares this state across all threads via
 mmap; here state is scoped per ``conv_id`` (SURVEY.md §4.3 — the track
 fields ≙ conv_id) and rows are replayed in ``(conv_id, turn_idx,
-rule_idx)`` order inside one reduce task per exchange bucket
-(``pipelines.engine._correlate_exchange``), which makes the verdicts exact
-and deterministic instead of arrival-order-approximate.
+rule_idx)`` order inside one reduce task per bucket of the repo's one
+hash exchange (datapipe/exchange.py; the engine's ``_corr_bucket``
+reduce), which makes the verdicts exact and deterministic instead of
+arrival-order-approximate.
 
 Only *matched* rows of *stateful* rules flow through this stage (the
 classify stage already decided every stateless predicate), so the exchange

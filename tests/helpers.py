@@ -36,7 +36,7 @@ def run_both(ruleset, tbl: pa.Table, config: EngineConfig | None = None,
 
     oracle = ReferenceEvaluator(ruleset, lookups, config).evaluate(tbl.to_pylist())
     engine = run_engine(rd.from_arrow(tbl), ruleset, lookups, config,
-                        concurrency=2, batch_size=512)
+                        batch_size=512)
 
     matches = engine.matches.to_pandas()
     routed = engine.routed_exploded().to_pandas()

@@ -257,6 +257,29 @@ def test_hash_group_apply_refinement():
     assert len(a) == 37        # every key aggregated exactly once
 
 
+def test_hash_group_apply_nul_key_lands_in_one_bucket():
+    """A key containing a NUL byte hashes the same whatever else is in its
+    block, so all its rows meet in one bucket (a categorizing hash once
+    conflated 'a\\x00b' with 'a' in one block but not in the other)."""
+    import collections
+
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data as rd
+
+    from sagan_ray.datapipe import hash_group_apply
+
+    blocks = [pa.table({"k": ["a\x00b"]}), pa.table({"k": ["a", "a\x00b"]})]
+
+    def count(df: pd.DataFrame) -> pd.DataFrame:
+        c = collections.Counter(df["k"])
+        return pd.DataFrame({"k": list(c), "n": list(c.values())})
+
+    df = hash_group_apply(rd.from_arrow(blocks), ["k"], count,
+                          n_buckets=4).to_pandas()
+    assert sorted(zip(df["k"], df["n"])) == [("a", 1), ("a\x00b", 2)]
+
+
 def test_hash_group_apply_survives_reduce_worker_death(tmp_path):
     """Kill the worker process executing one reduce task (os._exit, a
     hard crash — not an exception) and the exchange still completes with

@@ -74,3 +74,29 @@ def test_compile_key_tracks_compile_inputs():
                     True),
     }
     assert key not in others and len(others) == 4
+
+
+def test_stateless_metrics_agree_with_counts():
+    """No exchange runs for a stateless ruleset; metrics(), hit_counts()
+    and routed_counts() still come from one count path and agree."""
+    ruleset = parse_rules("""
+alert any any any -> any any (msg:"lf"; content:"login"; sid:1;)
+alert any any any -> any any (msg:"tv"; content:"TV"; sid:2;)
+pass any any any -> any any (msg:"quiet"; content:"success"; sid:3;)
+""")
+    assert not ruleset.has_stateful
+    eng = run_engine(ray.data.from_arrow(mk(ROWS)), ruleset, build_lookups(),
+                     EngineConfig(), batch_size=4)
+    m = eng.metrics()
+    assert m.schema.names == ["sid", "hits", "emits", "part"]
+    assert set(m.column("part").to_pylist()) == {"all"}
+    hits, emits = collections.Counter(), collections.Counter()
+    for sid, h, e in zip(m.column("sid").to_pylist(),
+                         m.column("hits").to_pylist(),
+                         m.column("emits").to_pylist()):
+        hits[sid] += h
+        emits[sid] += e
+    assert dict(hits) == eng.hit_counts() and hits
+    assert eng.routed_counts() == {(s, sid): n for sid, n in emits.items()
+                                   if n for s in EngineConfig().sinks}
+    assert sum(hits.values()) > sum(emits.values())     # the pass rule

@@ -234,7 +234,7 @@ def test_write_sinks_and_resume(tmp_path):
         'alert any any any -> any any (msg:"m"; content:"login"; email:a@b; sid:1;)')
     tbl = gen_transcripts(1500, seed=3)
     eng = run_engine(rd.from_arrow(tbl), rules, None, EngineConfig(),
-                     concurrency=2, batch_size=512)
+                     batch_size=512)
     out = str(tmp_path / "sinks")
     counts = write_sinks(eng, out)
     assert set(counts) == {"alert", "fast", "eve", "syslog", "email"}
@@ -274,7 +274,7 @@ def test_eve_format():
 
     rules = parse_rules('alert any any any -> any any (msg:"m"; content:"login"; sid:7;)')
     eng = run_engine(rd.from_arrow(gen_transcripts(800, seed=4)), rules,
-                     None, EngineConfig(), concurrency=2, batch_size=512)
+                     None, EngineConfig(), batch_size=512)
     evedf = eng.routed().map_batches(eve_format_batch,
                                      batch_format="pyarrow").to_pandas()
     assert len(evedf) > 0
@@ -437,7 +437,7 @@ def test_write_sinks_thin_layout(tmp_path):
 
     def eng():
         return run_engine(rd.from_arrow(tbl), rules, None, EngineConfig(),
-                          concurrency=2, batch_size=512)
+                          batch_size=512)
 
     full_dir = str(tmp_path / "full")
     thin_dir = str(tmp_path / "thin")
