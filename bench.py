@@ -430,40 +430,6 @@ def run_bench() -> dict:
           lambda: knn_graph_ivf(_kds, k=10, n_cells=64,
                                 sample_size=4096).count())
 
-    # ---- multimodal codec probe: 2k mixed media rows (BMP / PNG incl.
-    # sub-byte + Adam7 / baseline + progressive JPEG / 8-32-bit WAV /
-    # SGV frames) through the image actor pool + the AV probe stage —
-    # the from-scratch codecs' decode throughput under Ray. Corpus is
-    # cached (encode side is the slow half); bump the version suffix if
-    # synth_media's variant cycling changes.
-    import pyarrow.compute as pc
-
-    from sagan_ray.datapipe.multimodal import (
-        AVProbe,
-        media_pipeline,
-        synth_media,
-    )
-
-    media_path = "/tmp/sagan_ray_bench/bench_media_2k_v2.parquet"
-    if not os.path.exists(media_path):
-        import pyarrow.parquet as pq
-
-        pq.write_table(synth_media(2000, seed=3), media_path)
-    media_ds_path = media_path
-
-    def _multimodal():
-        imgs = media_pipeline(rd.read_parquet(media_ds_path),
-                              batch_size=32, concurrency=8).count()
-        av = (rd.read_parquet(media_ds_path)
-              .map_batches(lambda t: t.filter(
-                  pc.invert(pc.equal(t.column("kind"), "image"))),
-                  batch_format="pyarrow")
-              .map_batches(AVProbe, batch_format="pyarrow",
-                           batch_size=64, concurrency=4).count())
-        return imgs + av
-
-    timed("multimodal_2k", _multimodal, trials=2)
-
     # ---- ANN at an amortized query batch: 200k clustered 64-d vectors ×
     # 10k queries (the sf embeddings table is 2k rows / 8 queries — too
     # small for cell restriction to amortize; VERDICT r4 #6). Corpus is

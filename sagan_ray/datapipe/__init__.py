@@ -1,8 +1,8 @@
 """Large-scale training-data operations over document / embedding tables:
 deduplication (exact, MinHash-LSH, SimHash, n-gram Jaccard, embedding
 cosine), similarity search (brute-force + IVF), text analysis (language
-ID, quality scoring, token counts, fingerprints), and multimodal column
-plumbing. All Ray-Data-first: vectorized map_batches + pre-aggregated
+ID, quality scoring, token counts, fingerprints), corpus curation and
+event analytics. All Ray-Data-first: vectorized map_batches + pre-aggregated
 groupbys.
 
 Submodules load on first use of one of their names (PEP 562): a Ray
@@ -25,7 +25,6 @@ _EXPORTS = {
     "diff": "snapshot_diff",
     "profile": "k_anonymity l_diversity profile_table validate_table",
     "web": "domain_filter domain_stats extract_urls synth_web_docs url_dedup",
-    "phash": "phash64 phash_dedup phash_table synth_phash_media",
     "ann": """
         brute_force_topk ivf_index_stats knn_graph knn_graph_ivf
         build_ivfpq_index hard_negative_topk build_pq_index

@@ -5,8 +5,8 @@ The in-line LSH path (``dedup.minhash_lsh_candidates`` +
 a 100-TB corpus the real workflow is *index once, probe forever*: new
 document batches are checked against the standing corpus without ever
 rescanning its text. This module persists the operator's OWN bucket
-keys as the parquet partition key (the datapipe/index.py / phash.py /
-ann.py discipline), so a search touches only the partitions its queries
+keys as the parquet partition key (the datapipe/index.py / ann.py
+discipline), so a search touches only the partitions its queries
 hash into.
 
 Layout under ``index_dir/``::
@@ -34,7 +34,7 @@ for non-candidate buckets never leave disk.
 Append (``update_minhash_index``) lands identical rows as NEW FILES
 inside the same content-keyed partition dirs; search unions a
 partition's files, so post-append search is bit-equal to a full rebuild
-over old ∪ new (the phash.py append contract).
+over old ∪ new (the index.py append contract).
 
 Reference parity: quadrantsec/sagan keeps no corpus index (it is a
 streaming engine); this is a beyond-reference training-data operator.

@@ -818,8 +818,7 @@ def betweenness_from_sources(edges_ds, n_nodes: int, sources,
     import ray
     import ray.data as rd
 
-    ded = dedup_undirected(edges_ds) if not hasattr(
-        edges_ds, "_sagan_ded") else edges_ds
+    ded = dedup_undirected(edges_ds)
     bc = np.zeros(n_nodes, np.float64)
 
     for s in sources:

@@ -1,19 +1,18 @@
 """Golden-parquet oracles for operators whose semantics DuckDB SQL can't
-express (hash sketches, pixel kernels). Each generator is an INDEPENDENT
-naive implementation — per-row spec functions plus brute-force scans, no
-banding/exchange/batched kernels — written to a fixed path that the
-registered oracle SQL reads with ``read_parquet``. The driver gate runs
-the Ray query first and the SQL second for each name, so the query
-callable (re)writes its golden before the SQL reads it; the comparison
-then checks the whole distributed pipeline (vectorized kernel + LSH
-banding + exchange) against the sequential spec, the same shape as
-oracle/evaluator.py for the engine.
+express (hash sketches, fixed-point numeric kernels). Each generator is
+an INDEPENDENT naive implementation — per-row spec functions plus
+brute-force scans, no banding/exchange/batched kernels — written to a
+fixed path that the registered oracle SQL reads with ``read_parquet``.
+The driver gate runs the Ray query first and the SQL second for each
+name, so the query callable (re)writes its golden before the SQL reads
+it; the comparison then checks the whole distributed pipeline
+(vectorized kernel + LSH banding + exchange) against the sequential
+spec, the same shape as oracle/evaluator.py for the engine.
 """
 
 from __future__ import annotations
 
 import os
-import struct
 
 import numpy as np
 import pandas as pd
@@ -203,428 +202,6 @@ def write_golden_embed_ivf(sf_dir: str, *, n_queries: int, k: int,
     return _write(tbl, "embed_ivf")
 
 
-def _bmp_first_pixel_gray(b: bytes) -> float:
-    """Independent minimal BMP walk: gray value of the DECODED image's
-    (0, 0) pixel — which for a bottom-up BMP lives on the LAST stored
-    row. Deliberately does not share code with datapipe.multimodal's
-    decoder; 24-bit uncompressed only (the synthetic corpus)."""
-    assert b[:2] == b"BM"
-    off = struct.unpack_from("<I", b, 10)[0]
-    w = struct.unpack_from("<i", b, 18)[0]
-    h = struct.unpack_from("<i", b, 22)[0]
-    bpp = struct.unpack_from("<H", b, 28)[0]
-    comp = struct.unpack_from("<I", b, 30)[0]
-    assert bpp == 24 and comp == 0
-    stride = (w * 3 + 3) & ~3
-    row = abs(h) - 1 if h > 0 else 0    # bottom-up storage ↔ top row
-    p = off + row * stride
-    blue, green, red = b[p], b[p + 1], b[p + 2]
-    # float32 at every step, in ((R+G)+B)/3 then /255 order — the same
-    # rounding sequence the pipeline's float32 mean-pool performs, so
-    # the 6-decimal rounding downstream can never straddle differently
-    s = np.float32(np.float32(np.float32(red) + np.float32(green))
-                   + np.float32(blue))
-    gray = np.float32(s / np.float32(3.0))
-    return float(np.float32(gray / np.float32(255.0)))
-
-
-def _png_first_pixel_gray(b: bytes) -> float:
-    """Independent minimal PNG walk: gray of pixel (0, 0). Every PNG
-    filter type predicts the FIRST pixel of the FIRST row from zeros
-    (left/up/upper-left all absent ⇒ 0), so recon(0,0) == the raw bytes
-    right after row 0's filter byte — no unfiltering needed. This holds
-    for Adam7 streams too: interlace pass 1 starts at (0, 0), so the
-    stream's first scanline's first pixel IS pixel (0, 0). Handles
-    gray/RGB/palette/gray+alpha/RGBA at depth 8 or 16 (high byte).
-    Shares only stdlib zlib with the pipeline decoder, none of its
-    code."""
-    import zlib
-
-    assert b[:8] == b"\x89PNG\r\n\x1a\n"
-    pos, idat = 8, []
-    depth = ctype = None
-    plte = b""
-    while pos + 8 <= len(b):
-        ln = int.from_bytes(b[pos:pos + 4], "big")
-        typ = b[pos + 4:pos + 8]
-        if typ == b"IHDR":
-            depth, ctype = b[pos + 16], b[pos + 17]
-        elif typ == b"PLTE":
-            plte = b[pos + 8:pos + 8 + ln]
-        elif typ == b"IDAT":
-            idat.append(b[pos + 8:pos + 8 + ln])
-        elif typ == b"IEND":
-            break
-        pos += 12 + ln
-    d = zlib.decompressobj()
-    head = d.decompress(b"".join(idat), 17)  # filter byte + first pixel
-    step = 2 if depth == 16 else 1           # 16-bit: high byte
-    if depth < 8:
-        v = head[1] >> (8 - depth)           # MSB-first sub-byte sample
-        if ctype == 3:
-            red, green, blue = plte[3 * v:3 * v + 3]
-        else:
-            red = green = blue = v * 255 // ((1 << depth) - 1)
-    elif ctype == 3:
-        red, green, blue = plte[3 * head[1]:3 * head[1] + 3]
-    elif ctype in (0, 4):
-        red = green = blue = head[1]
-    else:
-        red, green, blue = head[1], head[1 + step], head[1 + 2 * step]
-    s = np.float32(np.float32(np.float32(red) + np.float32(green))
-                   + np.float32(blue))
-    gray = np.float32(s / np.float32(3.0))
-    return float(np.float32(gray / np.float32(255.0)))
-
-
-_JPEG_ZIG = [
-    0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5,
-    12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6, 7, 14, 21, 28,
-    35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
-    58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63]
-
-
-def _jpeg_first_pixel_gray(b: bytes) -> float:
-    """Independent minimal baseline-JPEG walk: gray of pixel (0, 0).
-
-    Follows the integer decode SPEC in datapipe/jpeg.py's docstring
-    (12-bit cosine matrix, one rounded 24-bit shift, 16-bit color
-    constants, floor shifts) but shares none of its code: dict-walk
-    Huffman instead of mincode/maxcode tables, per-scalar math.cos
-    basis, pure-Python-int IDCT of the single needed output pixel.
-    Every step is exact integer arithmetic, so this matches the
-    vectorized decoder bit-for-bit by construction."""
-    import math
-
-    assert b[:2] == b"\xff\xd8"
-    pos = 2
-    qts: dict[int, list[int]] = {}
-    codes: dict[tuple[int, int], dict] = {}
-    comp_ids: list[int] = []
-    comp_tq: list[int] = []
-    comp_hv: list[tuple[int, int]] = []
-    scans: list[dict] = []
-    prog = lossless = False
-    while pos < len(b):
-        assert b[pos] == 0xFF
-        m = b[pos + 1]
-        pos += 2
-        if m in (0x01,) or 0xD0 <= m <= 0xD8:
-            continue
-        if m == 0xD9:
-            break
-        ln = int.from_bytes(b[pos:pos + 2], "big")
-        body = b[pos + 2:pos + ln]
-        pos += ln
-        if m == 0xDB:
-            p = 0
-            while p < len(body):
-                qts[body[p] & 0xF] = list(body[p + 1:p + 65])
-                p += 65
-        elif m == 0xC4:
-            p = 0
-            while p < len(body):
-                cls, tid = body[p] >> 4, body[p] & 0xF
-                counts = list(body[p + 1:p + 17])
-                nv = sum(counts)
-                vals = list(body[p + 17:p + 17 + nv])
-                d: dict = {}
-                code = k = 0
-                for lng in range(1, 17):
-                    for _ in range(counts[lng - 1]):
-                        d[(lng, code)] = vals[k]
-                        code += 1
-                        k += 1
-                    code <<= 1
-                codes[(cls, tid)] = d
-                p += 17 + nv
-        elif m in (0xC0, 0xC2, 0xC3):
-            prog = m == 0xC2
-            lossless = m == 0xC3
-            ncomp = body[5]
-            comp_ids = [body[6 + 3 * c] for c in range(ncomp)]
-            comp_tq = [body[6 + 3 * c + 2] for c in range(ncomp)]
-            comp_hv = [(body[6 + 3 * c + 1] >> 4, body[6 + 3 * c + 1] & 0xF)
-                       for c in range(ncomp)]
-        elif m == 0xDA:
-            ns = body[0]
-            sel = [comp_ids.index(body[1 + 2 * c]) for c in range(ns)]
-            tts = [(body[2 + 2 * c] >> 4, body[2 + 2 * c] & 0xF)
-                   for c in range(ns)]
-            ss, se = body[1 + 2 * ns], body[2 + 2 * ns]
-            ahal = body[3 + 2 * ns]
-            # entropy data runs to the next real marker (FF00 stuffing
-            # and RSTn markers are not scan terminators); block (0,0)
-            # always precedes the first restart, so only the first
-            # entropy segment is kept and unstuffed
-            e = pos
-            while True:
-                i = b.find(b"\xff", e)
-                if i < 0 or i + 1 >= len(b):
-                    i = len(b)
-                    break
-                nx = b[i + 1]
-                if nx == 0x00:
-                    e = i + 2
-                elif nx == 0xFF:
-                    e = i + 1
-                else:
-                    break
-            scans.append({"sel": sel, "tts": tts, "ss": ss, "se": se,
-                          "ah": ahal >> 4, "al": ahal & 0xF,
-                          "codes": dict(codes),
-                          "bits": b[pos:i].replace(b"\xff\x00", b"\xff")})
-            while i + 1 < len(b) and 0xD0 <= b[i + 1] <= 0xD7:
-                # skip past RSTn and its following entropy segment
-                e = i + 2
-                while True:
-                    j = b.find(b"\xff", e)
-                    if j < 0 or j + 1 >= len(b):
-                        j = len(b)
-                        break
-                    nx = b[j + 1]
-                    if nx == 0x00:
-                        e = j + 2
-                    elif nx == 0xFF:
-                        e = j + 1
-                    else:
-                        break
-                i = j
-            pos = i
-            if not prog:
-                break
-
-    cur = {"buf": b"", "bp": 0}
-
-    def bit() -> int:
-        v = (cur["buf"][cur["bp"] >> 3] >> (7 - (cur["bp"] & 7))) & 1
-        cur["bp"] += 1
-        return v
-
-    def read_code(d: dict) -> int:
-        lng = c = 0
-        while True:
-            c = (c << 1) | bit()
-            lng += 1
-            if (lng, c) in d:
-                return d[(lng, c)]
-
-    def recv_extend(s: int) -> int:
-        v = 0
-        for _ in range(s):
-            v = (v << 1) | bit()
-        if s and v < (1 << (s - 1)):
-            v -= (1 << s) - 1
-        return v
-
-    # the SAME IEEE op sequence the pipeline's matrix build performs
-    # (0.5·cos, then ×1/√2 on row 0, then rint(·4096)) — elementwise
-    # stability makes scalar and vectorized construction identical
-    aq = [[int(np.rint(((0.5 * math.cos((2 * n + 1) * k * math.pi / 16.0))
-                        * ((1.0 / math.sqrt(2.0)) if k == 0 else 1.0))
-                       * 4096.0))
-           for n in range(8)] for k in range(8)]
-
-    if lossless:
-        # SOF3: pixel (0,0) of each component is the scan's first
-        # sample — default prediction 2^(P-Pt-1) plus the first coded
-        # difference, << Pt; components are raw RGB (NO color transform
-        # in lossless mode)
-        sc = scans[0]
-        cur["buf"], cur["bp"] = sc["bits"], 0
-        pt = sc["al"]
-        dflt = 1 << (8 - pt - 1)
-        out0: list[int] = []
-        for si in range(len(sc["tts"])):
-            td = sc["tts"][si][0]
-            s = read_code(sc["codes"][(0, td)])
-            diff = 32768 if s == 16 else recv_extend(s)
-            out0.append(min(255, max(0, ((dflt + diff) & 0xFFFF) << pt)))
-        if len(out0) == 1:
-            red = green = blue = out0[0]
-        else:
-            red, green, blue = out0
-        s32 = np.float32(np.float32(np.float32(red) + np.float32(green))
-                         + np.float32(blue))
-        gray = np.float32(s32 / np.float32(3.0))
-        return float(np.float32(gray / np.float32(255.0)))
-
-    coefs = [[0] * 64 for _ in comp_tq]
-    if not prog:
-        # baseline: the first MCU interleaves hi*vi data units per
-        # component; the FIRST one is the 8x8 block covering pixel
-        # (0,0) (chroma upsampling is sample replication, so chroma
-        # (0,0) maps too). The rest must still be entropy-decoded to
-        # advance the bits.
-        sc = scans[0]
-        cur["buf"], cur["bp"] = sc["bits"], 0
-        cds = sc["codes"]
-        for si, ci in enumerate(sc["sel"]):
-            td, ta = sc["tts"][si]
-            hi, vi = comp_hv[ci] if comp_hv else (1, 1)
-            coef = coefs[ci]
-            for unit in range(hi * vi):
-                s = read_code(cds[(0, td)])
-                dc = recv_extend(s)
-                if unit == 0:
-                    coef[0] = dc
-                k = 1
-                while k < 64:
-                    sym = read_code(cds[(1, ta)])
-                    if sym == 0x00:
-                        break
-                    run, sz = sym >> 4, sym & 0xF
-                    if sz == 0:
-                        k += 16
-                        continue
-                    k += run
-                    v = recv_extend(sz)
-                    if unit == 0:
-                        coef[k] = v
-                    k += 1
-    else:
-        # progressive: block (0,0) of every component is (part of) the
-        # FIRST MCU / data unit of each scan, so each scan contributes
-        # its spectral band / approximation bits from the scan's very
-        # first entropy bits (T.81 Annex G, replayed per-scalar)
-        for sc in scans:
-            cur["buf"], cur["bp"] = sc["bits"], 0
-            cds = sc["codes"]
-            ss, se, ah, al = sc["ss"], sc["se"], sc["ah"], sc["al"]
-            if ss == 0:                      # DC scan (interleaved ok)
-                for si, ci in enumerate(sc["sel"]):
-                    hi, vi = comp_hv[ci] if comp_hv else (1, 1)
-                    dcd = cds.get((0, sc["tts"][si][0]))
-                    pred = 0
-                    for unit in range(hi * vi if len(sc["sel"]) > 1
-                                      else 1):
-                        if ah == 0:
-                            s = read_code(dcd)
-                            pred += recv_extend(s)
-                            if unit == 0:
-                                coefs[ci][0] = pred << al
-                        else:
-                            bb = bit()
-                            if unit == 0 and bb:
-                                coefs[ci][0] |= 1 << al
-            else:                            # AC scan: one component
-                ci = sc["sel"][0]
-                acd = cds.get((1, sc["tts"][0][1]))
-                coef = coefs[ci]
-                if ah == 0:
-                    k = ss
-                    while k <= se:
-                        sym = read_code(acd)
-                        run, sz = sym >> 4, sym & 0xF
-                        if sz == 0:
-                            if run == 15:
-                                k += 16
-                                continue
-                            break                    # EOBn ends block 0
-                        k += run
-                        coef[k] = recv_extend(sz) << al
-                        k += 1
-                else:
-                    p1 = 1 << al
-                    k = ss
-                    hit_eob = False
-                    while k <= se:
-                        sym = read_code(acd)
-                        run, sz = sym >> 4, sym & 0xF
-                        if sz == 0:
-                            if run != 15:
-                                hit_eob = True
-                                break
-                            val = 0                  # ZRL
-                        else:
-                            val = p1 if bit() else -p1
-                        while k <= se:
-                            c = coef[k]
-                            if c:
-                                if bit() and (c & p1) == 0:
-                                    coef[k] = c + (p1 if c >= 0 else -p1)
-                            else:
-                                if run == 0:
-                                    break
-                                run -= 1
-                            k += 1
-                        if val and k <= se:
-                            coef[k] = val
-                        k += 1
-                    if hit_eob:
-                        for _ in range(run):        # drain EOBn ext bits
-                            bit()
-                        for kk in range(k, se + 1):
-                            c = coef[kk]
-                            if c and bit() and (c & p1) == 0:
-                                coefs[ci][kk] = c + (p1 if c >= 0 else -p1)
-
-    out: list[int] = []
-    for ci, coef in enumerate(coefs):
-        q = qts[comp_tq[ci]]
-        f = [[0] * 8 for _ in range(8)]
-        for kk in range(64):
-            rm = _JPEG_ZIG[kk]
-            f[rm // 8][rm % 8] = coef[kk] * q[kk]
-        p00 = 0
-        for u in range(8):
-            for v in range(8):
-                p00 += aq[u][0] * f[u][v] * aq[v][0]
-        val = ((p00 + (1 << 23)) >> 24) + 128
-        out.append(min(255, max(0, val)))
-
-    if len(out) == 1:
-        red = green = blue = out[0]
-    else:
-        y, cb, cr = out
-        cb -= 128
-        cr -= 128
-        red = min(255, max(0, y + ((91881 * cr + 32768) >> 16)))
-        green = min(255, max(0, y - ((22554 * cb + 46802 * cr + 32768) >> 16)))
-        blue = min(255, max(0, y + ((116130 * cb + 32768) >> 16)))
-    s32 = np.float32(np.float32(np.float32(red) + np.float32(green))
-                     + np.float32(blue))
-    gray = np.float32(s32 / np.float32(3.0))
-    return float(np.float32(gray / np.float32(255.0)))
-
-
-def write_golden_multimodal(n: int, seed: int) -> str:
-    """Expected output of ``multimodal_features``: the 8×8 mean-pool
-    feature head of each image is the gray of the top-left DECODED pixel
-    (grid cell (0,0) of a nearest-neighbor downsample maps to pixel
-    (0,0)), computed here by a from-scratch walk over the same
-    deterministic corpus (BMP bottom-up row walk / PNG first-scanline
-    inflate / sequential integer baseline-JPEG decode of pixel (0,0) —
-    see the three helpers). JPEG is lossy, so both sides compare the
-    decoded pixel; the integer decode spec makes them bit-equal."""
-    from ..datapipe.multimodal import synth_media
-
-    media = synth_media(n, seed=seed)
-    oid, oval = [], []
-    for mid, kind, payload in zip(media.column("media_id").to_pylist(),
-                                  media.column("kind").to_pylist(),
-                                  media.column("payload").to_pylist()):
-        if kind != "image":
-            continue
-        oid.append(mid)
-        if payload[:8] == b"\x89PNG\r\n\x1a\n":
-            gray = _png_first_pixel_gray(payload)
-        elif payload[:2] == b"\xff\xd8":
-            gray = _jpeg_first_pixel_gray(payload)
-        elif payload[:6] in (b"GIF87a", b"GIF89a"):
-            gray = _gif_first_pixel_gray(payload)
-        elif payload[:2] in (b"P5", b"P6"):
-            gray = _pnm_first_pixel_gray(payload)
-        elif payload[:4] in (b"II*\x00", b"MM\x00*"):
-            gray = _tiff_first_pixel_gray(payload)
-        else:
-            gray = _bmp_first_pixel_gray(payload)
-        oval.append(round(gray, 6))
-    tbl = pa.table({"media_id": pa.array(oid, pa.int64()),
-                    "feat_head": pa.array(oval, pa.float64())})
-    return _write(tbl, "multimodal_features")
-
-
 def _splitmix64_int(x: int) -> int:
     """Per-id SplitMix64 in plain Python ints (independent of the
     numpy-vectorized sampler it checks)."""
@@ -633,147 +210,6 @@ def _splitmix64_int(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & m
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & m
     return x ^ (x >> 31)
-
-
-def _wav_first_sample(b: bytes) -> tuple[float, int]:
-    """Independent minimal RIFF/WAVE walk (no stdlib ``wave``): channel-0
-    first sample as decoded float32 + per-channel frame count, matching
-    decode_wav's elementwise op chain (int → float32, ÷ float32 full
-    scale) bit-for-bit."""
-    assert b[:4] == b"RIFF" and b[8:12] == b"WAVE"
-    pos = 12
-    ch = bits = None
-    while pos + 8 <= len(b):
-        cid = b[pos:pos + 4]
-        ln = int.from_bytes(b[pos + 4:pos + 8], "little")
-        body = b[pos + 8:pos + 8 + ln]
-        pos += 8 + ln + (ln & 1)
-        if cid == b"fmt ":
-            ch = int.from_bytes(body[2:4], "little")
-            bits = int.from_bytes(body[14:16], "little")
-        elif cid == b"data":
-            sw = bits // 8
-            nframes = len(body) // (sw * ch)
-            raw = body[:sw]
-            if sw == 1:
-                v = raw[0] - 128
-            elif sw == 3:
-                u = raw[0] | (raw[1] << 8) | (raw[2] << 16)
-                v = u - ((u >> 23) << 24)
-            else:
-                v = int.from_bytes(raw, "little", signed=True)
-            full = np.float32((1 << (8 * sw - 1)) - 1)
-            return float(np.float32(np.float32(v) / full)), nframes
-    raise ValueError("WAV without data chunk")
-
-
-def write_golden_multimodal_av(n: int, seed: int) -> str:
-    """Expected output of ``multimodal_av``: audio rows probed by an
-    independent RIFF walk, video rows by a from-scratch SGV1 container
-    walk + the BMP first-pixel helper — none of the pipeline's codec
-    code is reused, so agreement IS the check."""
-    from ..datapipe.multimodal import synth_media
-
-    media = synth_media(n, seed=seed)
-    oid, okind, ofeat, on = [], [], [], []
-    for mid, kind, payload in zip(media.column("media_id").to_pylist(),
-                                  media.column("kind").to_pylist(),
-                                  media.column("payload").to_pylist()):
-        if kind == "audio":
-            feat, cnt = _wav_first_sample(payload)
-            feat = round(feat, 6)
-        elif kind == "video":
-            if payload[:6] in (b"GIF87a", b"GIF89a"):
-                rgb, nf = _gif_probe(payload)
-                red, green, blue = rgb
-                s32 = np.float32(np.float32(np.float32(red)
-                                            + np.float32(green))
-                                 + np.float32(blue))
-                g = np.float32(s32 / np.float32(3.0))
-                feat = round(float(np.float32(g / np.float32(255.0))), 6)
-                cnt = nf
-            else:
-                assert payload[:4] == b"SGV1"
-                nf = int.from_bytes(payload[4:8], "little")
-                first_len = int.from_bytes(payload[12:16], "little")
-                off = 12 + 4 * nf
-                feat = round(_bmp_first_pixel_gray(
-                    payload[off:off + first_len]), 6)
-                cnt = nf
-        else:
-            continue
-        oid.append(mid)
-        okind.append(kind)
-        ofeat.append(feat)
-        on.append(cnt)
-    tbl = pa.table({"media_id": pa.array(oid, pa.int64()),
-                    "kind": pa.array(okind, pa.string()),
-                    "feat": pa.array(ofeat, pa.float64()),
-                    "n": pa.array(on, pa.int64())})
-    return _write(tbl, "multimodal_av")
-
-
-def write_golden_audio_features(n: int, seed: int) -> str:
-    """Expected output of ``multimodal_audio``: every audio clip decoded
-    by an independent RIFF walk (no stdlib ``wave``) and accumulated
-    SAMPLE-BY-SAMPLE in arbitrary-precision Python ints — none of the
-    pipeline's numpy vectorization — exact integers, so agreement with
-    the batched ``AudioIntFeatures`` stage is bit-for-bit."""
-    from ..datapipe.multimodal import synth_media
-
-    media = synth_media(n, seed=seed)
-    rows = []
-    for mid, kind, payload in zip(media.column("media_id").to_pylist(),
-                                  media.column("kind").to_pylist(),
-                                  media.column("payload").to_pylist()):
-        if kind != "audio":
-            continue
-        assert payload[:4] == b"RIFF" and payload[8:12] == b"WAVE"
-        pos, ch, bits, data = 12, None, None, None
-        while pos + 8 <= len(payload):
-            cid = payload[pos:pos + 4]
-            ln = int.from_bytes(payload[pos + 4:pos + 8], "little")
-            body = payload[pos + 8:pos + 8 + ln]
-            pos += 8 + ln + (ln & 1)
-            if cid == b"fmt ":
-                ch = int.from_bytes(body[2:4], "little")
-                bits = int.from_bytes(body[14:16], "little")
-            elif cid == b"data":
-                data = body
-        sw = bits // 8
-        stride = sw * ch
-        nf = len(data) // stride
-        ns = zc = peak = dc = en = 0
-        prev_neg = None
-        for f in range(nf):                 # channel 0 of each frame
-            raw = data[f * stride:f * stride + sw]
-            if sw == 1:
-                v = raw[0] - 128
-            elif sw == 3:
-                u = raw[0] | (raw[1] << 8) | (raw[2] << 16)
-                v = u - ((u >> 23) << 24)
-            else:
-                v = int.from_bytes(raw, "little", signed=True)
-            ns += 1
-            neg = v < 0
-            if prev_neg is not None and neg != prev_neg:
-                zc += 1
-            prev_neg = neg
-            peak = max(peak, abs(v))
-            dc += v
-            g = (v << 8 if sw == 1 else v if sw == 2
-                 else v >> 8 if sw == 3 else v >> 16)
-            en += g * g
-        rows.append((mid, ns, zc, peak, dc, en))
-    tbl = pa.table({
-        "media_id": pa.array([r[0] for r in rows], pa.int64()),
-        "n_samples": pa.array([r[1] for r in rows], pa.int64()),
-        "zero_crossings": pa.array([r[2] for r in rows], pa.int64()),
-        "peak_abs": pa.array([r[3] for r in rows], pa.int64()),
-        "dc_sum": pa.array([r[4] for r in rows], pa.int64()),
-        "energy16": pa.array([r[5] for r in rows], pa.int64()),
-    })
-    return _write(tbl, "multimodal_audio")
 
 
 def write_golden_bloom(sf_dir: str, probe_words: list[str], *, p: int,
@@ -825,182 +261,6 @@ def write_golden_bloom(sf_dir: str, probe_words: list[str], *, p: int,
                     "present": pa.array(out_p, pa.int64()),
                     "fill_bits": pa.array([fill] * len(out_w), pa.int64())})
     return _write(tbl, "corpus_word_bloom")
-
-
-def _gif_probe(b: bytes) -> tuple[tuple[int, int, int], int]:
-    """Independent minimal GIF walk: RGB of pixel (0, 0) of the first
-    frame + total frame count. The first LZW code after CLEAR always
-    decodes to a single literal index (the table holds only roots), so
-    pixel (0,0) needs no table building — a per-bit LSB-first read of
-    the first few codes. Shares none of datapipe/gif.py's code."""
-    assert b[:6] in (b"GIF87a", b"GIF89a")
-    flags, bg = b[10], b[11]
-    pos = 13
-    gct = None
-    if flags & 0x80:
-        n = 2 << (flags & 7)
-        gct = b[pos:pos + 3 * n]
-        pos += 3 * n
-    first_rgb = None
-    nframes = 0
-    transparent = None
-    while pos < len(b):
-        blk = b[pos]
-        pos += 1
-        if blk == 0x3B:
-            break
-        if blk == 0x21:
-            label = b[pos]
-            pos += 1
-            tr = transparent
-            if label == 0xF9:
-                tr = b[pos + 4] if (b[pos + 1] & 1) else None
-            while b[pos]:
-                pos += b[pos] + 1
-            pos += 1
-            transparent = tr
-            continue
-        assert blk == 0x2C
-        x0 = int.from_bytes(b[pos:pos + 2], "little")
-        y0 = int.from_bytes(b[pos + 2:pos + 4], "little")
-        iflags = b[pos + 8]
-        pos += 9
-        pal = gct
-        if iflags & 0x80:
-            n = 2 << (iflags & 7)
-            pal = b[pos:pos + 3 * n]
-            pos += 3 * n
-        mc = b[pos]
-        pos += 1
-        chunks = []
-        while b[pos]:
-            ln = b[pos]
-            chunks.append(b[pos + 1:pos + 1 + ln])
-            pos += ln + 1
-        pos += 1
-        if nframes == 0:
-            assert x0 == 0 and y0 == 0, "first frame must be full-canvas"
-            data = b"".join(chunks)
-            clear = 1 << mc
-            width = mc + 1
-            bp = 0
-
-            def bits(n: int) -> int:
-                nonlocal bp
-                v = 0
-                for j in range(n):
-                    v |= ((data[(bp + j) >> 3] >> ((bp + j) & 7)) & 1) << j
-                bp += n
-                return v
-
-            code = bits(width)
-            while code == clear:
-                code = bits(width)
-            idx = code                       # first literal = root entry
-            if transparent is not None and idx == transparent:
-                idx = bg
-            first_rgb = tuple(pal[3 * idx:3 * idx + 3])
-        nframes += 1
-        transparent = None
-    assert first_rgb is not None
-    return first_rgb, nframes
-
-
-def _rgb_gray6(red: int, green: int, blue: int) -> float:
-    s = np.float32(np.float32(np.float32(red) + np.float32(green))
-                   + np.float32(blue))
-    gray = np.float32(s / np.float32(3.0))
-    return float(np.float32(gray / np.float32(255.0)))
-
-
-def _pnm_first_pixel_gray(b: bytes) -> float:
-    """Independent minimal netpbm walk: per-character header scan
-    (magic, #-comments, three decimal fields, one whitespace), then the
-    first 1 or 3 raster bytes."""
-    assert b[:2] in (b"P5", b"P6")
-    pos, vals = 2, []
-    while len(vals) < 3:
-        c = b[pos:pos + 1]
-        if c == b"#":
-            while b[pos:pos + 1] != b"\n":
-                pos += 1
-            pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            num = 0
-            while not b[pos:pos + 1].isspace():
-                num = num * 10 + (b[pos] - 48)
-                pos += 1
-            vals.append(num)
-    pos += 1
-    maxval = vals[2]
-
-    def scale(v: int) -> int:
-        return v * 255 // maxval if maxval != 255 else v
-
-    if b[:2] == b"P5":
-        v = scale(b[pos])
-        return _rgb_gray6(v, v, v)
-    return _rgb_gray6(scale(b[pos]), scale(b[pos + 1]), scale(b[pos + 2]))
-
-
-def _tiff_first_pixel_gray(b: bytes) -> float:
-    """Independent minimal TIFF walk: IFD entry scan for photometric /
-    samples-per-pixel / first strip offset, then the first raster
-    bytes — per-scalar int.from_bytes, no struct reuse."""
-    big = b[:2] == b"MM"
-    order = "big" if big else "little"
-
-    def rd(off: int, n: int) -> int:
-        return int.from_bytes(b[off:off + n], order)
-
-    ifd = rd(4, 4)
-    n = rd(ifd, 2)
-    spp, strip0 = 1, None
-    for i in range(n):
-        o = ifd + 2 + 12 * i
-        tag, typ = rd(o, 2), rd(o + 2, 2)
-        cnt = rd(o + 4, 4)
-        size = {1: 1, 3: 2, 4: 4}[typ]
-        voff = o + 8 if cnt * size <= 4 else rd(o + 8, 4)
-        if tag == 277:
-            spp = rd(voff, size)
-        elif tag == 273:
-            strip0 = rd(voff, size)
-    if spp == 1:
-        v = b[strip0]
-        return _rgb_gray6(v, v, v)
-    return _rgb_gray6(b[strip0], b[strip0 + 1], b[strip0 + 2])
-
-
-def _gif_first_pixel_gray(b: bytes) -> float:
-    red, green, blue = _gif_probe(b)[0]
-    s = np.float32(np.float32(np.float32(red) + np.float32(green))
-                   + np.float32(blue))
-    gray = np.float32(s / np.float32(3.0))
-    return float(np.float32(gray / np.float32(255.0)))
-
-
-def write_golden_webdataset(samples) -> str:
-    """Expected output of ``webdataset_read``: computed from the
-    SOURCE-OF-TRUTH sample list (before any tar bytes exist), so the
-    gate verifies the whole write-shards → distributed-parse round
-    trip — a reader bug and a writer bug both surface as a mismatch."""
-    import zlib
-
-    ks, es, ns, cs = [], [], [], []
-    for key, members in samples:
-        for ext in sorted(members):
-            ks.append(key)
-            es.append(ext)
-            ns.append(len(members[ext]))
-            cs.append(zlib.crc32(members[ext]))
-    tbl = pa.table({"key": pa.array(ks, pa.string()),
-                    "ext": pa.array(es, pa.string()),
-                    "n_bytes": pa.array(ns, pa.int64()),
-                    "crc": pa.array(cs, pa.int64())})
-    return _write(tbl, "webdataset_read")
 
 
 def write_golden_kmeans(sf_dir: str, *, k: int, n_iters: int) -> str:
@@ -2085,67 +1345,6 @@ def write_golden_embed_outliers(sf_dir: str, *, k: int, n_iters: int,
     return _write(tbl, "embed_outliers")
 
 
-def _phash_sequential(payload: bytes) -> int:
-    """Sequential per-image pHash derivation (the golden's independent
-    composition of the spec steps: per-scalar luma over the resize index
-    selection, einsum DCT over the shared fixed-point spec matrix —
-    exact int64, so evaluation order can't split the sides — Python
-    sorted()/bit loops for median + hash)."""
-    from ..datapipe.multimodal import decode_image
-    from ..datapipe.phash import PHASH_SIZE, _dct32_q
-
-    d = _dct32_q()
-    img = decode_image(payload)
-    h, w = img.shape[:2]
-    yi = [min((y * h) // PHASH_SIZE, h - 1) for y in range(PHASH_SIZE)]
-    xi = [min((x * w) // PHASH_SIZE, w - 1) for x in range(PHASH_SIZE)]
-    small = np.empty((PHASH_SIZE, PHASH_SIZE), dtype=np.int64)
-    for a, y in enumerate(yi):
-        for b, x in enumerate(xi):
-            rr, gg, bb = (int(img[y, x, 0]), int(img[y, x, 1]),
-                          int(img[y, x, 2]))
-            small[a, b] = (77 * rr + 150 * gg + 29 * bb) >> 8
-    t = np.einsum("kx,xy,ly->kl", d, small, d)
-    block = [int(v) for v in t[:8, :8].reshape(-1)]
-    med = sorted(block)[31]
-    v = 0
-    for i, c in enumerate(block):
-        if c > med:
-            v |= 1 << i
-    return v
-
-
-def write_golden_phash(n: int, seed: int, *, max_hamming: int) -> str:
-    """Expected output of ``dedup_phash``: per-image SEQUENTIAL pHash
-    derivation (per-scalar luma on the spec's resize index selection,
-    einsum DCT over the shared fixed-point spec matrix ``_dct32_q()`` —
-    exact int64, so evaluation order can't split the sides; Python
-    sorted()/bit loops for median + hash) plus a brute-force O(n²)
-    Hamming scan — no banding, no batched kernel, no exchange. Decode
-    goes through the shared codec boundary, whose correctness the
-    multimodal goldens pin with independent format walks."""
-    from ..datapipe.phash import synth_phash_media
-
-    corpus = synth_phash_media(n, seed=seed)
-    ids = np.asarray(corpus.column("media_id").to_pylist(), dtype=np.int64)
-    sigs = np.array([_phash_sequential(p)
-                     for p in corpus.column("payload").to_pylist()],
-                    dtype=np.uint64)
-    order = np.argsort(ids, kind="stable")
-    ids, sigs = ids[order], sigs[order]
-    oa, ob, oh = [], [], []
-    for i in range(len(ids)):
-        ham = _popcount64(sigs[i] ^ sigs[i + 1:])
-        for j in np.flatnonzero(ham <= max_hamming):
-            oa.append(int(ids[i]))
-            ob.append(int(ids[i + 1 + j]))
-            oh.append(int(ham[j]))
-    tbl = pa.table({"a": pa.array(oa, pa.int64()),
-                    "b": pa.array(ob, pa.int64()),
-                    "hamming": pa.array(oh, pa.int64())})
-    return _write(tbl, "dedup_phash")
-
-
 def write_golden_pagerank(n_nodes: int, seed: int, *,
                           n_iters: int) -> str:
     """Expected output of ``graph_pagerank``: the exact-integer PageRank
@@ -2206,67 +1405,6 @@ def write_golden_kcore(n_nodes: int, seed: int, *, k: int) -> str:
                     "deg": pa.array([len(adj[u]) for u in nodes],
                                     pa.int64())})
     return _write(tbl, "graph_kcore")
-
-
-def write_golden_phash_search(n: int, seed: int, *,
-                              max_hamming: int) -> str:
-    """Expected output of ``dedup_phash_index``: corpus = the base
-    images of ``synth_phash_media`` (media_id < n), queries = the
-    planted recompression variants (media_id ≥ n); sequential per-image
-    hashes + a brute-force query × corpus Hamming scan — no index, no
-    partition pruning, no exchange."""
-    from ..datapipe.phash import synth_phash_media
-
-    tbl = synth_phash_media(n, seed=seed)
-    ids = np.asarray(tbl.column("media_id").to_pylist(), dtype=np.int64)
-    sigs = np.array([_phash_sequential(p)
-                     for p in tbl.column("payload").to_pylist()],
-                    dtype=np.uint64)
-    corpus = ids < n
-    cids, csig = ids[corpus], sigs[corpus]
-    qids, qsig = ids[~corpus], sigs[~corpus]
-    oq, oi, oh = [], [], []
-    for qpos in np.argsort(qids, kind="stable"):
-        ham = _popcount64(qsig[qpos] ^ csig)
-        for j in np.flatnonzero(ham <= max_hamming):
-            oq.append(int(qids[qpos]))
-            oi.append(int(cids[j]))
-            oh.append(int(ham[j]))
-    tbl_out = pa.table({"query_id": pa.array(oq, pa.int64()),
-                        "media_id": pa.array(oi, pa.int64()),
-                        "hamming": pa.array(oh, pa.int64())})
-    return _write(tbl_out, "dedup_phash_index")
-
-
-def write_golden_quarantine(n: int, seed: int) -> str:
-    """Expected output of ``multimodal_quarantine``: a sequential walk of
-    the mixed-health corpus through the same ``decode_image`` fault
-    boundary (the boundary IS the spec here — the codecs' decode
-    correctness is independently pinned by the multimodal goldens'
-    format walks; this gate pins the quarantine classification and that
-    the distributed run is layout-invariant)."""
-    from ..datapipe.multimodal import decode_image, synth_corrupt_media
-
-    tbl = synth_corrupt_media(n, seed=seed)
-    st, er, hh, ww = [], [], [], []
-    for p in tbl.column("payload").to_pylist():
-        try:
-            img = decode_image(p)
-            st.append("ok")
-            er.append("")
-            hh.append(int(img.shape[0]))
-            ww.append(int(img.shape[1]))
-        except Exception as e:
-            st.append("corrupt")
-            er.append(type(e).__name__)
-            hh.append(0)
-            ww.append(0)
-    out = pa.table({"media_id": tbl.column("media_id"),
-                    "status": pa.array(st, pa.string()),
-                    "err": pa.array(er, pa.string()),
-                    "height": pa.array(hh, pa.int64()),
-                    "width": pa.array(ww, pa.int64())})
-    return _write(out, "multimodal_quarantine")
 
 
 def write_golden_kcenter(sf_dir: str, *, k: int) -> str:
@@ -2456,109 +1594,6 @@ def write_golden_pack_bfd(sf_dir: str, *, capacity: int,
     return _write(tbl, "doc_pack_bfd")
 
 
-def write_golden_audio_trim(n: int, seed: int) -> str:
-    """Expected output of ``multimodal_audio_trim``: every clip decoded
-    by an independent per-byte RIFF walk (no stdlib ``wave``, no numpy)
-    and scanned sequentially for the maximal edge runs of exact-zero
-    channel-0 samples; all-silent clips report lead = n_samples,
-    trail = 0, n_kept = 0 (the stage's documented convention)."""
-    from ..datapipe.multimodal import synth_padded_audio
-
-    media = synth_padded_audio(n, seed=seed)
-    rows = []
-    for mid, payload in zip(media.column("media_id").to_pylist(),
-                            media.column("payload").to_pylist()):
-        assert payload[:4] == b"RIFF" and payload[8:12] == b"WAVE"
-        pos, ch, bits, data = 12, None, None, None
-        while pos + 8 <= len(payload):
-            cid = payload[pos:pos + 4]
-            ln = int.from_bytes(payload[pos + 4:pos + 8], "little")
-            body = payload[pos + 8:pos + 8 + ln]
-            pos += 8 + ln + (ln & 1)
-            if cid == b"fmt ":
-                ch = int.from_bytes(body[2:4], "little")
-                bits = int.from_bytes(body[14:16], "little")
-            elif cid == b"data":
-                data = body
-        sw = bits // 8
-        stride = sw * ch
-        nf = len(data) // stride
-        first = last = None
-        for f in range(nf):                 # channel 0 of each frame
-            raw = data[f * stride:f * stride + sw]
-            if sw == 1:
-                v = raw[0] - 128
-            elif sw == 3:
-                u = raw[0] | (raw[1] << 8) | (raw[2] << 16)
-                v = u - ((u >> 23) << 24)
-            else:
-                v = int.from_bytes(raw, "little", signed=True)
-            if v != 0:
-                if first is None:
-                    first = f
-                last = f
-        if first is None:
-            rows.append((mid, nf, nf, 0, 0))
-        else:
-            rows.append((mid, nf, first, nf - 1 - last,
-                         last - first + 1))
-    tbl = pa.table({
-        "media_id": pa.array([r[0] for r in rows], pa.int64()),
-        "n_samples": pa.array([r[1] for r in rows], pa.int64()),
-        "lead": pa.array([r[2] for r in rows], pa.int64()),
-        "trail": pa.array([r[3] for r in rows], pa.int64()),
-        "n_kept": pa.array([r[4] for r in rows], pa.int64()),
-    })
-    return _write(tbl, "multimodal_audio_trim")
-
-
-def write_golden_scene_cuts(n: int, seed: int, threshold: int) -> str:
-    """Expected output of ``multimodal_scenes``: an independent SGV1
-    container walk, with each transition's energy accumulated PER BYTE
-    over the two frames' raw BMP pixel arrays (offset/stride read from
-    the headers) in arbitrary-precision Python ints. Row padding is
-    zero in both frames of a same-size pair, so the byte walk equals
-    the pipeline's decoded-RGB |Δ| sum exactly — and shares none of its
-    code."""
-    from ..datapipe.multimodal import synth_scene_videos
-
-    media = synth_scene_videos(n, seed=seed)
-    rows = []
-    for mid, payload in zip(media.column("media_id").to_pylist(),
-                            media.column("payload").to_pylist()):
-        assert payload[:4] == b"SGV1"
-        nf = int.from_bytes(payload[4:8], "little")
-        lens = [int.from_bytes(payload[12 + 4 * i:16 + 4 * i], "little")
-                for i in range(nf)]
-        off = 12 + 4 * nf
-        frames = []
-        for ln in lens:
-            frames.append(payload[off:off + ln])
-            off += ln
-
-        def pixel_bytes(b: bytes) -> bytes:
-            assert b[:2] == b"BM"
-            po = int.from_bytes(b[10:14], "little")
-            w = int.from_bytes(b[18:22], "little", signed=True)
-            h = abs(int.from_bytes(b[22:26], "little", signed=True))
-            stride = (w * 3 + 3) & ~3
-            return b[po:po + stride * h]
-
-        for t in range(1, nf):
-            a, b = pixel_bytes(frames[t - 1]), pixel_bytes(frames[t])
-            en = 0
-            for x, y in zip(a, b):
-                en += x - y if x >= y else y - x
-            rows.append((mid, t, en, en > threshold))
-    tbl = pa.table({
-        "media_id": pa.array([r[0] for r in rows], pa.int64()),
-        "frame_idx": pa.array([r[1] for r in rows], pa.int64()),
-        "energy": pa.array([r[2] for r in rows], pa.int64()),
-        "is_cut": pa.array([r[3] for r in rows], pa.bool_()),
-    })
-    return _write(tbl, "multimodal_scenes")
-
-
 def write_golden_knn_graph(sf_dir: str, *, k: int) -> str:
     """Expected output of ``embed_knn_graph``: per-row unit-grid
     quantization (one row at a time — ``_unit_grid``'s ops are
@@ -2607,69 +1642,6 @@ def write_golden_knn_graph(sf_dir: str, *, k: int) -> str:
                     "dst": pa.array([r[1] for r in rows], pa.int64()),
                     "dot": pa.array([r[2] for r in rows], pa.int64())})
     return _write(tbl, "embed_knn_graph")
-
-
-def write_golden_audio_fp(n: int, seed: int) -> str:
-    """Expected fingerprints for ``dedup_audio_fp``: every clip decoded
-    by an independent per-byte RIFF walk (no stdlib ``wave``, no
-    numpy), energies accumulated as Python ints over sequential
-    256-sample frames on the common 16-bit grid, rise bits packed
-    MSB-first by hand. The dedup step itself is left to the REAL SQL
-    oracle (min(media_id) OVER the fingerprint partition)."""
-    from ..datapipe.multimodal import synth_dup_audio
-
-    media = synth_dup_audio(n, seed=seed)
-    rows = []
-    for mid, payload in zip(media.column("media_id").to_pylist(),
-                            media.column("payload").to_pylist()):
-        assert payload[:4] == b"RIFF" and payload[8:12] == b"WAVE"
-        pos, ch, bits, data = 12, None, None, None
-        while pos + 8 <= len(payload):
-            cid = payload[pos:pos + 4]
-            ln = int.from_bytes(payload[pos + 4:pos + 8], "little")
-            body = payload[pos + 8:pos + 8 + ln]
-            pos += 8 + ln + (ln & 1)
-            if cid == b"fmt ":
-                ch = int.from_bytes(body[2:4], "little")
-                bits = int.from_bytes(body[14:16], "little")
-            elif cid == b"data":
-                data = body
-        sw = bits // 8
-        stride = sw * ch
-        nsamp = len(data) // stride
-        g = []
-        for f in range(nsamp):                  # channel 0, per byte
-            raw = data[f * stride:f * stride + sw]
-            if sw == 1:
-                v = (raw[0] - 128) << 8
-            elif sw == 2:
-                v = int.from_bytes(raw, "little", signed=True)
-            elif sw == 3:
-                u = raw[0] | (raw[1] << 8) | (raw[2] << 16)
-                v = (u - ((u >> 23) << 24)) >> 8
-            else:
-                v = int.from_bytes(raw, "little", signed=True) >> 16
-            g.append(v)
-        nf = nsamp // 256
-        e = []
-        for fr in range(nf):
-            s = 0
-            for v in g[fr * 256:(fr + 1) * 256]:
-                s += v * v
-            e.append(s)
-        bitlist = [1 if e[f] > e[f - 1] else 0 for f in range(1, nf)]
-        while len(bitlist) % 8:
-            bitlist.append(0)
-        fp = bytes(
-            sum(b << (7 - k) for k, b in enumerate(bitlist[i:i + 8]))
-            for i in range(0, len(bitlist), 8)).hex()
-        rows.append((mid, nf, e[0] if nf else 0, fp))
-    tbl = pa.table({
-        "media_id": pa.array([r[0] for r in rows], pa.int64()),
-        "n_frames": pa.array([r[1] for r in rows], pa.int64()),
-        "e0": pa.array([r[2] for r in rows], pa.int64()),
-        "fp": pa.array([r[3] for r in rows], pa.string())})
-    return _write(tbl, "audio_fp")
 
 
 def write_golden_knn_graph_ivf(sf_dir: str, *, k: int, n_cells: int,

@@ -4720,81 +4720,6 @@ ORDER BY event_id
 """
 
 
-def q_dedup_phash(sf_dir: str):
-    """Perceptual-hash image near-dup (datapipe/phash.py): deterministic
-    media corpus with planted recompression variants (same pixels, PNG →
-    JPEG q70) → per-image fixed-point pHash (integer luma → 32×32 NN
-    resize → exact-int DCT → median threshold) → banded Hamming pairs
-    through the exchange, gated against a sequential per-image golden +
-    brute-force O(n²) scan (oracle/golden.py::write_golden_phash)."""
-    import ray.data as rd
-
-    from ..datapipe.phash import phash_dedup, synth_phash_media
-    from ..oracle.golden import write_golden_phash
-
-    write_golden_phash(90, 7, max_hamming=6)
-    tbl = synth_phash_media(90, seed=7)
-    out = _typed(phash_dedup(rd.from_arrow(tbl), max_hamming=6).to_pandas(),
-                 {"a": "int64", "b": "int64", "hamming": "int64"})
-    return out.sort_values(["a", "b"]).reset_index(drop=True)
-
-
-SQL_DEDUP_PHASH_GOLDEN = """
-SELECT a, b, hamming
-FROM read_parquet('/tmp/sagan_ray_golden/dedup_phash.parquet')
-ORDER BY a, b
-"""
-
-
-def q_dedup_phash_index(sf_dir: str):
-    """Persistent reverse-image-search index (datapipe/phash.py): band
-    rows parquet-partitioned by (band, key) — the operator's own bucket
-    key as partition key — searched with the planted recompression
-    variants as queries, reading ONLY the queries' matching partition
-    dirs; gated against a sequential brute-force query × corpus scan
-    (oracle/golden.py::write_golden_phash_search)."""
-    import shutil
-
-    import ray.data as rd
-
-    from ..datapipe.multimodal import decode_image
-    from ..datapipe.phash import (build_phash_index,
-                                  compact_phash_index, phash64,
-                                  search_phash_index, synth_phash_media,
-                                  update_phash_index)
-    from ..oracle.golden import write_golden_phash_search
-
-    write_golden_phash_search(90, 7, max_hamming=6)
-    tbl = synth_phash_media(90, seed=7)
-    ids = tbl.column("media_id").to_numpy(zero_copy_only=False)
-    queries = tbl.filter(ids >= 90)
-    idx = "/tmp/sagan_ray_golden/phash_index"
-    shutil.rmtree(idx, ignore_errors=True)
-    # the full lifecycle is the verified chain: build half, APPEND the
-    # other half, COMPACT, then search the compacted tree (search is
-    # layout-independent; proven bit-equal in test_datapipe)
-    build_phash_index(rd.from_arrow(tbl.filter(ids < 45)), idx)
-    update_phash_index(idx, rd.from_arrow(
-        tbl.filter((ids >= 45) & (ids < 90))))
-    compact_phash_index(idx)
-    qh = np.array([phash64(decode_image(p))
-                   for p in queries.column("payload").to_pylist()],
-                  dtype=np.uint64)
-    qids = queries.column("media_id").to_numpy(zero_copy_only=False)
-    out = _typed(search_phash_index(idx, qh, max_hamming=6,
-                                    query_ids=qids).to_pandas(),
-                 {"query_id": "int64", "media_id": "int64",
-                  "hamming": "int64"})
-    return out.sort_values(["query_id", "media_id"]).reset_index(drop=True)
-
-
-SQL_DEDUP_PHASH_INDEX_GOLDEN = """
-SELECT query_id, media_id, hamming
-FROM read_parquet('/tmp/sagan_ray_golden/dedup_phash_index.parquet')
-ORDER BY query_id, media_id
-"""
-
-
 def q_snapshot_diff(sf_dir: str):
     """Corpus-version delta (datapipe/diff.py): the new snapshot is
     derived deterministically from documents (drop doc_id%17==0, append
@@ -4849,33 +4774,6 @@ SELECT COALESCE(o.doc_id, n.doc_id) AS doc_id,
 FROM old o FULL OUTER JOIN novo n ON o.doc_id = n.doc_id
 WHERE o.doc_id IS NULL OR n.doc_id IS NULL OR o.text <> n.text
 ORDER BY doc_id
-"""
-
-
-def q_multimodal_quarantine(sf_dir: str):
-    """Fault-isolating decode over a mixed-health media corpus
-    (truncated / magic-flipped / zero-byte payloads planted
-    deterministically): every row classifies as ok (with shape) or
-    corrupt (with the exception class) instead of killing the task —
-    the 100-TB crawl-reality operator. Gated against a sequential walk
-    of the same fault boundary (golden.py::write_golden_quarantine)."""
-    import ray.data as rd
-
-    from ..datapipe.multimodal import decode_quarantine, synth_corrupt_media
-    from ..oracle.golden import write_golden_quarantine
-
-    write_golden_quarantine(120, 29)
-    tbl = synth_corrupt_media(120, seed=29)
-    out = _typed(decode_quarantine(rd.from_arrow(tbl)).to_pandas(),
-                 {"media_id": "int64", "status": "object",
-                  "err": "object", "height": "int64", "width": "int64"})
-    return out.sort_values("media_id").reset_index(drop=True)
-
-
-SQL_MULTIMODAL_QUARANTINE_GOLDEN = """
-SELECT media_id, status, err, height, width
-FROM read_parquet('/tmp/sagan_ray_golden/multimodal_quarantine.parquet')
-ORDER BY media_id
 """
 
 
@@ -5756,150 +5654,6 @@ SQL_EMBED_LABEL_STATS = """
 SELECT label::BIGINT AS label, count(*) AS n,
        round(sum(list_dot_product(embedding::DOUBLE[], embedding::DOUBLE[])) / count(*), 6) AS mean_sq_norm
 FROM embeddings GROUP BY label ORDER BY label
-"""
-
-
-def q_multimodal_features(sf_dir: str):
-    """Multimodal: deterministic BMP/PNG/JPEG media table → real image
-    decode + 8×8 mean-pool feature in an actor pool
-    (datapipe.multimodal), gated against a golden parquet built by
-    independent from-scratch format walks (oracle/golden.py: BMP header
-    walk, PNG first-scanline inflate, sequential per-scalar baseline
-    JPEG decode) over the same corpus."""
-    import ray.data as rd
-
-    from ..datapipe.multimodal import media_pipeline, synth_media
-    from ..oracle.golden import write_golden_multimodal
-
-    write_golden_multimodal(200, seed=42)
-    tbl = synth_media(200, seed=42)
-    out = media_pipeline(rd.from_arrow(tbl)).to_pandas()
-    out["media_id"] = out["media_id"].astype("int64")
-    out["feat_head"] = out["feature"].map(lambda v: round(float(v[0]), 6))
-    return (out.sort_values("media_id").reset_index(drop=True)
-            [["media_id", "feat_head"]])
-
-
-SQL_MULTIMODAL_GOLDEN = """
-SELECT media_id, feat_head
-FROM read_parquet('/tmp/sagan_ray_golden/multimodal_features.parquet')
-ORDER BY media_id
-"""
-
-
-def q_multimodal_av(sf_dir: str):
-    """Multimodal audio/video: WAV (8/16/24/32-bit, mono/stereo) and
-    SGV1 container rows probed in an actor pool (first-sample value /
-    first-frame gray + frame counts), gated against a golden parquet
-    built by an independent RIFF walk + container walk
-    (oracle/golden.py::write_golden_multimodal_av) — the audio/video
-    analog of ``multimodal_features``'s image gate."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    from ..datapipe.multimodal import AVProbe, synth_media
-    from ..oracle.golden import write_golden_multimodal_av
-
-    write_golden_multimodal_av(200, seed=42)
-    tbl = synth_media(200, seed=42)
-    ds = rd.from_arrow(tbl).map_batches(
-        lambda t: t.filter(pc.invert(pc.equal(t.column("kind"), "image"))),
-        batch_format="pyarrow").map_batches(
-        AVProbe, batch_format="pyarrow", batch_size=64, concurrency=2)
-    out = ds.to_pandas()
-    out["media_id"] = out["media_id"].astype("int64")
-    return (out.sort_values("media_id").reset_index(drop=True)
-            [["media_id", "kind", "feat", "n"]])
-
-
-SQL_MULTIMODAL_AV_GOLDEN = """
-SELECT media_id, kind, feat, n
-FROM read_parquet('/tmp/sagan_ray_golden/multimodal_av.parquet')
-ORDER BY media_id
-"""
-
-_WDS_EXTS = ["jpg", "png", "bmp", "gif", "pnm", "tiff", "wav", "sgv",
-             "txt", "json"]
-
-
-def _wds_samples():
-    """Deterministic WebDataset sample list from the synth media corpus:
-    one payload member (extension by mime) + a text caption + a JSON
-    metadata member per key."""
-    import json
-
-    from ..datapipe.multimodal import synth_media
-
-    ext_of = {"image/jpeg": "jpg", "image/png": "png", "image/bmp": "bmp",
-              "image/gif": "gif", "image/x-portable-anymap": "pnm",
-              "image/tiff": "tiff", "audio/wav": "wav",
-              "video/x-sgv": "sgv"}
-    media = synth_media(200, seed=42)
-    samples = []
-    for mid, kind, payload, mime, w, h, dur in zip(
-            media.column("media_id").to_pylist(),
-            media.column("kind").to_pylist(),
-            media.column("payload").to_pylist(),
-            media.column("mime").to_pylist(),
-            media.column("width").to_pylist(),
-            media.column("height").to_pylist(),
-            media.column("duration_ms").to_pylist()):
-        cap = f"media {mid} kind {kind}".encode()
-        meta = json.dumps({"kind": kind, "mime": mime, "w": w, "h": h,
-                           "duration_ms": dur}, sort_keys=True).encode()
-        samples.append((f"{mid:06d}",
-                        {ext_of[mime]: payload, "txt": cap, "json": meta}))
-    return samples
-
-
-def q_webdataset_read(sf_dir: str):
-    """WebDataset-style tar-shard ingestion: the synth media corpus is
-    written as .tar shards (key.ext members, 32 samples/shard) and read
-    back shard-parallel (`sources/shards.py::read_tar_shards` — one
-    shard per task, stdlib tarfile over in-memory bytes); the output
-    per member (key, ext, n_bytes, crc32) is gated against a golden
-    computed from the source-of-truth sample list BEFORE any tar bytes
-    exist, verifying the whole write→distributed-parse round trip."""
-    import shutil
-    import zlib
-
-    from ..oracle.golden import write_golden_webdataset
-    from ..sources.shards import read_tar_shards, write_tar_shards
-
-    samples = _wds_samples()
-    write_golden_webdataset(samples)
-    shard_dir = "/tmp/sagan_ray_wds"
-    shutil.rmtree(shard_dir, ignore_errors=True)
-    write_tar_shards(samples, shard_dir, shard_size=32)
-
-    def flat(tbl):
-        ks, es, ns, cs = [], [], [], []
-        keys = tbl.column("key").to_pylist()
-        for e in _WDS_EXTS:
-            col = tbl.column(e.replace(".", "_")).to_pylist()
-            for k, v in zip(keys, col):
-                if v is not None:
-                    ks.append(k)
-                    es.append(e)
-                    ns.append(len(v))
-                    cs.append(zlib.crc32(v))
-        import pyarrow as _pa
-        return _pa.table({"key": _pa.array(ks, _pa.string()),
-                          "ext": _pa.array(es, _pa.string()),
-                          "n_bytes": _pa.array(ns, _pa.int64()),
-                          "crc": _pa.array(cs, _pa.int64())})
-
-    ds = read_tar_shards(shard_dir, _WDS_EXTS).map_batches(
-        flat, batch_format="pyarrow")
-    out = _typed(ds.to_pandas(), {"key": "object", "ext": "object",
-                                  "n_bytes": "int64", "crc": "int64"})
-    return out.sort_values(["key", "ext"]).reset_index(drop=True)
-
-
-SQL_WEBDATASET = """
-SELECT key, ext, n_bytes, crc
-FROM read_parquet('/tmp/sagan_ray_golden/webdataset_read.parquet')
-ORDER BY key, ext
 """
 
 
@@ -7259,142 +7013,6 @@ SELECT doc_id, chunk_idx,
            least(chunk_idx * {_CHUNK_STRIDE} + {_CHUNK_SIZE}, n)),
            ' ') AS chunk_text
 FROM c ORDER BY doc_id, chunk_idx
-"""
-
-
-def q_multimodal_audio(sf_dir: str):
-    """Exact-integer audio clip features (n_samples / zero crossings /
-    peak / DC sum / 16-bit-grid energy) over the synth corpus's WAV
-    rows in an actor pool, gated bit-exactly against an independent
-    per-sample Python-int golden walk
-    (oracle/golden.py::write_golden_audio_features)."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    from ..datapipe.multimodal import AudioIntFeatures, synth_media
-    from ..oracle.golden import write_golden_audio_features
-
-    write_golden_audio_features(200, seed=42)
-    tbl = synth_media(200, seed=42)
-    ds = rd.from_arrow(tbl).map_batches(
-        lambda t: t.filter(pc.equal(t.column("kind"), "audio")),
-        batch_format="pyarrow").map_batches(
-        AudioIntFeatures, batch_format="pyarrow", batch_size=64,
-        concurrency=2)
-    out = ds.to_pandas()
-    cols = ["media_id", "n_samples", "zero_crossings", "peak_abs",
-            "dc_sum", "energy16"]
-    out = _typed(out, {c: "int64" for c in cols})
-    return out.sort_values("media_id").reset_index(drop=True)[cols]
-
-
-SQL_MULTIMODAL_AUDIO = """
-SELECT media_id, n_samples, zero_crossings, peak_abs, dc_sum, energy16
-FROM read_parquet('/tmp/sagan_ray_golden/multimodal_audio.parquet')
-ORDER BY media_id
-"""
-
-
-def q_multimodal_audio_trim(sf_dir: str):
-    """Silence-trim report (lead / trail runs of exact-zero channel-0
-    samples on the stored PCM grid, n_kept body length) over a synth
-    corpus of zero-padded WAV clips in an actor pool, gated bit-exactly
-    against an independent per-byte RIFF-walk golden
-    (oracle/golden.py::write_golden_audio_trim)."""
-    import ray.data as rd
-
-    from ..datapipe.multimodal import AudioTrim, synth_padded_audio
-    from ..oracle.golden import write_golden_audio_trim
-
-    write_golden_audio_trim(200, seed=17)
-    tbl = synth_padded_audio(200, seed=17)
-    ds = rd.from_arrow(tbl).map_batches(
-        AudioTrim, batch_format="pyarrow", batch_size=64, concurrency=2)
-    out = ds.to_pandas()
-    cols = ["media_id", "n_samples", "lead", "trail", "n_kept"]
-    out = _typed(out, {c: "int64" for c in cols})
-    return out.sort_values("media_id").reset_index(drop=True)[cols]
-
-
-SQL_MULTIMODAL_AUDIO_TRIM = """
-SELECT media_id, n_samples, lead, trail, n_kept
-FROM read_parquet('/tmp/sagan_ray_golden/multimodal_audio_trim.parquet')
-ORDER BY media_id
-"""
-
-
-def q_multimodal_scenes(sf_dir: str):
-    """Shot-boundary detection over synth SGV1 videos: per frame
-    transition the exact-int64 pixel diff energy Σ|f_t − f_{t−1}| and
-    the cut flag, in an actor pool; gated bit-exactly against an
-    independent byte-level container-walk golden
-    (oracle/golden.py::write_golden_scene_cuts)."""
-    import ray.data as rd
-
-    from ..datapipe.multimodal import SceneCuts, synth_scene_videos
-    from ..oracle.golden import write_golden_scene_cuts
-
-    write_golden_scene_cuts(120, seed=23, threshold=10_000)
-    tbl = synth_scene_videos(120, seed=23)
-    ds = rd.from_arrow(tbl).map_batches(
-        SceneCuts, batch_format="pyarrow", batch_size=32, concurrency=2)
-    out = ds.to_pandas()
-    out = _typed(out, {"media_id": "int64", "frame_idx": "int64",
-                       "energy": "int64", "is_cut": "bool"})
-    return (out.sort_values(["media_id", "frame_idx"])
-            .reset_index(drop=True)
-            [["media_id", "frame_idx", "energy", "is_cut"]])
-
-
-SQL_MULTIMODAL_SCENES = """
-SELECT media_id, frame_idx, energy, is_cut
-FROM read_parquet('/tmp/sagan_ray_golden/multimodal_scenes.parquet')
-ORDER BY media_id, frame_idx
-"""
-
-
-def q_dedup_audio_fp(sf_dir: str):
-    """Container-blind audio content dedup: exact-integer energy-rise
-    fingerprints (multimodal.AudioFingerprint) over a corpus with
-    planted channel-count/rate container variants, then rep =
-    min(media_id) per fingerprint through the fp-keyed exchange.
-    The fingerprint math is gated against an independent per-byte
-    RIFF-walk golden; the dedup step is recomputed by the SQL's
-    window min over the golden's fingerprint columns."""
-    import pandas as pd
-    import ray.data as rd
-
-    from ..datapipe.exchange import hash_group_apply
-    from ..datapipe.multimodal import AudioFingerprint, synth_dup_audio
-    from ..oracle.golden import write_golden_audio_fp
-
-    write_golden_audio_fp(150, seed=29)
-    tbl = synth_dup_audio(150, seed=29)
-    fps = rd.from_arrow(tbl).map_batches(
-        AudioFingerprint, batch_format="pyarrow", batch_size=32,
-        concurrency=2)
-
-    def rep_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["rep"] = df.groupby(["n_frames", "e0", "fp"],
-                               sort=False)["media_id"].transform("min")
-        return df.astype({"rep": "int64"})
-
-    schema = pa.schema([("media_id", pa.int64()),
-                        ("n_frames", pa.int64()), ("e0", pa.int64()),
-                        ("fp", pa.string()), ("rep", pa.int64())])
-    out = hash_group_apply(fps, ["n_frames", "e0", "fp"], rep_bucket,
-                           out_schema=schema).to_pandas()
-    out = _typed(out, {"media_id": "int64", "n_frames": "int64",
-                       "e0": "int64", "fp": "object", "rep": "int64"})
-    return out.sort_values("media_id").reset_index(drop=True)
-
-
-SQL_DEDUP_AUDIO_FP = """
-SELECT media_id, n_frames, e0, fp,
-       min(media_id) OVER (PARTITION BY n_frames, e0, fp) AS rep
-FROM read_parquet('/tmp/sagan_ray_golden/audio_fp.parquet')
-ORDER BY media_id
 """
 
 
@@ -9984,7 +9602,7 @@ FROM sc QUALIFY rank <= 2 ORDER BY doc_id, rank
 # in rounds 3 and 4, so ordering is VERIFICATION ROUTING (VERDICT r4
 # what's-wrong #3): the engine family leads (repo identity; the first
 # query absorbs Ray worker-pool warmup), then the aggregates, then the
-# ROTATION BLOCK — the 16 entries that were always green locally but
+# ROTATION BLOCK — the entries that were always green locally but
 # never landed inside the driver's window in r3/r4 (cheapest tier first,
 # measured sf0.01 costs from the tools/check_queries.py profile) — then
 # cheap long-stable keepers to fill the window; everything already
@@ -10032,11 +9650,6 @@ QUERIES = {
     "dedup_spans": q_dedup_spans,
     "text_quality_model": q_text_quality_model,
     "doc_pack_bpe": q_doc_pack_bpe,
-    "multimodal_features": q_multimodal_features,
-    # new in r5, cheap (0.9 s): ride inside the window on first shipping
-    # round so CORRECTNESS_r05 verifies it (pushes the long-driver-green
-    # search_bm25 just past the cut — proven entries drop first)
-    "multimodal_av": q_multimodal_av,
     "embed_kmeans": q_embed_kmeans,
     # > 2 s
     "dedup_filter": q_dedup_filter,
@@ -10054,10 +9667,10 @@ QUERIES = {
     "dedup_simhash": q_dedup_simhash,
     "pii_redact": q_pii_redact,
     "search_bm25": q_search_bm25,
-    # ================= driver window (first 50) ends here =============
     # long-stable entries (driver-green in both r3 and r4), cheap first
     "events_rolling": q_events_rolling,
     "events_window_distinct": q_events_window_distinct,
+    # ================= driver window (first 50) ends here =============
     "sample_stratified": q_sample_stratified,
     "docs_shuffle": q_docs_shuffle,
     "source_quantiles": q_source_quantiles,
@@ -10086,7 +9699,6 @@ QUERIES = {
     # new in r5 (behind the window; green in the local full-gate run)
     "corpus_word_bloom": q_corpus_word_bloom,
     "mix_sources": q_mix_sources,
-    "webdataset_read": q_webdataset_read,
     "events_funnel": q_events_funnel,
     "events_funnel_windowed": q_events_funnel_windowed,
     "events_retention": q_events_retention,
@@ -10098,7 +9710,6 @@ QUERIES = {
     "embed_ivf_index": q_embed_ivf_index,
     "corpus_heavy_hitters": q_corpus_heavy_hitters,
     "sample_weighted": q_sample_weighted,
-    "multimodal_audio": q_multimodal_audio,
     "doc_chunks": q_doc_chunks,
     "embed_topk_filtered": q_embed_topk_filtered,
     "sample_per_source": q_sample_per_source,
@@ -10134,13 +9745,10 @@ QUERIES = {
     "embed_semantic_filter": q_embed_semantic_filter,
     "dedup_fuzzy_incremental": q_dedup_fuzzy_incremental,
     "events_trend": q_events_trend,
-    "dedup_phash": q_dedup_phash,
     "graph_pagerank": q_graph_pagerank,
     "web_domain_stats": q_web_domain_stats,
     "web_domain_filter": q_web_domain_filter,
-    "dedup_phash_index": q_dedup_phash_index,
     "snapshot_diff": q_snapshot_diff,
-    "multimodal_quarantine": q_multimodal_quarantine,
     "table_profile": q_table_profile,
     "events_debounce": q_events_debounce,
     "dedup_keep_best": q_dedup_keep_best,
@@ -10206,13 +9814,10 @@ QUERIES = {
     "orders_fk_check": q_orders_fk_check,
     "tokenizer_fertility": q_tokenizer_fertility,
     "doc_summary": q_doc_summary,
-    "multimodal_audio_trim": q_multimodal_audio_trim,
-    "multimodal_scenes": q_multimodal_scenes,
     "table_k_anonymity": q_table_k_anonymity,
     "embed_knn_graph": q_embed_knn_graph,
     "graph_bfs": q_graph_bfs,
     "web_url_dedup": q_web_url_dedup,
-    "dedup_audio_fp": q_dedup_audio_fp,
     "embed_knn_graph_ivf": q_embed_knn_graph_ivf,
     "corpus_file_stats": q_corpus_file_stats,
     "embed_label_prop": q_embed_label_prop,
@@ -10333,7 +9938,6 @@ ORACLES = {
     "role_transitions": SQL_ROLE_TRANSITIONS,
     "conv_documents": SQL_CONV_DOCUMENTS,
     "transcript_curation": SQL_TRANSCRIPT_CURATION,
-    "multimodal_features": SQL_MULTIMODAL_GOLDEN,
     "embed_near_dup_lsh": SQL_EMBED_LSH_GOLDEN,
     "embed_ivf": SQL_EMBED_IVF_GOLDEN,
     "embed_quantized_topk": SQL_EMBED_QUANTIZED_GOLDEN,
@@ -10341,10 +9945,8 @@ ORACLES = {
     "embed_semantic_dup": SQL_SEMANTIC_DUP,
     "embed_pca": SQL_PCA_GOLDEN,
     "corpus_vocab_sketch": SQL_VOCAB_SKETCH,
-    "multimodal_av": SQL_MULTIMODAL_AV_GOLDEN,
     "corpus_word_bloom": SQL_CORPUS_WORD_BLOOM,
     "mix_sources": SQL_MIX_SOURCES,
-    "webdataset_read": SQL_WEBDATASET,
     "events_funnel": SQL_EVENTS_FUNNEL,
     "events_funnel_windowed": SQL_EVENTS_FUNNEL_WINDOWED,
     "events_retention": SQL_EVENTS_RETENTION,
@@ -10356,7 +9958,6 @@ ORACLES = {
     "embed_ivf_index": SQL_EMBED_IVF_GOLDEN,
     "corpus_heavy_hitters": SQL_CORPUS_HEAVY_HITTERS,
     "sample_weighted": SQL_SAMPLE_WEIGHTED,
-    "multimodal_audio": SQL_MULTIMODAL_AUDIO,
     "doc_chunks": SQL_DOC_CHUNKS,
     "embed_topk_filtered": SQL_EMBED_TOPK_FILTERED,
     "sample_per_source": SQL_SAMPLE_PER_SOURCE,
@@ -10392,13 +9993,10 @@ ORACLES = {
     "embed_semantic_filter": SQL_EMBED_SEMANTIC_FILTER,
     "dedup_fuzzy_incremental": SQL_DEDUP_FUZZY_INCREMENTAL,
     "events_trend": SQL_EVENTS_TREND,
-    "dedup_phash": SQL_DEDUP_PHASH_GOLDEN,
     "graph_pagerank": SQL_PAGERANK_GOLDEN,
     "web_domain_stats": SQL_WEB_DOMAIN_STATS,
     "web_domain_filter": SQL_WEB_DOMAIN_FILTER,
-    "dedup_phash_index": SQL_DEDUP_PHASH_INDEX_GOLDEN,
     "snapshot_diff": SQL_SNAPSHOT_DIFF,
-    "multimodal_quarantine": SQL_MULTIMODAL_QUARANTINE_GOLDEN,
     "table_profile": SQL_TABLE_PROFILE,
     "events_debounce": SQL_EVENTS_DEBOUNCE,
     "dedup_keep_best": SQL_DEDUP_KEEP_BEST,
@@ -10464,13 +10062,10 @@ ORACLES = {
     "orders_fk_check": SQL_ORDERS_FK_CHECK,
     "tokenizer_fertility": SQL_TOKENIZER_FERTILITY,
     "doc_summary": SQL_DOC_SUMMARY,
-    "multimodal_audio_trim": SQL_MULTIMODAL_AUDIO_TRIM,
-    "multimodal_scenes": SQL_MULTIMODAL_SCENES,
     "table_k_anonymity": SQL_TABLE_K_ANONYMITY,
     "embed_knn_graph": SQL_EMBED_KNN_GRAPH_GOLDEN,
     "graph_bfs": SQL_GRAPH_BFS,
     "web_url_dedup": SQL_WEB_URL_DEDUP,
-    "dedup_audio_fp": SQL_DEDUP_AUDIO_FP,
     "embed_knn_graph_ivf": SQL_EMBED_KNN_GRAPH_IVF_GOLDEN,
     "corpus_file_stats": SQL_CORPUS_FILE_STATS,
     "embed_label_prop": SQL_EMBED_LABEL_PROP_GOLDEN,

@@ -1,3 +1,2 @@
 from .events import events_to_transcripts, read_events_as_transcripts  # noqa: F401
-from .shards import read_tar_shards, write_tar_shards  # noqa: F401
 from .transcripts import read_transcripts  # noqa: F401

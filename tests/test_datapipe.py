@@ -1,5 +1,5 @@
 """Tests for the training-data ops: dedup family, ANN, text stats,
-multimodal plumbing — verified against brute-force / DuckDB ground truth
+events and graphs — verified against brute-force / DuckDB ground truth
 on the sf0.001 driver tables."""
 
 import itertools
@@ -465,111 +465,6 @@ def test_fingerprint_deterministic_and_normalizing(docs):
     fp = fingerprint(rd.from_arrow(t)).to_pandas().sort_values("doc_id")
     assert fp["fp_md5"].iloc[0] == fp["fp_md5"].iloc[1]
     assert fp["fp_md5"].iloc[0] != fp["fp_md5"].iloc[2]
-
-
-def test_multimodal_plumbing():
-    import ray.data as rd
-
-    from sagan_ray.datapipe.multimodal import (
-        DecodeImages,
-        SampleFrames,
-        media_pipeline,
-        synth_media,
-    )
-
-    from sagan_ray.datapipe.multimodal import FEATURE_DIM
-
-    tbl = synth_media(60)
-    ds = rd.from_arrow(tbl)
-    feats = media_pipeline(ds).to_pandas()
-    assert (feats["feature"].map(len) == FEATURE_DIM).all()
-    # determinism: same payload → same feature (real BMP decode)
-    f2 = media_pipeline(rd.from_arrow(tbl)).to_pandas()
-    m1 = dict(zip(feats["media_id"], feats["feature"].map(tuple)))
-    m2 = dict(zip(f2["media_id"], f2["feature"].map(tuple)))
-    assert m1 == m2
-
-    frames = rd.from_arrow(tbl).map_batches(
-        lambda t: t.filter(__import__("pyarrow").compute.equal(t.column("kind"), "video")),
-        batch_format="pyarrow").map_batches(
-        SampleFrames, batch_format="pyarrow", batch_size=16,
-        concurrency=2).to_pandas()
-    assert (frames["frame_ms"] % 1000 == 0).all()
-    # sampled frames are decodable BMPs
-    from sagan_ray.datapipe.multimodal import decode_bmp
-    img = decode_bmp(frames["frame"].iloc[0])
-    assert img.shape == (16, 16, 3)
-
-    # unsupported formats fail loudly at the codec boundary
-    import pyarrow as pa
-
-    bad = tbl.slice(0, 4).set_column(
-        tbl.schema.get_field_index("payload"), "payload",
-        pa.array([b"\x89PNG fake"] * 4, pa.large_binary()))
-    with pytest.raises(Exception) as ei:
-        rd.from_arrow(bad).map_batches(
-            DecodeImages, batch_format="pyarrow", concurrency=1).materialize()
-    assert "BMP" in str(ei.value) or "RayTaskError" in type(ei.value).__name__
-
-
-def test_multimodal_codecs_roundtrip():
-    """BMP / WAV / SGV1 codecs round-trip exactly; resize caps dims."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.multimodal import (
-        DecodeAudio,
-        ResizeImages,
-        decode_bmp,
-        decode_sgv,
-        decode_wav,
-        encode_bmp,
-        encode_sgv,
-        encode_wav,
-        synth_media,
-    )
-
-    rng = np.random.default_rng(9)
-    img = rng.integers(0, 256, (21, 13, 3)).astype(np.uint8)
-    assert np.array_equal(decode_bmp(encode_bmp(img)), img)
-
-    x = np.sin(np.linspace(0, 20, 1600)).astype(np.float32) * 0.7
-    y, rate = decode_wav(encode_wav(x, 8000))
-    assert rate == 8000 and len(y) == len(x)
-    assert np.abs(y - x).max() < 1e-3           # PCM16 quantization only
-    # widened envelope: 8/24/32-bit widths and stereo, channel 0 taken
-    for sw, tol in ((1, 1e-2), (2, 1e-3), (3, 1e-6), (4, 1e-7)):
-        for chn in (1, 2):
-            y2, r2 = decode_wav(encode_wav(x, 8000, sampwidth=sw,
-                                           channels=chn))
-            assert r2 == 8000 and len(y2) == len(x), (sw, chn)
-            assert np.abs(y2 - x).max() < tol, (sw, chn)
-
-    frames = [encode_bmp(rng.integers(0, 256, (4, 4, 3)).astype(np.uint8))
-              for _ in range(3)]
-    back, interval = decode_sgv(encode_sgv(frames, 250))
-    assert back == frames and interval == 250
-
-    media = synth_media(40, seed=5)
-    imgs = media.filter(
-        __import__("pyarrow").compute.equal(media.column("kind"), "image"))
-    resized = rd.from_arrow(imgs).map_batches(
-        ResizeImages, fn_constructor_kwargs={"max_side": 16},
-        batch_format="pyarrow", batch_size=8, concurrency=2).to_pandas()
-    assert (resized["width"] <= 16).all() and (resized["height"] <= 16).all()
-    from sagan_ray.datapipe.multimodal import decode_image
-
-    for i in range(len(resized)):   # corpus mixes BMP and PNG payloads
-        shp = decode_image(resized["payload"].iloc[i]).shape
-        assert (shp[0] == resized["height"].iloc[i]
-                and shp[1] == resized["width"].iloc[i])
-
-    auds = media.filter(
-        __import__("pyarrow").compute.equal(media.column("kind"), "audio"))
-    afeat = rd.from_arrow(auds).map_batches(
-        DecodeAudio, batch_format="pyarrow", batch_size=8,
-        concurrency=2).to_pandas()
-    assert len(afeat) == len(auds) and (afeat["feature"].map(len) == 64).all()
-    assert (afeat["feature"].map(lambda v: v[0]) > 0).all()   # rms of a sine
 
 
 def test_ngram_prefix_boundary_threshold():
@@ -1642,153 +1537,6 @@ def test_conv_documents_and_role_transitions_edges():
                    ("c", "user", "assistant", 1)}   # b: no transitions
 
 
-def test_png_codec_roundtrip_all_filters():
-    """decode(encode(img, f)) == img for every PNG filter type, RGB and
-    RGBA, plus honest NotImplementedError boundaries."""
-    import pytest as _pytest
-
-    from sagan_ray.datapipe.multimodal import (
-        decode_image,
-        decode_png,
-        encode_png,
-    )
-
-    rng = np.random.default_rng(31)
-    img = rng.integers(0, 256, (23, 17, 3)).astype(np.uint8)
-    for f in range(5):
-        assert np.array_equal(decode_png(encode_png(img, filters=f)), img), f
-    # per-row mixed filters
-    mixed = [int(v) for v in rng.integers(0, 5, 23)]
-    assert np.array_equal(decode_png(encode_png(img, filters=mixed)), img)
-    # RGBA round-trips; decode_image drops alpha
-    rgba = rng.integers(0, 256, (9, 7, 4)).astype(np.uint8)
-    assert np.array_equal(decode_png(encode_png(rgba)), rgba)
-    assert np.array_equal(decode_image(encode_png(rgba)), rgba[:, :, :3])
-    # 1x1 and single-row edge shapes
-    one = np.array([[[7, 8, 9]]], np.uint8)
-    for f in range(5):
-        assert np.array_equal(decode_png(encode_png(one, filters=f)), one)
-    row = rng.integers(0, 256, (1, 40, 3)).astype(np.uint8)
-    for f in range(5):
-        assert np.array_equal(decode_png(encode_png(row, filters=f)), row)
-    # unsupported flavors fail loudly (sub-byte depth on an RGB header
-    # is not a legal PNG combination and stays outside the envelope)
-    import struct as _struct
-    import zlib as _zlib
-
-    def chunk(typ, data):
-        return (_struct.pack(">I", len(data)) + typ + data +
-                _struct.pack(">I", _zlib.crc32(typ + data) & 0xFFFFFFFF))
-
-    bad = (b"\x89PNG\r\n\x1a\n"
-           + chunk(b"IHDR", _struct.pack(">IIBBBBB", 2, 2, 2, 2, 0, 0, 0))
-           + chunk(b"IDAT", _zlib.compress(b"\x00" * 6))
-           + chunk(b"IEND", b""))
-    with _pytest.raises(NotImplementedError):
-        decode_png(bad)
-
-
-def test_png_extended_envelope_roundtrip():
-    """Gray / palette / gray+alpha handling, 16-bit depth (high-byte
-    exact under the encoder's v*257 widening) and Adam7 interlace all
-    round-trip bit-exactly, including shapes that leave Adam7 passes
-    empty; golden first-pixel parity holds across every variant."""
-    from sagan_ray.datapipe.multimodal import decode_png, encode_png
-    from sagan_ray.oracle.golden import _png_first_pixel_gray
-
-    rng = np.random.default_rng(41)
-    img = rng.integers(0, 256, (19, 11, 3)).astype(np.uint8)
-    gray = rng.integers(0, 256, (13, 9)).astype(np.uint8)
-    pal = rng.integers(0, 256, (64, 3)).astype(np.uint8)
-    idx = rng.integers(0, 64, (12, 7)).astype(np.uint8)
-    variants = []
-    for f in range(5):
-        variants += [
-            (encode_png(img, filters=f, interlace=True), img),
-            (encode_png(img, filters=f, depth=16), img),
-            (encode_png(img, filters=f, depth=16, interlace=True), img),
-            (encode_png(gray, filters=f), np.repeat(gray[..., None], 3, 2)),
-            (encode_png(gray, filters=f, interlace=True),
-             np.repeat(gray[..., None], 3, 2)),
-            (encode_png(idx, filters=f, palette=pal), pal[idx]),
-            (encode_png(idx, filters=f, palette=pal, interlace=True),
-             pal[idx]),
-        ]
-    for shp in ((1, 1, 3), (3, 1, 3), (2, 9, 3), (8, 8, 3)):
-        tiny = rng.integers(0, 256, shp).astype(np.uint8)
-        variants.append((encode_png(tiny, interlace=True), tiny))
-    # sub-byte depths: 1/2/4-bit gray (exact 255/(2^d-1) upscale) and
-    # palette, plain and interlaced, across all filter types
-    for d in (1, 2, 4):
-        gi = rng.integers(0, 1 << d, (11, 13)).astype(np.uint8)
-        scaled = ((gi.astype(np.int64) * 255) // ((1 << d) - 1)
-                  ).astype(np.uint8)
-        want_g = np.repeat(scaled[..., None], 3, 2)
-        pi = rng.integers(0, min(16, 1 << d), (9, 6)).astype(np.uint8)
-        pal16 = pal[:16]
-        for f in range(5):
-            variants += [
-                (encode_png(gi, filters=f, depth=d), want_g),
-                (encode_png(gi, filters=f, depth=d, interlace=True),
-                 want_g),
-                (encode_png(pi, filters=f, depth=d, palette=pal16),
-                 pal16[pi]),
-                (encode_png(pi, filters=f, depth=d, palette=pal16,
-                            interlace=True), pal16[pi]),
-            ]
-    for b, want in variants:
-        got = decode_png(b)
-        assert np.array_equal(got[:, :, :3], want[:, :, :3])
-        px = want[0, 0] if want.ndim == 3 else [want[0, 0]] * 3
-        s = np.float32(np.float32(np.float32(int(px[0]))
-                                  + np.float32(int(px[1])))
-                       + np.float32(int(px[2])))
-        expect = float(np.float32(np.float32(s / np.float32(3.0))
-                                  / np.float32(255.0)))
-        assert _png_first_pixel_gray(b) == expect
-
-
-def test_av_probe_matches_independent_golden():
-    """AVProbe (decode_wav / decode_sgv pipeline codecs) agrees row-for-
-    row with the independent RIFF + SGV1 walks in oracle/golden.py over
-    the full variant-cycling corpus — the audio/video analog of the
-    image feature gate."""
-    import pyarrow.parquet as pq
-
-    from sagan_ray.datapipe.multimodal import AVProbe, synth_media
-    from sagan_ray.oracle.golden import write_golden_multimodal_av
-
-    path = write_golden_multimodal_av(150, seed=5)
-    media = synth_media(150, seed=5)
-    av = media.filter(
-        pa.compute.invert(pa.compute.equal(media.column("kind"), "image")))
-    got = AVProbe()(av).to_pandas().sort_values("media_id")
-    want = pq.read_table(path).to_pandas().sort_values("media_id")
-    assert len(got) == len(want) > 0
-    for col in ("media_id", "kind", "feat", "n"):
-        assert got[col].tolist() == want[col].tolist(), col
-
-
-def test_png_golden_first_pixel_matches_pipeline():
-    """The golden's inflate-first-scanline walk equals the pipeline's
-    full decode → 8x8 mean-pool head on PNGs of every filter type."""
-    from sagan_ray.datapipe.multimodal import DecodeImages, encode_png
-    from sagan_ray.oracle.golden import _png_first_pixel_gray
-
-    rng = np.random.default_rng(13)
-    dec = DecodeImages()
-    for f in range(5):
-        img = rng.integers(0, 256, (19, 11, 3)).astype(np.uint8)
-        payload = encode_png(img, filters=f)
-        import pyarrow as _pa
-
-        out = dec(_pa.table({
-            "media_id": _pa.array([0], _pa.int64()),
-            "payload": _pa.array([payload], _pa.large_binary())}))
-        head = out.column("feature").to_pylist()[0][0]
-        assert round(float(head), 6) == round(_png_first_pixel_gray(payload), 6)
-
-
 def test_ivf_index_matches_ivf_topk_bitwise(embeds, tmp_path):
     """The persisted cell-partitioned index must return EXACTLY what the
     in-line ivf_topk returns for the same training params (same
@@ -2051,33 +1799,6 @@ def test_heavy_hitters_block_layout_independent(docs, docs_tbl):
     b = heavy_hitters(docs.repartition(13), 25, k=512, batch_size=64)
     assert list(zip(a["word"], a["n"])) == want
     assert a.equals(b)
-
-
-def test_audio_int_features_match_python_int_spec():
-    """AudioIntFeatures' vectorized int64 path vs a per-sample Python-int
-    fold, across all sample widths, multi-channel, and an empty clip."""
-    from sagan_ray.datapipe.multimodal import (AudioIntFeatures,
-                                               decode_wav_ints, encode_wav)
-
-    rng = np.random.RandomState(3)
-    payloads = [encode_wav(rng.uniform(-1, 1, 500), sampwidth=sw, channels=ch)
-                for sw in (1, 2, 3, 4) for ch in (1, 2)]
-    payloads.append(encode_wav(np.zeros(0), sampwidth=2))
-    tbl = pa.table({"media_id": pa.array(range(len(payloads)), pa.int64()),
-                    "payload": pa.array(payloads, pa.binary())})
-    got = AudioIntFeatures()(tbl).to_pandas()
-
-    for i, p in enumerate(payloads):
-        x, _r, sw = decode_wav_ints(p)
-        xs = [int(v) for v in x]
-        g = [(v << 8 if sw == 1 else v if sw == 2
-              else v >> 8 if sw == 3 else v >> 16) for v in xs]
-        assert got.loc[i, "n_samples"] == len(xs)
-        assert got.loc[i, "zero_crossings"] == sum(
-            (a < 0) != (b < 0) for a, b in zip(xs, xs[1:]))
-        assert got.loc[i, "peak_abs"] == (max(map(abs, xs)) if xs else 0)
-        assert got.loc[i, "dc_sum"] == sum(xs)
-        assert got.loc[i, "energy16"] == sum(v * v for v in g)
 
 
 def test_chunk_documents_window_arithmetic():
@@ -2599,68 +2320,6 @@ def test_pq_index_adc_only_mode(embeds, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# perceptual image hash (phash.py)
-# ----------------------------------------------------------------------
-
-def test_phash_pipeline_matches_sequential_golden():
-    """Distributed phash_dedup (banded exchange) == sequential per-image
-    golden + brute-force scan, bit-exact."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.phash import phash_dedup, synth_phash_media
-    from sagan_ray.oracle.golden import write_golden_phash
-
-    import pandas as pd
-
-    path = write_golden_phash(36, 11, max_hamming=6)
-    got = (phash_dedup(rd.from_arrow(synth_phash_media(36, seed=11)),
-                       max_hamming=6).to_pandas()
-           .sort_values(["a", "b"]).reset_index(drop=True))
-    want = (pd.read_parquet(path)
-            .sort_values(["a", "b"]).reset_index(drop=True))
-    assert len(got) == len(want)
-    assert got.astype("int64").equals(want.astype("int64"))
-
-
-def test_phash_recompression_near_identity_far():
-    """The planted JPEG-q70 variant of each base image lands within the
-    Hamming budget; unrelated images stay far (the property that makes
-    pHash a dedup key)."""
-    from sagan_ray.datapipe.multimodal import decode_image
-    from sagan_ray.datapipe.phash import phash64, synth_phash_media
-
-    n = 30
-    tbl = synth_phash_media(n, seed=3)
-    hashes = {mid: phash64(decode_image(p))
-              for mid, p in zip(tbl.column("media_id").to_pylist(),
-                                tbl.column("payload").to_pylist())}
-
-    def ham(a, b):
-        return bin(hashes[a] ^ hashes[b]).count("1")
-
-    for i in range(0, n, 3):
-        assert ham(i, n + i // 3) <= 6
-    far = [ham(a, b) for a in range(n) for b in range(a + 1, n)]
-    assert min(far) > 6
-
-
-def test_phash_batch_layout_invariant():
-    """Exact-integer spec: hashes are identical under any batch size /
-    block layout (phash_table at 4-row and 64-row batches)."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.phash import phash_table, synth_phash_media
-
-    tbl = synth_phash_media(18, seed=5)
-    outs = []
-    for bs in (4, 64):
-        df = (phash_table(rd.from_arrow(tbl), batch_size=bs).to_pandas()
-              .sort_values("media_id").reset_index(drop=True))
-        outs.append(df)
-    assert outs[0]["phash"].tolist() == outs[1]["phash"].tolist()
-
-
-# ----------------------------------------------------------------------
 # PageRank (graph.py)
 # ----------------------------------------------------------------------
 
@@ -2989,77 +2648,6 @@ def test_domain_filter_drops_exactly_blocklisted_docs():
     assert kept == allids - bad and bad
 
 
-def test_phash_index_search_matches_bruteforce_golden():
-    import pandas as pd
-    import ray.data as rd
-
-    from sagan_ray.datapipe.multimodal import decode_image
-    from sagan_ray.datapipe.phash import (build_phash_index, phash64,
-                                          search_phash_index,
-                                          synth_phash_media)
-    from sagan_ray.oracle.golden import write_golden_phash_search
-
-    path = write_golden_phash_search(36, 11, max_hamming=6)
-    tbl = synth_phash_media(36, seed=11)
-    ids = tbl.column("media_id").to_numpy(zero_copy_only=False)
-    idx = "/tmp/sagan_ray_test/phash_idx"
-    import shutil
-
-    shutil.rmtree(idx, ignore_errors=True)
-    build_phash_index(rd.from_arrow(tbl.filter(ids < 36)), idx)
-    qt = tbl.filter(ids >= 36)
-    qh = np.array([phash64(decode_image(p))
-                   for p in qt.column("payload").to_pylist()],
-                  dtype=np.uint64)
-    got = (search_phash_index(idx, qh, max_hamming=6,
-                              query_ids=qt.column("media_id")
-                              .to_numpy(zero_copy_only=False))
-           .to_pandas().sort_values(["query_id", "media_id"])
-           .reset_index(drop=True))
-    want = (pd.read_parquet(path)
-            .sort_values(["query_id", "media_id"]).reset_index(drop=True))
-    assert got.astype("int64").equals(want.astype("int64"))
-    assert len(got) > 0
-
-
-def test_phash_index_append_equals_rebuild():
-    """update_phash_index lands new band rows in the same content-keyed
-    partitions; search over old∪new == search over a full rebuild."""
-    import shutil
-
-    import ray.data as rd
-
-    from sagan_ray.datapipe.multimodal import decode_image
-    from sagan_ray.datapipe.phash import (build_phash_index, phash64,
-                                          search_phash_index,
-                                          synth_phash_media,
-                                          update_phash_index)
-
-    tbl = synth_phash_media(24, seed=13)
-    ids = tbl.column("media_id").to_numpy(zero_copy_only=False)
-    old = tbl.filter(ids < 12)
-    new = tbl.filter((ids >= 12) & (ids < 24))
-    qt = tbl.filter(ids >= 24)
-    qh = np.array([phash64(decode_image(p))
-                   for p in qt.column("payload").to_pylist()],
-                  dtype=np.uint64)
-    a_dir, b_dir = "/tmp/sagan_ray_test/ph_a", "/tmp/sagan_ray_test/ph_b"
-    for d in (a_dir, b_dir):
-        shutil.rmtree(d, ignore_errors=True)
-    build_phash_index(rd.from_arrow(old), a_dir)
-    n_total = update_phash_index(a_dir, rd.from_arrow(new))
-    assert n_total == 24
-    both = tbl.filter(ids < 24)
-    build_phash_index(rd.from_arrow(both), b_dir)
-
-    def run(d):
-        return (search_phash_index(d, qh, max_hamming=6)
-                .to_pandas().sort_values(["query_id", "media_id"])
-                .reset_index(drop=True))
-
-    assert run(a_dir).equals(run(b_dir))
-
-
 # ----------------------------------------------------------------------
 # snapshot diff (diff.py)
 # ----------------------------------------------------------------------
@@ -3092,28 +2680,6 @@ def test_snapshot_diff_duplicate_key_raises():
                     "text": pa.array(["a"])})
     with _pytest.raises((RayTaskError, ValueError)):
         snapshot_diff(rd.from_arrow(old), rd.from_arrow(new)).to_pandas()
-
-
-def test_decode_quarantine_classifies_and_survives():
-    """Corrupt payloads quarantine with a stable error class; healthy
-    rows decode with shapes; the stage never raises."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.multimodal import (decode_quarantine,
-                                               synth_corrupt_media)
-
-    tbl = synth_corrupt_media(60, seed=29)
-    out = (decode_quarantine(rd.from_arrow(tbl)).to_pandas()
-           .sort_values("media_id").reset_index(drop=True))
-    assert len(out) == len(tbl)
-    assert set(out["status"]) == {"ok", "corrupt"}
-    ok = out[out.status == "ok"]
-    bad = out[out.status == "corrupt"]
-    assert (ok["height"] > 0).all() and (ok["err"] == "").all()
-    assert (bad["height"] == 0).all() and (bad["err"] != "").all()
-    # zero-byte payloads (media_id % 11 == 0 among the base rows)
-    zero = out[(out.media_id % 11 == 0) & (out.media_id < 60)]
-    assert (zero["status"] == "corrupt").all()
 
 
 def test_profile_table_cross_block_integer_minmax():
@@ -3602,59 +3168,6 @@ def test_doc_summary_hand_case_and_ties():
     assert abs(d0["score"].iloc[0] - want) < 1e-12
 
 
-def test_audio_trim_vs_python_spec():
-    """AudioTrim's edge-run report vs a per-sample Python-int scan, over
-    handcrafted clips hitting every branch: lead+trail, no lead, no
-    trail, all-silent, empty, and the 8-bit midpoint-as-zero quirk."""
-    from sagan_ray.datapipe.multimodal import (AudioTrim, decode_wav_ints,
-                                               encode_wav)
-
-    clips = [
-        np.concatenate([np.zeros(5), [0.5, -0.25, 0.5], np.zeros(3)]),
-        np.array([0.9, 0.0, 0.9]),            # no lead, no trail
-        np.concatenate([[0.5], np.zeros(4)]),  # trail only
-        np.zeros(7),                           # all-silent
-        np.zeros(0),                           # empty
-    ]
-    payloads = [encode_wav(c, sampwidth=sw, channels=ch)
-                for c in clips for sw in (1, 2, 3, 4) for ch in (1, 2)]
-    tbl = pa.table({"media_id": pa.array(range(len(payloads)), pa.int64()),
-                    "payload": pa.array(payloads, pa.binary())})
-    got = AudioTrim()(tbl).to_pandas()
-    for i, p in enumerate(payloads):
-        x, _r, _sw = decode_wav_ints(p)
-        xs = [int(v) for v in x]
-        nz = [j for j, v in enumerate(xs) if v != 0]
-        if nz:
-            want = (len(xs), nz[0], len(xs) - 1 - nz[-1],
-                    nz[-1] - nz[0] + 1)
-        else:
-            want = (len(xs), len(xs), 0, 0)
-        assert tuple(got.loc[i, ["n_samples", "lead", "trail",
-                                 "n_kept"]]) == want
-
-
-def test_scene_cuts_vs_python_spec():
-    """SceneCuts' per-transition diff energy vs a hand-computed per-pixel
-    Python-int sum on a tiny video: two identical frames (energy 0, no
-    cut), then a full color jump (energy over threshold, cut)."""
-    from sagan_ray.datapipe.multimodal import (SceneCuts, decode_bmp,
-                                               encode_bmp, encode_sgv)
-
-    f0 = np.full((4, 4, 3), 100, np.uint8)
-    f1 = f0.copy()
-    f1[0, 0, 0] = 103                       # tiny jitter: energy 3
-    f2 = np.full((4, 4, 3), 200, np.uint8)  # scene jump: 4*4*3*100
-    payload = encode_sgv([encode_bmp(f) for f in (f0, f1, f2)], 500)
-    tbl = pa.table({"media_id": pa.array([7], pa.int64()),
-                    "payload": pa.array([payload], pa.binary())})
-    got = SceneCuts(threshold=1000)(tbl).to_pandas()
-    # transition 2 is f1->f2: 47 pixels jump 100, the jittered one 97
-    assert got[["media_id", "frame_idx", "energy", "is_cut"]].values.tolist() \
-        == [[7, 1, 3, False], [7, 2, 47 * 100 + 97, True]]
-    assert np.array_equal(decode_bmp(encode_bmp(f2)), f2)
-
-
 def test_knn_graph_layout_invariance_and_ties():
     """knn_graph under different block layouts / n_blocks gives
     identical edges; duplicate vectors (tied dots) break by id; with
@@ -3742,36 +3255,6 @@ def test_url_dedup_canonicalization():
                    out["first_doc"]))
     assert got == [("a.example.com/p1", 3, 2, 2),
                    ("b.example.com/q", 1, 1, 2)]
-
-
-def test_audio_fingerprint_container_blind():
-    """Clips with identical channel-0 streams but different channel
-    counts / rates fingerprint identically; different content differs;
-    planted duplicates in synth_dup_audio land in shared rep groups."""
-    from sagan_ray.datapipe.multimodal import (AudioFingerprint,
-                                               encode_wav,
-                                               synth_dup_audio)
-
-    t = np.arange(1500) / 8000.0
-    x = 0.5 * np.sin(2 * np.pi * 330 * t)
-    y = 0.5 * np.sin(2 * np.pi * 470 * t)
-    payloads = [encode_wav(x, 8000, sampwidth=2, channels=1),
-                encode_wav(x, 16000, sampwidth=2, channels=2),
-                encode_wav(x, 8000, sampwidth=2, channels=3),
-                encode_wav(y, 8000, sampwidth=2, channels=1)]
-    tbl = pa.table({"media_id": pa.array(range(4), pa.int64()),
-                    "payload": pa.array(payloads, pa.binary())})
-    got = AudioFingerprint()(tbl).to_pandas()
-    keys = list(zip(got["n_frames"], got["e0"], got["fp"]))
-    assert keys[0] == keys[1] == keys[2]
-    assert keys[3] != keys[0]
-    assert len(set(payloads)) == 4           # byte hashing misses them
-    # synth corpus: content groups actually produce multi-clip groups
-    media = synth_dup_audio(60, seed=29)
-    fp = AudioFingerprint()(media.select(["media_id", "payload"])
-                            ).to_pandas()
-    sizes = fp.groupby(["n_frames", "e0", "fp"]).size()
-    assert (sizes > 1).any() and (sizes == 1).any()
 
 
 def test_knn_graph_ivf_recall_and_guard():
@@ -4599,53 +4082,6 @@ def test_mst_matches_kruskal_random():
             want.append((r.a, r.b, r.w))
     assert sorted(zip(out["a"], out["b"], out["w"])) == sorted(want)
     assert total == sum(x[2] for x in want)
-
-
-def test_phash_index_compact_bit_equal():
-    """compact_phash_index collapses multi-file partitions after an
-    append; search results are bit-equal, meta untouched, file count
-    does not grow."""
-    import json
-    import os
-    import shutil
-
-    import ray.data as rd
-
-    from sagan_ray.datapipe.multimodal import decode_image
-    from sagan_ray.datapipe.phash import (build_phash_index,
-                                          compact_phash_index, phash64,
-                                          search_phash_index,
-                                          synth_phash_media,
-                                          update_phash_index)
-
-    tbl = synth_phash_media(24, seed=13)
-    ids = tbl.column("media_id").to_numpy(zero_copy_only=False)
-    idx = "/tmp/sagan_ray_test/ph_compact"
-    shutil.rmtree(idx, ignore_errors=True)
-    build_phash_index(rd.from_arrow(tbl.filter(ids < 12)), idx)
-    update_phash_index(idx, rd.from_arrow(
-        tbl.filter((ids >= 12) & (ids < 24))))
-    qh = np.array([phash64(decode_image(p)) for p in
-                   tbl.filter(ids >= 24).column("payload").to_pylist()],
-                  dtype=np.uint64)
-
-    def nfiles():
-        return sum(1 for _r, _d, fs in os.walk(idx)
-                   for f in fs if f.endswith(".parquet"))
-
-    def run():
-        return (search_phash_index(idx, qh, max_hamming=6)
-                .to_pandas().sort_values(["query_id", "media_id"])
-                .reset_index(drop=True))
-
-    meta_before = json.load(open(os.path.join(idx, "_meta.json")))
-    files_before = nfiles()
-    before = run()
-    after_files = compact_phash_index(idx)
-    assert after_files <= files_before
-    assert json.load(open(os.path.join(idx, "_meta.json"))) == \
-        meta_before
-    assert run().equals(before)
 
 
 def test_betweenness_hand_values_and_layout():

@@ -9,6 +9,7 @@ import ray.data
 
 from sagan_ray.config import EngineConfig, Lookups
 from sagan_ray.oracle import ReferenceEvaluator
+from sagan_ray.pipelines import engine
 from sagan_ray.pipelines.engine import compile_key, run_engine
 from sagan_ray.rules import parse_rules
 from sagan_ray.state.snapshot import read_state_meta
@@ -100,3 +101,61 @@ pass any any any -> any any (msg:"quiet"; content:"success"; sid:3;)
     assert eng.routed_counts() == {(s, sid): n for sid, n in emits.items()
                                    if n for s in EngineConfig().sinks}
     assert sum(hits.values()) > sum(emits.values())     # the pass rule
+
+
+class _MapRecorder:
+    """Dataset stand-in that records the batch functions mapped over it."""
+
+    def __init__(self, ds):
+        self.ds, self.fns = ds, []
+
+    def map_batches(self, fn, **kwargs):
+        self.fns.append(fn)
+        return self.ds.map_batches(fn, **kwargs)
+
+
+class _TaskRecorder:
+    """Remote-function stand-in that records the first argument of each
+    task it submits."""
+
+    def __init__(self, task, firsts):
+        self.task, self.firsts = task, firsts
+
+    def options(self, **kwargs):
+        return _TaskRecorder(self.task.options(**kwargs), self.firsts)
+
+    def remote(self, first, *args):
+        self.firsts.append(first)
+        return self.task.remote(first, *args)
+
+
+def _cache_keys(monkeypatch, rules: str) -> list:
+    """Run the engine once over ROWS, then replay its classify function
+    and one bucket's correlate task in this process and return the
+    (kind, key) pairs they hand to the per-worker compile cache."""
+    tbl = mk(ROWS)
+    ds = _MapRecorder(ray.data.from_arrow(tbl))
+    corr, runs = engine._corr_bucket, []
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_corr_bucket", _TaskRecorder(corr, runs))
+        run_engine(ds, parse_rules(rules), build_lookups(), EngineConfig(),
+                   batch_size=4)
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_worker_cached",
+                  lambda kind, key, build: seen.append((kind, key)) or build())
+        (classify,) = ds.fns
+        classify(tbl)
+        corr._function(runs[0], 0, "b0")
+    return seen
+
+
+def test_compile_cache_key_is_stable_across_runs(monkeypatch):
+    """Two runs with equal inputs hand the classifier and the correlator
+    the same cache keys, so warm workers reuse what they compiled; a
+    changed ruleset gets new keys."""
+    first = _cache_keys(monkeypatch, RULES)
+    assert [kind for kind, _ in first] == ["classifier", "correlator"]
+    assert _cache_keys(monkeypatch, RULES) == first
+    other = _cache_keys(monkeypatch, RULES.replace("600", "601"))
+    assert all(a != b for (_, a), (_, b) in zip(first, other))

@@ -1,8 +1,8 @@
 """Property-based tests (hypothesis) for the vectorized kernels that have
 an independent scalar definition: batched shingle hashing, the pipe wire
-parser, the BMP codec, and the polynomial fingerprint hash. These hunt
-the boundary cases the fixture corpora don't reach (weird whitespace,
-short docs, malformed fields, odd image dims)."""
+parser and the polynomial fingerprint hash. These hunt the boundary
+cases the fixture corpora don't reach (weird whitespace, short docs,
+malformed fields)."""
 
 from datetime import datetime, timedelta
 
@@ -95,16 +95,6 @@ def test_pipe_parser_matches_scalar_reference(rows):
         assert g["malformed"] == bad
         if not bad:
             assert abs((g["ts"] - t) / timedelta(seconds=1)) < 1e-3, line
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
-def test_bmp_roundtrip(h, w, seed):
-    from sagan_ray.datapipe.multimodal import decode_bmp, encode_bmp
-
-    img = np.random.default_rng(seed).integers(
-        0, 256, (h, w, 3)).astype(np.uint8)
-    assert np.array_equal(decode_bmp(encode_bmp(img)), img)
 
 
 @settings(max_examples=60, deadline=None)

@@ -485,49 +485,6 @@ def test_write_sinks_thin_layout(tmp_path):
     assert dir_bytes(thin_dir, "sink=") < dir_bytes(full_dir, "sink=")
 
 
-def test_tar_shard_roundtrip_and_missing_extensions(tmp_path):
-    """WebDataset-style shards: write → distributed read returns every
-    sample's members byte-exactly, null columns for absent extensions,
-    shard paths attached, and sample grouping follows the first-dot
-    convention (multi-dot extensions stay whole)."""
-    from sagan_ray.sources.shards import (
-        iter_tar_samples,
-        read_tar_shards,
-        write_tar_shards,
-    )
-
-    samples = [
-        ("a01", {"txt": b"hello", "json": b"{}", "jpg": b"\xff\xd8jpg"}),
-        ("a02", {"txt": b"world"}),                  # missing jpg/json
-        ("a03", {"seg.png": b"segpng", "txt": b"x"}),  # multi-dot ext
-        ("a04", {"txt": b"y", "jpg": b"\xff\xd8two"}),
-        ("a05", {"txt": b"z" * 1000}),
-    ]
-    paths = write_tar_shards(samples, str(tmp_path / "wds"), shard_size=2)
-    assert len(paths) == 3                           # 2+2+1 samples
-    # sequential spec walk agrees with the source list
-    seen = []
-    for p in paths:
-        with open(p, "rb") as f:
-            seen += list(iter_tar_samples(f.read()))
-    assert [(k, dict(m)) for k, m in seen] == [
-        (k, dict(m)) for k, m in samples]
-
-    ds = read_tar_shards(str(tmp_path / "wds"),
-                         ["txt", "jpg", "json", "seg.png"])
-    rows = {r["key"]: r for r in ds.take_all()}
-    assert len(rows) == 5
-    assert rows["a01"]["jpg"] == b"\xff\xd8jpg"
-    assert rows["a02"]["jpg"] is None and rows["a02"]["json"] is None
-    assert rows["a03"]["seg_png"] == b"segpng"
-    assert rows["a05"]["txt"] == b"z" * 1000
-    assert rows["a04"]["shard"].endswith(".tar")
-    # byte-reproducible shards (deterministic tar metadata)
-    paths2 = write_tar_shards(samples, str(tmp_path / "wds2"), shard_size=2)
-    for p1, p2 in zip(paths, paths2):
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-
-
 def test_compact_corpus_partitioned_and_exact(tmp_path):
     """Compaction preserves rows exactly, shrinks file count, honors a
     hive partition layout, and refuses an empty input."""

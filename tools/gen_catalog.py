@@ -1,7 +1,8 @@
 """Generate docs/CATALOG.md — one row per gated query in the driver
 registry: name, oracle kind (SQL / golden-parquet / rows-only) and the
-first docstring sentence. Run after adding queries; the file is a
-derived artifact (regenerate, don't hand-edit)."""
+first docstring sentence. Run ``python tools/gen_catalog.py`` after
+adding or deleting a query; the file is a derived artifact (regenerate,
+don't hand-edit) and tests/test_catalog.py fails when it is stale."""
 import inspect
 import os
 import re
@@ -22,7 +23,12 @@ def first_sentence(doc: str) -> str:
     return text[:cut]
 
 
-def main():
+CATALOG_PATH = os.path.normpath(os.path.join(
+    os.path.dirname(__file__), "..", "docs", "CATALOG.md"))
+
+
+def render() -> str:
+    """The full text of docs/CATALOG.md for the current registry."""
     from sagan_ray.pipelines.queries import ORACLES, QUERIES
 
     rows = []
@@ -55,12 +61,14 @@ def main():
     for i, (name, kind, doc) in enumerate(rows, 1):
         doc = doc.replace("|", "\\|")
         out.append(f"| {i} | `{name}` | {kind} | {doc} |")
-    path = os.path.join(os.path.dirname(__file__), "..", "docs",
-                        "CATALOG.md")
-    with open(path, "w") as f:
-        f.write("\n".join(out) + "\n")
-    print(f"wrote {path}: {len(rows)} queries "
-          f"({n_sql} SQL / {n_gold} golden / {n_rows} rows-only)")
+    return "\n".join(out) + "\n"
+
+
+def main():
+    text = render()
+    with open(CATALOG_PATH, "w") as f:
+        f.write(text)
+    print(f"wrote {CATALOG_PATH}")
 
 
 if __name__ == "__main__":
