@@ -240,9 +240,8 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
     # pays seconds of spin-up per execution; plain tasks reuse Ray's warm
     # worker processes and schedule elastically. The cache keys on a
     # digest of the compile inputs (not on the per-run broadcast refs), so
-    # repeated runs over the same ruleset reuse the compiled classifier —
-    # and its learned content-group state — while any change to the
-    # ruleset, lookups or config invalidates it.
+    # repeated runs over the same ruleset reuse the compiled classifier,
+    # while any change to the ruleset, lookups or config invalidates it.
     #
     # The exchange path classifies in LIST form (one row per matched
     # turn × class, LIST_MATCH_SCHEMA) so the wide legs — classify output

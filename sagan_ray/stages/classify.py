@@ -7,6 +7,20 @@ CIDR/intel lookups, JSON) run only on the rows that survived the cheap
 text predicates — the batch equivalent of the reference's
 cheapness-ordered short-circuit (doc/source/high-performance.rst:78-93).
 
+Content literals are matched the way Suricata's multi-pattern matcher
+does it: one ``LiteralSet`` per classifier holds every content and pcre
+required literal that is ASCII and at least 3 bytes long, and each batch
+runs one overlapping Aho-Corasick pass over the text for the
+case-sensitive ones and one ASCII-case-insensitive pass for the
+``nocase`` ones (polars ``str.extract_many``). The pass yields every
+literal's row mask at once. It is exact for unwindowed case-sensitive
+atoms; windowed atoms run the Arrow kernel on its candidate rows only;
+``nocase`` atoms take it on ASCII rows, and rows with a non-ASCII
+character are decided by ``match_stateless``'s own ``str.lower`` test,
+since neither an ASCII fold nor RE2's Unicode fold agrees with it there.
+Shorter literals (1-byte ones hit almost every row and would flood the
+pass) and ``append_program`` atoms keep one Arrow kernel pass each.
+
 Used from plain Ray Data tasks: ``pipelines.engine.run_engine`` maps
 batches through a ``RuleClassifier`` that each worker process builds once
 per ``compile_key`` and caches — rule compilation (regexes, window plans,
@@ -253,6 +267,64 @@ class _RulePlan:
         )
 
 
+class LiteralSet:
+    """Every literal one Aho-Corasick pass per batch can answer for: the
+    content atoms (positive and negated, any window) and the pcre
+    required literals of rules without ``append_program``, when the
+    pattern is ASCII and at least 3 bytes long. Shorter literals hit most
+    rows (``" "``, ``"e"``) and would flood the overlapping pass with
+    matches; non-ASCII and ``append_program`` literals keep the
+    per-literal Arrow kernel. ``nocase`` literals go to a second,
+    ASCII-case-insensitive pass, keyed by their lowercase form."""
+
+    __slots__ = ("cs", "ci")
+
+    def __init__(self, plans: list[_RulePlan]):
+        cs: set[str] = set()
+        ci: set[str] = set()
+        for plan in plans:
+            if plan.rule.append_program:
+                continue
+            lits = [(a.pattern, a.nocase) for a in plan.rule.contents]
+            lits += [lit for _, _, lit in plan.pcre_re2 if lit is not None]
+            for p, nocase in lits:
+                if len(p) >= 3 and p.isascii():
+                    if nocase:
+                        ci.add(p.lower())
+                    else:
+                        cs.add(p)
+        self.cs = tuple(sorted(cs))
+        self.ci = tuple(sorted(ci))
+        if cs or ci:
+            # loaded with the compiled ruleset, once per worker: only the
+            # processes that classify import polars, never the Ray driver
+            import polars  # noqa: F401
+
+    def scan(self, text: pa.Array, nocase: bool) -> dict[str, np.ndarray]:
+        """pattern → row mask of ``text`` containing it, from one
+        overlapping pass (every occurrence of every pattern is reported,
+        so a literal that is a prefix of another is still seen). Exact
+        for case-sensitive patterns. The ``nocase`` pass folds ASCII
+        only: exact on ASCII rows, and on other rows it can miss what
+        ``str.lower`` or RE2 fold (U+212A KELVIN SIGN → ``k``)."""
+        pats = self.ci if nocase else self.cs
+        if not pats:
+            return {}
+        import polars as pl
+
+        found = pl.Series(text).str.extract_many(
+            list(pats), overlapping=True,
+            ascii_case_insensitive=nocase).to_arrow()
+        lens = pc.fill_null(pc.list_value_length(found), 0).to_numpy()
+        flat = pc.list_flatten(found)
+        if nocase:
+            flat = pc.ascii_lower(flat)
+        pid = pc.index_in(flat, value_set=pa.array(pats, flat.type)).to_numpy()
+        masks = np.zeros((len(pats), len(text)), dtype=bool)
+        masks[pid, np.repeat(np.arange(len(text)), lens)] = True
+        return dict(zip(pats, masks))
+
+
 class RuleClassifier:
     """Batch classifier. ``__init__`` once per worker (compiles the
     ruleset, loads broadcast lookups); ``__call__`` per Arrow batch."""
@@ -297,10 +369,10 @@ class RuleClassifier:
                 r.default_src_port, r.default_dst_port))
         self.any_extract = any(fp[0] for fp in self._field_plans)
         # stateless pass rules truncate later hits with certainty
-        self.stateless_pass_idx = [r.idx for r in ruleset
-                                   if r.action == "pass" and not r.is_stateful]
-        self.stateful_pass_idx = [r.idx for r in ruleset
-                                  if r.action == "pass" and r.is_stateful]
+        self.stateless_pass_set = frozenset(
+            r.idx for r in ruleset if r.action == "pass" and not r.is_stateful)
+        self.stateful_pass_set = frozenset(
+            r.idx for r in ruleset if r.action == "pass" and r.is_stateful)
         # one RE2 alternation per intel table (compiled once per worker,
         # one kernel pass per kind — not one pass per intel value, which
         # is O(|feed|) kernel launches with a real 100k-entry feed)
@@ -311,32 +383,9 @@ class RuleClassifier:
             vals = sorted(self.lookups.intel_set(table))
             self._intel_rx[table] = (
                 "|".join(_re.escape(v) for v in vals) if vals else None)
-
-        # content-atom union groups: all positive atoms sharing a
-        # (window, nocase) get ONE union-alternation prescan per batch;
-        # per-pattern substring scans then run only on the union-match
-        # subset (a row outside the union can't match any member, so the
-        # per-pattern result is still exact full-column truth). With
-        # many rare-hit signatures this collapses N full scans into one
-        # scan + N tiny ones.
-        from collections import defaultdict
-
-        grp: dict = defaultdict(set)
-        for plan in self.plans:
-            prev = 0
-            for atom in plan.rule.contents:
-                start, stop = atom.window(prev)
-                if not atom.negated:
-                    grp[(plan.rule.append_program, start, stop,
-                         atom.nocase)].add(atom.pattern)
-                prev = atom.depth
-        # key → (union_regex, member_pattern_set); the subset trick is
-        # only valid for member patterns (a negated atom's pattern may
-        # share the window without being in the union)
-        self.content_groups = {
-            key: (("(?i)" if key[3] else "") + "(?:" + "|".join(
-                _re.escape(p) for p in sorted(pats)) + ")", frozenset(pats))
-            for key, pats in grp.items() if len(pats) >= 3}
+        # the literals each batch's multi-pattern pass scans for — fixed
+        # at compile time; batches never change the classifier
+        self.literals = LiteralSet(self.plans)
 
     # ------------------------------------------------------------------
     def __call__(self, tbl: pa.Table) -> pa.Table:
@@ -352,8 +401,7 @@ class RuleClassifier:
         ts_epoch = (tbl.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
                     // 1_000_000)
 
-        ctx = _BatchCtx(text_col, role_np, tool_np, ts_epoch,
-                        content_groups=self.content_groups)
+        ctx = _BatchCtx(text_col, role_np, tool_np, ts_epoch, self.literals)
 
         hit_rows: list[np.ndarray] = []
         hit_rules: list[int] = []
@@ -399,8 +447,8 @@ class RuleClassifier:
                 return mask
 
         # ---- content chain (src/content.c) ---------------------------
-        # masks are memoized per (window, pattern) in the batch ctx, so
-        # rules sharing an atom share one kernel pass
+        # masks are memoized per (window, pattern) in the batch ctx and
+        # read from the batch's one multi-pattern literal pass
         prev_depth = 0
         for atom in rule.contents:
             start, stop = atom.window(prev_depth)
@@ -418,6 +466,8 @@ class RuleClassifier:
         for rx, mc in plan.meta_regexes:
             start, stop = mc.window(meta_prev_depth)
             m = ctx.regex_mask(rule.append_program, rx, start=start, stop=stop)
+            if mc.nocase:
+                m = ctx.refold(m, rule.append_program, start, stop, mc.patterns)
             if mc.negated:
                 m = ~m
             mask = _and(mask, m)
@@ -663,20 +713,6 @@ class RuleClassifier:
             return LIST_MATCH_SCHEMA.empty_table()
         return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
 
-    @property
-    def stateless_pass_set(self):
-        s = getattr(self, "_slp", None)
-        if s is None:
-            s = self._slp = set(self.stateless_pass_idx)
-        return s
-
-    @property
-    def stateful_pass_set(self):
-        s = getattr(self, "_sfp", None)
-        if s is None:
-            s = self._sfp = set(self.stateful_pass_idx)
-        return s
-
 
 # ----------------------------------------------------------------------
 # batch context: shared lazily-computed derivations (the batch analog of
@@ -684,13 +720,20 @@ class RuleClassifier:
 # ----------------------------------------------------------------------
 
 class _BatchCtx:
-    def __init__(self, text_col: pa.ChunkedArray, role_np, tool_np, ts_epoch,
-                 content_groups: dict | None = None):
+    def __init__(self, text_col: pa.Array, role_np, tool_np, ts_epoch,
+                 literals: LiteralSet):
         self._text = text_col
         self.role_np = role_np
         self.tool_np = tool_np
         self.ts_epoch = ts_epoch
-        self._content_groups = content_groups or {}
+        self._literals = literals
+        # nocase → {pattern: row mask} from the batch's multi-pattern pass
+        self._passes: dict = {}
+        # append_program → rows with a non-ASCII byte
+        self._non_ascii: dict = {}
+        # (append_program, start, stop, every row?) → (fold rows, their
+        # lowercased windows)
+        self._lowered: dict = {}
         self._texts_np = None
         self._append = None
         self._slices: dict = {}
@@ -798,54 +841,113 @@ class _BatchCtx:
             self._hhmm = (sec // 3600) * 100 + (sec % 3600) // 60
         return self._hhmm
 
-    def content_mask(self, append: bool, start: int, stop, pattern: str,
+    def literal_hits(self, append: bool, start: int, stop, pattern: str,
                      nocase: bool) -> np.ndarray:
-        key = ("ct", append, start, stop, pattern, nocase)
+        """Rows whose (start, stop) window contains ``pattern`` — exact on
+        every row outside ``fold_rows(append, pattern)`` when ``nocase``,
+        exact on all rows otherwise. A literal of the batch's
+        ``LiteralSet`` is read from the multi-pattern pass: as is when
+        unwindowed (the pass is exact there), else as the candidate rows
+        of the Arrow kernel over the sliced column (a window is a
+        substring of the text, so the full-text hits are a superset).
+        Other literals take one Arrow kernel pass each. Memoized."""
+        key = ("lit", append, start, stop, pattern, nocase)
         m = self._masks.get(key)
         if m is not None:
             return m
         col = self.sliced(append, start, stop)
-        gkey = (append, start, stop, nocase)
-        grp = self._content_groups.get(gkey)
-        if grp is not None and pattern in grp[1]:
-            grp_rx = grp[0]
-            # union prescan: one pass for the whole (window, nocase)
-            # group, then this pattern only on the union-match subset
-            gm = self._masks.get(("grp", gkey))
-            if gm is None:
-                gm = pc.match_substring_regex(col, grp_rx).to_numpy(
-                    zero_copy_only=False).astype(bool, copy=False)
-                self._masks[("grp", gkey)] = gm
-                if gm.mean() > 0.25:
-                    # hot union: subsetting can't pay for itself — stop
-                    # paying the prescan on future batches (the dict is
-                    # shared with the worker-held classifier)
-                    self._content_groups.pop(gkey, None)
-            idx = np.flatnonzero(gm)
-            if len(idx) * 4 < len(gm):
-                m = np.zeros(len(gm), dtype=bool)
-                if len(idx):
-                    sub = col.take(pa.array(idx, pa.int64()))
-                    m[idx] = pc.match_substring(
-                        sub, pattern, ignore_case=nocase).to_numpy(
-                        zero_copy_only=False).astype(bool, copy=False)
-                self._masks[key] = m
-                return m
-        m = pc.match_substring(col, pattern, ignore_case=nocase
-                               ).to_numpy(zero_copy_only=False
-                                          ).astype(bool, copy=False)
+        lit = pattern.lower() if nocase else pattern
+        hits = None
+        if not append and lit in (self._literals.ci if nocase else self._literals.cs):
+            hits = self.literal_pass(nocase)[lit]
+        if hits is None:
+            m = _bool(pc.match_substring(col, pattern, ignore_case=nocase))
+        elif start == 0 and stop is None:
+            m = hits
+        else:
+            m = _on_rows(col, np.flatnonzero(hits), lambda sub: pc.match_substring(
+                sub, pattern, ignore_case=nocase))
         self._masks[key] = m
         return m
+
+    def content_mask(self, append: bool, start: int, stop, pattern: str,
+                     nocase: bool) -> np.ndarray:
+        """Exact per-row truth of one content atom: ``pattern in win``, or
+        ``pattern.lower() in win.lower()`` under ``nocase`` — the test
+        ``match_stateless`` makes. ``literal_hits`` (the batch's
+        multi-pattern pass for ASCII literals of ≥3 bytes, else one Arrow
+        kernel) decides every row it is exact on: all rows, or the ASCII
+        rows under ``nocase``. A ``nocase`` atom's ``fold_rows`` are
+        re-decided by that same ``str.lower`` test, because both the
+        ASCII-only pass and RE2's ``ignore_case`` fold differently from
+        it there (RE2 folds ``s`` ↔ U+017F LONG S, ``str.lower`` does
+        not; ``str.lower`` maps U+0130 to ``i`` + U+0307, RE2 does not).
+        Memoized."""
+        key = ("ct", append, start, stop, pattern, nocase)
+        m = self._masks.get(key)
+        if m is None:
+            m = self.literal_hits(append, start, stop, pattern, nocase)
+            if nocase:
+                m = self.refold(m, append, start, stop, (pattern,))
+            self._masks[key] = m
+        return m
+
+    def literal_pass(self, nocase: bool) -> dict[str, np.ndarray]:
+        p = self._passes.get(nocase)
+        if p is None:
+            p = self._passes[nocase] = self._literals.scan(self._text, nocase)
+        return p
+
+    def non_ascii(self, append: bool) -> np.ndarray:
+        m = self._non_ascii.get(append)
+        if m is None:
+            m = self._non_ascii[append] = ~_bool(
+                pc.string_is_ascii(self.text(append)))
+        return m
+
+    def fold_rows(self, append: bool, pattern: str) -> np.ndarray:
+        """Rows where case-insensitive matching of ``pattern`` can differ
+        between ``str.lower``, RE2's Unicode folding and an ASCII fold:
+        the rows with a non-ASCII character, or every row when the
+        pattern itself is non-ASCII."""
+        if not pattern.isascii():
+            return np.ones(len(self.ts_epoch), dtype=bool)
+        return self.non_ascii(append)
+
+    def refold(self, m: np.ndarray, append: bool, start: int, stop,
+               patterns) -> np.ndarray:
+        """``m`` with its fold rows re-decided by ``match_stateless``'s
+        nocase test, ``any(p.lower() in win.lower() for p in patterns)``."""
+        every = not all(p.isascii() for p in patterns)
+        key = (append, start, stop, every)
+        folded = self._lowered.get(key)
+        if folded is None:
+            rows = (np.arange(len(m)) if every
+                    else np.flatnonzero(self.non_ascii(append)))
+            texts = self.texts_np()
+            wins = [(self.append_text_row(i) if append else texts[i])[start:stop].lower()
+                    for i in rows.tolist()]
+            folded = self._lowered[key] = (rows, wins)
+        rows, wins = folded
+        if not len(rows):
+            return m
+        hit = np.zeros(len(rows), dtype=bool)
+        for p in patterns:
+            p = p.lower()
+            hit |= [p in w for w in wins]
+        out = m.copy()
+        out[rows] = hit
+        return out
 
     def regex_mask(self, append: bool, rx: str,
                    literal: tuple[str, bool] | None = None,
                    start: int = 0, stop=None) -> np.ndarray:
         """Full-column regex mask over the (start, stop) window, memoized.
-        When the regex has a required literal, scan for the literal first
-        (substring kernel, also memoized) and run the regex only on the
-        matching subset — rows without the literal cannot match, so the
-        result is still the exact full-column truth (and safely
-        memoizable)."""
+        When the regex has a required literal, the literal's hits (plus,
+        for a ``nocase`` literal, its fold rows, where RE2 may fold more
+        than the pass does) are the only rows the regex can match: the
+        regex runs on that subset only, so the result is still the exact
+        full-column truth (and safely memoizable)."""
         key = ("rx", append, rx, start, stop)
         m = self._masks.get(key)
         if m is not None:
@@ -853,18 +955,15 @@ class _BatchCtx:
         col = self.sliced(append, start, stop)
         if literal is not None:
             lit, lit_nocase = literal
-            lm = self.content_mask(append, start, stop, lit, lit_nocase)
+            lm = self.literal_hits(append, start, stop, lit, lit_nocase)
+            if lit_nocase:
+                lm = lm | self.fold_rows(append, lit)
             idx = np.flatnonzero(lm)
             if len(idx) * 8 < len(lm):
-                m = np.zeros(len(lm), dtype=bool)
-                if len(idx):
-                    sub = col.take(pa.array(idx, pa.int64()))
-                    m[idx] = pc.match_substring_regex(sub, rx).to_numpy(
-                        zero_copy_only=False).astype(bool, copy=False)
+                m = _on_rows(col, idx, lambda sub: pc.match_substring_regex(sub, rx))
                 self._masks[key] = m
                 return m
-        m = pc.match_substring_regex(col, rx).to_numpy(
-            zero_copy_only=False).astype(bool, copy=False)
+        m = _bool(pc.match_substring_regex(col, rx))
         self._masks[key] = m
         return m
 
@@ -902,6 +1001,19 @@ class _BatchCtx:
 
 def _and(mask, m):
     return m if mask is None else (mask & m)
+
+
+def _bool(arr) -> np.ndarray:
+    return arr.to_numpy(zero_copy_only=False).astype(bool, copy=False)
+
+
+def _on_rows(col, idx: np.ndarray, kernel) -> np.ndarray:
+    """``kernel``'s row mask over ``col``, evaluated on rows ``idx`` only
+    (False on every other row)."""
+    m = np.zeros(len(col), dtype=bool)
+    if len(idx):
+        m[idx] = _bool(kernel(col.take(pa.array(idx, pa.int64()))))
+    return m
 
 
 def _drop_invalid(tbl: pa.Table, config: EngineConfig) -> pa.Table:

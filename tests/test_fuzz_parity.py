@@ -5,6 +5,7 @@ random stateful parameters, random orderings). Fully deterministic —
 failures reproduce by seed."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 
 from sagan_ray.rules import parse_rules
@@ -14,16 +15,29 @@ from .helpers import run_both
 
 WORDS = ["login", "failed", "success", "ERROR", "timeout", "beacon",
          "connection", "malware", "user", "alice", "heartbeat", "résumé"]
+# nocase hazards: U+212A KELVIN SIGN lowercases to "k"; RE2 folds "s" to
+# U+017F LONG S and str.lower does not; U+0130 lowercases to "i" + U+0307;
+# ß folds to no ASCII letter; short and non-ASCII words skip the
+# multi-pattern literal pass
+FOLD_WORDS = WORDS + ["kelvin", "KELVIN", "secret", "istanbul", "stanbul",
+                      "strasse", "STRAßE", "RÉSUMÉ", "ss", "ß", "on"]
+FOLD_PHRASES = ["\u212aELVIN sign", "\u017fecret login", "\u0130stanbul timeout",
+                "\u0131stanbul", "stra\u00dfe STRASSE", "R\u00c9SUM\u00c9 malware",
+                "KELVIN \u212a", "SECRET \u017f\u017f", "\u1e9e beacon"]
 
 
-def _rand_rule(rng: np.random.Generator, sid: int) -> str:
+def _rand_rule(rng: np.random.Generator, sid: int, words=WORDS,
+               nocase_rng: np.random.Generator | None = None,
+               pcre: bool = True) -> str:
     opts = []
     action = rng.choice(["alert"] * 6 + ["drop", "pass"])
     # 1-3 content atoms with random windows
     for _ in range(int(rng.integers(1, 4))):
-        w = WORDS[int(rng.integers(0, len(WORDS)))]
+        w = words[int(rng.integers(0, len(words)))]
         neg = "!" if rng.integers(0, 5) == 0 else ""
         opts.append(f'content:{neg}"{w}"')
+        if nocase_rng is not None and nocase_rng.integers(0, 2) == 0:
+            opts.append("nocase")
         if rng.integers(0, 3) == 0:
             opts.append(f"offset:{int(rng.integers(0, 30))}")
         if rng.integers(0, 3) == 0:
@@ -33,7 +47,7 @@ def _rand_rule(rng: np.random.Generator, sid: int) -> str:
             if rng.integers(0, 2) == 0:
                 opts.append(f"within:{int(rng.integers(1, 30))}")
     if rng.integers(0, 3) == 0:
-        w1, w2 = rng.choice(WORDS, 2, replace=False)
+        w1, w2 = rng.choice(words, 2, replace=False)
         opts.append(f'meta_content:"%sagan%",{w1},{w2}')
         if rng.integers(0, 2) == 0:
             opts.append("meta_nocase")
@@ -45,8 +59,8 @@ def _rand_rule(rng: np.random.Generator, sid: int) -> str:
             opts.append(f"meta_distance:{int(rng.integers(1, 10))}")
             if rng.integers(0, 2) == 0:
                 opts.append(f"meta_within:{int(rng.integers(1, 30))}")
-    if rng.integers(0, 3) == 0:
-        w = WORDS[int(rng.integers(0, len(WORDS)))]
+    if pcre and rng.integers(0, 3) == 0:
+        w = words[int(rng.integers(0, len(words)))]
         opts.append(f'pcre:"/{w} \\w+/"')
     if rng.integers(0, 4) == 0:
         opts.append(f'program:"{rng.choice(["user", "assistant", "sys*", "to?l"])}"')
@@ -140,4 +154,33 @@ def test_fuzz_ruleset_parity(seed):
     text = "\n".join(_rand_rule(rng, 5000 + i) for i in range(int(rng.integers(4, 10))))
     ruleset = parse_rules(text)
     tbl = gen_transcripts(int(rng.integers(800, 2500)), seed=seed)
+    run_both(ruleset, tbl, expect_hits=False)
+
+
+def _with_fold_phrases(tbl: pa.Table, rng: np.random.Generator) -> pa.Table:
+    """Put a case-fold hazard phrase before or after about a third of the
+    texts."""
+    texts = tbl.column("text").to_pylist()
+    for i in np.flatnonzero(rng.integers(0, 3, size=len(texts)) == 0):
+        ph = FOLD_PHRASES[int(rng.integers(0, len(FOLD_PHRASES)))]
+        texts[i] = f"{ph} {texts[i]}" if rng.integers(0, 2) else f"{texts[i]} {ph}"
+    i = tbl.schema.get_field_index("text")
+    return tbl.set_column(i, "text", pa.array(texts, pa.large_string()))
+
+
+@pytest.mark.parametrize("seed", [2101, 2202, 2303, 2404, 2505, 2606])
+def test_fuzz_nocase_parity(seed):
+    """Content atoms with ``nocase`` over case-fold hazard words and
+    texts: the multi-pattern literal pass, the per-literal kernel and
+    meta_nocase must all decide as ``match_stateless`` does. No pcre
+    atoms here: RE2's ``\\w`` is ASCII-only and Python's is not, a
+    separate known divergence that these texts would reach."""
+    rng = np.random.default_rng(seed)
+    nocase_rng = np.random.default_rng(seed + 1)
+    text = "\n".join(_rand_rule(rng, 5000 + i, FOLD_WORDS, nocase_rng,
+                                pcre=False)
+                     for i in range(int(rng.integers(4, 10))))
+    ruleset = parse_rules(text)
+    tbl = _with_fold_phrases(gen_transcripts(int(rng.integers(800, 2500)),
+                                             seed=seed), rng)
     run_both(ruleset, tbl, expect_hits=False)

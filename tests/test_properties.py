@@ -8,7 +8,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pyarrow as pa
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 # text without newlines (wire lines) and without surrogates
@@ -355,3 +355,69 @@ def test_metric_identity_and_bounds(texts):
     assert ((b["bleu"] >= 0) & (b["bleu"] <= 1)).all()
     assert ((c["chrf"] >= 0) & (c["chrf"] <= 1)).all()
     assert (w["wer"] >= 0).all()
+
+
+# content literals over case-fold hazards: U+212A KELVIN SIGN lowercases
+# to "k" and RE2 folds it to "k"; RE2 folds "s" ↔ U+017F LONG S, which
+# str.lower leaves alone; U+0130 lowercases to "i" + U+0307; dotless ı,
+# ß and ẞ fold to nothing ASCII
+_FOLD_TOKENS = ["\u212a", "\u017f", "\u0131", "\u0130", "\u00df", "\u1e9e",
+                "\u00e9", "\u00c9", "K", "k", "S", "s", "login", " failed",
+                "LOGIN", "ecret", "ELVIN", "stanbul", "tra", "aa", " ",
+                "r\u00e9sum\u00e9"]
+_FOLD_LITERALS = ["login", "login failed", "failed", "secret", "kelvin",
+                  "istanbul", "stanbul", "strasse", "aaa", "r\u00e9sum\u00e9",
+                  "ss", "\u00df", "\u0130stanbul"]
+_WINDOWS = [(0, None), (2, None), (0, 9), (3, 14)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_FOLD_TOKENS), max_size=8).map("".join),
+                min_size=1, max_size=12))
+@example(["\u212aELVIN \u212a", "\u017fecret", "\u0130stanbul \u0131stanbul",
+          "stra\u00dfe STRASSE", "xx login failed login", "LOGIN FAILED", "",
+          "aaaa", "R\u00c9SUM\u00c9 r\u00e9sum\u00e9"])
+def test_literal_masks_are_exact(texts):
+    """Every content mask, from the batch's multi-pattern literal pass or
+    from the per-literal kernel, equals ``match_stateless``'s own test
+    (``p in win``, or ``p.lower() in win.lower()`` under nocase) on every
+    row, for every window; it equals Arrow's ``match_substring`` wherever
+    case folding cannot differ (case-sensitive atoms, ASCII rows). A
+    regex's literal prefilter keeps every row RE2 can match."""
+    import pyarrow.compute as pc
+
+    from sagan_ray.rules import parse_rules
+    from sagan_ray.stages.classify import RuleClassifier, _BatchCtx
+
+    rules = parse_rules("\n".join(
+        f'alert any any any -> any any (msg:"l"; content:"{p}";{nc} '
+        f'sid:{100 + 2 * i + bool(nc)};)'
+        for i, p in enumerate(_FOLD_LITERALS) for nc in ("", " nocase;")))
+    cls = RuleClassifier(rules)
+    assert {"login", "login failed", "secret"} <= set(cls.literals.cs)
+    assert "\u00df" not in cls.literals.cs and "ss" not in cls.literals.ci
+
+    n = len(texts)
+    col = pa.array(texts, pa.large_string())
+    ctx = _BatchCtx(col, np.full(n, "user", dtype=object),
+                    np.full(n, "", dtype=object), np.zeros(n, np.int64),
+                    cls.literals)
+    ascii_rows = np.array([t.isascii() for t in texts])
+    for p in _FOLD_LITERALS:
+        for start, stop in _WINDOWS:
+            wins = [t[start:stop] for t in texts]
+            sliced = pa.array(wins, pa.large_string())
+            for nocase in (False, True):
+                got = ctx.content_mask(False, start, stop, p, nocase)
+                spec = [(p.lower() in w.lower()) if nocase else (p in w)
+                        for w in wins]
+                assert got.tolist() == spec, (p, start, stop, nocase, texts)
+                re2 = pc.match_substring(sliced, p, ignore_case=nocase
+                                         ).to_numpy(zero_copy_only=False)
+                same = ascii_rows & p.isascii() if nocase else np.full(n, True)
+                assert (got[same] == re2[same]).all(), (p, start, stop, texts)
+                if start == 0 and stop is None:
+                    cand = ctx.literal_hits(False, 0, None, p, nocase)
+                    if nocase:
+                        cand = cand | ctx.fold_rows(False, p)
+                    assert not (re2 & ~cand).any(), (p, nocase, texts)
