@@ -414,18 +414,6 @@ def run_bench() -> dict:
     timed("knn_graph_20k",
           lambda: knn_graph(_kds20, k=10, n_blocks=16).count())
 
-    # distributed Borůvka MSF over the 2^16-node hub-skew graph
-    # (~360k unique weighted edges): broadcast-label rounds, edges
-    # never shuffle
-    from sagan_ray.datapipe.graph import (minimum_spanning_forest,
-                                          synth_link_graph,
-                                          weighted_edges)
-
-    _mst_ew = weighted_edges(
-        rd.from_arrow(synth_link_graph(1 << 16, seed=17))
-        .repartition(32)).materialize()
-    timed("graph_mst_65k",
-          lambda: minimum_spanning_forest(_mst_ew, 1 << 16)[0].count())
     timed("knn_graph_ivf_50k",
           lambda: knn_graph_ivf(_kds, k=10, n_cells=64,
                                 sample_size=4096).count())
@@ -469,15 +457,6 @@ def run_bench() -> dict:
     timed("ann_ivf_200k_10kq",
           lambda: ivf_topk(big_vecs, qv_big, k=10, n_cells=128,
                            nprobe=8).count())
-
-    # PQ at the same shape: ADC lookup scoring (8 uint8 codes/vector)
-    # + exact rerank of the global shortlist — the memory-bound scale
-    # path (codes are ~3% of raw vector bytes)
-    from sagan_ray.datapipe.ann import pq_topk
-
-    timed("ann_pq_200k_10kq",
-          lambda: pq_topk(big_vecs, qv_big, k=10, m_sub=8, n_codes=16,
-                          rerank=64).count())
 
     result = {
         "metric": "end-to-end routed turns/sec (parse→classify→correlate→route→aggregate)",

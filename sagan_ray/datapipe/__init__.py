@@ -21,17 +21,14 @@ _EXPORTS = {
         minhash_lsh_candidates minhash_lsh_dedup ngram_jaccard_pairs
         simhash_dedup verify_pairs_jaccard
     """,
-    "graph": "bfs_distances label_propagation pagerank synth_link_graph",
     "diff": "snapshot_diff",
-    "profile": "k_anonymity l_diversity profile_table validate_table",
+    "profile": "profile_table validate_table",
     "web": "domain_filter domain_stats extract_urls synth_web_docs url_dedup",
     "ann": """
         brute_force_topk ivf_index_stats knn_graph knn_graph_ivf
-        build_ivfpq_index hard_negative_topk build_pq_index
-        compact_ivf_index compact_pq_index ivf_topk mmr_topk pq_topk
-        quantize_embeddings quantized_topk search_ivfpq_index
-        search_pq_index update_pq_index build_ivf_index search_ivf_index
-        update_ivf_index
+        hard_negative_topk compact_ivf_index ivf_topk mmr_topk
+        quantize_embeddings quantized_topk build_ivf_index
+        search_ivf_index update_ivf_index
     """,
     "cluster": """
         fit_centroids embedding_outliers kcenter_coreset kmeans_assign
@@ -62,8 +59,7 @@ _EXPORTS = {
         histogram percentiles rank_normalize rolling_window_count
     """,
     "joins": """
-        asof_join bloom_semijoin hash_join range_join_count
-        range_join_pairs
+        asof_join hash_join range_join_count range_join_pairs
     """,
     "textstats": """
         bigram_nll byte_entropy collocations corpus_stats cross_doc_dup

@@ -308,7 +308,7 @@ def _kmeans(sample: np.ndarray, n_cells: int, iters: int = 8):
 
 def _sample_smallest(ds, *, sample_size: int, seed: int,
                      vec_col: str, id_col: str) -> np.ndarray:
-    """Deterministic training sample shared by IVF and PQ: the
+    """Deterministic training sample shared by the IVF paths: the
     ``sample_size`` rows with the SMALLEST SplitMix64(id ^ seed) —
     identical under any block layout — returned as ``_unit_grid``
     fixed-point unit vectors ordered by (hash, id). Per-batch partial
@@ -500,14 +500,6 @@ def quantized_topk(ds, queries: np.ndarray, *, k: int = 10,
 
 
 # ----------------------------------------------------------------------
-# product quantization: m-subspace codebooks on the unit grid, ADC
-# lookup-table scoring, exact rerank of a layout-free global shortlist
-# ----------------------------------------------------------------------
-
-PQ_ITERS = 8
-
-
-# ----------------------------------------------------------------------
 # Johnson–Lindenstrauss ±1 random projection
 # ----------------------------------------------------------------------
 
@@ -575,6 +567,54 @@ def rp_topk(ds, queries: np.ndarray, *, k: int = 10, d_out: int = 16,
                        k, id_col)
 
 
+def _exact_rerank_pairs(ds, q: np.ndarray, qids: np.ndarray,
+                        short: "pd.DataFrame", *, k: int, vec_col: str,
+                        id_col: str):
+    """Exact-rerank pass behind ``rp_rerank_topk``: the
+    global shortlist becomes flat (vec_id, query_pos) pair arrays
+    sorted by vec_id, and each corpus batch pays ONE sorted
+    intersection (searchsorted) + one row-wise einsum of exact integer
+    grid dots — a per-query np.isin loop at 10k queries was the
+    measured pass-2 killer. Only shortlist rows score at all; the
+    merge ranks by (cosine desc, id asc)."""
+    import ray
+
+    qpos = {int(v): i for i, v in enumerate(qids)}
+    pair_v = short[id_col].to_numpy().astype(np.int64)
+    pair_q = np.asarray([qpos[int(v)] for v in short["query_id"]],
+                        np.int64)
+    o = np.lexsort((pair_q, pair_v))
+    pair_v, pair_q = pair_v[o], pair_q[o]
+    sref = ray.put((q, qids, pair_v, pair_q))
+
+    def local_exact(tbl: pa.Table) -> pa.Table:
+        qm, qi, pv, pq_ = ray.get(sref)
+        ids = _ids(tbl, id_col)
+        if len(ids):
+            # pairs whose vec_id lives in this batch (ids may be in any
+            # order): membership via searchsorted on the sorted batch ids
+            so = np.argsort(ids, kind="stable")
+            sid = ids[so]
+            pos = np.searchsorted(sid, pv)
+            pos[pos >= len(sid)] = len(sid) - 1
+            hit = sid[pos] == pv
+            if hit.any():
+                rows_in_batch = so[pos[hit]]
+                qs = pq_[hit]
+                mat = _unit_grid(_mat(tbl, vec_col, dtype=np.float64))
+                sims = np.einsum("ij,ij->i", mat[rows_in_batch], qm[qs])
+                return pa.table(
+                    {"query_id": pa.array(qi[qs], pa.int64()),
+                     id_col: pa.array(ids[rows_in_batch], pa.int64()),
+                     "cosine": pa.array(sims.astype(np.float64),
+                                        pa.float64())})
+        return _emit_topk(qi, [], id_col)
+
+    return _merge_topk(ds.map_batches(local_exact, batch_format="pyarrow",
+                                      batch_size=None),
+                       k, id_col)
+
+
 def rp_rerank_topk(ds, queries: np.ndarray, *, k: int = 10,
                    shortlist: int = 50, d_out: int = 16, seed: int = 5,
                    vec_col: str = "embedding", id_col: str = "vec_id"):
@@ -591,150 +631,6 @@ def rp_rerank_topk(ds, queries: np.ndarray, *, k: int = 10,
     qids = np.arange(len(qm), dtype=np.int64)
     return _exact_rerank_pairs(ds, qm, qids, short, k=k, vec_col=vec_col,
                                id_col=id_col)
-
-
-def _pq_bounds(d: int, m_sub: int) -> list[int]:
-    """Subspace dim boundaries ``[(i*d)//m for i in 0..m]`` — integer
-    arithmetic, shared verbatim with the sequential golden."""
-    return [(i * d) // m_sub for i in range(m_sub + 1)]
-
-
-def _pq_train(sample: np.ndarray, m_sub: int, n_codes: int,
-              iters: int = PQ_ITERS) -> tuple[list[int], list[np.ndarray]]:
-    """Per-subspace Lloyd's over a ``_unit_grid`` sample (integer-valued
-    float64 rows). Assignment is argmin L2 via ``‖c‖² − 2x·c`` — every
-    term an exact integer < 2^53 (coords ≤ 2^14, d_sub ≤ 64), so the
-    vectorized matmul here and the golden's per-point scan agree
-    bit-exactly; argmin ties keep the LOWEST code (numpy first
-    occurrence == the golden's strict ``<`` scan). Updates re-land on
-    the integer grid via ``rint(S / n)`` — S is an exact integer sum
-    (|S| ≤ sample·2^14 ≪ 2^53) and the division is one IEEE op on both
-    sides. Empty codes keep their previous centroid (the _kmeans
-    stance). Init = first n_codes sample rows (the sample is already
-    hash-ordered)."""
-    d = sample.shape[1]
-    bounds = _pq_bounds(d, m_sub)
-    books: list[np.ndarray] = []
-    for s in range(m_sub):
-        X = sample[:, bounds[s]:bounds[s + 1]]
-        C = X[:min(n_codes, len(X))].copy()
-        for _ in range(iters):
-            dist = (C * C).sum(axis=1)[None, :] - 2.0 * (X @ C.T)
-            assign = np.argmin(dist, axis=1)
-            for c in range(len(C)):
-                m = assign == c
-                if m.any():
-                    C[c] = np.rint(X[m].sum(axis=0) / m.sum())
-        books.append(C)
-    return bounds, books
-
-
-def _pq_encode(mat: np.ndarray, bounds: list[int],
-               books: list[np.ndarray]) -> np.ndarray:
-    """(n, m_sub) int64 code matrix: per subspace, nearest codebook row
-    by the same exact-integer ``‖c‖² − 2x·c`` argmin as training."""
-    codes = np.empty((len(mat), len(books)), np.int64)
-    for s, C in enumerate(books):
-        X = mat[:, bounds[s]:bounds[s + 1]]
-        dist = (C * C).sum(axis=1)[None, :] - 2.0 * (X @ C.T)
-        codes[:, s] = np.argmin(dist, axis=1)
-    return codes
-
-
-def pq_topk(ds, queries: np.ndarray, *, k: int = 10, m_sub: int = 8,
-            n_codes: int = 16, rerank: int = 32,
-            vec_col: str = "embedding", id_col: str = "vec_id",
-            sample_size: int = 4096, seed: int = 7,
-            query_ids: np.ndarray | None = None):
-    """Product-quantization ANN — the 100-TB memory path the int8
-    variant can't reach: each vector is m_sub one-byte codes (64-d f32
-    → 8 bytes, 32× smaller), and per-batch scoring is m_sub table
-    lookups per row (ADC) instead of a d-wide dot. Pipeline:
-
-      1. codebooks train on the deterministic ``_sample_smallest``
-         sample (SplitMix64 smallest-k — layout-free), per subspace;
-      2. one corpus pass: each batch encodes its rows, scores every
-         query via ADC lookup tables (LUT[s] = q_s·C_s^T — exact
-         integer entries; the row score is an exact-integer sum, so
-         summation order is irrelevant), keeps its local top-``rerank``
-         per query by (adc desc, id asc), and attaches the EXACT
-         unit-grid dot for just those rows (vectors still in hand —
-         no second corpus pass);
-      3. a tiny hash-exchange merge takes the GLOBAL top-``rerank`` by
-         (adc desc, id asc) — a pure function of the input because the
-         union of per-batch top-rerank sets contains it — then the
-         final top-``k`` among them by (exact dot desc, id asc).
-
-    Every score on both legs is an exact integer in float64
-    (``_unit_grid`` coords ≤ 2^14 ⇒ dots ≤ d·2^28 ≪ 2^53), so the
-    sequential golden (oracle/golden.py::write_golden_pq) hash-verifies
-    the distributed run bit-exactly under any blocking/BLAS. Recall vs
-    brute_force_topk measured in tests. Returns a Dataset
-    (query_id, vec_id, cosine, rank) — ``cosine`` is the exact integer
-    grid dot (monotone in quantized cosine)."""
-    import ray
-
-    from .exchange import hash_group_apply
-
-    q = _unit_grid(np.asarray(queries, dtype=np.float64))
-    qids = (np.arange(len(q)) if query_ids is None
-            else np.asarray(query_ids)).astype(np.int64)
-    sample = _sample_smallest(ds, sample_size=sample_size, seed=seed,
-                              vec_col=vec_col, id_col=id_col)
-    if len(sample) == 0:                 # empty corpus → empty result
-        import ray.data as rd
-        return rd.from_arrow(pa.table(
-            {"query_id": pa.array([], pa.int64()),
-             id_col: pa.array([], pa.int64()),
-             "cosine": pa.array([], pa.float64()),
-             "rank": pa.array([], pa.int64())}))
-    bounds, books = _pq_train(sample, m_sub, n_codes)
-    ref = ray.put((q, qids, bounds, books))
-
-    def local_cand(tbl: pa.Table) -> pa.Table:
-        qm, qi, bnd, bks = ray.get(ref)
-        ids = _ids(tbl, id_col)
-        out_q, out_v, out_a, out_e = [], [], [], []
-        if len(ids):
-            mat = _unit_grid(_mat(tbl, vec_col, dtype=np.float64))
-            codes = _pq_encode(mat, bnd, bks)
-            rr = min(rerank, len(ids))
-            for c in range(len(qm)):
-                adc = np.zeros(len(ids))
-                for s in range(len(bks)):
-                    adc += (bks[s] @ qm[c, bnd[s]:bnd[s + 1]])[codes[:, s]]
-                sel = _local_topk_idx(adc, ids, rr)
-                exact = mat[sel] @ qm[c]          # exact integer dots
-                out_q.extend([int(qi[c])] * len(sel))
-                out_v.extend(ids[sel].tolist())
-                out_a.extend(adc[sel].tolist())
-                out_e.extend(exact.tolist())
-        return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                         id_col: pa.array(out_v, pa.int64()),
-                         "adc": pa.array(out_a, pa.float64()),
-                         "cosine": pa.array(out_e, pa.float64())})
-
-    schema = pa.schema([("query_id", pa.int64()), (id_col, pa.int64()),
-                        ("cosine", pa.float64()), ("rank", pa.int64())])
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["query_id", "adc", id_col],
-                            ascending=[True, False, True], kind="mergesort")
-        df = df.groupby("query_id", sort=False).head(rerank)
-        df = df.sort_values(["query_id", "cosine", id_col],
-                            ascending=[True, False, True], kind="mergesort")
-        df = df.groupby("query_id", sort=False).head(k).copy()
-        df["rank"] = (df.groupby("query_id", sort=False).cumcount() + 1
-                      ).astype(np.int64)
-        return df[["query_id", id_col, "cosine", "rank"]]
-
-    # partial-emitting stage (rerank·n_queries rows per BATCH): one
-    # batch per block (batch_size=None) — the default 1024-row batches
-    # multiply the emit by rows/1024, and any pinned size makes Ray
-    # coalesce blocks into fewer tasks (round-5 negative result)
-    cands = ds.map_batches(local_cand, batch_format="pyarrow",
-                           batch_size=None)
-    return hash_group_apply(cands, ["query_id"], bucket, out_schema=schema)
 
 
 # ----------------------------------------------------------------------
@@ -969,485 +865,6 @@ def search_ivf_index(index_dir: str, queries: np.ndarray, *, k: int = 10,
                        k, id_col)
 
 
-# ----------------------------------------------------------------------
-# persistent PQ index: codes are m_sub bytes per vector — the ADC scan
-# touches ~1/32 of the raw bytes; exact rerank reads only shortlist rows
-# ----------------------------------------------------------------------
-
-def build_pq_index(ds, index_dir: str, *, m_sub: int = 8, n_codes: int = 16,
-                   sample_size: int = 4096, seed: int = 7,
-                   vec_col: str = "embedding", id_col: str = "vec_id",
-                   books: list[np.ndarray] | None = None) -> int:
-    """Persist a product-quantization index: train codebooks (the same
-    deterministic sample + exact-integer Lloyd's as ``pq_topk``), encode
-    every vector to m_sub uint8 code COLUMNS (c0..c{m-1} — columnar, so
-    the search-side read is zero-copy and parquet compresses per
-    subspace), and write ``index_dir/codes/`` plus the exact-float64
-    codebooks in ``_books.parquet`` and (m_sub, n_codes, d) in
-    ``_meta.json``. A 64-d f32 corpus stores 8 code bytes + an 8-byte id
-    per row — the ADC scan touches ~3% of the raw vector bytes. Pass
-    ``books`` (exact grid rows, e.g. read back from another index) to
-    skip training — the append/rebuild baseline for ``update_pq_index``.
-    Returns the vector dimensionality d."""
-    import json
-    import os
-
-    import ray
-    import ray.data as rd
-
-    if books is None:
-        sample = _sample_smallest(ds, sample_size=sample_size, seed=seed,
-                                  vec_col=vec_col, id_col=id_col)
-        if len(sample) == 0:
-            raise ValueError("cannot build a PQ index over an empty corpus")
-        d = sample.shape[1]
-        _, books = _pq_train(sample, m_sub, n_codes)
-    else:
-        books = [np.asarray(b, dtype=np.float64) for b in books]
-        d = int(sum(b.shape[1] for b in books))
-        m_sub = len(books)
-    bounds = _pq_bounds(d, m_sub)
-    bref = ray.put((bounds, books))
-
-    def encode(tbl: pa.Table) -> pa.Table:
-        bnd, bks = ray.get(bref)
-        ids = _ids(tbl, id_col)
-        cols = {id_col: pa.array(ids, pa.int64())}
-        codes = (_pq_encode(_unit_grid(_mat(tbl, vec_col, dtype=np.float64)),
-                            bnd, bks) if len(ids)
-                 else np.empty((0, len(bks)), np.int64))
-        for s in range(len(bks)):
-            cols[f"c{s}"] = pa.array(codes[:, s].astype(np.uint8),
-                                     pa.uint8())
-        return pa.table(cols)
-
-    ds.map_batches(encode, batch_format="pyarrow").write_parquet(
-        os.path.join(index_dir, "codes"), mode="overwrite")
-    rows_s, rows_c, rows_v = [], [], []
-    for s, C in enumerate(books):
-        for c in range(len(C)):
-            rows_s.append(s)
-            rows_c.append(c)
-            rows_v.append(C[c].tolist())
-    rd.from_arrow(pa.table({
-        "subspace": pa.array(rows_s, pa.int64()),
-        "code": pa.array(rows_c, pa.int64()),
-        "centroid": pa.array(rows_v, pa.list_(pa.float64())),
-    })).repartition(1).write_parquet(os.path.join(index_dir, "_books"),
-                                     mode="overwrite")
-    with open(os.path.join(index_dir, "_meta.json"), "w") as f:
-        json.dump({"m_sub": m_sub, "n_codes": n_codes, "d": d}, f)
-    return d
-
-
-def _read_pq_books(index_dir: str):
-    import json
-    import os
-
-    import ray.data as rd
-
-    with open(os.path.join(index_dir, "_meta.json")) as f:
-        meta = json.load(f)
-    bt = (rd.read_parquet(os.path.join(index_dir, "_books")).to_pandas()
-          .sort_values(["subspace", "code"]))
-    books = [np.asarray(g["centroid"].tolist(), dtype=np.float64)
-             for _, g in bt.groupby("subspace", sort=True)]
-    return meta, _pq_bounds(meta["d"], meta["m_sub"]), books
-
-
-def update_pq_index(ds, index_dir: str, *, vec_col: str = "embedding",
-                    id_col: str = "vec_id") -> int:
-    """Append NEW vectors to a persistent PQ index WITHOUT retraining
-    (the ``update_ivf_index`` stance): encode against the STORED
-    codebooks into a temp dir, then move the new code files into
-    ``codes/`` under update-unique names (append = new files; a crashed
-    update re-runs after deleting the temp). Search after an update is
-    BIT-identical to ``build_pq_index(union, books=stored)`` + search —
-    codes depend only on the fixed books and ADC/rerank scoring is
-    layout-independent. Caller contract: ``ds`` holds ids not already
-    in the index."""
-    import os
-    import shutil
-    import tempfile
-
-    _, _, books = _read_pq_books(index_dir)
-    tmp = tempfile.mkdtemp(prefix="pq_upd_", dir=os.path.dirname(
-        index_dir.rstrip("/")) or ".")
-    try:
-        build_pq_index(ds, tmp, books=books, vec_col=vec_col, id_col=id_col)
-        src = os.path.join(tmp, "codes")
-        dst = os.path.join(index_dir, "codes")
-        for fn in os.listdir(src):
-            if fn.endswith(".parquet"):
-                os.replace(os.path.join(src, fn), os.path.join(
-                    dst, f"upd_{os.path.basename(tmp)}_{fn}"))
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return len(books)
-
-
-def compact_pq_index(index_dir: str, *, id_col: str = "vec_id") -> int:
-    """Compact an updated PQ index's ``codes/`` shards into a fresh set
-    of files. Codes are final (they depend only on the fixed books), so
-    compaction is a plain read → rewrite of the code table — no
-    re-encoding, bit-identical search by construction."""
-    import os
-    import shutil
-    import tempfile
-
-    import ray.data as rd
-
-    src = os.path.join(index_dir, "codes")
-    tmp = tempfile.mkdtemp(prefix="pq_cmp_", dir=os.path.dirname(
-        index_dir.rstrip("/")) or ".")
-    try:
-        rd.read_parquet(src).repartition(8).write_parquet(
-            os.path.join(tmp, "codes"), mode="overwrite")
-        shutil.rmtree(src)
-        os.replace(os.path.join(tmp, "codes"), src)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
-    return 8
-
-
-def search_pq_index(index_dir: str, ds, queries: np.ndarray, *,
-                    k: int = 10, rerank: int = 32,
-                    vec_col: str = "embedding", id_col: str = "vec_id",
-                    query_ids: np.ndarray | None = None):
-    """PQ top-k over a built index — BIT-identical to ``pq_topk`` with
-    the same training parameters: the stored codes equal the in-line
-    encoding (fixed books, exact-integer argmin), so the global
-    (adc desc, id asc) top-``rerank`` shortlist is the same set, and the
-    exact rerank computes the same integer grid dots. Two passes:
-
-      1. ADC scan over ``codes/`` ONLY (m_sub + 8 bytes per row — the
-         memory win), local top-rerank per query, tiny global merge;
-      2. exact rerank over ``ds`` restricted to shortlist rows
-         (≤ rerank·n_queries rows score at all), merged by
-         (cosine desc, id asc) into ranks.
-
-    Pass ``ds=None`` for ADC-ONLY serving (the raw vectors are not
-    available or too large to touch): pass 2 is skipped and the
-    result is the global shortlist itself ranked by (adc desc, id asc),
-    returned as (query_id, id, adc, rank) with k ≤ rerank rows per
-    query — the same candidate SET the exact mode would rerank."""
-    import ray
-    import ray.data as rd
-
-    from .exchange import hash_group_apply
-
-    meta, bounds, books = _read_pq_books(index_dir)
-    m_sub = meta["m_sub"]
-    q = _unit_grid(np.asarray(queries, dtype=np.float64))
-    qids = (np.arange(len(q)) if query_ids is None
-            else np.asarray(query_ids)).astype(np.int64)
-    ref = ray.put((q, qids, bounds, books))
-
-    import os
-    codes_ds = rd.read_parquet(os.path.join(index_dir, "codes"))
-
-    def local_adc(tbl: pa.Table) -> pa.Table:
-        qm, qi, bnd, bks = ray.get(ref)
-        ids = _ids(tbl, id_col)
-        out_q, out_v, out_a = [], [], []
-        if len(ids):
-            codes = np.stack(
-                [tbl.column(f"c{s}").combine_chunks()
-                 .to_numpy(zero_copy_only=False).astype(np.int64)
-                 for s in range(m_sub)], axis=1)
-            rr = min(rerank, len(ids))
-            for c in range(len(qm)):
-                adc = np.zeros(len(ids))
-                for s in range(m_sub):
-                    adc += (bks[s] @ qm[c, bnd[s]:bnd[s + 1]])[codes[:, s]]
-                sel = _local_topk_idx(adc, ids, rr)
-                out_q.extend([int(qi[c])] * len(sel))
-                out_v.extend(ids[sel].tolist())
-                out_a.extend(adc[sel].tolist())
-        return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                         id_col: pa.array(out_v, pa.int64()),
-                         "adc": pa.array(out_a, pa.float64())})
-
-    short_schema = pa.schema([("query_id", pa.int64()),
-                              (id_col, pa.int64()), ("adc", pa.float64())])
-
-    def short_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["query_id", "adc", id_col],
-                            ascending=[True, False, True], kind="mergesort")
-        return df.groupby("query_id", sort=False).head(rerank)
-
-    # batch_size=None → one batch per block: a pinned batch_size makes
-    # Ray coalesce blocks to reach it, collapsing the scan to a handful
-    # of tasks (measured 4 tasks / 40 s at 200k×10k queries with 65536)
-    short = hash_group_apply(
-        codes_ds.map_batches(local_adc, batch_format="pyarrow",
-                             batch_size=None),
-        ["query_id"], short_bucket, out_schema=short_schema).to_pandas()
-    if ds is None:
-        out = short.sort_values(["query_id", "adc", id_col],
-                                ascending=[True, False, True],
-                                kind="mergesort")
-        out = out.groupby("query_id", sort=False).head(k).copy()
-        out["rank"] = (out.groupby("query_id", sort=False).cumcount() + 1
-                       ).astype(np.int64)
-        return rd.from_arrow(pa.Table.from_pandas(
-            out.reset_index(drop=True), preserve_index=False))
-    if len(short) == 0:
-        return rd.from_arrow(pa.table(
-            {"query_id": pa.array([], pa.int64()),
-             id_col: pa.array([], pa.int64()),
-             "cosine": pa.array([], pa.float64()),
-             "rank": pa.array([], pa.int64())}))
-    return _exact_rerank_pairs(ds, q, qids, short, k=k, vec_col=vec_col,
-                               id_col=id_col)
-
-
-def _exact_rerank_pairs(ds, q: np.ndarray, qids: np.ndarray,
-                        short: "pd.DataFrame", *, k: int, vec_col: str,
-                        id_col: str):
-    """Shared exact-rerank pass for index-backed ANN (PQ / IVF-PQ): the
-    global shortlist becomes flat (vec_id, query_pos) pair arrays
-    sorted by vec_id, and each corpus batch pays ONE sorted
-    intersection (searchsorted) + one row-wise einsum of exact integer
-    grid dots — a per-query np.isin loop at 10k queries was the
-    measured pass-2 killer. Only shortlist rows score at all; the
-    merge ranks by (cosine desc, id asc)."""
-    import ray
-
-    qpos = {int(v): i for i, v in enumerate(qids)}
-    pair_v = short[id_col].to_numpy().astype(np.int64)
-    pair_q = np.asarray([qpos[int(v)] for v in short["query_id"]],
-                        np.int64)
-    o = np.lexsort((pair_q, pair_v))
-    pair_v, pair_q = pair_v[o], pair_q[o]
-    sref = ray.put((q, qids, pair_v, pair_q))
-
-    def local_exact(tbl: pa.Table) -> pa.Table:
-        qm, qi, pv, pq_ = ray.get(sref)
-        ids = _ids(tbl, id_col)
-        if len(ids):
-            # pairs whose vec_id lives in this batch (ids may be in any
-            # order): membership via searchsorted on the sorted batch ids
-            so = np.argsort(ids, kind="stable")
-            sid = ids[so]
-            pos = np.searchsorted(sid, pv)
-            pos[pos >= len(sid)] = len(sid) - 1
-            hit = sid[pos] == pv
-            if hit.any():
-                rows_in_batch = so[pos[hit]]
-                qs = pq_[hit]
-                mat = _unit_grid(_mat(tbl, vec_col, dtype=np.float64))
-                sims = np.einsum("ij,ij->i", mat[rows_in_batch], qm[qs])
-                return pa.table(
-                    {"query_id": pa.array(qi[qs], pa.int64()),
-                     id_col: pa.array(ids[rows_in_batch], pa.int64()),
-                     "cosine": pa.array(sims.astype(np.float64),
-                                        pa.float64())})
-        return _emit_topk(qi, [], id_col)
-
-    return _merge_topk(ds.map_batches(local_exact, batch_format="pyarrow",
-                                      batch_size=None),
-                       k, id_col)
-
-
-# ----------------------------------------------------------------------
-# IVF-PQ (Jégou et al., "Product Quantization for Nearest Neighbor
-# Search", TPAMI 2011): cell-partitioned RESIDUAL codes — search reads
-# only the probed cells' code partitions (nprobe/n_cells of ~3% of the
-# raw bytes), composing the IVF compute win with the PQ memory win
-# ----------------------------------------------------------------------
-
-def build_ivfpq_index(ds, index_dir: str, *, n_cells: int = 16,
-                      m_sub: int = 8, n_codes: int = 16,
-                      sample_size: int = 4096, seed: int = 5,
-                      vec_col: str = "embedding",
-                      id_col: str = "vec_id") -> int:
-    """Persist an IVF-PQ index: spherical kmeans centroids on the unit
-    grid (the ``ivf_topk`` training), then PQ codebooks trained on the
-    sample's RESIDUALS (grid row − assigned centroid — still exact
-    integers, ≤ 2^15 per coord), every vector encoded to (cell, m_sub
-    uint8 codes) and written cell-partitioned through the cell exchange
-    (one compact file per cell, the ``build_ivf_index`` layout). The
-    ``cell_id`` column is duplicated into the files because search
-    reads explicit file lists (hive partition values don't survive
-    that). Returns n_cells."""
-    import json
-    import os
-
-    import ray
-    import ray.data as rd
-
-    from .exchange import hash_group_apply
-
-    sample = _sample_smallest(ds, sample_size=sample_size, seed=seed,
-                              vec_col=vec_col, id_col=id_col)
-    if len(sample) == 0:
-        raise ValueError("cannot build an IVF-PQ index over an empty corpus")
-    cent = _kmeans(sample, n_cells)
-    assign = np.argmax(sample @ cent.T, axis=1)
-    bounds, books = _pq_train(sample - cent[assign], m_sub, n_codes)
-    bref = ray.put((cent, bounds, books))
-
-    def encode(tbl: pa.Table) -> pa.Table:
-        cm, bnd, bks = ray.get(bref)
-        ids = _ids(tbl, id_col)
-        if len(ids):
-            mat = _unit_grid(_mat(tbl, vec_col, dtype=np.float64))
-            cell = np.argmax(mat @ cm.T, axis=1).astype(np.int64)
-            codes = _pq_encode(mat - cm[cell], bnd, bks)
-        else:
-            cell = np.array([], np.int64)
-            codes = np.empty((0, len(bks)), np.int64)
-        cols = {id_col: pa.array(ids, pa.int64()),
-                "cell": pa.array(cell, pa.int64()),
-                "cell_id": pa.array(cell, pa.int64())}
-        for s in range(len(bks)):
-            cols[f"c{s}"] = pa.array(codes[:, s].astype(np.uint8),
-                                     pa.uint8())
-        return pa.table(cols)
-
-    fields = [(id_col, pa.int64()), ("cell", pa.int64()),
-              ("cell_id", pa.int64())]
-    fields += [(f"c{s}", pa.uint8()) for s in range(m_sub)]
-    hash_group_apply(ds.map_batches(encode, batch_format="pyarrow"),
-                     ["cell"], lambda df: df,
-                     out_schema=pa.schema(fields)).write_parquet(
-        index_dir, partition_cols=["cell"], mode="overwrite")
-    rd.from_arrow(pa.table({
-        "cell": pa.array(np.arange(len(cent)), pa.int64()),
-        "centroid": pa.array(cent.tolist(), pa.list_(pa.float64())),
-    })).repartition(1).write_parquet(os.path.join(index_dir, "_centroids"),
-                                     mode="overwrite")
-    rows_s, rows_c, rows_v = [], [], []
-    for s, C in enumerate(books):
-        for c in range(len(C)):
-            rows_s.append(s)
-            rows_c.append(c)
-            rows_v.append(C[c].tolist())
-    rd.from_arrow(pa.table({
-        "subspace": pa.array(rows_s, pa.int64()),
-        "code": pa.array(rows_c, pa.int64()),
-        "centroid": pa.array(rows_v, pa.list_(pa.float64())),
-    })).repartition(1).write_parquet(os.path.join(index_dir, "_books"),
-                                     mode="overwrite")
-    with open(os.path.join(index_dir, "_meta.json"), "w") as f:
-        json.dump({"n_cells": int(len(cent)), "m_sub": m_sub,
-                   "n_codes": n_codes, "d": int(cent.shape[1])}, f)
-    return len(cent)
-
-
-def search_ivfpq_index(index_dir: str, ds, queries: np.ndarray, *,
-                       k: int = 10, nprobe: int = 4, rerank: int = 32,
-                       vec_col: str = "embedding", id_col: str = "vec_id",
-                       query_ids: np.ndarray | None = None):
-    """IVF-PQ top-k over a built index: probe the nprobe nearest cells
-    (exact integer dots, stable ties — the ``ivf_topk`` routing), ADC
-    over ONLY those cells' code partitions where
-
-        adc(x) = q·cent_cell + Σ_s (q_s · book_s[code_s(x)])
-
-    — every term an exact integer, so the global (adc desc, id asc)
-    top-``rerank`` shortlist is a pure function of (index, queries) and
-    the sequential golden hash-verifies the chain. Exact rerank over
-    ``ds`` restricted to shortlist rows (``_exact_rerank_pairs``).
-    Bytes touched in the scan: nprobe/n_cells of the code table (m_sub
-    + 17 bytes/row), not the corpus."""
-    import json
-    import os
-
-    import ray
-    import ray.data as rd
-
-    from .exchange import hash_group_apply
-
-    with open(os.path.join(index_dir, "_meta.json")) as f:
-        meta = json.load(f)
-    m_sub = meta["m_sub"]
-    ct = (rd.read_parquet(os.path.join(index_dir, "_centroids"))
-          .to_pandas().sort_values("cell"))
-    cent = np.asarray(ct["centroid"].tolist(), dtype=np.float64)
-    bt = (rd.read_parquet(os.path.join(index_dir, "_books")).to_pandas()
-          .sort_values(["subspace", "code"]))
-    books = [np.asarray(g["centroid"].tolist(), dtype=np.float64)
-             for _, g in bt.groupby("subspace", sort=True)]
-    bounds = _pq_bounds(meta["d"], m_sub)
-
-    q = _unit_grid(np.asarray(queries, dtype=np.float64))
-    qids = (np.arange(len(q)) if query_ids is None
-            else np.asarray(query_ids)).astype(np.int64)
-    q_cells = np.argsort(-(q @ cent.T), axis=1, kind="stable")[:, :nprobe]
-    c2q: dict[int, list[int]] = {}
-    for qpos, row in enumerate(q_cells):
-        for c in row:
-            c2q.setdefault(int(c), []).append(qpos)
-
-    need = sorted(c2q)
-    files = sorted(
-        os.path.join(index_dir, f"cell={c}", fn)
-        for c in need if os.path.isdir(os.path.join(index_dir, f"cell={c}"))
-        for fn in os.listdir(os.path.join(index_dir, f"cell={c}"))
-        if fn.endswith(".parquet"))
-    empty = pa.table({"query_id": pa.array([], pa.int64()),
-                      id_col: pa.array([], pa.int64()),
-                      "cosine": pa.array([], pa.float64()),
-                      "rank": pa.array([], pa.int64())})
-    if not files:
-        return rd.from_arrow(empty)
-    codes_ds = rd.read_parquet(files)
-    ref = ray.put((q, qids, cent, bounds, books,
-                   {c: np.asarray(v, np.int64) for c, v in c2q.items()}))
-
-    def local_adc(tbl: pa.Table) -> pa.Table:
-        qm, qi, cm, bnd, bks, cq = ray.get(ref)
-        ids = _ids(tbl, id_col)
-        out_q, out_v, out_a = [], [], []
-        if len(ids):
-            cell = (tbl.column("cell_id").combine_chunks()
-                    .to_numpy(zero_copy_only=False).astype(np.int64))
-            codes = np.stack(
-                [tbl.column(f"c{s}").combine_chunks()
-                 .to_numpy(zero_copy_only=False).astype(np.int64)
-                 for s in range(m_sub)], axis=1)
-            for c in np.unique(cell):
-                qlist = cq.get(int(c))
-                if qlist is None:
-                    continue
-                m = cell == c
-                sub_ids = ids[m]
-                sub_codes = codes[m]
-                rr = min(rerank, len(sub_ids))
-                for qpos in qlist:
-                    base = float(qm[qpos] @ cm[c])   # exact integer
-                    adc = np.full(len(sub_ids), base)
-                    for s in range(m_sub):
-                        adc += (bks[s] @ qm[qpos, bnd[s]:bnd[s + 1]]
-                                )[sub_codes[:, s]]
-                    sel = _local_topk_idx(adc, sub_ids, rr)
-                    out_q.extend([int(qi[qpos])] * len(sel))
-                    out_v.extend(sub_ids[sel].tolist())
-                    out_a.extend(adc[sel].tolist())
-        return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                         id_col: pa.array(out_v, pa.int64()),
-                         "adc": pa.array(out_a, pa.float64())})
-
-    short_schema = pa.schema([("query_id", pa.int64()),
-                              (id_col, pa.int64()), ("adc", pa.float64())])
-
-    def short_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["query_id", "adc", id_col],
-                            ascending=[True, False, True], kind="mergesort")
-        return df.groupby("query_id", sort=False).head(rerank)
-
-    short = hash_group_apply(
-        codes_ds.map_batches(local_adc, batch_format="pyarrow",
-                             batch_size=None),
-        ["query_id"], short_bucket, out_schema=short_schema).to_pandas()
-    if len(short) == 0:
-        return rd.from_arrow(empty)
-    return _exact_rerank_pairs(ds, q, qids, short, k=k, vec_col=vec_col,
-                               id_col=id_col)
-
-
 def mmr_topk(ds, queries: np.ndarray, *, k: int = 10, shortlist: int = 64,
              vec_col: str = "embedding", id_col: str = "vec_id",
              query_ids: np.ndarray | None = None):
@@ -1573,8 +990,6 @@ def pair_cosine_histogram(ds, *, rate: float = 0.5, n_bins: int = 64,
     vector to its n_blocks block-pair buckets, chunked dgemm per
     bucket), but each bucket emits only its n_bins-row bincount PARTIAL
     — the driver folds buckets × n_bins rows, never pairs."""
-    import pyarrow.compute as _pc  # noqa: F401 (parity with siblings)
-
     from .exchange import hash_group_apply
 
     knuth = np.uint64(2654435761)

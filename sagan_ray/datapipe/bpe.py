@@ -203,17 +203,3 @@ def bpe_token_counts(ds, merges: list[tuple[str, str]], *,
                          "n_tokens_bpe": pa.array(n_bpe)})
 
     return ds.map_batches(f, batch_format="pyarrow")
-
-
-def bpe_token_counts_auto(ds_train, ds_apply=None, *, n_sample: int = 256,
-                          n_merges: int = 200, seed: int = 11,
-                          text_col: str = "text", id_col: str = "doc_id"):
-    """Train on a deterministic sample of ``ds_train``, apply to
-    ``ds_apply`` (default: a fresh consumer of the same input — pass one
-    explicitly; never feed the SAME Dataset object twice, branches
-    re-execute the prefix)."""
-    freq = sample_word_freq(ds_train, n_sample=n_sample, seed=seed,
-                            text_col=text_col, id_col=id_col)
-    merges = train_bpe(freq, n_merges)
-    return bpe_token_counts(ds_apply if ds_apply is not None else ds_train,
-                            merges, text_col=text_col, id_col=id_col)

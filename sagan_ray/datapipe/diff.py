@@ -113,86 +113,4 @@ def snapshot_diff(old_ds, new_ds, *, key_col: str = "doc_id",
                             out_schema=out_schema)
 
 
-SCD2_OPEN = 1 << 62          # sentinel "still valid" (avoids NULLs in
                              # hash-compared outputs; documented spec)
-
-
-def scd2_merge(old_ds, new_ds, *, key_col: str, attr_cols: list[str],
-               ts: int):
-    """Slowly-changing-dimension (type 2) merge — the warehouse
-    history-preserving upsert: ``old_ds`` carries versioned rows
-    (key, attrs..., valid_from, valid_to with ``SCD2_OPEN`` = current);
-    ``new_ds`` is the time-``ts`` snapshot (key, attrs...). Per key:
-    already-closed history passes through untouched; an open row whose
-    attrs match the new snapshot stays open; a changed row closes at
-    ``ts`` and a fresh open row starts there; a brand-new key opens at
-    ``ts``; a key absent from the snapshot keeps its open row (no
-    implicit deletes — close explicitly upstream if absence means
-    gone). Returns the merged versioned table.
-
-    Shape: one side-tagged key exchange; each bucket resolves its keys
-    with vectorized frame ops — full rows cross the wire once (they
-    are the output, the ``table_upsert`` stance)."""
-    import pandas as pd
-
-    from .exchange import hash_group_apply
-
-    acols = list(attr_cols)
-
-    def old_part(tbl: pa.Table) -> pa.Table:
-        return tbl.append_column("_side", pa.array(
-            np.zeros(tbl.num_rows, np.int8)))
-
-    def new_part(tbl: pa.Table) -> pa.Table:
-        t = tbl.select([key_col] + acols)
-        t = t.append_column("valid_from",
-                            pa.array(np.full(tbl.num_rows, -1, np.int64)))
-        t = t.append_column("valid_to",
-                            pa.array(np.full(tbl.num_rows, -1, np.int64)))
-        return t.append_column("_side", pa.array(
-            np.ones(tbl.num_rows, np.int8)))
-
-    cols = [key_col] + acols + ["valid_from", "valid_to"]
-    sides = (old_ds.map_batches(old_part, batch_format="pyarrow",
-                                batch_size=None)
-             .union(new_ds.map_batches(new_part, batch_format="pyarrow",
-                                       batch_size=None)))
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        old = df[df["_side"] == 0][cols]
-        new = df[df["_side"] == 1][[key_col] + acols]
-        if new[key_col].duplicated().any():
-            raise ValueError("scd2_merge: duplicate keys in snapshot")
-        closed = old[old["valid_to"] != SCD2_OPEN]
-        cur = old[old["valid_to"] == SCD2_OPEN]
-        if cur[key_col].duplicated().any():
-            raise ValueError("scd2_merge: multiple open rows per key")
-        m = cur.merge(new, on=key_col, how="outer", suffixes=("", "_n"),
-                      indicator=True)
-        same = np.ones(len(m), dtype=bool)
-        for c in acols:
-            both = m["_merge"] == "both"
-            eq = m[c].to_numpy(object) == m[f"{c}_n"].to_numpy(object)
-            same &= np.where(both, eq, True)
-        keep_open = m[(m["_merge"] == "left_only")
-                      | ((m["_merge"] == "both") & same)][cols]
-        to_close = m[(m["_merge"] == "both") & ~same].copy()
-        to_close["valid_to"] = np.int64(ts)
-        fresh = m[((m["_merge"] == "both") & ~same)
-                  | (m["_merge"] == "right_only")].copy()
-        for c in acols:
-            fresh[c] = np.where(fresh["_merge"] != "left_only",
-                                fresh[f"{c}_n"], fresh[c])
-        fresh["valid_from"] = np.int64(ts)
-        fresh["valid_to"] = np.int64(SCD2_OPEN)
-        out = pd.concat([closed, keep_open, to_close[cols], fresh[cols]],
-                        ignore_index=True)
-        return out
-
-    # derive attr types from the old side's schema (authoritative)
-    old_schema = old_ds.schema().base_schema
-    fields = [(key_col, old_schema.field(key_col).type)]
-    fields += [(c, old_schema.field(c).type) for c in acols]
-    fields += [("valid_from", pa.int64()), ("valid_to", pa.int64())]
-    schema = pa.schema(fields)
-    return hash_group_apply(sides, [key_col], bucket, out_schema=schema)

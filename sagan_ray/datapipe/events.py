@@ -848,8 +848,8 @@ def last_touch_attribution(ds, *, convert_type: str = "purchase",
     1. First-conversion cutoffs: per-batch per-user min conversion ts
        partials (slim (user, ts) rows) → one tiny groupby-min → the
        (user → cutoff) map broadcast via ``ray.put`` as two sorted
-       arrays. Same users-fit-one-machine assumption as the pagerank
-       node table — the cutoff map is 16 B per CONVERTING user.
+       arrays. Users must fit one machine — the cutoff map is 16 B
+       per CONVERTING user.
     2. Candidate prune: each batch keeps, per converting user, only its
        lexicographically largest (ts, id) row among rows with
        ts < cutoff (one lexsort, no Python loop) — ≤1 slim row per

@@ -161,71 +161,6 @@ def hash_join(left, right, *, on: str, left_cols: list[str],
     return hash_group_apply(both, [on], bucket, out_schema=out_schema)
 
 
-def bloom_semijoin(big, keys, *, on: str, key_col: str | None = None,
-                   p: int = 22, k: int = 4):
-    """Bloom-filter semi-join pushdown: build a 2^p-bit Bloom bitmap
-    over ``keys[key_col]`` (int64 join keys; per-64k-batch bitmap
-    partials, bitwise-OR tree combine — the same semilattice as
-    ``sketch.bloom_membership``), broadcast it ONCE via ``ray.put``,
-    and filter ``big`` map-side to rows whose ``on`` key MIGHT be in
-    the key set. A Bloom filter has no false negatives, so composing
-    the pruned big side with an exact downstream join yields exactly
-    the plain join's rows; false positives only cost wasted exchange
-    bytes (fpr ≈ (1 - e^(-k·n/2^p))^k — ~0.24 % at n=100k, p=22, k=4).
-
-    This is the classic distributed-join bandwidth lever for 100 TB:
-    the big side's shuffle bytes drop by ~the semi-join selectivity
-    BEFORE the exchange, and the broadcast is a fixed 2^p/8-byte
-    bitmap (512 KB at p=22; 128 MB at p=30 covers 10^8 keys) shipped
-    once per node instead of every non-matching row crossing the wire.
-    Contrast: sagan's equivalent prune is the per-rule content
-    prefilter (src/processors/engine.c fast pattern); here the prune
-    is key-membership ahead of a relational join.
-    """
-    import ray
-
-    from .ann import _splitmix64
-    from .sketch import _bf_bit, _blob_combine_stage
-
-    key_col = key_col or on
-    nbits = 1 << p
-    nbytes = nbits >> 3
-
-    def _hashes(col: pa.ChunkedArray) -> np.ndarray:
-        kv = col.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        return _splitmix64(np.ascontiguousarray(kv).view(np.uint64))
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        wh = _hashes(tbl.column(key_col))
-        bm = np.zeros(nbytes, np.uint8)
-        if len(wh):
-            for j in range(k):
-                ix = _bf_bit(wh, j, nbits)
-                np.bitwise_or.at(bm, ix >> 3,
-                                 (1 << (ix & 7)).astype(np.uint8))
-        return pa.table({"bf": pa.array([bm.tobytes()],
-                                        pa.binary(nbytes))})
-
-    parts = keys.map_batches(partial, batch_format="pyarrow",
-                             batch_size=65536)
-    bm = _blob_combine_stage(parts, nbytes, np.bitwise_or)
-    if bm is None:
-        bm = np.zeros(nbytes, np.uint8)
-    ref = ray.put(bm)          # broadcast once; workers read zero-copy
-
-    def prune(tbl: pa.Table) -> pa.Table:
-        b = ray.get(ref)
-        wh = _hashes(tbl.column(on))
-        mask = np.ones(len(wh), bool)
-        for j in range(k):
-            ix = _bf_bit(wh, j, nbits)
-            mask &= ((b[ix >> 3] >> (ix & 7).astype(np.uint8))
-                     & 1).astype(bool)
-        return tbl.filter(pa.array(mask))   # filter compacts (CLAUDE.md)
-
-    return big.map_batches(prune, batch_format="pyarrow")
-
-
 def _to_i64(arr: pa.ChunkedArray) -> np.ndarray:
     """Numeric view of a point/bound column (timestamps -> int64 us)."""
     t = arr.type

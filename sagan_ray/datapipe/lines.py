@@ -1,4 +1,4 @@
-"""Line-level document cleaning — the C4 paragraph filters (Raffel et
+r"""Line-level document cleaning — the C4 paragraph filters (Raffel et
 al. 2020 §2.2): keep only lines that look like prose (≥ 3 words,
 terminal punctuation, not shouting all-caps), drop the rest, and emit
 per-document keep counts plus the cleaned text. Beyond the reference's
@@ -11,8 +11,16 @@ match_substring_regex — RE2 on both sides); kept lines reassemble into
 per-row lists via offset arithmetic and ONE ``binary_join`` call.
 ``binary_join`` has no large-list kernel in pyarrow 16 (CLAUDE.md), so
 the operator pins ``batch_size`` and uses 32-bit list offsets.
+
+Words: every metric here (ROUGE-N/L, BLEU, WER, the chrF candidate) and
+every DuckDB oracle splits on RE2 ``\s`` = ``[\t\n\f\r ]``. Python's
+``str.split()`` also splits on ``\v``, ``\x1c``-``\x1f``, ``\x85``,
+``\xa0`` and U+2000-U+3000, so the per-row Python paths (``rouge_l_recall``
+and the golden oracles) split with ``_words`` instead.
 """
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -24,6 +32,13 @@ MIN_WORDS = 3
 _WORD_RUN = r"\S+"
 _ENDS_PUNCT = r"[.!?\"]$"
 _HAS_LETTER = r"[A-Za-z]"
+_RE2_SPACE = re.compile(r"[\t\n\f\r ]+")
+
+
+def _words(text: str | None) -> list[str]:
+    """Whitespace tokens of ``text`` under RE2 ``\\s`` (the kernels'
+    ``split_pattern_regex(…, r"\\s+")`` with empty pieces dropped)."""
+    return [w for w in _RE2_SPACE.split(text or "") if w]
 
 
 def line_filter(ds, *, text_col: str = "text", id_col: str = "doc_id",
@@ -639,8 +654,8 @@ def rouge_l_recall(ds, *, ref_col: str, cand_col: str,
                                      pa.string())).to_pylist()
         out_l, out_t = [], []
         for r, c in zip(ref, cand):
-            ra = (r or "").split()
-            ca = (c or "").split()
+            ra = _words(r)
+            ca = _words(c)
             out_l.append(lcs(ra, ca))
             out_t.append(len(ra))
         lv = np.asarray(out_l, np.int64)

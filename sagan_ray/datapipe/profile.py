@@ -233,136 +233,3 @@ def validate_table(ds, constraints: list[tuple], *, ds_unique=None):
            .astype({"violations": "int64"})
            .sort_values(["kind", "col"]).reset_index(drop=True))
     return rd.from_arrow(pa.Table.from_pandas(out, preserve_index=False))
-
-
-def k_anonymity(ds, quasi_cols: list[str], k: int):
-    """k-anonymity audit over a quasi-identifier tuple — every
-    equivalence class (distinct quasi-identifier combination) with fewer
-    than ``k`` rows, with its row count: the records a privacy-preserving
-    release would have to suppress or generalize (Sweeney 2002). The
-    re-identification gate a pipeline runs AFTER ``pii_redact`` — direct
-    identifiers scrubbed, linkage risk through quasi-identifiers still
-    open.
-
-    Shape: per-batch groupby collapses each block to ≤|classes| count
-    partials (rows never shuffle), the quasi-key exchange sums them, and
-    the ``< k`` filter runs bucket-side — output is bounded by the
-    number of VIOLATING classes, never the table. Returns
-    (*quasi_cols, n_rows) rows where n_rows < k."""
-    import pandas as pd
-
-    from .exchange import hash_group_apply
-
-    cols = list(quasi_cols)
-
-    def part(tbl: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(tbl.select(cols), cols).aggregate(
-            [([], "count_all")])
-        assert g.column_names[:len(cols)] == cols
-        return g.rename_columns(cols + ["n"])
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        g = (df.groupby(cols, sort=False, observed=True)["n"]
-             .sum().reset_index())
-        g = g[g["n"] < k].rename(columns={"n": "n_rows"})
-        return g.astype({"n_rows": "int64"})
-
-    in_schema = ds.schema().base_schema      # parquet metadata, no exec
-    parts = ds.map_batches(part, batch_format="pyarrow",
-                           batch_size=65536)
-    schema = pa.schema([*((c, in_schema.field(c).type) for c in cols),
-                        ("n_rows", pa.int64())])
-    return hash_group_apply(parts, cols, bucket, out_schema=schema)
-
-
-def l_diversity(ds, quasi_cols: list[str], sensitive_col: str, l: int):
-    """l-diversity audit (Machanavajjhala et al. 2007) — the
-    k-anonymity companion for ATTRIBUTE disclosure: an equivalence
-    class whose rows all share one sensitive value leaks it even at
-    k-anonymous size. Returns every class whose DISTINCT
-    ``sensitive_col`` count is below ``l``, with (n_rows,
-    n_distinct).
-
-    Shape: each batch pre-collapses to its distinct (quasi...,
-    sensitive) tuples with partial row counts (dedupe-before-shuffle),
-    ONE quasi-key exchange merges them; the `< l` filter runs
-    bucket-side so output is bounded by violating classes."""
-    import pandas as pd
-
-    from .exchange import hash_group_apply
-
-    cols = list(quasi_cols)
-    both = cols + [sensitive_col]
-
-    def part(tbl: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(tbl.select(both), both).aggregate(
-            [([], "count_all")])
-        assert g.column_names[:len(both)] == both
-        return g.rename_columns(both + ["n"])
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        g = (df.groupby(both, sort=False, observed=True)["n"]
-             .sum().reset_index())
-        agg = (g.groupby(cols, sort=False, observed=True)
-               .agg(n_rows=("n", "sum"),
-                    n_distinct=(sensitive_col, "nunique"))
-               .reset_index())
-        agg = agg[agg["n_distinct"] < l]
-        return agg.astype({"n_rows": "int64", "n_distinct": "int64"})
-
-    in_schema = ds.schema().base_schema
-    parts = ds.map_batches(part, batch_format="pyarrow",
-                           batch_size=65536)
-    schema = pa.schema([*((c, in_schema.field(c).type) for c in cols),
-                        ("n_rows", pa.int64()),
-                        ("n_distinct", pa.int64())])
-    return hash_group_apply(parts, cols, bucket, out_schema=schema)
-
-
-def fk_violations(child, parent, *, child_key: str, parent_key: str):
-    """Referential-integrity check — the FOREIGN KEY expectation over
-    two snapshots: every ``child_key`` value with at least one child row
-    but NO matching ``parent_key`` row, with its orphan row count —
-    SQL's LEFT JOIN ... WHERE parent IS NULL GROUP BY key. Null child
-    keys never match anything in SQL and are EXCLUDED here too (gate
-    them with validate_table's not_null).
-
-    Shape: map-side per-batch combiners on BOTH sides (child collapses
-    to (key, n) partials, parent to distinct keys), then one side-tagged
-    union through the key exchange — only distinct-key-sized rows
-    shuffle, never child rows. Returns (<child_key>, n_rows)."""
-    import pandas as pd
-    import pyarrow.compute as pc
-
-    from .exchange import hash_group_apply
-
-    def child_part(tbl: pa.Table) -> pa.Table:
-        col = tbl.column(child_key).drop_null()
-        g = (pa.TableGroupBy(pa.table({"k": col}), "k")
-             .aggregate([([], "count_all")]))
-        g = g.rename_columns(["k", "n"])
-        return pa.table({"k": pc.cast(g.column("k"), pa.int64()),
-                         "n": pc.cast(g.column("n"), pa.int64()),
-                         "side": pa.array([0] * len(g), pa.int8())})
-
-    def parent_part(tbl: pa.Table) -> pa.Table:
-        k = pc.unique(tbl.column(parent_key).drop_null())
-        return pa.table({"k": pc.cast(k, pa.int64()),
-                         "n": pa.array([0] * len(k), pa.int64()),
-                         "side": pa.array([1] * len(k), pa.int8())})
-
-    sides = (child.map_batches(child_part, batch_format="pyarrow",
-                               batch_size=65536)
-             .union(parent.map_batches(parent_part, batch_format="pyarrow",
-                                       batch_size=65536)))
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        side = df["side"].to_numpy()
-        n_child = (df.loc[side == 0].groupby("k", sort=False)["n"].sum())
-        parent_keys = pd.unique(df.loc[side == 1, "k"])
-        orphan = n_child[~n_child.index.isin(parent_keys)]
-        return pd.DataFrame({child_key: orphan.index.to_numpy(np.int64),
-                             "n_rows": orphan.to_numpy(np.int64)})
-
-    schema = pa.schema([(child_key, pa.int64()), ("n_rows", pa.int64())])
-    return hash_group_apply(sides, ["k"], bucket, out_schema=schema)

@@ -137,7 +137,7 @@ def synth_web_docs(n: int, seed: int = 23) -> pa.Table:
     mega-domains), mixed http/https and bare/www-prefixed/MiXeD-case
     spellings so normalization is actually exercised. URLs are always
     space-delimited (see module docstring)."""
-    from .graph import _splitmix64
+    from .ann import _splitmix64
 
     words = ["data", "scan", "batch", "query", "table", "merge", "row",
              "filter", "sort", "group", "join", "value", "stream"]

@@ -1013,255 +1013,6 @@ def write_golden_mmr(sf_dir: str, *, n_queries: int, k: int,
     return _write(tbl, "embed_mmr")
 
 
-def write_golden_pq(sf_dir: str, *, n_queries: int, k: int, m_sub: int,
-                    n_codes: int, rerank: int, sample_size: int,
-                    seed: int) -> str:
-    """Expected output of ``embed_pq_topk``: a sequential product-
-    quantization search — per-row unit-grid quantization, SplitMix64
-    smallest-k sample (same spec function), per-subspace Lloyd's with
-    per-point code scans (strict ``<`` keeps the LOWEST code, matching
-    numpy argmin's first-occurrence), per-row encoding scans, per-query
-    ADC sums and an explicit global (adc desc, id) shortlist → exact-dot
-    rerank. Bit-identical to the distributed run BY CONSTRUCTION: every
-    distance/score term on both sides is an exact integer in float64
-    (grid coords ≤ 2^14), and the one float op per centroid update —
-    ``rint(S / n)`` — is the same elementwise IEEE division
-    (datapipe/ann.py::_pq_train docstring)."""
-    import pyarrow.parquet as pq
-
-    from ..datapipe.ann import _pq_bounds, _splitmix64, _unit_grid
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    raw = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
-    order = np.argsort(ids, kind="stable")
-    ids, raw = ids[order], raw[order]
-    grid = np.empty_like(raw)
-    for i in range(len(raw)):                     # per-row, sequential
-        grid[i] = _unit_grid(raw[i:i + 1])[0]
-    # queries = the n smallest vec_ids through the float32 query path
-    q32 = raw[:n_queries].astype(np.float32).astype(np.float64)
-    qgrid = np.empty_like(q32)
-    for c in range(n_queries):
-        qgrid[c] = _unit_grid(q32[c:c + 1])[0]
-
-    d = grid.shape[1]
-    bounds = _pq_bounds(d, m_sub)
-    h = _splitmix64(ids.astype(np.uint64) ^ np.uint64(seed))
-    samp_order = sorted(range(len(ids)),
-                        key=lambda i: (int(h[i]), int(ids[i])))
-    samp = [grid[i] for i in samp_order[:sample_size]]
-
-    books = []
-    for s in range(m_sub):
-        sub = [v[bounds[s]:bounds[s + 1]] for v in samp]
-        C = [sub[c].copy() for c in range(min(n_codes, len(sub)))]
-        for _ in range(8):
-            sums = [np.zeros(bounds[s + 1] - bounds[s]) for _ in C]
-            cnts = [0] * len(C)
-            for x in sub:
-                best, best_d = 0, None
-                for c in range(len(C)):
-                    cc = sum(int(v) * int(v) for v in C[c])
-                    dv = cc - 2 * int(np.dot(x, C[c]))   # exact ints
-                    if best_d is None or dv < best_d:
-                        best, best_d = c, dv
-                sums[best] += x
-                cnts[best] += 1
-            for c in range(len(C)):
-                if cnts[c]:
-                    C[c] = np.rint(sums[c] / cnts[c])
-        books.append(C)
-
-    def encode_row(v):
-        code = []
-        for s in range(m_sub):
-            x = v[bounds[s]:bounds[s + 1]]
-            best, best_d = 0, None
-            for c in range(len(books[s])):
-                cb = books[s][c]
-                cc = sum(int(w) * int(w) for w in cb)
-                dv = cc - 2 * int(np.dot(x, cb))
-                if best_d is None or dv < best_d:
-                    best, best_d = c, dv
-            code.append(best)
-        return code
-
-    codes = [encode_row(grid[i]) for i in range(len(ids))]
-
-    oq, ov, oc, orr = [], [], [], []
-    for qn in range(n_queries):
-        adc = []
-        for i in range(len(ids)):
-            s_tot = 0
-            for s in range(m_sub):
-                qs = qgrid[qn][bounds[s]:bounds[s + 1]]
-                s_tot += int(np.dot(books[s][codes[i][s]], qs))
-            adc.append((s_tot, int(ids[i]), i))
-        adc.sort(key=lambda r: (-r[0], r[1]))
-        short = adc[:rerank]
-        exact = [(int(np.dot(grid[i], qgrid[qn])), vid)
-                 for _, vid, i in short]
-        exact.sort(key=lambda r: (-r[0], r[1]))
-        for rank, (dot, vid) in enumerate(exact[:k], 1):
-            oq.append(qn)
-            ov.append(vid)
-            oc.append(float(dot))
-            orr.append(rank)
-    tbl = pa.table({"query_id": pa.array(oq, pa.int64()),
-                    "vec_id": pa.array(ov, pa.int64()),
-                    "cosine": pa.array(oc, pa.float64()),
-                    "rank": pa.array(orr, pa.int64())})
-    return _write(tbl, "embed_pq_topk")
-
-
-def write_golden_ivfpq(sf_dir: str, *, n_queries: int, k: int,
-                       n_cells: int, nprobe: int, m_sub: int,
-                       n_codes: int, rerank: int, sample_size: int,
-                       seed: int) -> str:
-    """Expected output of ``embed_ivfpq_index``: a sequential IVF-PQ —
-    the ivf golden's per-point kmeans, residual codebooks via per-point
-    Lloyd scans (strict ``<`` keeps the lowest code), per-row cell
-    assignment + residual encoding scans, and per-query ADC
-    (q·cent_cell + Σ_s book dots, all exact python ints) over the
-    probed cells' members with explicit global sorts. Bit-identical to
-    the distributed index BY CONSTRUCTION: every term on both sides is
-    an exact integer in float64 (grid coords ≤ 2^14, residuals ≤ 2^15)
-    and the centroid updates share the one IEEE division
-    (ann.py::build_ivfpq_index / search_ivfpq_index docstrings)."""
-    import pyarrow.parquet as pq
-
-    from ..datapipe.ann import IVF_FIX, _pq_bounds, _splitmix64
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    vecs = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
-    order = np.argsort(ids, kind="stable")
-    ids, vecs = ids[order], vecs[order]
-    unit = np.empty_like(vecs)
-    for i in range(len(vecs)):           # sequential per-row grid spec
-        g = np.rint(vecs[i] * IVF_FIX)
-        ss = sum(int(c) * int(c) for c in g)       # exact Python ints
-        n = float(np.sqrt(float(ss))) if ss else 1.0
-        unit[i] = np.rint(g / n * IVF_FIX)
-    q32 = vecs[:n_queries].astype(np.float32).astype(np.float64)
-    qgrid = np.empty_like(q32)
-    for c in range(n_queries):
-        g = np.rint(q32[c] * IVF_FIX)
-        ss = sum(int(v) * int(v) for v in g)
-        n = float(np.sqrt(float(ss))) if ss else 1.0
-        qgrid[c] = np.rint(g / n * IVF_FIX)
-
-    h = _splitmix64(ids.astype(np.uint64) ^ np.uint64(seed))
-    samp_order = sorted(range(len(ids)),
-                        key=lambda i: (int(h[i]), int(ids[i])))
-    samp = [unit[i] for i in samp_order[:sample_size]]
-
-    cent = [samp[c].copy() for c in range(min(n_cells, len(samp)))]
-    for _ in range(8):
-        sums = [np.zeros(vecs.shape[1]) for _ in cent]
-        cnts = [0] * len(cent)
-        for v in samp:
-            best, best_s = 0, -np.inf
-            for c in range(len(cent)):
-                s = float(np.dot(v, cent[c]))      # exact integer dot
-                if s > best_s:
-                    best, best_s = c, s
-            sums[best] += v
-            cnts[best] += 1
-        for c in range(len(cent)):
-            if cnts[c]:
-                S = sums[c]
-                ss = sum(int(x) * int(x) for x in S)
-                if ss > 0:
-                    cent[c] = np.rint(S / np.sqrt(float(ss)) * IVF_FIX)
-
-    def cell_of(v):
-        best, best_s = 0, -np.inf
-        for c in range(len(cent)):
-            s = float(np.dot(v, cent[c]))
-            if s > best_s:
-                best, best_s = c, s
-        return best
-
-    d = vecs.shape[1]
-    bounds = _pq_bounds(d, m_sub)
-    resid_samp = [v - cent[cell_of(v)] for v in samp]
-
-    books = []
-    for s in range(m_sub):
-        sub = [r[bounds[s]:bounds[s + 1]] for r in resid_samp]
-        C = [sub[c].copy() for c in range(min(n_codes, len(sub)))]
-        for _ in range(8):
-            sums = [np.zeros(bounds[s + 1] - bounds[s]) for _ in C]
-            cnts = [0] * len(C)
-            for x in sub:
-                best, best_d = 0, None
-                for c in range(len(C)):
-                    cc = sum(int(v) * int(v) for v in C[c])
-                    dv = cc - 2 * int(np.dot(x, C[c]))   # exact ints
-                    if best_d is None or dv < best_d:
-                        best, best_d = c, dv
-                sums[best] += x
-                cnts[best] += 1
-            for c in range(len(C)):
-                if cnts[c]:
-                    C[c] = np.rint(sums[c] / cnts[c])
-        books.append(C)
-
-    assign = np.empty(len(ids), dtype=np.int64)
-    codes = []
-    for i in range(len(ids)):
-        cc_i = cell_of(unit[i])
-        assign[i] = cc_i
-        r = unit[i] - cent[cc_i]
-        code = []
-        for s in range(m_sub):
-            x = r[bounds[s]:bounds[s + 1]]
-            best, best_d = 0, None
-            for c in range(len(books[s])):
-                cb = books[s][c]
-                cc = sum(int(w) * int(w) for w in cb)
-                dv = cc - 2 * int(np.dot(x, cb))
-                if best_d is None or dv < best_d:
-                    best, best_d = c, dv
-            code.append(best)
-        codes.append(code)
-
-    oq, ov, oc, orr = [], [], [], []
-    for qn in range(n_queries):
-        sims = [(float(np.dot(qgrid[qn], cent[c])), c)
-                for c in range(len(cent))]
-        cells = [c for _, c in
-                 sorted(sims, key=lambda sc: (-sc[0], sc[1]))][:nprobe]
-        cand = []
-        for i in range(len(ids)):
-            if assign[i] not in cells:
-                continue
-            s_tot = int(np.dot(qgrid[qn], cent[assign[i]]))
-            for s in range(m_sub):
-                qs = qgrid[qn][bounds[s]:bounds[s + 1]]
-                s_tot += int(np.dot(books[s][codes[i][s]], qs))
-            cand.append((s_tot, int(ids[i]), i))
-        cand.sort(key=lambda r: (-r[0], r[1]))
-        short = cand[:rerank]
-        exact = [(int(np.dot(unit[i], qgrid[qn])), vid)
-                 for _, vid, i in short]
-        exact.sort(key=lambda r: (-r[0], r[1]))
-        for rank, (dot, vid) in enumerate(exact[:k], 1):
-            oq.append(qn)
-            ov.append(vid)
-            oc.append(float(dot))
-            orr.append(rank)
-    tbl = pa.table({"query_id": pa.array(oq, pa.int64()),
-                    "vec_id": pa.array(ov, pa.int64()),
-                    "cosine": pa.array(oc, pa.float64()),
-                    "rank": pa.array(orr, pa.int64())})
-    return _write(tbl, "embed_ivfpq_index")
-
-
 def write_golden_embed_outliers(sf_dir: str, *, k: int, n_iters: int,
                                 q: float, bucket_shift: int) -> str:
     """Expected output of ``embed_outliers``: the sequential fixed-point
@@ -1343,68 +1094,6 @@ def write_golden_embed_outliers(sf_dir: str, *, k: int, n_iters: int,
                     "cluster": pa.array(oc, pa.int64()),
                     "d2": pa.array(od, pa.int64())})
     return _write(tbl, "embed_outliers")
-
-
-def write_golden_pagerank(n_nodes: int, seed: int, *,
-                          n_iters: int) -> str:
-    """Expected output of ``graph_pagerank``: the exact-integer PageRank
-    recurrence (datapipe/graph.py docstring) evaluated SEQUENTIALLY —
-    per-edge Python loops, no broadcast, no partial vectors, no Ray.
-    Exact int64 arithmetic on both sides makes the comparison bit-exact
-    regardless of how the distributed run blocks or reduces."""
-    from ..datapipe.graph import PR_GRID, synth_link_graph
-
-    edges = synth_link_graph(n_nodes, seed=seed)
-    src = edges.column("src").to_pylist()
-    dst = edges.column("dst").to_pylist()
-    deg = [0] * n_nodes
-    for u in src:
-        deg[u] += 1
-    r = [PR_GRID] * n_nodes
-    s_total = n_nodes * PR_GRID
-    d_num, d_den = 85, 100
-    base = (d_den - d_num) * (s_total // n_nodes) // d_den
-    for _ in range(n_iters):
-        contrib = [r[u] // deg[u] if deg[u] else 0 for u in range(n_nodes)]
-        dangling = sum(r[u] for u in range(n_nodes) if deg[u] == 0)
-        in_v = [0] * n_nodes
-        for u, v in zip(src, dst):
-            in_v[v] += contrib[u]
-        r = [base + d_num * (in_v[v] + dangling // n_nodes) // d_den
-             for v in range(n_nodes)]
-    tbl = pa.table({"node": pa.array(list(range(n_nodes)), pa.int64()),
-                    "rank": pa.array(r, pa.int64())})
-    return _write(tbl, "graph_pagerank")
-
-
-def write_golden_kcore(n_nodes: int, seed: int, *, k: int) -> str:
-    """Expected output of ``graph_kcore``: ONE-AT-A-TIME sequential
-    peeling with python sets/dicts — repeatedly delete any single node
-    of degree < k until none remains (the textbook algorithm). The
-    k-core is the unique maximal subgraph with min degree ≥ k, so this
-    and the distributed batch-deletion fixpoint agree exactly; final
-    (node, in-core degree) rows, node-sorted."""
-    from ..datapipe.graph import synth_link_graph
-
-    edges = synth_link_graph(n_nodes, seed=seed)
-    adj: dict[int, set[int]] = {}
-    for u, v in zip(edges.column("src").to_pylist(),
-                    edges.column("dst").to_pylist()):
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    changed = True
-    while changed:
-        changed = False
-        for u in list(adj):
-            if len(adj[u]) < k:
-                for v in adj.pop(u):
-                    adj[v].discard(u)
-                changed = True
-    nodes = sorted(adj)
-    tbl = pa.table({"node": pa.array(nodes, pa.int64()),
-                    "deg": pa.array([len(adj[u]) for u in nodes],
-                                    pa.int64())})
-    return _write(tbl, "graph_kcore")
 
 
 def write_golden_kcenter(sf_dir: str, *, k: int) -> str:
@@ -1730,75 +1419,6 @@ def write_golden_knn_graph_ivf(sf_dir: str, *, k: int, n_cells: int,
     return _write(tbl, "embed_knn_graph_ivf")
 
 
-def write_golden_label_prop(sf_dir: str, *, k: int, n_iters: int,
-                            seed_mod: int) -> str:
-    """Expected output of ``embed_label_prop``: the
-    write_golden_knn_graph sequential edge construction (per-row grid,
-    double-loop dots, (dot desc, id asc) top-k, mutual intersection)
-    followed by an explicit per-edge synchronous propagation loop with
-    Python-dict vote counts — argmax ties to the LOWEST label id, a
-    node with no labeled neighbor keeps its current label, seeds
-    (vec_id % seed_mod == 0) immutable."""
-    import pyarrow.parquet as pq
-
-    from ..datapipe.ann import _unit_grid
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding", "label"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    raw = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
-    true_lab = np.asarray(t.column("label").to_pylist(), dtype=np.int64)
-    order = np.argsort(ids, kind="stable")
-    ids, raw, true_lab = ids[order], raw[order], true_lab[order]
-    n = len(ids)
-    grid = np.empty_like(raw)
-    for i in range(n):
-        grid[i] = _unit_grid(raw[i:i + 1])[0]
-    gi = grid.astype(np.int64)
-
-    topk = {}
-    for i in range(n):
-        cand = []
-        for j in range(n):
-            if j != i:
-                cand.append((int(ids[j]), int(np.dot(gi[i], gi[j]))))
-        cand.sort(key=lambda p: (-p[1], p[0]))
-        topk[int(ids[i])] = [p[0] for p in cand[:k]]
-    adj: dict[int, list[int]] = {int(v): [] for v in ids}
-    for i in range(n):
-        a = int(ids[i])
-        for b in topk[a]:
-            if a < b and a in topk[b]:
-                adj[a].append(b)
-                adj[b].append(a)
-
-    lab = {int(ids[i]): (int(true_lab[i]) if ids[i] % seed_mod == 0
-                         else -1) for i in range(n)}
-    seeds = {v for v in lab if v % seed_mod == 0}
-    n_labels = max(lab.values()) + 1
-    for _ in range(n_iters):
-        new = {}
-        for v in lab:
-            votes = [0] * n_labels
-            for u in adj[v]:
-                if lab[u] >= 0:
-                    votes[lab[u]] += 1
-            if v in seeds or sum(votes) == 0:
-                new[v] = lab[v]
-            else:
-                best = 0
-                for c in range(1, n_labels):     # strict > keeps lowest
-                    if votes[c] > votes[best]:
-                        best = c
-                new[v] = best
-        lab = new
-    nodes = sorted(lab)
-    tbl = pa.table({"node": pa.array(nodes, pa.int64()),
-                    "label": pa.array([lab[v] for v in nodes],
-                                      pa.int64())})
-    return _write(tbl, "embed_label_prop")
-
-
 def write_golden_minhash_calibration(sf_dir: str, *, k: int, n_perm: int,
                                      bands: int, seed: int) -> str:
     """Expected (a, b, matches) for ``dedup_minhash_calibration``: a
@@ -1854,15 +1474,16 @@ def write_golden_rouge_l(sf_dir: str) -> str:
     different mechanics). rouge_l = one int/int division."""
     import pyarrow.parquet as pq
 
+    from ..datapipe.lines import _words
+
     t = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
                       columns=["doc_id", "text"])
     rows = []
     for did, text in zip(t.column("doc_id").to_pylist(),
                          t.column("text").to_pylist()):
-        w = (text or "").strip().split()
-        head = w[:10]
+        head = _words((text or "").strip())[:10]
         cand_tokens = [tok.lower() for tok in head + head]
-        ref = [tok.lower() for tok in w]
+        ref = _words((text or "").lower())
         m, n = len(ref), len(cand_tokens)
         dp = [[0] * (n + 1) for _ in range(m + 1)]
         for i in range(1, m + 1):
@@ -1899,15 +1520,15 @@ def write_golden_bleu(sf_dir: str, max_n: int = 4) -> str:
 
     import pyarrow.parquet as pq
 
-    from ..datapipe.lines import _bleu_from_counts
+    from ..datapipe.lines import _bleu_from_counts, _words
 
     t = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
                       columns=["doc_id", "text"])
     ids, clip_rows, tot_rows, rl_rows, cl_rows = [], [], [], [], []
     for did, text in zip(t.column("doc_id").to_pylist(),
                          t.column("text").to_pylist()):
-        ref = [w for w in (text or "").lower().split()]
-        head = (text or "").strip().split()[:10]
+        ref = _words((text or "").lower())
+        head = _words((text or "").strip())[:10]
         cand = [w.lower() for w in head + head]
         clips, tots = [], []
         for ng in range(1, max_n + 1):
@@ -1954,7 +1575,7 @@ def write_golden_chrf(sf_dir: str, max_n: int = 6) -> str:
 
     import pyarrow.parquet as pq
 
-    from ..datapipe.lines import _chrf_from_counts
+    from ..datapipe.lines import _chrf_from_counts, _words
 
     _ws = frozenset(b"\t\n\x0b\x0c\r ")
 
@@ -1963,7 +1584,7 @@ def write_golden_chrf(sf_dir: str, max_n: int = 6) -> str:
     ids, clip_r, ctot_r, rtot_r = [], [], [], []
     for did, text in zip(t.column("doc_id").to_pylist(),
                          t.column("text").to_pylist()):
-        head = (text or "").strip().split()[:10]
+        head = _words((text or "").strip())[:10]
         cand_s = " ".join(head) + " " + " ".join(head)
         cand = bytes(c for c in cand_s.lower().encode("utf-8")
                      if c not in _ws)
@@ -2022,42 +1643,6 @@ def write_golden_corpus_bleu(sf_dir: str, max_n: int = 4) -> str:
     return _write(pa.table(cols), "text_bleu_corpus")
 
 
-def write_golden_mst(edges_tbl: "pa.Table") -> str:
-    """Expected output of ``graph_mst``: sequential KRUSKAL over the
-    same unique canonical (a, b, w) edges, sorted by the packed
-    (w, a, b) pseudo-weight — the strict total order under which the
-    MSF is unique, so the distributed Borůvka in
-    datapipe/graph.py::minimum_spanning_forest must produce the
-    IDENTICAL edge set (different algorithm, same spec). Plain
-    union-find, no numpy in the accumulation."""
-    a = edges_tbl.column("a").to_pylist()
-    b = edges_tbl.column("b").to_pylist()
-    w = edges_tbl.column("w").to_pylist()
-    order = sorted(range(len(a)), key=lambda i: (w[i], a[i], b[i]))
-    parent: dict = {}
-
-    def find(x):
-        r = x
-        while parent.get(r, r) != r:
-            r = parent[r]
-        while parent.get(x, x) != x:
-            parent[x], x = r, parent[x]
-        return r
-
-    rows = []
-    for i in order:
-        ra, rb = find(a[i]), find(b[i])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            rows.append((a[i], b[i], w[i]))
-    rows.sort()
-    tbl = pa.table({
-        "a": pa.array([r[0] for r in rows], pa.int64()),
-        "b": pa.array([r[1] for r in rows], pa.int64()),
-        "w": pa.array([r[2] for r in rows], pa.int64())})
-    return _write(tbl, "graph_mst")
-
-
 def write_golden_corpus_chrf(sf_dir: str, max_n: int = 6) -> str:
     """Expected output of ``text_chrf_corpus``: the write_golden_chrf
     sequential byte-substring derivation re-run (cheap), components
@@ -2066,7 +1651,7 @@ def write_golden_corpus_chrf(sf_dir: str, max_n: int = 6) -> str:
 
     import pyarrow.parquet as pq
 
-    from ..datapipe.lines import _chrf_from_counts
+    from ..datapipe.lines import _chrf_from_counts, _words
 
     _ws = frozenset(b"\t\n\x0b\x0c\r ")
     t = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
@@ -2075,7 +1660,7 @@ def write_golden_corpus_chrf(sf_dir: str, max_n: int = 6) -> str:
     ctot = np.zeros((1, max_n), np.int64)
     rtot = np.zeros((1, max_n), np.int64)
     for text in t.column("text").to_pylist():
-        head = (text or "").strip().split()[:10]
+        head = _words((text or "").strip())[:10]
         cand_s = " ".join(head) + " " + " ".join(head)
         cand = bytes(c for c in cand_s.lower().encode("utf-8")
                      if c not in _ws)
@@ -2100,73 +1685,3 @@ def write_golden_corpus_chrf(sf_dir: str, max_n: int = 6) -> str:
         cols[f"rtot{j + 1}"] = pa.array([int(rtot[0, j])], pa.int64())
     cols["chrf"] = pa.array(score, pa.float64())
     return _write(pa.table(cols), "text_chrf_corpus")
-
-
-def write_golden_betweenness(n_nodes: int, seed: int,
-                             sources: list) -> str:
-    """Expected output of ``graph_betweenness``: sequential Brandes
-    from the same pivot set over the same unique undirected edge set.
-    σ is exact int; each backward level iterates the DAG edges in
-    (v asc, w asc) order with plain float adds — the operator folds
-    the identical elementwise contributions with np.add.at in the
-    identical order, so the floats are bit-equal."""
-    from ..datapipe.graph import dedup_undirected, synth_link_graph
-
-    import ray.data as rd
-
-    ded = dedup_undirected(
-        rd.from_arrow(synth_link_graph(n_nodes, seed=seed)))
-    import pyarrow as _pa
-    tbl = _pa.concat_tables(list(ded.iter_batches(
-        batch_format="pyarrow")))
-    a = tbl.column("a").to_pylist()
-    b = tbl.column("b").to_pylist()
-    adj: dict = {}
-    for x, y in zip(a, b):
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-
-    bc = [0.0] * n_nodes
-    for s in sources:
-        dist = [-1] * n_nodes
-        sigma = [0] * n_nodes
-        dist[s] = 0
-        sigma[s] = 1
-        frontier = [s]
-        levels = [[s]]
-        while frontier:
-            nxt = set()
-            for v in frontier:
-                for w in adj.get(v, ()):
-                    if dist[w] == -1:
-                        nxt.add(w)
-            nxt = sorted(nxt)
-            for w in nxt:
-                dist[w] = len(levels)
-                sigma[w] = sum(sigma[v] for v in adj.get(w, ())
-                               if dist[v] == len(levels) - 1)
-            if not nxt:
-                break
-            levels.append(nxt)
-            frontier = nxt
-        delta = [0.0] * n_nodes
-        for L in range(len(levels) - 1, 0, -1):
-            # DAG edges (v at L-1, w at L) in (v, w) order — the
-            # operator's np.add.at order
-            dag = sorted(
-                (v, w)
-                for x, y in zip(a, b)
-                for (v, w) in ((x, y), (y, x))
-                if dist[v] == L - 1 and dist[w] == L)
-            for v, w in dag:
-                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
-        delta[s] = 0.0
-        for i in range(n_nodes):
-            bc[i] += delta[i]
-
-    out = pa.table({
-        "node": pa.array(np.arange(n_nodes, dtype=np.int64),
-                         pa.int64()),
-        "betweenness": pa.array(np.asarray(bc, np.float64),
-                                pa.float64())})
-    return _write(out, "graph_betweenness")

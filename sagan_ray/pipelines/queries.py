@@ -189,7 +189,6 @@ alert any any any -> any any (msg:"purchase after error"; content:"purchase"; xb
 """
 
 
-
 def _typed(df: pd.DataFrame, cols: dict[str, str]) -> pd.DataFrame:
     """Reindex to the expected columns (robust to empty Ray results, which
     lose their schema) and apply dtypes."""
@@ -1033,130 +1032,6 @@ FROM events ORDER BY event_id
 """
 
 
-def q_orders_revenue(sf_dir: str):
-    """Revenue per order priority through the generic distributed hash
-    equi-join (orders × lineitem — symmetric large-×-large, no
-    broadcast side), then a partial-aggregate groupby."""
-    import pyarrow.compute as pac
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from ..datapipe.joins import hash_join
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_orderpriority"])
-    line = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"]
-    ).map_batches(
-        lambda t: t.rename_columns(
-            ["o_orderkey", "l_extendedprice", "l_discount"]),
-        batch_format="pyarrow")
-
-    joined = hash_join(orders, line, on="o_orderkey",
-                       left_cols=["o_orderpriority"],
-                       right_cols=["l_extendedprice", "l_discount"])
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        rev = pac.multiply(
-            tbl.column("r_l_extendedprice"),
-            pac.subtract(pa.scalar(1.0), tbl.column("r_l_discount")))
-        t = pa.table({"o_orderpriority": tbl.column("o_orderpriority"),
-                      "rev": rev})
-        g = pa.TableGroupBy(t, "o_orderpriority").aggregate(
-            [("rev", "sum"), ([], "count_all")])
-        return g.rename_columns(["o_orderpriority", "rev", "n"])
-
-    out = (joined.map_batches(partial, batch_format="pyarrow")
-           .groupby("o_orderpriority")
-           .aggregate(Sum("rev", alias_name="revenue"),
-                      Sum("n", alias_name="n"))
-           .to_pandas())
-    out["revenue"] = out["revenue"].round(2)
-    out["n"] = out["n"].astype("int64")
-    return (out.sort_values("o_orderpriority").reset_index(drop=True)
-            [["o_orderpriority", "revenue", "n"]])
-
-
-SQL_ORDERS_REVENUE = """
-SELECT o_orderpriority,
-       round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue,
-       count(*) AS n
-FROM orders JOIN lineitem ON o_orderkey = l_orderkey
-GROUP BY o_orderpriority ORDER BY o_orderpriority
-"""
-
-
-def q_join_bloom(sf_dir: str):
-    """Revenue of URGENT orders by order status, with lineitem pruned
-    map-side by a Bloom bitmap of the filtered orders' keys BEFORE the
-    join exchange (``joins.bloom_semijoin``). A Bloom filter has no
-    false negatives, so the result is exactly the plain join's — the
-    prune only cuts the big side's shuffle bytes (~80 % here, ~the
-    semi-join selectivity at 100 TB)."""
-    import pyarrow.compute as pac
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from ..datapipe.joins import bloom_semijoin, hash_join
-
-    def urgent_orders(cols):
-        def keep(t: pa.Table) -> pa.Table:
-            m = pac.equal(t.column("o_orderpriority"), "1-URGENT")
-            return t.filter(m).select(cols)
-        return rd.read_parquet(
-            f"{sf_dir}/orders.parquet",
-            columns=list(dict.fromkeys(cols + ["o_orderpriority"])),
-        ).map_batches(keep, batch_format="pyarrow")
-
-    line = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"]
-    ).map_batches(
-        lambda t: t.rename_columns(
-            ["o_orderkey", "l_extendedprice", "l_discount"]),
-        batch_format="pyarrow")
-
-    # separate DAGs for the bitmap build and the join input so neither
-    # consumption re-executes the other's prefix (CLAUDE.md lesson)
-    pruned = bloom_semijoin(line, urgent_orders(["o_orderkey"]),
-                            on="o_orderkey")
-    joined = hash_join(urgent_orders(["o_orderkey", "o_orderstatus"]),
-                       pruned, on="o_orderkey",
-                       left_cols=["o_orderstatus"],
-                       right_cols=["l_extendedprice", "l_discount"])
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        rev = pac.multiply(
-            tbl.column("r_l_extendedprice"),
-            pac.subtract(pa.scalar(1.0), tbl.column("r_l_discount")))
-        t = pa.table({"o_orderstatus": tbl.column("o_orderstatus"),
-                      "rev": rev})
-        g = pa.TableGroupBy(t, "o_orderstatus").aggregate(
-            [("rev", "sum"), ([], "count_all")])
-        return g.rename_columns(["o_orderstatus", "rev", "n"])
-
-    out = (joined.map_batches(partial, batch_format="pyarrow")
-           .groupby("o_orderstatus")
-           .aggregate(Sum("rev", alias_name="revenue"),
-                      Sum("n", alias_name="n"))
-           .to_pandas())
-    out["revenue"] = out["revenue"].round(2)
-    out["n"] = out["n"].astype("int64")
-    return (out.sort_values("o_orderstatus").reset_index(drop=True)
-            [["o_orderstatus", "revenue", "n"]])
-
-
-SQL_JOIN_BLOOM = """
-SELECT o_orderstatus,
-       round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue,
-       count(*) AS n
-FROM orders JOIN lineitem ON o_orderkey = l_orderkey
-WHERE o_orderpriority = '1-URGENT'
-GROUP BY o_orderstatus ORDER BY o_orderstatus
-"""
-
-
 def q_events_asof(sf_dir: str):
     """For each purchase, the most recent prior-or-equal click by the
     same user (backward as-of join via the hash exchange; unmatched
@@ -1239,187 +1114,6 @@ SELECT s.event_id AS signup_id, count(e.event_id)::BIGINT AS n_in_window
 FROM s LEFT JOIN events e
   ON e.ts >= s.ts AND e.ts < s.ts + INTERVAL 30 MINUTE
 GROUP BY s.event_id ORDER BY signup_id
-"""
-
-
-def q_lineitem_agg(sf_dir: str):
-    """TPC-H-q1-style grouped aggregate over lineitem (pre-aggregated
-    partials; monetary sums rounded to 2dp for float-order stability)."""
-    import ray.data as rd
-    from ray.data.aggregate import Max, Min, Sum
-
-    ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_returnflag", "l_linestatus",
-                                  "l_quantity", "l_extendedprice"])
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(tbl, ["l_returnflag", "l_linestatus"]).aggregate(
-            [("l_quantity", "sum"), ("l_extendedprice", "sum"),
-             ("l_extendedprice", "max"), ("l_extendedprice", "min"),
-             ([], "count_all")])
-        return g.rename_columns(["l_returnflag", "l_linestatus", "sum_qty",
-                                 "sum_price", "max_price", "min_price", "n"])
-
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby(["l_returnflag", "l_linestatus"])
-           .aggregate(Sum("sum_qty", alias_name="sum_qty"),
-                      Sum("sum_price", alias_name="sum_price"),
-                      Max("max_price", alias_name="max_price"),
-                      Min("min_price", alias_name="min_price"),
-                      Sum("n", alias_name="n"))
-           .to_pandas())
-    out["sum_qty"] = out["sum_qty"].round(2)
-    out["sum_price"] = out["sum_price"].round(2)
-    out["n"] = out["n"].astype("int64")
-    return (out.sort_values(["l_returnflag", "l_linestatus"])
-            .reset_index(drop=True)
-            [["l_returnflag", "l_linestatus", "sum_qty", "sum_price",
-              "max_price", "min_price", "n"]])
-
-
-SQL_LINEITEM_AGG = """
-SELECT l_returnflag, l_linestatus,
-       round(sum(l_quantity), 2) AS sum_qty,
-       round(sum(l_extendedprice), 2) AS sum_price,
-       max(l_extendedprice) AS max_price,
-       min(l_extendedprice) AS min_price,
-       count(*) AS n
-FROM lineitem GROUP BY l_returnflag, l_linestatus
-ORDER BY l_returnflag, l_linestatus
-"""
-
-
-def q_customer_returns(sf_dir: str):
-    """TPC-H Q10 shape: revenue lost to returned items, top 20
-    customers — the full multi-join plan in Ray Data form. lineitem is
-    PRUNED AT THE READ (returnflag='R' pushed into the parquet scan,
-    3 of 11 columns), pre-aggregated per orderkey INSIDE each batch
-    (combiner before the wide step), equi-joined with orders through
-    ONE hash exchange (datapipe/joins.py::hash_join — the symmetric
-    large×large shape; orders ships only 2 columns), re-aggregated per
-    custkey map-side so only |customers| rows reach the driver, where
-    the tiny customer/nation name lookups attach. Order: (rounded
-    revenue desc, custkey) on both sides."""
-    import pyarrow.compute as pac
-    import pyarrow.parquet as pq
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from ..datapipe.joins import hash_join
-
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
-        filter=pac.field("l_returnflag") == "R")
-
-    def per_order(tbl: pa.Table) -> pa.Table:
-        rev = (tbl.column("l_extendedprice").to_numpy()
-               * (1.0 - tbl.column("l_discount").to_numpy()))
-        t = pa.table({"o_orderkey": tbl.column("l_orderkey"),
-                      "rev": pa.array(rev, pa.float64())})
-        return (pa.TableGroupBy(t, "o_orderkey")
-                .aggregate([("rev", "sum")])
-                .rename_columns(["o_orderkey", "rev"]))
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey"])
-    joined = hash_join(
-        li.map_batches(per_order, batch_format="pyarrow"),
-        orders, on="o_orderkey", left_cols=["rev"],
-        right_cols=["o_custkey"])
-
-    def per_cust(tbl: pa.Table) -> pa.Table:
-        return (pa.TableGroupBy(tbl.select(["r_o_custkey", "rev"]),
-                                "r_o_custkey")
-                .aggregate([("rev", "sum")])
-                .rename_columns(["c_custkey", "revenue"]))
-
-    per = (joined.map_batches(per_cust, batch_format="pyarrow")
-           .groupby("c_custkey")
-           .aggregate(Sum("revenue", alias_name="revenue"))
-           .to_pandas())
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_name",
-                                  "c_nationkey"]).to_pandas()
-    nation = pq.read_table(f"{sf_dir}/nation.parquet",
-                           columns=["n_nationkey", "n_name"]).to_pandas()
-    out = per.merge(cust, on="c_custkey").merge(
-        nation, left_on="c_nationkey", right_on="n_nationkey")
-    out["revenue"] = out["revenue"].round(2)
-    out = (out.sort_values(["revenue", "c_custkey"],
-                           ascending=[False, True]).head(20)
-           .reset_index(drop=True))
-    return _typed(out, {"c_custkey": "int64", "c_name": "object",
-                        "n_name": "object", "revenue": "float64"})
-
-
-SQL_CUSTOMER_RETURNS = """
-SELECT c_custkey, c_name, n_name,
-       round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue
-FROM lineitem
-JOIN orders   ON l_orderkey  = o_orderkey
-JOIN customer ON c_custkey   = o_custkey
-JOIN nation   ON n_nationkey = c_nationkey
-WHERE l_returnflag = 'R'
-GROUP BY 1, 2, 3
-ORDER BY round(sum(l_extendedprice * (1 - l_discount)), 2) DESC,
-         c_custkey
-LIMIT 20
-"""
-
-
-def q_orders_by_nation(sf_dir: str):
-    """Broadcast-join demo: orders ⨝ customer ⨝ nation (both small sides
-    shipped once via ray.put; lookup per batch — never a shuffle join)."""
-    import ray
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    # broadcast the small sides as ARRAYS (two vectorized index_in +
-    # take gathers per batch: custkey→nationkey→name); a python dict
-    # would grow with the customer table and force a per-row loop
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"])
-    nation = pq.read_table(f"{sf_dir}/nation.parquet",
-                           columns=["n_nationkey", "n_name"])
-    ref = ray.put((cust.column("c_custkey").combine_chunks(),
-                   cust.column("c_nationkey").combine_chunks(),
-                   nation.column("n_nationkey").combine_chunks(),
-                   nation.column("n_name").combine_chunks()))
-
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                         columns=["o_custkey", "o_totalprice"])
-
-    def attach(tbl: pa.Table) -> pa.Table:
-        ckey, cnat, nkey, nname = ray.get(ref)
-        nat = cnat.take(pc.index_in(tbl.column("o_custkey"), value_set=ckey))
-        names = nname.take(pc.index_in(nat, value_set=nkey))
-        t = tbl.append_column(
-            "nation", pc.cast(pc.fill_null(names, "UNKNOWN"), pa.string()))
-        g = pa.TableGroupBy(t.select(["nation", "o_totalprice"]),
-                            "nation").aggregate(
-            [("o_totalprice", "sum"), ([], "count_all")])
-        return g.rename_columns(["nation", "total", "n_orders"])
-
-    out = (ds.map_batches(attach, batch_format="pyarrow")
-           .groupby("nation").aggregate(Sum("total", alias_name="total"),
-                                        Sum("n_orders", alias_name="n_orders"))
-           .to_pandas())
-    out["total"] = out["total"].round(2)
-    out["n_orders"] = out["n_orders"].astype("int64")
-    return (out.sort_values("nation").reset_index(drop=True)
-            [["nation", "total", "n_orders"]])
-
-
-SQL_ORDERS_BY_NATION = """
-SELECT n.n_name AS nation, round(sum(o.o_totalprice), 2) AS total,
-       count(*) AS n_orders
-FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-JOIN nation n ON c.c_nationkey = n.n_nationkey
-GROUP BY n.n_name ORDER BY nation
 """
 
 
@@ -2705,663 +2399,6 @@ ORDER BY m.event_type
 """
 
 
-def q_top_supplier(sf_dir: str):
-    """TPC-H Q15 shape (top supplier by quarter revenue): revenue per
-    supplier over 1997Q1 shipments, return the max-revenue
-    supplier(s) — ties included, the view-based Q15 semantics. Plan:
-    the scan pushes the date window + column prune; each batch
-    pre-collapses to per-supplier cents partials on the
-    floor(p·(1−d)·100+0.5) grid (operand-identical expr in the SQL,
-    exact int64 sums — layout-free); the ~|suppliers| histogram folds
-    driver-side and the name attaches from the tiny supplier table."""
-    import datetime as _dt
-
-    import pyarrow.compute as pac
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    lo, hi = _dt.datetime(1997, 1, 1), _dt.datetime(1997, 4, 1)
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_suppkey", "l_extendedprice", "l_discount"],
-        filter=(pac.field("l_shipdate") >= lo)
-        & (pac.field("l_shipdate") < hi))
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        p = tbl.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        d = tbl.column("l_discount").to_numpy(zero_copy_only=False)
-        cents = np.floor(p * (1.0 - d) * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"s": tbl.column("l_suppkey"),
-                      "c": pa.array(cents, pa.int64())})
-        g = pa.TableGroupBy(t, "s").aggregate([("c", "sum")])
-        return g.rename_columns(["s", "c"])
-
-    h = (li.map_batches(partial, batch_format="pyarrow",
-                        batch_size=65536).to_pandas()
-         .groupby("s", sort=True)["c"].sum())
-    top = int(h.max())
-    winners = h[h == top].reset_index()
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_name"]).to_pandas()
-    out = winners.rename(columns={"s": "s_suppkey",
-                                  "c": "revenue_cents"}).merge(
-        supp, on="s_suppkey", how="left")
-    out["total_revenue"] = out["revenue_cents"] / 100.0
-    out = out[["s_suppkey", "s_name", "revenue_cents",
-               "total_revenue"]]
-    out = _typed(out, {"s_suppkey": "int64", "s_name": "str",
-                       "revenue_cents": "int64",
-                       "total_revenue": "float64"})
-    return out.sort_values("s_suppkey").reset_index(drop=True)
-
-
-SQL_TOP_SUPPLIER = """
-WITH rev AS (
-  SELECT l_suppkey AS s_suppkey,
-         sum(CAST(floor(l_extendedprice * (1 - l_discount) * 100.0
-                        + 0.5) AS BIGINT)) AS revenue_cents
-  FROM lineitem
-  WHERE l_shipdate >= TIMESTAMP '1997-01-01'
-    AND l_shipdate <  TIMESTAMP '1997-04-01'
-  GROUP BY 1)
-SELECT s_suppkey, s_name, revenue_cents,
-       revenue_cents / 100.0 AS total_revenue
-FROM rev JOIN supplier USING (s_suppkey)
-WHERE revenue_cents = (SELECT max(revenue_cents) FROM rev)
-ORDER BY s_suppkey
-"""
-
-
-def q_nations_local_volume(sf_dir: str):
-    """TPC-H Q5 shape (local supplier volume): revenue per ASIA nation
-    from line items where the CUSTOMER and the SUPPLIER share the
-    nation, over a two-year order window. Plan: the three dimension
-    sides (region→nation names, custkey→nationkey, suppkey→nationkey)
-    BROADCAST as sorted int arrays; orders pushes its date window into
-    the scan and pre-collapses to (orderkey, c_nationkey) map-side;
-    ONE orderkey hash exchange joins lineitem's (orderkey, suppkey,
-    cents) rows to it; the s_nation == c_nation filter and the
-    per-nation cents fold happen in-bucket. Cents grid throughout."""
-    import datetime as _dt
-
-    import pyarrow.compute as pac
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    from ..datapipe.joins import hash_join
-
-    nat = pq.read_table(f"{sf_dir}/nation.parquet")
-    reg = pq.read_table(f"{sf_dir}/region.parquet",
-                        filters=[("r_name", "==", "ASIA")])
-    rkeys = set(reg.column("r_regionkey").to_pylist())
-    keep = [i for i, rk in enumerate(
-        nat.column("n_regionkey").to_pylist()) if rk in rkeys]
-    nat = nat.take(pa.array(keep))
-    nkeys = nat.column("n_nationkey").to_numpy(zero_copy_only=False)
-    nnames = nat.column("n_name").to_pylist()
-    order_n = np.argsort(nkeys)
-    nat_ref = ray.put((nkeys[order_n],
-                       np.array(nnames, object)[order_n]))
-
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"])
-    ck = cust.column("c_custkey").to_numpy(zero_copy_only=False)
-    cn = cust.column("c_nationkey").to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    oc = np.argsort(ck)
-    cust_ref = ray.put((ck[oc], cn[oc]))
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_nationkey"])
-    sk = supp.column("s_suppkey").to_numpy(zero_copy_only=False)
-    sn = supp.column("s_nationkey").to_numpy(
-        zero_copy_only=False).astype(np.int64)
-    os_ = np.argsort(sk)
-    supp_ref = ray.put((sk[os_], sn[os_]))
-
-    lo, hi = _dt.datetime(1996, 1, 1), _dt.datetime(1998, 1, 1)
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey"],
-        filter=(pac.field("o_orderdate") >= lo)
-        & (pac.field("o_orderdate") < hi))
-
-    def order_nation(tbl: pa.Table) -> pa.Table:
-        keys, nats = ray.get(cust_ref)
-        nk, _names = ray.get(nat_ref)
-        c = tbl.column("o_custkey").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, c)
-        pos[pos >= len(keys)] = 0
-        cnat = nats[pos]
-        # keep only customers of the region's nations
-        p2 = np.searchsorted(nk, cnat)
-        p2[p2 >= len(nk)] = 0
-        hit = (keys[pos] == c) & (nk[p2] == cnat) if len(nk) else \
-            np.zeros(len(c), bool)
-        return pa.table({
-            "o_orderkey": tbl.column("o_orderkey").filter(
-                pa.array(hit)),
-            "c_nat": pa.array(cnat[hit], pa.int64())})
-
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_suppkey",
-                                  "l_extendedprice", "l_discount"])
-
-    def li_rows(tbl: pa.Table) -> pa.Table:
-        keys, nats = ray.get(supp_ref)
-        s = tbl.column("l_suppkey").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, s)
-        pos[pos >= len(keys)] = 0
-        snat = np.where(keys[pos] == s, nats[pos], np.int64(-1))
-        p = tbl.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        d = tbl.column("l_discount").to_numpy(zero_copy_only=False)
-        cents = np.floor(p * (1.0 - d) * 100.0 + 0.5).astype(np.int64)
-        return pa.table({"o_orderkey": tbl.column("l_orderkey"),
-                         "s_nat": pa.array(snat, pa.int64()),
-                         "cents": pa.array(cents, pa.int64())})
-
-    joined = hash_join(
-        li.map_batches(li_rows, batch_format="pyarrow"),
-        orders.map_batches(order_nation, batch_format="pyarrow"),
-        on="o_orderkey", left_cols=["s_nat", "cents"],
-        right_cols=["c_nat"])
-
-    def fold(tbl: pa.Table) -> pa.Table:
-        sn_ = tbl.column("s_nat").to_numpy(zero_copy_only=False)
-        cn_ = tbl.column("r_c_nat").to_numpy(zero_copy_only=False)
-        m = sn_ == cn_
-        t = pa.table({"nat": pa.array(sn_[m], pa.int64()),
-                      "cents": tbl.column("cents").filter(
-                          pa.array(m))})
-        g = pa.TableGroupBy(t, "nat").aggregate([("cents", "sum")])
-        return g.rename_columns(["nat", "cents"])
-
-    h = (joined.map_batches(fold, batch_format="pyarrow")
-         .to_pandas().groupby("nat", sort=True)["cents"].sum())
-    nat_full = pq.read_table(f"{sf_dir}/nation.parquet")
-    nmap = dict(zip(nat_full.column("n_nationkey").to_pylist(),
-                    nat_full.column("n_name").to_pylist()))
-    out = pd.DataFrame({
-        "n_name": [nmap[int(k)] for k in h.index],
-        "revenue_cents": h.to_numpy(np.int64)})
-    out["revenue"] = out["revenue_cents"] / 100.0
-    out = _typed(out, {"n_name": "str", "revenue_cents": "int64",
-                       "revenue": "float64"})
-    return (out.sort_values(["revenue_cents", "n_name"],
-                            ascending=[False, True])
-            .reset_index(drop=True))
-
-
-SQL_NATIONS_LOCAL_VOLUME = """
-SELECT n.n_name,
-       sum(CAST(floor(l_extendedprice * (1 - l_discount) * 100.0
-                      + 0.5) AS BIGINT)) AS revenue_cents,
-       sum(CAST(floor(l_extendedprice * (1 - l_discount) * 100.0
-                      + 0.5) AS BIGINT)) / 100.0 AS revenue
-FROM lineitem
-JOIN orders   ON l_orderkey = o_orderkey
-JOIN customer ON o_custkey = c_custkey
-JOIN supplier ON l_suppkey = s_suppkey
-JOIN nation n ON c_nationkey = n.n_nationkey
-JOIN region   ON n.n_regionkey = r_regionkey
-WHERE c_nationkey = s_nationkey AND r_name = 'ASIA'
-  AND o_orderdate >= TIMESTAMP '1996-01-01'
-  AND o_orderdate <  TIMESTAMP '1998-01-01'
-GROUP BY 1
-ORDER BY revenue_cents DESC, n.n_name
-"""
-
-
-def q_nations_market_share(sf_dir: str):
-    """TPC-H Q8 shape (national market share): among MEDIUM-type parts
-    sold to AMERICA-region customers over 1996-97, the per-order-year
-    revenue share supplied by nation 2. Plan: part keys, qualifying
-    custkeys and the suppkey→is-target-nation flag broadcast; orders
-    pre-collapses to (orderkey, year) on the qualifying customers; ONE
-    orderkey exchange join; per-year CONDITIONAL cents sums fold
-    in-bucket and the share is one double division of two exact ints
-    on both sides."""
-    import datetime as _dt
-
-    import pyarrow.compute as pac
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    from ..datapipe.joins import hash_join
-
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey"],
-                         filters=[("p_type", "==", "MEDIUM")])
-    part_ref = ray.put(np.sort(
-        part.column("p_partkey").to_numpy(zero_copy_only=False)))
-
-    nat = pq.read_table(f"{sf_dir}/nation.parquet")
-    reg = pq.read_table(f"{sf_dir}/region.parquet",
-                        filters=[("r_name", "==", "AMERICA")])
-    rkeys = set(reg.column("r_regionkey").to_pylist())
-    region_nations = {k for k, rk in zip(
-        nat.column("n_nationkey").to_pylist(),
-        nat.column("n_regionkey").to_pylist()) if rk in rkeys}
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"])
-    cmask = [i for i, nk in enumerate(
-        cust.column("c_nationkey").to_pylist())
-        if nk in region_nations]
-    cust_ref = ray.put(np.sort(
-        cust.take(pa.array(cmask)).column("c_custkey").to_numpy(
-            zero_copy_only=False)))
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey", "s_nationkey"])
-    sk = supp.column("s_suppkey").to_numpy(zero_copy_only=False)
-    st = (supp.column("s_nationkey").to_numpy(zero_copy_only=False)
-          == 2)
-    os_ = np.argsort(sk)
-    supp_ref = ray.put((sk[os_], st[os_]))
-
-    lo, hi = _dt.datetime(1996, 1, 1), _dt.datetime(1998, 1, 1)
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-        filter=(pac.field("o_orderdate") >= lo)
-        & (pac.field("o_orderdate") < hi))
-
-    def order_year(tbl: pa.Table) -> pa.Table:
-        keys = ray.get(cust_ref)
-        c = tbl.column("o_custkey").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, c)
-        pos[pos >= len(keys)] = 0
-        hit = (keys[pos] == c) if len(keys) else np.zeros(len(c), bool)
-        # year via datetime64[Y] + 1970 == SQL EXTRACT(year) (the
-        # nations_trade stance)
-        yrs = (tbl.column("o_orderdate").to_numpy(zero_copy_only=False)
-               .astype("datetime64[Y]").astype(np.int64) + 1970)
-        return pa.table({
-            "o_orderkey": tbl.column("o_orderkey").filter(
-                pa.array(hit)),
-            "yr": pa.array(yrs[hit], pa.int64())})
-
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_partkey",
-                                  "l_suppkey", "l_extendedprice",
-                                  "l_discount"])
-
-    def li_rows(tbl: pa.Table) -> pa.Table:
-        pkeys = ray.get(part_ref)
-        skeys, stgt = ray.get(supp_ref)
-        lp = tbl.column("l_partkey").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(pkeys, lp)
-        pos[pos >= len(pkeys)] = 0
-        hit = (pkeys[pos] == lp) if len(pkeys) else np.zeros(
-            len(lp), bool)
-        tbl = tbl.filter(pa.array(hit))
-        s = tbl.column("l_suppkey").to_numpy(zero_copy_only=False)
-        sp = np.searchsorted(skeys, s)
-        sp[sp >= len(skeys)] = 0
-        tgt = (skeys[sp] == s) & stgt[sp]
-        p = tbl.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        d = tbl.column("l_discount").to_numpy(zero_copy_only=False)
-        cents = np.floor(p * (1.0 - d) * 100.0 + 0.5).astype(np.int64)
-        return pa.table({"o_orderkey": tbl.column("l_orderkey"),
-                         "cents": pa.array(cents, pa.int64()),
-                         "tgt": pa.array(tgt, pa.bool_())})
-
-    joined = hash_join(
-        li.map_batches(li_rows, batch_format="pyarrow"),
-        orders.map_batches(order_year, batch_format="pyarrow"),
-        on="o_orderkey", left_cols=["cents", "tgt"],
-        right_cols=["yr"])
-
-    def fold(tbl: pa.Table) -> pa.Table:
-        yr = tbl.column("r_yr").to_numpy(zero_copy_only=False)
-        cents = tbl.column("cents").to_numpy(zero_copy_only=False)
-        tgt = tbl.column("tgt").to_numpy(zero_copy_only=False)
-        t = pa.table({"yr": pa.array(yr, pa.int64()),
-                      "num": pa.array(np.where(tgt, cents, 0),
-                                      pa.int64()),
-                      "den": pa.array(cents, pa.int64())})
-        g = pa.TableGroupBy(t, "yr").aggregate(
-            [("num", "sum"), ("den", "sum")])
-        return g.rename_columns(["yr", "num", "den"])
-
-    h = (joined.map_batches(fold, batch_format="pyarrow")
-         .to_pandas().groupby("yr", sort=True)
-         .agg(num=("num", "sum"), den=("den", "sum")).reset_index())
-    h["mkt_share"] = h["num"].astype(float) / h["den"].astype(float)
-    out = h.rename(columns={"yr": "o_year", "num": "target_cents",
-                            "den": "total_cents"})
-    out = _typed(out, {"o_year": "int64", "target_cents": "int64",
-                       "total_cents": "int64", "mkt_share": "float64"})
-    return out.sort_values("o_year").reset_index(drop=True)
-
-
-SQL_NATIONS_MARKET_SHARE = """
-WITH rows_ AS (
-  SELECT extract(year FROM o_orderdate)::BIGINT AS o_year,
-         CAST(floor(l_extendedprice * (1 - l_discount) * 100.0
-                    + 0.5) AS BIGINT) AS cents,
-         (s_nationkey = 2) AS tgt
-  FROM lineitem
-  JOIN orders   ON l_orderkey = o_orderkey
-  JOIN customer ON o_custkey = c_custkey
-  JOIN supplier ON l_suppkey = s_suppkey
-  JOIN part     ON l_partkey = p_partkey
-  JOIN nation n ON c_nationkey = n.n_nationkey
-  JOIN region   ON n.n_regionkey = r_regionkey
-  WHERE r_name = 'AMERICA' AND p_type = 'MEDIUM'
-    AND o_orderdate >= TIMESTAMP '1996-01-01'
-    AND o_orderdate <  TIMESTAMP '1998-01-01')
-SELECT o_year,
-       sum(CASE WHEN tgt THEN cents ELSE 0 END)::BIGINT
-         AS target_cents,
-       sum(cents)::BIGINT AS total_cents,
-       sum(CASE WHEN tgt THEN cents ELSE 0 END)::DOUBLE
-         / sum(cents)::DOUBLE AS mkt_share
-FROM rows_ GROUP BY 1 ORDER BY 1
-"""
-
-
-def q_forecast_revenue(sf_dir: str):
-    """TPC-H Q6 shape (forecasting revenue change): revenue =
-    Σ price·discount over one year of shipments with discount in
-    [0.05, 0.07] and quantity < 24 — every predicate pushes into the
-    scan, the cents grid (floor(p·d·100+0.5)) makes the distributed
-    sum layout-free, and the single /100.0 matches the SQL
-    bit-exactly. The simplest possible shape on purpose: scan → filter
-    → one integer sum, zero exchanges."""
-    import datetime as _dt
-
-    import pyarrow.compute as pac
-    import ray.data as rd
-
-    lo, hi = _dt.datetime(1997, 1, 1), _dt.datetime(1998, 1, 1)
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_extendedprice", "l_discount"],
-        filter=(pac.field("l_shipdate") >= lo)
-        & (pac.field("l_shipdate") < hi)
-        & (pac.field("l_discount") >= 0.05)
-        & (pac.field("l_discount") <= 0.07)
-        & (pac.field("l_quantity") < 24.0))
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        p = tbl.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        d = tbl.column("l_discount").to_numpy(zero_copy_only=False)
-        cents = np.floor(p * d * 100.0 + 0.5).astype(np.int64)
-        return pa.table({"c": pa.array([int(cents.sum())], pa.int64()),
-                         "n": pa.array([len(cents)], pa.int64())})
-
-    parts = li.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536).to_pandas()
-    cents = int(parts["c"].sum())
-    out = pd.DataFrame({"revenue_cents": [cents],
-                        "n_items": [int(parts["n"].sum())],
-                        "revenue": [cents / 100.0]})
-    return _typed(out, {"revenue_cents": "int64", "n_items": "int64",
-                        "revenue": "float64"})
-
-
-SQL_FORECAST_REVENUE = """
-SELECT coalesce(sum(CAST(floor(l_extendedprice * l_discount * 100.0
-                               + 0.5) AS BIGINT)), 0)::BIGINT
-         AS revenue_cents,
-       count(*)::BIGINT AS n_items,
-       coalesce(sum(CAST(floor(l_extendedprice * l_discount * 100.0
-                               + 0.5) AS BIGINT)), 0)::BIGINT / 100.0
-         AS revenue
-FROM lineitem
-WHERE l_shipdate >= TIMESTAMP '1997-01-01'
-  AND l_shipdate <  TIMESTAMP '1998-01-01'
-  AND l_discount >= 0.05::DOUBLE AND l_discount <= 0.07::DOUBLE
-  AND l_quantity < 24
-"""
-
-
-def q_parts_value_share(sf_dir: str):
-    """TPC-H Q11 shape (important stock value): per-part revenue on
-    the cents grid, keeping parts holding MORE than 1/1500 of the
-    corpus total — the threshold compare is the exact integer
-    cross-multiplication cents·1500 > total (no float fraction), and
-    the reported share is one double division computed identically on
-    both sides. One map-side histogram pass; the ~|parts| fold is
-    driver-side."""
-    import ray.data as rd
-
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_partkey", "l_extendedprice",
-                                  "l_discount"])
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        p = tbl.column("l_extendedprice").to_numpy(zero_copy_only=False)
-        d = tbl.column("l_discount").to_numpy(zero_copy_only=False)
-        cents = np.floor(p * (1.0 - d) * 100.0 + 0.5).astype(np.int64)
-        t = pa.table({"k": tbl.column("l_partkey"),
-                      "c": pa.array(cents, pa.int64())})
-        g = pa.TableGroupBy(t, "k").aggregate([("c", "sum")])
-        return g.rename_columns(["k", "c"])
-
-    h = (li.map_batches(partial, batch_format="pyarrow",
-                        batch_size=65536).to_pandas()
-         .groupby("k", sort=True)["c"].sum())
-    total = int(h.sum())
-    keep = h[h * 1500 > total].reset_index()
-    keep = keep.rename(columns={"k": "p_partkey", "c": "value_cents"})
-    keep["share"] = keep["value_cents"].astype(float) / float(total)
-    out = _typed(keep, {"p_partkey": "int64", "value_cents": "int64",
-                        "share": "float64"})
-    return (out.sort_values(["value_cents", "p_partkey"],
-                            ascending=[False, True])
-            .reset_index(drop=True))
-
-
-SQL_PARTS_VALUE_SHARE = """
-WITH v AS (
-  SELECT l_partkey AS p_partkey,
-         sum(CAST(floor(l_extendedprice * (1 - l_discount) * 100.0
-                        + 0.5) AS BIGINT)) AS value_cents
-  FROM lineitem GROUP BY 1),
-t AS (SELECT sum(value_cents) AS total FROM v)
-SELECT p_partkey, value_cents,
-       value_cents::DOUBLE / total::DOUBLE AS share
-FROM v, t
-WHERE value_cents * 1500 > total
-ORDER BY value_cents DESC, p_partkey
-"""
-
-
-def q_parts_supplier_diversity(sf_dir: str):
-    """TPC-H Q16 shape (supplier diversity per part group): distinct
-    supplier count per (brand, type, size) over line items, excluding
-    one brand, one type, and the complaint-analog suppliers
-    (s_acctbal < 0). Plan: part attributes and the tiny excluded-
-    supplier set BROADCAST (ray.put) into the lineitem scan — the scan
-    pre-collapses each batch to its DISTINCT (brand, type, size,
-    suppkey) quadruples (dedupe-before-shuffle), one group-keyed
-    exchange counts distinct suppliers per group. Exact integers
-    throughout."""
-    import pyarrow.compute as pac
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    from ..datapipe.exchange import hash_group_apply
-
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey", "p_brand", "p_type",
-                                  "p_size"])
-    keep = pac.and_(pac.not_equal(part.column("p_brand"), "Brand#15"),
-                    pac.not_equal(part.column("p_type"), "PROMO"))
-    part = part.filter(keep)
-    pk = part.column("p_partkey").to_numpy(zero_copy_only=False)
-    order = np.argsort(pk)
-    part_ref = ray.put((
-        pk[order],
-        part.column("p_brand").to_numpy(zero_copy_only=False)[order],
-        part.column("p_type").to_numpy(zero_copy_only=False)[order],
-        part.column("p_size").to_numpy(
-            zero_copy_only=False)[order].astype(np.int64)))
-    supp = pq.read_table(f"{sf_dir}/supplier.parquet",
-                         columns=["s_suppkey"],
-                         filters=[("s_acctbal", "<", 0.0)])
-    bad_ref = ray.put(np.sort(
-        supp.column("s_suppkey").to_numpy(zero_copy_only=False)))
-
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_partkey", "l_suppkey"])
-
-    def distinct_quads(tbl: pa.Table) -> pa.Table:
-        keys, brand, ptype, size = ray.get(part_ref)
-        bad = ray.get(bad_ref)
-        lp = tbl.column("l_partkey").to_numpy(zero_copy_only=False)
-        ls = tbl.column("l_suppkey").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, lp)
-        pos[pos >= len(keys)] = 0
-        hit = (keys[pos] == lp) if len(keys) else np.zeros(len(lp),
-                                                          bool)
-        if len(bad):
-            bp = np.searchsorted(bad, ls)
-            bp[bp >= len(bad)] = 0
-            hit &= ~(bad[bp] == ls)
-        lp, ls, pos = lp[hit], ls[hit], pos[hit]
-        t = pa.table({"p_brand": pa.array(brand[pos]),
-                      "p_type": pa.array(ptype[pos]),
-                      "p_size": pa.array(size[pos], pa.int64()),
-                      "s": pa.array(ls, pa.int64())})
-        g = pa.TableGroupBy(t, ["p_brand", "p_type", "p_size", "s"]
-                            ).aggregate([([], "count_all")])
-        return g.drop_columns(["count_all"])
-
-    quads = li.map_batches(distinct_quads, batch_format="pyarrow",
-                           batch_size=65536)
-
-    def count_distinct(df):
-        return (df.drop_duplicates()
-                .groupby(["p_brand", "p_type", "p_size"], sort=False)
-                .size().reset_index(name="supplier_cnt"))
-
-    schema = pa.schema([("p_brand", pa.string()),
-                        ("p_type", pa.string()),
-                        ("p_size", pa.int64()),
-                        ("supplier_cnt", pa.int64())])
-    out = hash_group_apply(quads, ["p_brand", "p_type", "p_size"],
-                           count_distinct, out_schema=schema).to_pandas()
-    out = _typed(out, {"p_brand": "str", "p_type": "str",
-                       "p_size": "int64", "supplier_cnt": "int64"})
-    return (out.sort_values(["supplier_cnt", "p_brand", "p_type",
-                             "p_size"],
-                            ascending=[False, True, True, True])
-            .reset_index(drop=True))
-
-
-SQL_PARTS_SUPPLIER_DIVERSITY = """
-SELECT p_brand, p_type, p_size,
-       count(DISTINCT l_suppkey) AS supplier_cnt
-FROM lineitem JOIN part ON l_partkey = p_partkey
-WHERE p_brand <> 'Brand#15' AND p_type <> 'PROMO'
-  AND l_suppkey NOT IN (SELECT s_suppkey FROM supplier
-                        WHERE s_acctbal < 0)
-GROUP BY 1, 2, 3
-ORDER BY supplier_cnt DESC, p_brand, p_type, p_size
-"""
-
-
-def q_parts_small_qty_revenue(sf_dir: str):
-    """TPC-H Q17 shape (small-quantity-order revenue): revenue lost to
-    line items of one brand whose quantity is below 20 % of that
-    part's average order quantity. Plan: pass 1 ships only (partkey,
-    Σqty, n) integer partials for the ~80 qualifying parts and
-    broadcasts the folded map back (the source_rank_norm
-    histogram-exchange-then-broadcast shape); pass 2 filters with the
-    EXACT integer cross-multiplication 5·qty·n < Σqty (l_quantity is
-    integral — no 0.2·avg float compare), and sums revenue on the
-    floor(p·100 + 0.5) cents grid (embed_drift stance: floor, not
-    rint) so the single /700.0 division matches the SQL bit-exactly."""
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey"],
-                         filters=[("p_brand", "==", "Brand#12")])
-    keys_ref = ray.put(np.sort(
-        part.column("p_partkey").to_numpy(zero_copy_only=False)))
-
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_partkey", "l_quantity",
-                                  "l_extendedprice"])
-
-    def qty_partial(tbl: pa.Table) -> pa.Table:
-        keys = ray.get(keys_ref)
-        lp = tbl.column("l_partkey").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, lp)
-        pos[pos >= len(keys)] = 0
-        hit = (keys[pos] == lp) if len(keys) else np.zeros(len(lp),
-                                                          bool)
-        q = tbl.column("l_quantity").to_numpy(
-            zero_copy_only=False)[hit].astype(np.int64)
-        t = pa.table({"p": pa.array(lp[hit], pa.int64()),
-                      "q": pa.array(q, pa.int64())})
-        g = pa.TableGroupBy(t, "p").aggregate(
-            [("q", "sum"), ([], "count_all")])
-        return g.rename_columns(["p", "sq", "n"])
-
-    h = (li.map_batches(qty_partial, batch_format="pyarrow",
-                        batch_size=65536).to_pandas()
-         .groupby("p", sort=True).agg(sq=("sq", "sum"),
-                                      n=("n", "sum")).reset_index())
-    stats_ref = ray.put((h["p"].to_numpy(np.int64),
-                         h["sq"].to_numpy(np.int64),
-                         h["n"].to_numpy(np.int64)))
-
-    def rev_partial(tbl: pa.Table) -> pa.Table:
-        pkeys, sq, cnt = ray.get(stats_ref)
-        if len(pkeys) == 0:
-            return pa.table({"cents": pa.array([0], pa.int64()),
-                             "rows": pa.array([0], pa.int64())})
-        lp = tbl.column("l_partkey").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(pkeys, lp)
-        pos[pos >= len(pkeys)] = 0
-        hit = pkeys[pos] == lp
-        q = tbl.column("l_quantity").to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        small = hit & (5 * q * cnt[pos] < sq[pos])
-        p100 = tbl.column("l_extendedprice").to_numpy(
-            zero_copy_only=False)[small]
-        cents = np.floor(p100 * 100.0 + 0.5).astype(np.int64)
-        return pa.table({"cents": pa.array([int(cents.sum())],
-                                           pa.int64()),
-                         "rows": pa.array([int(small.sum())],
-                                          pa.int64())})
-
-    parts = li.map_batches(rev_partial, batch_format="pyarrow",
-                           batch_size=65536).to_pandas()
-    cents = int(parts["cents"].sum())
-    nrows = int(parts["rows"].sum())
-    out = pd.DataFrame({"total_cents": [cents], "n_items": [nrows],
-                        "avg_yearly": [cents / 700.0]})
-    return _typed(out, {"total_cents": "int64", "n_items": "int64",
-                        "avg_yearly": "float64"})
-
-
-SQL_PARTS_SMALL_QTY_REVENUE = """
-WITH pq AS (
-  SELECT l_partkey, sum(l_quantity::BIGINT) AS sq,
-         count(*) AS n
-  FROM lineitem JOIN part ON l_partkey = p_partkey
-  WHERE p_brand = 'Brand#12'
-  GROUP BY 1),
-small AS (
-  SELECT CAST(floor(l_extendedprice * 100.0 + 0.5) AS BIGINT)
-           AS cents
-  FROM lineitem JOIN pq USING (l_partkey)
-  WHERE 5 * l_quantity::BIGINT * n < sq)
-SELECT coalesce(sum(cents), 0)::BIGINT AS total_cents,
-       count(*)::BIGINT AS n_items,
-       coalesce(sum(cents), 0)::BIGINT / 700.0 AS avg_yearly
-FROM small
-"""
-
-
 SQL_TEXT_ROUGE2 = r"""
 WITH w AS (
   SELECT doc_id,
@@ -3456,65 +2493,6 @@ def q_table_validate(sf_dir: str):
     out = _typed(out, {"kind": "object", "col": "object",
                        "violations": "int64"})
     return out.sort_values(["kind", "col"]).reset_index(drop=True)
-
-
-def q_table_k_anonymity(sf_dir: str):
-    """k-anonymity audit over the (c_nationkey, c_mktsegment)
-    quasi-identifier tuple (profile.k_anonymity): every equivalence
-    class under k=10 rows with its count — map-side groupby partials
-    through the quasi-key exchange, < k filtered bucket-side so only
-    violating classes reach the driver. REAL SQL oracle (GROUP BY +
-    HAVING on the same parquet)."""
-    import ray.data as rd
-
-    from ..datapipe import k_anonymity
-
-    ds = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                         columns=["c_nationkey", "c_mktsegment"])
-    out = k_anonymity(ds, ["c_nationkey", "c_mktsegment"], 10).to_pandas()
-    out = _typed(out, {"c_nationkey": "int64", "c_mktsegment": "object",
-                       "n_rows": "int64"})
-    return (out.sort_values(["c_nationkey", "c_mktsegment"])
-            .reset_index(drop=True))
-
-
-def q_table_l_diversity(sf_dir: str):
-    """l-diversity audit (profile.l_diversity): customers whose order
-    set spans fewer than 3 distinct priorities — the attribute-
-    disclosure companion to table_k_anonymity (a k-anonymous class
-    with ONE priority still leaks it). Distinct (custkey, priority)
-    partials through the custkey exchange; REAL SQL oracle (GROUP BY +
-    HAVING count(DISTINCT ...))."""
-    import ray.data as rd
-
-    from ..datapipe.profile import l_diversity
-
-    ds = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                         columns=["o_custkey", "o_orderpriority"])
-    out = l_diversity(ds, ["o_custkey"], "o_orderpriority",
-                      3).to_pandas()
-    out = _typed(out, {"o_custkey": "int64", "n_rows": "int64",
-                       "n_distinct": "int64"})
-    return out.sort_values("o_custkey").reset_index(drop=True)
-
-
-SQL_TABLE_L_DIVERSITY = """
-SELECT o_custkey, count(*)::BIGINT AS n_rows,
-       count(DISTINCT o_orderpriority)::BIGINT AS n_distinct
-FROM orders
-GROUP BY o_custkey
-HAVING count(DISTINCT o_orderpriority) < 3
-ORDER BY o_custkey
-"""
-
-
-SQL_TABLE_K_ANONYMITY = """
-SELECT c_nationkey, c_mktsegment, count(*)::BIGINT AS n_rows
-FROM customer
-GROUP BY c_nationkey, c_mktsegment
-HAVING count(*) < 10
-ORDER BY c_nationkey, c_mktsegment
-"""
 
 
 SQL_TABLE_VALIDATE = r"""
@@ -4822,355 +3800,6 @@ SELECT * FROM (
 """
 
 
-def q_graph_pagerank(sf_dir: str):
-    """Exact-integer PageRank over a deterministic hub-skewed link graph
-    (datapipe/graph.py): edges materialized once, per-iteration broadcast
-    rank vector + dense np.add.at partials per block — bit-identical to a
-    sequential per-edge golden (oracle/golden.py::write_golden_pagerank)
-    under any block layout."""
-    import ray.data as rd
-
-    from ..datapipe.graph import pagerank, synth_link_graph
-    from ..oracle.golden import write_golden_pagerank
-
-    write_golden_pagerank(2048, 17, n_iters=10)
-    out = _typed(pagerank(rd.from_arrow(synth_link_graph(2048, seed=17)),
-                          2048, n_iters=10).to_pandas(),
-                 {"node": "int64", "rank": "int64"})
-    return out.sort_values("node").reset_index(drop=True)
-
-
-SQL_PAGERANK_GOLDEN = """
-SELECT node, "rank"
-FROM read_parquet('/tmp/sagan_ray_golden/graph_pagerank.parquet')
-ORDER BY node
-"""
-
-
-_TRI_EDGES_PATH = "/tmp/sagan_ray_golden/tri_edges.parquet"
-
-
-def q_graph_triangles(sf_dir: str):
-    """Exact per-node triangle counts over the deterministic hub-skewed
-    link graph (datapipe/graph.py::triangle_counts — dedup exchange →
-    rank-oriented wedge exchange → closure exchange; the degree-rank
-    orientation bounds wedge fan-out at √(2m) per vertex). BOTH sides
-    read the same edge parquet; the SQL recomputes triangles with a
-    genuine 3-way self-join (a REAL oracle, not a golden)."""
-    import os
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from ..datapipe.graph import synth_link_graph, triangle_counts
-
-    edges = synth_link_graph(2048, seed=17)
-    os.makedirs(os.path.dirname(_TRI_EDGES_PATH), exist_ok=True)
-    tmp = _TRI_EDGES_PATH + ".tmp"
-    pq.write_table(edges, tmp)
-    os.replace(tmp, _TRI_EDGES_PATH)
-    out = _typed(triangle_counts(rd.from_arrow(edges).repartition(8),
-                                 2048).to_pandas(),
-                 {"node": "int64", "n_tri": "int64"})
-    return out.sort_values("node").reset_index(drop=True)
-
-
-SQL_GRAPH_TRIANGLES = """
-WITH e AS (
-  SELECT DISTINCT least(src, dst) AS a, greatest(src, dst) AS b
-  FROM read_parquet('/tmp/sagan_ray_golden/tri_edges.parquet')
-  WHERE src <> dst),
-t AS (
-  SELECT e1.a AS x, e1.b AS y, e2.b AS z
-  FROM e e1
-  JOIN e e2 ON e2.a = e1.b
-  JOIN e e3 ON e3.a = e1.a AND e3.b = e2.b),
-c AS (
-  SELECT x AS node FROM t
-  UNION ALL SELECT y FROM t
-  UNION ALL SELECT z FROM t)
-SELECT node, count(*) AS n_tri FROM c GROUP BY node ORDER BY node
-"""
-
-
-def q_graph_degree_hist(sf_dir: str):
-    """Degree distribution of the undirected simple link graph
-    (isolated nodes at deg 0). Shares the edge parquet with
-    graph_triangles; the SQL recomputes the whole histogram (dedup +
-    corner union + left join against range(n)) — a REAL oracle."""
-    import os
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from ..datapipe.graph import degree_histogram, synth_link_graph
-
-    edges = synth_link_graph(2048, seed=17)
-    os.makedirs(os.path.dirname(_TRI_EDGES_PATH), exist_ok=True)
-    tmp = _TRI_EDGES_PATH + ".tmp"
-    pq.write_table(edges, tmp)
-    os.replace(tmp, _TRI_EDGES_PATH)
-    out = _typed(degree_histogram(rd.from_arrow(edges).repartition(8),
-                                  2048).to_pandas(),
-                 {"deg": "int64", "n_nodes": "int64"})
-    return out.sort_values("deg").reset_index(drop=True)
-
-
-SQL_GRAPH_DEGREE_HIST = """
-WITH e AS (
-  SELECT DISTINCT least(src, dst) AS a, greatest(src, dst) AS b
-  FROM read_parquet('/tmp/sagan_ray_golden/tri_edges.parquet')
-  WHERE src <> dst),
-d AS (
-  SELECT node, count(*)::BIGINT AS deg
-  FROM (SELECT a AS node FROM e UNION ALL SELECT b FROM e)
-  GROUP BY node),
-alln AS (SELECT range AS node FROM range(2048)),
-dd AS (SELECT alln.node, coalesce(d.deg, 0) AS deg
-       FROM alln LEFT JOIN d USING (node))
-SELECT deg, count(*)::BIGINT AS n_nodes FROM dd GROUP BY deg ORDER BY deg
-"""
-
-
-def q_graph_kcore(sf_dir: str):
-    """k-core of the link graph (k=6 — nontrivial on this graph: 1650
-    of 2048 nodes survive), distributed batch peel vs the one-at-a-time
-    sequential golden — equal because the k-core is the unique maximal
-    subgraph with min degree ≥ k (confluence), and degrees are exact
-    ints."""
-    import ray.data as rd
-
-    from ..datapipe.graph import k_core, synth_link_graph
-    from ..oracle.golden import write_golden_kcore
-
-    write_golden_kcore(2048, 17, k=6)
-    out = _typed(k_core(rd.from_arrow(synth_link_graph(2048, seed=17))
-                        .repartition(8), 2048, 6).to_pandas(),
-                 {"node": "int64", "deg": "int64"})
-    return out.sort_values("node").reset_index(drop=True)
-
-
-_MST_CACHE: dict = {}
-
-
-def _mst_fixture(n_nodes: int = 2048, seed: int = 17):
-    """Shared weighted-edge + Borůvka forest computation for the two
-    MST gate queries (the _BLEU_GOLDEN_CACHE pattern): the gate runs
-    both in one process, so the dedup exchange and the Borůvka rounds
-    are paid once. Returns (edges_tbl, mst_tbl, total_weight)."""
-    key = (n_nodes, seed)
-    if key not in _MST_CACHE:
-        import ray.data as rd
-
-        from ..datapipe.graph import (minimum_spanning_forest,
-                                      synth_link_graph, weighted_edges)
-
-        ew = weighted_edges(rd.from_arrow(
-            synth_link_graph(n_nodes, seed=seed)).repartition(8))
-        ew = ew.materialize()
-        edges_tbl = pa.concat_tables(
-            list(ew.iter_batches(batch_format="pyarrow")))
-        mst, total = minimum_spanning_forest(ew, n_nodes)
-        mst_tbl = pa.concat_tables(
-            list(mst.iter_batches(batch_format="pyarrow")))
-        _MST_CACHE[key] = (edges_tbl, mst_tbl, total)
-    return _MST_CACHE[key]
-
-
-def q_graph_mst(sf_dir: str):
-    """Minimum spanning forest of the weighted link graph
-    (graph.py::minimum_spanning_forest — distributed Borůvka, the
-    single-linkage clustering backbone): per-round broadcast component
-    labels + per-component min-outgoing-edge partials on a packed
-    (w, a, b) pseudo-weight that makes the MSF UNIQUE; golden =
-    sequential KRUSKAL under the same total order (different
-    algorithm, identical edge set)."""
-    from ..oracle.golden import write_golden_mst
-
-    edges_tbl, mst_tbl, total = _mst_fixture()
-    # the golden consumes the SAME materialized unique edge set (the
-    # fixture); only the MSF algorithm differs between the two sides
-    write_golden_mst(edges_tbl)
-    out = _typed(mst_tbl.to_pandas(), {"a": "int64", "b": "int64",
-                                       "w": "int64"})
-    assert total == int(out["w"].sum())
-    return out.sort_values(["a", "b"]).reset_index(drop=True)
-
-
-SQL_GRAPH_MST = """
-SELECT a, b, w
-FROM read_parquet('/tmp/sagan_ray_golden/graph_mst.parquet')
-ORDER BY a, b
-"""
-
-
-def q_graph_mst_clusters(sf_dir: str):
-    """Single-linkage clustering via MST cut
-    (graph.py::mst_cut_clusters): Borůvka forest, drop edges with
-    w > 60, min-id component labels for ALL 2048 nodes. TRUE
-    INDEPENDENT oracle: the SQL computes connected components of the
-    FULL weighted edge table thresholded at w ≤ 60 by transitive
-    closure — it never sees the MST; equality is the minimax-path
-    property of spanning forests, exercised end-to-end."""
-    import os as _os
-
-    import pyarrow.parquet as pq_
-
-    from ..datapipe.graph import mst_cut_clusters
-
-    edges_tbl, mst_tbl, _total = _mst_fixture()
-    _os.makedirs("/tmp/sagan_ray_golden", exist_ok=True)
-    pq_.write_table(edges_tbl,
-                    "/tmp/sagan_ray_golden/mst_cut_edges.parquet")
-    out = mst_cut_clusters(mst_tbl, 2048, 60).to_pandas()
-    out = _typed(out, {"node": "int64", "cluster": "int64"})
-    return out.sort_values("node").reset_index(drop=True)
-
-
-SQL_GRAPH_MST_CLUSTERS = """
-WITH RECURSIVE e AS (
-  SELECT a, b
-  FROM read_parquet('/tmp/sagan_ray_golden/mst_cut_edges.parquet')
-  WHERE w <= 60),
-u AS (SELECT a AS x, b AS y FROM e UNION ALL SELECT b, a FROM e),
-reach(x, y) AS (
-  SELECT x, y FROM u
-  UNION
-  SELECT r.x, u2.y FROM reach r JOIN u u2 ON r.y = u2.x),
-lab AS (SELECT x AS node, least(x, min(y)) AS cluster
-        FROM reach GROUP BY x),
-n AS (SELECT unnest(generate_series(0, 2047)) AS node)
-SELECT n.node, coalesce(lab.cluster, n.node) AS cluster
-FROM n LEFT JOIN lab USING (node)
-ORDER BY n.node
-"""
-
-
-def q_graph_betweenness(sf_dir: str):
-    """Pivot-sampled Brandes betweenness over the link graph
-    (graph.py::betweenness_from_sources, sources {0,1,2,3}): exact
-    int64 σ through bincount edge-pass partials, backward δ folded
-    with ONE canonically-ordered np.add.at per level so the float
-    accumulation is BIT-identical to the sequential golden's
-    (v, w)-ordered edge loop."""
-    import ray.data as rd
-
-    from ..datapipe.graph import (betweenness_from_sources,
-                                  synth_link_graph)
-    from ..oracle.golden import write_golden_betweenness
-
-    write_golden_betweenness(2048, 17, [0, 1, 2, 3])
-    out = betweenness_from_sources(
-        rd.from_arrow(synth_link_graph(2048, seed=17)).repartition(8),
-        2048, [0, 1, 2, 3])
-    out = _typed(out, {"node": "int64", "betweenness": "float64"})
-    return out.sort_values("node").reset_index(drop=True)
-
-
-SQL_GRAPH_BETWEENNESS = """
-SELECT node, betweenness
-FROM read_parquet('/tmp/sagan_ray_golden/graph_betweenness.parquet')
-ORDER BY node
-"""
-
-
-def q_graph_bfs(sf_dir: str):
-    """Multi-source BFS hop distances from seeds {0,1,2,3} over the
-    link graph (graph.py::bfs_distances — per-level broadcast frontier
-    mask + one edge-block pass, driver state two |V| arrays). Shares
-    the edge parquet with graph_triangles; the SQL recomputes distances
-    with a genuine recursive CTE (a REAL oracle, not a golden; the
-    dist < 16 cap is safely above the measured eccentricity 4)."""
-    import os
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from ..datapipe.graph import bfs_distances, synth_link_graph
-
-    edges = synth_link_graph(2048, seed=17)
-    os.makedirs(os.path.dirname(_TRI_EDGES_PATH), exist_ok=True)
-    tmp = _TRI_EDGES_PATH + ".tmp"
-    pq.write_table(edges, tmp)
-    os.replace(tmp, _TRI_EDGES_PATH)
-    out = _typed(bfs_distances(rd.from_arrow(edges).repartition(8),
-                               2048, [0, 1, 2, 3]).to_pandas(),
-                 {"node": "int64", "dist": "int64"})
-    return out.sort_values("node").reset_index(drop=True)
-
-
-SQL_GRAPH_BFS = """
-WITH RECURSIVE e AS (
-  SELECT DISTINCT least(src, dst) AS a, greatest(src, dst) AS b
-  FROM read_parquet('/tmp/sagan_ray_golden/tri_edges.parquet')
-  WHERE src <> dst),
-und AS (SELECT a AS x, b AS y FROM e UNION ALL SELECT b, a FROM e),
-bfs AS (
-  SELECT * FROM (VALUES (0::BIGINT, 0::BIGINT), (1, 0), (2, 0), (3, 0))
-       t(node, dist)
-  UNION
-  SELECT und.y, bfs.dist + 1 FROM bfs JOIN und ON und.x = bfs.node
-  WHERE bfs.dist < 16
-)
-SELECT node, min(dist)::BIGINT AS dist FROM bfs GROUP BY node ORDER BY node
-"""
-
-
-def q_graph_closeness(sf_dir: str):
-    """Pivot-sampled closeness centrality from pivots {0,1,2,3}
-    (graph.py::closeness_from_pivots — one BFS per pivot, exact int
-    distance sums, one double division). REAL SQL oracle: per-seed
-    recursive-CTE BFS (seed column carried through the recursion),
-    nodes reaching all four pivots."""
-    import os
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from ..datapipe.graph import closeness_from_pivots, synth_link_graph
-
-    edges = synth_link_graph(2048, seed=17)
-    os.makedirs(os.path.dirname(_TRI_EDGES_PATH), exist_ok=True)
-    tmp = _TRI_EDGES_PATH + ".tmp"
-    pq.write_table(edges, tmp)
-    os.replace(tmp, _TRI_EDGES_PATH)
-    out = closeness_from_pivots(
-        rd.from_arrow(edges).repartition(8), 2048, [0, 1, 2, 3])
-    out = _typed(out, {"node": "int64", "total_dist": "int64",
-                       "closeness": "float64"})
-    return out.sort_values("node").reset_index(drop=True)
-
-
-SQL_GRAPH_CLOSENESS = """
-WITH RECURSIVE e AS (
-  SELECT DISTINCT least(src, dst) AS a, greatest(src, dst) AS b
-  FROM read_parquet('/tmp/sagan_ray_golden/tri_edges.parquet')
-  WHERE src <> dst),
-und AS (SELECT a AS x, b AS y FROM e UNION ALL SELECT b, a FROM e),
-bfs AS (
-  SELECT * FROM (VALUES (0::BIGINT, 0::BIGINT, 0::BIGINT),
-                        (1, 1, 0), (2, 2, 0), (3, 3, 0))
-       t(seed, node, dist)
-  UNION
-  SELECT bfs.seed, und.y, bfs.dist + 1
-  FROM bfs JOIN und ON und.x = bfs.node
-  WHERE bfs.dist < 16),
-d AS (SELECT seed, node, min(dist) AS dist FROM bfs GROUP BY 1, 2),
-agg AS (SELECT node, count(*) AS k, sum(dist) AS sd
-        FROM d GROUP BY node)
-SELECT node, sd::BIGINT AS total_dist,
-       4.0::DOUBLE / sd::DOUBLE AS closeness
-FROM agg WHERE k = 4 AND sd > 0 ORDER BY node
-"""
-
-
-SQL_GRAPH_KCORE = """
-SELECT node, deg
-FROM read_parquet('/tmp/sagan_ray_golden/graph_kcore.parquet')
-ORDER BY node
-"""
-
-
 _WEB_DOCS_PATH = "/tmp/sagan_ray_golden/web_docs.parquet"
 
 
@@ -5953,92 +4582,6 @@ ORDER BY src, dst
 """
 
 
-def q_embed_label_prop(sf_dir: str):
-    """Semi-supervised label propagation (graph.py::label_propagation)
-    over the mutual kNN graph: every 4th vec_id keeps its true label as
-    an immutable seed, 5 synchronous majority-vote rounds spread labels
-    along the edges (broadcast label vector + sparse vote partials per
-    edge block). Hash-verified against a sequential per-edge golden
-    that rebuilds the same graph with double loops
-    (oracle/golden.py::write_golden_label_prop)."""
-    import pyarrow.parquet as _pq
-
-    from ..datapipe.ann import knn_graph
-    from ..datapipe.graph import label_propagation
-    from ..oracle.golden import write_golden_label_prop
-
-    write_golden_label_prop(sf_dir, k=8, n_iters=5, seed_mod=4)
-    t = _pq.read_table(f"{sf_dir}/embeddings.parquet",
-                       columns=["vec_id", "label"])
-    ids = t.column("vec_id").to_numpy()
-    true_lab = t.column("label").to_numpy().astype("int64")
-    n_nodes = int(ids.max()) + 1
-    labels = np.full(n_nodes, -1, dtype=np.int64)
-    seeds = ids % 4 == 0
-    labels[ids[seeds]] = true_lab[seeds]
-    edges = knn_graph(_embeds(sf_dir), k=8, n_blocks=4)
-    out = label_propagation(edges, n_nodes, labels, n_iters=5).to_pandas()
-    out = _typed(out, {"node": "int64", "label": "int64"})
-    return out.sort_values("node").reset_index(drop=True)
-
-
-SQL_EMBED_LABEL_PROP_GOLDEN = """
-SELECT node, label
-FROM read_parquet('/tmp/sagan_ray_golden/embed_label_prop.parquet')
-ORDER BY node
-"""
-
-
-def q_embed_pq_topk(sf_dir: str):
-    """Product-quantization ANN (ann.py::pq_topk): 8×8-code books on
-    the fixed-point unit grid, per-batch ADC lookup scoring, global
-    (adc, id) shortlist + exact-integer-dot rerank — hash-verified
-    against a sequential golden (per-point Lloyd scans + explicit
-    global sorts) because every score on both sides is an exact
-    integer (oracle/golden.py::write_golden_pq)."""
-    from ..datapipe.ann import pq_topk
-    from ..oracle.golden import write_golden_pq
-
-    write_golden_pq(sf_dir, n_queries=3, k=5, m_sub=8, n_codes=16,
-                    rerank=32, sample_size=4096, seed=7)
-    q = _query_vectors(sf_dir, 3)
-    out = pq_topk(_embeds(sf_dir), q, k=5, m_sub=8, n_codes=16,
-                  rerank=32, sample_size=4096, seed=7).to_pandas()
-    out = _typed(out, {"query_id": "int64", "vec_id": "int64",
-                       "cosine": "float64", "rank": "int64"})
-    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-
-
-SQL_EMBED_PQ_GOLDEN = """
-SELECT query_id, vec_id, cosine, rank
-FROM read_parquet('/tmp/sagan_ray_golden/embed_pq_topk.parquet')
-ORDER BY query_id, rank
-"""
-
-
-def q_embed_pq_index(sf_dir: str):
-    """PQ search over a PERSISTED code index
-    (ann.py::build_pq_index/search_pq_index): the stored uint8 code
-    columns equal the in-line encoding (fixed books, exact-integer
-    argmin), so search-from-index is bit-identical to pq_topk and the
-    same sequential golden verifies the whole build → ADC-scan →
-    exact-rerank chain."""
-    from ..datapipe.ann import build_pq_index, search_pq_index
-    from ..oracle.golden import write_golden_pq
-
-    write_golden_pq(sf_dir, n_queries=3, k=5, m_sub=8, n_codes=16,
-                    rerank=32, sample_size=4096, seed=7)
-    idx = "/tmp/sagan_ray_index/pq"
-    build_pq_index(_embeds(sf_dir), idx, m_sub=8, n_codes=16,
-                   sample_size=4096, seed=7)
-    q = _query_vectors(sf_dir, 3)
-    out = search_pq_index(idx, _embeds(sf_dir), q, k=5,
-                          rerank=32).to_pandas()
-    out = _typed(out, {"query_id": "int64", "vec_id": "int64",
-                       "cosine": "float64", "rank": "int64"})
-    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-
-
 def q_events_running(sf_dir: str):
     """Per-event running (cumulative) sum + rank within each user's
     (ts, event_id)-ordered stream (events.py::running_totals): user
@@ -6685,36 +5228,6 @@ GROUP BY cell ORDER BY cell
 """
 
 
-def q_embed_ivfpq_index(sf_dir: str):
-    """IVF-PQ search over a PERSISTED cell-partitioned residual-code
-    index (ann.py::build_ivfpq_index/search_ivfpq_index, Jégou et al.
-    2011): probed-cells-only ADC + exact rerank, hash-verified against
-    a sequential golden because every score term on both sides is an
-    exact integer on the unit grid."""
-    from ..datapipe.ann import build_ivfpq_index, search_ivfpq_index
-    from ..oracle.golden import write_golden_ivfpq
-
-    write_golden_ivfpq(sf_dir, n_queries=3, k=5, n_cells=8, nprobe=4,
-                       m_sub=8, n_codes=16, rerank=32, sample_size=4096,
-                       seed=5)
-    idx = "/tmp/sagan_ray_index/ivfpq"
-    build_ivfpq_index(_embeds(sf_dir), idx, n_cells=8, m_sub=8,
-                      n_codes=16, sample_size=4096, seed=5)
-    q = _query_vectors(sf_dir, 3)
-    out = search_ivfpq_index(idx, _embeds(sf_dir), q, k=5, nprobe=4,
-                             rerank=32).to_pandas()
-    out = _typed(out, {"query_id": "int64", "vec_id": "int64",
-                       "cosine": "float64", "rank": "int64"})
-    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-
-
-SQL_EMBED_IVFPQ_GOLDEN = """
-SELECT query_id, vec_id, cosine, rank
-FROM read_parquet('/tmp/sagan_ray_golden/embed_ivfpq_index.parquet')
-ORDER BY query_id, rank
-"""
-
-
 def q_search_bm25_index(sf_dir: str):
     """Index-backed BM25: build the term-partitioned postings parquet
     (datapipe/index.py::build_inverted_index) then answer the SAME
@@ -7351,57 +5864,6 @@ FROM u GROUP BY grp ORDER BY grp
 """
 
 
-_CN_EDGES_PATH = "/tmp/sagan_ray_golden/cn_edges.parquet"
-
-
-def q_graph_link_scores(sf_dir: str):
-    """Per-edge common-neighbor count + Jaccard link score
-    (datapipe/graph.py::edge_common_neighbors — the triangle_counts
-    wedge machinery with per-EDGE support partials; the SQL recomputes
-    both from the same edge parquet with real joins)."""
-    import os
-
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from ..datapipe.graph import edge_common_neighbors, synth_link_graph
-
-    edges = synth_link_graph(2048, seed=29)
-    os.makedirs(os.path.dirname(_CN_EDGES_PATH), exist_ok=True)
-    tmp = _CN_EDGES_PATH + ".tmp"
-    pq.write_table(edges, tmp)
-    os.replace(tmp, _CN_EDGES_PATH)
-    out = edge_common_neighbors(
-        rd.from_arrow(edges).repartition(8), 2048).to_pandas()
-    out = _typed(out, {"a": "int64", "b": "int64", "cn": "int64",
-                       "jaccard": "float64"})
-    return out.sort_values(["a", "b"]).reset_index(drop=True)
-
-
-SQL_GRAPH_LINK_SCORES = """
-WITH e AS (
-  SELECT DISTINCT least(src, dst) AS a, greatest(src, dst) AS b
-  FROM read_parquet('/tmp/sagan_ray_golden/cn_edges.parquet')
-  WHERE src <> dst),
-n AS (SELECT a AS node, b AS nbr FROM e UNION ALL SELECT b, a FROM e),
-d AS (SELECT node, count(*)::BIGINT AS deg FROM n GROUP BY node),
-cn AS (
-  SELECT e.a, e.b, count(*)::BIGINT AS cn
-  FROM e
-  JOIN n na ON na.node = e.a
-  JOIN n nb ON nb.node = e.b AND nb.nbr = na.nbr
-  GROUP BY e.a, e.b)
-SELECT e.a, e.b, coalesce(cn.cn, 0)::BIGINT AS cn,
-       coalesce(cn.cn, 0) * 1.0
-         / (da.deg + db.deg - coalesce(cn.cn, 0)) AS jaccard
-FROM e
-LEFT JOIN cn USING (a, b)
-JOIN d da ON da.node = e.a
-JOIN d db ON db.node = e.b
-ORDER BY e.a, e.b
-"""
-
-
 def q_events_interarrival(sf_dir: str):
     """Per-type inter-arrival gap stats (datapipe/events.py::
     interarrival_stats — slim user exchange, per-bucket lexsort+diff,
@@ -7621,61 +6083,6 @@ SELECT source, count(*)::BIGINT AS n_docs,
        sum(CASE WHEN rep <> doc_id THEN 1 ELSE 0 END) * 1.0 / count(*)
          AS dup_ratio
 FROM rep GROUP BY source ORDER BY source
-"""
-
-
-_CC_EDGES_PATH = "/tmp/sagan_ray_golden/cc_edges.parquet"
-
-
-def q_graph_components(sf_dir: str):
-    """Connected components of the link graph: (node, component) with
-    component = min node id, via the dedup family's distributed
-    min-label propagation (datapipe/dedup.py::connected_components)
-    over the dedup_undirected edge set; the SQL recomputes the closure
-    with a genuine recursive CTE. The synth hub graph is one giant
-    component, so the edge set is hash-SPARSIFIED to 1/10 before
-    writing — 53 components over 331 nodes at this seed, making the
-    min-label oracle non-vacuous (an all-zero labeling would fail)."""
-    import os
-
-    import numpy as np_
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from ..datapipe.dedup import connected_components
-    from ..datapipe.graph import dedup_undirected, synth_link_graph
-
-    full = synth_link_graph(512, seed=31)
-    src = full.column("src").to_numpy()
-    dst = full.column("dst").to_numpy()
-    h = ((src.astype(np_.uint64) * np_.uint64(2654435761))
-         ^ (dst.astype(np_.uint64) * np_.uint64(0x9E3779B97F4A7C15)))
-    keep = (h % np_.uint64(10)) == 0
-    edges = pa.table({"src": pa.array(src[keep], pa.int64()),
-                      "dst": pa.array(dst[keep], pa.int64())})
-    os.makedirs(os.path.dirname(_CC_EDGES_PATH), exist_ok=True)
-    tmp = _CC_EDGES_PATH + ".tmp"
-    pq.write_table(edges, tmp)
-    os.replace(tmp, _CC_EDGES_PATH)
-    ded = dedup_undirected(rd.from_arrow(edges).repartition(8))
-    out = connected_components(ded).to_pandas()
-    out = out.rename(columns={"label": "component"})
-    out = _typed(out, {"node": "int64", "component": "int64"})
-    return out.sort_values("node").reset_index(drop=True)
-
-
-SQL_GRAPH_COMPONENTS = """
-WITH RECURSIVE e AS (
-  SELECT DISTINCT least(src, dst) AS a, greatest(src, dst) AS b
-  FROM read_parquet('/tmp/sagan_ray_golden/cc_edges.parquet')
-  WHERE src <> dst),
-u AS (SELECT a AS x, b AS y FROM e UNION ALL SELECT b, a FROM e),
-reach(x, y) AS (
-  SELECT x, y FROM u
-  UNION
-  SELECT r.x, u2.y FROM reach r JOIN u u2 ON r.y = u2.x)
-SELECT x AS node, least(x, min(y)) AS component
-FROM reach GROUP BY x ORDER BY node
 """
 
 
@@ -8277,178 +6684,6 @@ ORDER BY month
 """
 
 
-def q_supplier_volume(sf_dir: str):
-    """TPC-H Q5 shape: revenue by nation inside one region where the
-    ordering customer and the supplying supplier share a nation. The
-    only large×large step is lineitem ⨝ orders through ONE hash
-    exchange (joins.py::hash_join); supplier→nation and customer→nation
-    are broadcast array lookups (index_in + take, the orders_by_nation
-    pattern), and the region restriction prunes lineitem MAP-SIDE
-    before the exchange (only in-region-supplied items ship). Lineitem
-    pre-aggregates per (orderkey, supplier-nation) inside each batch so
-    the exchange carries partials, not items."""
-    import ray
-    import ray.data as rd
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-    from ray.data.aggregate import Sum
-
-    from ..datapipe.joins import hash_join
-
-    region = "ASIA"
-    sup = pq.read_table(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_nationkey"])
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"])
-    nation = pq.read_table(f"{sf_dir}/nation.parquet").to_pandas()
-    regions = pq.read_table(f"{sf_dir}/region.parquet").to_pandas()
-    rkey = int(regions.loc[regions["r_name"] == region,
-                           "r_regionkey"].iloc[0])
-    in_region = set(nation.loc[nation["n_regionkey"] == rkey,
-                               "n_nationkey"].astype(int))
-    ref = ray.put((sup.column("s_suppkey").combine_chunks(),
-                   sup.column("s_nationkey").combine_chunks(),
-                   cust.column("c_custkey").combine_chunks(),
-                   cust.column("c_nationkey").combine_chunks(),
-                   np.array(sorted(in_region), dtype=np.int32)))
-
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_suppkey",
-                                  "l_extendedprice", "l_discount"])
-
-    def per_order(tbl: pa.Table) -> pa.Table:
-        skey, snat, _, _, region_nats = ray.get(ref)
-        nat = snat.take(pc.index_in(tbl.column("l_suppkey"),
-                                    value_set=skey)).to_numpy(
-            zero_copy_only=False)
-        keep = np.isin(nat, region_nats)
-        rev = (tbl.column("l_extendedprice").to_numpy()
-               * (1.0 - tbl.column("l_discount").to_numpy()))
-        t = pa.table({
-            "o_orderkey": tbl.column("l_orderkey").filter(pa.array(keep)),
-            "snat": pa.array(nat[keep].astype(np.int32)),
-            "rev": pa.array(rev[keep], pa.float64())})
-        g = pa.TableGroupBy(t, ["o_orderkey", "snat"]).aggregate(
-            [("rev", "sum"), ([], "count_all")])
-        return g.rename_columns(["o_orderkey", "snat", "rev", "n_items"])
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey"])
-    joined = hash_join(li.map_batches(per_order, batch_format="pyarrow"),
-                       orders, on="o_orderkey",
-                       left_cols=["snat", "rev", "n_items"],
-                       right_cols=["o_custkey"])
-
-    def per_nation(tbl: pa.Table) -> pa.Table:
-        _, _, ckey, cnat, _ = ray.get(ref)
-        cn = cnat.take(pc.index_in(tbl.column("r_o_custkey"),
-                                   value_set=ckey)).to_numpy(
-            zero_copy_only=False)
-        keep = pa.array(cn == tbl.column("snat").to_numpy(
-            zero_copy_only=False))
-        t = tbl.select(["snat", "rev", "n_items"]).filter(keep)
-        g = pa.TableGroupBy(t, "snat").aggregate(
-            [("rev", "sum"), ("n_items", "sum")])
-        return g.rename_columns(["snat", "revenue", "n_items"])
-
-    per = (joined.map_batches(per_nation, batch_format="pyarrow")
-           .groupby("snat")
-           .aggregate(Sum("revenue", alias_name="revenue"),
-                      Sum("n_items", alias_name="n_items"))
-           .to_pandas())
-    names = nation.set_index("n_nationkey")["n_name"]
-    per["nation"] = per["snat"].map(names)
-    per["revenue"] = per["revenue"].round(2)
-    out = (per[["nation", "revenue", "n_items"]]
-           .sort_values("nation").reset_index(drop=True))
-    return _typed(out, {"nation": "object", "revenue": "float64",
-                        "n_items": "int64"})
-
-
-SQL_SUPPLIER_VOLUME = """
-SELECT n_name AS nation,
-       round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue,
-       count(*)::BIGINT AS n_items
-FROM lineitem
-JOIN orders   ON l_orderkey  = o_orderkey
-JOIN customer ON o_custkey   = c_custkey
-JOIN supplier ON l_suppkey   = s_suppkey
-JOIN nation   ON s_nationkey = n_nationkey
-JOIN region   ON n_regionkey = r_regionkey
-WHERE r_name = 'ASIA' AND c_nationkey = s_nationkey
-GROUP BY n_name ORDER BY nation
-"""
-
-
-def q_promo_revenue(sf_dir: str):
-    """TPC-H Q14 shape: per ship-month promo vs total revenue. No
-    exchange at all — part's promo flag broadcasts as a sorted-key
-    bitmask (ray.put once, index_in + take per batch) and each lineitem
-    batch pre-collapses to a months-sized partial; the wide step is a
-    groupby over ≤ months × batches rows."""
-    import ray
-    import ray.data as rd
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-    from ray.data.aggregate import Sum
-
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey", "p_type"])
-    promo = pc.starts_with(part.column("p_type"), "PROMO")
-    ref = ray.put((part.column("p_partkey").combine_chunks(),
-                   promo.combine_chunks()))
-
-    ds = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_partkey", "l_extendedprice",
-                                  "l_discount", "l_shipdate"])
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        pkey, pflag = ray.get(ref)
-        flag = pflag.take(pc.index_in(tbl.column("l_partkey"),
-                                      value_set=pkey)).to_numpy(
-            zero_copy_only=False).astype(bool)
-        rev = (tbl.column("l_extendedprice").to_numpy()
-               * (1.0 - tbl.column("l_discount").to_numpy()))
-        mo = (tbl.column("l_shipdate").to_numpy(zero_copy_only=False)
-              .astype("datetime64[M]").astype(np.int64))
-        months, inv = np.unique(mo, return_inverse=True)
-        total = np.bincount(inv, weights=rev)
-        pr = np.bincount(inv, weights=np.where(flag, rev, 0.0),
-                         minlength=len(months))
-        n = np.bincount(inv, minlength=len(months)).astype(np.int64)
-        return pa.table({"mo": pa.array(months),
-                         "promo_rev": pa.array(pr, pa.float64()),
-                         "total_rev": pa.array(total, pa.float64()),
-                         "n_items": pa.array(n)})
-
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("mo")
-           .aggregate(Sum("promo_rev", alias_name="promo_rev"),
-                      Sum("total_rev", alias_name="total_rev"),
-                      Sum("n_items", alias_name="n_items"))
-           .to_pandas())
-    out = out.sort_values("mo").reset_index(drop=True)
-    res = pd.DataFrame({
-        "month": out["mo"].to_numpy(np.int64).astype("datetime64[M]")
-                  .astype("datetime64[us]"),
-        "promo_rev": out["promo_rev"].round(2),
-        "total_rev": out["total_rev"].round(2),
-        "n_items": out["n_items"].astype("int64")})
-    return res
-
-
-SQL_PROMO_REVENUE = """
-SELECT date_trunc('month', l_shipdate) AS month,
-       round(sum(CASE WHEN p_type LIKE 'PROMO%'
-                      THEN l_extendedprice * (1 - l_discount)
-                      ELSE 0 END), 2) AS promo_rev,
-       round(sum(l_extendedprice * (1 - l_discount)), 2) AS total_rev,
-       count(*)::BIGINT AS n_items
-FROM lineitem JOIN part ON l_partkey = p_partkey
-GROUP BY 1 ORDER BY month
-"""
-
-
 def q_events_window_join(sf_dir: str):
     """Stream-stream windowed join (datapipe/events.py::
     windowed_count_join — per-view count of same-user purchases within
@@ -8650,644 +6885,6 @@ ORDER BY event_type, day
 """
 
 
-def q_customers_dormant(sf_dir: str):
-    """TPC-H Q22 shape (global-positive-balance customers with no
-    orders SINCE the cutoff — dormancy, not absence): balance moves to
-    an EXACT cents grid
-    (round(bal·100) → int64) so the above-average test is the integer
-    cross-multiplication cents·n > total — no float-boundary flake by
-    construction. One count pass folds (sum, n) scalar partials; the
-    filtered customers anti-join order custkeys through a side-tagged
-    exchange (orders collapse to distinct keys map-side)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from ..datapipe.exchange import hash_group_apply
-
-    def _cust():
-        return rd.read_parquet(f"{sf_dir}/customer.parquet",
-                               columns=["c_custkey", "c_acctbal"])
-
-    def cents_part(tbl: pa.Table) -> pa.Table:
-        cents = np.rint(tbl.column("c_acctbal").to_numpy() * 100.0
-                        ).astype(np.int64)
-        return pa.table({"s": pa.array([int(cents.sum())], pa.int64()),
-                         "n": pa.array([len(cents)], pa.int64())})
-
-    tot = _cust().map_batches(cents_part, batch_format="pyarrow",
-                              batch_size=None).to_pandas()
-    s, n = int(tot["s"].sum()), int(tot["n"].sum())
-
-    def rich_part(tbl: pa.Table) -> pa.Table:
-        cents = np.rint(tbl.column("c_acctbal").to_numpy() * 100.0
-                        ).astype(np.int64)
-        keep = cents * n > s
-        return pa.table({
-            "k": tbl.column("c_custkey").filter(pa.array(keep)),
-            "cents": pa.array(cents[keep], pa.int64()),
-            "side": pa.array(np.ones(int(keep.sum()), np.int8))})
-
-    import pyarrow.compute as pac
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey"],
-        filter=pac.field("o_orderdate")
-        >= __import__("datetime").datetime(1998, 1, 1))
-
-    def o_part(tbl: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc_
-
-        k = pc_.unique(tbl.column("o_custkey"))
-        return pa.table({"k": pc_.cast(k, pa.int64()),
-                         "cents": pa.array(np.zeros(len(k), np.int64)),
-                         "side": pa.array(np.zeros(len(k), np.int8))})
-
-    sides = (_cust().map_batches(rich_part, batch_format="pyarrow",
-                                 batch_size=None)
-             .union(orders.map_batches(o_part, batch_format="pyarrow",
-                                       batch_size=65536)))
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        has_order = set(df.loc[df["side"] == 0, "k"])
-        rich = df[df["side"] == 1]
-        out = rich[~rich["k"].isin(has_order)]
-        return pd.DataFrame({
-            "c_custkey": out["k"].to_numpy(np.int64),
-            "cents": out["cents"].to_numpy(np.int64)})
-
-    schema = pa.schema([("c_custkey", pa.int64()),
-                        ("cents", pa.int64())])
-    out = hash_group_apply(sides, ["k"], bucket,
-                           out_schema=schema).to_pandas()
-    out = _typed(out, {"c_custkey": "int64", "cents": "int64"})
-    return out.sort_values("c_custkey").reset_index(drop=True)
-
-
-SQL_CUSTOMERS_DORMANT = """
-WITH t AS (
-  SELECT c_custkey, round(c_acctbal * 100)::BIGINT AS cents
-  FROM customer),
-tot AS (SELECT sum(cents) AS s, count(*) AS n FROM t)
-SELECT c_custkey, cents FROM t, tot
-WHERE cents * n > s
-  AND NOT EXISTS (SELECT 1 FROM orders WHERE o_custkey = c_custkey
-                  AND o_orderdate >= TIMESTAMP '1998-01-01')
-ORDER BY c_custkey
-"""
-
-
-def q_nations_trade(sf_dir: str):
-    """TPC-H Q7 shape (volume shipping): yearly revenue between one
-    nation pair in both directions — supplier nation from a broadcast
-    lookup prunes lineitem MAP-SIDE to the two nations, per-(order,
-    snat) partials cross ONE orderkey hash join to pick up customer
-    nation + order year, and only the |2×2×years| report reaches the
-    driver. Rounded-revenue stance (the Q3/Q5 float-sum rule)."""
-    import ray
-    import ray.data as rd
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    from ..datapipe.joins import hash_join
-
-    n1, n2 = 1, 2
-    sup = pq.read_table(f"{sf_dir}/supplier.parquet",
-                        columns=["s_suppkey", "s_nationkey"])
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_nationkey"])
-    ref = ray.put((sup.column("s_suppkey").combine_chunks(),
-                   sup.column("s_nationkey").combine_chunks(),
-                   cust.column("c_custkey").combine_chunks(),
-                   cust.column("c_nationkey").combine_chunks()))
-
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_suppkey",
-                                  "l_extendedprice", "l_discount"])
-
-    def per_order(tbl: pa.Table) -> pa.Table:
-        skey, snat, _, _ = ray.get(ref)
-        nat = snat.take(pc.index_in(tbl.column("l_suppkey"),
-                                    value_set=skey)).to_numpy(
-            zero_copy_only=False)
-        keep = (nat == n1) | (nat == n2)
-        rev = (tbl.column("l_extendedprice").to_numpy()
-               * (1.0 - tbl.column("l_discount").to_numpy()))
-        t = pa.table({
-            "o_orderkey": tbl.column("l_orderkey").filter(pa.array(keep)),
-            "snat": pa.array(nat[keep].astype(np.int64)),
-            "rev": pa.array(rev[keep], pa.float64())})
-        g = pa.TableGroupBy(t, ["o_orderkey", "snat"]).aggregate(
-            [("rev", "sum")])
-        return g.rename_columns(["o_orderkey", "snat", "rev"])
-
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_orderkey", "o_custkey",
-                                      "o_orderdate"])
-    joined = hash_join(li.map_batches(per_order, batch_format="pyarrow"),
-                       orders, on="o_orderkey",
-                       left_cols=["snat", "rev"],
-                       right_cols=["o_custkey", "o_orderdate"])
-
-    def fold(tbl: pa.Table) -> pa.Table:
-        _, _, ckey, cnat = ray.get(ref)
-        cn = cnat.take(pc.index_in(tbl.column("r_o_custkey"),
-                                   value_set=ckey)).to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        sn = tbl.column("snat").to_numpy(zero_copy_only=False)
-        keep = ((sn == n1) & (cn == n2)) | ((sn == n2) & (cn == n1))
-        ts = (tbl.column("r_o_orderdate").cast(pa.timestamp("us"))
-              .to_numpy(zero_copy_only=False))
-        yr = ts.astype("datetime64[Y]").astype(np.int64) + 1970
-        t = pa.table({"supp_nat": pa.array(sn[keep], pa.int64()),
-                      "cust_nat": pa.array(cn[keep], pa.int64()),
-                      "yr": pa.array(yr[keep], pa.int64()),
-                      "rev": tbl.column("rev").filter(pa.array(keep))})
-        g = pa.TableGroupBy(t, ["supp_nat", "cust_nat", "yr"]).aggregate(
-            [("rev", "sum")])
-        return g.rename_columns(["supp_nat", "cust_nat", "yr", "rev"])
-
-    from ray.data.aggregate import Sum
-
-    out = (joined.map_batches(fold, batch_format="pyarrow")
-           .groupby(["supp_nat", "cust_nat", "yr"])
-           .aggregate(Sum("rev", alias_name="revenue")).to_pandas())
-    out["revenue"] = out["revenue"].round(2)
-    out = _typed(out, {"supp_nat": "int64", "cust_nat": "int64",
-                       "yr": "int64", "revenue": "float64"})
-    return (out.sort_values(["supp_nat", "cust_nat", "yr"])
-            .reset_index(drop=True))
-
-
-def q_parts_promo_revenue(sf_dir: str):
-    """TPC-H Q19 shape (discounted revenue under a DISJUNCTION of
-    part-attribute × line-attribute predicate groups): the part
-    attributes broadcast as three aligned arrays (``ray.put`` once),
-    each lineitem batch evaluates the OR-of-ANDs map-side and emits a
-    one-row sum partial — no join, no shuffle, a single scalar out.
-    Per-group row counts are exact ints; revenue follows the rounded
-    float-sum stance."""
-    import ray
-    import ray.data as rd
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
-    part = pq.read_table(f"{sf_dir}/part.parquet",
-                         columns=["p_partkey", "p_brand", "p_size"])
-    ref = ray.put((part.column("p_partkey").combine_chunks(),
-                   np.asarray(part.column("p_brand").to_pylist(),
-                              dtype=object),
-                   part.column("p_size").to_numpy(
-                       zero_copy_only=False).astype(np.int64)))
-
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_partkey", "l_quantity",
-                                  "l_extendedprice", "l_discount"])
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        pkey, brand, size = ray.get(ref)
-        idx = pc.index_in(tbl.column("l_partkey"),
-                          value_set=pkey).to_numpy(zero_copy_only=False)
-        b = brand[idx]
-        s = size[idx]
-        q = tbl.column("l_quantity").to_numpy(zero_copy_only=False)
-        g1 = (b == "Brand#1") & (s >= 1) & (s <= 15) \
-            & (q >= 1) & (q <= 20)
-        g2 = (b == "Brand#2") & (s >= 10) & (s <= 30) \
-            & (q >= 10) & (q <= 40)
-        keep = g1 | g2
-        rev = (tbl.column("l_extendedprice").to_numpy()
-               * (1.0 - tbl.column("l_discount").to_numpy()))
-        return pa.table({
-            "revenue": pa.array([float(rev[keep].sum())], pa.float64()),
-            "n_items": pa.array([int(keep.sum())], pa.int64())})
-
-    parts = li.map_batches(partial, batch_format="pyarrow",
-                           batch_size=None).to_pandas()
-    import pandas as pd
-
-    return pd.DataFrame({
-        "revenue": [round(float(parts["revenue"].sum()), 2)],
-        "n_items": [int(parts["n_items"].sum())]})
-
-
-SQL_PARTS_PROMO_REVENUE = """
-SELECT round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue,
-       count(*)::BIGINT AS n_items
-FROM lineitem JOIN part ON p_partkey = l_partkey
-WHERE (p_brand = 'Brand#1' AND p_size BETWEEN 1 AND 15
-       AND l_quantity BETWEEN 1 AND 20)
-   OR (p_brand = 'Brand#2' AND p_size BETWEEN 10 AND 30
-       AND l_quantity BETWEEN 10 AND 40)
-"""
-
-
-SQL_NATIONS_TRADE = """
-SELECT s_nationkey AS supp_nat, c_nationkey AS cust_nat,
-       EXTRACT(year FROM o_orderdate)::BIGINT AS yr,
-       round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue
-FROM lineitem
-JOIN supplier ON s_suppkey = l_suppkey
-JOIN orders ON o_orderkey = l_orderkey
-JOIN customer ON c_custkey = o_custkey
-WHERE (s_nationkey = 1 AND c_nationkey = 2)
-   OR (s_nationkey = 2 AND c_nationkey = 1)
-GROUP BY 1, 2, 3 ORDER BY 1, 2, 3
-"""
-
-
-def q_table_scd2(sf_dir: str):
-    """Slowly-changing-dimension type-2 merge (diff.scd2_merge): an
-    old versioned snapshot derived from customer (open rows for 90% of
-    keys, a closed history row for the %7 subset) merged with a new
-    snapshot where every %3 key's balance moved — closed history passes
-    through, unchanged rows stay open, changed rows close at ts=1000
-    and reopen, absent keys keep their open row, new keys open fresh.
-    REAL SQL oracle: the same construction + FULL JOIN + four UNION
-    arms."""
-    import pyarrow.parquet as _pq
-    import ray.data as rd
-
-    from ..datapipe.diff import SCD2_OPEN, scd2_merge
-
-    t = _pq.read_table(f"{sf_dir}/customer.parquet",
-                       columns=["c_custkey", "c_mktsegment",
-                                "c_acctbal"])
-    k = t.column("c_custkey").to_numpy()
-    seg = t.column("c_mktsegment")
-    bal = t.column("c_acctbal").to_numpy()
-
-    keep = k % 10 != 0
-    old_open = pa.table({
-        "k": pa.array(k[keep], pa.int64()),
-        "seg": seg.filter(pa.array(keep)),
-        "bal": pa.array(bal[keep], pa.float64()),
-        "valid_from": pa.array(np.zeros(keep.sum(), np.int64)),
-        "valid_to": pa.array(np.full(keep.sum(), SCD2_OPEN, np.int64))})
-    hist = keep & (k % 7 == 0)
-    old_hist = pa.table({
-        "k": pa.array(k[hist], pa.int64()),
-        "seg": seg.filter(pa.array(hist)),
-        "bal": pa.array(bal[hist], pa.float64()),
-        "valid_from": pa.array(np.full(hist.sum(), -100, np.int64)),
-        "valid_to": pa.array(np.zeros(hist.sum(), np.int64))})
-    old = pa.concat_tables([old_open, old_hist])
-    new = pa.table({
-        "k": pa.array(k, pa.int64()),
-        "seg": seg,
-        "bal": pa.array(bal + np.where(k % 3 == 0, 1.0, 0.0),
-                        pa.float64())})
-
-    out = scd2_merge(rd.from_arrow(old).repartition(8),
-                     rd.from_arrow(new).repartition(8),
-                     key_col="k", attr_cols=["seg", "bal"],
-                     ts=1000).to_pandas()
-    out = _typed(out, {"k": "int64", "seg": "object", "bal": "float64",
-                       "valid_from": "int64", "valid_to": "int64"})
-    return (out.sort_values(["k", "valid_from", "valid_to"])
-            .reset_index(drop=True))
-
-
-SQL_TABLE_SCD2 = """
-WITH oldv AS (
-  SELECT c_custkey AS k, c_mktsegment AS seg, c_acctbal AS bal,
-         0::BIGINT AS valid_from,
-         4611686018427387904::BIGINT AS valid_to
-  FROM customer WHERE c_custkey % 10 <> 0
-  UNION ALL
-  SELECT c_custkey, c_mktsegment, c_acctbal, -100, 0
-  FROM customer WHERE c_custkey % 7 = 0 AND c_custkey % 10 <> 0),
-newv AS (
-  SELECT c_custkey AS k, c_mktsegment AS seg,
-         c_acctbal + CASE WHEN c_custkey % 3 = 0 THEN 1.0
-                          ELSE 0 END AS bal
-  FROM customer),
-closed AS (SELECT * FROM oldv WHERE valid_to <> 4611686018427387904),
-cur AS (SELECT * FROM oldv WHERE valid_to = 4611686018427387904),
-j AS (
-  SELECT cur.k AS ck, cur.seg AS cseg, cur.bal AS cbal,
-         cur.valid_from AS cvf,
-         newv.k AS nk, newv.seg AS nseg, newv.bal AS nbal
-  FROM cur FULL JOIN newv ON cur.k = newv.k)
-SELECT k, seg, bal, valid_from, valid_to FROM closed
-UNION ALL
-SELECT ck, cseg, cbal, cvf, 4611686018427387904 FROM j
-WHERE ck IS NOT NULL
-  AND (nk IS NULL OR (cseg = nseg AND cbal = nbal))
-UNION ALL
-SELECT ck, cseg, cbal, cvf, 1000 FROM j
-WHERE ck IS NOT NULL AND nk IS NOT NULL
-  AND NOT (cseg = nseg AND cbal = nbal)
-UNION ALL
-SELECT nk, nseg, nbal, 1000, 4611686018427387904 FROM j
-WHERE nk IS NOT NULL
-  AND (ck IS NULL OR NOT (cseg = nseg AND cbal = nbal))
-ORDER BY k, valid_from, valid_to
-"""
-
-
-def q_customer_orders_dist(sf_dir: str):
-    """TPC-H Q13 shape (customer distribution): how many customers
-    placed exactly k orders, INCLUDING the zero-order customers a
-    plain join would drop. Plan: orders collapse map-side to
-    (custkey, n) partials, customers ship bare keys; one side-tagged
-    custkey exchange completes counts with zeros for order-less
-    customers and emits per-bucket (c_count, n) histogram partials —
-    the driver folds |distinct counts|·buckets rows."""
-    import pandas as pd
-    import ray.data as rd
-
-    from ..datapipe.exchange import hash_group_apply
-
-    cust = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                           columns=["c_custkey"])
-    orders = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                             columns=["o_custkey"])
-
-    def o_part(tbl: pa.Table) -> pa.Table:
-        g = (pa.TableGroupBy(tbl, "o_custkey")
-             .aggregate([([], "count_all")]))
-        g = g.rename_columns(["k", "n"])
-        import pyarrow.compute as pc_
-        return pa.table({"k": pc_.cast(g.column("k"), pa.int64()),
-                         "n": pc_.cast(g.column("n"), pa.int64()),
-                         "side": pa.array(np.zeros(len(g), np.int8))})
-
-    def c_part(tbl: pa.Table) -> pa.Table:
-        k = tbl.column("c_custkey")
-        import pyarrow.compute as pc_
-        return pa.table({"k": pc_.cast(k, pa.int64()),
-                         "n": pa.array(np.zeros(len(k), np.int64)),
-                         "side": pa.array(np.ones(len(k), np.int8))})
-
-    sides = (orders.map_batches(o_part, batch_format="pyarrow",
-                                batch_size=65536)
-             .union(cust.map_batches(c_part, batch_format="pyarrow",
-                                     batch_size=65536)))
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        side = df["side"].to_numpy()
-        n_orders = df.loc[side == 0].groupby("k")["n"].sum()
-        ck = pd.unique(df.loc[side == 1, "k"])
-        counts = n_orders.reindex(ck).fillna(0).astype(np.int64)
-        g = counts.value_counts().reset_index()
-        g.columns = ["c_count", "custdist"]
-        return g.astype({"c_count": "int64", "custdist": "int64"})
-
-    schema = pa.schema([("c_count", pa.int64()),
-                        ("custdist", pa.int64())])
-    parts = hash_group_apply(sides, ["k"], bucket,
-                             out_schema=schema).to_pandas()
-    out = (parts.groupby("c_count", as_index=False)["custdist"].sum()
-           .astype({"c_count": "int64", "custdist": "int64"}))
-    return (out.sort_values(["custdist", "c_count"],
-                            ascending=[False, False])
-            .reset_index(drop=True))
-
-
-SQL_CUSTOMER_ORDERS_DIST = """
-SELECT c_count, count(*)::BIGINT AS custdist FROM (
-  SELECT c_custkey, count(o_orderkey)::BIGINT AS c_count
-  FROM customer LEFT JOIN orders ON c_custkey = o_custkey
-  GROUP BY c_custkey)
-GROUP BY c_count ORDER BY custdist DESC, c_count DESC
-"""
-
-
-def q_orders_late_shipments(sf_dir: str):
-    """TPC-H Q4 shape (order-priority checking): count orders per
-    priority where EXISTS a line item shipped more than 60 days after
-    the order date. Plan: lineitem collapses map-side to per-order MAX
-    shipdate partials (the EXISTS needs only the max), orders rows are
-    slim (key, date, priority); ONE side-tagged orderkey exchange folds
-    partials and tests the predicate, emitting per-priority count
-    partials — the driver folds |priorities|·buckets rows. All exact
-    int64 microsecond arithmetic."""
-    import pandas as pd
-    import ray.data as rd
-
-    from ..datapipe.exchange import hash_group_apply
-
-    day_us = 86_400_000_000
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderdate", "o_orderpriority"])
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_shipdate"])
-
-    def li_part(tbl: pa.Table) -> pa.Table:
-        k = tbl.column("l_orderkey").to_numpy(zero_copy_only=False)
-        s = tbl.column("l_shipdate").cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        df = pd.DataFrame({"k": k, "v": s}).groupby("k")["v"].max()
-        return pa.table({"k": pa.array(df.index.to_numpy(np.int64)),
-                         "v": pa.array(df.to_numpy(np.int64)),
-                         "pri": pa.array([""] * len(df), pa.string()),
-                         "side": pa.array(np.zeros(len(df), np.int8))})
-
-    def o_part(tbl: pa.Table) -> pa.Table:
-        return pa.table({
-            "k": tbl.column("o_orderkey"),
-            "v": tbl.column("o_orderdate").cast(pa.int64()),
-            "pri": tbl.column("o_orderpriority"),
-            "side": pa.array(np.ones(tbl.num_rows, np.int8))})
-
-    sides = (li.map_batches(li_part, batch_format="pyarrow",
-                            batch_size=65536)
-             .union(orders.map_batches(o_part, batch_format="pyarrow",
-                                       batch_size=65536)))
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        side = df["side"].to_numpy()
-        ship = (df.loc[side == 0].groupby("k")["v"].max())
-        o = df.loc[side == 1]
-        ms = ship.reindex(o["k"]).to_numpy()
-        late = np.nan_to_num(ms, nan=-np.inf) > \
-            o["v"].to_numpy() + 60 * day_us
-        g = (o.loc[late].groupby("pri").size()
-             .reset_index(name="n_orders"))
-        return g.astype({"n_orders": "int64"})
-
-    schema = pa.schema([("pri", pa.string()), ("n_orders", pa.int64())])
-    parts = hash_group_apply(sides, ["k"], bucket,
-                             out_schema=schema).to_pandas()
-    out = (parts.groupby("pri", as_index=False)["n_orders"].sum()
-           .rename(columns={"pri": "o_orderpriority"})
-           .astype({"o_orderpriority": "object", "n_orders": "int64"}))
-    return (out.sort_values("o_orderpriority").reset_index(drop=True))
-
-
-SQL_ORDERS_LATE_SHIPMENTS = """
-SELECT o_orderpriority, count(*)::BIGINT AS n_orders
-FROM orders o
-WHERE EXISTS (
-  SELECT 1 FROM lineitem l
-  WHERE l.l_orderkey = o.o_orderkey
-    AND l.l_shipdate > o.o_orderdate + INTERVAL 60 DAY)
-GROUP BY o_orderpriority ORDER BY o_orderpriority
-"""
-
-
-def q_orders_large_volume(sf_dir: str):
-    """TPC-H Q18 shape (large-volume customers): orders whose total
-    line-item quantity exceeds 300, with customer and price attributes.
-    Plan: lineitem pre-aggregates per-order quantity inside each batch,
-    the orderkey exchange completes the sums and filters > 300 (only
-    survivors leave their bucket), one hash join attaches the order
-    attributes. l_quantity is integral-valued, so the double sums are
-    exact in any fold order."""
-    import pandas as pd
-    import ray.data as rd
-
-    from ..datapipe.exchange import hash_group_apply
-    from ..datapipe.joins import hash_join
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_totalprice"])
-    li = rd.read_parquet(f"{sf_dir}/lineitem.parquet",
-                         columns=["l_orderkey", "l_quantity"])
-
-    def li_part(tbl: pa.Table) -> pa.Table:
-        g = (pa.TableGroupBy(tbl, "l_orderkey")
-             .aggregate([("l_quantity", "sum")]))
-        return g.rename_columns(["o_orderkey", "q"])
-
-    def sum_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("o_orderkey", as_index=False)["q"].sum()
-        return g[g["q"] > 300.0]
-
-    qty = hash_group_apply(
-        li.map_batches(li_part, batch_format="pyarrow",
-                       batch_size=65536),
-        ["o_orderkey"], sum_bucket,
-        out_schema=pa.schema([("o_orderkey", pa.int64()),
-                              ("q", pa.float64())]))
-    joined = hash_join(qty, orders, on="o_orderkey",
-                       left_cols=["q"],
-                       right_cols=["o_custkey", "o_totalprice"]
-                       ).to_pandas()
-    out = pd.DataFrame({
-        "o_custkey": joined["r_o_custkey"].astype("int64"),
-        "o_orderkey": joined["o_orderkey"].astype("int64"),
-        "o_totalprice": joined["r_o_totalprice"].astype("float64"),
-        "sum_qty": joined["q"].astype("float64")})
-    return (out.sort_values("o_orderkey").reset_index(drop=True))
-
-
-SQL_ORDERS_LARGE_VOLUME = """
-SELECT o_custkey, o_orderkey, o_totalprice,
-       sum(l_quantity) AS sum_qty
-FROM orders JOIN lineitem ON l_orderkey = o_orderkey
-GROUP BY o_custkey, o_orderkey, o_totalprice
-HAVING sum(l_quantity) > 300
-ORDER BY o_orderkey
-"""
-
-
-def q_orders_top_revenue(sf_dir: str):
-    """TPC-H Q3 shape (shipping-priority top orders): BUILDING-segment
-    customers, orders placed before the cutoff, revenue from line items
-    shipped after it, top 10 orders by revenue. Plan: the qualifying
-    custkey set comes from the small customer table and BROADCASTS as a
-    semi-join filter (never a shuffle); both fact scans push their date
-    predicate AND column prune into the parquet read; lineitem
-    pre-aggregates per order inside each batch; ONE hash exchange joins
-    the two order-keyed streams. Rank on (rounded revenue desc,
-    orderkey) on both sides — the customer_returns rounding stance."""
-    import datetime as _dt
-
-    import pyarrow.compute as pac
-    import pyarrow.parquet as pq
-    import ray
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from ..datapipe.joins import hash_join
-
-    cutoff = _dt.datetime(1998, 6, 1)
-    cust = pq.read_table(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey"],
-        filters=[("c_mktsegment", "==", "BUILDING")])
-    ckeys_ref = ray.put(np.sort(
-        cust.column("c_custkey").to_numpy(zero_copy_only=False)))
-
-    orders = rd.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate",
-                 "o_orderpriority"],
-        filter=pac.field("o_orderdate") < cutoff)
-
-    def semi(tbl: pa.Table) -> pa.Table:
-        keys = ray.get(ckeys_ref)
-        ck = tbl.column("o_custkey").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, ck)
-        pos[pos >= len(keys)] = 0
-        hit = keys[pos] == ck if len(keys) else np.zeros(len(ck), bool)
-        return tbl.filter(pa.array(hit)).select(
-            ["o_orderkey", "o_orderdate", "o_orderpriority"])
-
-    li = rd.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount"],
-        filter=pac.field("l_shipdate") > cutoff)
-
-    def per_order(tbl: pa.Table) -> pa.Table:
-        rev = (tbl.column("l_extendedprice").to_numpy()
-               * (1.0 - tbl.column("l_discount").to_numpy()))
-        t = pa.table({"o_orderkey": tbl.column("l_orderkey"),
-                      "rev": pa.array(rev, pa.float64())})
-        return (pa.TableGroupBy(t, "o_orderkey")
-                .aggregate([("rev", "sum")])
-                .rename_columns(["o_orderkey", "rev"]))
-
-    joined = hash_join(
-        li.map_batches(per_order, batch_format="pyarrow"),
-        orders.map_batches(semi, batch_format="pyarrow"),
-        on="o_orderkey",
-        left_cols=["rev"],
-        right_cols=["o_orderdate", "o_orderpriority"])
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        # date/priority are 1:1 with orderkey, so grouping on all three
-        # keeps them in the output without a second orders consumption
-        g = pa.TableGroupBy(
-            tbl.select(["o_orderkey", "r_o_orderdate",
-                        "r_o_orderpriority", "rev"]),
-            ["o_orderkey", "r_o_orderdate", "r_o_orderpriority"]
-        ).aggregate([("rev", "sum")])
-        return g.rename_columns(["o_orderkey", "o_orderdate",
-                                 "o_orderpriority", "rev"])
-
-    out = (joined.map_batches(partial, batch_format="pyarrow")
-           .groupby(["o_orderkey", "o_orderdate", "o_orderpriority"])
-           .aggregate(Sum("rev", alias_name="revenue"))
-           .to_pandas())
-    out["revenue"] = out["revenue"].round(2)
-    out = (out.sort_values(["revenue", "o_orderkey"],
-                           ascending=[False, True]).head(10)
-           .reset_index(drop=True))
-    return _typed(out, {"o_orderkey": "int64",
-                        "o_orderdate": "datetime64[us]",
-                        "o_orderpriority": "str",
-                        "revenue": "float64"})
-
-
-SQL_ORDERS_TOP_REVENUE = """
-SELECT o_orderkey, o_orderdate, o_orderpriority,
-       round(sum(l_extendedprice * (1 - l_discount)), 2) AS revenue
-FROM lineitem
-JOIN orders   ON l_orderkey = o_orderkey
-JOIN customer ON c_custkey  = o_custkey
-WHERE c_mktsegment = 'BUILDING'
-  AND o_orderdate < TIMESTAMP '1998-06-01'
-  AND l_shipdate  > TIMESTAMP '1998-06-01'
-GROUP BY 1, 2, 3
-ORDER BY round(sum(l_extendedprice * (1 - l_discount)), 2) DESC,
-         o_orderkey
-LIMIT 10
-"""
-
-
 def q_events_latency_quantiles(sf_dir: str):
     """Conversion-latency distribution: exact nearest-rank p50/p90/p99
     of the view→purchase latency (step_latency composed with the
@@ -9432,39 +7029,6 @@ SELECT conv_id, turn_idx,
          PARTITION BY conv_id ORDER BY turn_idx
          ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS context
 FROM t ORDER BY conv_id, turn_idx
-"""
-
-
-def q_orders_fk_check(sf_dir: str):
-    """Referential-integrity expectation (profile.fk_violations):
-    orders whose customer is not in the ACTIVE parent set
-    (c_acctbal > 0, pushed into the parent scan) — per orphan custkey,
-    the orphan order count. Both sides collapse to distinct-key
-    partials map-side; only key-sized rows cross the side-tagged
-    exchange."""
-    import pyarrow.compute as pac
-    import ray.data as rd
-
-    from ..datapipe.profile import fk_violations
-
-    child = rd.read_parquet(f"{sf_dir}/orders.parquet",
-                            columns=["o_custkey"])
-    parent = rd.read_parquet(f"{sf_dir}/customer.parquet",
-                             columns=["c_custkey"],
-                             filter=pac.field("c_acctbal") > 0.0)
-    out = fk_violations(child, parent, child_key="o_custkey",
-                        parent_key="c_custkey").to_pandas()
-    out = _typed(out, {"o_custkey": "int64", "n_rows": "int64"})
-    return out.sort_values("o_custkey").reset_index(drop=True)
-
-
-SQL_ORDERS_FK_CHECK = """
-SELECT o_custkey, count(*)::BIGINT AS n_rows
-FROM orders
-LEFT JOIN (SELECT c_custkey FROM customer WHERE c_acctbal > 0) p
-       ON o_custkey = p.c_custkey
-WHERE p.c_custkey IS NULL
-GROUP BY o_custkey ORDER BY o_custkey
 """
 
 
@@ -9680,15 +7244,12 @@ QUERIES = {
     "events_hopping": q_events_hopping,
     "events_topk": q_events_topk,
     "group_topk": q_group_topk,
-    "orders_by_nation": q_orders_by_nation,
     "distinctive_terms": q_distinctive_terms,
     "embed_topk": q_embed_topk,
-    "lineitem_agg": q_lineitem_agg,
     "text_quantiles": q_text_quantiles,
     "doc_pack": q_doc_pack,
     "dedup_ngram": q_dedup_ngram,
     "events_sessionize": q_events_sessionize,
-    "orders_revenue": q_orders_revenue,
     "dedup_minhash": q_dedup_minhash,
     "events_range_count": q_events_range_count,
     "events_tumbling": q_events_tumbling,
@@ -9713,7 +7274,6 @@ QUERIES = {
     "doc_chunks": q_doc_chunks,
     "embed_topk_filtered": q_embed_topk_filtered,
     "sample_per_source": q_sample_per_source,
-    "join_bloom": q_join_bloom,
     "dedup_cdc": q_dedup_cdc,
     "source_rank_norm": q_source_rank_norm,
     "events_histogram": q_events_histogram,
@@ -9734,9 +7294,6 @@ QUERIES = {
     "dedup_winnow": q_dedup_winnow,
     "events_running": q_events_running,
     "embed_mmr": q_embed_mmr,
-    "embed_pq_topk": q_embed_pq_topk,
-    "embed_pq_index": q_embed_pq_index,
-    "embed_ivfpq_index": q_embed_ivfpq_index,
     "embed_hard_negatives": q_embed_hard_negatives,
     "events_quantile_sketch": q_events_quantile_sketch,
     "events_window_topk": q_events_window_topk,
@@ -9745,7 +7302,6 @@ QUERIES = {
     "embed_semantic_filter": q_embed_semantic_filter,
     "dedup_fuzzy_incremental": q_dedup_fuzzy_incremental,
     "events_trend": q_events_trend,
-    "graph_pagerank": q_graph_pagerank,
     "web_domain_stats": q_web_domain_stats,
     "web_domain_filter": q_web_domain_filter,
     "snapshot_diff": q_snapshot_diff,
@@ -9759,12 +7315,8 @@ QUERIES = {
     "length_batches": q_length_batches,
     "sample_token_budget_grouped": q_sample_token_budget_grouped,
     "embed_coreset": q_embed_coreset,
-    "graph_triangles": q_graph_triangles,
     "embed_rp_topk": q_embed_rp_topk,
     "events_trigrams": q_events_trigrams,
-    "customer_returns": q_customer_returns,
-    "graph_degree_hist": q_graph_degree_hist,
-    "graph_kcore": q_graph_kcore,
     "text_readability": q_text_readability,
     "text_ttr": q_text_ttr,
     "events_basket": q_events_basket,
@@ -9774,7 +7326,6 @@ QUERIES = {
     "events_dau": q_events_dau,
     "events_attribution": q_events_attribution,
     "events_ab_lift": q_events_ab_lift,
-    "graph_link_scores": q_graph_link_scores,
     "events_interarrival": q_events_interarrival,
     "embed_pair_hist": q_embed_pair_hist,
     "embed_cluster_quality": q_embed_cluster_quality,
@@ -9782,7 +7333,6 @@ QUERIES = {
     "embed_drift": q_embed_drift,
     "events_hourly": q_events_hourly,
     "dedup_source_report": q_dedup_source_report,
-    "graph_components": q_graph_components,
     "source_terms": q_source_terms,
     "events_attribution_first": q_events_attribution_first,
     "text_nll_filter": q_text_nll_filter,
@@ -9799,69 +7349,43 @@ QUERIES = {
     "events_pivot": q_events_pivot,
     "events_rfm": q_events_rfm,
     "events_lifecycle": q_events_lifecycle,
-    "supplier_volume": q_supplier_volume,
-    "promo_revenue": q_promo_revenue,
     "events_window_join": q_events_window_join,
     "events_cohorts": q_events_cohorts,
     "corpus_dup_growth": q_corpus_dup_growth,
     "corpus_zipf": q_corpus_zipf,
     "embed_sign_topk": q_embed_sign_topk,
     "events_spike": q_events_spike,
-    "orders_top_revenue": q_orders_top_revenue,
     "events_latency_quantiles": q_events_latency_quantiles,
     "dedup_minhash_index": q_dedup_minhash_index,
     "transcript_context": q_transcript_context,
-    "orders_fk_check": q_orders_fk_check,
     "tokenizer_fertility": q_tokenizer_fertility,
     "doc_summary": q_doc_summary,
-    "table_k_anonymity": q_table_k_anonymity,
     "embed_knn_graph": q_embed_knn_graph,
-    "graph_bfs": q_graph_bfs,
     "web_url_dedup": q_web_url_dedup,
     "embed_knn_graph_ivf": q_embed_knn_graph_ivf,
     "corpus_file_stats": q_corpus_file_stats,
-    "embed_label_prop": q_embed_label_prop,
     "events_paths": q_events_paths,
     "pii_pseudonymize": q_pii_pseudonymize,
     "snapshot_manifest": q_snapshot_manifest,
     "sample_balanced": q_sample_balanced,
-    "orders_late_shipments": q_orders_late_shipments,
-    "orders_large_volume": q_orders_large_volume,
     "dedup_simhash_index": q_dedup_simhash_index,
     "embed_ivf_stats": q_embed_ivf_stats,
     "corpus_zorder": q_corpus_zorder,
     "text_line_filter": q_text_line_filter,
     "dedup_minhash_calibration": q_dedup_minhash_calibration,
     "doc_pack_spans": q_doc_pack_spans,
-    "customer_orders_dist": q_customer_orders_dist,
-    "table_scd2": q_table_scd2,
-    "nations_trade": q_nations_trade,
-    "parts_promo_revenue": q_parts_promo_revenue,
-    "customers_dormant": q_customers_dormant,
     "text_rouge": q_text_rouge,
     "text_rouge2": q_text_rouge2,
     "text_rouge_l": q_text_rouge_l,
     "text_bleu": q_text_bleu,
     "text_chrf": q_text_chrf,
     "events_forecast": q_events_forecast,
-    "parts_supplier_diversity": q_parts_supplier_diversity,
-    "parts_small_qty_revenue": q_parts_small_qty_revenue,
     "compact_bm25_index": q_compact_bm25_index,
-    "table_l_diversity": q_table_l_diversity,
     "text_bleu_corpus": q_text_bleu_corpus,
     "text_wer": q_text_wer,
     "events_holt": q_events_holt,
     "events_cusum": q_events_cusum,
-    "top_supplier": q_top_supplier,
-    "parts_value_share": q_parts_value_share,
-    "forecast_revenue": q_forecast_revenue,
-    "nations_local_volume": q_nations_local_volume,
-    "nations_market_share": q_nations_market_share,
     "text_chrf_corpus": q_text_chrf_corpus,
-    "graph_mst": q_graph_mst,
-    "graph_mst_clusters": q_graph_mst_clusters,
-    "graph_betweenness": q_graph_betweenness,
-    "graph_closeness": q_graph_closeness,
     "text_wer_corpus": q_text_wer_corpus,
 }
 
@@ -9888,9 +7412,6 @@ ORACLES = {
     "rule_tracking": SQL_RULE_TRACKING,
     "events_sessionize": SQL_SESSIONIZE,
     "events_topk": SQL_EVENTS_TOPK,
-    "lineitem_agg": SQL_LINEITEM_AGG,
-    "orders_by_nation": SQL_ORDERS_BY_NATION,
-    "orders_revenue": SQL_ORDERS_REVENUE,
     "events_tumbling": SQL_TUMBLING,
     "events_hopping": SQL_EVENTS_HOPPING,
     "events_window_distinct": SQL_EVENTS_WINDOW_DISTINCT,
@@ -9961,7 +7482,6 @@ ORACLES = {
     "doc_chunks": SQL_DOC_CHUNKS,
     "embed_topk_filtered": SQL_EMBED_TOPK_FILTERED,
     "sample_per_source": SQL_SAMPLE_PER_SOURCE,
-    "join_bloom": SQL_JOIN_BLOOM,
     "dedup_cdc": SQL_DEDUP_CDC,
     "source_rank_norm": SQL_SOURCE_RANK_NORM,
     "events_histogram": SQL_EVENTS_HISTOGRAM,
@@ -9982,9 +7502,6 @@ ORACLES = {
     "dedup_winnow": SQL_DEDUP_WINNOW,
     "events_running": SQL_EVENTS_RUNNING,
     "embed_mmr": SQL_EMBED_MMR_GOLDEN,
-    "embed_pq_topk": SQL_EMBED_PQ_GOLDEN,
-    "embed_pq_index": SQL_EMBED_PQ_GOLDEN,
-    "embed_ivfpq_index": SQL_EMBED_IVFPQ_GOLDEN,
     "embed_hard_negatives": SQL_EMBED_HARD_NEGATIVES,
     "events_quantile_sketch": SQL_EVENTS_QUANTILE_SKETCH,
     "events_window_topk": SQL_EVENTS_WINDOW_TOPK,
@@ -9993,7 +7510,6 @@ ORACLES = {
     "embed_semantic_filter": SQL_EMBED_SEMANTIC_FILTER,
     "dedup_fuzzy_incremental": SQL_DEDUP_FUZZY_INCREMENTAL,
     "events_trend": SQL_EVENTS_TREND,
-    "graph_pagerank": SQL_PAGERANK_GOLDEN,
     "web_domain_stats": SQL_WEB_DOMAIN_STATS,
     "web_domain_filter": SQL_WEB_DOMAIN_FILTER,
     "snapshot_diff": SQL_SNAPSHOT_DIFF,
@@ -10007,12 +7523,8 @@ ORACLES = {
     "length_batches": SQL_LENGTH_BATCHES,
     "sample_token_budget_grouped": SQL_SAMPLE_TOKEN_BUDGET_GROUPED,
     "embed_coreset": SQL_EMBED_CORESET,
-    "graph_triangles": SQL_GRAPH_TRIANGLES,
     "embed_rp_topk": SQL_EMBED_RP_GOLDEN,
     "events_trigrams": SQL_EVENTS_TRIGRAMS,
-    "customer_returns": SQL_CUSTOMER_RETURNS,
-    "graph_degree_hist": SQL_GRAPH_DEGREE_HIST,
-    "graph_kcore": SQL_GRAPH_KCORE,
     "text_readability": SQL_TEXT_READABILITY,
     "text_ttr": SQL_TEXT_TTR,
     "events_basket": SQL_EVENTS_BASKET,
@@ -10022,7 +7534,6 @@ ORACLES = {
     "events_dau": SQL_EVENTS_DAU,
     "events_attribution": SQL_EVENTS_ATTRIBUTION,
     "events_ab_lift": SQL_EVENTS_AB_LIFT,
-    "graph_link_scores": SQL_GRAPH_LINK_SCORES,
     "events_interarrival": SQL_EVENTS_INTERARRIVAL,
     "embed_pair_hist": SQL_EMBED_PAIR_HIST,
     "embed_cluster_quality": SQL_EMBED_CLUSTER_QUALITY,
@@ -10030,7 +7541,6 @@ ORACLES = {
     "embed_drift": SQL_EMBED_DRIFT,
     "events_hourly": SQL_EVENTS_HOURLY,
     "dedup_source_report": SQL_DEDUP_SOURCE_REPORT,
-    "graph_components": SQL_GRAPH_COMPONENTS,
     "source_terms": SQL_SOURCE_TERMS,
     "events_attribution_first": SQL_EVENTS_ATTRIBUTION_FIRST,
     "text_nll_filter": SQL_TEXT_NLL_FILTER,
@@ -10047,68 +7557,42 @@ ORACLES = {
     "events_pivot": SQL_EVENTS_PIVOT,
     "events_rfm": SQL_EVENTS_RFM,
     "events_lifecycle": SQL_EVENTS_LIFECYCLE,
-    "supplier_volume": SQL_SUPPLIER_VOLUME,
-    "promo_revenue": SQL_PROMO_REVENUE,
     "events_window_join": SQL_EVENTS_WINDOW_JOIN,
     "events_cohorts": SQL_EVENTS_COHORTS,
     "corpus_dup_growth": SQL_CORPUS_DUP_GROWTH,
     "corpus_zipf": SQL_CORPUS_ZIPF,
     "embed_sign_topk": SQL_EMBED_SIGN_TOPK,
     "events_spike": SQL_EVENTS_SPIKE,
-    "orders_top_revenue": SQL_ORDERS_TOP_REVENUE,
     "events_latency_quantiles": SQL_EVENTS_LATENCY_QUANTILES,
     "dedup_minhash_index": SQL_DEDUP_MINHASH_INDEX,
     "transcript_context": SQL_TRANSCRIPT_CONTEXT,
-    "orders_fk_check": SQL_ORDERS_FK_CHECK,
     "tokenizer_fertility": SQL_TOKENIZER_FERTILITY,
     "doc_summary": SQL_DOC_SUMMARY,
-    "table_k_anonymity": SQL_TABLE_K_ANONYMITY,
     "embed_knn_graph": SQL_EMBED_KNN_GRAPH_GOLDEN,
-    "graph_bfs": SQL_GRAPH_BFS,
     "web_url_dedup": SQL_WEB_URL_DEDUP,
     "embed_knn_graph_ivf": SQL_EMBED_KNN_GRAPH_IVF_GOLDEN,
     "corpus_file_stats": SQL_CORPUS_FILE_STATS,
-    "embed_label_prop": SQL_EMBED_LABEL_PROP_GOLDEN,
     "events_paths": SQL_EVENTS_PATHS,
     "pii_pseudonymize": SQL_PII_PSEUDONYMIZE,
     "snapshot_manifest": SQL_SNAPSHOT_MANIFEST,
     "sample_balanced": SQL_SAMPLE_BALANCED,
-    "orders_late_shipments": SQL_ORDERS_LATE_SHIPMENTS,
-    "orders_large_volume": SQL_ORDERS_LARGE_VOLUME,
     "dedup_simhash_index": SQL_SIMHASH_GOLDEN,
     "embed_ivf_stats": SQL_EMBED_IVF_STATS,
     "corpus_zorder": SQL_CORPUS_ZORDER,
     "text_line_filter": SQL_TEXT_LINE_FILTER,
     "dedup_minhash_calibration": SQL_DEDUP_MINHASH_CALIBRATION,
     "doc_pack_spans": SQL_DOC_PACK_SPANS,
-    "customer_orders_dist": SQL_CUSTOMER_ORDERS_DIST,
-    "table_scd2": SQL_TABLE_SCD2,
-    "nations_trade": SQL_NATIONS_TRADE,
-    "parts_promo_revenue": SQL_PARTS_PROMO_REVENUE,
-    "customers_dormant": SQL_CUSTOMERS_DORMANT,
     "text_rouge": SQL_TEXT_ROUGE,
     "text_rouge2": SQL_TEXT_ROUGE2,
     "text_rouge_l": SQL_TEXT_ROUGE_L,
     "text_bleu": SQL_TEXT_BLEU,
     "text_chrf": SQL_TEXT_CHRF,
     "events_forecast": SQL_EVENTS_FORECAST,
-    "parts_supplier_diversity": SQL_PARTS_SUPPLIER_DIVERSITY,
-    "parts_small_qty_revenue": SQL_PARTS_SMALL_QTY_REVENUE,
     "compact_bm25_index": SQL_SEARCH_BM25,
-    "table_l_diversity": SQL_TABLE_L_DIVERSITY,
     "text_bleu_corpus": SQL_TEXT_BLEU_CORPUS,
     "text_wer": SQL_TEXT_WER,
     "events_holt": SQL_EVENTS_HOLT,
     "events_cusum": SQL_EVENTS_CUSUM,
-    "top_supplier": SQL_TOP_SUPPLIER,
-    "parts_value_share": SQL_PARTS_VALUE_SHARE,
-    "forecast_revenue": SQL_FORECAST_REVENUE,
-    "nations_local_volume": SQL_NATIONS_LOCAL_VOLUME,
-    "nations_market_share": SQL_NATIONS_MARKET_SHARE,
     "text_chrf_corpus": SQL_TEXT_CHRF_CORPUS,
-    "graph_mst": SQL_GRAPH_MST,
-    "graph_mst_clusters": SQL_GRAPH_MST_CLUSTERS,
-    "graph_betweenness": SQL_GRAPH_BETWEENNESS,
-    "graph_closeness": SQL_GRAPH_CLOSENESS,
     "text_wer_corpus": SQL_TEXT_WER_CORPUS,
 }

@@ -128,15 +128,6 @@ def _split_commas_outside_quotes(s: str) -> list[str]:
     return out
 
 
-def _ip_to_int(ip: str) -> int:
-    """IPv6-width integer form of an address (reference IP2Bit,
-    src/util.c:307 — 16-byte binary form); v4 is mapped into v6 space."""
-    a = ipaddress.ip_address(ip)
-    if a.version == 4:
-        return int(ipaddress.IPv6Address("::ffff:" + ip))
-    return int(a)
-
-
 def _net_to_range(net: str) -> tuple[int, int]:
     n = ipaddress.ip_network(net, strict=False)
     if n.version == 4:

@@ -98,8 +98,6 @@ LIST_MATCH_SCHEMA = pa.schema([
     ("tool", pa.string()),
 ])
 
-_LIST_COLS = [f.name for f in LIST_MATCH_SCHEMA]
-
 
 def explode_match_lists(tbl: pa.Table) -> pa.Table:
     """LIST_MATCH_SCHEMA → MATCH_SCHEMA: flatten the per-match list

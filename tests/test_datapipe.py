@@ -1,5 +1,5 @@
 """Tests for the training-data ops: dedup family, ANN, text stats,
-events and graphs — verified against brute-force / DuckDB ground truth
+events — verified against brute-force / DuckDB ground truth
 on the sf0.001 driver tables."""
 
 import itertools
@@ -293,43 +293,6 @@ def test_hard_negative_topk_excludes_anchor_label(embeds):
         got = out[out.query_id == qi].sort_values("rank")
         assert list(got["vec_id"].astype(int)) == \
             list(want.sort_values("rank")["vec_id"].astype(int))
-
-
-def test_pq_recall(embeds):
-    """PQ ADC shortlist + exact rerank: recall vs brute force (measured
-    0.8 at rerank=64 on this corpus; deterministic, so the floor is a
-    regression tripwire not a flake margin)."""
-    from sagan_ray.datapipe import brute_force_topk, pq_topk
-
-    df = embeds.to_pandas()
-    mat = np.asarray(df["embedding"].tolist(), dtype=np.float32)
-    queries = mat[:5]
-    exact = brute_force_topk(embeds, queries, k=10).to_pandas()
-    approx = pq_topk(embeds, queries, k=10, m_sub=8, n_codes=16,
-                     rerank=64).to_pandas()
-    recalls = []
-    for qi in range(5):
-        e = set(exact[exact.query_id == qi]["vec_id"].astype(int))
-        a = set(approx[approx.query_id == qi]["vec_id"].astype(int))
-        recalls.append(len(e & a) / len(e))
-    assert np.mean(recalls) >= 0.6
-
-
-def test_pq_layout_invariance(embeds):
-    """pq_topk is a pure function of (input, params): codebooks train on
-    the SplitMix64-smallest sample, every score is an exact integer on
-    the unit grid, and the merge takes the GLOBAL (adc, id) shortlist —
-    so any repartitioning yields a bit-identical frame."""
-    from sagan_ray.datapipe import pq_topk
-
-    df = embeds.to_pandas()
-    queries = np.asarray(df["embedding"].tolist(), dtype=np.float32)[:3]
-    cols = ["query_id", "rank"]
-    a = (pq_topk(embeds, queries, k=10, rerank=32).to_pandas()
-         .sort_values(cols).reset_index(drop=True))
-    b = (pq_topk(embeds.repartition(7), queries, k=10, rerank=32)
-         .to_pandas().sort_values(cols).reset_index(drop=True))
-    assert a.equals(b)
 
 
 def test_embedding_near_dup_planted_pairs():
@@ -720,42 +683,6 @@ def test_hash_join_duplicates_and_left():
     assert len(lj) == 6          # 5 matches + unmatched k=3
     row3 = lj[lj["k"] == 3]
     assert len(row3) == 1 and pd.isna(row3["r_rv"].iloc[0])
-
-
-def test_bloom_semijoin_exact_and_pruning():
-    import numpy as np
-    import ray.data as rd
-
-    from sagan_ray.datapipe import bloom_semijoin, hash_join
-
-    rng = np.random.RandomState(11)
-    big_keys = rng.randint(0, 10_000, 20_000).astype(np.int64)
-    big = rd.from_arrow(pa.table({
-        "k": pa.array(big_keys, pa.int64()),
-        "v": pa.array(np.arange(20_000), pa.int64())})).repartition(4)
-    small_keys = np.arange(0, 10_000, 50, dtype=np.int64)  # 2% of keys
-    small = rd.from_arrow(pa.table({
-        "k": pa.array(small_keys, pa.int64()),
-        "w": pa.array(small_keys * 7, pa.int64())})).repartition(2)
-
-    pruned = bloom_semijoin(big, small, on="k")
-    pt = pruned.to_pandas()
-    # no false negatives: every truly-matching row survives the prune
-    match_mask = np.isin(big_keys, small_keys)
-    assert set(pt["v"]) >= set(np.arange(20_000)[match_mask])
-    # the prune actually removes the bulk of the non-matching rows
-    assert len(pt) < 0.10 * len(big_keys)
-
-    small2 = rd.from_arrow(pa.table({
-        "k": pa.array(small_keys, pa.int64()),
-        "w": pa.array(small_keys * 7, pa.int64())})).repartition(2)
-    joined = hash_join(small2, pruned, on="k", left_cols=["w"],
-                       right_cols=["v"]).to_pandas()
-    want = sorted((int(k), int(k) * 7, int(v))
-                  for k, v in zip(big_keys[match_mask],
-                                  np.arange(20_000)[match_mask]))
-    got = sorted(zip(joined["k"], joined["w"], joined["r_v"]))
-    assert got == want
 
 
 def test_dedup_against_prior_planted():
@@ -1617,138 +1544,6 @@ def test_ivf_index_update_equals_fixed_centroid_rebuild(embeds, tmp_path):
     assert n_stored == len(df)
 
 
-def test_pq_index_matches_pq_topk_bitwise(embeds, tmp_path):
-    """search_pq_index must return EXACTLY what the in-line pq_topk
-    returns for the same training params: stored codes equal the
-    in-line encoding (fixed books), the global (adc, id) shortlist is
-    the same set, and the exact rerank computes the same integer
-    dots."""
-    import pandas as pd
-
-    from sagan_ray.datapipe import build_pq_index, pq_topk, search_pq_index
-
-    df = embeds.to_pandas()
-    q = np.asarray(df["embedding"].tolist(), dtype=np.float32)[:4]
-    idx = str(tmp_path / "pq")
-    build_pq_index(embeds, idx, m_sub=8, n_codes=16)
-    key = ["query_id", "rank"]
-    got = (search_pq_index(idx, embeds, q, k=10, rerank=32).to_pandas()
-           .sort_values(key).reset_index(drop=True))
-    want = (pq_topk(embeds, q, k=10, rerank=32).to_pandas()
-            .sort_values(key).reset_index(drop=True))
-    pd.testing.assert_frame_equal(got, want, check_exact=True)
-    assert len(got) > 0
-    # the memory claim: stored codes are a small fraction of raw bytes
-    import os
-    codes_bytes = sum(os.path.getsize(os.path.join(idx, "codes", f))
-                      for f in os.listdir(os.path.join(idx, "codes")))
-    raw_bytes = len(df) * 64 * 4          # 64-d float32
-    assert codes_bytes < raw_bytes / 2
-
-
-def test_pq_index_update_equals_fixed_books_rebuild(embeds, tmp_path):
-    """build(half1) + update(half2) must search bit-equal to a rebuild
-    over the union with the SAME stored books (codes depend only on
-    the fixed books; ADC/rerank scoring is layout-independent)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from sagan_ray.datapipe import (build_pq_index, search_pq_index,
-                                    update_pq_index)
-    from sagan_ray.datapipe.ann import _read_pq_books
-
-    df = embeds.to_pandas()
-    half1 = rd.from_pandas(df.iloc[::2].reset_index(drop=True))
-    half2 = rd.from_pandas(df.iloc[1::2].reset_index(drop=True))
-    q = np.asarray(df["embedding"].tolist(), dtype=np.float32)[:4]
-
-    inc = str(tmp_path / "pq_inc")
-    build_pq_index(half1, inc, m_sub=8, n_codes=16)
-    update_pq_index(half2, inc)
-
-    _, _, books = _read_pq_books(inc)
-    full = str(tmp_path / "pq_full")
-    build_pq_index(embeds, full, books=books)
-
-    key = ["query_id", "rank"]
-    a = (search_pq_index(inc, embeds, q, k=10, rerank=32).to_pandas()
-         .sort_values(key).reset_index(drop=True))
-    b = (search_pq_index(full, embeds, q, k=10, rerank=32).to_pandas()
-         .sort_values(key).reset_index(drop=True))
-    pd.testing.assert_frame_equal(a, b, check_exact=True)
-    assert len(a) > 0
-
-
-def test_ivfpq_recall_and_layout_invariance(embeds, tmp_path):
-    """IVF-PQ (cell-partitioned residual codes): recall floor vs brute
-    force at nprobe=4/8 cells (measured 0.56, deterministic — a
-    regression tripwire), and the whole build→ADC→rerank chain must be
-    a pure function of (input, params): rebuilding from a repartitioned
-    input and searching over a repartitioned corpus yields a
-    bit-identical frame."""
-    import pandas as pd
-
-    from sagan_ray.datapipe import (brute_force_topk, build_ivfpq_index,
-                                    search_ivfpq_index)
-
-    df = embeds.to_pandas()
-    q = np.asarray(df["embedding"].tolist(), dtype=np.float32)[:5]
-    exact = brute_force_topk(embeds, q, k=10).to_pandas()
-    idx = str(tmp_path / "ivfpq")
-    build_ivfpq_index(embeds, idx, n_cells=8, m_sub=8, n_codes=16)
-    out = search_ivfpq_index(idx, embeds, q, k=10, nprobe=4,
-                             rerank=64).to_pandas()
-    recalls = []
-    for qi in range(5):
-        e = set(exact[exact.query_id == qi]["vec_id"].astype(int))
-        a = set(out[out.query_id == qi]["vec_id"].astype(int))
-        recalls.append(len(e & a) / len(e))
-    assert np.mean(recalls) >= 0.4
-
-    idx2 = str(tmp_path / "ivfpq2")
-    build_ivfpq_index(embeds.repartition(7), idx2, n_cells=8, m_sub=8,
-                      n_codes=16)
-    key = ["query_id", "rank"]
-    a = (search_ivfpq_index(idx, embeds, q, k=10, nprobe=4, rerank=32)
-         .to_pandas().sort_values(key).reset_index(drop=True))
-    b = (search_ivfpq_index(idx2, embeds.repartition(3), q, k=10,
-                            nprobe=4, rerank=32)
-         .to_pandas().sort_values(key).reset_index(drop=True))
-    pd.testing.assert_frame_equal(a, b, check_exact=True)
-    assert len(a) > 0
-
-
-def test_ivfpq_search_prunes_to_probed_cells(embeds, tmp_path):
-    """nprobe=1 must read exactly one cell=<i>/ partition's files —
-    the bytes-touched claim (the search builds its file list from the
-    probed cells only)."""
-    import os
-
-    from sagan_ray.datapipe import build_ivfpq_index, search_ivfpq_index
-
-    df = embeds.to_pandas()
-    q = np.asarray(df["embedding"].tolist(), dtype=np.float32)[:1]
-    idx = str(tmp_path / "ivfpq")
-    build_ivfpq_index(embeds, idx, n_cells=8, m_sub=8, n_codes=16)
-    out = search_ivfpq_index(idx, embeds, q, k=5, nprobe=1,
-                             rerank=16).to_pandas()
-    assert len(out) == 5
-    # every returned vec_id lives in ONE stored cell partition
-    import pyarrow.parquet as pq_
-    cells = set()
-    for ent in os.listdir(idx):
-        if not ent.startswith("cell="):
-            continue
-        cdir = os.path.join(idx, ent)
-        for fn in os.listdir(cdir):
-            t = pq_.read_table(os.path.join(cdir, fn),
-                               columns=["vec_id"])
-            got = set(t.column("vec_id").to_pylist())
-            if got & set(out["vec_id"].astype(int)):
-                cells.add(ent)
-    assert len(cells) == 1
-
-
 def test_heavy_hitters_exact_under_forced_pruning():
     """Adversarial zipf vocab with k far below the distinct count: every
     batch AND the driver fold must prune (e > 0), yet the certified
@@ -2215,10 +2010,8 @@ def test_index_compaction_bit_equal_and_fewer_files(embeds, tmp_path):
     import pandas as pd
     import ray.data as rd
 
-    from sagan_ray.datapipe import (build_ivf_index, build_pq_index,
-                                    compact_ivf_index, compact_pq_index,
-                                    search_ivf_index, search_pq_index,
-                                    update_ivf_index, update_pq_index)
+    from sagan_ray.datapipe import (build_ivf_index, compact_ivf_index,
+                                    search_ivf_index, update_ivf_index)
 
     df = embeds.to_pandas()
     half1 = rd.from_pandas(df.iloc[::2].reset_index(drop=True))
@@ -2240,16 +2033,6 @@ def test_index_compaction_bit_equal_and_fewer_files(embeds, tmp_path):
     n_files2 = sum(len(os.listdir(os.path.join(ivf, e)))
                    for e in os.listdir(ivf) if e.startswith("cell="))
     assert n_files2 < n_files
-
-    pq = str(tmp_path / "pq")
-    build_pq_index(half1, pq, m_sub=8, n_codes=16)
-    update_pq_index(half2, pq)
-    before = (search_pq_index(pq, embeds, q, k=10, rerank=32).to_pandas()
-              .sort_values(key).reset_index(drop=True))
-    compact_pq_index(pq)
-    after = (search_pq_index(pq, embeds, q, k=10, rerank=32).to_pandas()
-             .sort_values(key).reset_index(drop=True))
-    pd.testing.assert_frame_equal(before, after, check_exact=True)
 
 
 def test_semantic_dedup_filter_one_rep_per_component(embeds):
@@ -2294,125 +2077,6 @@ def test_fuzzy_dedup_against_prior_partition(docs):
     new_ids = set(new.to_pandas()["doc_id"].astype(int))
     assert surv == new_ids - dropped
     assert dropped <= new_ids
-
-
-def test_pq_index_adc_only_mode(embeds, tmp_path):
-    """ds=None serves from codes alone: at k == rerank the ADC-only id
-    SET must equal the exact mode's (same global shortlist, different
-    order), and at small k it must be the (adc desc, id) head."""
-    from sagan_ray.datapipe import build_pq_index, search_pq_index
-
-    df = embeds.to_pandas()
-    q = np.asarray(df["embedding"].tolist(), dtype=np.float32)[:3]
-    idx = str(tmp_path / "pq")
-    build_pq_index(embeds, idx, m_sub=8, n_codes=16)
-    adc_only = search_pq_index(idx, None, q, k=16, rerank=16).to_pandas()
-    exact = search_pq_index(idx, embeds, q, k=16, rerank=16).to_pandas()
-    for qi in range(3):
-        a = set(adc_only[adc_only.query_id == qi]["vec_id"].astype(int))
-        e = set(exact[exact.query_id == qi]["vec_id"].astype(int))
-        assert a == e and len(a) == 16
-    # ranks are (adc desc, id asc) within each query
-    for qi in range(3):
-        sub = adc_only[adc_only.query_id == qi].sort_values("rank")
-        adcs = sub["adc"].to_numpy()
-        assert (np.diff(adcs) <= 0).all()
-
-
-# ----------------------------------------------------------------------
-# PageRank (graph.py)
-# ----------------------------------------------------------------------
-
-def test_pagerank_matches_sequential_golden():
-    """Distributed broadcast/partial PageRank == per-edge sequential
-    golden, bit-exact (exact-int spec)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import pagerank, synth_link_graph
-    from sagan_ray.oracle.golden import write_golden_pagerank
-
-    path = write_golden_pagerank(256, 5, n_iters=6)
-    got = pagerank(rd.from_arrow(synth_link_graph(256, seed=5)), 256,
-                   n_iters=6).to_pandas()
-    want = pd.read_parquet(path)
-    assert got.equals(want)
-
-
-def test_pagerank_hub_structure_and_mass():
-    """The √x-CDF dst skew makes node 0 a hub (max rank); total mass
-    stays within the documented floor-division leak of n·2^30."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import PR_GRID, pagerank, synth_link_graph
-
-    n = 512
-    out = pagerank(rd.from_arrow(synth_link_graph(n, seed=9)), n,
-                   n_iters=8).to_pandas()
-    r = out.sort_values("node")["rank"].to_numpy()
-    assert r.argmax() == 0
-    total = int(r.sum())
-    assert 0 < total <= n * PR_GRID
-    assert total >= int(0.95 * n * PR_GRID)
-
-
-def test_pagerank_block_layout_invariant():
-    """Repartitioning the edge table cannot change a bit."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import pagerank, synth_link_graph
-
-    tbl = synth_link_graph(256, seed=2)
-    a = pagerank(rd.from_arrow(tbl), 256, n_iters=4).to_pandas()
-    b = pagerank(rd.from_arrow(tbl).repartition(7), 256,
-                 n_iters=4).to_pandas()
-    assert a.equals(b)
-
-
-# ----------------------------------------------------------------------
-# Triangle counting (graph.py)
-# ----------------------------------------------------------------------
-
-def test_triangle_counts_hand_graph():
-    """K4 on {0,1,2,3} plus a pendant edge 3-4 and a both-direction
-    duplicate: every K4 vertex is in C(3,2)=3 triangles, 4 in none;
-    direction/multiplicity/self-loops ignored."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import triangle_counts
-
-    src = [0, 0, 0, 1, 1, 2, 3, 1, 2, 2]
-    dst = [1, 2, 3, 2, 3, 3, 4, 0, 1, 2]   # 1-0 dup, 2-1 dup, 2-2 loop
-    out = triangle_counts(
-        rd.from_arrow(pa.table({"src": pa.array(src, pa.int64()),
-                                "dst": pa.array(dst, pa.int64())})),
-        8).to_pandas().sort_values("node").reset_index(drop=True)
-    assert out["node"].tolist() == [0, 1, 2, 3]
-    assert out["n_tri"].tolist() == [3, 3, 3, 3]
-
-
-def test_edge_common_neighbors_hand_graph():
-    """K4 plus pendant 3-4: every K4 edge has cn=2 (the other two K4
-    vertices); jaccard = 2/(3+3-2) = 0.5 between degree-3 nodes but
-    2/(3+4-2) = 0.4 on edges touching node 3 (degree 4 via the
-    pendant); the pendant edge has cn=0 and jaccard 0/(4+1-0) = 0.
-    Zero-support edges must keep a row."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import edge_common_neighbors
-
-    src = [0, 0, 0, 1, 1, 2, 3, 1, 2, 2]
-    dst = [1, 2, 3, 2, 3, 3, 4, 0, 1, 2]
-    out = (edge_common_neighbors(
-        rd.from_arrow(pa.table({"src": pa.array(src, pa.int64()),
-                                "dst": pa.array(dst, pa.int64())})),
-        8).to_pandas().sort_values(["a", "b"]).reset_index(drop=True))
-    got = list(out.itertuples(index=False, name=None))
-    assert got == [(0, 1, 2, 0.5), (0, 2, 2, 0.5), (0, 3, 2, 0.4),
-                   (1, 2, 2, 0.5), (1, 3, 2, 0.4), (2, 3, 2, 0.4),
-                   (3, 4, 0, 0.0)]
 
 
 def test_pair_cosine_histogram_layout_invariant_and_total():
@@ -2521,88 +2185,6 @@ def test_embedding_drift_hand_check():
     assert out["mean_a"].tolist() == [b * f for b in base]
     assert out["mean_b"].tolist() == [(b + shift) * f for b in base]
     assert out["delta"].tolist() == [-shift * f, -shift * f]
-
-
-def test_triangle_counts_sequential_and_layout_invariant():
-    """Distributed count == brute-force sequential enumeration on the
-    synthetic hub graph, and repartitioning cannot change a row."""
-    import itertools
-
-    import numpy as np
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import synth_link_graph, triangle_counts
-
-    n = 256
-    tbl = synth_link_graph(n, seed=11)
-    s = tbl.column("src").to_numpy()
-    d = tbl.column("dst").to_numpy()
-    adj = np.zeros((n, n), dtype=bool)
-    adj[s, d] = True
-    adj |= adj.T
-    np.fill_diagonal(adj, False)
-    want = np.zeros(n, dtype=np.int64)
-    for a, b, c in itertools.combinations(range(n), 3):
-        if adj[a, b] and adj[b, c] and adj[a, c]:
-            want[a] += 1
-            want[b] += 1
-            want[c] += 1
-
-    got = triangle_counts(rd.from_arrow(tbl), n).to_pandas()
-    got_v = np.zeros(n, dtype=np.int64)
-    got_v[got["node"].to_numpy()] = got["n_tri"].to_numpy()
-    assert (got_v == want).all()
-
-    re7 = triangle_counts(rd.from_arrow(tbl).repartition(7), n).to_pandas()
-    assert re7.sort_values("node").reset_index(drop=True).equals(
-        got.sort_values("node").reset_index(drop=True))
-
-
-def test_k_core_hand_graph_and_empty_core():
-    """K4 ∪ pendant: the 2-core is exactly the K4 (pendant peels, which
-    then lowers nothing below 2); the 4-core is empty. Batch peel must
-    also match the sequential golden on the synth graph."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import k_core
-
-    src = [0, 0, 0, 1, 1, 2, 3]
-    dst = [1, 2, 3, 2, 3, 3, 4]
-    ds = rd.from_arrow(pa.table({"src": pa.array(src, pa.int64()),
-                                 "dst": pa.array(dst, pa.int64())}))
-    out = k_core(ds, 8, 2).to_pandas()
-    assert out["node"].tolist() == [0, 1, 2, 3]
-    assert out["deg"].tolist() == [3, 3, 3, 3]
-    assert len(k_core(ds, 8, 4).to_pandas()) == 0
-
-
-def test_k_core_matches_sequential_golden():
-    import pandas as pd
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import k_core, synth_link_graph
-    from sagan_ray.oracle.golden import write_golden_kcore
-
-    path = write_golden_kcore(512, 9, k=5)
-    got = (k_core(rd.from_arrow(synth_link_graph(512, seed=9))
-                  .repartition(5), 512, 5).to_pandas()
-           .sort_values("node").reset_index(drop=True))
-    assert got.equals(pd.read_parquet(path))
-
-
-def test_degree_histogram_counts_isolated_nodes():
-    import pyarrow as pa
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import degree_histogram
-
-    # path 0-1-2 inside n=5: nodes 3,4 isolated (deg 0)
-    ds = rd.from_arrow(pa.table({"src": pa.array([0, 1], pa.int64()),
-                                 "dst": pa.array([1, 2], pa.int64())}))
-    out = degree_histogram(ds, 5).to_pandas()
-    got = dict(zip(out["deg"], out["n_nodes"]))
-    assert got == {0: 2, 1: 2, 2: 1}
 
 
 # ----------------------------------------------------------------------
@@ -3200,41 +2782,6 @@ def test_knn_graph_layout_invariance_and_ties():
     assert len(full) == 40 * 39 // 2
 
 
-def test_bfs_distances_vs_python_spec():
-    """bfs_distances vs a sequential queue BFS on a hand graph with an
-    unreachable component, a multi-seed tie, and layout invariance."""
-    import collections
-
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import bfs_distances
-
-    # 0-1-2-3 chain, 4 hangs off 1; {5,6} separate component; 7 isolated
-    edges = [(0, 1), (1, 2), (2, 3), (1, 4), (5, 6)]
-    tbl = pa.table({"src": pa.array([a for a, _ in edges], pa.int64()),
-                    "dst": pa.array([b for _, b in edges], pa.int64())})
-
-    def spec(seeds):
-        adj = collections.defaultdict(set)
-        for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        dist = {s: 0 for s in seeds}
-        q = collections.deque(seeds)
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    q.append(v)
-        return sorted(dist.items())
-
-    for seeds in ([0], [0, 3], [3, 5]):
-        got = (bfs_distances(rd.from_arrow(tbl).repartition(3), 8, seeds)
-               .to_pandas().sort_values("node"))
-        assert list(zip(got["node"], got["dist"])) == spec(seeds)
-
-
 def test_url_dedup_canonicalization():
     """Spelling variants (scheme, www, case, trailing slash) collapse to
     one canonical URL; counts and first_doc aggregate across docs."""
@@ -3291,34 +2838,6 @@ def test_knn_graph_ivf_recall_and_guard():
     with pytest.raises((ValueError, Exception)):
         knn_graph_ivf(rd.from_arrow(tbl), k=5, n_cells=2,
                       sample_size=64, seed=5, max_cell=10).to_pandas()
-
-
-def test_label_propagation_semantics():
-    """Hand graph: seeds immutable, majority vote with lowest-label
-    ties, isolated node stays unlabeled, convergence along a chain."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import label_propagation
-
-    # 0(seed L1)-1-2-3(seed L0); 4 isolated; 5(seed L0)-1 makes node
-    # 1 see votes {L1:1, L0:1} -> tie -> lowest label 0
-    edges = [(0, 1), (1, 2), (2, 3), (5, 1)]
-    tbl = pa.table({"src": pa.array([a for a, _ in edges], pa.int64()),
-                    "dst": pa.array([b for _, b in edges], pa.int64())})
-    labels = np.array([1, -1, -1, 0, -1, 0], dtype=np.int64)
-    out = (label_propagation(rd.from_arrow(tbl).repartition(2), 6,
-                             labels, n_iters=4)
-           .to_pandas().sort_values("node"))
-    got = dict(zip(out["node"], out["label"]))
-    assert got[0] == 1 and got[3] == 0 and got[5] == 0   # seeds fixed
-    assert got[4] == -1                                  # isolated
-    assert got[1] == 0                                   # tie -> lowest
-    # node 2 neighbors: 1 (becomes 0) and 3 (seed 0) -> 0
-    assert got[2] == 0
-    # zero iterations returns the input labels
-    out0 = (label_propagation(rd.from_arrow(tbl), 6, labels, n_iters=0)
-            .to_pandas().sort_values("node"))
-    assert list(out0["label"]) == list(labels)
 
 
 def test_pii_pseudonymize_consistency_and_rewrite():
@@ -3633,46 +3152,6 @@ def test_concat_chunk_spans_invariants():
                            capacity=2, count_col="n_tokens").to_pandas()
 
 
-def test_scd2_merge_arms():
-    """Every merge arm on a hand fixture: pass-through closed history,
-    unchanged open, changed close+reopen, absent keeps open, new key
-    opens; duplicate snapshot keys and double-open rows are refused."""
-    import pytest
-    import ray.data as rd
-
-    from sagan_ray.datapipe.diff import SCD2_OPEN, scd2_merge
-
-    old = pa.table({
-        "k": pa.array([1, 1, 2, 3], pa.int64()),
-        "v": ["a_old", "a", "b", "c"],
-        "valid_from": pa.array([-5, 0, 0, 0], pa.int64()),
-        "valid_to": pa.array([0, SCD2_OPEN, SCD2_OPEN, SCD2_OPEN],
-                             pa.int64())})
-    new = pa.table({"k": pa.array([1, 2, 4], pa.int64()),
-                    "v": ["a", "b2", "d"]})
-    out = (scd2_merge(rd.from_arrow(old).repartition(2),
-                      rd.from_arrow(new), key_col="k", attr_cols=["v"],
-                      ts=100).to_pandas()
-           .sort_values(["k", "valid_from", "valid_to"])
-           .reset_index(drop=True))
-    got = list(zip(out["k"], out["v"], out["valid_from"],
-                   out["valid_to"]))
-    assert got == [
-        (1, "a_old", -5, 0),              # closed history untouched
-        (1, "a", 0, SCD2_OPEN),           # unchanged stays open
-        (2, "b", 0, 100),                 # changed: closed at ts
-        (2, "b2", 100, SCD2_OPEN),        # ...and reopened
-        (3, "c", 0, SCD2_OPEN),           # absent from snapshot: open
-        (4, "d", 100, SCD2_OPEN),         # brand-new key
-    ]
-    with pytest.raises(Exception):
-        scd2_merge(rd.from_arrow(old),
-                   rd.from_arrow(pa.table({"k": pa.array([5, 5],
-                                                         pa.int64()),
-                                           "v": ["x", "y"]})),
-                   key_col="k", attr_cols=["v"], ts=1).to_pandas()
-
-
 def test_rouge1_recall_clipping():
     """Clipped-count semantics against hand values: repeats in the
     candidate clip at the reference count; identical text scores 1.0;
@@ -3735,6 +3214,47 @@ def test_rouge_l_order_sensitivity():
     assert l.loc[0, "lcs"] == 1             # LCS of x vs reversed x
     assert l.loc[0, "rouge_l"] == 0.2
     assert l.loc[1, "rouge_l"] == 1.0
+
+
+def test_text_metrics_split_words_on_re2_space(tmp_path):
+    """The text metrics share one word definition, RE2 ``\\s`` =
+    [\\t\\n\\f\\r ]: \\xa0, \\v, U+2003 and \\x1c stay inside a word,
+    though Python's ``str.split()`` splits on them. ROUGE-L counts the
+    same reference words as ROUGE-N, and the BLEU golden's spec equals
+    ``bleu_scores`` on such rows."""
+    import pandas as pd
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from sagan_ray.datapipe.lines import (bleu_scores, rouge_l_recall,
+                                          rouge_recall)
+    from sagan_ray.oracle.golden import write_golden_bleu
+    from sagan_ray.pipelines.queries import _first10_doubled_cand
+
+    texts = ["alpha\xa0beta gamma delta alpha\xa0beta",
+             "one\vtwo three\tfour five one\vtwo",
+             "x\u2003y z x\u2003y z w",
+             "p\x1cq r s\nt u v w x y z end p\x1cq",
+             "\xa0lead\xa0 mid\u2003 tail\v"]
+    docs = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                     "text": texts})
+    pq.write_table(docs, str(tmp_path / "documents.parquet"))
+    ds = rd.from_arrow(_first10_doubled_cand(docs))
+
+    def by_id(d):
+        return (d.to_pandas().sort_values("doc_id")
+                .reset_index(drop=True))
+
+    rl = by_id(rouge_l_recall(ds, ref_col="text", cand_col="cand"))
+    r1 = by_id(rouge_recall(ds, ref_col="text", cand_col="cand"))
+    assert rl["ref_total"].tolist() == r1["ref_total"].tolist()
+    assert r1["ref_total"].tolist() == [4, 5, 5, 12, 3]
+
+    got = by_id(bleu_scores(ds, ref_col="text", cand_col="cand"))
+    want = (pq.read_table(write_golden_bleu(str(tmp_path))).to_pandas()
+            .sort_values("doc_id").reset_index(drop=True))
+    pd.testing.assert_frame_equal(got[list(want.columns)], want,
+                                  check_exact=True)
 
 
 def test_bleu_hand_values():
@@ -4015,167 +3535,3 @@ def test_wer_matches_python_dp_multibatch():
         assert out.loc[i, "dist"] == lev(r.split(), c.split()), i
 
 
-def test_mst_hand_graph_and_layout_invariance():
-    """Borůvka MSF vs hand values: a weighted cycle drops exactly its
-    heaviest edge; disconnected components each get their own tree;
-    the result is identical under different block layouts."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import minimum_spanning_forest
-
-    # cycle 0-1-2-3-0 with weights 1,2,3,9 -> drop the 9 edge;
-    # separate component 5-6 (w 4)
-    tbl = pa.table({
-        "a": pa.array([0, 1, 2, 0, 5], pa.int64()),
-        "b": pa.array([1, 2, 3, 3, 6], pa.int64()),
-        "w": pa.array([1, 2, 3, 9, 4], pa.int64())})
-    for parts in (1, 3):
-        mst, total = minimum_spanning_forest(
-            rd.from_arrow(tbl).repartition(parts), 7)
-        out = mst.to_pandas()
-        assert sorted(zip(out["a"], out["b"], out["w"])) == [
-            (0, 1, 1), (1, 2, 2), (2, 3, 3), (5, 6, 4)]
-        assert total == 10
-
-
-def test_mst_matches_kruskal_random():
-    """Distributed Borůvka equals sequential Kruskal under the packed
-    pseudo-weight order on a random multigraph (ties in w broken by
-    (a, b) — both sides must pick the same edge)."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import minimum_spanning_forest
-
-    rng = np.random.default_rng(3)
-    n = 60
-    a = rng.integers(0, n, 400)
-    b = rng.integers(0, n, 400)
-    keep = a != b
-    aa = np.minimum(a, b)[keep]
-    bb = np.maximum(a, b)[keep]
-    w = (rng.integers(1, 5, keep.sum())).astype(np.int64)  # heavy ties
-    # unique canonical edges, min weight per pair
-    import pandas as pd
-    ed = (pd.DataFrame({"a": aa, "b": bb, "w": w})
-          .groupby(["a", "b"], as_index=False)["w"].min())
-    tbl = pa.Table.from_pandas(ed, preserve_index=False).cast(
-        pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                   ("w", pa.int64())]))
-    mst, total = minimum_spanning_forest(
-        rd.from_arrow(tbl).repartition(4), n)
-    out = mst.to_pandas()
-
-    # sequential Kruskal, same (w, a, b) order
-    order = ed.sort_values(["w", "a", "b"]).itertuples(index=False)
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            x = parent[x]
-        return x
-
-    want = []
-    for r in order:
-        ra, rb = find(r.a), find(r.b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-            want.append((r.a, r.b, r.w))
-    assert sorted(zip(out["a"], out["b"], out["w"])) == sorted(want)
-    assert total == sum(x[2] for x in want)
-
-
-def test_betweenness_hand_values_and_layout():
-    """Brandes from one source on a path 0-1-2-3: dependencies are
-    exact (delta[2]=1, delta[1]=2 from source 0); a diamond (two
-    shortest paths) splits sigma credit 0.5/0.5; identical results
-    under different block layouts."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import betweenness_from_sources
-
-    path = pa.table({"src": pa.array([0, 1, 2], pa.int64()),
-                     "dst": pa.array([1, 2, 3], pa.int64())})
-    for parts in (1, 3):
-        out = betweenness_from_sources(
-            rd.from_arrow(path).repartition(parts), 4, [0])
-        assert out["betweenness"].tolist() == [0.0, 2.0, 1.0, 0.0]
-
-    # diamond: 0-1, 0-2, 1-3, 2-3 — two shortest 0..3 paths
-    dia = pa.table({"src": pa.array([0, 0, 1, 2], pa.int64()),
-                    "dst": pa.array([1, 2, 3, 3], pa.int64())})
-    out = betweenness_from_sources(rd.from_arrow(dia), 4, [0])
-    assert out["betweenness"].tolist() == [0.0, 0.5, 0.5, 0.0]
-
-
-def test_betweenness_matches_sequential_brandes():
-    """Distributed pivots equal a reference per-source Brandes (heap-
-    free BFS variant) on a random graph, to float equality — the
-    canonical np.add.at ordering makes the float sums deterministic."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import betweenness_from_sources
-
-    rng = np.random.default_rng(9)
-    n = 40
-    a = rng.integers(0, n, 120)
-    b = rng.integers(0, n, 120)
-    tbl = pa.table({"src": pa.array(a, pa.int64()),
-                    "dst": pa.array(b, pa.int64())})
-    srcs = [0, 5, 7]
-    out = betweenness_from_sources(
-        rd.from_arrow(tbl).repartition(4), n, srcs)
-
-    # reference: networkx-style Brandes accumulation per source
-    adj = {}
-    for x, y in zip(a.tolist(), b.tolist()):
-        if x == y:
-            continue
-        adj.setdefault(x, set()).add(y)
-        adj.setdefault(y, set()).add(x)
-    bc = np.zeros(n)
-    for s in srcs:
-        dist = {s: 0}
-        sigma = {s: 1}
-        order = [s]
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in sorted(adj.get(v, ())):
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        sigma[w] = 0
-                        nxt.append(w)
-            for w in nxt:
-                sigma[w] = sum(sigma[u] for u in sorted(adj[w])
-                               if dist.get(u) == dist[w] - 1)
-            order.extend(sorted(set(nxt)))
-            frontier = sorted(set(nxt))
-        delta = {v: 0.0 for v in dist}
-        maxl = max(dist.values())
-        for L in range(maxl, 0, -1):
-            dag = sorted((v, w) for v in dist for w in adj.get(v, ())
-                         if dist[v] == L - 1 and dist.get(w) == L)
-            for v, w in dag:
-                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
-        delta[s] = 0.0
-        for v, d in delta.items():
-            bc[v] += d
-    assert out["betweenness"].to_numpy().tolist() == bc.tolist()
-
-
-def test_closeness_hand_values():
-    """Closeness from two pivots on a path 0-1-2-3: node sums of
-    distances to {0, 3} are 3,3,3,3 -> closeness 2/3 everywhere; a
-    node unreachable from one pivot is dropped."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.graph import closeness_from_pivots
-
-    path = pa.table({"src": pa.array([0, 1, 2, 5], pa.int64()),
-                     "dst": pa.array([1, 2, 3, 6], pa.int64())})
-    out = closeness_from_pivots(rd.from_arrow(path), 7, [0, 3])
-    # nodes 5,6 never reach pivot 0 -> absent; pivots have sd=3 too
-    assert out["node"].tolist() == [0, 1, 2, 3]
-    assert out["total_dist"].tolist() == [3, 3, 3, 3]
-    assert out["closeness"].tolist() == [2 / 3] * 4

@@ -881,80 +881,6 @@ def test_context_windows_frames_and_conv_boundaries():
     assert one["context"].tolist() == ["a", "b", "c", "d", "x"]
 
 
-def test_fk_violations_orphans_nulls_and_parent_only():
-    """Orphan child keys are reported with exact row counts; null child
-    keys are excluded (SQL LEFT JOIN semantics); parent-only keys are
-    not violations; matched keys don't appear."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.profile import fk_violations
-
-    child = rd.from_arrow(pa.table({
-        "fk": pa.array([1, 1, 2, 3, None, 9, 9, 9], pa.int64())}))
-    parent = rd.from_arrow(pa.table({
-        "pk": pa.array([1, 2, 7], pa.int64())}))
-    out = (fk_violations(child, parent, child_key="fk", parent_key="pk")
-           .to_pandas().sort_values("fk").reset_index(drop=True))
-    assert out["fk"].tolist() == [3, 9]
-    assert out["n_rows"].tolist() == [1, 3]
-
-
-def test_k_anonymity_boundary_and_block_layout():
-    """Classes of size k are NOT violations (strict <); partial counts
-    sum correctly across blocks (each class split over many batches);
-    an empty violating set keeps the schema."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from sagan_ray.datapipe import k_anonymity
-
-    # class A: 3 rows, class B: 2 rows, class C: 5 rows
-    tbl = pa.table({"g": pa.array([0, 0, 0, 1, 1, 2, 2, 2, 2, 2],
-                                  pa.int64()),
-                    "seg": ["x"] * 5 + ["y"] * 5})
-    # classes straddle blocks: 5 single-row blocks x 2
-    ds = rd.from_arrow(tbl).repartition(5)
-    out = (k_anonymity(ds, ["g", "seg"], 3).to_pandas()
-           .sort_values(["g", "seg"]).reset_index(drop=True))
-    # under k=3: (1,x) size 2 and (2,y) size 2 violate; size-3 (0,x)
-    # and (2,y)? -- recompute: g/seg pairs: (0,x)x3 (1,x)x2 (2,x)?...
-    got = list(zip(out["g"], out["seg"], out["n_rows"]))
-    import collections
-    truth = collections.Counter(zip(tbl["g"].to_pylist(),
-                                    tbl["seg"].to_pylist()))
-    want = sorted((g, s, n) for (g, s), n in truth.items() if n < 3)
-    assert got == want
-    # k=1: nothing violates; Dataset-level schema intact (empty
-    # to_pandas() drops columns -- known Ray quirk, assert upstream)
-    empty = k_anonymity(rd.from_arrow(tbl), ["g", "seg"], 1)
-    assert empty.count() == 0
-    assert empty.schema().names == ["g", "seg", "n_rows"]
-
-
-def test_l_diversity_boundary_and_block_layout():
-    """Strict < l on the DISTINCT sensitive count; duplicate sensitive
-    values inside a class count once even when split across blocks;
-    classes at exactly l are not violations."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from sagan_ray.datapipe import l_diversity
-
-    # class 0: values x,x,x,y (2 distinct) -> violates l=3
-    # class 1: values x,y,z (3 distinct)   -> NOT a violation
-    # class 2: values x,x (1 distinct)     -> violates
-    tbl = pa.table({
-        "g": pa.array([0, 0, 0, 0, 1, 1, 1, 2, 2], pa.int64()),
-        "v": ["x", "x", "x", "y", "x", "y", "z", "x", "x"]})
-    ds = rd.from_arrow(tbl).repartition(5)
-    out = (l_diversity(ds, ["g"], "v", 3).to_pandas()
-           .sort_values("g").reset_index(drop=True))
-    assert list(zip(out["g"], out["n_rows"], out["n_distinct"])) == [
-        (0, 4, 2), (2, 2, 1)]
-    # l=1: nothing violates (every non-empty class has >= 1 distinct)
-    assert l_diversity(rd.from_arrow(tbl), ["g"], "v", 1).count() == 0
-
-
 def test_holt_forecast_hand_replay():
     """Holt level/trend fold vs a hand replay; a single-window group
     keeps level=x, trend=0; trend tracks a perfectly linear series."""

@@ -231,12 +231,10 @@ def test_query_registry_consistent():
     # has an ORDER BY (the compare sorts, but deterministic oracles are
     # part of the contract) except golden reads that end with one anyway
     single_row = {"corpus_stats", "corpus_vocab_sketch",
-                  "parts_promo_revenue",
-                  "parts_small_qty_revenue",
                   "text_bleu_corpus",
-                  "forecast_revenue",
                   "text_chrf_corpus",
                   "text_wer_corpus"}                      # 1-row aggs
+    assert single_row <= set(ORACLES)       # no stale exemptions
     missing = [k for k, v in ORACLES.items()
                if "ORDER BY" not in v.upper() and k not in single_row]
     assert not missing, missing
