@@ -175,7 +175,6 @@ def run_bench() -> dict:
         queries[name] = round(best, 3)
 
     from sagan_ray.datapipe import (
-        brute_force_topk,
         exact_dedup,
         minhash_lsh_candidates,
         token_counts,
@@ -183,7 +182,6 @@ def run_bench() -> dict:
     from sagan_ray.pipelines.aggregates import client_stats
 
     docs = rd.read_parquet(os.path.join(SF_DIR, "documents.parquet"))
-    embeds = rd.read_parquet(os.path.join(SF_DIR, "embeddings.parquet"))
 
     # best-of-2 on the cheap, noise-dominated lines: a single run in a
     # contended minute reads 30-80% high (the r3 driver window), and a
@@ -193,13 +191,6 @@ def run_bench() -> dict:
           trials=2)
     timed("text_tokens", lambda: token_counts(docs).count(), trials=2)
 
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    qv = np.asarray(pq.read_table(os.path.join(SF_DIR, "embeddings.parquet"))
-                    .slice(0, 8).to_pandas()["embedding"].tolist(), dtype=np.float32)
-    timed("ann_topk", lambda: brute_force_topk(embeds, qv, k=10).count(),
-          trials=2)
     timed("client_stats",
           lambda: client_stats(read_transcripts(tdir)).count(), trials=2)
 
@@ -375,88 +366,18 @@ def run_bench() -> dict:
     # words doubled, built inside the timed pipeline — the gate fixture
     # shape at 100k docs)
     from sagan_ray.datapipe.lines import bleu_scores, chrf_scores
-
-    def _with_cand(tbl):
-        import pyarrow.compute as _pc
-        la = _pc.split_pattern_regex(
-            _pc.utf8_trim_whitespace(
-                _pc.cast(tbl.column("text"), pa.string())), r"\s+")
-        if isinstance(la, pa.ChunkedArray):
-            la = la.combine_chunks()
-        j = _pc.binary_join(_pc.list_slice(la, 0, 10), " ")
-        return pa.table({"doc_id": tbl.column("doc_id"),
-                         "text": tbl.column("text"),
-                         "cand": _pc.binary_join_element_wise(j, j, " ")})
+    from sagan_ray.pipelines.queries import _first10_doubled_cand
 
     timed("text_bleu_100k",
           lambda: bleu_scores(
-              big_docs.map_batches(_with_cand, batch_format="pyarrow"),
+              big_docs.map_batches(_first10_doubled_cand,
+                                   batch_format="pyarrow"),
               ref_col="text", cand_col="cand").count())
     timed("text_chrf_100k",
           lambda: chrf_scores(
-              big_docs.map_batches(_with_cand, batch_format="pyarrow"),
+              big_docs.map_batches(_first10_doubled_cand,
+                                   batch_format="pyarrow"),
               ref_col="text", cand_col="cand").count())
-
-    # ---- mutual kNN graph: brute block-pair at 20k, IVF-cell path at
-    # 50k (clustered corpus — the regime the cell restriction is for)
-    from sagan_ray.datapipe.ann import knn_graph, knn_graph_ivf
-
-    _rng = np.random.RandomState(7)
-    _centers = _rng.uniform(-1, 1, (64, 64))
-    _kv = (_centers[_rng.randint(0, 64, 50000)]
-           + 0.08 * _rng.standard_normal((50000, 64))).astype(np.float32)
-    _ktbl = pa.table({
-        "vec_id": pa.array(range(50000), pa.int64()),
-        "embedding": pa.array(list(_kv), pa.list_(pa.float32()))})
-    _kds = rd.from_arrow(_ktbl).repartition(32).materialize()
-    _kds20 = rd.from_arrow(_ktbl.slice(0, 20000)).repartition(
-        32).materialize()
-    timed("knn_graph_20k",
-          lambda: knn_graph(_kds20, k=10, n_blocks=16).count())
-
-    timed("knn_graph_ivf_50k",
-          lambda: knn_graph_ivf(_kds, k=10, n_cells=64,
-                                sample_size=4096).count())
-
-    # ---- ANN at an amortized query batch: 200k clustered 64-d vectors ×
-    # 10k queries (the sf embeddings table is 2k rows / 8 queries — too
-    # small for cell restriction to amortize; VERDICT r4 #6). Corpus is
-    # cached parquet, written in 64 row groups so the scoring
-    # parallelizes; the size is chosen so the scoring dgemm dominates the
-    # shared candidate-merge floor. IVF (128 cells, nprobe 8) vs the
-    # exact brute-force baseline at the same shape measured 2.1× faster
-    # warm with recall 0.998 (BASELINE.md).
-    big_vec_path = "/tmp/sagan_ray_bench/bench_vecs_200k.parquet"
-    if not os.path.exists(big_vec_path):
-        import numpy as np
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        rng = np.random.RandomState(7)
-        centers = rng.standard_normal((128, 64)).astype(np.float32) * 3
-        vecs = (centers[rng.randint(0, 128, 200_000)]
-                + rng.standard_normal((200_000, 64)).astype(np.float32))
-        pq.write_table(pa.table({
-            "vec_id": pa.array(np.arange(200_000), pa.int64()),
-            "embedding": pa.array(vecs.astype(np.float32).tolist(),
-                                  pa.list_(pa.float32()))}),
-            big_vec_path, row_group_size=200_000 // 64)
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    big_vecs = rd.read_parquet(big_vec_path, override_num_blocks=64)
-    _vt = pq.read_table(big_vec_path, columns=["embedding"])
-    qv_big = np.asarray(
-        _vt.column("embedding").combine_chunks().flatten()
-        .to_numpy(zero_copy_only=False), dtype=np.float32
-    ).reshape(-1, 64)[::20][:10000]
-    from sagan_ray.datapipe.ann import ivf_topk
-
-    timed("ann_brute_200k_10kq",
-          lambda: brute_force_topk(big_vecs, qv_big, k=10).count())
-    timed("ann_ivf_200k_10kq",
-          lambda: ivf_topk(big_vecs, qv_big, k=10, n_cells=128,
-                           nprobe=8).count())
 
     result = {
         "metric": "end-to-end routed turns/sec (parse→classify→correlate→route→aggregate)",

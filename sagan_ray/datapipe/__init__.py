@@ -1,9 +1,8 @@
-"""Large-scale training-data operations over document / embedding tables:
-deduplication (exact, MinHash-LSH, SimHash, n-gram Jaccard, embedding
-cosine), similarity search (brute-force + IVF), text analysis (language
-ID, quality scoring, token counts, fingerprints), corpus curation and
-event analytics. All Ray-Data-first: vectorized map_batches + pre-aggregated
-groupbys.
+"""Large-scale training-data operations over document tables:
+deduplication (exact, MinHash-LSH, SimHash, n-gram Jaccard, containment,
+content-defined chunks), text analysis (language ID, quality scoring,
+token counts, fingerprints), corpus curation and event analytics. All
+Ray-Data-first: vectorized map_batches + pre-aggregated groupbys.
 
 Submodules load on first use of one of their names (PEP 562): a Ray
 worker that imports one submodule, e.g. the exchange tasks, does not
@@ -16,25 +15,12 @@ _EXPORTS = {
         cdc_chunk_hashes cdc_chunk_stats cdc_coverage_vs_prior
         connected_components ngram_containment_pairs normalize_text_col
         dedup_against_prior dedup_cluster_best dedup_cluster_reps
-        embedding_near_dup embedding_near_dup_exact exact_dedup
-        fuzzy_dedup_against_prior exact_dedup_normalized minhash_join
-        minhash_lsh_candidates minhash_lsh_dedup ngram_jaccard_pairs
-        simhash_dedup verify_pairs_jaccard
+        exact_dedup fuzzy_dedup_against_prior exact_dedup_normalized
+        minhash_join minhash_lsh_candidates minhash_lsh_dedup
+        ngram_jaccard_pairs simhash_dedup verify_pairs_jaccard
     """,
     "diff": "snapshot_diff",
     "profile": "profile_table validate_table",
-    "web": "domain_filter domain_stats extract_urls synth_web_docs url_dedup",
-    "ann": """
-        brute_force_topk ivf_index_stats knn_graph knn_graph_ivf
-        hard_negative_topk compact_ivf_index ivf_topk mmr_topk
-        quantize_embeddings quantized_topk build_ivf_index
-        search_ivf_index update_ivf_index
-    """,
-    "cluster": """
-        fit_centroids embedding_outliers kcenter_coreset kmeans_assign
-        semantic_dedup_filter semantic_near_dup
-    """,
-    "decomp": "fit_pca pca_project",
     "curate": """
         blocklist_flags decontaminate split_by_cluster group_topk
         mix_sources pii_pseudonymize pii_redact rewrite_pseudonyms
@@ -51,7 +37,6 @@ _EXPORTS = {
     "exchange": "hash_group_apply",
     "index": "build_inverted_index search_index update_inverted_index",
     "search": "bm25_topk tfidf_similar",
-    "winnow": "winnow_pairs",
     "sketch": "bloom_membership cms_word_counts hll_group_distinct hll_vocab",
     "pack": "chunk_documents pack_sequences",
     "stats": """

@@ -10,7 +10,7 @@ independently on both sides):
 - words: lowercase ``[a-z0-9_]+`` runs — the ``_words_flat`` identity
   every text operator uses.
 - training corpus: the ``n_sample`` documents with the SMALLEST
-  ``SplitMix64(doc_id ^ seed)`` — the IVF sampler's blocking-independent
+  ``SplitMix64(doc_id ^ seed)`` — a blocking-independent
   deterministic subset (doc_ids are unique ⇒ no hash ties).
 - training: classic BPE over the sample's word-frequency dict. Each
   round counts adjacent symbol pairs weighted by word frequency
@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .ann import _splitmix64
+from .hashing import _splitmix64
 from .textstats import _words_flat
 
 # per-worker compiled state: key → (ranks dict, word→len memo)
@@ -116,9 +116,9 @@ def sample_word_freq(ds, *, n_sample: int = 256, seed: int = 11,
                      id_col: str = "doc_id") -> dict[str, int]:
     """Word-frequency dict of the deterministic training sample. Each
     batch prunes to its ``n_sample`` smallest-hash rows (batch_size
-    pinned — the prune's output scales with batch COUNT, the IVF
-    sample-pass lesson), the driver keeps the global smallest set; only
-    then are the ≤ n_sample winning texts split into words."""
+    pinned — the prune's output scales with batch COUNT), the driver
+    keeps the global smallest set; only then are the ≤ n_sample
+    winning texts split into words."""
 
     def prune(tbl: pa.Table) -> pa.Table:
         ids = (tbl.column(id_col).combine_chunks()

@@ -344,7 +344,7 @@ def shuffle_shards(ds, *, n_shards: int, id_col: str = "doc_id"):
     identical layout, the sample_stratified stance applied to ordering).
     Returns (id_col, shard, pos). One exchange on shard; the in-bucket
     rank is a lexsort over that shard's (hash, id) pairs only."""
-    from .ann import _splitmix64
+    from .hashing import _splitmix64
 
     def tag(tbl: pa.Table) -> pa.Table:
         ids = (tbl.column(id_col).combine_chunks()
@@ -395,9 +395,8 @@ def sample_bottomk(ds, k: int, *, id_col: str = "doc_id",
     Scale shape: each batch emits at most k (id, h) rows (batch_size is
     PINNED — the r3 lesson: a partial-emitting stage must not scale its
     output with batch COUNT), and the driver folds the slim partial
-    stream with an O(k)-memory running top-k, the same bounded merge
-    floor as the ANN candidate merge. Returns a pandas DataFrame
-    (id_col, h) sorted by id."""
+    stream with an O(k)-memory running top-k. Returns a pandas
+    DataFrame (id_col, h) sorted by id."""
     def partial(tbl: pa.Table) -> pa.Table:
         ids = tbl.column(id_col).to_numpy(zero_copy_only=False)
         with np.errstate(over="ignore"):
@@ -866,7 +865,7 @@ def pii_pseudonymize(ds, *, text_col: str = "text",
     per occurrence: (*id_cols, kind, value, pseudonym). Extraction
     runs per kind on the ORIGINAL text (the SQL oracle's
     regexp_extract_all semantics); one compiled-regex pass per kind
-    per batch over the NUL-joined flat buffer (the web.py discipline),
+    per batch over the NUL-joined flat buffer,
     md5 once per DISTINCT value per batch. ``rewrite_pseudonyms``
     applies the same tokens in-text."""
     import re as _re

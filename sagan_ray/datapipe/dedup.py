@@ -10,8 +10,6 @@ Shapes (ray_guide 'Aggregation at scale' / MinHash-LSH pattern):
   hashing; determinism comes from fixed seeds.
 - SimHash: 64-bit signature, banded into 4×16-bit keys so any pair within
   Hamming distance 3 shares at least one band bucket.
-- embedding cosine: normalize per batch; candidate generation via random
-  hyperplane LSH buckets; exact cosine verify within buckets.
 """
 
 from __future__ import annotations
@@ -886,208 +884,6 @@ def dedup_cluster_best(ds, *, threshold: float = 0.9, text_col: str = "text",
 
 
 # ----------------------------------------------------------------------
-# embedding near-dup
-# ----------------------------------------------------------------------
-
-_PLANE_CACHE: dict = {}
-
-
-def embedding_near_dup_exact(ds, *, threshold: float, vec_col: str = "embedding",
-                             id_col: str = "vec_id", n_blocks: int = 8,
-                             chunk_rows: int = 2048):
-    """EXACT cosine-similar pairs (≥ threshold) via block-nested-loop
-    exchange — all-pairs semantics with NO driver-side materialization.
-
-    Shape: ids hash into ``n_blocks`` blocks; every unordered block pair
-    (i ≤ j) is one exchange key, and each vector ships its unit vector to
-    the n_blocks buckets it participates in (replication factor
-    n_blocks — the unavoidable cost of exact all-pairs; the LSH variant
-    ``embedding_near_dup`` is the sub-quadratic scale path). Each bucket
-    task holds ~2·N/n_blocks unit vectors and runs a chunked matmul, so
-    task memory is bounded by n_blocks regardless of input size. Every
-    pair lands in exactly one bucket (a's block × b's block), so the
-    output needs no dedup pass."""
-    from .exchange import hash_group_apply
-
-    nb = int(n_blocks)
-    mix = np.uint64(0x9E3779B97F4A7C15)          # ids may be clustered
-
-    def fan_out(tbl: pa.Table) -> pa.Table:
-        from .ann import _ids, _mat, _unit
-
-        ids = _ids(tbl, id_col)
-        # float64 end-to-end: the SQL oracle's cosine is float64, and a
-        # float32 matmul can flip pairs sitting ~1e-7 from the threshold
-        unit = _unit(_mat(tbl, vec_col, dtype=np.float64))
-        n = len(ids)
-        if n == 0:
-            return pa.table({"bkt": pa.array([], pa.int32()),
-                             "did": pa.array([], pa.int64()),
-                             "blk": pa.array([], pa.int32()),
-                             "unit": pa.array([], pa.binary())})
-        blk = ((ids.astype(np.uint64) * mix) >> np.uint64(32)) % np.uint64(nb)
-        blk = blk.astype(np.int64)
-        packed = np.empty(n, dtype=object)
-        for r in range(n):                        # tobytes per row (cheap)
-            packed[r] = unit[r].tobytes()
-        # vector in block p participates in buckets (min(p,q), max(p,q))
-        # for every q — emit n_blocks rows per vector
-        q = np.arange(nb, dtype=np.int64)
-        p_rep = np.repeat(blk, nb)
-        q_rep = np.tile(q, n)
-        lo = np.minimum(p_rep, q_rep)
-        hi = np.maximum(p_rep, q_rep)
-        bkt = (lo * nb + hi).astype(np.int32)
-        return pa.table({"bkt": pa.array(bkt, pa.int32()),
-                         "did": pa.array(np.repeat(ids, nb), pa.int64()),
-                         "blk": pa.array(p_rep.astype(np.int32), pa.int32()),
-                         "unit": pa.array(np.repeat(packed, nb), pa.binary())})
-
-    def pairs_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        oa, ob, oc = [], [], []
-        for bkt_val in df["bkt"].unique():
-            sub = df[df["bkt"] == bkt_val]
-            i, j = int(bkt_val) // nb, int(bkt_val) % nb
-            units = sub["unit"].to_numpy()
-            flat = np.frombuffer(b"".join(units.tolist()), dtype=np.float64)
-            dim = len(flat) // len(sub)
-            mat = flat.reshape(len(sub), dim)
-            ids = sub["did"].to_numpy()
-            blk = sub["blk"].to_numpy()
-            if i == j:
-                # dedup the n_blocks-fold self-emission (q loop hits the
-                # own block once per q == p only when lo == hi == p, i.e.
-                # exactly once) — rows here are unique per id already
-                order = np.argsort(ids, kind="stable")
-                m = mat[order]
-                gid = ids[order]
-                for s in range(0, len(gid), chunk_rows):
-                    sims = m[s:s + chunk_rows] @ m.T
-                    ii, jj = np.where(sims >= threshold)
-                    keep = (gid[ii + s] < gid[jj])
-                    oa.extend(gid[ii + s][keep].tolist())
-                    ob.extend(gid[jj][keep].tolist())
-                    oc.extend(sims[ii, jj][keep].astype(np.float64).tolist())
-            else:
-                ma, ia = mat[blk == i], ids[blk == i]
-                mb, ib = mat[blk == j], ids[blk == j]
-                for s in range(0, len(ia), chunk_rows):
-                    sims = ma[s:s + chunk_rows] @ mb.T
-                    ii, jj = np.where(sims >= threshold)
-                    a_ids = ia[ii + s]
-                    b_ids = ib[jj]
-                    lo_ = np.minimum(a_ids, b_ids)
-                    hi_ = np.maximum(a_ids, b_ids)
-                    oa.extend(lo_.tolist())
-                    ob.extend(hi_.tolist())
-                    oc.extend(sims[ii, jj].astype(np.float64).tolist())
-        return pd.DataFrame({"a": pd.Series(oa, dtype="int64"),
-                             "b": pd.Series(ob, dtype="int64"),
-                             "cosine": pd.Series(oc, dtype="float64")})
-
-    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                             ("cosine", pa.float64())])
-    return hash_group_apply(ds.map_batches(fan_out, batch_format="pyarrow"),
-                            ["bkt"], pairs_bucket, out_schema=pair_schema)
-
-
-def embedding_near_dup(ds, *, threshold: float = 0.95, vec_col: str = "embedding",
-                       id_col: str = "vec_id", n_planes: int = 8,
-                       n_tables: int = 16, seed: int = 7,
-                       max_bucket: int = 8192):
-    """Cosine-similar pairs via multi-table random-hyperplane LSH + exact
-    cosine verification inside each (table, bucket) group.
-
-    Recall for a pair at angle θ is 1-(1-(1-θ/π)^n_planes)^n_tables —
-    n_tables=16 × n_planes=8 gives ≈99.99% at cosine 0.97 (measured in
-    tests/test_datapipe.py against the brute-force exact path). Groups run
-    through the bucketed hash exchange (``hash_group_apply``), not Ray
-    Data's sort-based groupby (10-70 s overhead, CLAUDE.md perf notes).
-    ``max_bucket`` bounds the in-bucket all-pairs matmul: oversized
-    buckets are truncated to the smallest ids and the drop is logged —
-    at scale raise n_planes instead so buckets stay small."""
-    import logging
-
-    def bucketize(tbl: pa.Table) -> pa.Table:
-        from .ann import _ids, _mat
-
-        # float64 end-to-end: f32 matmul bit-noise could flip a sign bit
-        # (projection near 0) or a threshold-boundary cosine vs the
-        # sequential golden oracle (oracle/golden.py)
-        vecs = _mat(tbl, vec_col, dtype=np.float64)
-        dim = vecs.shape[1]
-        key = (seed, dim, n_planes, n_tables)
-        planes = _PLANE_CACHE.get(key)
-        if planes is None:
-            planes = np.random.default_rng(seed).standard_normal(
-                (n_tables, dim, n_planes))
-            _PLANE_CACHE[key] = planes
-        norms = np.linalg.norm(vecs, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        unit = vecs / norms
-        ids = _ids(tbl, id_col)
-        packed = [u.tobytes() for u in unit]
-        out_id, out_t, out_bkt, out_u = [], [], [], []
-        pw = (1 << np.arange(n_planes))
-        for t in range(n_tables):
-            bucket = (((unit @ planes[t]) > 0) * pw).sum(axis=1).astype(np.int64)
-            out_id.extend(ids.tolist())
-            out_t.extend([t] * len(ids))
-            out_bkt.extend(bucket.tolist())
-            out_u.extend(packed)
-        return pa.table({id_col: pa.array(out_id, pa.int64()),
-                         "table": pa.array(out_t, pa.int32()),
-                         "bucket": pa.array(out_bkt, pa.int64()),
-                         "unit": pa.array(out_u, pa.binary())})
-
-    def pairs_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["table", "bucket", id_col], kind="mergesort")
-        tb = df["table"].to_numpy()
-        bkt = df["bucket"].to_numpy()
-        ids = df[id_col].to_numpy()
-        units = df["unit"].to_numpy()
-        oa, ob, oc = [], [], []
-        truncated = 0
-        start = 0
-        for i in range(1, len(df) + 1):
-            if i == len(df) or tb[i] != tb[start] or bkt[i] != bkt[start]:
-                size = i - start
-                if size > 1:
-                    stop = i
-                    if size > max_bucket:
-                        truncated += 1
-                        stop = start + max_bucket  # ids sorted: keep smallest
-                    gids = ids[start:stop]
-                    mat = np.stack([np.frombuffer(u, dtype=np.float64)
-                                    for u in units[start:stop]])
-                    sims = mat @ mat.T
-                    ii, jj = np.where(np.triu(sims, 1) >= threshold)
-                    oa.extend(gids[ii].tolist())
-                    ob.extend(gids[jj].tolist())
-                    oc.extend(sims[ii, jj].astype(np.float64).tolist())
-                start = i
-        if truncated:
-            logging.getLogger(__name__).warning(
-                "embedding_near_dup: truncated %d oversized LSH buckets to "
-                "%d members (raise n_planes at scale)", truncated, max_bucket)
-        return pd.DataFrame({"a": pd.Series(oa, dtype="int64"),
-                             "b": pd.Series(ob, dtype="int64"),
-                             "cosine": pd.Series(oc, dtype="float64")})
-
-    from .exchange import hash_group_apply
-
-    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                             ("cosine", pa.float64())])
-    cands = hash_group_apply(ds.map_batches(bucketize, batch_format="pyarrow"),
-                             ["table", "bucket"], pairs_bucket,
-                             out_schema=pair_schema)
-    # a pair can collide in several tables — keep one row per (a, b)
-    return hash_group_apply(cands, ["a", "b"],
-                            lambda g: g.drop_duplicates(subset=["a", "b"]),
-                            out_schema=pair_schema)
-
-
-# ----------------------------------------------------------------------
 # Content-defined chunking (CDC): sub-document dedup at byte granularity
 # ----------------------------------------------------------------------
 #
@@ -1108,7 +904,7 @@ CDC_PAD = 32     # >= bits-1 zero-gear bytes between docs in the flat pass
 
 
 def _gear_table() -> np.ndarray:
-    from .ann import _splitmix64
+    from .hashing import _splitmix64
 
     return _splitmix64(np.arange(1, 257, dtype=np.uint64))
 

@@ -5,7 +5,7 @@ The in-line LSH path (``dedup.minhash_lsh_candidates`` +
 a 100-TB corpus the real workflow is *index once, probe forever*: new
 document batches are checked against the standing corpus without ever
 rescanning its text. This module persists the operator's OWN bucket
-keys as the parquet partition key (the datapipe/index.py / ann.py
+keys as the parquet partition key (the datapipe/index.py
 discipline), so a search touches only the partitions its queries
 hash into.
 

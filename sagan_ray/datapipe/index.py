@@ -339,15 +339,14 @@ def search_index_many(index_dir: str, queries: dict[int, list[str]], *,
 def compact_inverted_index(index_dir: str) -> int:
     """Compact an updated postings index back to ONE parquet file per
     bucket (each ``update_inverted_index`` appends a file per touched
-    bucket, so read-amplification grows with update count — the
-    compact_ivf_index discipline applied to the BM25 index). Search is
+    bucket, so read-amplification grows with update count). Search is
     bit-identical before/after: scores depend only on the (term,
     doc_id, tf, dl) ROWS and the meta constants, never on file layout
     (the bucket reduce re-sorts on the rounded ranking key), and meta
     is untouched. Per-bucket Ray tasks rewrite into a sibling temp dir
     (same ``bucket=`` names), then each bucket dir swaps in via
     rmtree + os.replace — a crash between the two leaves the full
-    temp dir on disk for manual recovery (the IVF-compact stance).
+    temp dir on disk for manual recovery.
     Returns the number of buckets that had anything to compact."""
     import shutil
     import tempfile

@@ -18,7 +18,7 @@ Determinism (hash-verifiable against a sequential golden): weights are
 INTEGERS (SplitMix64 of the bucket index, centered), features are integer
 counts, so the logit is an exact integer in float64 under any summation
 order; the final sigmoid is one elementwise transform of identical exact
-integers on both sides. The same fixed-point stance as kmeans/PCA/IVF.
+integers on both sides.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from .ann import _splitmix64
+from .hashing import _splitmix64
 from .textstats import _words_flat
 
 MODEL_DIR = "/tmp/sagan_ray_models"

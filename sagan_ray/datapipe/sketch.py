@@ -137,7 +137,7 @@ def _cms_index(wh: np.ndarray, row: int, width: int) -> np.ndarray:
     """Row-j bucket of a word hash: SplitMix64(wh ^ (row+1)) % width —
     the same per-row seeded finalizer the samplers use. A SPEC function
     (the golden replays it per word)."""
-    from .ann import _splitmix64
+    from .hashing import _splitmix64
 
     return (_splitmix64(wh ^ np.uint64(row + 1))
             % np.uint64(width)).astype(np.int64)
@@ -208,7 +208,7 @@ def _bf_bit(wh: np.ndarray, j: int, nbits: int) -> np.ndarray:
     """Bit index j of a word hash: SplitMix64(wh ^ (j+1)·golden) %
     nbits — a SPEC function (the golden replays it per word); the
     multiplier decorrelates the seeds from the CMS row seeds."""
-    from .ann import _splitmix64
+    from .hashing import _splitmix64
 
     seed = np.uint64(((j + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
     return (_splitmix64(wh ^ seed) % np.uint64(nbits)).astype(np.int64)

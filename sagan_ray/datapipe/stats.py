@@ -9,7 +9,7 @@ the wire, and the driver only ever holds the distinct-value histogram.
 Scale stance: exact quantiles of a discrete/integer signal (token
 counts, char lengths, scores on a grid) have distinct-cardinality ≪ N,
 so the histogram is small at any data size. For genuinely continuous
-columns, quantize to a grid first (the kmeans fixed-point trick) or
+columns, quantize to a grid first (a fixed-point grid) or
 accept bucketed answers — a documented caller choice, not a silent cap.
 
 Spec (shared with the SQL oracle, spelled out rather than relying on an

@@ -73,135 +73,6 @@ def write_golden_simhash(sf_dir: str, max_hamming: int) -> str:
     return _write(tbl, "dedup_simhash")
 
 
-def write_golden_embed_lsh(sf_dir: str, *, threshold: float, n_planes: int,
-                           n_tables: int, seed: int,
-                           max_bucket: int) -> str:
-    """Expected output of ``embed_near_dup_lsh``: per-row sequential
-    hyperplane hashing (python dict buckets, per-row dgemv projections,
-    per-pair np.dot cosine) — no exchange, no batch matmuls. The plane
-    matrix and the truncation rule are spec constants shared with the
-    pipeline; everything else is independent arithmetic (float64, so the
-    ~1e-16 summation-order noise between dgemm and per-row dots cannot
-    flip a sign bit or a threshold boundary)."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    vecs = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
-    order = np.argsort(ids, kind="stable")
-    ids, vecs = ids[order], vecs[order]
-    unit = np.empty_like(vecs)
-    for i in range(len(vecs)):
-        n = float(np.sqrt((vecs[i] * vecs[i]).sum()))
-        unit[i] = vecs[i] / (n if n else 1.0)
-    planes = np.random.default_rng(seed).standard_normal(
-        (n_tables, vecs.shape[1], n_planes))
-    pairs: set[tuple[int, int]] = set()
-    for tt in range(n_tables):
-        buckets: dict[int, list[int]] = {}
-        for i in range(len(ids)):
-            proj = unit[i] @ planes[tt]
-            bkt = 0
-            for p in range(n_planes):
-                if proj[p] > 0:
-                    bkt |= 1 << p
-            buckets.setdefault(bkt, []).append(i)
-        for members in buckets.values():
-            members = sorted(members, key=lambda i: ids[i])[:max_bucket]
-            for x in range(len(members)):
-                for y in range(x + 1, len(members)):
-                    i, j = members[x], members[y]
-                    if float(np.dot(unit[i], unit[j])) >= threshold:
-                        pairs.add((int(ids[i]), int(ids[j])))
-    rows = sorted(pairs)
-    tbl = pa.table({"a": pa.array([r[0] for r in rows], pa.int64()),
-                    "b": pa.array([r[1] for r in rows], pa.int64())})
-    return _write(tbl, "embed_near_dup_lsh")
-
-
-def write_golden_embed_ivf(sf_dir: str, *, n_queries: int, k: int,
-                           n_cells: int, nprobe: int, sample_size: int,
-                           seed: int) -> str:
-    """Expected output of ``embed_ivf``: sequential IVF — SplitMix64
-    id-hash sample (same spec function), an independent per-row Lloyd's
-    loop (per-point cell scans, per-cell integer sums — not the
-    pipeline's dgemm), per-row cell assignment and per-query candidate
-    scans. Bit-identical to the distributed run BY CONSTRUCTION: both
-    sides operate on the ``_unit_grid`` fixed-point unit vectors
-    (g = rint(v·2^14), u = rint(g/‖g‖·2^14)), so every dot here — this
-    loop's np.dot, the pipeline's blocked dgemm — is the same EXACT
-    integer; centroid updates renormalize integer sums with an exact
-    int64 ‖S‖² on both sides (datapipe/ann.py::_unit_grid docstring)."""
-    import pyarrow.parquet as pq
-
-    from ..datapipe.ann import IVF_FIX, _splitmix64
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    vecs = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
-    order = np.argsort(ids, kind="stable")
-    ids, vecs = ids[order], vecs[order]
-    unit = np.empty_like(vecs)
-    for i in range(len(vecs)):           # sequential per-row grid spec
-        g = np.rint(vecs[i] * IVF_FIX)
-        ss = sum(int(c) * int(c) for c in g)       # exact Python ints
-        n = float(np.sqrt(float(ss))) if ss else 1.0
-        unit[i] = np.rint(g / n * IVF_FIX)
-
-    q = unit[:n_queries]                   # queries = smallest vec_ids
-    qids = np.arange(n_queries)            # query_id = position, as in ivf_topk
-
-    h = _splitmix64(ids.astype(np.uint64) ^ np.uint64(seed))
-    samp_order = sorted(range(len(ids)), key=lambda i: (int(h[i]), int(ids[i])))
-    samp = [unit[i] for i in samp_order[:sample_size]]
-
-    cent = [samp[c].copy() for c in range(min(n_cells, len(samp)))]
-    for _ in range(8):
-        sums = [np.zeros(vecs.shape[1]) for _ in cent]
-        cnts = [0] * len(cent)
-        for v in samp:
-            best, best_s = 0, -np.inf
-            for c in range(len(cent)):
-                s = float(np.dot(v, cent[c]))      # exact integer dot
-                if s > best_s:
-                    best, best_s = c, s
-            sums[best] += v                        # exact integer sums
-            cnts[best] += 1
-        for c in range(len(cent)):
-            if cnts[c]:
-                S = sums[c]
-                ss = sum(int(x) * int(x) for x in S)
-                if ss > 0:
-                    cent[c] = np.rint(S / np.sqrt(float(ss)) * IVF_FIX)
-
-    assign = np.empty(len(ids), dtype=np.int64)
-    for i in range(len(ids)):
-        best, best_s = 0, -np.inf
-        for c in range(len(cent)):
-            s = float(np.dot(unit[i], cent[c]))
-            if s > best_s:
-                best, best_s = c, s
-        assign[i] = best
-
-    oq, ov, orr = [], [], []
-    for qi in range(n_queries):
-        sims = [(float(np.dot(q[qi], cent[c])), c) for c in range(len(cent))]
-        cells = [c for _, c in sorted(sims, key=lambda sc: (-sc[0], sc[1]))][:nprobe]
-        cand = [(float(np.dot(unit[i], q[qi])), int(ids[i]))
-                for i in range(len(ids)) if assign[i] in cells]
-        cand.sort(key=lambda sv: (-sv[0], sv[1]))
-        for rank, (_, vid) in enumerate(cand[:k], 1):
-            oq.append(int(qids[qi]))
-            ov.append(vid)
-            orr.append(rank)
-    tbl = pa.table({"query_id": pa.array(oq, pa.int64()),
-                    "vec_id": pa.array(ov, pa.int64()),
-                    "rank": pa.array(orr, pa.int64())})
-    return _write(tbl, "embed_ivf")
-
-
 def _splitmix64_int(x: int) -> int:
     """Per-id SplitMix64 in plain Python ints (independent of the
     numpy-vectorized sampler it checks)."""
@@ -263,52 +134,6 @@ def write_golden_bloom(sf_dir: str, probe_words: list[str], *, p: int,
     return _write(tbl, "corpus_word_bloom")
 
 
-def write_golden_kmeans(sf_dir: str, *, k: int, n_iters: int) -> str:
-    """Expected output of ``embed_kmeans``: sequential per-row Lloyd over
-    the fixed-point grid (the spec datapipe/cluster.py documents) — a
-    Python loop computing |x-c|^2 directly per row, integer sums, no
-    matmul, no batching, no exchange. Exact integer arithmetic is what
-    makes the two implementations land on identical assignments."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    q = np.rint(np.asarray(t.column("embedding").to_pylist(),
-                           dtype=np.float64) * float(1 << 20))
-    order = np.argsort(ids, kind="stable")
-    ids, q = ids[order], q[order]
-    hashes = np.array([_splitmix64_int(int(np.uint64(i))) for i in ids],
-                      dtype=np.uint64)
-    seed_rows = np.argsort(hashes, kind="stable")[:k]
-    cent = q[seed_rows].copy()
-
-    def assign_row(x):
-        best, best_d = 0, None
-        for j in range(len(cent)):
-            diff = x - cent[j]
-            d2 = float(diff @ diff)
-            if best_d is None or d2 < best_d:
-                best, best_d = j, d2
-        return best
-
-    for _ in range(n_iters):
-        sums = np.zeros_like(cent)
-        counts = np.zeros(len(cent), dtype=np.int64)
-        for i in range(len(q)):
-            a = assign_row(q[i])
-            sums[a] += q[i]
-            counts[a] += 1
-        for j in range(len(cent)):
-            if counts[j]:
-                cent[j] = np.rint(sums[j] / counts[j])
-    clusters = np.array([assign_row(q[i]) for i in range(len(q))],
-                        dtype=np.int64)
-    tbl = pa.table({"vec_id": pa.array(ids, pa.int64()),
-                    "cluster": pa.array(clusters, pa.int64())})
-    return _write(tbl, "embed_kmeans")
-
-
 def write_golden_shuffle(sf_dir: str, *, n_shards: int) -> str:
     """Expected output of ``docs_shuffle``: per-row SplitMix64 in plain
     Python ints, a sequential sort per shard — no exchange, no numpy
@@ -332,43 +157,6 @@ def write_golden_shuffle(sf_dir: str, *, n_shards: int) -> str:
                     "shard": pa.array(osh, pa.int64()),
                     "pos": pa.array(opos, pa.int64())})
     return _write(tbl, "docs_shuffle")
-
-
-def write_golden_pca(sf_dir: str, *, n_components: int) -> str:
-    """Expected output of ``embed_pca``: per-row Python-int moment
-    accumulation (no chunked matmul), the same mean/cov/eigh/sign spec,
-    per-row np.dot projections. The exact-integer moments guarantee the
-    eigensolver sees identical bits; projections agree to ~1e-15."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    FIX = float(1 << 20)
-    q = np.rint(np.asarray(t.column("embedding").to_pylist(),
-                           dtype=np.float64) * FIX).astype(np.int64)
-    n, d = q.shape
-    s1 = [0] * d
-    s2 = [[0] * d for _ in range(d)]
-    for row in q:                      # plain Python ints — exact
-        r = [int(x) for x in row]
-        for i in range(d):
-            s1[i] += r[i]
-            for j in range(d):
-                s2[i][j] += r[i] * r[j]
-    m = np.array(s1, dtype=np.float64) / n
-    cov = np.array(s2, dtype=np.float64) / n - np.outer(m, m)
-    w, v = np.linalg.eigh(cov)
-    comp = np.ascontiguousarray(v[:, ::-1][:, :n_components].T)
-    flip = comp[np.arange(len(comp)),
-                np.argmax(np.abs(comp), axis=1)] < 0
-    comp[flip] *= -1.0
-    mean = m / FIX
-    cols = {"vec_id": pa.array(ids, pa.int64())}
-    proj = np.stack([(row / FIX - mean) @ comp.T for row in q])
-    for j in range(n_components):
-        cols[f"pc{j}"] = pa.array(proj[:, j], pa.float64())
-    return _write(pa.table(cols), "embed_pca")
 
 
 def write_golden_hll(sf_dir: str, *, p: int) -> str:
@@ -416,85 +204,6 @@ def write_golden_hll(sf_dir: str, *, p: int) -> str:
     return _write(tbl, "corpus_vocab_sketch")
 
 
-def write_golden_quantized(sf_dir: str, *, n_queries: int, k: int) -> str:
-    """Expected output of ``embed_quantized_topk``: sequential full-scan
-    search over int8-quantized vectors — per-query Python loop, explicit
-    integer dots, no batching/exchange. Shares only the per-row quantize
-    primitive (`ann._quantize_rows` — row-wise ops, identical results at
-    any call shape) with the distributed path; scoring/ranking here is
-    independent. Scores are exact-int dots × two scales, so they are
-    bit-identical to the distributed run and ranks hash-match."""
-    import pyarrow.parquet as pq
-
-    from ..datapipe.ann import _quantize_rows
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    mat = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
-    order = np.argsort(ids, kind="stable")
-    ids, mat = ids[order], mat[order]
-    codes, scale = _quantize_rows(mat)
-    codes32 = codes.astype(np.int32)
-    qids = np.arange(n_queries)        # query_id = position, as in topk
-    qcodes, qscale = codes32[:n_queries], scale[:n_queries]
-
-    out_q, out_v, out_r = [], [], []
-    for c in range(len(qids)):
-        scores = np.empty(len(ids), np.float64)
-        for i in range(len(ids)):
-            idot = int(np.dot(codes32[i], qcodes[c]))
-            scores[i] = (idot * scale[i]) * qscale[c]
-        top = np.lexsort((ids, -scores))[:k]
-        out_q.extend([int(qids[c])] * len(top))
-        out_v.extend(ids[top].tolist())
-        out_r.extend(range(1, len(top) + 1))
-    tbl = pa.table({"query_id": pa.array(out_q, pa.int64()),
-                    "vec_id": pa.array(out_v, pa.int64()),
-                    "rank": pa.array(out_r, pa.int64())})
-    return _write(tbl, "embed_quantized_topk")
-
-
-def write_golden_rp(sf_dir: str, *, n_queries: int, k: int, d_out: int,
-                    seed: int) -> str:
-    """Expected output of ``embed_rp_topk``: sequential full-scan search
-    in the ±1 JL projection — one corpus row at a time through the
-    shared row-wise grid primitive (`ann._rp_grid` on a 1-row matrix —
-    elementwise ops, identical at any call shape; the quantized-golden
-    stance), then explicit per-query integer dots and a lexsort. No
-    batching, no exchange, no shared ranking code."""
-    import pyarrow.parquet as pq
-
-    from ..datapipe.ann import IVF_FIX, _rp_grid, _rp_signs
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    mat = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
-    order = np.argsort(ids, kind="stable")
-    ids, mat = ids[order], mat[order]
-    signs = _rp_signs(mat.shape[1], d_out, seed)
-    grid = np.empty((len(ids), d_out), dtype=np.float64)
-    for i in range(len(ids)):                   # per-row, never blocked
-        grid[i] = _rp_grid(mat[i:i + 1], signs)[0]
-    qpos = np.argsort(ids, kind="stable")[:n_queries]   # ids sorted: 0..n
-    out_q, out_v, out_r = [], [], []
-    for c in range(n_queries):
-        qv = grid[qpos[c]].astype(np.int64)
-        scores = np.empty(len(ids), np.float64)
-        for i in range(len(ids)):
-            scores[i] = int(np.dot(grid[i].astype(np.int64), qv)) / (
-                IVF_FIX * IVF_FIX)
-        top = np.lexsort((ids, -scores))[:k]
-        out_q.extend([c] * len(top))
-        out_v.extend(ids[top].tolist())
-        out_r.extend(range(1, len(top) + 1))
-    tbl = pa.table({"query_id": pa.array(out_q, pa.int64()),
-                    "vec_id": pa.array(out_v, pa.int64()),
-                    "rank": pa.array(out_r, pa.int64())})
-    return _write(tbl, "embed_rp_topk")
-
-
 def write_golden_bpe(sf_dir: str, *, n_sample: int, n_merges: int,
                      seed: int) -> str:
     """Expected output of ``text_tokens_bpe``: an independent sequential
@@ -507,7 +216,7 @@ def write_golden_bpe(sf_dir: str, *, n_sample: int, n_merges: int,
 
     import pyarrow.parquet as pq
 
-    from ..datapipe.ann import _splitmix64
+    from ..datapipe.hashing import _splitmix64
 
     t = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
                       columns=["doc_id", "text"])
@@ -603,7 +312,7 @@ def write_golden_quality_model(sf_dir: str, *, seed: int) -> str:
     import pandas as pd
     import pyarrow.parquet as pq
 
-    from ..datapipe.ann import _splitmix64
+    from ..datapipe.hashing import _splitmix64
     from ..datapipe.quality_model import W_DIM, W_RANGE
 
     b = np.arange(W_DIM, dtype=np.uint64)
@@ -949,296 +658,6 @@ def write_golden_cdc_coverage(sf_dir: str, *, split_id: int, bits: int,
     return _write(tbl, "dedup_cdc_incremental")
 
 
-def write_golden_mmr(sf_dir: str, *, n_queries: int, k: int,
-                     shortlist: int) -> str:
-    """Expected output of ``embed_mmr``: a sequential MMR — per-row
-    unit-grid quantization (one row at a time; ``_unit_grid``'s ops are
-    elementwise IEEE, so single-row calls equal the batched broadcast),
-    per-candidate integer-dot loops, an explicit python greedy over the
-    (rel desc, id asc) shortlist. Exact because every relevance and
-    pairwise similarity is an integer grid dot and the published floats
-    divide by 2^28 (exact binary division) — the quantized-topk stance."""
-    import pyarrow.parquet as pq
-
-    from ..datapipe.ann import _unit_grid
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    raw = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
-    order = np.argsort(ids, kind="stable")
-    ids, raw = ids[order], raw[order]
-    grid = np.empty_like(raw)
-    for i in range(len(raw)):                     # per-row, sequential
-        grid[i] = _unit_grid(raw[i:i + 1])[0]
-    gi = grid.astype(np.int64)
-    # queries = the n smallest vec_ids through the float32 query path
-    q32 = raw[:n_queries].astype(np.float32).astype(np.float64)
-    qgrid = np.empty_like(q32)
-    for c in range(n_queries):
-        qgrid[c] = _unit_grid(q32[c:c + 1])[0]
-    qi = qgrid.astype(np.int64)
-    scale = float(1 << 28)
-
-    out = []
-    for c in range(n_queries):
-        rel = {}
-        for i in range(len(ids)):
-            rel[int(ids[i])] = int(np.dot(gi[i], qi[c]))
-        short = sorted(rel, key=lambda d: (-rel[d], d))[:shortlist]
-        sel: list[int] = []
-        maxsim = {d: 0 for d in short}
-        pos = {int(ids[i]): i for i in range(len(ids))}
-        for rank in range(1, min(k, len(short)) + 1):
-            best, best_key = None, None
-            for d in short:
-                if d in sel:
-                    continue
-                key = rel[d] if rank == 1 else rel[d] - maxsim[d]
-                if best is None or key > best_key or \
-                        (key == best_key and d < best):
-                    best, best_key = d, key
-            sel.append(best)
-            out.append((c, best, rank, rel[best] / scale,
-                        best_key / scale))
-            for d in short:
-                s = int(np.dot(gi[pos[d]], gi[pos[best]]))
-                maxsim[d] = s if rank == 1 else max(maxsim[d], s)
-    tbl = pa.table({
-        "query_id": pa.array([r[0] for r in out], pa.int64()),
-        "vec_id": pa.array([r[1] for r in out], pa.int64()),
-        "rank": pa.array([r[2] for r in out], pa.int64()),
-        "relevance": pa.array([r[3] for r in out], pa.float64()),
-        "mmr": pa.array([r[4] for r in out], pa.float64())})
-    return _write(tbl, "embed_mmr")
-
-
-def write_golden_embed_outliers(sf_dir: str, *, k: int, n_iters: int,
-                                q: float, bucket_shift: int) -> str:
-    """Expected output of ``embed_outliers``: the sequential fixed-point
-    kmeans of ``write_golden_kmeans`` (per-row |x−c|² scans, integer
-    sums) followed by a sequential replay of the bucket-quantile fence —
-    per-row exact-integer d² to the OWN centroid, bucket = d² >> shift,
-    per-cluster threshold bucket at the exact-rational rank
-    ceil(q·n), outlier iff bucket strictly greater. Every quantity on
-    both sides is an exact integer (coords ≤ 2^20, d² ≤ 2^48) and the
-    rank arithmetic is rational — bit-identical by construction."""
-    import math
-    from fractions import Fraction
-
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    qm = np.rint(np.asarray(t.column("embedding").to_pylist(),
-                            dtype=np.float64) * float(1 << 20))
-    order = np.argsort(ids, kind="stable")
-    ids, qm = ids[order], qm[order]
-    hashes = np.array([_splitmix64_int(int(np.uint64(i))) for i in ids],
-                      dtype=np.uint64)
-    seed_rows = np.argsort(hashes, kind="stable")[:k]
-    cent = qm[seed_rows].copy()
-
-    def assign_row(x):
-        best, best_d = 0, None
-        for j in range(len(cent)):
-            diff = x - cent[j]
-            d2 = float(diff @ diff)
-            if best_d is None or d2 < best_d:
-                best, best_d = j, d2
-        return best, best_d
-
-    for _ in range(n_iters):
-        sums = np.zeros_like(cent)
-        counts = np.zeros(len(cent), dtype=np.int64)
-        for i in range(len(qm)):
-            a, _ = assign_row(qm[i])
-            sums[a] += qm[i]
-            counts[a] += 1
-        for j in range(len(cent)):
-            if counts[j]:
-                cent[j] = np.rint(sums[j] / counts[j])
-
-    assign = np.empty(len(ids), np.int64)
-    d2s = np.empty(len(ids), np.int64)
-    for i in range(len(qm)):
-        a, d2 = assign_row(qm[i])
-        assign[i] = a
-        d2s[i] = int(d2)
-
-    bkts = d2s >> bucket_shift
-    thr = {}
-    for cl in range(len(cent)):
-        sel = np.flatnonzero(assign == cl)
-        if not len(sel):
-            continue
-        h = {}
-        for b in bkts[sel]:
-            h[int(b)] = h.get(int(b), 0) + 1
-        n = len(sel)
-        rank = max(1, math.ceil(Fraction(str(float(q))) * n))
-        cum = 0
-        for b in sorted(h):
-            cum += h[b]
-            if cum >= rank:
-                thr[cl] = b
-                break
-    oi, oc, od = [], [], []
-    for i in range(len(ids)):
-        if int(bkts[i]) > thr[int(assign[i])]:
-            oi.append(int(ids[i]))
-            oc.append(int(assign[i]))
-            od.append(int(d2s[i]))
-    tbl = pa.table({"vec_id": pa.array(oi, pa.int64()),
-                    "cluster": pa.array(oc, pa.int64()),
-                    "d2": pa.array(od, pa.int64())})
-    return _write(tbl, "embed_outliers")
-
-
-def write_golden_kcenter(sf_dir: str, *, k: int) -> str:
-    """Expected output of ``embed_coreset``: a sequential greedy
-    k-center (Gonzalez) selection over the ``_unit_grid`` sphere —
-    seed = smallest id, then argmin over (max-dot-to-selected, id).
-    Shares only the grid spec with the pipeline (``_unit_grid`` is
-    elementwise IEEE, identical per-row and vectorized); the greedy
-    loop, the maxdot bookkeeping and the tie-break are an independent
-    straight-line numpy transcription. Every dot is an exact int64, so
-    the trajectory matches cluster.py::kcenter_coreset bit-for-bit."""
-    import pyarrow.parquet as pq
-
-    from ..datapipe.ann import _mat, _unit_grid
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    u = _unit_grid(_mat(t, "embedding",
-                        dtype=np.float64)[order]).astype(np.int64)
-    n = len(ids)
-    sentinel = -(1 << 62)
-    md = np.full(n, sentinel, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    out_rank, out_id, out_md = [], [], []
-    for rank in range(min(k, n)):
-        live = np.flatnonzero(alive)
-        # argmin by (maxdot, id); ids are sorted so the first minimal
-        # maxdot among live rows IS the id tie-break
-        i = live[int(np.argmin(md[live]))]
-        out_rank.append(rank)
-        out_id.append(int(ids[i]))
-        out_md.append(int(md[i]))
-        alive[i] = False
-        md = np.maximum(md, u @ u[i])
-    tbl = pa.table({"rank": pa.array(out_rank, pa.int64()),
-                    "vec_id": pa.array(out_id, pa.int64()),
-                    "maxdot": pa.array(out_md, pa.int64())})
-    return _write(tbl, "embed_coreset")
-
-
-def write_golden_pair_hist(sf_dir: str, *, rate: float = 0.5,
-                           n_bins: int = 64) -> str:
-    """Expected output of ``embed_pair_hist``: sequential per-anchor
-    pair enumeration over the Knuth-hash-sampled subset on the
-    ``_unit_grid`` sphere. Shares only the SPEC constants with the
-    pipeline (the grid, the Knuth threshold, the integer bin
-    expression); the pair walk is an independent per-anchor loop —
-    every dot is an exact int64, so the block-pair exchange must match
-    bit-for-bit."""
-    import pyarrow.parquet as pq
-
-    from ..datapipe.ann import _mat, _unit_grid
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    knuth = np.uint64(2654435761)
-    mod32 = np.uint64(1) << np.uint64(32)
-    thr = np.uint64(int(min(max(rate, 0.0), 1.0) * float(mod32)))
-    keep = ((ids.astype(np.uint64) * knuth) % mod32) < thr
-    order = np.argsort(ids[keep], kind="stable")
-    u = _unit_grid(_mat(t, "embedding",
-                        dtype=np.float64)[keep][order]).astype(np.int64)
-    grid2 = np.int64(1) << np.int64(28)
-    span = np.int64(1) << np.int64(29)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for i in range(1, len(u)):
-        dots = (u[:i].astype(np.float64) @ u[i].astype(np.float64)) \
-            .astype(np.int64)
-        b = np.clip((dots + grid2) * np.int64(n_bins) // span,
-                    0, n_bins - 1)
-        counts += np.bincount(b, minlength=n_bins)
-    nz = np.flatnonzero(counts)
-    tbl = pa.table({
-        "bin": pa.array(nz.astype(np.int64), pa.int64()),
-        "cos_lo": pa.array(nz.astype(np.float64) * (2.0 / n_bins) - 1.0,
-                           pa.float64()),
-        "n_pairs": pa.array(counts[nz], pa.int64())})
-    return _write(tbl, "embed_pair_hist")
-
-
-def write_golden_cluster_quality(sf_dir: str, *, k: int,
-                                 n_iters: int) -> str:
-    """Expected output of ``embed_cluster_quality``: the sequential
-    per-row Lloyd of ``write_golden_kmeans`` followed by a per-row
-    Python-int inertia accumulation (no numpy sums — every d² folds
-    into an arbitrary-precision int), mean_d2 = inertia / n as the same
-    big-int true division the pipeline performs."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    q = np.rint(np.asarray(t.column("embedding").to_pylist(),
-                           dtype=np.float64) * float(1 << 20))
-    order = np.argsort(ids, kind="stable")
-    ids, q = ids[order], q[order]
-    hashes = np.array([_splitmix64_int(int(np.uint64(i))) for i in ids],
-                      dtype=np.uint64)
-    seed_rows = np.argsort(hashes, kind="stable")[:k]
-    cent = q[seed_rows].copy()
-
-    def assign_row(x):
-        best, best_d = 0, None
-        for j in range(len(cent)):
-            diff = x - cent[j]
-            d2 = float(diff @ diff)
-            if best_d is None or d2 < best_d:
-                best, best_d = j, d2
-        return best
-
-    for _ in range(n_iters):
-        sums = np.zeros_like(cent)
-        counts = np.zeros(len(cent), dtype=np.int64)
-        for i in range(len(q)):
-            a = assign_row(q[i])
-            sums[a] += q[i]
-            counts[a] += 1
-        for j in range(len(cent)):
-            if counts[j]:
-                cent[j] = np.rint(sums[j] / counts[j])
-    n = [0] * k
-    inertia = [0] * k
-    mx = [-1] * k
-    for i in range(len(q)):
-        a = assign_row(q[i])
-        diff = q[i] - cent[a]
-        d2 = int(diff @ diff)
-        n[a] += 1
-        inertia[a] += d2
-        mx[a] = max(mx[a], d2)
-    rows = [(j, n[j], inertia[j], mx[j], inertia[j] / n[j])
-            for j in range(k) if n[j]]
-    tbl = pa.table({
-        "cluster": pa.array([r[0] for r in rows], pa.int64()),
-        "n": pa.array([r[1] for r in rows], pa.int64()),
-        "inertia": pa.array([r[2] for r in rows], pa.int64()),
-        "max_d2": pa.array([r[3] for r in rows], pa.int64()),
-        "mean_d2": pa.array([r[4] for r in rows], pa.float64())})
-    return _write(tbl, "embed_cluster_quality")
-
-
 def write_golden_pack_bfd(sf_dir: str, *, capacity: int,
                           n_shards: int = 16) -> str:
     """Expected output of ``doc_pack_bfd``: per-shard best-fit-
@@ -1281,142 +700,6 @@ def write_golden_pack_bfd(sf_dir: str, *, capacity: int,
         "bin": pa.array([r[2] for r in rows], pa.int64()),
         "fill": pa.array([r[3] for r in rows], pa.int64())})
     return _write(tbl, "doc_pack_bfd")
-
-
-def write_golden_knn_graph(sf_dir: str, *, k: int) -> str:
-    """Expected output of ``embed_knn_graph``: per-row unit-grid
-    quantization (one row at a time — ``_unit_grid``'s ops are
-    elementwise IEEE, so single-row calls equal the batched broadcast),
-    per-pair integer dots via an explicit double loop, per-src top-k by
-    an explicit (dot desc, id asc) sort excluding self, and a mutual
-    set intersection. Every dot is an exact int ≤ d·2^28, so the
-    distributed block-pair run matches bit-for-bit by construction."""
-    import pyarrow.parquet as pq
-
-    from ..datapipe.ann import _unit_grid
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    raw = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
-    order = np.argsort(ids, kind="stable")
-    ids, raw = ids[order], raw[order]
-    n = len(ids)
-    grid = np.empty_like(raw)
-    for i in range(n):                            # per-row, sequential
-        grid[i] = _unit_grid(raw[i:i + 1])[0]
-    gi = grid.astype(np.int64)
-
-    topk: dict[int, list[tuple[int, int]]] = {}
-    dots: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        cand = []
-        for j in range(n):
-            if j == i:
-                continue
-            d = int(np.dot(gi[i], gi[j]))
-            cand.append((int(ids[j]), d))
-            dots[(int(ids[i]), int(ids[j]))] = d
-        cand.sort(key=lambda p: (-p[1], p[0]))
-        topk[int(ids[i])] = cand[:k]
-
-    rows = []
-    for i in range(n):
-        a = int(ids[i])
-        for b, d in topk[a]:
-            if a < b and any(x == a for x, _ in topk[b]):
-                rows.append((a, b, d))
-    rows.sort()
-    tbl = pa.table({"src": pa.array([r[0] for r in rows], pa.int64()),
-                    "dst": pa.array([r[1] for r in rows], pa.int64()),
-                    "dot": pa.array([r[2] for r in rows], pa.int64())})
-    return _write(tbl, "embed_knn_graph")
-
-
-def write_golden_knn_graph_ivf(sf_dir: str, *, k: int, n_cells: int,
-                               sample_size: int, seed: int) -> str:
-    """Expected output of ``embed_knn_graph_ivf``: the
-    write_golden_embed_ivf sequential IVF spec (per-row grid loop,
-    SplitMix64 smallest sample, per-point Lloyd scans, ``>`` assignment
-    scans keeping the lowest cell) followed by a per-cell double-loop
-    mutual top-k with (dot desc, id asc) ties. Exact by the unit-grid
-    integer-dot construction."""
-    import pyarrow.parquet as pq
-
-    from ..datapipe.ann import IVF_FIX, _splitmix64
-
-    t = pq.read_table(os.path.join(sf_dir, "embeddings.parquet"),
-                      columns=["vec_id", "embedding"])
-    ids = np.asarray(t.column("vec_id").to_pylist(), dtype=np.int64)
-    vecs = np.asarray(t.column("embedding").to_pylist(), dtype=np.float64)
-    order = np.argsort(ids, kind="stable")
-    ids, vecs = ids[order], vecs[order]
-    unit = np.empty_like(vecs)
-    for i in range(len(vecs)):
-        g = np.rint(vecs[i] * IVF_FIX)
-        ss = sum(int(c) * int(c) for c in g)
-        n = float(np.sqrt(float(ss))) if ss else 1.0
-        unit[i] = np.rint(g / n * IVF_FIX)
-
-    h = _splitmix64(ids.astype(np.uint64) ^ np.uint64(seed))
-    samp_order = sorted(range(len(ids)),
-                        key=lambda i: (int(h[i]), int(ids[i])))
-    samp = [unit[i] for i in samp_order[:sample_size]]
-    cent = [samp[c].copy() for c in range(min(n_cells, len(samp)))]
-    for _ in range(8):
-        sums = [np.zeros(vecs.shape[1]) for _ in cent]
-        cnts = [0] * len(cent)
-        for v in samp:
-            best, best_s = 0, -np.inf
-            for c in range(len(cent)):
-                s = float(np.dot(v, cent[c]))
-                if s > best_s:
-                    best, best_s = c, s
-            sums[best] += v
-            cnts[best] += 1
-        for c in range(len(cent)):
-            if cnts[c]:
-                S = sums[c]
-                ss = sum(int(x) * int(x) for x in S)
-                if ss > 0:
-                    cent[c] = np.rint(S / np.sqrt(float(ss)) * IVF_FIX)
-
-    cells: dict[int, list[int]] = {}
-    for i in range(len(ids)):
-        best, best_s = 0, -np.inf
-        for c in range(len(cent)):
-            s = float(np.dot(unit[i], cent[c]))
-            if s > best_s:
-                best, best_s = c, s
-        cells.setdefault(best, []).append(i)
-
-    rows = []
-    for members in cells.values():
-        if len(members) < 2:
-            continue
-        topk = {}
-        dots = {}
-        for i in members:
-            cand = []
-            for j in members:
-                if j == i:
-                    continue
-                d = int(np.dot(unit[i].astype(np.int64),
-                               unit[j].astype(np.int64)))
-                cand.append((int(ids[j]), d))
-                dots[(int(ids[i]), int(ids[j]))] = d
-            cand.sort(key=lambda p: (-p[1], p[0]))
-            topk[int(ids[i])] = cand[:k]
-        for i in members:
-            a = int(ids[i])
-            for b, d in topk[a]:
-                if a < b and any(x == a for x, _ in topk[b]):
-                    rows.append((a, b, d))
-    rows.sort()
-    tbl = pa.table({"src": pa.array([r[0] for r in rows], pa.int64()),
-                    "dst": pa.array([r[1] for r in rows], pa.int64()),
-                    "dot": pa.array([r[2] for r in rows], pa.int64())})
-    return _write(tbl, "embed_knn_graph_ivf")
 
 
 def write_golden_minhash_calibration(sf_dir: str, *, k: int, n_perm: int,
@@ -1481,7 +764,7 @@ def write_golden_rouge_l(sf_dir: str) -> str:
     rows = []
     for did, text in zip(t.column("doc_id").to_pylist(),
                          t.column("text").to_pylist()):
-        head = _words((text or "").strip())[:10]
+        head = _words(text)[:10]
         cand_tokens = [tok.lower() for tok in head + head]
         ref = _words((text or "").lower())
         m, n = len(ref), len(cand_tokens)
@@ -1528,7 +811,7 @@ def write_golden_bleu(sf_dir: str, max_n: int = 4) -> str:
     for did, text in zip(t.column("doc_id").to_pylist(),
                          t.column("text").to_pylist()):
         ref = _words((text or "").lower())
-        head = _words((text or "").strip())[:10]
+        head = _words(text)[:10]
         cand = [w.lower() for w in head + head]
         clips, tots = [], []
         for ng in range(1, max_n + 1):
@@ -1584,7 +867,7 @@ def write_golden_chrf(sf_dir: str, max_n: int = 6) -> str:
     ids, clip_r, ctot_r, rtot_r = [], [], [], []
     for did, text in zip(t.column("doc_id").to_pylist(),
                          t.column("text").to_pylist()):
-        head = _words((text or "").strip())[:10]
+        head = _words(text)[:10]
         cand_s = " ".join(head) + " " + " ".join(head)
         cand = bytes(c for c in cand_s.lower().encode("utf-8")
                      if c not in _ws)
@@ -1660,7 +943,7 @@ def write_golden_corpus_chrf(sf_dir: str, max_n: int = 6) -> str:
     ctot = np.zeros((1, max_n), np.int64)
     rtot = np.zeros((1, max_n), np.int64)
     for text in t.column("text").to_pylist():
-        head = _words((text or "").strip())[:10]
+        head = _words(text)[:10]
         cand_s = " ".join(head) + " " + " ".join(head)
         cand = bytes(c for c in cand_s.lower().encode("utf-8")
                      if c not in _ws)

@@ -1429,80 +1429,6 @@ def q_dedup_simhash_index(sf_dir: str):
             [["a", "b", "hamming"]])
 
 
-def q_embed_kmeans(sf_dir: str):
-    """Distributed Lloyd k-means assignments over the embeddings table,
-    hash-matched against a sequential per-row golden spec — exact
-    fixed-point arithmetic makes the distributed run bit-identical to
-    the naive loop (datapipe/cluster.py docstring)."""
-    import ray.data as rd
-
-    from ..datapipe.cluster import kmeans_assign
-    from ..oracle.golden import write_golden_kmeans
-
-    write_golden_kmeans(sf_dir, k=8, n_iters=8)
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
-    out = kmeans_assign(ds, k=8, n_iters=8).to_pandas()
-    out = out.astype({"vec_id": "int64", "cluster": "int64"})
-    return out.sort_values("vec_id").reset_index(drop=True)
-
-
-SQL_KMEANS_GOLDEN = """
-SELECT vec_id, cluster
-FROM read_parquet('/tmp/sagan_ray_golden/embed_kmeans.parquet')
-ORDER BY vec_id
-"""
-
-
-def q_embed_pca(sf_dir: str):
-    """Top-4 principal-component projections of the embeddings table;
-    moment matrices accumulate as exact int64 partials so the driver's
-    eigensolver sees bit-identical input at any block layout (golden =
-    sequential python-int moments + the same eigh/sign spec)."""
-    from ..datapipe.decomp import pca_project
-    from ..oracle.golden import write_golden_pca
-
-    write_golden_pca(sf_dir, n_components=4)
-    out = pca_project(_embeds(sf_dir), n_components=4).to_pandas()
-    out["vec_id"] = out["vec_id"].astype("int64")
-    return out.sort_values("vec_id").reset_index(drop=True)
-
-
-SQL_PCA_GOLDEN = """
-SELECT vec_id, pc0, pc1, pc2, pc3
-FROM read_parquet('/tmp/sagan_ray_golden/embed_pca.parquet')
-ORDER BY vec_id
-"""
-
-
-def q_embed_semantic_dup(sf_dir: str):
-    """SemDeDup composition: within-kmeans-cluster exact cosine pairs.
-    The oracle joins the golden kmeans assignments (independent
-    sequential Lloyd) with DuckDB's own float64 cosine — so BOTH the
-    clustering and the in-cluster pair scan are checked end-to-end."""
-    from ..datapipe import semantic_near_dup
-    from ..oracle.golden import write_golden_kmeans
-
-    write_golden_kmeans(sf_dir, k=8, n_iters=8)
-    out = _typed(semantic_near_dup(_embeds(sf_dir), threshold=0.45,
-                                   k=8, n_iters=8).to_pandas(),
-                 {"a": "int64", "b": "int64", "cluster": "int64"})
-    return out.sort_values(["a", "b"]).reset_index(drop=True)
-
-
-SQL_SEMANTIC_DUP = """
-WITH m AS (
-  SELECT e.vec_id, e.embedding, g.cluster
-  FROM embeddings e
-  JOIN read_parquet('/tmp/sagan_ray_golden/embed_kmeans.parquet') g
-    USING (vec_id))
-SELECT x.vec_id AS a, y.vec_id AS b, x.cluster
-FROM m x JOIN m y ON x.cluster = y.cluster AND x.vec_id < y.vec_id
-WHERE list_cosine_similarity(x.embedding, y.embedding) >= 0.45
-ORDER BY a, b
-"""
-
-
 def q_dedup_ngram(sf_dir: str):
     from ..datapipe import ngram_jaccard_pairs
 
@@ -1891,17 +1817,20 @@ FROM k GROUP BY doc_id ORDER BY doc_id
 
 
 def _first10_doubled_cand(tbl: pa.Table) -> pa.Table:
-    """Shared metric-fixture candidate: each doc's first 10 whitespace
-    words, doubled — repetition exercises count clipping, the short
+    """Shared metric-fixture candidate: each doc's first 10 words,
+    doubled — repetition exercises count clipping, the short
     candidate exercises brevity/precision terms. ONE definition for
     all seven ROUGE/BLEU/chrF/WER gate queries (and mirrored by every
     golden/SQL oracle), so candidate-construction semantics cannot
-    drift between family members."""
+    drift between family members. Words are the metrics' own
+    (``lines._words``): the text split on RE2 ``\\s`` = [\\t\\n\\f\\r ]
+    with empty pieces dropped — trimming exactly those characters
+    before the split drops the same pieces."""
     import pyarrow.compute as pc_
 
     la = pc_.split_pattern_regex(
-        pc_.utf8_trim_whitespace(pc_.cast(tbl.column("text"),
-                                          pa.string())), r"\s+")
+        pc_.utf8_trim(pc_.cast(tbl.column("text"), pa.string()),
+                      characters="\t\n\f\r "), r"\s+")
     if isinstance(la, pa.ChunkedArray):
         la = la.combine_chunks()
     head = pc_.list_slice(la, 0, 10)
@@ -1918,9 +1847,6 @@ def q_text_rouge(sf_dir: str):
     exercises count CLIPPING) against the document itself. REAL SQL
     oracle: per-(doc, word) count CTEs + sum(least(...)) + the same
     single int/int division."""
-    import pyarrow.compute as pc_
-    import ray.data as rd
-
     from ..datapipe.lines import rouge1_recall
 
     ds = (_docs(sf_dir, columns=["doc_id", "text"])
@@ -1958,9 +1884,6 @@ def q_text_rouge2(sf_dir: str):
     first-10-words-doubled candidate — bigrams stress the gram
     construction (including the one crossing the repetition boundary).
     REAL SQL oracle via the shingle-style chr(1)-joined bigram CTE."""
-    import pyarrow.compute as pc_
-    import ray.data as rd
-
     from ..datapipe.lines import rouge_recall
 
     ds = (_docs(sf_dir, columns=["doc_id", "text"])
@@ -1979,9 +1902,6 @@ def q_text_rouge_l(sf_dir: str):
     doubled candidate — LCS rewards in-order coverage, not bag
     overlap. Golden oracle (LCS is not SQL-expressible): classic 2-D
     DP vs the operator's rolling two-row sweep."""
-    import pyarrow.compute as pc_
-    import ray.data as rd
-
     from ..datapipe.lines import rouge_l_recall
     from ..oracle.golden import write_golden_rouge_l
 
@@ -2011,9 +1931,6 @@ def q_text_bleu(sf_dir: str):
     Golden oracle: per-row Counter counts over tuple n-grams
     (independent mechanics) + the SAME ``_bleu_from_counts`` float
     kernel, called once vectorized."""
-    import pyarrow.compute as pc_
-    import ray.data as rd
-
     from ..datapipe.lines import bleu_scores
     from ..oracle.golden import write_golden_bleu
 
@@ -2047,9 +1964,6 @@ def q_text_bleu_corpus(sf_dir: str):
     not the mean of per-doc scores) over the same fixture as
     text_bleu. Golden shares the sequential per-doc derivation with
     write_golden_bleu and sums it."""
-    import pyarrow.compute as pc_
-    import ray.data as rd
-
     from ..datapipe.lines import corpus_bleu
     from ..oracle.golden import write_golden_corpus_bleu
 
@@ -2085,9 +1999,6 @@ def q_text_wer(sf_dir: str):
     independent-engine check most edit-distance operators never get.
     (The trick needs vocab ≤ 94; the synthetic corpus generator is
     fixed at 31.)"""
-    import pyarrow.compute as pc_
-    import ray.data as rd
-
     from ..datapipe.lines import wer_scores
 
     ds = (_docs(sf_dir, columns=["doc_id", "text"])
@@ -2201,9 +2112,6 @@ def q_text_chrf(sf_dir: str):
     metric next to ROUGE/BLEU; whitespace-stripped so grams cross word
     boundaries. Golden oracle: per-row substring Counter counts
     (independent mechanics) + the SAME ``_chrf_from_counts`` kernel."""
-    import pyarrow.compute as pc_
-    import ray.data as rd
-
     from ..datapipe.lines import chrf_scores
     from ..oracle.golden import write_golden_chrf
 
@@ -3623,52 +3531,8 @@ WHERE rk <= {_TOPK_PER_SOURCE} ORDER BY source, rk
 
 
 # ---------------------------------------------------------------------------
-# embeddings: similarity search
+# event rate limits, trends and window top-k; snapshot diff, table profile
 # ---------------------------------------------------------------------------
-
-def _embeds(sf_dir: str, columns: list[str] | None = None):
-    """Embeddings table, pruned to (vec_id, embedding) by default;
-    ``columns`` for the label-stats query."""
-    import ray.data as rd
-    return rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                           columns=columns or ["vec_id", "embedding"])
-
-
-def _query_vectors(sf_dir: str, n: int = 3) -> np.ndarray:
-    """The n smallest-vec_id embeddings as the query matrix. Filtered
-    row-group read — never the whole table (at a real embeddings table a
-    full read for a 3-vector lookup is a driver OOM); relies on vec_id
-    being a monotone row id so `vec_id < 64` prunes to the first row
-    group(s)."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                      columns=["vec_id", "embedding"],
-                      filters=[("vec_id", "<", 64)])
-    df = t.to_pandas().sort_values("vec_id").head(n)
-    return np.asarray(df["embedding"].tolist(), dtype=np.float32)
-
-
-def q_embed_topk(sf_dir: str):
-    from ..datapipe import brute_force_topk
-
-    q = _query_vectors(sf_dir, 3)
-    out = brute_force_topk(_embeds(sf_dir), q, k=5).to_pandas()
-    out = out.astype({"query_id": "int64", "vec_id": "int64", "rank": "int64"})
-    return (out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-            [["query_id", "vec_id", "rank"]])
-
-
-SQL_EMBED_TOPK = """
-WITH q AS (SELECT vec_id AS query_id, embedding AS qv FROM embeddings WHERE vec_id < 3),
-s AS (
-  SELECT q.query_id, e.vec_id,
-         list_cosine_similarity(e.embedding, q.qv) AS cosine
-  FROM embeddings e CROSS JOIN q)
-SELECT query_id, vec_id,
-       row_number() OVER (PARTITION BY query_id ORDER BY cosine DESC, vec_id) AS rank
-FROM s QUALIFY rank <= 5 ORDER BY query_id, rank
-"""
 
 
 def q_events_rate_limited(sf_dir: str):
@@ -3800,139 +3664,6 @@ SELECT * FROM (
 """
 
 
-_WEB_DOCS_PATH = "/tmp/sagan_ray_golden/web_docs.parquet"
-
-
-def _write_web_docs() -> str:
-    """Deterministic URL-bearing corpus written once per process for the
-    web_* queries; BOTH the Ray pipeline and the SQL oracle read this
-    parquet (input sharing, not a golden — the SQL recomputes the
-    operator with DuckDB's own RE2 kernels)."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    from ..datapipe.web import synth_web_docs
-
-    os.makedirs(os.path.dirname(_WEB_DOCS_PATH), exist_ok=True)
-    tmp = _WEB_DOCS_PATH + ".tmp"
-    pq.write_table(synth_web_docs(4000, seed=23), tmp)
-    os.replace(tmp, _WEB_DOCS_PATH)
-    return _WEB_DOCS_PATH
-
-
-def q_web_domain_stats(sf_dir: str):
-    """Per-domain URL/doc counts over a deterministic URL-bearing corpus
-    (datapipe/web.py): one flat-buffer compiled-regex pass per batch →
-    distinct (domain, doc) partials → domain-keyed exchange. The SQL
-    oracle recomputes the whole operator with DuckDB regexp kernels on
-    the same parquet (a REAL oracle, not a golden)."""
-    import ray.data as rd
-
-    from ..datapipe.web import domain_stats
-
-    path = _write_web_docs()
-    out = _typed(domain_stats(rd.read_parquet(path)).to_pandas(),
-                 {"domain": "object", "n_urls": "int64",
-                  "n_docs": "int64"})
-    return out.sort_values("domain").reset_index(drop=True)
-
-
-SQL_WEB_DOMAIN_STATS = r"""
-WITH docs AS (
-  SELECT * FROM read_parquet('/tmp/sagan_ray_golden/web_docs.parquet')),
-urls AS (
-  SELECT doc_id,
-         unnest(regexp_extract_all(lower(text),
-           'https?://[a-z0-9.-]+(?:/[a-z0-9/?=._~%&-]*)?')) AS url
-  FROM docs),
-norm AS (
-  SELECT doc_id,
-         regexp_replace(regexp_extract(url, 'https?://([^/]+)', 1),
-                        '^www\.', '') AS domain
-  FROM urls)
-SELECT domain, count(*) AS n_urls, count(DISTINCT doc_id) AS n_docs
-FROM norm GROUP BY domain ORDER BY domain
-"""
-
-
-def q_web_url_dedup(sf_dir: str):
-    """Canonical-URL dedup report (web.py::url_dedup): scheme/www/case
-    spelling variants collapse to one canonical URL with occurrence,
-    distinct-doc and first-doc stats — the crawl-frontier dedup. SQL
-    oracle recomputes extraction + canonicalization with DuckDB RE2
-    kernels on the same parquet (a REAL oracle)."""
-    import ray.data as rd
-
-    from ..datapipe.web import url_dedup
-
-    path = _write_web_docs()
-    out = _typed(url_dedup(rd.read_parquet(path)).to_pandas(),
-                 {"url": "object", "n_urls": "int64", "n_docs": "int64",
-                  "first_doc": "int64"})
-    return out.sort_values("url").reset_index(drop=True)
-
-
-SQL_WEB_URL_DEDUP = r"""
-WITH docs AS (
-  SELECT * FROM read_parquet('/tmp/sagan_ray_golden/web_docs.parquet')),
-urls AS (
-  SELECT doc_id,
-         unnest(regexp_extract_all(lower(text),
-           'https?://[a-z0-9.-]+(?:/[a-z0-9/?=._~%&-]*)?')) AS url
-  FROM docs),
-canon AS (
-  SELECT doc_id,
-         regexp_replace(regexp_replace(regexp_replace(url,
-           '^https?://', ''), '^www\.', ''), '/$', '') AS curl
-  FROM urls)
-SELECT curl AS url, count(*) AS n_urls,
-       count(DISTINCT doc_id) AS n_docs,
-       min(doc_id) AS first_doc
-FROM canon GROUP BY curl ORDER BY curl
-"""
-
-
-def q_web_domain_filter(sf_dir: str):
-    """Blocklist filtering: doc_ids containing NO URL from the two hub
-    domains — the keep-side of crawl curation. Single map_batches pass,
-    blocklist in the task closure; SQL oracle is a NOT EXISTS anti-join
-    over the recomputed extraction."""
-    import ray.data as rd
-
-    from ..datapipe.web import domain_filter
-
-    path = _write_web_docs()
-    kept = domain_filter(rd.read_parquet(path),
-                         {"site0.example.com", "site1.example.com"})
-    out = _typed(kept.select_columns(["doc_id"]).to_pandas(),
-                 {"doc_id": "int64"})
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-SQL_WEB_DOMAIN_FILTER = r"""
-WITH docs AS (
-  SELECT * FROM read_parquet('/tmp/sagan_ray_golden/web_docs.parquet')),
-urls AS (
-  SELECT doc_id,
-         unnest(regexp_extract_all(lower(text),
-           'https?://[a-z0-9.-]+(?:/[a-z0-9/?=._~%&-]*)?')) AS url
-  FROM docs),
-norm AS (
-  SELECT doc_id,
-         regexp_replace(regexp_extract(url, 'https?://([^/]+)', 1),
-                        '^www\.', '') AS domain
-  FROM urls)
-SELECT d.doc_id
-FROM docs d
-WHERE NOT EXISTS (
-  SELECT 1 FROM norm n
-  WHERE n.doc_id = d.doc_id
-    AND n.domain IN ('site0.example.com', 'site1.example.com'))
-ORDER BY d.doc_id
-"""
-
-
 def q_events_trend(sf_dir: str):
     """Per-type daily event-count OLS slope (events.py::type_trend):
     every regression sum is an exact integer (x rebased per group), so
@@ -3966,70 +3697,6 @@ SELECT event_type, nw AS n_windows,
             ELSE (nw * sxy - sx * sy)::DOUBLE
                  / (nw * sxx - sx * sx)::DOUBLE END AS slope
 FROM s ORDER BY event_type
-"""
-
-
-def q_embed_outliers(sf_dir: str):
-    """Embedding-space outlier audit (cluster.py::embedding_outliers):
-    rows whose exact-integer d² to their own kmeans centroid exceeds
-    the cluster's 0.9-quantile distance bucket — hash-verified against
-    a sequential replay (same fixed-point kmeans spec as embed_kmeans
-    plus the rational-rank bucket fence)."""
-    from ..datapipe import embedding_outliers
-    from ..oracle.golden import write_golden_embed_outliers
-
-    write_golden_embed_outliers(sf_dir, k=8, n_iters=8, q=0.9,
-                                bucket_shift=32)
-    out = embedding_outliers(_embeds(sf_dir), k=8, n_iters=8,
-                             q=0.9).to_pandas()
-    out = _typed(out, {"vec_id": "int64", "cluster": "int64",
-                       "d2": "int64"})
-    return out.sort_values("vec_id").reset_index(drop=True)
-
-
-SQL_EMBED_OUTLIERS_GOLDEN = """
-SELECT vec_id, cluster, d2
-FROM read_parquet('/tmp/sagan_ray_golden/embed_outliers.parquet')
-ORDER BY vec_id
-"""
-
-
-def q_embed_semantic_filter(sf_dir: str):
-    """The SemDeDup ACTION (cluster.py::semantic_dedup_filter): the
-    embedding corpus with only each semantic-dup component's min-id
-    representative kept. Oracle = the semantic pair expression (golden
-    kmeans join + DuckDB cosine) closed transitively with a recursive
-    CTE, exactly the dedup_filter shape."""
-    from ..datapipe import semantic_dedup_filter
-    from ..oracle.golden import write_golden_kmeans
-
-    write_golden_kmeans(sf_dir, k=8, n_iters=8)
-    out = semantic_dedup_filter(_embeds(sf_dir), threshold=0.45, k=8,
-                                n_iters=8).to_pandas()
-    out = _typed(out, {"vec_id": "int64"})
-    return out.sort_values("vec_id").reset_index(drop=True)
-
-
-SQL_EMBED_SEMANTIC_FILTER = """
-WITH RECURSIVE m AS (
-  SELECT e.vec_id, e.embedding, g.cluster
-  FROM embeddings e
-  JOIN read_parquet('/tmp/sagan_ray_golden/embed_kmeans.parquet') g
-    USING (vec_id)),
-p AS (
-  SELECT x.vec_id AS a, y.vec_id AS b
-  FROM m x JOIN m y ON x.cluster = y.cluster AND x.vec_id < y.vec_id
-  WHERE list_cosine_similarity(x.embedding, y.embedding) >= 0.45),
-e AS (SELECT a AS u, b AS v FROM p UNION ALL SELECT b, a FROM p),
-reach(u, v) AS (
-  SELECT u, v FROM e
-  UNION
-  SELECT r.u, e2.v FROM reach r JOIN e e2 ON r.v = e2.u),
-mn AS (SELECT u, min(v) AS mv FROM reach GROUP BY u)
-SELECT emb.vec_id
-FROM embeddings emb LEFT JOIN mn ON mn.u = emb.vec_id
-WHERE least(emb.vec_id, coalesce(mn.mv, emb.vec_id)) = emb.vec_id
-ORDER BY vec_id
 """
 
 
@@ -4093,196 +3760,6 @@ SELECT "window", user_id, n,
        row_number() OVER (PARTITION BY "window"
                           ORDER BY n DESC, user_id) AS rank
 FROM c QUALIFY rank <= 3 ORDER BY "window", rank
-"""
-
-
-def q_embed_hard_negatives(sf_dir: str):
-    """Hard-negative mining (ann.py::hard_negative_topk): per-anchor
-    exact cosine top-k restricted to vectors with a DIFFERENT label —
-    the contrastive-training counterpart of embed_topk, verified
-    against the same cross-join SQL with the label-inequality join
-    predicate."""
-    import pyarrow.parquet as pq
-
-    from ..datapipe import hard_negative_topk
-
-    t = pq.read_table(f"{sf_dir}/embeddings.parquet",
-                      columns=["vec_id", "embedding", "label"],
-                      filters=[("vec_id", "<", 64)])
-    df = t.to_pandas().sort_values("vec_id").head(3)
-    q = np.asarray(df["embedding"].tolist(), dtype=np.float32)
-    ql = df["label"].to_numpy()
-    out = hard_negative_topk(
-        _embeds(sf_dir, columns=["vec_id", "embedding", "label"]),
-        q, ql, k=5).to_pandas()
-    out = _typed(out[["query_id", "vec_id", "rank"]],
-                 {"query_id": "int64", "vec_id": "int64", "rank": "int64"})
-    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-
-
-SQL_EMBED_HARD_NEGATIVES = """
-WITH q AS (SELECT vec_id AS query_id, embedding AS qv, label AS ql
-           FROM embeddings WHERE vec_id < 3),
-s AS (
-  SELECT q.query_id, e.vec_id,
-         list_cosine_similarity(e.embedding, q.qv) AS cosine
-  FROM embeddings e JOIN q ON e.label <> q.ql)
-SELECT query_id, vec_id,
-       row_number() OVER (PARTITION BY query_id ORDER BY cosine DESC, vec_id) AS rank
-FROM s QUALIFY rank <= 5 ORDER BY query_id, rank
-"""
-
-
-def q_embed_near_dup(sf_dir: str):
-    """Exact cosine-similar pairs (≥0.45) via the block-nested-loop
-    exchange (datapipe.dedup.embedding_near_dup_exact) — all-pairs
-    semantics with NO driver-side materialization and bounded per-task
-    memory; the LSH-bucketed sub-quadratic variant is
-    q_embed_near_dup_lsh. Threshold 0.45 yields 7/14/144 pairs at
-    sf0.001/0.01/0.1 (the fixture embeddings are random vectors), so the
-    oracle comparison is non-vacuous at every scale."""
-    from ..datapipe.dedup import embedding_near_dup_exact
-
-    out = _typed(embedding_near_dup_exact(_embeds(sf_dir), threshold=0.45
-                                          ).to_pandas()[["a", "b"]],
-                 {"a": "int64", "b": "int64"})
-    return out.sort_values(["a", "b"]).reset_index(drop=True)
-
-
-SQL_EMBED_NEAR_DUP = """
-SELECT a.vec_id AS a, b.vec_id AS b
-FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.45
-ORDER BY a, b
-"""
-
-
-def q_embed_near_dup_lsh(sf_dir: str):
-    """Approximate (multi-table hyperplane LSH) variant of
-    q_embed_near_dup, hash-verified against a golden parquet written by
-    an independent sequential spec implementation (per-row projections,
-    dict buckets, per-pair dots — oracle/golden.py); recall vs the exact
-    path is additionally measured in tests/test_datapipe.py with planted
-    near-duplicates."""
-    from ..datapipe import embedding_near_dup
-    from ..oracle.golden import write_golden_embed_lsh
-
-    write_golden_embed_lsh(sf_dir, threshold=0.45, n_planes=8, n_tables=32,
-                           seed=7, max_bucket=8192)
-    out = _typed(embedding_near_dup(_embeds(sf_dir), threshold=0.45,
-                                    n_tables=32).to_pandas()[["a", "b"]],
-                 {"a": "int64", "b": "int64"})
-    return out.sort_values(["a", "b"]).reset_index(drop=True)
-
-
-SQL_EMBED_LSH_GOLDEN = """
-SELECT a, b FROM read_parquet('/tmp/sagan_ray_golden/embed_near_dup_lsh.parquet')
-ORDER BY a, b
-"""
-
-
-def q_embed_ivf(sf_dir: str):
-    """IVF top-k, hash-verified against a golden parquet from a
-    sequential per-row IVF implementation (oracle/golden.py) — possible
-    because the pipeline's centroid sample is a pure function of
-    (vec_id, seed) (SplitMix64 smallest-k), not of Ray's block layout."""
-    from ..datapipe import ivf_topk
-    from ..oracle.golden import write_golden_embed_ivf
-
-    write_golden_embed_ivf(sf_dir, n_queries=3, k=5, n_cells=8, nprobe=4,
-                           sample_size=4096, seed=5)
-    q = _query_vectors(sf_dir, 3)
-    out = ivf_topk(_embeds(sf_dir), q, k=5, n_cells=8, nprobe=4).to_pandas()
-    out = out.astype({"query_id": "int64", "vec_id": "int64", "rank": "int64"})
-    return (out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-            [["query_id", "vec_id", "rank"]])
-
-
-SQL_EMBED_IVF_GOLDEN = """
-SELECT query_id, vec_id, rank
-FROM read_parquet('/tmp/sagan_ray_golden/embed_ivf.parquet')
-ORDER BY query_id, rank
-"""
-
-
-def q_embed_quantized_topk(sf_dir: str):
-    """Brute-force top-k over int8-quantized embeddings (the 4×-memory
-    scale path), hash-verified against a sequential full-scan golden —
-    possible because scores are exact integer dots × two scales
-    (datapipe/ann.py::quantized_topk docstring)."""
-    from ..datapipe.ann import quantized_topk
-    from ..oracle.golden import write_golden_quantized
-
-    write_golden_quantized(sf_dir, n_queries=3, k=5)
-    q = _query_vectors(sf_dir, 3)
-    out = quantized_topk(_embeds(sf_dir), q, k=5).to_pandas()
-    out = out.astype({"query_id": "int64", "vec_id": "int64",
-                      "rank": "int64"})
-    return (out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-            [["query_id", "vec_id", "rank"]])
-
-
-SQL_EMBED_QUANTIZED_GOLDEN = """
-SELECT query_id, vec_id, rank
-FROM read_parquet('/tmp/sagan_ray_golden/embed_quantized_topk.parquet')
-ORDER BY query_id, rank
-"""
-
-
-def q_embed_rp_topk(sf_dir: str):
-    """Johnson–Lindenstrauss ±1-projection top-k (the d_out/d_in BYTES
-    lever before an exact rerank), hash-verified against a sequential
-    per-row full-scan golden — possible because both sides land on the
-    shared exact-int projected grid (datapipe/ann.py::rp_topk)."""
-    from ..datapipe.ann import rp_topk
-    from ..oracle.golden import write_golden_rp
-
-    write_golden_rp(sf_dir, n_queries=3, k=5, d_out=16, seed=5)
-    q = _query_vectors(sf_dir, 3)
-    out = rp_topk(_embeds(sf_dir), q, k=5, d_out=16, seed=5).to_pandas()
-    out = out.astype({"query_id": "int64", "vec_id": "int64",
-                      "rank": "int64"})
-    return (out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-            [["query_id", "vec_id", "rank"]])
-
-
-SQL_EMBED_RP_GOLDEN = """
-SELECT query_id, vec_id, rank
-FROM read_parquet('/tmp/sagan_ray_golden/embed_rp_topk.parquet')
-ORDER BY query_id, rank
-"""
-
-
-def q_embed_label_stats(sf_dir: str):
-    import pyarrow.compute as pc
-    from ray.data.aggregate import Count, Sum
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        from ..datapipe.ann import _mat
-
-        # float64 accumulate over the zero-copy flattened column — same
-        # values as the boxed to_pylist path (f32→f64 widening is exact)
-        mat = _mat(tbl, "embedding", dtype=np.float64)
-        sq = np.einsum("ij,ij->i", mat, mat)
-        t = pa.table({"label": tbl.column("label"),
-                      "sq": pa.array(sq, pa.float64())})
-        g = pa.TableGroupBy(t, "label").aggregate([("sq", "sum"), ([], "count_all")])
-        return g.rename_columns(["label", "sq", "n"])
-
-    out = (_embeds(sf_dir, ["embedding", "label"])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby("label").aggregate(Sum("sq", alias_name="sq"),
-                                       Sum("n", alias_name="n")).to_pandas())
-    out["mean_sq_norm"] = (out["sq"] / out["n"]).round(6)
-    out = out.astype({"label": "int64", "n": "int64"})
-    return (out.sort_values("label").reset_index(drop=True)
-            [["label", "n", "mean_sq_norm"]])
-
-
-SQL_EMBED_LABEL_STATS = """
-SELECT label::BIGINT AS label, count(*) AS n,
-       round(sum(list_dot_product(embedding::DOUBLE[], embedding::DOUBLE[])) / count(*), 6) AS mean_sq_norm
-FROM embeddings GROUP BY label ORDER BY label
 """
 
 
@@ -4509,79 +3986,6 @@ FROM m GROUP BY sa, sb ORDER BY sa, sb
 """
 
 
-def q_embed_mmr(sf_dir: str):
-    """MMR diversified top-k at λ=1/2 on the fixed-point unit grid
-    (ann.py::mmr_topk): integer relevance/diversity dots make the
-    greedy bit-deterministic, hash-verified against a sequential
-    golden (independent per-candidate loops + explicit greedy)."""
-    from ..datapipe.ann import mmr_topk
-    from ..oracle.golden import write_golden_mmr
-
-    write_golden_mmr(sf_dir, n_queries=3, k=5, shortlist=64)
-    q = _query_vectors(sf_dir, 3)
-    out = mmr_topk(_embeds(sf_dir), q, k=5, shortlist=64)
-    out = _typed(out, {"query_id": "int64", "vec_id": "int64",
-                       "rank": "int64", "relevance": "float64",
-                       "mmr": "float64"})
-    return out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-
-
-SQL_EMBED_MMR_GOLDEN = """
-SELECT query_id, vec_id, rank, relevance, mmr
-FROM read_parquet('/tmp/sagan_ray_golden/embed_mmr.parquet')
-ORDER BY query_id, rank
-"""
-
-
-def q_embed_knn_graph(sf_dir: str):
-    """Mutual k-NN graph over the embeddings table
-    (ann.py::knn_graph): block-pair exchange emits per-src top-k
-    candidates, a src-keyed exchange keeps the global top-k, an
-    unordered-pair exchange keeps both-direction edges — all ranking
-    on exact unit-grid integer dots, hash-verified against a
-    sequential double-loop golden
-    (oracle/golden.py::write_golden_knn_graph)."""
-    from ..datapipe.ann import knn_graph
-    from ..oracle.golden import write_golden_knn_graph
-
-    write_golden_knn_graph(sf_dir, k=8)
-    out = knn_graph(_embeds(sf_dir), k=8, n_blocks=4).to_pandas()
-    out = _typed(out, {"src": "int64", "dst": "int64", "dot": "int64"})
-    return out.sort_values(["src", "dst"]).reset_index(drop=True)
-
-
-SQL_EMBED_KNN_GRAPH_GOLDEN = """
-SELECT src, dst, dot
-FROM read_parquet('/tmp/sagan_ray_golden/embed_knn_graph.parquet')
-ORDER BY src, dst
-"""
-
-
-def q_embed_knn_graph_ivf(sf_dir: str):
-    """Cell-restricted mutual k-NN graph (ann.py::knn_graph_ivf) — the
-    brute knn_graph's scale path: IVF cells partition the corpus (one
-    exchange row per vector, no block-pair replication), mutual top-k
-    runs within each cell on exact unit-grid dots. Hash-verified
-    against the sequential IVF + double-loop golden
-    (oracle/golden.py::write_golden_knn_graph_ivf)."""
-    from ..datapipe.ann import knn_graph_ivf
-    from ..oracle.golden import write_golden_knn_graph_ivf
-
-    write_golden_knn_graph_ivf(sf_dir, k=8, n_cells=8, sample_size=256,
-                               seed=5)
-    out = knn_graph_ivf(_embeds(sf_dir), k=8, n_cells=8,
-                        sample_size=256, seed=5).to_pandas()
-    out = _typed(out, {"src": "int64", "dst": "int64", "dot": "int64"})
-    return out.sort_values(["src", "dst"]).reset_index(drop=True)
-
-
-SQL_EMBED_KNN_GRAPH_IVF_GOLDEN = """
-SELECT src, dst, dot
-FROM read_parquet('/tmp/sagan_ray_golden/embed_knn_graph_ivf.parquet')
-ORDER BY src, dst
-"""
-
-
 def q_events_running(sf_dir: str):
     """Per-event running (cumulative) sum + rank within each user's
     (ts, event_id)-ordered stream (events.py::running_totals): user
@@ -4605,60 +4009,6 @@ SELECT event_id,
        row_number() OVER (PARTITION BY user_id
                           ORDER BY ts, event_id)::BIGINT AS run_cnt
 FROM events ORDER BY event_id
-"""
-
-
-_WINNOW = {"k": 5, "w": 4, "max_df": 10, "min_shared": 2}
-
-
-def q_dedup_winnow(sf_dir: str):
-    """Winnowing (MOSS) shared-fingerprint pairs
-    (winnow.py::winnow_pairs): prefix-scan range hashes + window-min
-    selection per batch, fp-keyed exchange with the max_df ubiquity
-    filter (the SQL mirrors it — it is part of the semantics), pair
-    exchange sums."""
-    from ..datapipe.winnow import winnow_pairs
-
-    out = _typed(winnow_pairs(_docs(sf_dir), **_WINNOW).to_pandas(),
-                 {"a": "int64", "b": "int64", "n_shared": "int64"})
-    return out.sort_values(["a", "b"]).reset_index(drop=True)
-
-
-SQL_DEDUP_WINNOW = f"""
-WITH t AS (
-  SELECT doc_id,
-         list_filter(regexp_split_to_array(lower(text), '[^a-z0-9_]+'),
-                     x -> x <> '') AS ws
-  FROM documents),
-gs AS (SELECT doc_id, i AS pos, array_to_string(ws[i:i+{_WINNOW['k'] - 1}], ' ') AS g
-       FROM (SELECT doc_id, ws,
-                    unnest(range(1, len(ws) - {_WINNOW['k'] - 2})) AS i
-             FROM t)),
-g AS (SELECT doc_id, pos,
-             list_reduce(list_transform(range(1, length(g) + 1),
-                                        j -> unicode(substr(g, j, 1))::BIGINT),
-                         (a, b) -> (a * 31 + b) % 2147483629) AS h
-      FROM gs),
-wm AS (SELECT doc_id, pos,
-              min(h) OVER (PARTITION BY doc_id ORDER BY pos
-                           ROWS BETWEEN CURRENT ROW AND {_WINNOW['w'] - 1} FOLLOWING) AS wmin,
-              count(*) OVER (PARTITION BY doc_id ORDER BY pos
-                             ROWS BETWEEN CURRENT ROW AND {_WINNOW['w'] - 1} FOLLOWING) AS wn
-       FROM g),
-sel AS (SELECT w.doc_id, min(g2.pos) AS spos
-        FROM wm w JOIN g g2 ON g2.doc_id = w.doc_id
-              AND g2.pos BETWEEN w.pos AND w.pos + {_WINNOW['w'] - 1}
-              AND g2.h = w.wmin
-        WHERE w.wn = {_WINNOW['w']}
-        GROUP BY w.doc_id, w.pos),
-fp AS (SELECT DISTINCT s.doc_id, g.h
-       FROM sel s JOIN g ON g.doc_id = s.doc_id AND g.pos = s.spos),
-keep AS (SELECT h FROM fp GROUP BY h HAVING count(*) <= {_WINNOW['max_df']})
-SELECT x.doc_id AS a, y.doc_id AS b, count(*)::BIGINT AS n_shared
-FROM fp x JOIN fp y USING (h) JOIN keep USING (h)
-WHERE x.doc_id < y.doc_id
-GROUP BY 1, 2 HAVING count(*) >= {_WINNOW['min_shared']}
-ORDER BY a, b
 """
 
 
@@ -4880,52 +4230,6 @@ FROM reps ORDER BY doc_id
 
 
 SQL_SPLIT_LEAKAGE_SAFE = _build_sql_split()
-
-
-def q_embed_dbscan(sf_dir: str):
-    """Density clustering (DBSCAN) under cosine similarity
-    (datapipe/cluster.py::dbscan): eps-pairs via the float64 block-pair
-    exchange, cores by closed-neighborhood degree, clusters =
-    connected components of the core-core graph, borders attach to the
-    MIN adjacent core's cluster (the deterministic refinement of
-    DBSCAN's scan-order-dependent border rule — the SQL mirrors it
-    with a recursive-CTE closure)."""
-    from ..datapipe.cluster import dbscan
-
-    out = dbscan(_embeds(sf_dir), threshold=0.35, min_pts=3).to_pandas()
-    out = _typed(out, {"vec_id": "int64", "label": "int64",
-                       "is_core": "int64"})
-    return out.sort_values("vec_id").reset_index(drop=True)
-
-
-SQL_EMBED_DBSCAN = """
-WITH RECURSIVE p AS (
-  SELECT a.vec_id AS a, b.vec_id AS b
-  FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-  WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.35),
-e AS (SELECT a AS u, b AS v FROM p UNION ALL SELECT b, a FROM p),
-d AS (SELECT u, count(*) AS c FROM e GROUP BY u),
-core AS (SELECT u FROM d WHERE c + 1 >= 3),
-ce AS (SELECT e.u, e.v FROM e
-       WHERE e.u IN (SELECT u FROM core)
-         AND e.v IN (SELECT u FROM core)),
-reach(u, v) AS (
-  SELECT u, u FROM core
-  UNION
-  SELECT r.u, ce.v FROM reach r JOIN ce ON ce.u = r.v),
-lab AS (SELECT u AS node, min(v) AS label FROM reach GROUP BY u),
-bl AS (SELECT e.u AS node, min(l.label) AS label
-       FROM e JOIN lab l ON e.v = l.node
-       WHERE e.u NOT IN (SELECT u FROM core)
-       GROUP BY e.u)
-SELECT emb.vec_id,
-       coalesce(l.label, b2.label, -1)::BIGINT AS label,
-       (CASE WHEN l.node IS NOT NULL THEN 1 ELSE 0 END)::BIGINT AS is_core
-FROM embeddings emb
-LEFT JOIN lab l ON emb.vec_id = l.node
-LEFT JOIN bl b2 ON emb.vec_id = b2.node
-ORDER BY emb.vec_id
-"""
 
 
 def q_corpus_edit_pairs(sf_dir: str):
@@ -5182,52 +4486,6 @@ ORDER BY event_type
 """
 
 
-def q_embed_ivf_index(sf_dir: str):
-    """IVF search over a PERSISTED cell-partitioned index
-    (ann.py::build_ivf_index/search_ivf_index): bit-identical to
-    ivf_topk with the same training params, so the sequential IVF
-    golden verifies the whole build → cell-pruned-read → score chain."""
-    from ..datapipe.ann import build_ivf_index, search_ivf_index
-    from ..oracle.golden import write_golden_embed_ivf
-
-    write_golden_embed_ivf(sf_dir, n_queries=3, k=5, n_cells=8, nprobe=4,
-                           sample_size=4096, seed=5)
-    idx = "/tmp/sagan_ray_index/ivf"
-    build_ivf_index(_embeds(sf_dir), idx, n_cells=8, sample_size=4096,
-                    seed=5)
-    q = _query_vectors(sf_dir, 3)
-    out = search_ivf_index(idx, q, k=5, nprobe=4).to_pandas()
-    out = out.astype({"query_id": "int64", "vec_id": "int64",
-                      "rank": "int64"})
-    return (out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-            [["query_id", "vec_id", "rank"]])
-
-
-def q_embed_ivf_stats(sf_dir: str):
-    """Cell-balance audit over the persisted IVF index
-    (ann.py::ivf_index_stats): per-cell vector/file counts read from
-    parquet FOOTERS only — the skew report that schedules re-training
-    or compaction. REAL SQL oracle: DuckDB recomputes the counts the
-    expensive way (full scan with hive partitioning)."""
-    from ..datapipe.ann import build_ivf_index, ivf_index_stats
-
-    idx = "/tmp/sagan_ray_index/ivf_stats"
-    build_ivf_index(_embeds(sf_dir), idx, n_cells=8, sample_size=4096,
-                    seed=5)
-    out = ivf_index_stats(idx)
-    return out.astype({"cell": "int64", "n_vecs": "int64",
-                       "n_files": "int64"})
-
-
-SQL_EMBED_IVF_STATS = """
-SELECT cell::BIGINT AS cell, count(*)::BIGINT AS n_vecs,
-       count(DISTINCT filename)::BIGINT AS n_files
-FROM read_parquet('/tmp/sagan_ray_index/ivf_stats/cell=*/*.parquet',
-                  filename=true, hive_partitioning=true)
-GROUP BY cell ORDER BY cell
-"""
-
-
 def q_search_bm25_index(sf_dir: str):
     """Index-backed BM25: build the term-partitioned postings parquet
     (datapipe/index.py::build_inverted_index) then answer the SAME
@@ -5420,42 +4678,6 @@ SQL_SAMPLE_BOTTOMK = f"""
 SELECT doc_id, (doc_id * 2654435761) % 4294967296 AS h
 FROM documents
 ORDER BY h, doc_id LIMIT {_BOTTOMK}
-"""
-
-
-def q_embed_topk_filtered(sf_dir: str):
-    """Metadata-FILTERED exact vector search (the filtered-ANN staple:
-    top-k restricted to a predicate): the label filter pushes into the
-    parquet scan (row groups that can't match never leave storage), the
-    surviving rows flow through the same brute_force_topk merge. Pure
-    composition — prune-at-the-read + existing operator."""
-    import pyarrow.compute as pac
-    import ray.data as rd
-
-    from ..datapipe import brute_force_topk
-
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"],
-                         filter=pac.field("label") == 1)
-    q = _query_vectors(sf_dir, 3)
-    out = brute_force_topk(ds, q, k=5).to_pandas()
-    out = out.astype({"query_id": "int64", "vec_id": "int64",
-                      "rank": "int64"})
-    return (out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-            [["query_id", "vec_id", "rank"]])
-
-
-SQL_EMBED_TOPK_FILTERED = """
-WITH q AS (SELECT vec_id AS query_id, embedding AS qv FROM embeddings
-           WHERE vec_id < 3),
-s AS (
-  SELECT q.query_id, e.vec_id,
-         list_cosine_similarity(e.embedding, q.qv) AS cosine
-  FROM embeddings e CROSS JOIN q WHERE e.label = 1)
-SELECT query_id, vec_id,
-       row_number() OVER (PARTITION BY query_id
-                          ORDER BY cosine DESC, vec_id) AS rank
-FROM s QUALIFY rank <= 5 ORDER BY query_id, rank
 """
 
 
@@ -5727,28 +4949,6 @@ ORDER BY doc_id
 """
 
 
-def q_embed_coreset(sf_dir: str):
-    """Greedy k-center coreset (farthest-point diversity selection):
-    exact-int unit-grid dots make the whole greedy trajectory
-    bit-deterministic, verified against a sequential Gonzalez golden
-    (cluster.py::kcenter_coreset)."""
-    from ..datapipe.cluster import kcenter_coreset
-    from ..oracle.golden import write_golden_kcenter
-
-    write_golden_kcenter(sf_dir, k=16)
-    out = kcenter_coreset(_embeds(sf_dir), k=16).to_pandas()
-    out = out.astype({"rank": "int64", "vec_id": "int64",
-                      "maxdot": "int64"})
-    return out.sort_values("rank").reset_index(drop=True)
-
-
-SQL_EMBED_CORESET = """
-SELECT rank, vec_id, maxdot
-FROM read_parquet('/tmp/sagan_ray_golden/embed_coreset.parquet')
-ORDER BY rank
-"""
-
-
 # the banned-phrase list the gate exercises: substring semantics, mixed
 # single words and cross-word phrases so both the alternation prefilter
 # and the per-phrase count leg see hits AND misses on the synth vocab
@@ -5898,52 +5098,6 @@ FROM s ORDER BY event_type
 """
 
 
-def q_embed_pair_hist(sf_dir: str):
-    """Pairwise-cosine distribution histogram over a hash-sampled
-    subset (datapipe/ann.py::pair_cosine_histogram — block-pair
-    exchange emitting n_bins-row bincount partials; exact int64 grid
-    dots make the sequential golden bit-exact; a live SQL oracle is
-    impossible because DuckDB's list_cosine_similarity carries ~3e-7
-    float32-level error, enough to flip bins)."""
-    from ..datapipe.ann import pair_cosine_histogram
-    from ..oracle.golden import write_golden_pair_hist
-
-    write_golden_pair_hist(sf_dir, rate=0.5, n_bins=64)
-    out = pair_cosine_histogram(_embeds(sf_dir), rate=0.5, n_bins=64)
-    return _typed(out, {"bin": "int64", "cos_lo": "float64",
-                        "n_pairs": "int64"})
-
-
-SQL_EMBED_PAIR_HIST = """
-SELECT bin, cos_lo, n_pairs
-FROM read_parquet('/tmp/sagan_ray_golden/embed_pair_hist.parquet')
-ORDER BY bin
-"""
-
-
-def q_embed_cluster_quality(sf_dir: str):
-    """Per-cluster kmeans quality report (datapipe/cluster.py::
-    cluster_quality — exact-int inertia via split-sum partials folded
-    as Python big ints; sequential per-row golden)."""
-    import ray.data as rd
-
-    from ..datapipe.cluster import cluster_quality
-    from ..oracle.golden import write_golden_cluster_quality
-
-    write_golden_cluster_quality(sf_dir, k=8, n_iters=8)
-    ds = rd.read_parquet(f"{sf_dir}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
-    out = cluster_quality(ds, k=8, n_iters=8)
-    return out.sort_values("cluster").reset_index(drop=True)
-
-
-SQL_EMBED_CLUSTER_QUALITY = """
-SELECT cluster, n, inertia, max_d2, mean_d2
-FROM read_parquet('/tmp/sagan_ray_golden/embed_cluster_quality.parquet')
-ORDER BY cluster
-"""
-
-
 def q_doc_pack_bfd(sf_dir: str):
     """Per-shard best-fit-decreasing bin packing
     (datapipe/pack.py::pack_bins_bfd — slim (id, count) shard exchange,
@@ -5967,43 +5121,6 @@ SQL_DOC_PACK_BFD = """
 SELECT doc_id, shard, bin, fill
 FROM read_parquet('/tmp/sagan_ray_golden/doc_pack_bfd.parquet')
 ORDER BY doc_id
-"""
-
-
-def q_embed_drift(sf_dir: str):
-    """Split-half per-dimension centroid drift
-    (datapipe/decomp.py::embedding_drift — floor(v·2^20 + 0.5)
-    quantization is operand-identical IEEE on both sides, so this
-    embedding op gets a REAL SQL oracle: exact int sums, int/int
-    means, one-subtraction deltas)."""
-    from ..datapipe.decomp import embedding_drift
-
-    out = embedding_drift(_embeds(sf_dir))
-    return _typed(out, {"dim": "int64", "n_a": "int64", "n_b": "int64",
-                        "sum_a": "int64", "sum_b": "int64",
-                        "mean_a": "float64", "mean_b": "float64",
-                        "delta": "float64"})
-
-
-SQL_EMBED_DRIFT = """
-WITH e AS (
-  SELECT ((vec_id * 2654435761) % 4294967296) % 2 AS grp,
-         generate_subscripts(embedding, 1) - 1 AS dim,
-         unnest(embedding) AS v
-  FROM embeddings),
-s AS (
-  SELECT grp, dim,
-         sum(floor(v * 1048576.0 + 0.5))::BIGINT AS s,
-         count(*)::BIGINT AS n
-  FROM e GROUP BY grp, dim)
-SELECT a.dim, a.n AS n_a, b.n AS n_b, a.s AS sum_a, b.s AS sum_b,
-       a.s * 1.0 / greatest(a.n, 1) AS mean_a,
-       b.s * 1.0 / greatest(b.n, 1) AS mean_b,
-       a.s * 1.0 / greatest(a.n, 1)
-         - b.s * 1.0 / greatest(b.n, 1) AS delta
-FROM (SELECT * FROM s WHERE grp = 0) a
-JOIN (SELECT * FROM s WHERE grp = 1) b USING (dim)
-ORDER BY a.dim
 """
 
 
@@ -6812,42 +5929,6 @@ FROM f
 """
 
 
-def q_embed_sign_topk(sf_dir: str):
-    """Binarized-embedding retrieval (ann.py::sign_hamming_topk): sign
-    bits packed to 8 bytes/vector, per-batch XOR + table popcount, local
-    top-k, tiny candidate merge. The sign test (v > 0) is exact in IEEE
-    and SQL alike, so this is the one ANN compression whose oracle is
-    plain SQL over the raw float lists (positional unnest zip), no
-    fixed-point grid required."""
-    from ..datapipe.ann import sign_hamming_topk
-
-    q = _query_vectors(sf_dir, 3)
-    out = sign_hamming_topk(_embeds(sf_dir), q, k=5).to_pandas()
-    out = _typed(out, {"query_id": "int64", "vec_id": "int64",
-                       "hamming": "int64", "rank": "int64"})
-    return (out.sort_values(["query_id", "rank"]).reset_index(drop=True)
-            [["query_id", "vec_id", "hamming", "rank"]])
-
-
-SQL_EMBED_SIGN_TOPK = """
-WITH q AS (SELECT vec_id AS query_id, embedding AS qv
-           FROM embeddings WHERE vec_id < 3),
-z AS (
-  SELECT q.query_id, e.vec_id,
-         unnest(e.embedding) AS ev, unnest(q.qv) AS qe
-  FROM embeddings e CROSS JOIN q),
-h AS (
-  SELECT query_id, vec_id,
-         sum(CASE WHEN (ev > 0) <> (qe > 0) THEN 1 ELSE 0 END)::BIGINT
-           AS hamming
-  FROM z GROUP BY query_id, vec_id)
-SELECT query_id, vec_id, hamming,
-       row_number() OVER (PARTITION BY query_id
-                          ORDER BY hamming, vec_id) AS rank
-FROM h QUALIFY rank <= 5 ORDER BY query_id, rank
-"""
-
-
 def q_events_spike(sf_dir: str):
     """Per-type daily volume spikes (events.py::daily_spike_days):
     z-score screen on observed-day counts where the z > 2 test is
@@ -7201,31 +6282,32 @@ QUERIES = {
     "conv_documents": q_conv_documents,
     "transcript_curation": q_transcript_curation,
     # --- rotation block: never driver-verified in r3/r4 ---------------
+    # ~0.1-1.4 s
+    "text_bleu": q_text_bleu,
+    "text_chrf": q_text_chrf,
+    "text_rouge": q_text_rouge,
+    "table_upsert": q_table_upsert,
+    "sample_weighted": q_sample_weighted,
+    "dedup_cdc": q_dedup_cdc,
+    "text_line_filter": q_text_line_filter,
+    "pii_pseudonymize": q_pii_pseudonymize,
     # ~0.6-0.9 s
-    "embed_ivf": q_embed_ivf,
     "text_decontam": q_text_decontam,
     "text_tokens_bpe": q_text_tokens_bpe,
-    "embed_near_dup": q_embed_near_dup,
-    "embed_label_stats": q_embed_label_stats,
-    "embed_pca": q_embed_pca,
-    "embed_near_dup_lsh": q_embed_near_dup_lsh,
     "text_nll": q_text_nll,
     # ~1-2 s
     "dedup_spans": q_dedup_spans,
     "text_quality_model": q_text_quality_model,
     "doc_pack_bpe": q_doc_pack_bpe,
-    "embed_kmeans": q_embed_kmeans,
     # > 2 s
     "dedup_filter": q_dedup_filter,
     "collocations": q_collocations,
-    "embed_semantic_dup": q_embed_semantic_dup,
     # --- cheap keepers (distinct families, all <= ~0.7 s) --------------
     "corpus_stats": q_corpus_stats,
     "corpus_vocab_sketch": q_corpus_vocab_sketch,
     "corpus_word_cms": q_corpus_word_cms,
     "text_tokens": q_text_tokens,
     "dedup_exact": q_dedup_exact,
-    "embed_quantized_topk": q_embed_quantized_topk,
     "text_quality": q_text_quality,
     "text_repetition": q_text_repetition,
     "dedup_simhash": q_dedup_simhash,
@@ -7245,7 +6327,6 @@ QUERIES = {
     "events_topk": q_events_topk,
     "group_topk": q_group_topk,
     "distinctive_terms": q_distinctive_terms,
-    "embed_topk": q_embed_topk,
     "text_quantiles": q_text_quantiles,
     "doc_pack": q_doc_pack,
     "dedup_ngram": q_dedup_ngram,
@@ -7268,13 +6349,9 @@ QUERIES = {
     "events_user_hll": q_events_user_hll,
     "text_compress_ratio": q_text_compress_ratio,
     "search_bm25_index": q_search_bm25_index,
-    "embed_ivf_index": q_embed_ivf_index,
     "corpus_heavy_hitters": q_corpus_heavy_hitters,
-    "sample_weighted": q_sample_weighted,
     "doc_chunks": q_doc_chunks,
-    "embed_topk_filtered": q_embed_topk_filtered,
     "sample_per_source": q_sample_per_source,
-    "dedup_cdc": q_dedup_cdc,
     "source_rank_norm": q_source_rank_norm,
     "events_histogram": q_events_histogram,
     "dedup_containment": q_dedup_containment,
@@ -7291,19 +6368,12 @@ QUERIES = {
     "text_nll_bigram": q_text_nll_bigram,
     "source_divergence": q_source_divergence,
     "search_similar": q_search_similar,
-    "dedup_winnow": q_dedup_winnow,
     "events_running": q_events_running,
-    "embed_mmr": q_embed_mmr,
-    "embed_hard_negatives": q_embed_hard_negatives,
     "events_quantile_sketch": q_events_quantile_sketch,
     "events_window_topk": q_events_window_topk,
-    "embed_outliers": q_embed_outliers,
     "events_rate_limited": q_events_rate_limited,
-    "embed_semantic_filter": q_embed_semantic_filter,
     "dedup_fuzzy_incremental": q_dedup_fuzzy_incremental,
     "events_trend": q_events_trend,
-    "web_domain_stats": q_web_domain_stats,
-    "web_domain_filter": q_web_domain_filter,
     "snapshot_diff": q_snapshot_diff,
     "table_profile": q_table_profile,
     "events_debounce": q_events_debounce,
@@ -7314,23 +6384,17 @@ QUERIES = {
     "sample_token_budget": q_sample_token_budget,
     "length_batches": q_length_batches,
     "sample_token_budget_grouped": q_sample_token_budget_grouped,
-    "embed_coreset": q_embed_coreset,
-    "embed_rp_topk": q_embed_rp_topk,
     "events_trigrams": q_events_trigrams,
     "text_readability": q_text_readability,
     "text_ttr": q_text_ttr,
     "events_basket": q_events_basket,
-    "embed_dbscan": q_embed_dbscan,
     "corpus_edit_pairs": q_corpus_edit_pairs,
     "text_blocklist": q_text_blocklist,
     "events_dau": q_events_dau,
     "events_attribution": q_events_attribution,
     "events_ab_lift": q_events_ab_lift,
     "events_interarrival": q_events_interarrival,
-    "embed_pair_hist": q_embed_pair_hist,
-    "embed_cluster_quality": q_embed_cluster_quality,
     "doc_pack_bfd": q_doc_pack_bfd,
-    "embed_drift": q_embed_drift,
     "events_hourly": q_events_hourly,
     "dedup_source_report": q_dedup_source_report,
     "source_terms": q_source_terms,
@@ -7341,7 +6405,6 @@ QUERIES = {
     "events_sessions": q_events_sessions,
     "events_churn": q_events_churn,
     "events_markov_nll": q_events_markov_nll,
-    "table_upsert": q_table_upsert,
     "events_gini": q_events_gini,
     "transcript_boilerplate": q_transcript_boilerplate,
     "text_filter_report": q_text_filter_report,
@@ -7353,32 +6416,22 @@ QUERIES = {
     "events_cohorts": q_events_cohorts,
     "corpus_dup_growth": q_corpus_dup_growth,
     "corpus_zipf": q_corpus_zipf,
-    "embed_sign_topk": q_embed_sign_topk,
     "events_spike": q_events_spike,
     "events_latency_quantiles": q_events_latency_quantiles,
     "dedup_minhash_index": q_dedup_minhash_index,
     "transcript_context": q_transcript_context,
     "tokenizer_fertility": q_tokenizer_fertility,
     "doc_summary": q_doc_summary,
-    "embed_knn_graph": q_embed_knn_graph,
-    "web_url_dedup": q_web_url_dedup,
-    "embed_knn_graph_ivf": q_embed_knn_graph_ivf,
     "corpus_file_stats": q_corpus_file_stats,
     "events_paths": q_events_paths,
-    "pii_pseudonymize": q_pii_pseudonymize,
     "snapshot_manifest": q_snapshot_manifest,
     "sample_balanced": q_sample_balanced,
     "dedup_simhash_index": q_dedup_simhash_index,
-    "embed_ivf_stats": q_embed_ivf_stats,
     "corpus_zorder": q_corpus_zorder,
-    "text_line_filter": q_text_line_filter,
     "dedup_minhash_calibration": q_dedup_minhash_calibration,
     "doc_pack_spans": q_doc_pack_spans,
-    "text_rouge": q_text_rouge,
     "text_rouge2": q_text_rouge2,
     "text_rouge_l": q_text_rouge_l,
-    "text_bleu": q_text_bleu,
-    "text_chrf": q_text_chrf,
     "events_forecast": q_events_forecast,
     "compact_bm25_index": q_compact_bm25_index,
     "text_bleu_corpus": q_text_bleu_corpus,
@@ -7445,9 +6498,6 @@ ORACLES = {
     "pii_redact": SQL_PII_REDACT,
     "sample_stratified": SQL_SAMPLE_STRATIFIED,
     "group_topk": SQL_GROUP_TOPK,
-    "embed_topk": SQL_EMBED_TOPK,
-    "embed_near_dup": SQL_EMBED_NEAR_DUP,
-    "embed_label_stats": SQL_EMBED_LABEL_STATS,
     # golden-parquet oracles (semantics not SQL-expressible; the query
     # writes the expected parquet from an independent sequential spec
     # implementation, the SQL reads it — see oracle/golden.py)
@@ -7459,12 +6509,6 @@ ORACLES = {
     "role_transitions": SQL_ROLE_TRANSITIONS,
     "conv_documents": SQL_CONV_DOCUMENTS,
     "transcript_curation": SQL_TRANSCRIPT_CURATION,
-    "embed_near_dup_lsh": SQL_EMBED_LSH_GOLDEN,
-    "embed_ivf": SQL_EMBED_IVF_GOLDEN,
-    "embed_quantized_topk": SQL_EMBED_QUANTIZED_GOLDEN,
-    "embed_kmeans": SQL_KMEANS_GOLDEN,
-    "embed_semantic_dup": SQL_SEMANTIC_DUP,
-    "embed_pca": SQL_PCA_GOLDEN,
     "corpus_vocab_sketch": SQL_VOCAB_SKETCH,
     "corpus_word_bloom": SQL_CORPUS_WORD_BLOOM,
     "mix_sources": SQL_MIX_SOURCES,
@@ -7476,11 +6520,9 @@ ORACLES = {
     "events_user_hll": SQL_EVENTS_USER_HLL,
     "text_compress_ratio": SQL_TEXT_COMPRESS,
     "search_bm25_index": SQL_SEARCH_BM25,
-    "embed_ivf_index": SQL_EMBED_IVF_GOLDEN,
     "corpus_heavy_hitters": SQL_CORPUS_HEAVY_HITTERS,
     "sample_weighted": SQL_SAMPLE_WEIGHTED,
     "doc_chunks": SQL_DOC_CHUNKS,
-    "embed_topk_filtered": SQL_EMBED_TOPK_FILTERED,
     "sample_per_source": SQL_SAMPLE_PER_SOURCE,
     "dedup_cdc": SQL_DEDUP_CDC,
     "source_rank_norm": SQL_SOURCE_RANK_NORM,
@@ -7499,19 +6541,12 @@ ORACLES = {
     "text_nll_bigram": SQL_TEXT_NLL_BIGRAM,
     "source_divergence": SQL_SOURCE_DIVERGENCE,
     "search_similar": SQL_SEARCH_SIMILAR,
-    "dedup_winnow": SQL_DEDUP_WINNOW,
     "events_running": SQL_EVENTS_RUNNING,
-    "embed_mmr": SQL_EMBED_MMR_GOLDEN,
-    "embed_hard_negatives": SQL_EMBED_HARD_NEGATIVES,
     "events_quantile_sketch": SQL_EVENTS_QUANTILE_SKETCH,
     "events_window_topk": SQL_EVENTS_WINDOW_TOPK,
-    "embed_outliers": SQL_EMBED_OUTLIERS_GOLDEN,
     "events_rate_limited": SQL_EVENTS_RATE_LIMITED,
-    "embed_semantic_filter": SQL_EMBED_SEMANTIC_FILTER,
     "dedup_fuzzy_incremental": SQL_DEDUP_FUZZY_INCREMENTAL,
     "events_trend": SQL_EVENTS_TREND,
-    "web_domain_stats": SQL_WEB_DOMAIN_STATS,
-    "web_domain_filter": SQL_WEB_DOMAIN_FILTER,
     "snapshot_diff": SQL_SNAPSHOT_DIFF,
     "table_profile": SQL_TABLE_PROFILE,
     "events_debounce": SQL_EVENTS_DEBOUNCE,
@@ -7522,23 +6557,17 @@ ORACLES = {
     "sample_token_budget": SQL_SAMPLE_TOKEN_BUDGET,
     "length_batches": SQL_LENGTH_BATCHES,
     "sample_token_budget_grouped": SQL_SAMPLE_TOKEN_BUDGET_GROUPED,
-    "embed_coreset": SQL_EMBED_CORESET,
-    "embed_rp_topk": SQL_EMBED_RP_GOLDEN,
     "events_trigrams": SQL_EVENTS_TRIGRAMS,
     "text_readability": SQL_TEXT_READABILITY,
     "text_ttr": SQL_TEXT_TTR,
     "events_basket": SQL_EVENTS_BASKET,
-    "embed_dbscan": SQL_EMBED_DBSCAN,
     "corpus_edit_pairs": SQL_CORPUS_EDIT_PAIRS,
     "text_blocklist": SQL_TEXT_BLOCKLIST,
     "events_dau": SQL_EVENTS_DAU,
     "events_attribution": SQL_EVENTS_ATTRIBUTION,
     "events_ab_lift": SQL_EVENTS_AB_LIFT,
     "events_interarrival": SQL_EVENTS_INTERARRIVAL,
-    "embed_pair_hist": SQL_EMBED_PAIR_HIST,
-    "embed_cluster_quality": SQL_EMBED_CLUSTER_QUALITY,
     "doc_pack_bfd": SQL_DOC_PACK_BFD,
-    "embed_drift": SQL_EMBED_DRIFT,
     "events_hourly": SQL_EVENTS_HOURLY,
     "dedup_source_report": SQL_DEDUP_SOURCE_REPORT,
     "source_terms": SQL_SOURCE_TERMS,
@@ -7561,23 +6590,18 @@ ORACLES = {
     "events_cohorts": SQL_EVENTS_COHORTS,
     "corpus_dup_growth": SQL_CORPUS_DUP_GROWTH,
     "corpus_zipf": SQL_CORPUS_ZIPF,
-    "embed_sign_topk": SQL_EMBED_SIGN_TOPK,
     "events_spike": SQL_EVENTS_SPIKE,
     "events_latency_quantiles": SQL_EVENTS_LATENCY_QUANTILES,
     "dedup_minhash_index": SQL_DEDUP_MINHASH_INDEX,
     "transcript_context": SQL_TRANSCRIPT_CONTEXT,
     "tokenizer_fertility": SQL_TOKENIZER_FERTILITY,
     "doc_summary": SQL_DOC_SUMMARY,
-    "embed_knn_graph": SQL_EMBED_KNN_GRAPH_GOLDEN,
-    "web_url_dedup": SQL_WEB_URL_DEDUP,
-    "embed_knn_graph_ivf": SQL_EMBED_KNN_GRAPH_IVF_GOLDEN,
     "corpus_file_stats": SQL_CORPUS_FILE_STATS,
     "events_paths": SQL_EVENTS_PATHS,
     "pii_pseudonymize": SQL_PII_PSEUDONYMIZE,
     "snapshot_manifest": SQL_SNAPSHOT_MANIFEST,
     "sample_balanced": SQL_SAMPLE_BALANCED,
     "dedup_simhash_index": SQL_SIMHASH_GOLDEN,
-    "embed_ivf_stats": SQL_EMBED_IVF_STATS,
     "corpus_zorder": SQL_CORPUS_ZORDER,
     "text_line_filter": SQL_TEXT_LINE_FILTER,
     "dedup_minhash_calibration": SQL_DEDUP_MINHASH_CALIBRATION,

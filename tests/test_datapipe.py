@@ -1,5 +1,5 @@
-"""Tests for the training-data ops: dedup family, ANN, text stats,
-events — verified against brute-force / DuckDB ground truth
+"""Tests for the training-data ops: dedup family, text stats, events
+— verified against brute-force / DuckDB ground truth
 on the sf0.001 driver tables."""
 
 import itertools
@@ -21,12 +21,6 @@ def docs():
 def docs_tbl():
     import pyarrow.parquet as pq
     return pq.read_table(f"{SF}/documents.parquet")
-
-
-@pytest.fixture(scope="module")
-def embeds():
-    import ray.data as rd
-    return rd.read_parquet(f"{SF}/embeddings.parquet")
 
 
 def test_exact_dedup_matches_duckdb(docs, docs_tbl):
@@ -136,107 +130,6 @@ def test_ngram_jaccard_exact(docs, docs_tbl):
         assert abs(got_pairs[k] - truth[k]) < 1e-9
 
 
-def test_brute_force_topk_exact(embeds):
-    from sagan_ray.datapipe import brute_force_topk
-
-    df = embeds.to_pandas()
-    mat = np.asarray(df["embedding"].tolist(), dtype=np.float32)
-    unit = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    queries = mat[:3]
-    got = brute_force_topk(embeds, queries, k=5).to_pandas()
-    for qi in range(3):
-        sims = unit @ (queries[qi] / np.linalg.norm(queries[qi]))
-        order = np.lexsort((df["vec_id"].to_numpy(), -sims))
-        want = list(df["vec_id"].to_numpy()[order][:5])
-        sub = got[got.query_id == qi].sort_values("rank")
-        assert list(sub["vec_id"].astype(int)) == [int(x) for x in want]
-
-
-def test_sign_hamming_topk_matches_naive(embeds):
-    """Distributed sign-bit Hamming top-k equals the per-query naive
-    scan (distance asc, id asc ties), and distances really are the
-    count of sign disagreements — checked against a bool-matrix XOR
-    reference, independent of the packbits/popcount kernel."""
-    from sagan_ray.datapipe.ann import sign_hamming_topk
-
-    df = embeds.to_pandas().sort_values("vec_id").reset_index(drop=True)
-    mat = np.asarray(df["embedding"].tolist(), dtype=np.float32)
-    ids = df["vec_id"].to_numpy(np.int64)
-    queries = mat[:3]
-    got = sign_hamming_topk(embeds, queries, k=5).to_pandas()
-    bits = mat > 0
-    for qi in range(3):
-        ham = (bits != bits[qi]).sum(axis=1).astype(np.int64)
-        order = np.lexsort((ids, ham))
-        sub = got[got.query_id == qi].sort_values("rank")
-        assert list(sub["vec_id"].astype(int)) == ids[order][:5].tolist()
-        assert list(sub["hamming"].astype(int)) == ham[order][:5].tolist()
-        assert list(sub["rank"].astype(int)) == [1, 2, 3, 4, 5]
-
-
-def test_sign_pack_bit_layout():
-    """Little-endian packing: coordinate i lands in byte i//8, bit i%8;
-    negative and exactly-zero coordinates are 0-bits (the > 0 test, not
-    >=, matching the SQL oracle's (ev > 0) exactly)."""
-    from sagan_ray.datapipe.ann import _sign_pack
-
-    v = np.zeros((1, 16), np.float32)
-    v[0, 0] = 1.0        # byte 0 bit 0
-    v[0, 9] = 2.0        # byte 1 bit 1
-    v[0, 3] = -5.0       # negative -> 0
-    codes = _sign_pack(v)
-    assert codes.shape == (1, 2)
-    assert codes[0, 0] == 1 and codes[0, 1] == 2
-
-
-def test_ivf_recall(embeds):
-    from sagan_ray.datapipe import brute_force_topk, ivf_topk
-
-    df = embeds.to_pandas()
-    mat = np.asarray(df["embedding"].tolist(), dtype=np.float32)
-    queries = mat[:5]
-    exact = brute_force_topk(embeds, queries, k=10).to_pandas()
-    approx = ivf_topk(embeds, queries, k=10, n_cells=8, nprobe=4).to_pandas()
-    recalls = []
-    for qi in range(5):
-        e = set(exact[exact.query_id == qi]["vec_id"].astype(int))
-        a = set(approx[approx.query_id == qi]["vec_id"].astype(int))
-        recalls.append(len(e & a) / len(e))
-    assert np.mean(recalls) >= 0.6   # nprobe=4 of 8 cells
-
-
-def test_embedding_outliers_fence_bound_and_layout_invariance(embeds):
-    """The fence guarantees per-cluster flagged ≤ n − ceil(0.9·n) (at
-    least rank rows sit at or below the threshold bucket), checked
-    against the SAME deterministic assignment via kmeans_assign; and
-    the op must be layout-invariant (exact-integer kmeans + rational
-    ranks). NOTE a planted extreme vector is NOT guaranteed flagged —
-    kmeans absorbs it into a (near-)singleton cluster whose centroid
-    it drags onto itself (d² → 0), which is why the fence is per-
-    cluster, not global."""
-    import math
-
-    import pandas as pd
-
-    from sagan_ray.datapipe import embedding_outliers, kmeans_assign
-
-    out = embedding_outliers(embeds, k=8, n_iters=4, q=0.9).to_pandas()
-    assert len(out) > 0
-    sizes = (kmeans_assign(embeds, k=8, n_iters=4).to_pandas()
-             .groupby("cluster").size())
-    flagged = out.groupby("cluster").size()
-    for cl, f in flagged.items():
-        n = int(sizes[cl])
-        assert f <= n - math.ceil(0.9 * n)
-
-    b = embedding_outliers(embeds.repartition(7), k=8, n_iters=4,
-                           q=0.9).to_pandas()
-    pd.testing.assert_frame_equal(
-        out.sort_values("vec_id").reset_index(drop=True),
-        b.sort_values("vec_id").reset_index(drop=True),
-        check_exact=True)
-
-
 def test_group_quantile_sketch_error_bound_and_rational_rank():
     """The grid sketch must land within 1/grid of the exact quantile,
     and the rank must be the EXACT rational ceil(q·n): 10 values with
@@ -267,98 +160,6 @@ def test_group_quantile_sketch_error_bound_and_rational_rank():
     for _, r in out2.iterrows():
         exact = np.sort(v)[max(1, int(np.ceil(r["q"] * 5000))) - 1]
         assert abs(r["value_est"] - exact) <= 1.0 / 64 + 1e-12
-
-
-def test_hard_negative_topk_excludes_anchor_label(embeds):
-    """Every mined negative must carry a label different from its
-    anchor's, and within the allowed subset the ranking must equal
-    brute force restricted to that subset."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe import brute_force_topk, hard_negative_topk
-
-    ds = rd.read_parquet(f"{SF}/embeddings.parquet")
-    df = ds.to_pandas().sort_values("vec_id").reset_index(drop=True)
-    q = np.asarray(df["embedding"].tolist(), dtype=np.float32)[:3]
-    ql = df["label"].to_numpy()[:3]
-    out = hard_negative_topk(ds, q, ql, k=5).to_pandas()
-    lab = dict(zip(df["vec_id"].astype(int), df["label"]))
-    for _, r in out.iterrows():
-        assert lab[int(r["vec_id"])] != ql[int(r["query_id"])]
-    # parity vs brute force over the pre-filtered corpus, per anchor
-    for qi in range(3):
-        sub = rd.from_pandas(df[df["label"] != ql[qi]]
-                             .reset_index(drop=True))
-        want = brute_force_topk(sub, q[qi:qi + 1], k=5).to_pandas()
-        got = out[out.query_id == qi].sort_values("rank")
-        assert list(got["vec_id"].astype(int)) == \
-            list(want.sort_values("rank")["vec_id"].astype(int))
-
-
-def test_embedding_near_dup_planted_pairs():
-    """Random 64-d embeddings have no cosine>=0.9 pairs (verified via
-    DuckDB), so plant near-duplicates and check they are found."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from sagan_ray.datapipe import embedding_near_dup
-
-    rng = np.random.default_rng(3)
-    base = rng.standard_normal((50, 16)).astype(np.float32)
-    # ids 100..104 are jittered copies of ids 0..4
-    dups = base[:5] + 0.01 * rng.standard_normal((5, 16)).astype(np.float32)
-    vecs = np.vstack([base, dups])
-    ids = list(range(50)) + list(range(100, 105))
-    ds = rd.from_arrow(pa.table({
-        "vec_id": pa.array(ids, pa.int64()),
-        "embedding": pa.array(vecs.tolist(), pa.list_(pa.float32()))}))
-    got = embedding_near_dup(ds, threshold=0.99, n_planes=4).to_pandas()
-    got_pairs = {(int(a), int(b)) for a, b in zip(got.get("a", []), got.get("b", []))}
-    # measured recall vs the exact (brute-force) pair set — multi-table
-    # LSH (16 tables default) should find essentially all 0.99-cos pairs
-    unit = vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
-    sims = np.triu(unit @ unit.T, 1)
-    ii, jj = np.where(sims >= 0.99)
-    exact = {(min(ids[i], ids[j]), max(ids[i], ids[j])) for i, j in zip(ii, jj)}
-    assert exact, "fixture planted no pairs — vacuous"
-    recall = len(exact & got_pairs) / len(exact)
-    assert recall >= 0.9, f"LSH recall {recall:.2f} vs exact {len(exact)} pairs"
-    planted = {(i, 100 + i) for i in range(5)}
-    assert len(planted & got_pairs) >= 4
-    # and no false positives below threshold
-    idmap = {v: i for i, v in enumerate(ids)}
-    for a, b in got_pairs:
-        assert unit[idmap[a]] @ unit[idmap[b]] >= 0.99 - 1e-6
-
-
-def test_embedding_near_dup_bucket_cap_logs(caplog):
-    """Oversized LSH buckets are truncated (bounded all-pairs matmul) and
-    the drop is logged — the 100-TB skew guard."""
-    import logging
-
-    import pyarrow as pa
-    import ray.data as rd
-
-    from sagan_ray.datapipe import embedding_near_dup
-
-    rng = np.random.default_rng(5)
-    # one dominant direction → most vectors share an LSH bucket
-    vecs = (np.tile(rng.standard_normal(16), (80, 1))
-            + 0.01 * rng.standard_normal((80, 16))).astype(np.float32)
-    ds = rd.from_arrow(pa.table({
-        "vec_id": pa.array(range(80), pa.int64()),
-        "embedding": pa.array(vecs.tolist(), pa.list_(pa.float32()))}))
-    with caplog.at_level(logging.WARNING, logger="sagan_ray.datapipe.dedup"):
-        got = embedding_near_dup(ds, threshold=0.99, n_planes=2, n_tables=1,
-                                 max_bucket=16).to_pandas()
-    # pairs exist but are bounded by the cap: at most C(16,2) per bucket
-    assert 0 < len(got) <= 16 * 15 // 2 * 4
-    # NOTE: the truncation WARNING fires inside Ray worker processes, so
-    # caplog cannot capture it here — assert the guard exists instead
-    import inspect
-
-    from sagan_ray.datapipe import dedup as _dd
-    assert "truncated" in inspect.getsource(_dd.embedding_near_dup)
 
 
 def test_ngram_stop_shingle_cap(docs_tbl):
@@ -607,21 +408,6 @@ def test_range_join_multi_band_and_zero():
     assert got_counts["n_points"].tolist() == want_counts
 
 
-def test_kmeans_block_layout_independent(embeds):
-    """The fixed-point design promises bit-identical assignments under
-    any block split; 1-block vs 7-block runs must agree exactly, and
-    every cluster id must be in range."""
-    from sagan_ray.datapipe import kmeans_assign
-
-    a = (kmeans_assign(embeds, k=5, n_iters=3).to_pandas()
-         .sort_values("vec_id").reset_index(drop=True))
-    b = (kmeans_assign(embeds.repartition(7), k=5, n_iters=3).to_pandas()
-         .sort_values("vec_id").reset_index(drop=True))
-    assert a["cluster"].tolist() == b["cluster"].tolist()
-    assert a["cluster"].between(0, 4).all()
-    assert a["cluster"].nunique() > 1          # not degenerate
-
-
 def test_percentiles_nearest_rank():
     import ray.data as rd
 
@@ -641,21 +427,6 @@ def test_percentiles_nearest_rank():
             for q in [0.0, 0.1, 0.5, 0.9, 1.0]]
     assert got["value"].tolist() == want
     assert got["value"].tolist()[3] == 9      # the q=0.9 boundary case
-
-
-def test_semantic_dup_subset_of_exact(embeds):
-    """In-cluster pairs are a subset of the global exact pairs (the
-    clustering only ever REMOVES cross-cluster pairs), every reported
-    pair really clears the threshold, and the planted duplicates that
-    land in one cluster are found."""
-    from sagan_ray.datapipe import embedding_near_dup_exact, semantic_near_dup
-
-    exact = embedding_near_dup_exact(embeds, threshold=0.45).to_pandas()
-    exact_pairs = {(int(a), int(b)) for a, b in zip(exact["a"], exact["b"])}
-    got = semantic_near_dup(embeds, threshold=0.45, k=8, n_iters=4).to_pandas()
-    got_pairs = {(int(a), int(b)) for a, b in zip(got["a"], got["b"])}
-    assert got_pairs <= exact_pairs
-    assert got_pairs, "no in-cluster pairs found — vacuous"
 
 
 def test_hash_join_duplicates_and_left():
@@ -742,23 +513,6 @@ def test_shuffle_shards_deterministic_and_complete(docs):
     # positions within each shard are 0..len-1 (a real permutation)
     for sh, g in a.groupby("shard"):
         assert sorted(g["pos"]) == list(range(len(g)))
-
-
-def test_pca_block_layout_and_variance(embeds):
-    """Moment partials are exact ints, so the fitted axes are
-    bit-identical at any block layout; projections onto the top axis
-    carry the most variance (descending order)."""
-    from sagan_ray.datapipe import fit_pca, pca_project
-
-    m1, c1 = fit_pca(embeds, n_components=3)
-    m2, c2 = fit_pca(embeds.repartition(9), n_components=3)
-    assert np.array_equal(m1, m2) and np.array_equal(c1, c2)
-    p = pca_project(embeds, n_components=3).to_pandas()
-    var = [p[f"pc{j}"].var() for j in range(3)]
-    assert var[0] >= var[1] >= var[2] > 0
-    # axes are orthonormal
-    g = c1 @ c1.T
-    assert np.allclose(g, np.eye(3), atol=1e-10)
 
 
 def test_asof_join_random_vs_brute():
@@ -1112,96 +866,6 @@ def test_collocations_tiny_hand_check():
     assert len(out) == 0
 
 
-def test_quantized_topk_recall_vs_exact(embeds):
-    """int8 quantization must keep high recall against the f64 exact
-    ranking, and the quantized table op must round-trip the codes."""
-    import pyarrow.parquet as pq
-
-    from sagan_ray.datapipe import (
-        brute_force_topk,
-        quantize_embeddings,
-        quantized_topk,
-    )
-    from sagan_ray.datapipe.ann import _quantize_rows
-
-    t = pq.read_table(f"{SF}/embeddings.parquet")
-    q = np.asarray(t.to_pandas().sort_values("vec_id").head(5)["embedding"]
-                   .tolist(), dtype=np.float32)
-    exact = brute_force_topk(embeds, q, k=10).to_pandas()
-    quant = quantized_topk(embeds, q, k=10).to_pandas()
-    rec = []
-    for qid in range(5):
-        e = set(exact[exact.query_id == qid]["vec_id"])
-        a = set(quant[quant.query_id == qid]["vec_id"])
-        rec.append(len(e & a) / len(e))
-    assert np.mean(rec) >= 0.8        # 64-dim int8: tiny quantization error
-
-    # quantized table: codes decode back to ~unit vectors
-    qt = quantize_embeddings(embeds).to_pandas()
-    assert len(qt) == t.num_rows
-    row = qt.iloc[0]
-    codes = np.frombuffer(row["code"], dtype=np.int8).astype(np.float64)
-    approx = codes * row["scale"]
-    assert abs(np.linalg.norm(approx) - 1.0) < 0.05
-
-    # determinism: same result under a different block layout
-    quant2 = quantized_topk(embeds.repartition(5), q, k=10).to_pandas()
-    a = quant.sort_values(["query_id", "rank"]).reset_index(drop=True)
-    b = quant2.sort_values(["query_id", "rank"]).reset_index(drop=True)
-    assert (a[["query_id", "vec_id", "rank"]] ==
-            b[["query_id", "vec_id", "rank"]]).all().all()
-
-
-def test_rp_topk_recall_and_layout_invariance(embeds):
-    """±1 JL projection to 16 dims must keep useful recall against the
-    exact ranking; results are bit-stable under any block layout
-    (exact-int projected grid)."""
-    import pyarrow.parquet as pq
-
-    from sagan_ray.datapipe.ann import (
-        brute_force_topk,
-        rp_rerank_topk,
-        rp_topk,
-    )
-
-    t = pq.read_table(f"{SF}/embeddings.parquet")
-    q = np.asarray(t.to_pandas().sort_values("vec_id").head(5)["embedding"]
-                   .tolist(), dtype=np.float32)
-    exact = brute_force_topk(embeds, q, k=10).to_pandas()
-    # two-stage: 64→32-dim shortlist of 50 + exact rerank — recall@10
-    # equals shortlist recall by construction (final ranking is exact)
-    rr = rp_rerank_topk(embeds, q, k=10, shortlist=50, d_out=32,
-                        seed=5).to_pandas()
-    rec = []
-    for qid in range(5):
-        e = set(exact[exact.query_id == qid]["vec_id"])
-        a = set(rr[rr.query_id == qid]["vec_id"])
-        rec.append(len(e & a) / len(e))
-    assert np.mean(rec) >= 0.5    # measured 0.56 on this fixed corpus
-
-    rp = rp_topk(embeds, q, k=10, d_out=16, seed=5).to_pandas()
-    rp2 = rp_topk(embeds.repartition(5), q, k=10, d_out=16,
-                  seed=5).to_pandas()
-    a = rp.sort_values(["query_id", "rank"]).reset_index(drop=True)
-    b = rp2.sort_values(["query_id", "rank"]).reset_index(drop=True)
-    assert a[["query_id", "vec_id", "rank"]].equals(
-        b[["query_id", "vec_id", "rank"]])
-
-
-def test_rp_grid_blocked_equals_per_row():
-    """The projected grid is bit-identical between one blocked call and
-    per-row calls (the golden's shape) — the exact-int stance."""
-    from sagan_ray.datapipe.ann import _rp_grid, _rp_signs
-
-    rng = np.random.RandomState(3)
-    mat = rng.standard_normal((40, 64))
-    signs = _rp_signs(64, 16, seed=5)
-    blocked = _rp_grid(mat, signs)
-    per_row = np.vstack([_rp_grid(mat[i:i + 1], signs)
-                         for i in range(len(mat))])
-    assert (blocked == per_row).all()
-
-
 def test_readability_hand_counts_and_doc_boundaries():
     """Vowel-run syllables: per-word maximal [aeiou] runs; a doc whose
     text STARTS with a vowel immediately after a vowel-ending doc in
@@ -1364,7 +1028,7 @@ def test_bloom_no_false_negatives_and_blocking_invariant():
 
 def test_sketch_combine_level_topology_invariant():
     """With >64 partial blobs the task-side combine level engages; the
-    folded sketch (and k-means seeds/moments) must be bit-identical to a
+    folded sketch must be bit-identical to a
     low-block-count run — exact-integer folds are topology-free."""
     import numpy as np
     import pyarrow as pa
@@ -1462,86 +1126,6 @@ def test_conv_documents_and_role_transitions_edges():
     assert got == {("a", "user", "assistant", 1),
                    ("a", "assistant", "tool", 1),
                    ("c", "user", "assistant", 1)}   # b: no transitions
-
-
-def test_ivf_index_matches_ivf_topk_bitwise(embeds, tmp_path):
-    """The persisted cell-partitioned index must return EXACTLY what the
-    in-line ivf_topk returns for the same training params (same
-    deterministic centroids, same integer-dot scoring, same merge) —
-    including the cosine column, which is an exact integer dot."""
-    import pandas as pd
-
-    from sagan_ray.datapipe import build_ivf_index, ivf_topk, search_ivf_index
-
-    df = embeds.to_pandas()
-    mat = np.asarray(df["embedding"].tolist(), dtype=np.float32)
-    queries = mat[:4]
-    idx = str(tmp_path / "ivf")
-    build_ivf_index(embeds, idx, n_cells=8)
-    got = search_ivf_index(idx, queries, k=10, nprobe=4).to_pandas()
-    want = ivf_topk(embeds, queries, k=10, n_cells=8, nprobe=4).to_pandas()
-    key = ["query_id", "rank"]
-    pd.testing.assert_frame_equal(
-        got.sort_values(key).reset_index(drop=True),
-        want.sort_values(key).reset_index(drop=True), check_exact=True)
-
-
-def test_ivf_index_prunes_to_probed_cells(embeds, tmp_path):
-    """nprobe=1 must read exactly one cell directory per query-cell —
-    verified by checking results only contain vectors whose stored cell
-    is the query's nearest centroid."""
-    import os
-
-    from sagan_ray.datapipe import build_ivf_index, search_ivf_index
-
-    idx = str(tmp_path / "ivf")
-    build_ivf_index(embeds, idx, n_cells=8)
-    assert os.path.exists(os.path.join(idx, "_meta.json"))
-    cells = [d for d in os.listdir(idx) if d.startswith("cell=")]
-    assert 1 <= len(cells) <= 8
-    df = embeds.to_pandas()
-    q = np.asarray(df["embedding"].tolist(), dtype=np.float32)[:2]
-    out = search_ivf_index(idx, q, k=5, nprobe=1).to_pandas()
-    assert len(out) > 0 and out["rank"].max() <= 5
-
-
-def test_ivf_index_update_equals_fixed_centroid_rebuild(embeds, tmp_path):
-    """build(half1) + update(half2) must search bit-equal to a rebuild
-    over the union with the SAME stored centroids (assignment depends
-    only on the centroid matrix; scores are exact integer dots)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from sagan_ray.datapipe import (build_ivf_index, search_ivf_index,
-                                    update_ivf_index)
-
-    df = embeds.to_pandas()
-    half1 = rd.from_pandas(df.iloc[::2].reset_index(drop=True))
-    half2 = rd.from_pandas(df.iloc[1::2].reset_index(drop=True))
-    q = np.asarray(df["embedding"].tolist(), dtype=np.float32)[:4]
-
-    inc = str(tmp_path / "ivf_inc")
-    build_ivf_index(half1, inc, n_cells=8)
-    update_ivf_index(half2, inc)
-
-    ct = rd.read_parquet(f"{inc}/_centroids").to_pandas()
-    cent = np.asarray(ct.sort_values("cell")["centroid"].tolist(),
-                      dtype=np.float64)
-    full = str(tmp_path / "ivf_full")
-    build_ivf_index(embeds, full, centroids=cent)
-
-    key = ["query_id", "rank"]
-    a = (search_ivf_index(inc, q, k=10, nprobe=4).to_pandas()
-         .sort_values(key).reset_index(drop=True))
-    b = (search_ivf_index(full, q, k=10, nprobe=4).to_pandas()
-         .sort_values(key).reset_index(drop=True))
-    pd.testing.assert_frame_equal(a, b, check_exact=True)
-    assert len(a) > 0
-    # the updated index really holds the union's rows
-    import pyarrow.dataset as pds
-    n_stored = pds.dataset(inc, format="parquet",
-                           partitioning="hive").count_rows()
-    assert n_stored == len(df)
 
 
 def test_heavy_hitters_exact_under_forced_pruning():
@@ -1898,164 +1482,6 @@ def test_exact_dedup_normalized_variants():
     assert low == ["i̇"]              # DuckDB lower() gives bare "i"
 
 
-def _winnow_reference(texts, ids, k, w):
-    """Independent per-doc sequential winnow (plain Python Horner +
-    window loop) — the spec the vectorized prefix-scan kernel must
-    match."""
-    import re
-
-    P, X = 2147483629, 31
-    fps = {}
-    for did, t in zip(ids, texts):
-        words = re.findall(r"[a-z0-9_]+", t.lower())
-        grams = [" ".join(words[i:i + k])
-                 for i in range(len(words) - k + 1)]
-        hs = []
-        for g in grams:
-            h = 0
-            for ch in g:
-                h = (h * X + ord(ch)) % P
-            hs.append(h)
-        sel = set()
-        for s in range(len(hs) - w + 1):
-            win = hs[s:s + w]
-            sel.add(s + win.index(min(win)))       # leftmost tie
-        fps[did] = {hs[i] for i in sel}
-    return fps
-
-
-def test_winnow_pairs_matches_sequential_reference(docs, docs_tbl):
-    from sagan_ray.datapipe import winnow_pairs
-
-    k, w, max_df, min_shared = 5, 4, 10, 1
-    texts = docs_tbl["text"].to_pylist()
-    ids = [int(x) for x in docs_tbl["doc_id"].to_pylist()]
-    fps = _winnow_reference(texts, ids, k, w)
-    df_count = {}
-    for s in fps.values():
-        for h in s:
-            df_count[h] = df_count.get(h, 0) + 1
-    want = {}
-    idl = sorted(fps)
-    for i, a in enumerate(idl):
-        for b in idl[i + 1:]:
-            n = sum(1 for h in fps[a] & fps[b] if df_count[h] <= max_df)
-            if n >= min_shared:
-                want[(a, b)] = n
-
-    out = winnow_pairs(docs, k=k, w=w, max_df=max_df,
-                       min_shared=min_shared).to_pandas()
-    got = {(int(r.a), int(r.b)): int(r.n_shared)
-           for r in out.itertuples()}
-    assert got == want and len(want) > 0
-
-
-def test_winnow_pairs_edge_cases():
-    import ray.data as rd
-
-    from sagan_ray.datapipe import winnow_pairs
-
-    # short docs (< k+w-1 words) yield no full window -> no fps
-    ds = rd.from_arrow(pa.table({
-        "doc_id": [1, 2, 3],
-        "text": ["a b c d e f", "a b c d e f", ""]}))
-    out = winnow_pairs(ds, k=5, w=4, min_shared=1).to_pandas()
-    assert len(out) == 0
-    # identical long docs share every fingerprint
-    long = " ".join(f"w{i % 13}" for i in range(40))
-    ds = rd.from_arrow(pa.table({"doc_id": [1, 2],
-                                 "text": [long, long]}))
-    out = winnow_pairs(ds, k=5, w=4, min_shared=1).to_pandas()
-    assert len(out) == 1 and out.iloc[0]["n_shared"] >= 1
-
-
-def test_mmr_diversifies_against_near_duplicates():
-    import ray.data as rd
-
-    from sagan_ray.datapipe import mmr_topk
-
-    # query q = e0. vecs: 1,2 = e0 clones (max relevance, zero mutual
-    # diversity), 3 = 45-degree blend (lower relevance, diverse).
-    # Plain top-3 would be [1, 2, 3]; MMR must pick the diverse 3
-    # before the second clone.
-    v = {
-        1: [1.0, 0.0, 0.0, 0.0],
-        2: [1.0, 0.0, 0.0, 0.0],
-        3: [0.7071, 0.7071, 0.0, 0.0],
-        4: [0.0, 1.0, 0.0, 0.0],
-    }
-    tbl = pa.table({
-        "vec_id": pa.array(sorted(v), pa.int64()),
-        "embedding": pa.array([v[i] for i in sorted(v)],
-                              pa.list_(pa.float32()))})
-    # query close to (but not exactly) the clones, else every key ties
-    # at zero and id order wins. Plain top-3 by relevance is [1, 2, 3];
-    # MMR pushes the clone 2 out entirely (its key rel - sim(2,1) < 0):
-    # rank 2 = the orthogonal 4 (key = rel, unpenalized), rank 3 = the
-    # blend 3 (key 0.78 - 0.71 > 0 > key(2)).
-    q = np.array([[0.9, 0.1, 0.0, 0.0]], np.float32)
-    out = mmr_topk(rd.from_arrow(tbl), q, k=3, shortlist=4)
-    assert out["vec_id"].tolist() == [1, 4, 3]
-    assert out["rank"].tolist() == [1, 2, 3]
-    assert abs(out["mmr"].iloc[0] - out["relevance"].iloc[0]) < 1e-12
-    assert out["mmr"].iloc[2] < out["relevance"].iloc[2]  # penalized
-
-
-def test_index_compaction_bit_equal_and_fewer_files(embeds, tmp_path):
-    """build + update + COMPACT must search bit-equal to the
-    pre-compaction index, with the appended shard files merged away
-    (the read-amplification bound for long-lived indexes)."""
-    import os
-
-    import pandas as pd
-    import ray.data as rd
-
-    from sagan_ray.datapipe import (build_ivf_index, compact_ivf_index,
-                                    search_ivf_index, update_ivf_index)
-
-    df = embeds.to_pandas()
-    half1 = rd.from_pandas(df.iloc[::2].reset_index(drop=True))
-    half2 = rd.from_pandas(df.iloc[1::2].reset_index(drop=True))
-    q = np.asarray(df["embedding"].tolist(), dtype=np.float32)[:4]
-    key = ["query_id", "rank"]
-
-    ivf = str(tmp_path / "ivf")
-    build_ivf_index(half1, ivf, n_cells=8)
-    update_ivf_index(half2, ivf)
-    before = (search_ivf_index(ivf, q, k=10, nprobe=4).to_pandas()
-              .sort_values(key).reset_index(drop=True))
-    n_files = sum(len(os.listdir(os.path.join(ivf, e)))
-                  for e in os.listdir(ivf) if e.startswith("cell="))
-    compact_ivf_index(ivf)
-    after = (search_ivf_index(ivf, q, k=10, nprobe=4).to_pandas()
-             .sort_values(key).reset_index(drop=True))
-    pd.testing.assert_frame_equal(before, after, check_exact=True)
-    n_files2 = sum(len(os.listdir(os.path.join(ivf, e)))
-                   for e in os.listdir(ivf) if e.startswith("cell="))
-    assert n_files2 < n_files
-
-
-def test_semantic_dedup_filter_one_rep_per_component(embeds):
-    """No semantic-dup pair may have BOTH endpoints survive (a pair
-    merges its endpoints into one component, which keeps exactly its
-    min id), and survivors = corpus − (nodes − components)."""
-    from sagan_ray.datapipe import semantic_dedup_filter, semantic_near_dup
-    from sagan_ray.datapipe.dedup import connected_components
-
-    surv = set(semantic_dedup_filter(embeds, threshold=0.45, k=8,
-                                     n_iters=8).to_pandas()
-               ["vec_id"].astype(int))
-    pairs = semantic_near_dup(embeds, threshold=0.45, k=8, n_iters=8)
-    pdf = pairs.to_pandas()
-    assert len(pdf) > 0
-    for _, r in pdf.iterrows():
-        assert not (int(r["a"]) in surv and int(r["b"]) in surv)
-    labels = connected_components(pairs).to_pandas()
-    n_nodes = labels["node"].nunique()
-    n_comp = labels["label"].nunique()
-    assert len(surv) == embeds.count() - (n_nodes - n_comp)
-
-
 def test_fuzzy_dedup_against_prior_partition(docs):
     """Survivors must be exactly the new ids minus the verified-pair b
     side — cross-checked against minhash_join on the same split."""
@@ -2077,56 +1503,6 @@ def test_fuzzy_dedup_against_prior_partition(docs):
     new_ids = set(new.to_pandas()["doc_id"].astype(int))
     assert surv == new_ids - dropped
     assert dropped <= new_ids
-
-
-def test_pair_cosine_histogram_layout_invariant_and_total():
-    """Distributed histogram == the sequential golden bit-for-bit at
-    two different block layouts, and the bin counts sum to exactly
-    C(s, 2) over the s hash-sampled vectors."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from sagan_ray.datapipe.ann import pair_cosine_histogram
-    from sagan_ray.oracle.golden import write_golden_pair_hist
-
-    sf = "/root/testdata/sf0.001"
-    path = write_golden_pair_hist(sf, rate=0.5, n_bins=64)
-    exp = pq.read_table(path).to_pandas()
-    ds = rd.read_parquet(f"{sf}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
-    for parts in (2, 7):
-        got = pair_cosine_histogram(ds.repartition(parts),
-                                    rate=0.5, n_bins=64)
-        assert got["bin"].tolist() == exp["bin"].tolist()
-        assert got["n_pairs"].tolist() == exp["n_pairs"].tolist()
-        assert got["cos_lo"].tolist() == exp["cos_lo"].tolist()
-    ids = pq.read_table(f"{sf}/embeddings.parquet",
-                        columns=["vec_id"])["vec_id"].to_numpy()
-    s = int((((ids.astype("uint64") * 2654435761) % (1 << 32))
-             < ((1 << 32) // 2)).sum())
-    assert int(exp["n_pairs"].sum()) == s * (s - 1) // 2
-
-
-def test_cluster_quality_matches_golden_any_layout():
-    """Distributed inertia report == the sequential big-int golden at
-    two block layouts; n sums to the corpus size."""
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from sagan_ray.datapipe.cluster import cluster_quality
-    from sagan_ray.oracle.golden import write_golden_cluster_quality
-
-    sf = "/root/testdata/sf0.001"
-    path = write_golden_cluster_quality(sf, k=4, n_iters=4)
-    exp = pq.read_table(path).to_pandas()
-    ds = rd.read_parquet(f"{sf}/embeddings.parquet",
-                         columns=["vec_id", "embedding"])
-    for parts in (1, 5):
-        got = cluster_quality(ds.repartition(parts), k=4, n_iters=4)
-        for col in ("cluster", "n", "inertia", "max_d2", "mean_d2"):
-            assert got[col].tolist() == exp[col].tolist(), col
-    n_rows = pq.read_metadata(f"{sf}/embeddings.parquet").num_rows
-    assert int(exp["n"].sum()) == n_rows
 
 
 def test_pack_bins_bfd_hand_check():
@@ -2157,77 +1533,6 @@ def test_pack_bins_bfd_hand_check():
     for i, c in zip(ids, cnt):
         fills[got[i][0]] = fills.get(got[i][0], 0) + c
     assert fills == {0: 15, 1: 10, 2: 10}
-
-
-def test_embedding_drift_hand_check():
-    """Arms split by the Knuth hash; per-dim sums are exact quantized
-    ints; a planted constant shift in arm-1 vectors shows up as exactly
-    -shift in delta."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from sagan_ray.datapipe.decomp import embedding_drift
-
-    ids = list(range(8))
-    grp = [(i * 2654435761 % 2**32) % 2 for i in ids]
-    base = [0.25, -0.5]          # exact dyadics -> exact quantization
-    shift = 0.125
-    vecs = [[b + (shift if g else 0.0) for b in base]
-            for g in (grp[i] for i in ids)]
-    tbl = pa.table({"vec_id": pa.array(ids, pa.int64()),
-                    "embedding": pa.array(vecs,
-                                          pa.list_(pa.float32()))})
-    out = embedding_drift(rd.from_arrow(tbl))
-    f = float(1 << 20)
-    assert out["dim"].tolist() == [0, 1]
-    assert out["n_a"].tolist() == [grp.count(0)] * 2
-    assert out["n_b"].tolist() == [grp.count(1)] * 2
-    assert out["mean_a"].tolist() == [b * f for b in base]
-    assert out["mean_b"].tolist() == [(b + shift) * f for b in base]
-    assert out["delta"].tolist() == [-shift * f, -shift * f]
-
-
-# ----------------------------------------------------------------------
-# URL / domain ops (web.py)
-# ----------------------------------------------------------------------
-
-def test_extract_urls_flat_buffer_matches_per_doc():
-    """The flat-buffer single-pass extraction == per-document re.findall
-    (the NUL separator can never leak into a match)."""
-    import re
-
-    import ray.data as rd
-
-    from sagan_ray.datapipe.web import URL_RE, extract_urls, synth_web_docs
-
-    tbl = synth_web_docs(300, seed=31)
-    got = (extract_urls(rd.from_arrow(tbl)).to_pandas()
-           .sort_values(["doc_id", "url"]).reset_index(drop=True))
-    pat = re.compile(URL_RE)
-    want = []
-    for did, txt in zip(tbl.column("doc_id").to_pylist(),
-                        tbl.column("text").to_pylist()):
-        for u in pat.findall(txt.lower()):
-            d = u.split("://", 1)[1].split("/", 1)[0]
-            want.append((did, u, d[4:] if d.startswith("www.") else d))
-    want.sort()
-    assert list(map(tuple, got.itertuples(index=False))) == want
-
-
-def test_domain_filter_drops_exactly_blocklisted_docs():
-    import ray.data as rd
-
-    from sagan_ray.datapipe.web import (domain_filter, extract_urls,
-                                        synth_web_docs)
-
-    tbl = synth_web_docs(300, seed=31)
-    blocked = {"site0.example.com"}
-    kept = set(domain_filter(rd.from_arrow(tbl), blocked)
-               .to_pandas()["doc_id"])
-    ex = extract_urls(rd.from_arrow(tbl)).to_pandas()
-    bad = set(ex.loc[ex["domain"].isin(blocked), "doc_id"])
-    allids = set(tbl.column("doc_id").to_pylist())
-    assert kept == allids - bad and bad
 
 
 # ----------------------------------------------------------------------
@@ -2371,152 +1676,6 @@ def test_length_batches_matches_row_number_spec():
     out = (length_batches(rd.from_arrow(t), batch_size=64).to_pandas())
     spread = out.groupby("batch_id")["c"].agg(lambda s: s.max() - s.min())
     assert (spread <= 1).all()
-
-
-def test_kcenter_coreset_greedy_spec():
-    """Greedy k-center matches a sequential transcription: seed = min
-    id, then argmin (max-dot-to-selected, id); block-layout independent;
-    duplicate vectors of a selected center are picked LAST (max dot);
-    k > n returns all n rows."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe import kcenter_coreset
-    from sagan_ray.datapipe.ann import _unit_grid
-
-    rng = np.random.RandomState(11)
-    n, d = 120, 8
-    vecs = rng.standard_normal((n, d))
-    vecs[37] = vecs[0]               # exact duplicate of the seed
-    ids = np.arange(n, dtype=np.int64)
-    tbl = pa.table({
-        "vec_id": ids,
-        "embedding": pa.array([list(map(float, v)) for v in vecs],
-                              pa.list_(pa.float32())),
-    })
-
-    # sequential spec (independent transcription of the greedy rule)
-    u = _unit_grid(np.asarray(
-        tbl.column("embedding").to_pylist(), np.float64)).astype(np.int64)
-    md = np.full(n, -(1 << 62), np.int64)
-    alive = np.ones(n, bool)
-    want = []
-    for rank in range(10):
-        live = np.flatnonzero(alive)
-        i = live[int(np.argmin(md[live]))]
-        want.append((rank, int(ids[i]), int(md[i])))
-        alive[i] = False
-        md = np.maximum(md, u @ u[i])
-
-    for parts in (1, 7):
-        ds = rd.from_arrow(tbl)
-        if parts > 1:
-            ds = ds.repartition(parts)
-        out = kcenter_coreset(ds, k=10).to_pandas()
-        got = list(zip(out["rank"], out["vec_id"], out["maxdot"]))
-        assert got == want, parts
-
-    # the duplicate ties its source's self-dot — never an early pick
-    assert 37 not in [w[1] for w in want[:5]]
-
-    small = pa.table({"vec_id": pa.array([5, 3], pa.int64()),
-                      "embedding": pa.array([[1.0, 0.0], [0.0, 1.0]],
-                                            pa.list_(pa.float32()))})
-    out = kcenter_coreset(rd.from_arrow(small), k=9).to_pandas()
-    assert list(out["vec_id"]) == [3, 5] and list(out["rank"]) == [0, 1]
-
-
-def test_dbscan_sequential_spec():
-    """Distributed DBSCAN matches a sequential transcription of the
-    spec: closed-neighborhood degree cores, components of the core-core
-    graph labeled by min core id, borders take the MIN adjacent core's
-    cluster label, rest is noise (-1); block-layout independent."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.cluster import dbscan
-
-    d, thr = 32, 0.8
-    e = np.eye(d)
-
-    def unit(v):
-        return v / np.linalg.norm(v)
-
-    a = 0.85 ** 0.5
-    # cluster A: 4 members, mutual cos 0.85 (cores at min_pts=3 and 4)
-    mA = [unit(a * e[0] + 0.15 ** 0.5 * e[1 + i]) for i in range(4)]
-    # border: cos 0.9 to mA[0] only, 0.765 (< thr) to the others
-    bd = unit(0.9 * np.asarray(mA[0]) + 0.19 ** 0.5 * e[10])
-    # cluster B: 3 members on e12 (cores at min_pts=3, noise at 4)
-    mB = [unit(a * e[12] + 0.15 ** 0.5 * e[13 + i]) for i in range(3)]
-    # adjacent pair (cos .805) that is still noise: deg 1 < min_pts-1
-    p1 = unit(0.95 * e[20] + 0.0975 ** 0.5 * e[21])
-    p2 = unit(0.95 * e[20] - 0.0975 ** 0.5 * e[21])
-    vecs = np.asarray(mA + [bd] + mB + [p1, p2, e[24], e[25], e[26]])
-    n = len(vecs)
-    # non-monotone ids so min-label selection is actually exercised
-    ids = np.asarray([307, 101, 505, 202, 909, 404, 808, 606,
-                      701, 702, 703, 704, 705], np.int64)
-    tbl = pa.table({
-        "vec_id": ids,
-        "embedding": pa.array([list(map(float, v)) for v in vecs],
-                              pa.list_(pa.float32())),
-    })
-
-    # sequential spec: float64 cosine over the float32-stored values,
-    # exactly what the pair stage computes
-    v64 = np.asarray(tbl.column("embedding").to_pylist(), np.float64)
-    un = v64 / np.sqrt((v64 * v64).sum(axis=1))[:, None]
-    sim = un @ un.T
-    adj = (sim >= thr) & ~np.eye(n, dtype=bool)
-
-    for min_pts in (3, 4):
-        deg = adj.sum(axis=1)
-        core = deg + 1 >= min_pts
-        assert core.any() and not core.all()
-        parent = {int(ids[i]): int(ids[i]) for i in range(n) if core[i]}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(n):
-            for j in range(i + 1, n):
-                if adj[i, j] and core[i] and core[j]:
-                    ra, rb = find(int(ids[i])), find(int(ids[j]))
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-        comp_min = {}
-        for i in range(n):
-            if core[i]:
-                r = find(int(ids[i]))
-                comp_min[r] = min(comp_min.get(r, int(ids[i])), int(ids[i]))
-        want = {}
-        for i in range(n):
-            if core[i]:
-                want[int(ids[i])] = comp_min[find(int(ids[i]))]
-        for i in range(n):
-            if not core[i]:
-                labs = [want[int(ids[j])] for j in np.flatnonzero(adj[i])
-                        if core[j]]
-                want[int(ids[i])] = min(labs) if labs else -1
-        if min_pts == 3:
-            assert sorted(set(want.values())) [:1] == [-1]   # noise present
-            assert len({v for v in want.values() if v >= 0}) == 2
-
-        for parts in (1, 5):
-            ds = rd.from_arrow(tbl)
-            if parts > 1:
-                ds = ds.repartition(parts)
-            out = (dbscan(ds, threshold=thr, min_pts=min_pts, n_blocks=3)
-                   .to_pandas().sort_values("vec_id")
-                   .reset_index(drop=True))
-            assert len(out) == n, (min_pts, parts)
-            got = dict(zip(out["vec_id"], out["label"]))
-            assert got == want, (min_pts, parts)
-            got_core = dict(zip(out["vec_id"], out["is_core"]))
-            assert got_core == {int(ids[i]): int(core[i])
-                                for i in range(n)}, (min_pts, parts)
 
 
 def test_vocab_edit_pairs_matches_bruteforce():
@@ -2748,96 +1907,6 @@ def test_doc_summary_hand_case_and_ties():
     # each appear in 1 doc)
     want = 2 * math.log(3.0 / 1.0)
     assert abs(d0["score"].iloc[0] - want) < 1e-12
-
-
-def test_knn_graph_layout_invariance_and_ties():
-    """knn_graph under different block layouts / n_blocks gives
-    identical edges; duplicate vectors (tied dots) break by id; with
-    k >= n-1 every edge is mutual (complete graph)."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.ann import knn_graph
-
-    rng = np.random.RandomState(11)
-    vecs = rng.uniform(-1, 1, (40, 8)).astype(np.float32)
-    vecs[7] = vecs[3]          # exact duplicate -> tied integer dots
-    vecs[25] = vecs[3]
-    tbl = pa.table({"vec_id": pa.array(range(40), pa.int64()),
-                    "embedding": pa.array(list(vecs), pa.list_(pa.float32()))})
-
-    def run(ds, **kw):
-        df = knn_graph(ds, **kw).to_pandas()
-        return df.sort_values(["src", "dst"]).reset_index(drop=True)
-
-    a = run(rd.from_arrow(tbl), k=4, n_blocks=3)
-    b = run(rd.from_arrow(tbl).repartition(9), k=4, n_blocks=3)
-    c = run(rd.from_arrow(tbl).repartition(2), k=4, n_blocks=5)
-    assert a.equals(b) and a.equals(c)
-    assert (a["src"] < a["dst"]).all()
-    # duplicates rank each other first (max dot, id asc) -> mutual
-    edges = set(zip(a["src"], a["dst"]))
-    assert (3, 7) in edges and (3, 25) in edges and (7, 25) in edges
-    # complete mutual graph when k >= n-1
-    full = run(rd.from_arrow(tbl).repartition(4), k=39, n_blocks=3)
-    assert len(full) == 40 * 39 // 2
-
-
-def test_url_dedup_canonicalization():
-    """Spelling variants (scheme, www, case, trailing slash) collapse to
-    one canonical URL; counts and first_doc aggregate across docs."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.web import url_dedup
-
-    tbl = pa.table({
-        "doc_id": pa.array([5, 2, 9], pa.int64()),
-        "text": [
-            "x HTTP://WWW.A.example.com/p1 y https://a.example.com/p1/",
-            "z http://a.example.com/p1 w https://b.example.com/q",
-            "no urls here",
-        ]})
-    out = (url_dedup(rd.from_arrow(tbl).repartition(3)).to_pandas()
-           .sort_values("url").reset_index(drop=True))
-    got = list(zip(out["url"], out["n_urls"], out["n_docs"],
-                   out["first_doc"]))
-    assert got == [("a.example.com/p1", 3, 2, 2),
-                   ("b.example.com/q", 1, 1, 2)]
-
-
-def test_knn_graph_ivf_recall_and_guard():
-    """Cell-restricted kNN graph: layout-invariant, high edge recall vs
-    the brute mutual graph on clustered data, and the max_cell skew
-    guard raises instead of doing m^2 on a mega-cell."""
-    import pytest
-    import ray.data as rd
-
-    from sagan_ray.datapipe.ann import knn_graph, knn_graph_ivf
-
-    rng = np.random.RandomState(5)
-    # 4 tight clusters of 50 in 16-d
-    centers = rng.uniform(-1, 1, (4, 16))
-    vecs = np.concatenate([c + 0.05 * rng.standard_normal((50, 16))
-                           for c in centers]).astype(np.float32)
-    tbl = pa.table({"vec_id": pa.array(range(200), pa.int64()),
-                    "embedding": pa.array(list(vecs),
-                                          pa.list_(pa.float32()))})
-
-    def edges(fn, ds, **kw):
-        df = fn(ds, k=5, **kw).to_pandas()
-        return set(zip(df["src"], df["dst"]))
-
-    a = edges(knn_graph_ivf, rd.from_arrow(tbl), n_cells=4,
-              sample_size=64, seed=5)
-    b = edges(knn_graph_ivf, rd.from_arrow(tbl).repartition(7),
-              n_cells=4, sample_size=64, seed=5)
-    assert a == b
-    brute = edges(knn_graph, rd.from_arrow(tbl), n_blocks=3)
-    # on tightly clustered data nearly all mutual-kNN edges are
-    # within-cluster, so the cell restriction keeps most of them
-    assert len(a & brute) / len(brute) > 0.8
-    with pytest.raises((ValueError, Exception)):
-        knn_graph_ivf(rd.from_arrow(tbl), k=5, n_cells=2,
-                      sample_size=64, seed=5, max_cell=10).to_pandas()
 
 
 def test_pii_pseudonymize_consistency_and_rewrite():
@@ -3220,8 +2289,10 @@ def test_text_metrics_split_words_on_re2_space(tmp_path):
     """The text metrics share one word definition, RE2 ``\\s`` =
     [\\t\\n\\f\\r ]: \\xa0, \\v, U+2003 and \\x1c stay inside a word,
     though Python's ``str.split()`` splits on them. ROUGE-L counts the
-    same reference words as ROUGE-N, and the BLEU golden's spec equals
+    same reference words as ROUGE-N, ROUGE-1 equals the DuckDB oracle
+    on the shared gate candidate, and the BLEU golden's spec equals
     ``bleu_scores`` on such rows."""
+    import duckdb
     import pandas as pd
     import pyarrow.parquet as pq
     import ray.data as rd
@@ -3229,7 +2300,8 @@ def test_text_metrics_split_words_on_re2_space(tmp_path):
     from sagan_ray.datapipe.lines import (bleu_scores, rouge_l_recall,
                                           rouge_recall)
     from sagan_ray.oracle.golden import write_golden_bleu
-    from sagan_ray.pipelines.queries import _first10_doubled_cand
+    from sagan_ray.pipelines.queries import (SQL_TEXT_ROUGE,
+                                             _first10_doubled_cand)
 
     texts = ["alpha\xa0beta gamma delta alpha\xa0beta",
              "one\vtwo three\tfour five one\vtwo",
@@ -3249,6 +2321,16 @@ def test_text_metrics_split_words_on_re2_space(tmp_path):
     r1 = by_id(rouge_recall(ds, ref_col="text", cand_col="cand"))
     assert rl["ref_total"].tolist() == r1["ref_total"].tolist()
     assert r1["ref_total"].tolist() == [4, 5, 5, 12, 3]
+    # the candidate keeps the metrics' words: "\xa0lead\xa0" stays whole,
+    # so row 5 overlaps on all 3 reference words
+    con = duckdb.connect()
+    con.execute("CREATE VIEW documents AS SELECT * FROM read_parquet("
+                f"'{tmp_path / 'documents.parquet'}')")
+    sql = con.execute(SQL_TEXT_ROUGE).df()
+    cols = ["doc_id", "overlap", "ref_total", "rouge1"]
+    pd.testing.assert_frame_equal(r1[cols], sql[cols], check_dtype=False,
+                                  check_exact=True)
+    assert r1["overlap"].tolist()[4] == 3
 
     got = by_id(bleu_scores(ds, ref_col="text", cand_col="cand"))
     want = (pq.read_table(write_golden_bleu(str(tmp_path))).to_pandas()
@@ -3535,3 +2617,21 @@ def test_wer_matches_python_dp_multibatch():
         assert out.loc[i, "dist"] == lev(r.split(), c.split()), i
 
 
+def test_splitmix64_matches_int_reference():
+    """The vectorized SplitMix64 (``hashing._splitmix64``, behind bpe,
+    curate, sketch, quality_model and the CDC gear table) equals the
+    golden's plain-int replay on edge ids: 0, 1, 2^63, 2^64-1, the
+    ids around the wrap of the ``+ 0x9E3779B97F4A7C15`` step, and a
+    seeded random sample."""
+    from sagan_ray.datapipe.hashing import _splitmix64
+    from sagan_ray.oracle.golden import _splitmix64_int
+
+    gamma = 0x9E3779B97F4A7C15
+    wrap = (1 << 64) - gamma           # first id whose step wraps to 0
+    edge = [0, 1, 1 << 63, (1 << 64) - 1, wrap - 1, wrap, wrap + 1]
+    rng = np.random.RandomState(64)
+    sample = rng.randint(0, 1 << 32, size=(1000, 2)).astype(np.uint64)
+    ids = edge + [int(hi) << 32 | int(lo) for hi, lo in sample]
+    got = _splitmix64(np.array(ids, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert [int(v) for v in got] == [_splitmix64_int(i) for i in ids]

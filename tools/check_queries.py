@@ -92,8 +92,7 @@ def main():
         sys.exit(2)
 
     con = duckdb.connect()
-    for t in ("region nation customer supplier part orders lineitem events "
-              "documents embeddings").split():
+    for t in "events documents embeddings orders supplier".split():
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
 
     failures = 0
