@@ -2,9 +2,10 @@
 
 Every keyed repartition runs through ``shuffle`` below. It has two
 clients: ``hash_group_apply`` (client_stats, events, the dedup
-operators, ...) and the engine's correlation stage
-(``pipelines.engine``), which keys on ``conv_id`` the way Sagan keys its
-correlation state on the source IP. The shared core owns the key hash,
+operators, ...) and every engine run (``pipelines.engine``), which keys
+its correlation on ``conv_id`` the way Sagan keys its correlation state
+on the source IP; a ruleset with no stateful rule runs it with zero
+buckets, the map side alone. The shared core owns the key hash,
 the map-side split, the salting refine, ref coalescing and the salting
 policy; each client brings only its reduce task. One repartition
 operator serving every client, split into a map and a reduce side, is
@@ -167,7 +168,9 @@ def shuffle(ds, key_cols: list[str], n_buckets: int, *, side=None,
             max_bucket_bytes: int | None = DEFAULT_MAX_BUCKET_BYTES,
             task_retries: int = 3):
     """Map side and salting of the exchange; the caller launches the
-    reduces. ``side``/``n_side``: see ``split_block``.
+    reduces. ``side``/``n_side``: see ``split_block``. ``n_buckets`` may
+    be 0 when ``side`` peels every row: the map side then yields only
+    the side outputs, and there is no reduce to launch.
 
     Returns ``(sides, buckets)``: one Coalescer per side output, and one
     ``(bucket, label, parts, nbytes)`` per reduce to launch in bucket

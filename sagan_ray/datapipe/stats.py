@@ -82,8 +82,6 @@ def rolling_window_count(ds, *, key_col: str, ts_col: str,
     keeps keys ≥ 2^48 us (~8.9 years) apart, far beyond any window, so
     per-key windows never cross key boundaries and there is NO per-key
     loop. Requires window_us < 2^48 and a ts span < 2^48 us per run."""
-    import pyarrow.compute as pac
-
     assert 0 < window_us < (1 << 48)
     _SHIFT = np.int64(1 << 48)
 

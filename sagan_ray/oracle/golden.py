@@ -94,7 +94,6 @@ def write_golden_bloom(sf_dir: str, probe_words: list[str], *, p: int,
     is the shared spec (datapipe/sketch.py::_bf_bit)."""
     import re
 
-    import pandas as pd
     import pyarrow.parquet as pq
 
     from ..datapipe.sketch import _bf_bit
@@ -169,7 +168,6 @@ def write_golden_hll(sf_dir: str, *, p: int) -> str:
     import math
     import re
 
-    import pandas as pd
     import pyarrow.parquet as pq
 
     t = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
@@ -309,7 +307,6 @@ def write_golden_quality_model(sf_dir: str, *, seed: int) -> str:
     1e-12 on both sides (datapipe/quality_model.py docstring)."""
     import re
 
-    import pandas as pd
     import pyarrow.parquet as pq
 
     from ..datapipe.hashing import _splitmix64
@@ -368,7 +365,6 @@ def write_golden_cms(sf_dir: str, probe_words: list[str], *, depth: int,
     (datapipe/sketch.py::_cms_index)."""
     import re
 
-    import pandas as pd
     import pyarrow.parquet as pq
 
     from ..datapipe.sketch import _cms_index
@@ -419,7 +415,6 @@ def write_golden_group_hll(sf_dir: str, *, key_col: str, val_col: str,
     must match bit-exactly."""
     import math
 
-    import pandas as pd
     import pyarrow.parquet as pq
 
     t = pq.read_table(os.path.join(sf_dir, "events.parquet"),
@@ -497,7 +492,6 @@ def write_golden_cdc(sf_dir: str, *, bits: int, min_size: int,
     SplitMix64 finalizer of (byte+1), computed here with Python ints;
     the only shared elementwise primitive is pd.util.hash_array for
     the chunk-content id (the hash-family stance)."""
-    import pandas as pd
     import pyarrow.parquet as pq
 
     M64 = (1 << 64) - 1
@@ -598,7 +592,6 @@ def write_golden_cdc_coverage(sf_dir: str, *, split_id: int, bits: int,
     rest: the same per-byte sequential gear walk as
     ``write_golden_cdc``, a plain Python set of prior chunk hashes, and
     per-new-doc covered chunk/byte sums."""
-    import pandas as pd
     import pyarrow.parquet as pq
 
     M64 = (1 << 64) - 1

@@ -7,7 +7,8 @@
 - rule_tracking: which rules fired / never fired
   (reference src/tracking-syslog.c:56-141).
 
-All are single groupby jobs with vectorized per-batch pre-aggregation:
+rule_tracking reads the engine's inline count partials. The other two
+are single groupby jobs with vectorized per-batch pre-aggregation:
 each batch emits one partial row per key, then a small shuffle combines
 partials — the pre-aggregate pattern that keeps the all-to-all exchange
 proportional to key cardinality, not row count.
@@ -173,10 +174,10 @@ def track_clients(ds, horizon_ts, *, timeout_seconds: int = 3600,
 
 
 def rule_tracking(engine_result):
-    """Per-sid fired counts, anti-joined against the full rule list so
-    never-fired rules appear with n_fired=0."""
-    fired = engine_result.matches.groupby("sid").count().to_pandas()
-    fired_map = dict(zip(fired["sid"].astype(int), fired["count()"].astype(int)))
+    """Per-sid fired counts (from the engine's inline count partials),
+    anti-joined against the full rule list so never-fired rules appear
+    with n_fired=0."""
+    fired_map = engine_result.hit_counts()
     rows = [{"sid": r.sid, "msg": r.msg, "n_fired": int(fired_map.get(r.sid, 0)),
              "fired": r.sid in fired_map}
             for r in engine_result.ruleset]

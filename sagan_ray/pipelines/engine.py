@@ -14,12 +14,14 @@ Ray-Data-first shape (SURVEY.md §3.4):
     routed  = matches.filter(emit) × sinks     # fan-out + parity counts
                                                # (from inline partials)
 
-Only matched rows cross the exchange (stateful ones carry state); the
-ruleset and lookup tables are broadcast once via ``ray.put`` and compiled
-once per worker. This module keeps only the exchange's correlation
-client: the ``_peel_stateless`` side function of its map task, the
-``_corr_bucket`` reduce task and, in ``run_engine``, the driver loop
-between them.
+Every ruleset takes this one path. Only matched rows cross the exchange
+(stateful ones carry state); a ruleset with no stateful rule runs it
+with zero buckets, so its whole match stream leaves the map side with
+its count partials and no reduce launches. The ruleset and lookup
+tables are broadcast once via ``ray.put`` and compiled once per worker.
+This module keeps only the exchange's correlation client: the
+``_peel_stateless`` side function of its map task, the ``_corr_bucket``
+reduce task and, in ``run_engine``, the driver loop between them.
 """
 
 from __future__ import annotations
@@ -50,13 +52,13 @@ _WORKER_COMPILED: dict = {}
 _WORKER_CACHE_SIZE = 8
 
 
-def compile_key(ruleset: RuleSet, lookups: Lookups, config: EngineConfig,
-                list_form: bool) -> str:
+def compile_key(ruleset: RuleSet, lookups: Lookups,
+                config: EngineConfig) -> str:
     """Digest of everything a compiled classifier or correlator depends
     on. Computed once per run on the driver; equal inputs give the same
     key across runs, so workers keep their compiled objects."""
     return hashlib.sha256(pickle.dumps(
-        (ruleset, lookups, config, list_form), protocol=5)).hexdigest()
+        (ruleset, lookups, config), protocol=5)).hexdigest()
 
 
 def _worker_cached(kind: str, key: str, build):
@@ -74,9 +76,9 @@ class EngineResult:
     ``routed()`` filters to post-suppression alerts; ``routed_exploded()``
     fans out per sink.
 
-    ``count_refs``: per-task partial (sid, hits, emits) table refs produced
-    inline by the correlation exchange — counts come from these tiny
-    tables instead of a second pass over the match stream.
+    ``count_refs``: per-task partial (sid, hits, emits, part) table refs
+    produced inline by the exchange — counts come from these tiny tables,
+    never from a pass over the match stream.
     ``list_refs``: the exchange's LIST_MATCH_SCHEMA output blocks; when
     given, ``matches`` is built from them on first access, so the counts
     never wait on Dataset metadata."""
@@ -102,10 +104,6 @@ class EngineResult:
             self._matches = rd.from_arrow_refs(self._list_refs).map_batches(
                 explode_match_lists, batch_format="pyarrow", batch_size=None)
         return self._matches
-
-    @matches.setter
-    def matches(self, ds) -> None:
-        self._matches = ds
 
     def routed(self):
         return self.matches.map_batches(
@@ -140,25 +138,9 @@ class EngineResult:
 
     # ---- aggregates (parity gates) -----------------------------------
     def _count_tables(self) -> list[pa.Table]:
-        """(sid, hits, emits, part) count tables. When the correlation
-        exchange ran, its tasks produced them inline (zero extra passes);
-        otherwise (stateless ruleset) one pre-aggregated pass over the
-        match stream — one partial row per sid per batch crosses the
-        groupby, and partition granularity is not available."""
-        if self.count_refs is not None:
-            return ray.get(list(self.count_refs))
-        from ray.data.aggregate import Sum
-
-        df = (self.matches.map_batches(_count_partial, batch_format="pyarrow")
-              .groupby("sid").aggregate(Sum("hits", alias_name="hits"),
-                                        Sum("emits", alias_name="emits"))
-              .to_pandas())
-        if df.empty:        # zero matches: the empty frame has no columns
-            return []
-        cols = {c: pa.array(df[c].astype("int64"))
-                for c in ("sid", "hits", "emits")}
-        return [pa.table({**cols,
-                          "part": pa.array(["all"] * len(df), pa.string())})]
+        """(sid, hits, emits, part) count tables, produced inline by the
+        exchange's tasks (zero extra passes)."""
+        return ray.get(list(self.count_refs))
 
     def _sid_counts(self, emitted_only: bool) -> dict[int, int]:
         col = "emits" if emitted_only else "hits"
@@ -178,8 +160,9 @@ class EngineResult:
         per exchange partial — map-side partials (``p<block>``) carry the
         stateless matches of one classify output block, reduce-side
         partials (``b<bucket>[.<sub>]``) one correlation bucket — with
-        per-sid hit/emit counts; a stateless ruleset reports ``all``. The
-        operational answer to 'which partition produced what'."""
+        per-sid hit/emit counts; a stateless ruleset has map-side
+        partials only. The operational answer to 'which partition produced
+        what'."""
         empty = _count_partial(pa.table({}), "")   # the schema, no rows
         return pa.concat_tables(
             [empty] + [t.select(empty.schema.names) for t in self._count_tables()])
@@ -243,18 +226,15 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
     # repeated runs over the same ruleset reuse the compiled classifier,
     # while any change to the ruleset, lookups or config invalidates it.
     #
-    # The exchange path classifies in LIST form (one row per matched
-    # turn × class, LIST_MATCH_SCHEMA) so the wide legs — classify output
-    # blocks, bucket slices, correlated output — never duplicate a turn's
-    # text per matching rule; stateless rulesets skip the exchange and
-    # emit the exploded MATCH_SCHEMA directly.
-    list_form = ruleset.has_stateful
-    key = compile_key(ruleset, lookups, config, list_form)
+    # Classify emits LIST form (one row per matched turn × class,
+    # LIST_MATCH_SCHEMA) so the wide legs — classify output blocks,
+    # bucket slices, correlated output — never duplicate a turn's text
+    # per matching rule.
+    key = compile_key(ruleset, lookups, config)
 
     def classify_batch(tbl: pa.Table) -> pa.Table:
         cls = _worker_cached("classifier", key, lambda: RuleClassifier(
-            ray.get(ruleset_ref), ray.get(lookups_ref), config,
-            list_form=list_form))
+            ray.get(ruleset_ref), ray.get(lookups_ref), config))
         return cls(tbl)
 
     matches = ds.map_batches(
@@ -264,14 +244,14 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
         num_cpus=1,
     )
 
-    if not ruleset.has_stateful:
-        return EngineResult(matches=matches, ruleset=ruleset, config=config)
-
-    # lazy: stateless runs never load the datapipe package
+    # imported here: workers that load this module for its tasks never
+    # import the datapipe package for it
     from ..datapipe.exchange import default_n_buckets, shuffle
 
-    n_buckets = default_n_buckets()
-    if state_dir is not None:
+    # a stateless ruleset needs no reduce: zero buckets, and it neither
+    # reads nor writes state_dir nor touches the shared xbit store
+    n_buckets = default_n_buckets() if ruleset.has_stateful else 0
+    if n_buckets and state_dir is not None:
         from ..state.snapshot import read_state_meta, write_state_meta
 
         # the first run fixes the bucket layout for the state dir;
@@ -284,7 +264,7 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
             n_buckets = stored
         else:
             write_state_meta(state_dir, n_buckets)
-    if shared_bits is not None:
+    if n_buckets and shared_bits is not None:
         # eager get-or-create so the detached store exists before
         # bucket tasks race to resolve the name
         from ..state.shared import shared_bit_store
@@ -298,8 +278,9 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
     # class, not once per matching rule) sheds its stateless slice and
     # count partial, and its stateful rows split by hash(conv_id), so
     # every conversation lands wholly in one bucket. Reduce side: one
-    # ordered replay per bucket. state_dir runs keep the 1:1
-    # bucket↔snapshot-file layout, so they never salt.
+    # ordered replay per bucket. With zero buckets the side outputs are
+    # the whole result. state_dir runs keep the 1:1 bucket↔snapshot-file
+    # layout, so they never salt.
     (stateless, counts), buckets = shuffle(
         matches, ["conv_id"], n_buckets, side=_peel_stateless, n_side=2,
         max_bucket_bytes=None if state_dir is not None else max_bucket_bytes,
@@ -363,29 +344,23 @@ def run_engine_dynamic(ds, ruleset: RuleSet, lookups: Lookups | None = None,
                        batch_size=batch_size), loaded)
 
 
-def _count_partial(tbl: pa.Table, label: str | None = None) -> pa.Table:
-    """(sid, hits, emits) partial for one match table — accepts both the
-    list-form stream (flattens the tiny sid/emit lists; text never
-    touched) and exploded tables. ``label`` adds the ``part`` column
-    metrics() reports (``p<block>`` map side, ``b<bucket>[.<sub>]``
-    reduce side)."""
+def _count_partial(tbl: pa.Table, label: str) -> pa.Table:
+    """(sid, hits, emits, part) partial for one list-form match table —
+    flattens the tiny sid/emit lists; text is never touched. ``label`` is
+    the ``part`` metrics() reports (``p<block>`` map side,
+    ``b<bucket>[.<sub>]`` reduce side)."""
     if len(tbl) == 0:
         g = pa.table({"sid": pa.array([], pa.int64()),
                       "hits": pa.array([], pa.int64()),
                       "emits": pa.array([], pa.int64())})
     else:
-        sid_col = tbl.column("sid").combine_chunks()
-        emit_col = tbl.column("emit").combine_chunks()
-        if pa.types.is_list(sid_col.type):
-            sid_col = pc.list_flatten(sid_col)
-            emit_col = pc.list_flatten(emit_col)
-        t = pa.table({"sid": sid_col,
-                      "emit": pc.cast(emit_col, pa.int64())})
+        t = pa.table({
+            "sid": pc.list_flatten(tbl.column("sid").combine_chunks()),
+            "emit": pc.cast(pc.list_flatten(tbl.column("emit").combine_chunks()),
+                            pa.int64())})
         g = pa.TableGroupBy(t, "sid").aggregate(
             [([], "count_all"), ("emit", "sum")]
         ).rename_columns(["sid", "hits", "emits"])
-    if label is None:
-        return g
     return g.append_column("part", pa.array([label] * len(g), pa.string()))
 
 
@@ -393,6 +368,10 @@ def _peel_stateless(tbl: pa.Table, block: int):
     """``split_block`` side function: the stateless slice (verdicts
     already final) and its count partial leave before the conv_id split
     of the stateful rows."""
+    if len(tbl) == 0:
+        # an empty input block can pass the classify map unmapped, in the
+        # input's schema
+        tbl = LIST_MATCH_SCHEMA.empty_table()
     sf = tbl.column("stateful").combine_chunks()
     stateless = tbl.filter(pc.invert(sf))
     return (tbl.filter(sf),

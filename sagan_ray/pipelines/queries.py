@@ -219,12 +219,10 @@ def _engine(sf_dir: str, ruleset_text: str, config: EngineConfig | None = None):
 
 
 def _hit_counts_df(sf_dir: str, ruleset_text: str) -> pd.DataFrame:
-    eng = _engine(sf_dir, ruleset_text)
-    df = eng.matches.groupby("sid").count().to_pandas()
-    df = df.rename(columns={"count()": "n"})
-    df["sid"] = df["sid"].astype("int64")
-    df["n"] = df["n"].astype("int64")
-    return df.sort_values("sid").reset_index(drop=True)[["sid", "n"]]
+    # per-sid counts from the inline count partials — no groupby pass
+    counts = _engine(sf_dir, ruleset_text).hit_counts()
+    df = pd.DataFrame(sorted(counts.items()), columns=["sid", "n"])
+    return _typed(df, {"sid": "int64", "n": "int64"})
 
 
 def q_engine_content(sf_dir: str):
@@ -850,7 +848,6 @@ FROM e GROUP BY user_id ORDER BY user_id
 def q_events_topk(sf_dir: str):
     """Top-10 noisiest users by event count (sort + limit over a
     pre-aggregated groupby — the rule-tracking-style hot-list report)."""
-    import pyarrow.compute as pc
     import ray.data as rd
     from ray.data.aggregate import Sum
 
@@ -4517,7 +4514,6 @@ def q_compact_bm25_index(sf_dir: str):
     compaction actually collapsed multi-file buckets."""
     import os as _os
 
-    import pyarrow.compute as pac
     import ray.data as rd
 
     from ..datapipe.index import (build_inverted_index,

@@ -227,7 +227,6 @@ def _parse_json_fast(col: pa.Array, fmap: dict[str, str]) -> pa.Table | None:
     only ever changes throughput, never results."""
     import io as _io
 
-    import pandas as pd
     import pyarrow.compute as pc
     from pyarrow import json as pj
 

@@ -26,11 +26,12 @@ batches through a ``RuleClassifier`` that each worker process builds once
 per ``compile_key`` and caches — rule compilation (regexes, window plans,
 lookup tables) happens once per worker in ``__init__``, never per batch.
 
-Output is the *exploded match table* (MATCH_SCHEMA): one row per (input
-row × stateless-matched rule), tagged ``stateful`` when the rule touches
-correlation state and therefore still needs the per-conv ordered pass
-(sagan_ray.stages.correlate) — or, with ``list_form=True``, the same
-matches as LIST_MATCH_SCHEMA rows, one per matched turn × class.
+Output is the *list-form match table* (LIST_MATCH_SCHEMA): one row per
+matched turn × class, with one list entry per matched rule. The class is
+``stateful`` when a match touches correlation state and therefore still
+needs the per-conv ordered pass (sagan_ray.stages.correlate).
+``explode_match_lists`` turns it into the exploded MATCH_SCHEMA, one row
+per (input row × matched rule); ``list_form=False`` returns that view.
 """
 
 from __future__ import annotations
@@ -328,16 +329,14 @@ class RuleClassifier:
     ruleset, loads broadcast lookups); ``__call__`` per Arrow batch."""
 
     def __init__(self, ruleset, lookups=None, config: EngineConfig | None = None,
-                 list_form: bool = False):
+                 list_form: bool = True):
         import ray
 
         if isinstance(ruleset, ray.ObjectRef):
             ruleset = ray.get(ruleset)
         if lookups is not None and isinstance(lookups, ray.ObjectRef):
             lookups = ray.get(lookups)
-        # list_form=True emits LIST_MATCH_SCHEMA (one row per matched
-        # turn × class) — the engine's exchange path; False emits the
-        # exploded MATCH_SCHEMA directly
+        # list_form=False returns the exploded view of the one emit
         self.list_form = bool(list_form)
         self.ruleset: RuleSet = ruleset
         self.lookups: Lookups = lookups or Lookups()
@@ -351,7 +350,7 @@ class RuleClassifier:
             any(f == "username" for f, _ in r.json_maps)
             for r in ruleset)
         self.any_json = any(p.needs_json for p in self.plans) or self.needs_username
-        # per-rule field-fill plan for _explode: (fills ip/port fields?,
+        # per-rule field-fill plan for _emit: (fills ip/port fields?,
         # needs its match_stateless field dict per match?, default
         # src_port, default dst_port). Rules whose username can only be the
         # .username JSON fallback (no json_map/normalize source) never need
@@ -387,11 +386,14 @@ class RuleClassifier:
 
     # ------------------------------------------------------------------
     def __call__(self, tbl: pa.Table) -> pa.Table:
-        empty = (LIST_MATCH_SCHEMA if self.list_form else MATCH_SCHEMA)
+        out = self._classify(tbl)
+        return out if self.list_form else explode_match_lists(out)
+
+    def _classify(self, tbl: pa.Table) -> pa.Table:
         tbl = _drop_invalid(tbl, self.config)
         n = len(tbl)
         if n == 0:
-            return empty.empty_table()
+            return LIST_MATCH_SCHEMA.empty_table()
 
         text_col = pc.cast(tbl.column("text").combine_chunks(), pa.large_string())
         role_np = pc.fill_null(tbl.column("role"), "").to_numpy(zero_copy_only=False)
@@ -409,9 +411,9 @@ class RuleClassifier:
                 hit_rows.append(idx)
                 hit_rules.append(plan.rule.idx)
         if not hit_rows:
-            return empty.empty_table()
+            return LIST_MATCH_SCHEMA.empty_table()
 
-        return self._explode(tbl, ctx, hit_rows, hit_rules)
+        return self._emit(tbl, ctx, hit_rows, hit_rules)
 
     # ------------------------------------------------------------------
     def _eval_rule(self, plan: _RulePlan, ctx: "_BatchCtx", n: int):
@@ -545,7 +547,7 @@ class RuleClassifier:
         """Per-candidate re-check through ``match_stateless`` — the SAME
         code path the oracle evaluator runs, so residual semantics can
         never drift from the spec. The vectorized masks only prefilter;
-        the field dicts are memoized for ``_explode``."""
+        the field dicts are memoized for ``_emit``."""
         rule = plan.rule
         lk = self.lookups
         keep = []
@@ -558,8 +560,8 @@ class RuleClassifier:
         return np.asarray(keep, dtype=np.int64)
 
     # ------------------------------------------------------------------
-    def _explode(self, tbl: pa.Table, ctx: "_BatchCtx",
-                 hit_rows: list[np.ndarray], hit_rules: list[int]) -> pa.Table:
+    def _emit(self, tbl: pa.Table, ctx: "_BatchCtx",
+              hit_rows: list[np.ndarray], hit_rules: list[int]) -> pa.Table:
         rules = self.ruleset.rules
         row_idx = np.concatenate(hit_rows)
         rule_idx = np.concatenate([
@@ -641,28 +643,7 @@ class RuleClassifier:
                         uname_fallback = ctx.username_fallback(row_idx)
                     usernames[ks] = uname_fallback[rows]
 
-        if not self.list_form:
-            take = pa.array(row_idx, pa.int64())
-            return pa.Table.from_arrays([
-                tbl.column("conv_id").take(take).combine_chunks(),
-                tbl.column("turn_idx").take(take).combine_chunks(),
-                pa.array(rule_idx, pa.int32()),
-                pa.array(sids, pa.int64()),
-                pa.array(stateful, pa.bool_()),
-                pa.array(emits, pa.bool_()),
-                pa.array(pc_flag, pa.bool_()),
-                pa.array(ctx.ts_epoch[row_idx], pa.int64()),
-                pa.array(src_ips, pa.string()),
-                pa.array(dst_ips, pa.string()),
-                pa.array(src_ports, pa.int32()),
-                pa.array(dst_ports, pa.int32()),
-                pa.array(usernames, pa.string()),
-                pc.cast(tbl.column("text").take(take).combine_chunks(), pa.large_string()),
-                tbl.column("role").take(take).combine_chunks(),
-                tbl.column("tool").take(take).combine_chunks(),
-            ], schema=MATCH_SCHEMA)
-
-        # ---- list-form emit: one row per (matched turn × class) --------
+        # ---- one row per (matched turn × class) ----------------------
         # per-match value arrays built once, then sliced per class with a
         # take — the turn's text is gathered once per class row, never
         # once per rule
@@ -741,7 +722,7 @@ class _BatchCtx:
         self._hhmm = None
         self._rc: dict = {}
         # (rule_idx, row) → extracted-field dict, memoized by _residual
-        # for reuse in _explode
+        # for reuse in _emit
         self.match_fields: dict = {}
         # (kind, window, pattern) → full-column bool mask — rules sharing
         # a content atom / regex share one kernel pass per batch

@@ -48,18 +48,16 @@ def test_batches_leave_the_classifier_unchanged():
     cold = _with_texts(base, [f"{words[i % 6]} {words[(i * 7) % 6].upper()} {i}"
                               for i in range(n)])
 
-    for list_form in (False, True):
-        cls = RuleClassifier(rules, None, EngineConfig(), list_form=list_form)
-        plans, literals, before = list(cls.plans), cls.literals, _state(cls)
-        assert cls(hot).num_rows > n // 2
-        out = cls(cold)
-        assert cls.plans == plans and cls.literals is literals
-        assert (cls.literals.cs, cls.literals.ci) == (
-            ("alpha", "beta", "gamma", "omega"), ("delta",))
-        assert _state(cls) == before
-        fresh = RuleClassifier(rules, None, EngineConfig(),
-                               list_form=list_form)(cold)
-        assert out.num_rows > 0 and out.equals(fresh)
+    cls = RuleClassifier(rules, None, EngineConfig())
+    plans, literals, before = list(cls.plans), cls.literals, _state(cls)
+    assert cls(hot).num_rows > n // 2
+    out = cls(cold)
+    assert cls.plans == plans and cls.literals is literals
+    assert (cls.literals.cs, cls.literals.ci) == (
+        ("alpha", "beta", "gamma", "omega"), ("delta",))
+    assert _state(cls) == before
+    fresh = RuleClassifier(rules, None, EngineConfig())(cold)
+    assert out.num_rows > 0 and out.equals(fresh)
 
 
 def test_driver_never_imports_polars():

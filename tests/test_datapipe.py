@@ -372,8 +372,6 @@ def test_range_join_multi_band_and_zero():
     """band_width=10 forces interval replication across bands; counts
     must not double-count, empty intervals keep a zero row, and the
     pairs variant matches a brute-force O(N*M) reference."""
-    import itertools
-
     import ray.data as rd
 
     from sagan_ray.datapipe import range_join_count, range_join_pairs
@@ -715,7 +713,6 @@ def test_tfidf_similar_tiny_and_missing():
 
 
 def test_bm25_empty_and_absent_terms():
-    import pandas as pd
     import ray.data as rd
 
     from sagan_ray.datapipe import bm25_topk
@@ -1030,7 +1027,6 @@ def test_sketch_combine_level_topology_invariant():
     """With >64 partial blobs the task-side combine level engages; the
     folded sketch must be bit-identical to a
     low-block-count run — exact-integer folds are topology-free."""
-    import numpy as np
     import pyarrow as pa
     import ray.data as rd
 

@@ -1,7 +1,8 @@
 """No dead private helpers: every module-level ``_``-prefixed name that
 ``sagan_ray/`` defines is used somewhere — in its own module, another
 module, ``tools/``, ``bench.py``, ``perfbench/`` or ``tests/`` (a test
-that uses a reference helper keeps it alive)."""
+that uses a reference helper keeps it alive). No unused function-local
+imports either, outside the benchmark's own ``perfbench/`` tree."""
 
 import ast
 import os
@@ -70,3 +71,50 @@ def dead_private_names():
 
 def test_no_dead_private_names():
     assert dead_private_names() == []
+
+
+def _local_imports(fn):
+    """(name, import node) for each name that an import statement in
+    ``fn``'s own body binds; nested functions are scanned on their own."""
+    out, stack = [], list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [(a.asname or a.name.split(".")[0], node)
+                    for a in node.names if a.name != "*"]
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def unused_local_imports():
+    """``path:line function name`` for each function-local import that
+    neither the function nor a function nested in it reads. An import
+    marked ``# noqa: F401`` is kept on purpose (e.g. a module loaded
+    for its side effect)."""
+    out = []
+    for rel in SOURCES:
+        if rel == "perfbench":
+            continue
+        for path in _py_files(rel):
+            with open(path, encoding="utf-8") as f:
+                src = f.read()
+            lines = src.splitlines()
+            for fn in ast.walk(ast.parse(src, path)):
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                        and not isinstance(n.ctx, ast.Store)}
+                for name, node in _local_imports(fn):
+                    noqa = any("noqa: F401" in line for line in
+                               lines[node.lineno - 1:node.end_lineno])
+                    if name not in read and not noqa:
+                        out.append(f"{os.path.relpath(path, REPO)}:"
+                                   f"{node.lineno} {fn.name} {name}")
+    return sorted(out)
+
+
+def test_no_unused_local_imports():
+    assert unused_local_imports() == []

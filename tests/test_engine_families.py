@@ -75,39 +75,3 @@ def test_bench_ruleset_parity():
     tbl = gen_transcripts(6000, seed=1234)
     run_both(BENCH_RULES, tbl,
              config=EngineConfig(ignore_list=("DEBUG heartbeat",)))
-
-
-def test_list_form_classify_explodes_to_exploded_form():
-    """The list-form emitter (exchange path) must be a lossless
-    re-encoding: explode_match_lists(classify_list(batch)) ==
-    classify_exploded(batch) byte-for-byte, on a ruleset mixing
-    stateless, stateful, pass and field-extracting rules."""
-    import pandas as pd
-
-    from sagan_ray.config import EngineConfig
-    from sagan_ray.rules import parse_rules
-    from sagan_ray.stages.classify import RuleClassifier, explode_match_lists
-    from sagan_ray.synth import gen_transcripts
-
-    rules = parse_rules("""
-alert any any any -> any any (msg:"a"; content:"login"; sid:1;)
-alert any any any -> any any (msg:"b"; content:"user"; parse_src_ip: 1; parse_port; sid:2;)
-pass  any any any -> any any (msg:"p"; content:"DEBUG"; sid:3;)
-alert any any any -> any any (msg:"x"; content:"login"; xbits: set,seen,track ip_src,expire 600; sid:4;)
-alert any any any -> any any (msg:"t"; content:"user"; threshold: type limit, track by_src, count 2, seconds 300; sid:5;)
-pass  any any any -> any any (msg:"sp"; content:"error"; xbits: isset,seen,track ip_src; sid:6;)
-alert any any any -> any any (msg:"z"; content:"error"; sid:7;)
-""")
-    tbl = gen_transcripts(4000, seed=11)
-    cfg = EngineConfig()
-    exploded = RuleClassifier(rules, None, cfg, list_form=False)(tbl)
-    listed = RuleClassifier(rules, None, cfg, list_form=True)(tbl)
-    back = explode_match_lists(listed)
-    key = ["conv_id", "turn_idx", "rule_idx"]
-    a = exploded.to_pandas().sort_values(key).reset_index(drop=True)
-    b = back.to_pandas().sort_values(key).reset_index(drop=True)
-    assert len(a) > 0, "fixture matched nothing — vacuous"
-    pd.testing.assert_frame_equal(a, b)
-    # the class split is real: both classes present
-    sf = listed.column("stateful").to_pylist()
-    assert True in sf and False in sf

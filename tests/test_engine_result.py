@@ -1,13 +1,17 @@
 """``run_engine`` returns only once the exchange is complete, but builds
-the public match Dataset lazily; and the per-worker compile cache keys
-on the compile inputs, not on per-run object refs."""
+the public match Dataset lazily; its consumers never read the input
+again; and the per-worker compile cache keys on the compile inputs, not
+on per-run object refs."""
 
 import collections
 import os
+import re
 
+import pytest
 import ray.data
 
 from sagan_ray.config import EngineConfig, Lookups
+from sagan_ray.io.sinks import write_sinks
 from sagan_ray.oracle import ReferenceEvaluator
 from sagan_ray.pipelines import engine
 from sagan_ray.pipelines.engine import compile_key, run_engine
@@ -61,36 +65,39 @@ def test_compile_key_tracks_compile_inputs():
     ruleset = parse_rules(RULES)
     lookups = build_lookups()
     config = EngineConfig()
-    key = compile_key(ruleset, lookups, config, True)
-    assert compile_key(ruleset, lookups, config, True) == key
+    key = compile_key(ruleset, lookups, config)
+    assert compile_key(ruleset, lookups, config) == key
     # rebuilt from the same sources: same key
-    assert compile_key(parse_rules(RULES), build_lookups(), EngineConfig(),
-                       True) == key
+    assert compile_key(parse_rules(RULES), build_lookups(),
+                       EngineConfig()) == key
     others = {
-        compile_key(ruleset, lookups, config, False),
         compile_key(parse_rules(RULES.replace("600", "601")), lookups,
-                    config, True),
-        compile_key(ruleset, Lookups(), config, True),
-        compile_key(ruleset, lookups, EngineConfig(ignore_list=("noise",)),
-                    True),
+                    config),
+        compile_key(ruleset, Lookups(), config),
+        compile_key(ruleset, lookups, EngineConfig(ignore_list=("noise",))),
     }
-    assert key not in others and len(others) == 4
+    assert key not in others and len(others) == 3
 
 
-def test_stateless_metrics_agree_with_counts():
-    """No exchange runs for a stateless ruleset; metrics(), hit_counts()
-    and routed_counts() still come from one count path and agree."""
-    ruleset = parse_rules("""
+STATELESS_RULES = """
 alert any any any -> any any (msg:"lf"; content:"login"; sid:1;)
 alert any any any -> any any (msg:"tv"; content:"TV"; sid:2;)
 pass any any any -> any any (msg:"quiet"; content:"success"; sid:3;)
-""")
+"""
+
+
+def test_stateless_metrics_agree_with_counts():
+    """A stateless ruleset runs the exchange's map side with zero
+    buckets: metrics() holds map-side partials only, and it agrees with
+    hit_counts() and routed_counts()."""
+    ruleset = parse_rules(STATELESS_RULES)
     assert not ruleset.has_stateful
     eng = run_engine(ray.data.from_arrow(mk(ROWS)), ruleset, build_lookups(),
                      EngineConfig(), batch_size=4)
     m = eng.metrics()
     assert m.schema.names == ["sid", "hits", "emits", "part"]
-    assert set(m.column("part").to_pylist()) == {"all"}
+    parts = set(m.column("part").to_pylist())
+    assert parts and all(re.fullmatch(r"p\d{5}", p) for p in parts)
     hits, emits = collections.Counter(), collections.Counter()
     for sid, h, e in zip(m.column("sid").to_pylist(),
                          m.column("hits").to_pylist(),
@@ -101,6 +108,48 @@ pass any any any -> any any (msg:"quiet"; content:"success"; sid:3;)
     assert eng.routed_counts() == {(s, sid): n for sid, n in emits.items()
                                    if n for s in EngineConfig().sinks}
     assert sum(hits.values()) > sum(emits.values())     # the pass rule
+
+
+@pytest.mark.parametrize("rules", [STATELESS_RULES, RULES],
+                         ids=["stateless", "stateful"])
+def test_a_run_reads_its_input_once(tmp_path, rules):
+    """run_engine, routed_counts(), metrics() and write_sinks(thin=True)
+    together read each input batch once: every consumer reads the
+    exchange's output, none classifies the input again."""
+    log = str(tmp_path / "batches.log")
+
+    def record(tbl):
+        with open(log, "a") as f:
+            f.write(f"{len(tbl)}\n")
+        return tbl
+
+    tbl = mk(ROWS)
+    blocks = [tbl.slice(0, 3), tbl.slice(3, 3), tbl.slice(6)]
+    ds = ray.data.from_arrow(blocks).map_batches(
+        record, batch_format="pyarrow", batch_size=None)
+    ruleset = parse_rules(rules)
+    lookups = build_lookups()
+    eng = run_engine(ds, ruleset, lookups, EngineConfig(), batch_size=4)
+    oracle = ReferenceEvaluator(ruleset, lookups).evaluate(tbl.to_pylist())
+    assert eng.routed_counts() == oracle.routed_counts()
+    assert eng.metrics().num_rows
+    per_sink = write_sinks(eng, str(tmp_path / "sinks"), thin=True)
+    assert sum(per_sink.values()) == sum(oracle.routed_counts().values())
+    with open(log) as f:
+        batches = sorted(int(n) for n in f.read().split())
+    assert batches == sorted(len(b) for b in blocks)
+
+
+@pytest.mark.parametrize("rules", [STATELESS_RULES, RULES],
+                         ids=["stateless", "stateful"])
+def test_empty_input(rules):
+    """An empty input block passes the classify map in the input's
+    schema; the exchange's map side still takes it."""
+    eng = run_engine(ray.data.from_arrow(mk([])), parse_rules(rules),
+                     build_lookups(), EngineConfig())
+    assert eng.hit_counts() == {} and eng.routed_counts() == {}
+    assert eng.metrics().num_rows == 0
+    assert eng.matches.count() == 0
 
 
 class _MapRecorder:

@@ -311,12 +311,7 @@ def test_state_dir_lock_blocks_concurrent_writer(tmp_path):
     import sys
     import textwrap
 
-    import pytest
-
-    from sagan_ray.state.snapshot import (
-        StateDirLockedError,
-        acquire_state_lock,
-    )
+    from sagan_ray.state.snapshot import acquire_state_lock
 
     sd = str(tmp_path / "state")
     lock = acquire_state_lock(sd)

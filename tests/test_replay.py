@@ -38,7 +38,7 @@ alert any any any -> any any (msg:"broad flexbit count"; content:"user"; parse_s
 
 def _bucket(ruleset, tbl: pa.Table) -> pa.Table:
     """The stateful list rows the exchange would ship for ``tbl``."""
-    out = RuleClassifier(ruleset, None, EngineConfig(), list_form=True)(tbl)
+    out = RuleClassifier(ruleset, None, EngineConfig())(tbl)
     return out.filter(out.column("stateful"))
 
 

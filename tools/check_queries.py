@@ -2,11 +2,24 @@
 entry and its oracle SQL side-by-side, compare row count, schema (column
 names) and order-insensitive values. Usage:
 
-    python tools/check_queries.py [sf_dir] [name ...]
+    python tools/check_queries.py sf_dir [name ...]
+        [--hashes OUT.json] [--against BASE.json]
+
+``--hashes`` writes name → [rows, sha256 of the normalized output] for
+every entry run (and ``entry()`` on a full run). ``--against`` compares
+this run with such a file, prints only the entries whose rows or hash
+differ, and exits non-zero if any do — a refactor's bit-equality proof
+is then one command per tree:
+
+    python tools/check_queries.py DIR --hashes base.json     # parent tree
+    python tools/check_queries.py DIR --against base.json    # changed tree
 """
 
 from __future__ import annotations
 
+import argparse
+import hashlib
+import json
 import os
 import sys
 import time
@@ -34,6 +47,18 @@ def normalize(df):
                    else df[c])
     order = pd.DataFrame(keys).sort_values(by=list(df.columns)).index
     return df.loc[order].reset_index(drop=True)
+
+
+def frame_hash(df) -> str:
+    """sha256 over a normalized frame's column names, dtypes and
+    per-row value hashes (``hash_pandas_object`` uses a fixed key, so the
+    digest is stable across processes)."""
+    import pandas as pd
+
+    h = hashlib.sha256(repr([(c, str(df[c].dtype))
+                             for c in df.columns]).encode())
+    h.update(pd.util.hash_pandas_object(df, index=False).to_numpy().tobytes())
+    return h.hexdigest()
 
 
 def compare(name, ray_df, sql_df) -> list[str]:
@@ -73,8 +98,18 @@ def main():
     import duckdb
     import ray
 
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
-    only = set(sys.argv[2:])
+    ap = argparse.ArgumentParser(
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("sf_dir", help="fixture dir (events.parquet, ...)")
+    ap.add_argument("names", nargs="*", help="run only these entries")
+    ap.add_argument("--hashes", metavar="OUT.json",
+                    help="write name -> [rows, sha256] of each output")
+    ap.add_argument("--against", metavar="BASE.json",
+                    help="print entries whose rows/sha256 differ from this "
+                         "file; exit non-zero if any do")
+    args = ap.parse_args()
+    sf_dir, only = args.sf_dir, set(args.names)
 
     ray.init(address="local", num_cpus=8, include_dashboard=False,
              logging_level="ERROR")
@@ -96,6 +131,7 @@ def main():
         con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')")
 
     failures = 0
+    hashes = {}
     for name, fn in qs.items():
         if only and name not in only:
             continue
@@ -108,6 +144,7 @@ def main():
             print(f"FAIL {name}: ray query raised: {e}")
             failures += 1
             continue
+        hashes[name] = [len(ray_df), frame_hash(ray_df)]
         if name in oracles:
             try:
                 sql_df = normalize(con.execute(oracles[name]).df())
@@ -126,13 +163,27 @@ def main():
 
     if not only:        # skip the flagship run when filtering to names
         try:
-            print("entry():", len(normalize(entry_mod.entry())), "rows")
+            df = normalize(entry_mod.entry())
+            hashes["entry()"] = [len(df), frame_hash(df)]
+            print("entry():", len(df), "rows")
         except Exception as e:
             import traceback
             traceback.print_exc()
             print(f"FAIL entry(): {e}")
             failures += 1
     ray.shutdown()
+    if args.hashes:
+        with open(args.hashes, "w") as f:
+            json.dump(hashes, f, indent=1, sort_keys=True)
+    if args.against:
+        with open(args.against) as f:
+            base = json.load(f)
+        diffs = [name for name, got in hashes.items() if base.get(name) != got]
+        for name in diffs:
+            print(f"DIFF {name}: base={base.get(name)} now={hashes[name]}")
+        print(f"{len(hashes) - len(diffs)}/{len(hashes)} entries equal to "
+              f"{args.against}")
+        failures += len(diffs)
     sys.exit(1 if failures else 0)
 
 

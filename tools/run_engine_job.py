@@ -60,11 +60,6 @@ def main() -> None:
     cfg = EngineConfig(ignore_list=tuple(args.ignore))
     eng = run_engine(read_transcripts(args.input), ruleset, build_lookups(),
                      cfg, batch_size=args.batch_size)
-    if not ruleset.has_stateful:
-        # no exchange ran, so the match stream is a lazy pipeline and the
-        # three consumers below (sinks, metrics, counters) would each
-        # re-execute the whole classify pass — pin it once
-        eng.matches = eng.matches.materialize()
 
     os.makedirs(args.output, exist_ok=True)
     per_sink = write_sinks(eng, os.path.join(args.output, "sinks"))
