@@ -6,11 +6,16 @@ usernames and a stateful ``pass`` rule — over generated transcripts,
 oracle ≡ Ray on every one. Its own generator and seeds, so the stream of
 ``test_fuzz_parity`` stays what it was. Failures reproduce by seed."""
 
+import collections
+
 import numpy as np
+import pyarrow.compute as pc
 import pytest
 
+from sagan_ray.config import EngineConfig
+from sagan_ray.pipelines.engine import run_engine
 from sagan_ray.rules import parse_rules
-from sagan_ray.synth import gen_transcripts
+from sagan_ray.synth import build_lookups, gen_transcripts
 
 from .helpers import run_both
 
@@ -73,19 +78,58 @@ def _rand_stateful_rule(rng: np.random.Generator, sid: int,
     return f"{action} any any any -> any any ({'; '.join(opts)};)"
 
 
-@pytest.mark.parametrize("seed", [3101, 3202, 3303, 3404, 3505,
-                                  3606, 3707, 3808, 3909, 4010])
-def test_fuzz_stateful_parity(seed):
+SEEDS = [3101, 3202, 3303, 3404, 3505, 3606, 3707, 3808, 3909, 4010]
+
+
+def _case(seed: int):
+    """The seed's ruleset and transcripts."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 12))
     # one stateful pass rule at a random position after the setter: every
     # match of a turn it hits is then re-decided in rule order by the
-    # correlator
+    # correlator, and window rules before it are decided column-wise
     pass_at = int(rng.integers(1, n))
     rules = [_rand_stateful_rule(rng, 6000 + i,
                                  "pass" if i == pass_at else None, i == 0)
              for i in range(n)]
     ruleset = parse_rules("\n".join(rules))
     assert any(r.action == "pass" and r.is_stateful for r in ruleset)
-    tbl = gen_transcripts(int(rng.integers(800, 2000)), seed=seed)
+    return ruleset, gen_transcripts(int(rng.integers(800, 2000)), seed=seed)
+
+
+def _routed_and_hits(eng):
+    routed = eng.routed_exploded().to_pandas()
+    hits = eng.hit_counts()
+    return (collections.Counter(zip(
+        routed["sink"], routed["sid"].astype(int), routed["conv_id"],
+        routed["turn_idx"].astype(int))), collections.Counter(hits))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fuzz_stateful_parity(seed):
+    ruleset, tbl = _case(seed)
     run_both(ruleset, tbl, expect_hits=False)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fuzz_stateful_resume(seed, tmp_path):
+    """The same cases split by turn_idx into two runs that carry state
+    through a state_dir route and count as one uninterrupted run and as
+    the oracle."""
+    import ray.data as rd
+
+    ruleset, tbl = _case(seed)
+    oracle, whole = run_both(ruleset, tbl, expect_hits=False)
+    split = int(np.median(tbl.column("turn_idx").to_numpy()))
+    early = pc.less(tbl.column("turn_idx"), split)
+    routed, hits = collections.Counter(), collections.Counter()
+    for part in (tbl.filter(early), tbl.filter(pc.invert(early))):
+        assert len(part)
+        r, h = _routed_and_hits(run_engine(
+            rd.from_arrow(part), ruleset, build_lookups(), EngineConfig(),
+            batch_size=512, state_dir=str(tmp_path / "state")))
+        routed += r
+        hits += h
+    assert (routed, hits) == _routed_and_hits(whole)
+    assert routed == collections.Counter(oracle.routed)
+    assert +hits == collections.Counter(oracle.hit_counts())

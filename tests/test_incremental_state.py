@@ -307,6 +307,7 @@ def test_state_dir_lock_blocks_concurrent_writer(tmp_path):
     """Two live writers on one state_dir: the second fails loudly (the
     xbit-redis-analog stance — concurrent instances must use distinct
     state dirs); a finished writer releases the lock."""
+    import os
     import subprocess
     import sys
     import textwrap
@@ -315,10 +316,12 @@ def test_state_dir_lock_blocks_concurrent_writer(tmp_path):
 
     sd = str(tmp_path / "state")
     lock = acquire_state_lock(sd)
-    # same-process re-acquire via a CHILD process (flock is per-process)
+    # same-process re-acquire via a CHILD process (flock is per-process),
+    # importing this checkout's package
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     probe = textwrap.dedent(f"""
         import sys
-        sys.path.insert(0, {repr("/root/repo")})
+        sys.path.insert(0, {root!r})
         from sagan_ray.state.snapshot import (StateDirLockedError,
                                               acquire_state_lock)
         try:

@@ -2,14 +2,18 @@
 replays every conversation of a bucket, so conversation boundaries and
 checkpoint resume must be exact at that level, not only end to end."""
 
+import hashlib
+
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from sagan_ray.config import EngineConfig
 from sagan_ray.oracle import ReferenceEvaluator
 from sagan_ray.rules import parse_rules
+from sagan_ray.stages import correlate as correlate_mod
 from sagan_ray.stages.classify import RuleClassifier, explode_match_lists
 from sagan_ray.stages.correlate import make_list_correlator
+from sagan_ray.state.snapshot import states_to_table
 from sagan_ray.synth import gen_transcripts
 
 from .helpers import run_both
@@ -48,9 +52,26 @@ def _routed(tbl: pa.Table) -> list:
                         for c in ("conv_id", "turn_idx", "sid", "emit"))))
 
 
-def _canon(states: dict) -> dict:
-    return {c: (st.xbits, st.flexbits, st.after, st.threshold)
-            for c, st in states.items()}
+def _canon(states: dict) -> list:
+    """Every conv's state with dict insertion order, which the snapshot
+    rows follow."""
+    return [(c, list(st.xbits.items()), st.flexbits, list(st.after.items()),
+             list(st.threshold.items())) for c, st in states.items()]
+
+
+def _snapshot_sha(states: dict) -> str:
+    """sha256 of the state snapshot table written as Arrow IPC."""
+    tbl = states_to_table(states)
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, tbl.schema) as w:
+        w.write_table(tbl)
+    return hashlib.sha256(sink.getvalue().to_pybytes()).hexdigest()
+
+
+# the snapshot of ``test_resumed_replay_equals_uninterrupted``'s states,
+# as the per-match loop alone writes it
+RESUMED_SNAPSHOT_SHA = (
+    "ccf9ba34111987c5caeac3b035d3a0fa35b0fcf77509314ae56d79d64f0511ba")
 
 
 def test_nul_conv_ids_replay_as_separate_conversations():
@@ -103,6 +124,8 @@ def test_resumed_replay_equals_uninterrupted():
     assert len(first) and len(second)
     assert sorted(_routed(first) + _routed(second)) == _routed(whole)
     assert _canon(resumed_states) == _canon(whole_states)
+    assert _snapshot_sha(whole_states) == RESUMED_SNAPSHOT_SHA
+    assert _snapshot_sha(resumed_states) == RESUMED_SNAPSHOT_SHA
 
 
 def test_replay_matches_oracle_verdicts():
@@ -113,3 +136,166 @@ def test_replay_matches_oracle_verdicts():
     stateful_sids = {r.sid for r in ruleset if r.is_stateful}
     assert sorted((c, t, s) for c, t, s, _ in _routed(got)) == sorted(
         h for h in oracle.hits if h[2] in stateful_sids)
+
+
+# one window per kind on its own token; rules that keep nothing but this
+# window are decided column-wise (stages/correlate.py module docstring)
+WINDOWS = """
+alert any any any -> any any (msg:"after"; content:"after-ev"; after: track by_src, count 2, seconds 60; sid:11;)
+alert any any any -> any any (msg:"limit"; content:"limit-ev"; threshold: type limit, track by_src, count 1, seconds 60; sid:12;)
+alert any any any -> any any (msg:"suppress"; content:"supp-ev"; threshold: type suppress, track by_src, count 1, seconds 60; sid:13;)
+"""
+
+
+def _spy_columns(monkeypatch) -> list:
+    """Records how many matches each in-process replay hands to the
+    column deciders (the rest go through the per-match loop)."""
+    seen = []
+    real = correlate_mod._window_verdicts
+
+    def spy(ts, *args):
+        seen.append(len(ts))
+        return real(ts, *args)
+
+    monkeypatch.setattr(correlate_mod, "_window_verdicts", spy)
+    return seen
+
+
+def _column_matches(ruleset, tbl, monkeypatch) -> int:
+    seen = _spy_columns(monkeypatch)
+    make_list_correlator(ruleset)(_bucket(ruleset, tbl))
+    return sum(seen)
+
+
+def test_column_path_writes_the_loops_state(monkeypatch):
+    """Column and loop windows in the same conversations, whole and
+    resumed: the verdicts, every conv's state in insertion order and the
+    snapshot bytes equal those of the per-match loop alone."""
+    # sids 41 and 42 keep windows the loop decides; their keys interleave
+    # with the column keys of sids 3, 4, 7701 and 7702
+    ruleset = parse_rules(RULES + BROAD + """
+alert any any any -> any any (msg:"after isset"; content:"o"; xbits: isset,seen,track ip_pair; after: track by_src, count 2, seconds 120; sid:41;)
+alert any any any -> any any (msg:"after limit"; content:"user"; after: track by_src, count 1, seconds 60; threshold: type limit, track by_src, count 2, seconds 60; sid:42;)
+""")
+    shipped = _bucket(ruleset, gen_transcripts(1500, seed=29))
+    early = pc.less(shipped.column("turn_idx"), 6)
+
+    def run(correlate):
+        whole: dict = {}
+        out = correlate(shipped, init_states={}, out_states=whole)
+        first: dict = {}
+        parts = [correlate(shipped.filter(early), init_states={},
+                           out_states=first)]
+        resumed = dict(first)
+        parts.append(correlate(shipped.filter(pc.invert(early)),
+                               init_states=first, out_states=resumed))
+        return ([_routed(t) for t in [out] + parts],
+                _canon(whole), _canon(resumed),
+                _snapshot_sha(whole), _snapshot_sha(resumed))
+
+    seen = _spy_columns(monkeypatch)
+    got = run(make_list_correlator(ruleset))
+    assert sum(seen) > 1000
+    monkeypatch.setattr(correlate_mod, "_col_kind", lambda *_: -1)
+    assert got == run(make_list_correlator(ruleset))
+
+
+def test_backwards_ts_takes_the_loop(monkeypatch):
+    rows = [("a", 0, "after-ev", 100), ("a", 1, "after-ev", 50),
+            ("a", 2, "after-ev", 60), ("a", 3, "after-ev", 70),
+            ("a", 4, "after-ev", 300),
+            ("b", 0, "after-ev", 0), ("b", 1, "after-ev", 10),
+            ("b", 2, "after-ev", 20)]
+    run_both(WINDOWS, mk(rows))
+    # "b" is decided as a column; "a", whose ts steps back, by the loop
+    assert _column_matches(parse_rules(WINDOWS), mk(rows), monkeypatch) == 3
+
+
+def test_resume_mid_window_in_after_alerting_phase(monkeypatch):
+    run1 = [("a", 0, "after-ev", 0), ("a", 1, "after-ev", 10),
+            ("a", 2, "after-ev limit-ev supp-ev", 20)]  # after alerts at 20
+    run2 = [("a", 3, "after-ev limit-ev supp-ev", 70),  # 50 s on: alerts
+            ("a", 4, "after-ev supp-ev", 140),           # 70 s gap: resets
+            ("a", 5, "after-ev", 150),
+            ("a", 6, "after-ev", 160)]                   # count 3: alerts
+    ruleset = parse_rules(WINDOWS)
+    correlate = make_list_correlator(ruleset)
+    states: dict = {}
+    first = correlate(_bucket(ruleset, mk(run1)), init_states={},
+                      out_states=states)
+    count, utime = states["a"].after[(11, "|0||0|")]
+    assert count == 3 and utime - states["a"].threshold[(12, "|0||0|")][1] == 0
+    resumed = dict(states)
+    seen = _spy_columns(monkeypatch)
+    second = correlate(_bucket(ruleset, mk(run2)), init_states=states,
+                       out_states=resumed)
+    assert sum(seen) == 7   # every resumed window decided as a column
+
+    oracle, _ = run_both(ruleset, mk(run1 + run2))
+    assert sorted((c, t, s) for c, t, s, e in _routed(first) + _routed(second)
+                  if e) == sorted((c, t, s) for sink, s, c, t in oracle.routed
+                                  if sink == "alert")
+    assert (("a", 3, 11, True) in _routed(second)
+            and ("a", 4, 11, False) in _routed(second))
+
+
+def test_window_resets_only_past_seconds():
+    # 60 s apart stays in the window (the reset test is strictly >), 61 s
+    # apart resets it
+    rules = WINDOWS.replace("count 2", "count 1")
+    rows = [("a", i, "after-ev limit-ev supp-ev", ts)
+            for i, ts in enumerate([0, 60, 120, 180, 241, 301, 362])]
+    oracle, _ = run_both(rules, mk(rows))
+    routed = {s: sorted(t for sink, s2, _, t in oracle.routed
+                        if sink == "alert" and s2 == s) for s in (11, 12, 13)}
+    assert routed == {11: [1, 2, 3, 5],   # after: a 61 s gap resets
+                      12: [0, 2, 4, 6],   # limit: anchor + 60 s stays in
+                      13: [0, 4, 6]}      # suppress: a 61 s gap resets
+
+
+def test_after_with_threshold_stays_in_the_loop(monkeypatch):
+    both = """
+alert any any any -> any any (msg:"both"; content:"after-ev"; after: track by_src, count 1, seconds 60; threshold: type limit, track by_src, count 1, seconds 60; sid:21;)
+"""
+    rows = [("a", i, "after-ev", 10 * i) for i in range(6)]
+    run_both(both, mk(rows))
+    assert _column_matches(parse_rules(both), mk(rows), monkeypatch) == 0
+
+
+def test_window_after_a_stateful_pass_stays_in_the_loop(monkeypatch):
+    rules = """
+alert any any any -> any any (msg:"before"; content:"limit-ev"; threshold: type limit, track by_src, count 1, seconds 60; sid:31;)
+alert any any any -> any any (msg:"set"; content:"login failed"; xbits: set,brute,track ip_src,expire 600; sid:32;)
+pass any any any -> any any (msg:"pass"; content:"login success"; xbits: isset,brute,track ip_src; sid:33;)
+alert any any any -> any any (msg:"after"; content:"after-ev"; after: track by_src, count 1, seconds 60; sid:34;)
+"""
+    rows = [("a", 0, "login failed", 0),
+            ("a", 1, "login success after-ev limit-ev", 10),  # pass skips 34
+            ("a", 2, "after-ev limit-ev", 20),
+            ("a", 3, "after-ev limit-ev", 30)]
+    run_both(rules, mk(rows))
+    # sid 34's group has a turn the pass rule may cut short, so only sid
+    # 31's matches are decided as a column
+    assert _column_matches(parse_rules(rules), mk(rows), monkeypatch) == 3
+
+
+def test_pass_match_in_a_duplicated_turn_takes_the_loop(monkeypatch):
+    """Two rows share a (conv, turn): one keeps only a stateless pass
+    match (its row also hit a stateful pass rule, so it replays), the
+    other an eligible window's match. The replay skips the window's match
+    for that turn, and the column path must leave that group to it."""
+    rules = parse_rules("""
+pass any any any -> any any (msg:"quiet"; content:"quiet"; sid:51;)
+alert any any any -> any any (msg:"after"; content:"after-ev"; after: track by_src, count 0, seconds 60; sid:52;)
+pass any any any -> any any (msg:"quiet unless"; content:"quiet"; xbits: isnotset,x,track ip_src; sid:53;)
+""")
+    rows = [("a", 0, "after-ev", 0), ("a", 1, "quiet", 10),
+            ("a", 1, "after-ev", 10), ("a", 2, "after-ev", 20),
+            ("b", 0, "after-ev", 0), ("b", 1, "after-ev", 10)]
+    shipped = _bucket(rules, mk(rows))
+    seen = _spy_columns(monkeypatch)
+    got = _routed(make_list_correlator(rules)(shipped))
+    assert sum(seen) == 2                # only "b" is decided as a column
+    assert ("a", 1, 52, True) not in got
+    monkeypatch.setattr(correlate_mod, "_col_kind", lambda *_: -1)
+    assert got == _routed(make_list_correlator(rules)(shipped))

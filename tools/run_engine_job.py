@@ -7,7 +7,11 @@ per-partition metrics table.
 
 Usage:
     python tools/run_engine_job.py --input DIR --rules FILE_OR_DIR \
-        --output DIR [--ignore STR ...] [--batch-size N]
+        --output DIR [--ignore STR ...] [--batch-size N] [--state-dir DIR]
+
+``--state-dir`` carries correlation state across runs: each run resumes
+from the snapshots the last one left there (``run_engine``'s
+``state_dir``).
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ def main() -> None:
     ap.add_argument("--ignore", action="append", default=[],
                     help="droplist substring (repeatable)")
     ap.add_argument("--batch-size", type=int, default=32768)
+    ap.add_argument("--state-dir", default=None,
+                    help="correlation state snapshots to resume from and "
+                         "write back (per-bucket state.parquet)")
     args = ap.parse_args()
 
     import ray
@@ -59,7 +66,8 @@ def main() -> None:
 
     cfg = EngineConfig(ignore_list=tuple(args.ignore))
     eng = run_engine(read_transcripts(args.input), ruleset, build_lookups(),
-                     cfg, batch_size=args.batch_size)
+                     cfg, batch_size=args.batch_size,
+                     state_dir=args.state_dir)
 
     os.makedirs(args.output, exist_ok=True)
     per_sink = write_sinks(eng, os.path.join(args.output, "sinks"))
