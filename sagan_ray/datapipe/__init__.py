@@ -23,29 +23,25 @@ _EXPORTS = {
     "profile": "profile_table validate_table",
     "curate": """
         blocklist_flags decontaminate split_by_cluster group_topk
-        mix_sources pii_pseudonymize pii_redact rewrite_pseudonyms
+        mix_sources pii_pseudonymize pii_redact
         sample_balanced sample_bottomk sample_per_group
         sample_stratified sample_token_budget
         sample_token_budget_by_group sample_weighted shuffle_shards
     """,
     "events": """
-        cohort_retention user_paths debounce cusum_alarm funnel_stages
-        holt_forecast props_key_agg running_totals sequence_counts
-        ses_forecast type_trend window_rate_limit window_topk
-        step_latency transition_counts
+        cohort_retention debounce funnel_stages props_key_agg
+        transition_counts
     """,
     "exchange": "hash_group_apply",
     "index": "build_inverted_index search_index update_inverted_index",
     "search": "bm25_topk tfidf_similar",
-    "sketch": "bloom_membership cms_word_counts hll_group_distinct hll_vocab",
+    "sketch": "bloom_membership cms_word_counts hll_vocab",
     "pack": "chunk_documents pack_sequences",
     "stats": """
-        group_outlier_flags group_percentiles group_quantile_sketch
-        histogram percentiles rank_normalize rolling_window_count
+        group_outlier_flags group_percentiles histogram percentiles
+        rank_normalize
     """,
-    "joins": """
-        asof_join hash_join range_join_count range_join_pairs
-    """,
+    "joins": "asof_join hash_join",
     "textstats": """
         bigram_nll byte_entropy collocations corpus_stats cross_doc_dup
         distinctive_terms fingerprint heavy_hitters langid quality

@@ -866,8 +866,7 @@ def pii_pseudonymize(ds, *, text_col: str = "text",
     runs per kind on the ORIGINAL text (the SQL oracle's
     regexp_extract_all semantics); one compiled-regex pass per kind
     per batch over the NUL-joined flat buffer,
-    md5 once per DISTINCT value per batch. ``rewrite_pseudonyms``
-    applies the same tokens in-text."""
+    md5 once per DISTINCT value per batch."""
     import re as _re
 
     pats = [(n, p) for n, p, _ in
@@ -906,37 +905,6 @@ def pii_pseudonymize(ds, *, text_col: str = "text",
         out["value"] = pa.array(values, pa.string())
         out["pseudonym"] = pa.array(pseud, pa.string())
         return pa.table(out)
-
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
-def rewrite_pseudonyms(ds, *, text_col: str = "text",
-                       id_cols: list[str] | None = None,
-                       patterns: list[tuple] | None = None):
-    """The in-text companion of ``pii_pseudonymize``: each kind's
-    pattern substitutes its per-match token, kinds applied
-    SEQUENTIALLY (so a later kind never re-matches an earlier kind's
-    token — tokens contain '_' which no pattern matches). Returns
-    (*id_cols, text_pseudo)."""
-    import re as _re
-
-    pats = [(n, p) for n, p, _ in
-            (PII_PATTERNS if patterns is None else patterns)]
-    ids = id_cols or ["doc_id"]
-    compiled = [(n, _re.compile(p)) for n, p in pats]
-
-    def f(tbl: pa.Table) -> pa.Table:
-        texts = [t or "" for t in
-                 pc.cast(tbl.column(text_col), pa.string()).to_pylist()]
-        out = []
-        for t in texts:
-            for kind, rx in compiled:
-                t = rx.sub(lambda m, _k=kind: _pseudo_token(_k,
-                                                            m.group(0)), t)
-            out.append(t)
-        cols = {c: tbl.column(c) for c in ids}
-        cols["text_pseudo"] = pa.array(out, pa.string())
-        return pa.table(cols)
 
     return ds.map_batches(f, batch_format="pyarrow")
 

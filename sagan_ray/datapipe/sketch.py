@@ -261,73 +261,3 @@ def bloom_membership(ds, probe_words: list[str], *, p: int = BF_P,
                          "present": pd.Series(present, dtype="int64"),
                          "fill_bits": pd.Series([fill] * len(probe_words),
                                                 dtype="int64")})
-
-
-# ----------------------------------------------------------------------
-# per-group HLL: approximate distinct-count per key
-# ----------------------------------------------------------------------
-
-def hll_group_distinct(ds, *, key_col: str, val_col: str,
-                       p: int = DEFAULT_P):
-    """Approximate COUNT(DISTINCT val) per key — the grouped companion
-    to ``hll_vocab`` (e.g. distinct users per event_type). Each batch
-    emits one (key, 2^p-byte register blob) row PER KEY PRESENT in the
-    batch; blobs fold per key by elementwise max (semilattice — any
-    combine topology gives identical registers), first keyed 64→1 in a
-    task-side combine stage, then a small driver fold. Returns a pandas
-    DataFrame (key_col, m, n_est) sorted by key.
-
-    At 100 TB this never shuffles values: the wire carries
-    O(keys-per-batch) fixed 4 KB blobs per batch, so it is the
-    bounded-memory alternative to an exact distinct exchange whenever
-    the value set per key is too large to move. Values are hashed with
-    the family's pd.util.hash_array (elementwise-stable under any
-    batching — the golden hashes the same column once and must match
-    bit-exactly, oracle/golden.py::write_golden_group_hll)."""
-    m = 1 << p
-    shift = np.uint64(64 - p)
-    pshift = np.uint64(p)
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        keys = tbl.column(key_col).to_numpy(zero_copy_only=False)
-        vals = tbl.column(val_col).to_numpy(zero_copy_only=False)
-        vh = _hash_pure(vals).astype(np.uint64)
-        uk, inv = np.unique(keys, return_inverse=True)
-        rho = _rho(vh << pshift, p).astype(np.uint8)
-        idx = (vh >> shift).astype(np.int64)
-        blobs = []
-        for g in range(len(uk)):
-            reg = np.zeros(m, np.uint8)
-            sel = inv == g
-            np.maximum.at(reg, idx[sel], rho[sel])
-            blobs.append(reg.tobytes())
-        return pa.table({key_col: pa.array(uk),
-                         "reg": pa.array(blobs, pa.binary(m))})
-
-    def combine(tbl: pa.Table) -> pa.Table:
-        keys = tbl.column(key_col).to_pylist()
-        acc: dict = {}
-        for kk, blob in zip(keys, tbl.column("reg").to_pylist()):
-            v = np.frombuffer(blob, np.uint8)
-            acc[kk] = v.copy() if kk not in acc else np.maximum(acc[kk], v)
-        ks = sorted(acc)
-        return pa.table({key_col: pa.array(ks),
-                         "reg": pa.array([acc[kk].tobytes() for kk in ks],
-                                         pa.binary(m))})
-
-    parts = ds.map_batches(partial, batch_format="pyarrow",
-                           batch_size=65536)
-    reduced = parts.map_batches(combine, batch_format="pyarrow",
-                                batch_size=64).to_pandas()
-    final: dict = {}
-    if not reduced.empty:
-        for kk, blob in zip(reduced[key_col], reduced["reg"]):
-            v = np.frombuffer(blob, np.uint8)
-            final[kk] = v.copy() if kk not in final else np.maximum(
-                final[kk], v)
-    ks = sorted(final)
-    return pd.DataFrame({
-        key_col: pd.Series(ks, dtype="object"),
-        "m": pd.Series([m] * len(ks), dtype="int64"),
-        "n_est": pd.Series([_estimate(final[kk], p) for kk in ks],
-                           dtype="float64")})

@@ -61,70 +61,11 @@ def percentiles(ds, col: str, qs: list[float]):
     for q in qs:
         # exact-rational rank: float ceil(0.9*n) can round UP across an
         # exact integer boundary (0.9 is not a binary float) while the
-        # SQL side's ceil(DECIMAL * n) is exact — the
-        # events_quantile_sketch lesson applied to the exact path too
+        # SQL side's ceil(DECIMAL * n) is exact
         rank = max(1, math.ceil(Fraction(str(q)) * n))
         out_q.append(float(q))
         out_v.append(int(vals[np.searchsorted(cum, rank, side="left")]))
     return pd.DataFrame({"q": out_q, "value": out_v})
-
-
-def rolling_window_count(ds, *, key_col: str, ts_col: str,
-                         window_us: int, id_col: str):
-    """Per-row rolling count: for each row, how many rows of the SAME
-    key fall in ``[ts - window, ts]`` — SQL's
-    ``count(*) OVER (PARTITION BY key ORDER BY ts RANGE BETWEEN window
-    PRECEDING AND CURRENT ROW)`` incl. the peer-group rule (rows that
-    SHARE the current timestamp all count, regardless of position).
-
-    One exchange on the key; inside a bucket every key is handled by a
-    single composite-key searchsorted — ``key_idx * 2^48 + (ts - t0)``
-    keeps keys ≥ 2^48 us (~8.9 years) apart, far beyond any window, so
-    per-key windows never cross key boundaries and there is NO per-key
-    loop. Requires window_us < 2^48 and a ts span < 2^48 us per run."""
-    assert 0 < window_us < (1 << 48)
-    _SHIFT = np.int64(1 << 48)
-
-    def tag(tbl: pa.Table) -> pa.Table:
-        ts = (tbl.column(ts_col).cast(pa.timestamp("us"))
-              .cast(pa.int64()))
-        return pa.table({
-            key_col: tbl.column(key_col).cast(pa.int64()),
-            "ts_us": ts,
-            id_col: tbl.column(id_col).cast(pa.int64()),
-        })
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        keys = df[key_col].to_numpy()
-        ts = df["ts_us"].to_numpy()
-        ids = df[id_col].to_numpy()
-        # dense key index so the composite fits int64 at any key value
-        uk, kidx = np.unique(keys, return_inverse=True)
-        if len(uk) >= (1 << 15):
-            # kidx * 2^48 overflows int64 at kidx >= 2^15: wrapped
-            # composites would silently break key separation — fail loud
-            # (mirror of the ts-span guard below).
-            raise ValueError(
-                "rolling_window_count: >= 2^15 distinct keys in one "
-                "exchange bucket overflows the int64 composite key; "
-                "raise n_buckets / lower max_bucket_bytes")
-        span = int(ts.max() - ts.min()) if len(ts) else 0
-        if span + window_us >= int(_SHIFT):
-            raise ValueError(
-                "rolling_window_count: ts span + window exceeds the "
-                "2^48-us key separation; shard the input by time first")
-        comp = kidx.astype(np.int64) * _SHIFT + (ts - ts.min())
-        order = np.argsort(comp, kind="stable")
-        cs = comp[order]
-        hi = np.searchsorted(cs, cs, side="right")       # peers included
-        lo = np.searchsorted(cs, cs - np.int64(window_us), side="left")
-        out = pd.DataFrame({id_col: ids[order], "n_window": hi - lo})
-        return out
-
-    out_schema = pa.schema([(id_col, pa.int64()),
-                            ("n_window", pa.int64())])
-    return hash_group_apply(ds.map_batches(tag, batch_format="pyarrow"),
-                            [key_col], bucket, out_schema=out_schema)
 
 
 def group_percentiles(ds, *, group_col: str, col: str, qs: list[float]):
@@ -159,59 +100,6 @@ def group_percentiles(ds, *, group_col: str, col: str, qs: list[float]):
 
     schema = pa.schema([(group_col, pa.string()), ("q", pa.float64()),
                         ("value", pa.int64())])
-    return hash_group_apply(
-        ds.map_batches(counts, batch_format="pyarrow", batch_size=65536),
-        [group_col], bucket, out_schema=schema)
-
-
-def group_quantile_sketch(ds, *, group_col: str, col: str,
-                          qs: list[float], grid: int = 64):
-    """Per-group approximate quantiles of a CONTINUOUS column via a
-    fixed-resolution grid — the bounded-exchange answer where
-    ``group_percentiles``'s exact (group, value) histogram degenerates
-    (continuous doubles: every value distinct, the histogram IS the
-    data). Spec, shared verbatim with the SQL oracle: bucket =
-    ``floor(value · grid)`` (one IEEE multiply + exact floor on both
-    sides), the answer for quantile q is ``first bucket with
-    cumulative count ≥ ceil(q · n)`` reported as ``bucket / grid``
-    (grid a power of two ⇒ exact binary division). Error ≤ 1/grid by
-    construction; exchange rows are bounded by the value RANGE × grid
-    per group, independent of row count. Returns a Dataset
-    (group, q, value_est)."""
-
-    def counts(tbl: pa.Table) -> pa.Table:
-        v = tbl.column(col).to_numpy(zero_copy_only=False)
-        bkt = np.floor(v * float(grid))
-        t = pa.table({group_col: tbl.column(group_col),
-                      "bkt": pa.array(bkt.astype(np.int64), pa.int64())})
-        g = pa.TableGroupBy(t, [group_col, "bkt"]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns([group_col, "bkt", "cnt"])
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        out_g, out_q, out_v = [], [], []
-        for gval, sub in df.groupby(group_col, sort=False):
-            h = (sub.groupby("bkt", sort=False)["cnt"].sum().reset_index()
-                 .sort_values("bkt"))
-            n = int(h["cnt"].sum())
-            cum = h["cnt"].cumsum().to_numpy()
-            bks = h["bkt"].to_numpy()
-            for q in qs:
-                # EXACT rational rank: the SQL side's VALUES (0.9) is a
-                # DECIMAL, so its ceil(q·n) is exact — a float 0.9·n
-                # rounds UP across exact-integer products (0.9·10 →
-                # 9.000000000000002 → ceil 10) and flips the bucket
-                from fractions import Fraction
-                rank = max(1, math.ceil(Fraction(str(float(q))) * n))
-                b = int(bks[np.searchsorted(cum, rank, side="left")])
-                out_g.append(gval)
-                out_q.append(float(q))
-                out_v.append(float(b) / float(grid))
-        return pd.DataFrame({group_col: out_g, "q": out_q,
-                             "value_est": out_v})
-
-    schema = pa.schema([(group_col, pa.string()), ("q", pa.float64()),
-                        ("value_est", pa.float64())])
     return hash_group_apply(
         ds.map_batches(counts, batch_format="pyarrow", batch_size=65536),
         [group_col], bucket, out_schema=schema)
@@ -378,60 +266,3 @@ def group_outlier_flags(ds, *, group_col: str, col: str, id_col: str,
             "is_outlier": pa.array((v < lo) | (v > hi))})
 
     return ds.map_batches(flag, batch_format="pyarrow")
-
-
-def group_gini(ds, *, group_col: str, col: str):
-    """Per-group Gini concentration of a value column — the
-    inequality/skew report (how concentrated is event value across
-    rows of a type, spend across users, bytes across sources):
-
-        G = 2·Σᵢ i·x₍ᵢ₎ / (n·Σ x) − (n + 1)/n      (ranks 1..n, x sorted)
-
-    Rank ties are harmless: equal values contribute v·Σi over the tied
-    block regardless of their order, so the statistic is deterministic
-    without an id tie-break. Returns (group, n, gini); a group whose
-    value sum is 0 yields NaN (division by zero, the SQL's NULL analog
-    — callers on signed data should screen first, Gini assumes ≥ 0).
-
-    Shape: the (group, value) histogram exchange (distinct-cardinality
-    ≪ N — the ``percentiles`` stance); the driver computes Σ i·x from
-    each distinct value's rank block (c·cum_before + c(c+1)/2 exact
-    ints) over the groups-sized histogram. Full rows never shuffle.
-    Float sums accumulate in histogram order vs the SQL's scan order —
-    ~1e-15 relative, inside the gate tolerance."""
-
-    def counts(tbl: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(tbl.select([group_col, col]),
-                            [group_col, col]).aggregate([([], "count_all")])
-        return g.rename_columns([group_col, col, "cnt"])
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby([group_col, col], sort=False)["cnt"].sum()
-                .reset_index())
-
-    hist_schema = pa.schema([(group_col, pa.string()),
-                             (col, pa.float64()), ("cnt", pa.int64())])
-    hist = hash_group_apply(
-        ds.map_batches(counts, batch_format="pyarrow", batch_size=65536),
-        [group_col], combine, out_schema=hist_schema).to_pandas()
-    if len(hist) == 0:
-        return pd.DataFrame({group_col: pd.Series([], dtype="object"),
-                             "n": pd.Series([], dtype="int64"),
-                             "gini": pd.Series([], dtype="float64")})
-    rows = []
-    for gval, sub in hist.groupby(group_col, sort=True):
-        sub = sub.sort_values(col)
-        c = sub["cnt"].to_numpy(np.int64)
-        v = sub[col].to_numpy(np.float64)
-        n = int(c.sum())
-        cum_before = np.concatenate(([0], np.cumsum(c)[:-1]))
-        # float64 on purpose: c·cum_before ~ n² wraps int64 at extreme
-        # n; exact while < 2^53 and it feeds a float sum regardless.
-        cf = c.astype(np.float64)
-        rank_sum = cf * cum_before.astype(np.float64) + cf * (cf + 1) / 2
-        s_iv = float(np.sum(v * rank_sum))
-        s_v = float(np.sum(v * c.astype(np.float64)))
-        gini = (2.0 * s_iv / (n * s_v) - (n + 1.0) / n
-                if s_v != 0.0 else float("nan"))
-        rows.append((gval, n, gini))
-    return pd.DataFrame(rows, columns=[group_col, "n", "gini"])

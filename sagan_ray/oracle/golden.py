@@ -403,51 +403,6 @@ def write_golden_cms(sf_dir: str, probe_words: list[str], *, depth: int,
     return _write(tbl, "corpus_word_cms")
 
 
-def write_golden_group_hll(sf_dir: str, *, key_col: str, val_col: str,
-                           p: int) -> str:
-    """Expected output of ``events_user_hll``: a sequential per-row
-    grouped HyperLogLog — Python-int register updates (int.bit_length)
-    into one register list per key and a left-to-right register-sum
-    loop per key. Shares only the value-hash primitive
-    (pd.util.hash_array over the int64 column — elementwise-stable, so
-    one vectorized call here equals the kernel's per-batch calls) with
-    the batched kernel (datapipe/sketch.py::hll_group_distinct), which
-    must match bit-exactly."""
-    import math
-
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(os.path.join(sf_dir, "events.parquet"),
-                      columns=[key_col, val_col])
-    m = 1 << p
-    mask64 = (1 << 64) - 1
-    keys = t.column(key_col).to_pylist()
-    hs = _hash_pure(
-        t.column(val_col).to_numpy(zero_copy_only=False)).tolist()
-    regs: dict = {}
-    for kk, h in zip(keys, hs):
-        reg = regs.setdefault(kk, [0] * m)
-        idx = h >> (64 - p)
-        rest = (h << p) & mask64
-        rho = (64 - rest.bit_length() + 1) if rest else (64 - p) + 1
-        if rho > reg[idx]:
-            reg[idx] = rho
-    alpha = 0.7213 / (1.0 + 1.079 / m)
-    ks, ests = sorted(regs), []
-    for kk in ks:
-        acc = 0.0
-        for r in regs[kk]:
-            acc += 2.0 ** (-r)
-        raw = alpha * m * m / acc
-        zeros = sum(1 for r in regs[kk] if r == 0)
-        ests.append(m * math.log(m / zeros)
-                    if raw <= 2.5 * m and zeros > 0 else raw)
-    tbl = pa.table({key_col: pa.array(ks, pa.string()),
-                    "m": pa.array([m] * len(ks), pa.int64()),
-                    "n_est": pa.array(ests, pa.float64())})
-    return _write(tbl, "events_user_hll")
-
-
 def write_golden_compress(sf_dir: str, *, level: int) -> str:
     """Expected output of ``text_compress_ratio``: a sequential per-row
     loop over the documents table computing len(zlib.compress(utf8)) —

@@ -787,246 +787,8 @@ LEFT JOIN (
 
 
 # ---------------------------------------------------------------------------
-# event-stream windows (streaming-shaped ops, ray_guide pattern)
+# event-stream as-of join (streaming-shaped op, ray_guide pattern)
 # ---------------------------------------------------------------------------
-
-def q_events_sessionize(sf_dir: str):
-    """Session windows per user: a new session starts after a >30 min gap.
-    One ``hash_group_apply`` exchange on user_id (NOT Ray Data's
-    sort-based groupby().map_groups — measured at 10-70 s of shuffle
-    overhead for <1 s of work, CLAUDE.md perf notes); inside a bucket the
-    per-user gap count is one vectorized lexsort + boundary scan over ALL
-    of the bucket's users (the ``number_bucket`` shape,
-    sources/events.py:109), no per-user loop."""
-    import ray.data as rd
-
-    from ..datapipe.exchange import hash_group_apply
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "user_id"])
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        uid = df["user_id"].to_numpy()
-        ts = df["ts"].to_numpy(dtype="datetime64[us]").astype(np.int64)
-        eid = df["event_id"].to_numpy()
-        o = np.lexsort((eid, ts, uid))
-        uid, ts = uid[o], ts[o]
-        new_user = np.empty(len(uid), dtype=bool)
-        if len(uid):
-            new_user[0] = True
-            new_user[1:] = uid[1:] != uid[:-1]
-        gap = np.diff(ts, prepend=ts[0] if len(ts) else 0)
-        new_s = new_user | (gap > 1_800_000_000)   # strict > 1800 s, in us
-        starts = np.flatnonzero(new_user)
-        return pd.DataFrame({
-            "user_id": uid[starts],
-            "n_sessions": (np.add.reduceat(new_s.astype(np.int64), starts)
-                           if len(starts) else np.array([], np.int64)),
-            "n_events": np.diff(np.append(starts, len(uid))),
-        })
-
-    schema = pa.schema([("user_id", pa.int64()), ("n_sessions", pa.int64()),
-                        ("n_events", pa.int64())])
-    out = hash_group_apply(ds, ["user_id"], bucket,
-                           out_schema=schema).to_pandas()
-    out = out.astype({"user_id": "int64", "n_sessions": "int64", "n_events": "int64"})
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-SQL_SESSIONIZE = """
-WITH e AS (
-  SELECT user_id, ts,
-         CASE WHEN lag(ts) OVER w IS NULL
-                   OR ts - lag(ts) OVER w > INTERVAL 1800 SECOND
-              THEN 1 ELSE 0 END AS new_s
-  FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id))
-SELECT user_id, sum(new_s)::BIGINT AS n_sessions, count(*) AS n_events
-FROM e GROUP BY user_id ORDER BY user_id
-"""
-
-
-def q_events_topk(sf_dir: str):
-    """Top-10 noisiest users by event count (sort + limit over a
-    pre-aggregated groupby — the rule-tracking-style hot-list report)."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id"])
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(tbl, "user_id").aggregate([([], "count_all")])
-        return g.rename_columns(["user_id", "n"])
-
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby("user_id").aggregate(Sum("n", alias_name="n"))
-             .sort(["n", "user_id"], descending=[True, True]).limit(10)
-             .to_pandas())
-    out = out.astype({"user_id": "int64", "n": "int64"})
-    return out.reset_index(drop=True)[["user_id", "n"]]
-
-
-SQL_EVENTS_TOPK = """
-SELECT user_id, count(*) AS n FROM events
-GROUP BY user_id ORDER BY n DESC, user_id DESC LIMIT 10
-"""
-
-
-def q_events_tumbling(sf_dir: str):
-    """Tumbling 1h windows per user: pre-aggregated per batch, then one
-    small groupby (the partial-aggregate shuffle-minimizing pattern)."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-    from ray.data.aggregate import Max, Min, Sum
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "user_id", "value"])
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(tbl.column("ts"), unit="hour")
-        t = tbl.set_column(tbl.schema.get_field_index("ts"), "hour", hour)
-        g = pa.TableGroupBy(t, ["user_id", "hour"]).aggregate(
-            [("value", "min"), ("value", "max"), ([], "count_all")])
-        return g.rename_columns(["user_id", "hour", "min_value", "max_value", "n"])
-
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-             .groupby(["user_id", "hour"])
-             .aggregate(Sum("n", alias_name="n"),
-                        Min("min_value", alias_name="min_value"),
-                        Max("max_value", alias_name="max_value"))
-             .to_pandas())
-    out = out.astype({"user_id": "int64", "n": "int64"})
-    return (out.sort_values(["user_id", "hour"]).reset_index(drop=True)
-            [["user_id", "hour", "n", "min_value", "max_value"]])
-
-
-SQL_TUMBLING = """
-SELECT user_id, date_trunc('hour', ts) AS hour, count(*) AS n,
-       min(value) AS min_value, max(value) AS max_value
-FROM events GROUP BY user_id, hour ORDER BY user_id, hour
-"""
-
-
-def q_events_window_distinct(sf_dir: str):
-    """EXACT distinct users per tumbling 1h window × event_type — the
-    dedupe-before-shuffle shape: each batch pre-collapses to its
-    DISTINCT (hour, type, user) triples (plus a count), so the exchange
-    moves one row per distinct triple per batch, not one per event;
-    the (hour, type)-keyed buckets then count distinct users exactly.
-    The sketch alternative for unbounded user cardinality is
-    datapipe/sketch.py (hll_vocab's register-blob shape per group)."""
-    import pyarrow.compute as pc
-    import ray.data as rd
-
-    from ..datapipe.exchange import hash_group_apply
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "event_type", "user_id"])
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(tbl.column("ts"), unit="hour")
-        t = pa.table({"hour": hour, "event_type": tbl.column("event_type"),
-                      "user_id": tbl.column("user_id")})
-        g = pa.TableGroupBy(t, ["hour", "event_type", "user_id"]).aggregate(
-            [([], "count_all")])
-        return g.rename_columns(["hour", "event_type", "user_id", "n"])
-
-    def bucket(df):
-        g = df.groupby(["hour", "event_type"], sort=False).agg(
-            n_events=("n", "sum"), n_users=("user_id", "nunique"))
-        return g.reset_index()
-
-    schema = pa.schema([("hour", pa.timestamp("us")),
-                        ("event_type", pa.string()),
-                        ("n_events", pa.int64()), ("n_users", pa.int64())])
-    out = hash_group_apply(
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=65536),
-        ["hour", "event_type"], bucket, out_schema=schema).to_pandas()
-    out = out.astype({"n_events": "int64", "n_users": "int64"})
-    return (out.sort_values(["hour", "event_type"]).reset_index(drop=True)
-            [["hour", "event_type", "n_events", "n_users"]])
-
-
-SQL_EVENTS_WINDOW_DISTINCT = """
-SELECT date_trunc('hour', ts) AS hour, event_type,
-       count(*)::BIGINT AS n_events,
-       count(DISTINCT user_id)::BIGINT AS n_users
-FROM events GROUP BY hour, event_type ORDER BY hour, event_type
-"""
-
-
-def q_events_hopping(sf_dir: str):
-    """Hopping (sliding) 1h windows every 15 min, global: each event
-    replicates to exactly size/hop = 4 windows inside the batch partial
-    (the overlap factor is the only data growth, and it pre-aggregates
-    before the small window-keyed groupby — same shape as tumbling)."""
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    HOP = 900_000_000               # 15 min in us
-    NW = 4                          # 1h window / 15min hop
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "value"])
-
-    def partial(tbl: pa.Table) -> pa.Table:
-        ts = (tbl.column("ts").cast(pa.timestamp("us")).cast(pa.int64())
-              .to_numpy(zero_copy_only=False))
-        val = tbl.column("value").to_numpy(zero_copy_only=False)
-        b = (ts // HOP) * HOP
-        ws = np.repeat(b, NW) - np.tile(np.arange(NW, dtype=np.int64)
-                                        * HOP, len(b))
-        t = pa.table({"ws": pa.array(ws, pa.int64()),
-                      "value": pa.array(np.repeat(val, NW))})
-        g = pa.TableGroupBy(t, "ws").aggregate(
-            [("value", "sum"), ([], "count_all")])
-        return g.rename_columns(["ws", "sum_value", "n"])
-
-    out = (ds.map_batches(partial, batch_format="pyarrow")
-           .groupby("ws").aggregate(Sum("sum_value",
-                                        alias_name="sum_value"),
-                                    Sum("n", alias_name="n"))
-           .to_pandas())
-    out["window_start"] = pd.to_datetime(out["ws"], unit="us")
-    out["n"] = out["n"].astype("int64")
-    return (out.sort_values("window_start").reset_index(drop=True)
-            [["window_start", "n", "sum_value"]])
-
-
-SQL_EVENTS_HOPPING = """
-WITH e AS (SELECT value,
-                  time_bucket(INTERVAL 15 MINUTE, ts) AS b FROM events),
-w AS (SELECT value,
-             b - unnest([0, 1, 2, 3]) * INTERVAL 15 MINUTE AS window_start
-      FROM e)
-SELECT window_start, count(*) AS n, sum(value) AS sum_value
-FROM w GROUP BY window_start ORDER BY window_start
-"""
-
-
-def q_events_rolling(sf_dir: str):
-    """Per-event rolling 1h same-user event count (RANGE window incl.
-    the peer-group rule) — composite-key searchsorted per bucket, no
-    per-key loop."""
-    import ray.data as rd
-
-    from ..datapipe import rolling_window_count
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "user_id"])
-    out = rolling_window_count(ds, key_col="user_id", ts_col="ts",
-                               window_us=3_600_000_000,
-                               id_col="event_id").to_pandas()
-    out = out.astype({"event_id": "int64", "n_window": "int64"})
-    return out.sort_values("event_id").reset_index(drop=True)
-
-
-SQL_EVENTS_ROLLING = """
-SELECT event_id,
-       count(*) OVER (PARTITION BY user_id ORDER BY ts
-                      RANGE BETWEEN INTERVAL 1 HOUR PRECEDING
-                            AND CURRENT ROW)::BIGINT AS n_window
-FROM events ORDER BY event_id
-"""
 
 
 def q_events_asof(sf_dir: str):
@@ -1069,48 +831,6 @@ SELECT l.event_id, l.user_id, l.ts,
 FROM l LEFT JOIN (SELECT event_id, rid, rvalue FROM j WHERE rn = 1) j
   USING (event_id)
 ORDER BY event_id
-"""
-
-
-def q_events_range_count(sf_dir: str):
-    """Events inside each signup's 30-minute window, any user — a
-    genuinely non-equi interval join (banded range join; per-band
-    partial counts, the pair expansion never materializes)."""
-    import pyarrow.compute as pac
-    import ray.data as rd
-
-    from ..datapipe.joins import range_join_count
-
-    points = rd.read_parquet(f"{sf_dir}/events.parquet",
-                             columns=["event_id", "ts"])
-
-    def iv(tbl: pa.Table) -> pa.Table:
-        ts = tbl.column("ts").cast(pa.timestamp("us"))
-        hi = pac.add(ts, pa.scalar(1_800_000_000, pa.duration("us")))
-        return pa.table({"event_id": tbl.column("event_id"),
-                         "lo": ts, "hi": hi})
-
-    intervals = rd.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts"],
-        filter=pac.field("event_type") == "signup",
-    ).map_batches(iv, batch_format="pyarrow")
-
-    out = range_join_count(
-        points, intervals, point_col="ts", point_id="event_id",
-        lo_col="lo", hi_col="hi", interval_id="event_id",
-        band_width=1_800_000_000).to_pandas()
-    out = out.rename(columns={"event_id": "signup_id",
-                              "n_points": "n_in_window"})
-    out = out.astype({"signup_id": "int64", "n_in_window": "int64"})
-    return out.sort_values("signup_id").reset_index(drop=True)
-
-
-SQL_EVENTS_RANGE_COUNT = """
-WITH s AS (SELECT event_id, ts FROM events WHERE event_type = 'signup')
-SELECT s.event_id AS signup_id, count(e.event_id)::BIGINT AS n_in_window
-FROM s LEFT JOIN events e
-  ON e.ts >= s.ts AND e.ts < s.ts + INTERVAL 30 MINUTE
-GROUP BY s.event_id ORDER BY signup_id
 """
 
 
@@ -2166,141 +1886,6 @@ SELECT clip1, clip2, clip3, clip4, clip5, clip6,
        ctot1, ctot2, ctot3, ctot4, ctot5, ctot6,
        rtot1, rtot2, rtot3, rtot4, rtot5, rtot6, chrf
 FROM read_parquet('/tmp/sagan_ray_golden/text_chrf_corpus.parquet')
-"""
-
-
-def q_events_forecast(sf_dir: str):
-    """Per-type SES (α=1/2) daily-count forecast
-    (events.py::ses_forecast): the map side ships only (type, day, n)
-    partials; the per-type fold s←(s+x)/2 is the SAME IEEE op sequence
-    the recursive-CTE oracle performs, so the float forecast is
-    bit-identical even after 2^-t rounding sets in."""
-    import ray.data as rd
-
-    from ..datapipe import ses_forecast
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "event_type"])
-    out = ses_forecast(ds, unit="day")
-    out = _typed(out, {"event_type": "str", "n_windows": "int64",
-                       "forecast": "float64"})
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_EVENTS_FORECAST = """
-WITH RECURSIVE c AS (
-  SELECT event_type,
-         epoch_us(date_trunc('day', ts)) // 86400000000 AS x,
-         count(*) AS n
-  FROM events GROUP BY 1, 2),
-o AS (SELECT event_type, n,
-             row_number() OVER (PARTITION BY event_type
-                                ORDER BY x) AS i
-      FROM c),
-m AS (SELECT event_type, max(i) AS mi FROM o GROUP BY 1),
-r AS (
-  SELECT event_type, i, n::DOUBLE AS s FROM o WHERE i = 1
-  UNION ALL
-  SELECT o.event_type, o.i, (r.s + o.n) / 2.0 AS s
-  FROM r JOIN o ON o.event_type = r.event_type AND o.i = r.i + 1)
-SELECT r.event_type, r.i AS n_windows, r.s AS forecast
-FROM r JOIN m ON r.event_type = m.event_type AND r.i = m.mi
-ORDER BY r.event_type
-"""
-
-
-def q_events_holt(sf_dir: str):
-    """Per-type Holt (level+trend) daily-count forecast
-    (events.py::holt_forecast): two coupled recurrences replayed by a
-    recursive CTE with the identical IEEE op sequence — the
-    events_forecast stance extended to a VECTOR state."""
-    import ray.data as rd
-
-    from ..datapipe import holt_forecast
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "event_type"])
-    out = holt_forecast(ds, unit="day")
-    out = _typed(out, {"event_type": "str", "n_windows": "int64",
-                       "level": "float64", "trend": "float64",
-                       "forecast": "float64"})
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_EVENTS_HOLT = """
-WITH RECURSIVE c AS (
-  SELECT event_type,
-         epoch_us(date_trunc('day', ts)) // 86400000000 AS x,
-         count(*) AS n
-  FROM events GROUP BY 1, 2),
-o AS (SELECT event_type, n,
-             row_number() OVER (PARTITION BY event_type
-                                ORDER BY x) AS i
-      FROM c),
-m AS (SELECT event_type, max(i) AS mi FROM o GROUP BY 1),
-r AS (
-  SELECT event_type, i, n::DOUBLE AS l, 0.0::DOUBLE AS b
-  FROM o WHERE i = 1
-  UNION ALL
-  SELECT o.event_type, o.i,
-         (o.n + (r.l + r.b)) / 2.0 AS l,
-         (r.b + ((o.n + (r.l + r.b)) / 2.0 - r.l)) / 2.0 AS b
-  FROM r JOIN o ON o.event_type = r.event_type AND o.i = r.i + 1)
-SELECT r.event_type, r.i AS n_windows, r.l AS level, r.b AS trend,
-       r.l + r.b AS forecast
-FROM r JOIN m ON r.event_type = m.event_type AND r.i = m.mi
-ORDER BY r.event_type
-"""
-
-
-def q_events_cusum(sf_dir: str):
-    """Per-type CUSUM change-detection statistic
-    (events.py::cusum_alarm): the max(0, ·) fold replayed by a
-    recursive CTE with greatest() — bit-identical floats (verified the
-    Holt way); μ is one int/int division on both sides."""
-    import ray.data as rd
-
-    from ..datapipe import cusum_alarm
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "event_type"])
-    out = cusum_alarm(ds, unit="day")
-    out = _typed(out, {"event_type": "str", "n_windows": "int64",
-                       "mu": "float64", "cusum_final": "float64",
-                       "cusum_max": "float64"})
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_EVENTS_CUSUM = """
-WITH RECURSIVE c AS (
-  SELECT event_type,
-         epoch_us(date_trunc('day', ts)) // 86400000000 AS x,
-         count(*) AS n
-  FROM events GROUP BY 1, 2),
-o AS (SELECT event_type, n,
-             row_number() OVER (PARTITION BY event_type
-                                ORDER BY x) AS i
-      FROM c),
-m AS (SELECT event_type, max(i) AS mi, count(*) AS nw,
-             sum(n)::DOUBLE / count(*) AS mu
-      FROM o GROUP BY 1),
-r AS (
-  SELECT event_type, 0::BIGINT AS i, 0.0::DOUBLE AS s FROM m
-  UNION ALL
-  SELECT o.event_type, o.i,
-         greatest(0.0::DOUBLE,
-                  r.s + (o.n - m.mu - 0.5)) AS s
-  FROM r
-  JOIN o ON o.event_type = r.event_type AND o.i = r.i + 1
-  JOIN m ON m.event_type = r.event_type)
-SELECT m.event_type, m.nw AS n_windows, m.mu AS mu,
-       f.s AS cusum_final, x.smax AS cusum_max
-FROM m
-JOIN (SELECT event_type, s FROM r JOIN m USING (event_type)
-      WHERE r.i = m.mi) f USING (event_type)
-JOIN (SELECT event_type, max(s) AS smax FROM r WHERE i >= 1
-      GROUP BY 1) x USING (event_type)
-ORDER BY m.event_type
 """
 
 
@@ -3528,35 +3113,8 @@ WHERE rk <= {_TOPK_PER_SOURCE} ORDER BY source, rk
 
 
 # ---------------------------------------------------------------------------
-# event rate limits, trends and window top-k; snapshot diff, table profile
+# snapshot diff, table profile
 # ---------------------------------------------------------------------------
-
-
-def q_events_rate_limited(sf_dir: str):
-    """Per-(user, hour) rate limiting (events.py::window_rate_limit):
-    keep each user's first 2 events per hour in (ts, event_id) order —
-    threshold.c's limit semantics on the events table; survivors equal
-    the SQL row_number() frame exactly."""
-    import ray.data as rd
-
-    from ..datapipe import window_rate_limit
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts"])
-    out = window_rate_limit(ds, unit="hour", limit=2).to_pandas()
-    out = _typed(out[["event_id", "user_id"]],
-                 {"event_id": "int64", "user_id": "int64"})
-    return out.sort_values("event_id").reset_index(drop=True)
-
-
-SQL_EVENTS_RATE_LIMITED = """
-SELECT event_id, user_id
-FROM events
-QUALIFY row_number() OVER (
-    PARTITION BY user_id, date_trunc('hour', ts)
-    ORDER BY ts, event_id) <= 2
-ORDER BY event_id
-"""
 
 
 def q_snapshot_diff(sf_dir: str):
@@ -3658,105 +3216,6 @@ SELECT * FROM (
   SELECT 'text', count(*), count(*) - count(text),
          count(DISTINCT text), min(text), max(text) FROM documents
 ) ORDER BY "column"
-"""
-
-
-def q_events_trend(sf_dir: str):
-    """Per-type daily event-count OLS slope (events.py::type_trend):
-    every regression sum is an exact integer (x rebased per group), so
-    the single slope division is bit-equal to the SQL that spells out
-    the same sums."""
-    import ray.data as rd
-
-    from ..datapipe import type_trend
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "event_type"])
-    out = type_trend(ds, unit="day")
-    out = _typed(out, {"event_type": "str", "n_windows": "int64",
-                       "slope": "float64"})
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_EVENTS_TREND = """
-WITH c AS (
-  SELECT event_type,
-         epoch_us(date_trunc('day', ts)) // 86400000000 AS x,
-         count(*) AS n
-  FROM events GROUP BY 1, 2),
-r AS (SELECT event_type,
-             x - min(x) OVER (PARTITION BY event_type) AS x, n FROM c),
-s AS (SELECT event_type, count(*) AS nw, sum(x) AS sx, sum(n) AS sy,
-             sum(x * n) AS sxy, sum(x * x) AS sxx
-      FROM r GROUP BY event_type)
-SELECT event_type, nw AS n_windows,
-       CASE WHEN nw * sxx - sx * sx = 0 THEN 0.0
-            ELSE (nw * sxy - sx * sy)::DOUBLE
-                 / (nw * sxx - sx * sx)::DOUBLE END AS slope
-FROM s ORDER BY event_type
-"""
-
-
-def q_events_quantile_sketch(sf_dir: str):
-    """Per-type approximate quantiles of the CONTINUOUS value column on
-    a fixed 1/64 grid (stats.py::group_quantile_sketch) — the
-    bounded-exchange path where the exact (group, value) histogram
-    degenerates to row count; bucket/rank spec shared verbatim with
-    the SQL (exact-rational ranks, power-of-two grid division)."""
-    import ray.data as rd
-
-    from ..datapipe import group_quantile_sketch
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "value"])
-    out = group_quantile_sketch(ds, group_col="event_type", col="value",
-                                qs=[0.5, 0.9, 0.99], grid=64).to_pandas()
-    out = _typed(out, {"event_type": "str", "q": "float64",
-                       "value_est": "float64"})
-    return out.sort_values(["event_type", "q"]).reset_index(drop=True)
-
-
-SQL_EVENTS_QUANTILE_SKETCH = r"""
-WITH b AS (
-  SELECT event_type, floor(value * 64) AS bkt, count(*) AS cnt
-  FROM events GROUP BY 1, 2),
-c AS (
-  SELECT event_type, bkt, cnt,
-         sum(cnt) OVER (PARTITION BY event_type ORDER BY bkt) AS cum,
-         sum(cnt) OVER (PARTITION BY event_type) AS n
-  FROM b)
-SELECT event_type, q, min(bkt) / 64.0 AS value_est
-FROM c CROSS JOIN (VALUES (0.5), (0.9), (0.99)) qs(q)
-WHERE cum >= ceil(q * n)
-GROUP BY event_type, q ORDER BY event_type, q
-"""
-
-
-def q_events_window_topk(sf_dir: str):
-    """Per-hour top-3 noisiest users (events.py::window_topk): map-side
-    (window, user, n) partials, window-keyed exchange, deterministic
-    (n desc, user asc) ranks — the streaming top-talkers report."""
-    import ray.data as rd
-
-    from ..datapipe import window_topk
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "user_id"])
-    out = window_topk(ds, ts_col="ts", key_col="user_id", unit="hour",
-                      k=3).to_pandas()
-    out = _typed(out, {"window": "datetime64[us]", "user_id": "int64",
-                       "n": "int64", "rank": "int64"})
-    return out.sort_values(["window", "rank"]).reset_index(drop=True)
-
-
-SQL_EVENTS_WINDOW_TOPK = """
-WITH c AS (
-  SELECT date_trunc('hour', ts) AS "window", user_id, count(*) AS n
-  FROM events GROUP BY 1, 2)
-SELECT "window", user_id, n,
-       row_number() OVER (PARTITION BY "window"
-                          ORDER BY n DESC, user_id) AS rank
-FROM c QUALIFY rank <= 3 ORDER BY "window", rank
 """
 
 
@@ -3980,32 +3439,6 @@ SELECT sa, sb,
          + CASE WHEN pb > 0
                 THEN 0.5 * pb * ln(2 * pb / (pa + pb)) ELSE 0 END) AS jsd
 FROM m GROUP BY sa, sb ORDER BY sa, sb
-"""
-
-
-def q_events_running(sf_dir: str):
-    """Per-event running (cumulative) sum + rank within each user's
-    (ts, event_id)-ordered stream (events.py::running_totals): user
-    exchange, in-bucket grouped cumsum in the SQL frame order."""
-    import ray.data as rd
-
-    from ..datapipe import running_totals
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "user_id", "value"])
-    out = _typed(running_totals(ds).to_pandas(),
-                 {"event_id": "int64", "run_sum": "float64",
-                  "run_cnt": "int64"})
-    return out.sort_values("event_id").reset_index(drop=True)
-
-
-SQL_EVENTS_RUNNING = """
-SELECT event_id,
-       sum(value) OVER (PARTITION BY user_id ORDER BY ts, event_id
-                        ROWS UNBOUNDED PRECEDING) AS run_sum,
-       row_number() OVER (PARTITION BY user_id
-                          ORDER BY ts, event_id)::BIGINT AS run_cnt
-FROM events ORDER BY event_id
 """
 
 
@@ -4254,37 +3687,6 @@ ORDER BY w1, w2
 """
 
 
-def q_events_latency(sf_dir: str):
-    """Per-user view→purchase conversion latency
-    (events.py::step_latency — map-side prune to the two step types,
-    one user exchange, masked minimum.at passes). Timestamps stay
-    int64 µs end-to-end, so every column compares exactly."""
-    import ray.data as rd
-
-    from ..datapipe.events import step_latency
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "event_type"])
-    out = step_latency(ds, "view", "purchase").to_pandas()
-    out = _typed(out, {"user_id": "int64", "t_a": "int64",
-                       "t_b": "int64", "latency_us": "int64"})
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-SQL_EVENTS_LATENCY = """
-WITH a AS (
-  SELECT user_id, min(epoch_us(ts)) AS t_a
-  FROM events WHERE event_type = 'view' GROUP BY user_id),
-b AS (
-  SELECT e.user_id, min(epoch_us(e.ts)) AS t_b
-  FROM events e JOIN a USING (user_id)
-  WHERE e.event_type = 'purchase' AND epoch_us(e.ts) > a.t_a
-  GROUP BY e.user_id)
-SELECT a.user_id, a.t_a, b.t_b, b.t_b - a.t_a AS latency_us
-FROM a JOIN b USING (user_id) ORDER BY a.user_id
-"""
-
-
 def q_dedup_normalized(sf_dir: str):
     """Exact dedup on canonicalized text (NFC + lower + whitespace
     collapse; dedup.py::exact_dedup_normalized) — survivors' ids.
@@ -4458,31 +3860,6 @@ ORDER BY doc_id
 """
 
 
-def q_events_user_hll(sf_dir: str):
-    """Approximate distinct users per event_type — the grouped HLL
-    (sketch.py::hll_group_distinct): per-batch (key, 4 KB blob)
-    partials, keyed semilattice folds; golden-parquet oracle replays a
-    sequential per-row spec (golden.py::write_golden_group_hll)."""
-    import ray.data as rd
-
-    from ..datapipe.sketch import hll_group_distinct
-    from ..oracle.golden import write_golden_group_hll
-
-    write_golden_group_hll(sf_dir, key_col="event_type",
-                           val_col="user_id", p=12)
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "user_id"])
-    return hll_group_distinct(ds, key_col="event_type", val_col="user_id",
-                              p=12)
-
-
-SQL_EVENTS_USER_HLL = """
-SELECT event_type, m, n_est
-FROM read_parquet('/tmp/sagan_ray_golden/events_user_hll.parquet')
-ORDER BY event_type
-"""
-
-
 def q_search_bm25_index(sf_dir: str):
     """Index-backed BM25: build the term-partitioned postings parquet
     (datapipe/index.py::build_inverted_index) then answer the SAME
@@ -4568,89 +3945,6 @@ WITH s AS (
 SELECT prev AS from_type, event_type AS to_type, count(*)::BIGINT AS n
 FROM s WHERE prev IS NOT NULL
 GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
-def q_events_basket(sf_dir: str):
-    """Market-basket event-type co-occurrence: users whose streams
-    contain BOTH types, per unordered type pair
-    (datapipe/events.py::basket_pairs — map-side distinct prune, the
-    exchange carries ≤ users×|types| slim rows)."""
-    import ray.data as rd
-
-    from ..datapipe.events import basket_pairs
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "event_type"])
-    return basket_pairs(ds)
-
-
-SQL_EVENTS_BASKET = """
-WITH ut AS (SELECT DISTINCT user_id, event_type FROM events)
-SELECT a.event_type AS type_a, b.event_type AS type_b,
-       count(*)::BIGINT AS n_users
-FROM ut a JOIN ut b
-  ON a.user_id = b.user_id AND a.event_type < b.event_type
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
-def q_events_trigrams(sf_dir: str):
-    """Consecutive event-type 3-gram counts over per-user ordered
-    streams — the k-step sequence-mining generalization of the
-    transition matrix (datapipe/events.py::sequence_counts)."""
-    import ray.data as rd
-
-    from ..datapipe.events import sequence_counts
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts",
-                                  "event_type"])
-    return sequence_counts(ds, 3)
-
-
-SQL_EVENTS_TRIGRAMS = """
-WITH s AS (
-  SELECT event_type AS t1,
-         lead(event_type, 1) OVER w AS t2,
-         lead(event_type, 2) OVER w AS t3
-  FROM events
-  WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id))
-SELECT t1, t2, t3, count(*)::BIGINT AS n
-FROM s WHERE t3 IS NOT NULL
-GROUP BY 1, 2, 3 ORDER BY 1, 2, 3
-"""
-
-
-def q_events_paths(sf_dir: str):
-    """Top-20 user journey paths (events.py::user_paths): each user's
-    first 8 event types in (ts, id) order joined with '>', counted
-    across users through the user exchange then a path-keyed exchange
-    (per-bucket top-20 forwarding — path cardinality never
-    materializes). REAL SQL oracle: row_number + ordered string_agg +
-    the same (n desc, path asc) LIMIT."""
-    import ray.data as rd
-
-    from ..datapipe.events import user_paths
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts",
-                                  "event_type"])
-    out = user_paths(ds, max_steps=8, top=20)
-    return out.astype({"path": "object", "n_users": "int64"})
-
-
-SQL_EVENTS_PATHS = """
-WITH o AS (
-  SELECT user_id, event_type,
-         row_number() OVER (PARTITION BY user_id
-                            ORDER BY ts, event_id) AS rn
-  FROM events),
-p AS (
-  SELECT user_id, string_agg(event_type, '>' ORDER BY rn) AS path
-  FROM o WHERE rn <= 8 GROUP BY user_id)
-SELECT path, count(*)::BIGINT AS n_users
-FROM p GROUP BY path ORDER BY n_users DESC, path LIMIT 20
 """
 
 
@@ -4964,136 +4258,6 @@ def q_text_blocklist(sf_dir: str):
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-def q_events_dau(sf_dir: str):
-    """Daily/monthly active users + stickiness (datapipe/events.py::
-    active_users — two slim pre-collapsed (period, user) exchanges,
-    exact distinct everywhere, DAU/MAU one int/int division)."""
-    import ray.data as rd
-
-    from ..datapipe.events import active_users
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "user_id"])
-    out = active_users(ds)
-    return _typed(out, {"day": "datetime64[us]", "dau": "int64",
-                        "n_events": "int64", "mau": "int64",
-                        "stickiness": "float64"})
-
-
-SQL_EVENTS_DAU = """
-WITH du AS (
-  SELECT date_trunc('day', ts) AS day, user_id, count(*)::BIGINT AS n
-  FROM events GROUP BY 1, 2),
-dd AS (
-  SELECT day, count(*)::BIGINT AS dau, sum(n)::BIGINT AS n_events
-  FROM du GROUP BY day),
-mu AS (
-  SELECT date_trunc('month', ts) AS month,
-         count(DISTINCT user_id)::BIGINT AS mau
-  FROM events GROUP BY 1)
-SELECT dd.day, dd.dau, dd.n_events, mu.mau,
-       dd.dau * 1.0 / mu.mau AS stickiness
-FROM dd JOIN mu ON date_trunc('month', dd.day) = mu.month
-ORDER BY dd.day
-"""
-
-
-def q_events_attribution(sf_dir: str):
-    """Last-touch conversion attribution (datapipe/events.py::
-    last_touch_attribution — cutoff broadcast + per-batch argmax prune,
-    ≤1 slim row per (user, batch) through the user exchange)."""
-    import ray.data as rd
-
-    from ..datapipe.events import last_touch_attribution
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "user_id",
-                                  "event_type"])
-    out = last_touch_attribution(ds, convert_type="purchase")
-    return _typed(out, {"channel": "object", "n_conversions": "int64"})
-
-
-SQL_EVENTS_ATTRIBUTION = """
-WITH fp AS (
-  SELECT user_id, min(ts) AS cut
-  FROM events WHERE event_type = 'purchase' GROUP BY user_id),
-pre AS (
-  SELECT e.user_id, e.event_type,
-         row_number() OVER (PARTITION BY e.user_id
-                            ORDER BY e.ts DESC, e.event_id DESC) AS rn
-  FROM events e JOIN fp USING (user_id) WHERE e.ts < fp.cut),
-att AS (SELECT user_id, event_type FROM pre WHERE rn = 1),
-base AS (
-  SELECT fp.user_id, coalesce(att.event_type, 'direct') AS channel
-  FROM fp LEFT JOIN att USING (user_id))
-SELECT channel, count(*)::BIGINT AS n_conversions
-FROM base GROUP BY channel ORDER BY channel
-"""
-
-
-def q_events_ab_lift(sf_dir: str):
-    """Hash-split A/B conversion report (datapipe/events.py::
-    ab_conversion — distinct-pruned user exchange, each bucket emits
-    ≤2 count rows; the arm split reuses the sample_stratified Knuth
-    hash so the SQL replays it exactly)."""
-    import ray.data as rd
-
-    from ..datapipe.events import ab_conversion
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "event_type"])
-    out = ab_conversion(ds, convert_type="purchase")
-    return _typed(out, {"grp": "int64", "n_users": "int64",
-                        "n_converted": "int64", "conv_rate": "float64"})
-
-
-SQL_EVENTS_AB_LIFT = """
-WITH u AS (
-  SELECT user_id,
-         max(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) AS conv
-  FROM events GROUP BY user_id)
-SELECT ((user_id * 2654435761) % 4294967296) % 2 AS grp,
-       count(*)::BIGINT AS n_users,
-       sum(conv)::BIGINT AS n_converted,
-       sum(conv) * 1.0 / count(*) AS conv_rate
-FROM u GROUP BY grp ORDER BY grp
-"""
-
-
-def q_events_interarrival(sf_dir: str):
-    """Per-type inter-arrival gap stats (datapipe/events.py::
-    interarrival_stats — slim user exchange, per-bucket lexsort+diff,
-    exact int64 microsecond gaps)."""
-    import ray.data as rd
-
-    from ..datapipe.events import interarrival_stats
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "user_id",
-                                  "event_type"])
-    out = interarrival_stats(ds)
-    return _typed(out, {"event_type": "object", "n_gaps": "int64",
-                        "sum_gap_us": "int64", "max_gap_us": "int64",
-                        "mean_gap_us": "float64"})
-
-
-SQL_EVENTS_INTERARRIVAL = """
-WITH g AS (
-  SELECT event_type,
-         epoch_us(ts) - lag(epoch_us(ts))
-           OVER (PARTITION BY user_id, event_type
-                 ORDER BY ts, event_id) AS gap
-  FROM events),
-s AS (
-  SELECT event_type, count(*)::BIGINT AS n_gaps,
-         sum(gap)::BIGINT AS sum_gap_us, max(gap)::BIGINT AS max_gap_us
-  FROM g WHERE gap IS NOT NULL GROUP BY event_type)
-SELECT event_type, n_gaps, sum_gap_us, max_gap_us,
-       sum_gap_us * 1.0 / n_gaps AS mean_gap_us
-FROM s ORDER BY event_type
-"""
-
-
 def q_doc_pack_bfd(sf_dir: str):
     """Per-shard best-fit-decreasing bin packing
     (datapipe/pack.py::pack_bins_bfd — slim (id, count) shard exchange,
@@ -5117,26 +4281,6 @@ SQL_DOC_PACK_BFD = """
 SELECT doc_id, shard, bin, fill
 FROM read_parquet('/tmp/sagan_ray_golden/doc_pack_bfd.parquet')
 ORDER BY doc_id
-"""
-
-
-def q_events_hourly(sf_dir: str):
-    """Hour-of-day × type seasonality matrix (datapipe/events.py::
-    hourly_profile — map-only bincount partials, nothing shuffles)."""
-    import ray.data as rd
-
-    from ..datapipe.events import hourly_profile
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "event_type"])
-    out = hourly_profile(ds)
-    return _typed(out, {"event_type": "object", "hour": "int64",
-                        "n": "int64"})
-
-
-SQL_EVENTS_HOURLY = """
-SELECT event_type, hour(ts)::BIGINT AS hour, count(*)::BIGINT AS n
-FROM events GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
@@ -5229,40 +4373,6 @@ ORDER BY source, rnk
 """
 
 
-def q_events_attribution_first(sf_dir: str):
-    """First-touch attribution — same cutoff-broadcast + per-batch
-    prune shape as events_attribution, argmax flipped to argmin
-    (datapipe/events.py::last_touch_attribution(touch='first'))."""
-    import ray.data as rd
-
-    from ..datapipe.events import last_touch_attribution
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "user_id",
-                                  "event_type"])
-    out = last_touch_attribution(ds, convert_type="purchase",
-                                 touch="first")
-    return _typed(out, {"channel": "object", "n_conversions": "int64"})
-
-
-SQL_EVENTS_ATTRIBUTION_FIRST = """
-WITH fp AS (
-  SELECT user_id, min(ts) AS cut
-  FROM events WHERE event_type = 'purchase' GROUP BY user_id),
-pre AS (
-  SELECT e.user_id, e.event_type,
-         row_number() OVER (PARTITION BY e.user_id
-                            ORDER BY e.ts ASC, e.event_id ASC) AS rn
-  FROM events e JOIN fp USING (user_id) WHERE e.ts < fp.cut),
-att AS (SELECT user_id, event_type FROM pre WHERE rn = 1),
-base AS (
-  SELECT fp.user_id, coalesce(att.event_type, 'direct') AS channel
-  FROM fp LEFT JOIN att USING (user_id))
-SELECT channel, count(*)::BIGINT AS n_conversions
-FROM base GROUP BY channel ORDER BY channel
-"""
-
-
 def q_text_nll_filter(sf_dir: str):
     """Perplexity-filter ACTION: drop the worst n//10 docs by
     (round(nll,6), doc_id) (textstats.py::nll_quality_filter —
@@ -5298,176 +4408,6 @@ r AS (
   FROM nll)
 SELECT doc_id, n_words, nll FROM r
 WHERE rn <= n - n // 10 ORDER BY doc_id
-"""
-
-
-def q_events_rate_outliers(sf_dir: str):
-    """Per-type daily-rate Tukey anomaly flags (datapipe/events.py::
-    daily_rate_outliers — map-side day partials, driver-side fences on
-    the days×types table)."""
-    import ray.data as rd
-
-    from ..datapipe.events import daily_rate_outliers
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "event_type"])
-    out = daily_rate_outliers(ds)
-    return _typed(out, {"event_type": "object",
-                        "day": "datetime64[us]", "n": "int64",
-                        "lo": "float64", "hi": "float64",
-                        "is_outlier": "bool"})
-
-
-SQL_EVENTS_RATE_OUTLIERS = """
-WITH d AS (
-  SELECT event_type, date_trunc('day', ts) AS day,
-         count(*)::BIGINT AS n
-  FROM events GROUP BY 1, 2),
-ranked AS (
-  SELECT event_type, n,
-         row_number() OVER (PARTITION BY event_type ORDER BY n) AS rn,
-         count(*) OVER (PARTITION BY event_type) AS m
-  FROM d),
-q AS (
-  SELECT event_type,
-         min(n) FILTER (rn >= ceil(0.25 * m)) AS q1,
-         min(n) FILTER (rn >= ceil(0.75 * m)) AS q3
-  FROM ranked GROUP BY event_type)
-SELECT d.event_type, d.day, d.n,
-       q.q1 - 1.5 * (q.q3 - q.q1) AS lo,
-       q.q3 + 1.5 * (q.q3 - q.q1) AS hi,
-       (d.n < q.q1 - 1.5 * (q.q3 - q.q1)
-        OR d.n > q.q3 + 1.5 * (q.q3 - q.q1)) AS is_outlier
-FROM d JOIN q USING (event_type)
-ORDER BY d.event_type, d.day
-"""
-
-
-def q_events_sessions(sf_dir: str):
-    """Per-user session duration stats (datapipe/events.py::
-    session_stats — user exchange, reduceat ladders; durations exact
-    int64 microseconds)."""
-    import ray.data as rd
-
-    from ..datapipe.events import session_stats
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "user_id"])
-    out = session_stats(ds)
-    return _typed(out, {"user_id": "int64", "n_sessions": "int64",
-                        "total_dur_us": "int64", "max_dur_us": "int64",
-                        "avg_events": "float64"})
-
-
-SQL_EVENTS_SESSIONS = """
-WITH e AS (
-  SELECT user_id, event_id, ts, epoch_us(ts) AS tu,
-         CASE WHEN lag(ts) OVER w IS NULL
-                   OR ts - lag(ts) OVER w > INTERVAL 1800 SECOND
-              THEN 1 ELSE 0 END AS new_s
-  FROM events WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)),
-s AS (
-  SELECT user_id, tu,
-         sum(new_s) OVER (PARTITION BY user_id
-                          ORDER BY ts, event_id) AS sid
-  FROM e),
-g AS (
-  SELECT user_id, sid, count(*) AS n_ev, max(tu) - min(tu) AS dur_us
-  FROM s GROUP BY user_id, sid)
-SELECT user_id, count(*)::BIGINT AS n_sessions,
-       sum(dur_us)::BIGINT AS total_dur_us,
-       max(dur_us)::BIGINT AS max_dur_us,
-       sum(n_ev)::DOUBLE / count(*) AS avg_events
-FROM g GROUP BY user_id ORDER BY user_id
-"""
-
-
-def q_events_churn(sf_dir: str):
-    """Month-over-month retention (datapipe/events.py::monthly_churn —
-    distinct (user, month) pairs via user exchange, calendar-month
-    adjacency, months-sized driver fold)."""
-    import ray.data as rd
-
-    from ..datapipe.events import monthly_churn
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "user_id"])
-    out = monthly_churn(ds)
-    return _typed(out, {"month": "datetime64[us]", "n_active": "int64",
-                        "n_retained": "int64", "retained_rate": "float64"})
-
-
-SQL_EVENTS_CHURN = """
-WITH um AS (
-  SELECT DISTINCT user_id, date_trunc('month', ts) AS m FROM events)
-SELECT a.m AS month, count(*)::BIGINT AS n_active,
-       count(b.user_id)::BIGINT AS n_retained,
-       count(b.user_id)::DOUBLE / count(*) AS retained_rate
-FROM um a LEFT JOIN um b ON b.user_id = a.user_id
-                        AND b.m = a.m + INTERVAL 1 MONTH
-GROUP BY a.m ORDER BY a.m
-"""
-
-
-def q_events_markov_nll(sf_dir: str):
-    """Per-user transition-model surprisal (datapipe/events.py::
-    markov_nll — pair counts fold to a |types|²-sized table, then a
-    user exchange scores with the broadcast lookup)."""
-    import ray.data as rd
-
-    from ..datapipe.events import markov_nll
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "user_id",
-                                  "event_type"])
-    out = markov_nll(ds)
-    return _typed(out, {"user_id": "int64", "n_trans": "int64",
-                        "nll": "float64"})
-
-
-SQL_EVENTS_MARKOV_NLL = """
-WITH t AS (
-  SELECT user_id, event_type AS b,
-         lag(event_type) OVER (PARTITION BY user_id
-                               ORDER BY ts, event_id) AS a
-  FROM events),
-p AS (SELECT a, b, count(*) AS n FROM t WHERE a IS NOT NULL GROUP BY a, b),
-l AS (SELECT a, sum(n) AS tot FROM p GROUP BY a)
-SELECT t.user_id, count(*)::BIGINT AS n_trans,
-       avg(ln(l.tot::DOUBLE / p.n)) AS nll
-FROM t JOIN p ON p.a = t.a AND p.b = t.b
-       JOIN l ON l.a = t.a
-WHERE t.a IS NOT NULL
-GROUP BY t.user_id ORDER BY t.user_id
-"""
-
-
-def q_events_gini(sf_dir: str):
-    """Per-type Gini concentration of event value (datapipe/stats.py::
-    group_gini — (group, value) histogram exchange, rank-block fold on
-    the driver; rows never shuffle)."""
-    import ray.data as rd
-
-    from ..datapipe.stats import group_gini
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "value"])
-    out = group_gini(ds, group_col="event_type", col="value")
-    out = _typed(out, {"event_type": "object", "n": "int64",
-                       "gini": "float64"})
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_EVENTS_GINI = """
-WITH r AS (
-  SELECT event_type, value,
-         row_number() OVER (PARTITION BY event_type ORDER BY value) AS rn,
-         count(*) OVER (PARTITION BY event_type) AS n
-  FROM events)
-SELECT event_type, max(n)::BIGINT AS n,
-       2 * sum(rn * value) / (max(n) * sum(value))
-         - (max(n) + 1.0) / max(n) AS gini
-FROM r GROUP BY event_type ORDER BY event_type
 """
 
 
@@ -5661,200 +4601,6 @@ ORDER BY source, stage_idx
 """
 
 
-def q_events_rollup(sf_dir: str):
-    """Grouping-sets rollup (datapipe/events.py::rollup_report):
-    (type × day) / (type) / (total) from ONE scan — per-batch Arrow
-    group-by partials, coarser levels folded exactly from the finest
-    (integer counts + order-free min/max; no float sums)."""
-    import ray.data as rd
-
-    from ..datapipe.events import rollup_report
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts", "value"])
-    out = rollup_report(ds)
-    return _typed(out, {"level": "int64", "event_type": "object",
-                        "day": "object", "n": "int64",
-                        "vmin": "float64", "vmax": "float64"})
-
-
-SQL_EVENTS_ROLLUP = """
-SELECT (2 - grouping(event_type) - grouping(d))::BIGINT AS level,
-       coalesce(event_type, '(all)') AS event_type,
-       coalesce(strftime(d, '%Y-%m-%d'), '(all)') AS day,
-       count(*)::BIGINT AS n, min(value) AS vmin, max(value) AS vmax
-FROM (SELECT event_type, date_trunc('day', ts) AS d, value FROM events)
-GROUP BY ROLLUP (event_type, d)
-ORDER BY level, event_type, day
-"""
-
-
-_PIVOT_TYPES = ["click", "error", "purchase", "signup", "view"]
-
-
-def q_events_pivot(sf_dir: str):
-    """Per-user wide count matrix over the fixed event-type vocabulary
-    (datapipe/events.py::pivot_counts) — long→wide through the user
-    exchange; each batch ships at most one small-int partial row per
-    user present."""
-    import ray.data as rd
-
-    from ..datapipe.events import pivot_counts
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "event_type"])
-    out = pivot_counts(ds, _PIVOT_TYPES).to_pandas()
-    out = _typed(out, {"user_id": "int64",
-                       **{f"n_{t}": "int64" for t in _PIVOT_TYPES},
-                       "n_total": "int64"})
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-SQL_EVENTS_PIVOT = """
-SELECT user_id,
-       """ + ",\n       ".join(
-    f"sum(CASE WHEN event_type = '{t}' THEN 1 ELSE 0 END)::BIGINT AS n_{t}"
-    for t in _PIVOT_TYPES) + """,
-       count(*)::BIGINT AS n_total
-FROM events GROUP BY user_id ORDER BY user_id
-"""
-
-
-def q_events_rfm(sf_dir: str):
-    """Per-user RFM feature table (datapipe/events.py::user_rfm) —
-    recency in epoch days vs the corpus's last event, event count, and
-    the exact 64ths-grid monetary sum; map-side per-user partials fold
-    through the user exchange, the global last day is a scalar fold of
-    the per-user output."""
-    import ray.data as rd
-
-    from ..datapipe.events import user_rfm
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "value"])
-    out = user_rfm(ds)
-    return _typed(out, {"user_id": "int64", "recency_days": "int64",
-                        "frequency": "int64", "monetary_q": "int64"})
-
-
-SQL_EVENTS_RFM = """
-WITH u AS (
-  SELECT user_id,
-         epoch_us(max(ts)) // 86400000000 AS last_day,
-         count(*)::BIGINT AS frequency,
-         sum(CAST(floor(value * 64) AS BIGINT)) AS monetary_q
-  FROM events GROUP BY user_id)
-SELECT user_id,
-       ((SELECT max(last_day) FROM u) - last_day)::BIGINT AS recency_days,
-       frequency, monetary_q
-FROM u ORDER BY user_id
-"""
-
-
-def q_events_lifecycle(sf_dir: str):
-    """Growth-accounting lifecycle matrix (datapipe/events.py::
-    user_lifecycle — distinct (user, month) pairs via the user
-    exchange, per-user adjacency classification, months-sized fold)."""
-    import ray.data as rd
-
-    from ..datapipe.events import user_lifecycle
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "user_id"])
-    out = user_lifecycle(ds)
-    return _typed(out, {"month": "datetime64[us]", "n_new": "int64",
-                        "n_retained": "int64", "n_resurrected": "int64",
-                        "n_churned": "int64"})
-
-
-SQL_EVENTS_LIFECYCLE = """
-WITH um AS (
-  SELECT DISTINCT user_id, date_trunc('month', ts) AS mo FROM events),
-s AS (
-  SELECT user_id, mo,
-         lag(mo)  OVER (PARTITION BY user_id ORDER BY mo) AS prev,
-         lead(mo) OVER (PARTITION BY user_id ORDER BY mo) AS nxt
-  FROM um),
-act AS (
-  SELECT mo,
-         sum(CASE WHEN prev IS NULL THEN 1 ELSE 0 END) AS n_new,
-         sum(CASE WHEN prev = mo - INTERVAL 1 MONTH
-                  THEN 1 ELSE 0 END) AS n_retained,
-         sum(CASE WHEN prev IS NOT NULL AND prev < mo - INTERVAL 1 MONTH
-                  THEN 1 ELSE 0 END) AS n_resurrected
-  FROM s GROUP BY mo),
-ch AS (
-  SELECT mo + INTERVAL 1 MONTH AS mo, count(*) AS n_churned
-  FROM s WHERE nxt IS NULL OR nxt > mo + INTERVAL 1 MONTH
-  GROUP BY 1)
-SELECT coalesce(act.mo, ch.mo) AS month,
-       coalesce(n_new, 0)::BIGINT AS n_new,
-       coalesce(n_retained, 0)::BIGINT AS n_retained,
-       coalesce(n_resurrected, 0)::BIGINT AS n_resurrected,
-       coalesce(n_churned, 0)::BIGINT AS n_churned
-FROM act FULL JOIN ch ON act.mo = ch.mo
-ORDER BY month
-"""
-
-
-def q_events_window_join(sf_dir: str):
-    """Stream-stream windowed join (datapipe/events.py::
-    windowed_count_join — per-view count of same-user purchases within
-    7 days; merge + cumsum inside the user exchange, no pair blowup)."""
-    import ray.data as rd
-
-    from ..datapipe.events import windowed_count_join
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "ts", "user_id",
-                                  "event_type"])
-    out = windowed_count_join(ds, "view", "purchase",
-                              window_s=7 * 86400).to_pandas()
-    out = out.sort_values("event_id").reset_index(drop=True)
-    return _typed(out, {"event_id": "int64", "user_id": "int64",
-                        "t_a": "datetime64[us]", "n_follow": "int64"})
-
-
-SQL_EVENTS_WINDOW_JOIN = """
-SELECT a.event_id, a.user_id, a.ts AS t_a,
-       count(b.event_id)::BIGINT AS n_follow
-FROM events a
-LEFT JOIN events b ON b.user_id = a.user_id
-                  AND b.event_type = 'purchase'
-                  AND b.ts > a.ts
-                  AND b.ts <= a.ts + INTERVAL 7 DAY
-WHERE a.event_type = 'view'
-GROUP BY 1, 2, 3 ORDER BY a.event_id
-"""
-
-
-def q_events_cohorts(sf_dir: str):
-    """Cohort-retention triangle (datapipe/events.py::cohort_matrix —
-    distinct (user, month) pairs via the user exchange, per-user first
-    month + month-offset bincounts, cohorts×offsets driver fold)."""
-    import ray.data as rd
-
-    from ..datapipe.events import cohort_matrix
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["ts", "user_id"])
-    out = cohort_matrix(ds)
-    return _typed(out, {"cohort": "datetime64[us]", "k": "int64",
-                        "n_users": "int64"})
-
-
-SQL_EVENTS_COHORTS = """
-WITH um AS (
-  SELECT DISTINCT user_id, date_trunc('month', ts) AS mo FROM events),
-c AS (
-  SELECT user_id, mo, min(mo) OVER (PARTITION BY user_id) AS m0
-  FROM um)
-SELECT m0 AS cohort, date_diff('month', m0, mo)::BIGINT AS k,
-       count(*)::BIGINT AS n_users
-FROM c GROUP BY 1, 2 ORDER BY cohort, k
-"""
-
-
 def q_corpus_dup_growth(sf_dir: str):
     """Dedup ROI curve (datapipe/dedup.py::dup_growth — exact_dedup
     exchange reduced to cumulative first-occurrence counts per id
@@ -5922,83 +4668,6 @@ SELECT count(*)::BIGINT AS n_top,
        (sum(y) * sum(x*x) - sum(x) * sum(x*y))
          / (count(*) * sum(x*x) - sum(x) * sum(x)) AS intercept
 FROM f
-"""
-
-
-def q_events_spike(sf_dir: str):
-    """Per-type daily volume spikes (events.py::daily_spike_days):
-    z-score screen on observed-day counts where the z > 2 test is
-    rearranged into pure integer arithmetic — (c·n − S)² vs
-    z²·(n·SS − S²) — so the flag is exact on both sides (no float
-    mean/σ ever compared). Map-side (type, day) bincount partials; the
-    driver folds a table that is days × types by definition."""
-    import ray.data as rd
-
-    from ..datapipe.events import daily_spike_days
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "ts"])
-    out = daily_spike_days(ds, z=2)
-    out = _typed(out, {"event_type": "str", "day": "datetime64[us]",
-                       "n": "int64", "is_spike": "bool"})
-    return (out.sort_values(["event_type", "day"])
-            .reset_index(drop=True))
-
-
-SQL_EVENTS_SPIKE = """
-WITH d AS (
-  SELECT event_type, date_trunc('day', ts) AS day, count(*)::BIGINT AS n
-  FROM events GROUP BY 1, 2),
-s AS (
-  SELECT event_type, count(*)::BIGINT AS m, sum(n)::BIGINT AS sm,
-         sum(n * n)::BIGINT AS ss
-  FROM d GROUP BY 1)
-SELECT d.event_type, d.day, d.n,
-       ((d.n * s.m - s.sm) > 0 AND
-        (d.n * s.m - s.sm) * (d.n * s.m - s.sm)
-          > 4 * (s.m * s.ss - s.sm * s.sm)) AS is_spike
-FROM d JOIN s USING (event_type)
-ORDER BY event_type, day
-"""
-
-
-def q_events_latency_quantiles(sf_dir: str):
-    """Conversion-latency distribution: exact nearest-rank p50/p90/p99
-    of the view→purchase latency (step_latency composed with the
-    value-histogram percentile operator — only (value, count) rows
-    shuffle; ranks are exact rationals so ceil(0.9·n) can't flake
-    across an integer boundary)."""
-    import ray.data as rd
-
-    from ..datapipe import percentiles
-    from ..datapipe.events import step_latency
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "event_type"])
-    lat = step_latency(ds, "view", "purchase").select_columns(
-        ["latency_us"])
-    out = percentiles(lat, "latency_us", [0.5, 0.9, 0.99])
-    out = out.rename(columns={"value": "latency_us"})
-    out = _typed(out, {"q": "float64", "latency_us": "int64"})
-    return out.sort_values("q").reset_index(drop=True)
-
-
-SQL_EVENTS_LATENCY_QUANTILES = """
-WITH a AS (
-  SELECT user_id, min(epoch_us(ts)) AS t_a
-  FROM events WHERE event_type = 'view' GROUP BY user_id),
-b AS (
-  SELECT e.user_id, min(epoch_us(e.ts)) AS t_b
-  FROM events e JOIN a USING (user_id)
-  WHERE e.event_type = 'purchase' AND epoch_us(e.ts) > a.t_a
-  GROUP BY e.user_id),
-v AS (SELECT b.t_b - a.t_a AS x FROM a JOIN b USING (user_id)),
-ranked AS (SELECT x, row_number() OVER (ORDER BY x) AS rn,
-                  count(*) OVER () AS n FROM v)
-SELECT q, min(x)::BIGINT AS latency_us
-FROM ranked CROSS JOIN (VALUES (0.5), (0.9), (0.99)) qs(q)
-WHERE rn >= ceil(q * n)
-GROUP BY q ORDER BY q
 """
 
 
@@ -6246,9 +4915,10 @@ FROM sc QUALIFY rank <= 2 ORDER BY doc_id, rank
 # ROTATION BLOCK — the entries that were always green locally but
 # never landed inside the driver's window in r3/r4 (cheapest tier first,
 # measured sf0.01 costs from the tools/check_queries.py profile) — then
-# cheap long-stable keepers to fill the window; everything already
-# driver-green in r3+r4 that had to give up its slot moves behind the
-# window. A time-budget cut therefore drops already-proven entries first.
+# cheap long-stable keepers, and the cheapest never-verified transcript
+# entry in the window's last slot; everything already driver-green in
+# r3+r4 that had to give up its slot moves behind the window. A
+# time-budget cut therefore drops already-proven entries first.
 
 QUERIES = {
     # engine family (repo identity; the first query also pays Ray warmup;
@@ -6309,9 +4979,8 @@ QUERIES = {
     "dedup_simhash": q_dedup_simhash,
     "pii_redact": q_pii_redact,
     "search_bm25": q_search_bm25,
-    # long-stable entries (driver-green in both r3 and r4), cheap first
-    "events_rolling": q_events_rolling,
-    "events_window_distinct": q_events_window_distinct,
+    # the cheapest never-driver-verified transcript entry (~0.1-0.2 s)
+    "transcript_pairs": q_transcript_pairs,
     # ================= driver window (first 50) ends here =============
     "sample_stratified": q_sample_stratified,
     "docs_shuffle": q_docs_shuffle,
@@ -6319,17 +4988,12 @@ QUERIES = {
     "text_fingerprint": q_text_fingerprint,
     "dedup_incremental": q_dedup_incremental,
     "events_asof": q_events_asof,
-    "events_hopping": q_events_hopping,
-    "events_topk": q_events_topk,
     "group_topk": q_group_topk,
     "distinctive_terms": q_distinctive_terms,
     "text_quantiles": q_text_quantiles,
     "doc_pack": q_doc_pack,
     "dedup_ngram": q_dedup_ngram,
-    "events_sessionize": q_events_sessionize,
     "dedup_minhash": q_dedup_minhash,
-    "events_range_count": q_events_range_count,
-    "events_tumbling": q_events_tumbling,
     "curation_pipeline": q_curation_pipeline,
     "cross_doc_dup": q_cross_doc_dup,
     "text_langid": q_text_langid,
@@ -6342,7 +5006,6 @@ QUERIES = {
     "events_retention": q_events_retention,
     "events_transitions": q_events_transitions,
     "sample_bottomk": q_sample_bottomk,
-    "events_user_hll": q_events_user_hll,
     "text_compress_ratio": q_text_compress_ratio,
     "search_bm25_index": q_search_bm25_index,
     "corpus_heavy_hitters": q_corpus_heavy_hitters,
@@ -6356,7 +5019,6 @@ QUERIES = {
     "events_outliers": q_events_outliers,
     "dedup_cdc_incremental": q_dedup_cdc_incremental,
     "events_props_agg": q_events_props_agg,
-    "events_latency": q_events_latency,
     "split_leakage_safe": q_split_leakage_safe,
     "dedup_cross_join": q_dedup_cross_join,
     "dedup_cdc_filter": q_dedup_cdc_filter,
@@ -6364,62 +5026,34 @@ QUERIES = {
     "text_nll_bigram": q_text_nll_bigram,
     "source_divergence": q_source_divergence,
     "search_similar": q_search_similar,
-    "events_running": q_events_running,
-    "events_quantile_sketch": q_events_quantile_sketch,
-    "events_window_topk": q_events_window_topk,
-    "events_rate_limited": q_events_rate_limited,
     "dedup_fuzzy_incremental": q_dedup_fuzzy_incremental,
-    "events_trend": q_events_trend,
     "snapshot_diff": q_snapshot_diff,
     "table_profile": q_table_profile,
     "events_debounce": q_events_debounce,
     "dedup_keep_best": q_dedup_keep_best,
     "corpus_compact": q_corpus_compact,
     "table_validate": q_table_validate,
-    "transcript_pairs": q_transcript_pairs,
     "sample_token_budget": q_sample_token_budget,
     "length_batches": q_length_batches,
     "sample_token_budget_grouped": q_sample_token_budget_grouped,
-    "events_trigrams": q_events_trigrams,
     "text_readability": q_text_readability,
     "text_ttr": q_text_ttr,
-    "events_basket": q_events_basket,
     "corpus_edit_pairs": q_corpus_edit_pairs,
     "text_blocklist": q_text_blocklist,
-    "events_dau": q_events_dau,
-    "events_attribution": q_events_attribution,
-    "events_ab_lift": q_events_ab_lift,
-    "events_interarrival": q_events_interarrival,
     "doc_pack_bfd": q_doc_pack_bfd,
-    "events_hourly": q_events_hourly,
     "dedup_source_report": q_dedup_source_report,
     "source_terms": q_source_terms,
-    "events_attribution_first": q_events_attribution_first,
     "text_nll_filter": q_text_nll_filter,
-    "events_rate_outliers": q_events_rate_outliers,
     "doc_keywords": q_doc_keywords,
-    "events_sessions": q_events_sessions,
-    "events_churn": q_events_churn,
-    "events_markov_nll": q_events_markov_nll,
-    "events_gini": q_events_gini,
     "transcript_boilerplate": q_transcript_boilerplate,
     "text_filter_report": q_text_filter_report,
-    "events_rollup": q_events_rollup,
-    "events_pivot": q_events_pivot,
-    "events_rfm": q_events_rfm,
-    "events_lifecycle": q_events_lifecycle,
-    "events_window_join": q_events_window_join,
-    "events_cohorts": q_events_cohorts,
     "corpus_dup_growth": q_corpus_dup_growth,
     "corpus_zipf": q_corpus_zipf,
-    "events_spike": q_events_spike,
-    "events_latency_quantiles": q_events_latency_quantiles,
     "dedup_minhash_index": q_dedup_minhash_index,
     "transcript_context": q_transcript_context,
     "tokenizer_fertility": q_tokenizer_fertility,
     "doc_summary": q_doc_summary,
     "corpus_file_stats": q_corpus_file_stats,
-    "events_paths": q_events_paths,
     "snapshot_manifest": q_snapshot_manifest,
     "sample_balanced": q_sample_balanced,
     "dedup_simhash_index": q_dedup_simhash_index,
@@ -6428,12 +5062,9 @@ QUERIES = {
     "doc_pack_spans": q_doc_pack_spans,
     "text_rouge2": q_text_rouge2,
     "text_rouge_l": q_text_rouge_l,
-    "events_forecast": q_events_forecast,
     "compact_bm25_index": q_compact_bm25_index,
     "text_bleu_corpus": q_text_bleu_corpus,
     "text_wer": q_text_wer,
-    "events_holt": q_events_holt,
-    "events_cusum": q_events_cusum,
     "text_chrf_corpus": q_text_chrf_corpus,
     "text_wer_corpus": q_text_wer_corpus,
 }
@@ -6459,14 +5090,7 @@ ORACLES = {
     "client_stats": SQL_CLIENT_STATS,
     "track_clients": SQL_TRACK_CLIENTS,
     "rule_tracking": SQL_RULE_TRACKING,
-    "events_sessionize": SQL_SESSIONIZE,
-    "events_topk": SQL_EVENTS_TOPK,
-    "events_tumbling": SQL_TUMBLING,
-    "events_hopping": SQL_EVENTS_HOPPING,
-    "events_window_distinct": SQL_EVENTS_WINDOW_DISTINCT,
-    "events_rolling": SQL_EVENTS_ROLLING,
     "events_asof": SQL_EVENTS_ASOF,
-    "events_range_count": SQL_EVENTS_RANGE_COUNT,
     "dedup_exact": SQL_DEDUP_EXACT,
     "dedup_incremental": SQL_DEDUP_INCREMENTAL,
     "docs_shuffle": SQL_SHUFFLE_GOLDEN,
@@ -6513,7 +5137,6 @@ ORACLES = {
     "events_retention": SQL_EVENTS_RETENTION,
     "events_transitions": SQL_EVENTS_TRANSITIONS,
     "sample_bottomk": SQL_SAMPLE_BOTTOMK,
-    "events_user_hll": SQL_EVENTS_USER_HLL,
     "text_compress_ratio": SQL_TEXT_COMPRESS,
     "search_bm25_index": SQL_SEARCH_BM25,
     "corpus_heavy_hitters": SQL_CORPUS_HEAVY_HITTERS,
@@ -6529,7 +5152,6 @@ ORACLES = {
     "events_outliers": SQL_EVENTS_OUTLIERS,
     "dedup_cdc_incremental": SQL_DEDUP_CDC_INCREMENTAL,
     "events_props_agg": SQL_EVENTS_PROPS_AGG,
-    "events_latency": SQL_EVENTS_LATENCY,
     "split_leakage_safe": SQL_SPLIT_LEAKAGE_SAFE,
     "dedup_cross_join": SQL_DEDUP_CROSS_JOIN,
     "dedup_cdc_filter": SQL_DEDUP_CDC_FILTER,
@@ -6537,12 +5159,7 @@ ORACLES = {
     "text_nll_bigram": SQL_TEXT_NLL_BIGRAM,
     "source_divergence": SQL_SOURCE_DIVERGENCE,
     "search_similar": SQL_SEARCH_SIMILAR,
-    "events_running": SQL_EVENTS_RUNNING,
-    "events_quantile_sketch": SQL_EVENTS_QUANTILE_SKETCH,
-    "events_window_topk": SQL_EVENTS_WINDOW_TOPK,
-    "events_rate_limited": SQL_EVENTS_RATE_LIMITED,
     "dedup_fuzzy_incremental": SQL_DEDUP_FUZZY_INCREMENTAL,
-    "events_trend": SQL_EVENTS_TREND,
     "snapshot_diff": SQL_SNAPSHOT_DIFF,
     "table_profile": SQL_TABLE_PROFILE,
     "events_debounce": SQL_EVENTS_DEBOUNCE,
@@ -6553,47 +5170,25 @@ ORACLES = {
     "sample_token_budget": SQL_SAMPLE_TOKEN_BUDGET,
     "length_batches": SQL_LENGTH_BATCHES,
     "sample_token_budget_grouped": SQL_SAMPLE_TOKEN_BUDGET_GROUPED,
-    "events_trigrams": SQL_EVENTS_TRIGRAMS,
     "text_readability": SQL_TEXT_READABILITY,
     "text_ttr": SQL_TEXT_TTR,
-    "events_basket": SQL_EVENTS_BASKET,
     "corpus_edit_pairs": SQL_CORPUS_EDIT_PAIRS,
     "text_blocklist": SQL_TEXT_BLOCKLIST,
-    "events_dau": SQL_EVENTS_DAU,
-    "events_attribution": SQL_EVENTS_ATTRIBUTION,
-    "events_ab_lift": SQL_EVENTS_AB_LIFT,
-    "events_interarrival": SQL_EVENTS_INTERARRIVAL,
     "doc_pack_bfd": SQL_DOC_PACK_BFD,
-    "events_hourly": SQL_EVENTS_HOURLY,
     "dedup_source_report": SQL_DEDUP_SOURCE_REPORT,
     "source_terms": SQL_SOURCE_TERMS,
-    "events_attribution_first": SQL_EVENTS_ATTRIBUTION_FIRST,
     "text_nll_filter": SQL_TEXT_NLL_FILTER,
-    "events_rate_outliers": SQL_EVENTS_RATE_OUTLIERS,
     "doc_keywords": SQL_DOC_KEYWORDS,
-    "events_sessions": SQL_EVENTS_SESSIONS,
-    "events_churn": SQL_EVENTS_CHURN,
-    "events_markov_nll": SQL_EVENTS_MARKOV_NLL,
     "table_upsert": SQL_TABLE_UPSERT,
-    "events_gini": SQL_EVENTS_GINI,
     "transcript_boilerplate": SQL_TRANSCRIPT_BOILERPLATE,
     "text_filter_report": SQL_TEXT_FILTER_REPORT,
-    "events_rollup": SQL_EVENTS_ROLLUP,
-    "events_pivot": SQL_EVENTS_PIVOT,
-    "events_rfm": SQL_EVENTS_RFM,
-    "events_lifecycle": SQL_EVENTS_LIFECYCLE,
-    "events_window_join": SQL_EVENTS_WINDOW_JOIN,
-    "events_cohorts": SQL_EVENTS_COHORTS,
     "corpus_dup_growth": SQL_CORPUS_DUP_GROWTH,
     "corpus_zipf": SQL_CORPUS_ZIPF,
-    "events_spike": SQL_EVENTS_SPIKE,
-    "events_latency_quantiles": SQL_EVENTS_LATENCY_QUANTILES,
     "dedup_minhash_index": SQL_DEDUP_MINHASH_INDEX,
     "transcript_context": SQL_TRANSCRIPT_CONTEXT,
     "tokenizer_fertility": SQL_TOKENIZER_FERTILITY,
     "doc_summary": SQL_DOC_SUMMARY,
     "corpus_file_stats": SQL_CORPUS_FILE_STATS,
-    "events_paths": SQL_EVENTS_PATHS,
     "pii_pseudonymize": SQL_PII_PSEUDONYMIZE,
     "snapshot_manifest": SQL_SNAPSHOT_MANIFEST,
     "sample_balanced": SQL_SAMPLE_BALANCED,
@@ -6607,12 +5202,9 @@ ORACLES = {
     "text_rouge_l": SQL_TEXT_ROUGE_L,
     "text_bleu": SQL_TEXT_BLEU,
     "text_chrf": SQL_TEXT_CHRF,
-    "events_forecast": SQL_EVENTS_FORECAST,
     "compact_bm25_index": SQL_SEARCH_BM25,
     "text_bleu_corpus": SQL_TEXT_BLEU_CORPUS,
     "text_wer": SQL_TEXT_WER,
-    "events_holt": SQL_EVENTS_HOLT,
-    "events_cusum": SQL_EVENTS_CUSUM,
     "text_chrf_corpus": SQL_TEXT_CHRF_CORPUS,
     "text_wer_corpus": SQL_TEXT_WER_CORPUS,
 }

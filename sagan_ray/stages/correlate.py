@@ -7,7 +7,7 @@ src/flexbit-mmap.c (condition 66-843, count 851-918, set 925-1639),
 src/after.c:51-229, src/threshold.c:54-234, applied in engine order
 engine.c:1370-1453. The reference shares this state across all threads via
 mmap; here state is scoped per ``conv_id`` (SURVEY.md §4.3 — the track
-fields ≙ conv_id) and rows are replayed in ``(conv_id, turn_idx,
+fields ≙ conv_id) and rows are replayed in ``(conv_id, turn_idx, row,
 rule_idx)`` order inside one reduce task per bucket of the repo's one
 hash exchange (datapipe/exchange.py; the engine's ``_corr_bucket``
 reduce), which makes the verdicts exact and deterministic instead of
@@ -31,7 +31,7 @@ windows are gap-delimited runs, ``threshold limit`` and ``after`` windows
 advance every group's anchor per round with ``searchsorted``. A group
 falls back to the loop when its ``ts`` decreases in replay order (or
 precedes its resumed ``utime``), when an earlier ``pass`` match of one of
-its turns could set ``skip_turn`` over it (a stateful pass rule, or a
+its turns could set ``skip_row`` over it (a stateful pass rule, or a
 stateless one in a turn duplicated across rows), or when it needs more
 than ``_MAX_ROUNDS`` windows. Final window states are written back in
 the loop's dict insertion order (resumed keys first, then first
@@ -229,9 +229,9 @@ def make_list_correlator(ruleset: RuleSet):
 
     def replay(matches, states):
         """The state machine — the spec every column verdict is checked
-        against — over (pos, conv, turn, stateful, ts, rule_idx, emit,
+        against — over (pos, conv, row, stateful, ts, rule_idx, emit,
         src_ip, dst_ip, src_port, dst_port, username) match tuples sorted
-        by (conv, turn, rule); ``states`` holds every conv's state.
+        by (conv, turn, row, rule); ``states`` holds every conv's state.
         Returns (positions that route, their emit verdicts, and the
         positions that inserted a new after / threshold key, in order,
         which ``store`` merges the column keys with)."""
@@ -241,12 +241,11 @@ def make_list_correlator(ruleset: RuleSet):
         new_thresh: list[int] = []
         res = _Counters()
         cur_conv = None
-        skip_turn = -1  # pass short-circuit: skip remaining matches of turn
-        for k, c, t, sf, now, ri, e, s_ip, d_ip, sp, dp, u in matches:
+        skip_row = -1  # pass short-circuit: skip remaining matches of row
+        for k, c, r, sf, now, ri, e, s_ip, d_ip, sp, dp, u in matches:
             if c != cur_conv:
                 cur_conv = c
                 st = states[c]
-                skip_turn = -1
             if not sf:
                 # stateless verdict is already final (classify stage);
                 # pass-through — such rows never touch state, and any row
@@ -255,7 +254,7 @@ def make_list_correlator(ruleset: RuleSet):
                 keep.append(k)
                 keep_emit.append(bool(e))
                 continue
-            if t == skip_turn:
+            if r == skip_row:
                 continue
             (rule, xcond, conds, counts, has_after, has_thresh, setunset,
              flex_writes, is_pass, alerts) = plans[ri]
@@ -302,7 +301,7 @@ def make_list_correlator(ruleset: RuleSet):
 
             if is_pass:
                 keep_emit.append(False)
-                skip_turn = t
+                skip_row = r
                 continue
             keep_emit.append(alerts)
         return keep, keep_emit, new_after, new_thresh
@@ -444,8 +443,9 @@ def make_list_correlator(ruleset: RuleSet):
             "rule_idx", "sid", "emit", "src_ip", "dst_ip", "src_port",
             "dst_port", "username")}
 
-        # (conv, turn, rule) order over the exploded matches; stable, so
-        # ties keep the classify emit order. Classify emits each row's
+        # (conv, turn, row, rule) order over the exploded matches: a turn
+        # duplicated across rows replays row by row, as the oracle
+        # evaluates each row as its own record. Classify emits each row's
         # matches in rule order, so unless two rows share a (conv, turn)
         # the row order, exploded, is that order
         by_ct = [("c", "ascending"), ("t", "ascending")]
@@ -470,8 +470,10 @@ def make_list_correlator(ruleset: RuleSet):
             order = pc.sort_indices(pa.table({
                 "c": cols["conv_id"].take(take_parent),
                 "t": cols["turn_idx"].take(take_parent),
+                "p": take_parent,
                 "r": flat["rule_idx"]}),
-                sort_keys=by_ct + [("r", "ascending")]).to_numpy()
+                sort_keys=by_ct + [("p", "ascending"),
+                                   ("r", "ascending")]).to_numpy()
         row = parent[order]
 
         # every conv of the bucket, in replay order (resumed or new state)
@@ -494,8 +496,9 @@ def make_list_correlator(ruleset: RuleSet):
         if len(cand) and not any(x.null_count for x in (
                 cols["ts_epoch"], cols["turn_idx"],
                 *(flat[f] for f in _KEY_FIELDS))):
-            # an earlier pass match of the same turn may set ``skip_turn``
-            # over a candidate
+            # an earlier pass match of the same row may set ``skip_row``
+            # over a candidate; checked per turn, which covers every row
+            # of a duplicated turn
             skipped = None
             passed = is_pass[ri] & sf
             if passed.any():
@@ -522,7 +525,7 @@ def make_list_correlator(ruleset: RuleSet):
             return flat[name].to_numpy(zero_copy_only=False)[rfi].tolist()
 
         keep, keep_emit, new_after, new_thresh = replay(zip(
-            rest.tolist(), per_row("conv_id"), per_row("turn_idx"),
+            rest.tolist(), per_row("conv_id"), rrow.tolist(),
             per_row("stateful"), per_row("ts_epoch"), per_match("rule_idx"),
             per_match("emit"), per_match("src_ip"), per_match("dst_ip"),
             per_match("src_port"), per_match("dst_port"),

@@ -181,6 +181,31 @@ def test_stateful_pass_shadows_conditionally():
     assert hits_of(oracle) == [("a", 0, 40), ("a", 1, 41), ("b", 0, 42)]
 
 
+PASS_QUIET = """
+pass any any any -> any any (msg:"quiet stateful"; content:"quiet"; xbits: isnotset,q,track ip_src; sid:51;)
+pass any any any -> any any (msg:"quiet"; content:"quiet"; sid:50;)
+alert any any any -> any any (msg:"ev"; content:"EV"; after: track by_src, count 1, seconds 300; sid:52;)
+"""
+
+
+def test_pass_in_one_row_spares_a_duplicated_turns_other_row():
+    """Two rows sharing (conv, turn 1): the pass match of the "quiet" row
+    ends that row only; the other row's ``after`` match still counts,
+    as the oracle evaluates each row as its own record. Both rule orders
+    (stateful pass first, stateless pass first) are checked."""
+    tbl = mk([
+        ("a", 0, "EV", 0),
+        ("a", 1, "quiet", 10),
+        ("a", 1, "EV", 10),
+        ("a", 2, "EV", 20),
+    ])
+    stateful_first = PASS_QUIET.strip().splitlines()
+    stateless_first = [stateful_first[1], stateful_first[0], stateful_first[2]]
+    for rules, passed in ((stateful_first, 51), (stateless_first, 50)):
+        oracle, _ = run_both("\n".join(rules), tbl)
+        assert oracle.hit_counts() == {passed: 1, 52: 3}
+
+
 def test_disk_order_irrelevant():
     """The same logical rows in scrambled on-disk order must yield
     identical verdicts (the stable-(conv_id, turn_idx) ordering contract)."""

@@ -1,4 +1,4 @@
-"""Tests for the training-data ops: dedup family, text stats, events
+"""Tests for the training-data ops: dedup family, text stats, curation
 — verified against brute-force / DuckDB ground truth
 on the sf0.001 driver tables."""
 
@@ -128,38 +128,6 @@ def test_ngram_jaccard_exact(docs, docs_tbl):
     assert set(got_pairs) == set(truth)
     for k in truth:
         assert abs(got_pairs[k] - truth[k]) < 1e-9
-
-
-def test_group_quantile_sketch_error_bound_and_rational_rank():
-    """The grid sketch must land within 1/grid of the exact quantile,
-    and the rank must be the EXACT rational ceil(q·n): 10 values with
-    q=0.9 selects rank 9 (float 0.9·10 rounds to 9.000000000000002 and
-    would ceil to 10 — the DuckDB-DECIMAL mismatch the Fraction spec
-    exists to prevent)."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from sagan_ray.datapipe import group_quantile_sketch
-
-    vals = [0.1 * i + 0.05 for i in range(1, 11)]      # 0.15 .. 1.05
-    ds = rd.from_arrow(pa.table({"g": pa.array(["a"] * 10),
-                                 "value": pa.array(vals, pa.float64())}))
-    out = group_quantile_sketch(ds, group_col="g", col="value",
-                                qs=[0.9], grid=64).to_pandas()
-    # rank ceil(0.9·10)=9 → value 0.95 → bucket floor(0.95·64)=60 → 0.9375
-    assert len(out) == 1
-    assert abs(out["value_est"].iloc[0] - 0.9375) < 1e-12
-
-    # error bound vs exact over a bigger random column
-    rng = np.random.RandomState(3)
-    v = rng.uniform(0, 50, 5000)
-    ds2 = rd.from_arrow(pa.table({"g": pa.array(["x"] * 5000),
-                                  "value": pa.array(v, pa.float64())}))
-    out2 = group_quantile_sketch(ds2, group_col="g", col="value",
-                                 qs=[0.5, 0.99], grid=64).to_pandas()
-    for _, r in out2.iterrows():
-        exact = np.sort(v)[max(1, int(np.ceil(r["q"] * 5000))) - 1]
-        assert abs(r["value_est"] - exact) <= 1.0 / 64 + 1e-12
 
 
 def test_ngram_stop_shingle_cap(docs_tbl):
@@ -368,44 +336,6 @@ def test_asof_join_ties_and_unmatched():
     assert all(pd.isna(x) for x in (got[2], got[3], got[4]))
 
 
-def test_range_join_multi_band_and_zero():
-    """band_width=10 forces interval replication across bands; counts
-    must not double-count, empty intervals keep a zero row, and the
-    pairs variant matches a brute-force O(N*M) reference."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe import range_join_count, range_join_pairs
-
-    rng = np.random.RandomState(7)
-    pv = rng.randint(0, 200, size=300).astype(np.int64)
-    points = rd.from_arrow(pa.table({
-        "v": pa.array(pv), "pid": pa.array(np.arange(300), pa.int64()),
-    })).repartition(4)
-    lo = rng.randint(-20, 200, size=40).astype(np.int64)
-    length = rng.randint(0, 60, size=40).astype(np.int64)  # some empty
-    hi = lo + length
-    intervals = rd.from_arrow(pa.table({
-        "lo": pa.array(lo), "hi": pa.array(hi),
-        "iid": pa.array(np.arange(40), pa.int64())})).repartition(3)
-
-    want_pairs = {(i, p) for i in range(40) for p in range(300)
-                  if lo[i] <= pv[p] < hi[i]}
-    got_pairs = range_join_pairs(
-        points, intervals, point_col="v", point_id="pid", lo_col="lo",
-        hi_col="hi", interval_id="iid", band_width=10).to_pandas()
-    assert set(zip(got_pairs["iid"], got_pairs["pid"])) == want_pairs
-    assert len(got_pairs) == len(want_pairs)      # no dup rows at all
-
-    got_counts = (range_join_count(
-        points, intervals, point_col="v", point_id="pid", lo_col="lo",
-        hi_col="hi", interval_id="iid", band_width=10).to_pandas()
-        .sort_values("iid").reset_index(drop=True))
-    assert len(got_counts) == 40                  # zero windows present
-    want_counts = [sum(1 for (i, _) in want_pairs if i == j)
-                   for j in range(40)]
-    assert got_counts["n_points"].tolist() == want_counts
-
-
 def test_percentiles_nearest_rank():
     import ray.data as rd
 
@@ -595,31 +525,6 @@ def test_asof_join_forward_direction():
     # lid0 (t4): first t>=4 is t=5, tie -> SMALLEST rid (3)
     # lid1 (t5): exact match, tie -> 3 ; lid2 (t10): none -> null
     assert got[0] == 3 and got[1] == 3 and pd.isna(got[2])
-
-
-def test_rolling_window_count_peers_and_bounds():
-    """Duplicate timestamps count as one peer group (SQL RANGE rule),
-    the window lower bound is inclusive, and keys never bleed into each
-    other."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe import rolling_window_count
-
-    #   key 1: ts 0, 100, 100, 150, 201   (window 100)
-    #   key 2: ts 100                      (must not see key 1)
-    t = pa.table({
-        "k": pa.array([1, 1, 1, 1, 1, 2], pa.int64()),
-        "ts": pa.array([0, 100, 100, 150, 201, 100],
-                       pa.timestamp("us")),
-        "rid": pa.array([0, 1, 2, 3, 4, 5], pa.int64())})
-    got = (rolling_window_count(rd.from_arrow(t).repartition(3),
-                                key_col="k", ts_col="ts", window_us=100,
-                                id_col="rid").to_pandas()
-           .sort_values("rid").reset_index(drop=True))
-    # rid0: just itself. rid1/rid2: ts in [0,100] -> 0,100,100 = 3 each
-    # (peer group counts for both). rid3: [50,150] -> 100,100,150 = 3.
-    # rid4: [101,201] -> 150,201 = 2. rid5 (key 2): 1.
-    assert got["n_window"].tolist() == [1, 3, 3, 3, 2, 1]
 
 
 def test_bm25_topk_matches_brute_force(docs, docs_tbl):
@@ -1781,39 +1686,6 @@ def test_table_upsert_semantics_and_guards():
         table_upsert(rd.from_arrow(old), rd.from_arrow(dup)).to_pandas()
 
 
-def test_group_gini_known_values_and_tie_invariance():
-    """Perfect equality gives 0; a single earner among n gives
-    (n-1)/n; duplicated values (rank ties) match the sequential
-    sorted-rank formula regardless of block layout."""
-    import ray.data as rd
-    from sagan_ray.datapipe.stats import group_gini
-
-    vals_a = [5.0] * 4                      # equality -> 0
-    vals_b = [0.0, 0.0, 0.0, 12.0]          # one earner -> 3/4
-    vals_c = [1.0, 1.0, 2.0, 2.0, 4.0]      # ties
-    tbl = pa.table({
-        "g": pa.array(["a"] * 4 + ["b"] * 4 + ["c"] * 5),
-        "v": pa.array(vals_a + vals_b + vals_c, pa.float64()),
-    })
-    out = group_gini(rd.from_arrow(tbl), group_col="g", col="v")
-    got = {r.g: (r.n, r.gini) for r in out.itertuples(index=False)}
-
-    def seq(vals):
-        x = np.sort(np.array(vals, np.float64))
-        n = len(x)
-        i = np.arange(1, n + 1, dtype=np.float64)
-        return 2 * np.sum(i * x) / (n * x.sum()) - (n + 1) / n
-
-    assert got["a"] == (4, 0.0)
-    assert abs(got["b"][1] - 0.75) < 1e-12
-    assert abs(got["c"][1] - seq(vals_c)) < 1e-12
-    # layout invariance: many small blocks, same numbers
-    out2 = group_gini(rd.from_arrow(tbl).repartition(7),
-                      group_col="g", col="v")
-    got2 = {r.g: (r.n, r.gini) for r in out2.itertuples(index=False)}
-    assert got == got2
-
-
 def test_dup_growth_hand_check():
     """Duplicates only count after their first occurrence's id; edge
     histogram is cumulative; ids_ds path agrees with the default."""
@@ -1905,14 +1777,12 @@ def test_doc_summary_hand_case_and_ties():
     assert abs(d0["score"].iloc[0] - want) < 1e-12
 
 
-def test_pii_pseudonymize_consistency_and_rewrite():
-    """Same value -> same token across docs and batches; rewrite
-    substitutes exactly the mapping's tokens; tokens never re-match a
-    later pattern."""
+def test_pii_pseudonymize_consistency():
+    """Same value -> same token across docs and batches; tokens never
+    re-match a pattern."""
     import ray.data as rd
 
-    from sagan_ray.datapipe.curate import (pii_pseudonymize,
-                                           rewrite_pseudonyms)
+    from sagan_ray.datapipe.curate import pii_pseudonymize
 
     tbl = pa.table({
         "doc_id": pa.array([1, 2, 3], pa.int64()),
@@ -1927,16 +1797,10 @@ def test_pii_pseudonymize_consistency_and_rewrite():
     assert len(ab) == 3 and ab["pseudonym"].nunique() == 1
     assert all(p.startswith(k + "_") and len(p) == len(k) + 9
                for k, p in zip(m["kind"], m["pseudonym"]))
-    r = (rewrite_pseudonyms(rd.from_arrow(tbl)).to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    assert r.loc[0, "text_pseudo"] == (
-        f"mail {tok['a@b.com']} then {tok['10.0.0.1:80']} and "
-        f"{tok['a@b.com']} again")
-    assert r.loc[2, "text_pseudo"] == "clean"
-    # a second pseudonymize pass over the rewritten text finds nothing
+    # a pseudonymize pass over text made of tokens finds nothing
     clean = pii_pseudonymize(
         rd.from_arrow(pa.table({"doc_id": pa.array([1], pa.int64()),
-                                "text": [r.loc[0, "text_pseudo"]]}))
+                                "text": [" ".join(tok.values())]}))
     ).to_pandas()
     assert len(clean) == 0
 
@@ -2425,30 +2289,6 @@ def test_bleu_matches_golden_kernel_multibatch():
         assert out[f"tot{j + 1}"].to_numpy().tolist() == \
             tot[:, j].tolist()
     assert out["bleu"].to_numpy().tolist() == want.tolist()
-
-
-def test_ses_forecast_fold():
-    """SES α=1/2 fold vs a hand replay, multi-block input; a
-    single-window group forecasts its own count."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.events import ses_forecast
-
-    day = 86_400_000_000
-    rows = []
-    # type 'a': counts 4, 2, 8 on days 0,1,2 -> s = ((4+2)/2+8)/2 = 5.5
-    for d, n in [(0, 4), (1, 2), (2, 8)]:
-        rows += [("a", d * day)] * n
-    # type 'b': one day with 3 events -> forecast 3.0
-    rows += [("b", 5 * day)] * 3
-    tbl = pa.table({
-        "event_type": pa.array([r[0] for r in rows]),
-        "ts": pa.array(np.array([r[1] for r in rows], np.int64),
-                       pa.timestamp("us"))})
-    out = (ses_forecast(rd.from_arrow(tbl).repartition(3))
-           .sort_values("event_type").reset_index(drop=True))
-    assert out["n_windows"].tolist() == [3, 1]
-    assert out["forecast"].tolist() == [5.5, 3.0]
 
 
 def test_chrf_hand_values():

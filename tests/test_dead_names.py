@@ -2,7 +2,8 @@
 ``sagan_ray/`` defines is used somewhere — in its own module, another
 module, ``tools/``, ``bench.py``, ``perfbench/`` or ``tests/`` (a test
 that uses a reference helper keeps it alive). No unused function-local
-imports either, outside the benchmark's own ``perfbench/`` tree."""
+imports either, outside the benchmark's own ``perfbench/`` tree. And no
+``datapipe._EXPORTS`` name that only tests call."""
 
 import ast
 import os
@@ -118,3 +119,30 @@ def unused_local_imports():
 
 def test_no_unused_local_imports():
     assert unused_local_imports() == []
+
+
+CALLER_SOURCES = ["sagan_ray", "tools", "bench.py", "__ray_entry__.py"]
+
+
+def uncalled_exports():
+    """``module::name`` for each ``datapipe._EXPORTS`` name that no code
+    outside ``tests/`` reads. A read inside the name's own definition
+    (recursion) does not count."""
+    from sagan_ray.datapipe import _EXPORTS
+    exports = {name: os.path.join("sagan_ray", "datapipe", f"{mod}.py")
+               for mod, names in _EXPORTS.items() for name in names.split()}
+    read = set()
+    for rel in CALLER_SOURCES:
+        for path in _py_files(rel):
+            with open(path, encoding="utf-8") as f:
+                tree = ast.parse(f.read(), path)
+            mod = os.path.relpath(path, REPO)
+            for node in tree.body:
+                own = [n for n in _defined(node) if exports.get(n) == mod]
+                read |= _used(node) - set(own)
+    return sorted(f"{exports[name]}::{name}" for name in exports
+                  if name not in read)
+
+
+def test_every_export_has_a_caller():
+    assert uncalled_exports() == []

@@ -4,6 +4,7 @@ after/threshold/xbit/flexbit entries from a run_engine state_dir.
 Driven against a REAL engine-written state dir, plus direct checks of
 the active/inactive filter and the type selector."""
 
+import os
 import subprocess
 import sys
 
@@ -15,6 +16,7 @@ from sagan_ray.synth import build_lookups
 from .test_correlation import mk
 from .test_incremental_state import ROWS, RULES
 
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = "tools/peek_state.py"
 
 
@@ -34,7 +36,7 @@ def test_peek_state_cli_and_filters(tmp_path, ray_session):
     # CLI smoke: -a shows every kind section incl. the (by watermark
     # 830 already-expired) brute xbit
     out = subprocess.run(
-        [sys.executable, TOOL, state_dir, "-a"], cwd="/root/repo",
+        [sys.executable, TOOL, state_dir, "-a"], cwd=REPO,
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     for kind in ("after", "threshold", "xbit", "flexbit"):
@@ -44,7 +46,7 @@ def test_peek_state_cli_and_filters(tmp_path, ray_session):
 
     # type filter: only the requested section appears
     out = subprocess.run(
-        [sys.executable, TOOL, state_dir, "-t", "after"], cwd="/root/repo",
+        [sys.executable, TOOL, state_dir, "-t", "after"], cwd=REPO,
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 0
     assert "*** after" in out.stdout and "*** xbit" not in out.stdout
@@ -71,7 +73,7 @@ def test_peek_state_cli_and_filters(tmp_path, ray_session):
 
 def test_peek_state_rejects_non_state_dir(tmp_path):
     out = subprocess.run(
-        [sys.executable, TOOL, str(tmp_path)], cwd="/root/repo",
+        [sys.executable, TOOL, str(tmp_path)], cwd=REPO,
         capture_output=True, text=True, timeout=120)
     assert out.returncode == 2
     assert "Abort" in out.stderr

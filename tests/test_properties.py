@@ -149,43 +149,6 @@ def test_json_wire_fast_path_never_diverges(objs):
     assert got.equals(want)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.lists(st.integers(-50, 50), max_size=40),            # point values
-    st.lists(st.tuples(st.integers(-60, 60), st.integers(0, 30)),
-             max_size=15),                                   # (lo, len)
-    st.integers(1, 13),                                      # band width
-)
-def test_range_bucket_kernel_matches_brute(pv, ivls, bw):
-    """_bucket_ranges with every band colocated in ONE bucket (the
-    worst case for the per-replica clipping) must reproduce the brute
-    O(N*M) pair set exactly — no double counts across a multi-band
-    interval's replicas, no misses at band edges."""
-    import numpy as np
-    import pandas as pd
-
-    from sagan_ray.datapipe.joins import _SIDE_L, _SIDE_R, _bucket_ranges
-
-    pv = np.array(pv, dtype=np.int64)
-    rows = []
-    for p, v in enumerate(pv):
-        rows.append((int(v) // bw, _SIDE_L, int(v), 0, p))
-    for i, (lo, ln) in enumerate(ivls):
-        hi = lo + ln
-        if hi <= lo:
-            continue
-        for b in range(lo // bw, (hi - 1) // bw + 1):
-            rows.append((b, _SIDE_R, lo, hi, i))
-    df = pd.DataFrame(rows, columns=["band", "side", "v", "hi", "rid"])
-    _, pid, iid, s, e = _bucket_ranges(df, bw)
-    got = []
-    for j in range(len(iid)):
-        got.extend((int(iid[j]), int(p)) for p in pid[s[j]:e[j]])
-    want = [(i, p) for i, (lo, ln) in enumerate(ivls) if ln > 0
-            for p, v in enumerate(pv) if lo <= v < lo + ln]
-    assert sorted(got) == sorted(want)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.dictionaries(
     st.text(alphabet="abcx", min_size=1, max_size=6),

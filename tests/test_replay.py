@@ -282,8 +282,9 @@ alert any any any -> any any (msg:"after"; content:"after-ev"; after: track by_s
 def test_pass_match_in_a_duplicated_turn_takes_the_loop(monkeypatch):
     """Two rows share a (conv, turn): one keeps only a stateless pass
     match (its row also hit a stateful pass rule, so it replays), the
-    other an eligible window's match. The replay skips the window's match
-    for that turn, and the column path must leave that group to it."""
+    other an eligible window's match. The pass ends its own row only, so
+    the window's match in the other row still alerts; the column path
+    leaves that group to the loop."""
     rules = parse_rules("""
 pass any any any -> any any (msg:"quiet"; content:"quiet"; sid:51;)
 alert any any any -> any any (msg:"after"; content:"after-ev"; after: track by_src, count 0, seconds 60; sid:52;)
@@ -296,6 +297,6 @@ pass any any any -> any any (msg:"quiet unless"; content:"quiet"; xbits: isnotse
     seen = _spy_columns(monkeypatch)
     got = _routed(make_list_correlator(rules)(shipped))
     assert sum(seen) == 2                # only "b" is decided as a column
-    assert ("a", 1, 52, True) not in got
+    assert ("a", 1, 52, True) in got
     monkeypatch.setattr(correlate_mod, "_col_kind", lambda *_: -1)
     assert got == _routed(make_list_correlator(rules)(shipped))
