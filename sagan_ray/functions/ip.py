@@ -8,6 +8,12 @@ per message instead of the reference's char-strip + tokenize loop.
 
 Port attachment styles recognized (ip.c:37-60 shapes): ``1.2.3.4:22``,
 ``1.2.3.4#22``, ``[fe80::1]:80``, ``1.2.3.4 port 1234``.
+
+``extract_ips`` is the per-message spec. ``ip_columns`` is its column
+form over an Arrow batch: Arrow kernels plus numpy, for the *regular*
+rows on which it provably gives the same list, and nothing for the rest
+(whose callers keep ``extract_ips``). ``CidrTable.find_v4`` is the
+matching array lookup, on v4 values.
 """
 
 from __future__ import annotations
@@ -15,10 +21,16 @@ from __future__ import annotations
 import bisect
 import ipaddress
 import re
+from typing import NamedTuple
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 MAX_PARSE_IP = 30  # reference src/sagan-defs.h MAX_PARSE_IP
 
 _V4MAPPED_BASE = int(ipaddress.IPv6Address("::ffff:0:0"))
+_V4_TOP = (1 << 32) - 1
 
 # candidate tokens; validity is checked with the ipaddress module
 _IP_CAND = re.compile(
@@ -100,6 +112,89 @@ def extract_ips(text: str, max_ips: int = MAX_PARSE_IP) -> list[tuple[str, int]]
     return out
 
 
+# A row is irregular when ``_IP_CAND`` could see more in it than bare v4
+# addresses with an optional ``:port``: a ``[`` (bracketed v6), a ``#`` or
+# ``port`` (the other port styles), or ``:`` hex{0,4} ``:`` (every bare v6
+# candidate holds one). Rows with a non-ASCII character are irregular too,
+# since ``\d`` and ``\w`` are Unicode in ``re`` and ASCII in RE2.
+_IRREGULAR = r"[\[#]|port|:[0-9A-Fa-f]{0,4}:"
+# On a regular row every candidate is a v4 whose lookbehind puts it at the
+# start of a maximal run of [\w.:] and whose lookahead lets that run end
+# there or go on with ':', so it is such a run (a token of this split)
+# that begins with a dotted quad followed by its end or by ':'. The
+# digits after the ':' are its port, as ``_PORT_AFTER`` reads them.
+_TOKEN_SPLIT = r"[^\w.:]+"
+_V4_TOKEN = (r"^(?P<ip>(?P<a>\d{1,3})\.(?P<b>\d{1,3})\.(?P<c>\d{1,3})\.(?P<d>\d{1,3}))"
+             r"(?::(?P<port>\d{0,5})|$)")
+
+
+class IpColumns(NamedTuple):
+    """``extract_ips`` of every regular row of a column, as arrays."""
+
+    regular: np.ndarray  # bool[n]; the other fields are empty on other rows
+    count: np.ndarray    # int64[n]: len(extract_ips(text))
+    ips: np.ndarray      # object[n, width]: the first width IPs, "" past count
+    ports: np.ndarray    # int32[n, width]: their ports (0 = none)
+    v4: np.ndarray       # int64[n, width]: their int values, -1 past count
+
+
+def ip_columns(text: pa.Array, width: int = MAX_PARSE_IP) -> IpColumns:
+    """The column form of ``extract_ips`` over ``text``: one Arrow split and
+    one regex extract over the regular rows' tokens, with the octet checks
+    (≤255, no leading zero) and the port>65535→0 rule in numpy. The first
+    ``width`` (at most ``MAX_PARSE_IP``) IPs of each row are kept."""
+    n = len(text)
+    width = min(width, MAX_PARSE_IP)
+    ips = np.full((n, width), "", dtype=object)
+    ports = np.zeros((n, width), dtype=np.int32)
+    v4 = np.full((n, width), -1, dtype=np.int64)
+    count = np.zeros(n, dtype=np.int64)
+    if n == 0:
+        return IpColumns(np.zeros(0, dtype=bool), count, ips, ports, v4)
+    irregular = pc.or_kleene(pc.invert(pc.string_is_ascii(text)),
+                             pc.match_substring_regex(text, _IRREGULAR))
+    regular = ~_bool(pc.fill_null(irregular, True))
+    # only rows holding a dotted quad are split, only quad tokens extracted
+    rows = np.flatnonzero(regular & _bool(pc.fill_null(
+        pc.match_substring_regex(text, r"\d\.\d{1,3}\.\d{1,3}\.\d"), False)))
+    toks = pc.split_pattern_regex(text.take(pa.array(rows, pa.int64())),
+                                  _TOKEN_SPLIT)
+    parent = np.repeat(rows, pc.list_value_length(toks).to_numpy())
+    toks = pc.list_flatten(toks)
+    hit = _bool(pc.match_substring_regex(toks, _V4_TOKEN))
+    m = pc.extract_regex(toks.filter(pa.array(hit)), _V4_TOKEN)
+    parent = parent[hit]
+    ok = np.ones(len(m), dtype=bool)
+    val = np.zeros(len(m), dtype=np.int64)
+    for name in "abcd":
+        octet = pc.struct_field(m, name)
+        x = pc.cast(octet, pa.int64()).to_numpy()
+        ok &= (x <= 255) & ~(_bool(pc.starts_with(octet, "0"))
+                             & (pc.utf8_length(octet).to_numpy() > 1))
+        val = (val << 8) | x
+    port_s = pc.struct_field(m, "port")
+    port = pc.cast(pc.if_else(pc.equal(port_s, ""), "0", port_s),
+                   pa.int64()).to_numpy()
+    port = np.where(port > 65535, 0, port)
+    parent = parent[ok]
+    # rank of each valid IP within its row (parents are non-decreasing)
+    rank = np.arange(len(parent)) - np.searchsorted(parent, parent)
+    keep = rank < MAX_PARSE_IP
+    count += np.bincount(parent[keep], minlength=n)
+    keep &= rank < width
+    at = (parent[keep], rank[keep])
+    sel = np.flatnonzero(ok)[keep]
+    ips[at] = pc.struct_field(m, "ip").take(pa.array(sel, pa.int64())).to_numpy(
+        zero_copy_only=False)
+    ports[at] = port[sel]
+    v4[at] = val[sel]
+    return IpColumns(regular, count, ips, ports, v4)
+
+
+def _bool(arr) -> np.ndarray:
+    return arr.to_numpy(zero_copy_only=False).astype(bool, copy=False)
+
+
 class CidrTable:
     """Sorted disjoint CIDR ranges → value, with bisect lookup.
 
@@ -124,6 +219,12 @@ class CidrTable:
         self._los = [r[0] for r in rows]
         self._his = [r[1] for r in rows]
         self._vals = [r[2] for r in rows]
+        # the bounds in v4 coordinates, so one searchsorted over a batch's
+        # v4 values finds what bisect does per address (the trailing -1
+        # is the bound find_v4 reads for a miss)
+        self._v4_los = np.array([_v4_bound(b) for b in self._los], dtype=np.int64)
+        self._v4_his = np.array([_v4_bound(b) for b in self._his] + [-1],
+                                dtype=np.int64)
 
     def lookup(self, ip: str) -> str | None:
         try:
@@ -135,11 +236,30 @@ class CidrTable:
             return self._vals[i]
         return None
 
+    def find_v4(self, v4: np.ndarray) -> np.ndarray:
+        """Per v4 int value (as ``ip_columns`` gives it; < 0 = no address),
+        the index into ``values`` of what ``lookup`` returns for that
+        address, or -1 where it returns None."""
+        i = np.searchsorted(self._v4_los, v4, side="right") - 1
+        i = np.where((v4 >= 0) & (i >= 0), i, -1)
+        return np.where(v4 <= self._v4_his[i], i, -1)
+
+    @property
+    def values(self) -> list:
+        return self._vals
+
     def __contains__(self, ip: str) -> bool:
         return self.lookup(ip) is not None
 
     def __len__(self) -> int:
         return len(self._los)
+
+
+def _v4_bound(b: int) -> int:
+    """A CIDR bound in v4 coordinates (int - ::ffff:0:0), clipped to
+    [-1, 2**32]: against any v4 value v, ``b <= v`` and ``v <= b`` read
+    the same as on the full v6-width ints."""
+    return min(max(b - _V4MAPPED_BASE, -1), _V4_TOP + 1)
 
 
 def net_group_contains(nets: list[tuple[int, int, bool]], ip: str) -> bool:
@@ -163,3 +283,20 @@ def net_group_contains(nets: list[tuple[int, int, bool]], ip: str) -> bool:
             if inside:
                 pos_hit = True
     return pos_hit if any_positive else True
+
+
+def net_group_contains_v4(nets: list[tuple[int, int, bool]],
+                          v4: np.ndarray) -> np.ndarray:
+    """``net_group_contains`` per v4 int value of an array (every value
+    must be an address, v4 >= 0)."""
+    pos_hit = np.zeros(len(v4), dtype=bool)
+    neg_hit = np.zeros(len(v4), dtype=bool)
+    any_positive = False
+    for lo, hi, neg in nets:
+        inside = (_v4_bound(lo) <= v4) & (v4 <= _v4_bound(hi))
+        if neg:
+            neg_hit |= inside
+        else:
+            any_positive = True
+            pos_hit |= inside
+    return ~neg_hit & (pos_hit if any_positive else True)

@@ -20,6 +20,10 @@ from __future__ import annotations
 import json
 import re
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
 JSON_MAX_OBJECTS = 256
 
 _HASH_RES = {
@@ -27,6 +31,13 @@ _HASH_RES = {
     "sha1": re.compile(r"(?<![0-9A-Fa-f])([0-9A-Fa-f]{40})(?![0-9A-Fa-f])"),
     "sha256": re.compile(r"(?<![0-9A-Fa-f])([0-9A-Fa-f]{64})(?![0-9A-Fa-f])"),
 }
+
+# the same first hashes for RE2, which has no lookaround: the boundary
+# characters are consumed instead, so the leftmost match still starts at
+# (or just before) the leftmost hex run of exactly that length
+_HASH_ARROW = {
+    kind: r"(?:^|[^0-9A-Fa-f])(?P<h>[0-9A-Fa-f]{%d})(?:$|[^0-9A-Fa-f])" % k
+    for kind, k in (("md5", 32), ("sha1", 40), ("sha256", 64))}
 
 # id followed by ': ' at start or after a space, within the head window
 _EVENT_ID_RE = re.compile(r"(?:^|\s)(\d{1,10}):")
@@ -43,6 +54,15 @@ def extract_hashes(text: str) -> dict[str, str]:
         m = rx.search(text)
         out[kind] = m.group(1).lower() if m else ""
     return out
+
+
+def hash_columns(text: pa.Array) -> dict[str, np.ndarray]:
+    """``extract_hashes`` over a column: kind → object array of each row's
+    first hash, lowercased ("" if absent). One RE2 extract per kind, exact
+    on every row, since all the classes involved are ASCII."""
+    return {kind: pc.fill_null(pc.ascii_lower(pc.struct_field(
+                pc.extract_regex(text, rx), "h")), "").to_numpy(zero_copy_only=False)
+            for kind, rx in _HASH_ARROW.items()}
 
 
 def extract_event_id(text: str) -> str:

@@ -421,12 +421,16 @@ def match_stateless(rule: Rule, rc: RowCache, lookups: Lookups):
             return None
 
     # ---- zeekintel gate (engine.c:1297-1360) --------------------------
+    # (the IP list is read only by the `all` kind, the hashes only by
+    # `file_hash`: the other kinds extract neither)
     if rule.zeekintel:
-        if ips is None:
+        if ips is None and "all" in rule.zeekintel:
             ips = extract_ips(eff_text) if remapped else rc.ips()
-        hashes = {**(extract_hashes(eff_text) if remapped else rc.hashes()),
-                  **{k: base[k] for k in ("md5", "sha1", "sha256")
-                     if k in base}}
+        hashes = None
+        if "file_hash" in rule.zeekintel:
+            hashes = {**(extract_hashes(eff_text) if remapped else rc.hashes()),
+                      **{k: base[k] for k in ("md5", "sha1", "sha256")
+                         if k in base}}
         if not _zeekintel(rule, lookups, eff_text, src_ip, dst_ip,
                           ips, hashes, username):
             return None

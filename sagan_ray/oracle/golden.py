@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pandas as pd
 
 from ..datapipe.hashing import hash_array_pure as _hash_pure
 import pyarrow as pa

@@ -1364,6 +1364,26 @@ SELECT doc_id, source, n_chars FROM documents ORDER BY doc_id
 """
 
 
+def _name_parts_by_content(path: str, key_col: str) -> None:
+    """Rename the part files under ``path`` from the write's per-run uuid
+    names to ``part-00000.parquet``, ... in the order of their (row
+    count, smallest, largest ``key_col`` value): the same files then
+    carry the same names on every run."""
+    import glob
+    import os
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    keyed = []
+    for f in glob.glob(os.path.join(path, "*.parquet")):
+        col = pq.read_table(f, columns=[key_col]).column(key_col)
+        mm = pc.min_max(col)
+        keyed.append(((len(col), mm["min"].as_py(), mm["max"].as_py()), f))
+    for k, (_, f) in enumerate(sorted(keyed, key=lambda kf: kf[0])):
+        os.rename(f, os.path.join(path, f"part-{k:05d}.parquet"))
+
+
 def q_corpus_file_stats(sf_dir: str):
     """Footer-only per-file stats audit (io/compact.py::file_stats):
     documents sharded to many files, then (n_rows, min/max doc_id) per
@@ -1383,6 +1403,7 @@ def q_corpus_file_stats(sf_dir: str):
                      columns=["doc_id", "source", "n_chars"],
                      override_num_blocks=8)
      .write_parquet(f"{base}/in", max_rows_per_file=256))
+    _name_parts_by_content(f"{base}/in", "doc_id")
     out = _typed(file_stats(f"{base}/in", "doc_id").to_pandas(),
                  {"file": "object", "n_rows": "int64",
                   "min_v": "int64", "max_v": "int64"})

@@ -2,10 +2,24 @@
 reference's per-record rule loop (/root/reference/src/processors/engine.c:
 92-1558), restructured batch-first: every predicate family is evaluated as
 a vectorized mask over the whole Arrow batch, per rule, with early exit
-when a rule's mask empties. Expensive residual gates (IP extraction,
-CIDR/intel lookups, JSON) run only on the rows that survived the cheap
-text predicates — the batch equivalent of the reference's
-cheapness-ordered short-circuit (doc/source/high-performance.rst:78-93).
+when a rule's mask empties. Expensive residual gates run only on the
+rows that survived the cheap text predicates — the batch equivalent of
+the reference's cheapness-ordered short-circuit
+(doc/source/high-performance.rst:78-93).
+
+IP and hash gates are decided as arrays, the batch analog of the
+reference's per-record Parse_IP cache (engine.c:800-843): the batch
+context extracts each candidate row's IPs, ports and v4 values
+(``functions.ip.ip_columns``) and its first md5/sha1/sha256
+(``functions.textutil.hash_columns``) once, memoized by row. A rule
+whose slow gates are all IP and hash ones (``parse_*_ip``/``parse_port``,
+net groups, geoip, blacklist, the zeekintel IP, hash and text kinds) and
+whose other predicates are exact masks is decided from those columns on
+every *regular* row, where they provably equal ``extract_ips`` (ASCII,
+no ``[``, ``#``, ``port`` or ``:`` hex{0,4} ``:``). Its irregular rows,
+v6 addresses among them, and every other slow-gated rule (JSON, remaps,
+normalize, pcre, bluedot, offload, proto/port-eq) go through the
+per-row ``match_stateless`` residual, which stays the spec.
 
 Content literals are matched the way Suricata's multi-pattern matcher
 does it: one ``LiteralSet`` per classifier holds every content and pcre
@@ -41,8 +55,15 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import EngineConfig, Lookups
+from ..functions.ip import (
+    MAX_PARSE_IP,
+    IpColumns,
+    ip_columns,
+    net_group_contains_v4,
+)
 from ..functions.textutil import (
     EVENT_ID_HEAD,
+    hash_columns,
     prematch_regex,
 )
 from ..oracle.evaluator import RowCache, match_stateless
@@ -204,7 +225,8 @@ class _RulePlan:
 
     __slots__ = ("rule", "prematch_role", "prematch_tool", "meta_regexes",
                  "pcre_re2", "pcre_py", "needs_ips", "needs_json",
-                 "needs_hashes", "slow_gates", "jm_fields", "remaps_text")
+                 "slow_gates", "jm_fields", "remaps_text",
+                 "col_decided", "reads_ips")
 
     def __init__(self, rule: Rule):
         self.rule = rule
@@ -245,7 +267,6 @@ class _RulePlan:
 
         self.needs_ips = rule.needs_ips()
         self.needs_json = bool(rule.json_atoms)
-        self.needs_hashes = bool(rule.parse_hash) or "file_hash" in rule.zeekintel
         self.jm_fields = {f for f, _ in rule.json_maps}
         # message/program remap (engine.c:321-488): every text predicate
         # must re-evaluate per row against the remapped message, so the
@@ -264,6 +285,29 @@ class _RulePlan:
             or rule.proto not in ("any", "syslog")
             or rule.src_port_eq is not None or rule.dst_port_eq is not None
         )
+        # every slow gate of the rule is one the IP and hash columns decide
+        # (RuleClassifier._col_verdicts), and all its other predicates
+        # are exact vector masks: no pcre (RE2 and re differ even on ASCII
+        # text, ROADMAP item 4; the same \s gap leaves event_id out), no
+        # JSON, remap, normalize, bluedot, offload or proto/port gate
+        self.col_decided = self.slow_gates and not (
+            rule.pcres or rule.event_ids or self.needs_json or rule.json_maps
+            or rule.normalize or rule.bluedot_kind or rule.offload is not None
+            or rule.proto not in ("any", "syslog")
+            or rule.src_port_eq is not None or rule.dst_port_eq is not None
+            or not set(rule.zeekintel) <= _COL_INTEL_KINDS)
+        # does its verdict or its emit read the row's IP list?
+        self.reads_ips = bool(rule.parse_src_ip or rule.parse_dst_ip
+                              or rule.blacklist == "all"
+                              or "all" in rule.zeekintel)
+
+
+# zeekintel kinds the columns decide (user_name reads the JSON username)
+_COL_INTEL_KINDS = frozenset((
+    "src_ipaddr", "dst_ipaddr", "both", "all", "file_hash",
+    "domain", "url", "software", "file_name"))
+_INTEL_TEXT_KINDS = (("domain", "domain"), ("url", "url"),
+                     ("software", "software"), ("file_name", "filename"))
 
 
 class LiteralSet:
@@ -383,6 +427,26 @@ class RuleClassifier:
         # the literals each batch's multi-pattern pass scans for — fixed
         # at compile time; batches never change the classifier
         self.literals = LiteralSet(self.plans)
+        # IP columns a batch needs: up to the largest position a
+        # col_decided rule reads, or every IP for an `all` gate
+        self.ip_width = min(MAX_PARSE_IP, max(
+            [MAX_PARSE_IP if r.blacklist == "all" or "all" in r.zeekintel
+             else max(r.parse_src_ip or 0, r.parse_dst_ip or 0)
+             for r, pl in zip(ruleset, self.plans) if pl.col_decided],
+            default=0))
+        self._intel_values = {
+            k: pa.array(sorted(self.lookups.intel_set(k)), pa.string())
+            for k in ("ip", "hash")}
+        # geoip rule → per geo-table index, does that country pass it?
+        # (a trailing False for the misses, find_v4's -1)
+        self._geo_pass: dict[int, np.ndarray] = {}
+        geo = self.lookups.geo
+        for r, pl in zip(ruleset, self.plans):
+            if pl.col_decided and r.geoip_track and geo is not None:
+                codes = set(r.geoip_codes)
+                self._geo_pass[r.idx] = np.array(
+                    [(cc in codes) != r.geoip_isnot for cc in geo.values]
+                    + [False], dtype=bool)
 
     # ------------------------------------------------------------------
     def __call__(self, tbl: pa.Table) -> pa.Table:
@@ -401,7 +465,8 @@ class RuleClassifier:
         ts_epoch = (tbl.column("ts").cast(pa.int64()).to_numpy(zero_copy_only=False)
                     // 1_000_000)
 
-        ctx = _BatchCtx(text_col, role_np, tool_np, ts_epoch, self.literals)
+        ctx = _BatchCtx(text_col, role_np, tool_np, ts_epoch, self.literals,
+                        self.ip_width)
 
         hit_rows: list[np.ndarray] = []
         hit_rules: list[int] = []
@@ -428,6 +493,8 @@ class RuleClassifier:
         if not mask.any():
             return None
         cand = np.flatnonzero(mask)
+        if plan.col_decided:
+            return self._col_verdicts(plan, ctx, cand)
         if plan.pcre_py or plan.needs_json or plan.slow_gates:
             cand = self._residual(plan, ctx, cand)
         return cand
@@ -543,6 +610,102 @@ class RuleClassifier:
         return mask
 
     # ------------------------------------------------------------------
+    def _col_verdicts(self, plan: _RulePlan, ctx: "_BatchCtx",
+                      cand: np.ndarray) -> np.ndarray:
+        """The hits among ``cand`` of a ``col_decided`` rule: its slow gates
+        decided as arrays over the batch's IP and hash columns, in
+        ``match_stateless``'s terms, on every candidate the IP columns
+        cover; the rest (irregular rows of a rule that reads IPs) take the
+        residual. The fields of the column hits are kept for ``_emit``."""
+        rule = plan.rule
+        rows, rest, ipc = cand, cand[:0], None
+        if plan.reads_ips:
+            ipc = ctx.ip_cols(cand)
+            rows, rest = cand[ipc.regular], cand[~ipc.regular]
+            ipc = IpColumns(*(a[ipc.regular] for a in ipc))
+        m = len(rows)
+        ok = np.ones(m, dtype=bool)
+
+        def endpoint(pos, default_port):
+            """(ip, v4, port) of the rows' pos-th IP: ``parse_*_ip`` and
+            ``parse_port``, then the rule's default port."""
+            if pos and pos <= ipc.ips.shape[1]:
+                ip, v4, port = ipc.ips[:, pos - 1], ipc.v4[:, pos - 1], ipc.ports[:, pos - 1]
+                if not rule.parse_port:
+                    port = np.zeros(m, dtype=np.int32)
+            else:
+                ip, v4 = np.full(m, "", dtype=object), np.full(m, -1, dtype=np.int64)
+                port = np.zeros(m, dtype=np.int32)
+            return ip, v4, np.where(port == 0, default_port, port)
+
+        src, src_v4, src_port = endpoint(rule.parse_src_ip, rule.default_src_port)
+        dst, dst_v4, dst_port = endpoint(rule.parse_dst_ip, rule.default_dst_port)
+        if rule.src_nets is not None:
+            ok &= (src_v4 >= 0) & net_group_contains_v4(rule.src_nets, src_v4)
+        if rule.dst_nets is not None:
+            ok &= (dst_v4 >= 0) & net_group_contains_v4(rule.dst_nets, dst_v4)
+        if rule.geoip_track:
+            geo = self.lookups.geo
+            if geo is None:
+                ok[:] = False
+            else:
+                v4 = src_v4 if rule.geoip_track == "by_src" else dst_v4
+                ok &= self._geo_pass[rule.idx][geo.find_v4(v4)]
+        if rule.blacklist:
+            bl = self.lookups.blacklist
+            if bl is None:
+                ok[:] = False
+            elif rule.blacklist == "all":
+                ok &= (bl.find_v4(ipc.v4) >= 0).any(axis=1)
+            else:
+                if rule.blacklist in ("by_src", "both"):
+                    ok &= bl.find_v4(src_v4) >= 0
+                if rule.blacklist in ("by_dst", "both"):
+                    ok &= bl.find_v4(dst_v4) >= 0
+        if rule.zeekintel:
+            ok &= self._intel_gate(rule, ctx, rows, src, dst, ipc)
+        hits = rows[ok]
+        if self._field_plans[rule.idx][1] and len(hits):
+            ctx.col_fields[rule.idx] = (hits, src[ok], dst[ok],
+                                        src_port[ok], dst_port[ok])
+        if len(rest):
+            hits = np.sort(np.concatenate(
+                [hits, self._residual(plan, ctx, rest)]))
+        return hits
+
+    def _intel_gate(self, rule: Rule, ctx: "_BatchCtx", rows: np.ndarray,
+                    src: np.ndarray, dst: np.ndarray, ipc) -> np.ndarray:
+        """``_zeekintel`` over ``rows``: every listed lookup must hit. The
+        text kinds are the same alternation masks ``_vector_mask`` uses,
+        over the plain text (``match_stateless`` never appends the
+        program to it)."""
+        ok = np.ones(len(rows), dtype=bool)
+        kinds = rule.zeekintel
+
+        def in_intel(kind, vals):
+            flat = pa.array(vals.ravel(), pa.string())
+            return _bool(pc.is_in(flat, value_set=self._intel_values[kind])
+                         ).reshape(vals.shape)
+
+        if {"src_ipaddr", "both"} & set(kinds):
+            ok &= in_intel("ip", src)
+        if {"dst_ipaddr", "both"} & set(kinds):
+            ok &= in_intel("ip", dst)
+        if "all" in kinds:
+            ok &= (in_intel("ip", ipc.ips) & (ipc.v4 >= 0)).any(axis=1)
+        if "file_hash" in kinds:
+            hashes = np.stack(ctx.hash_cols(rows), axis=1)
+            ok &= (in_intel("hash", hashes) & (hashes != "")).any(axis=1)
+        for kind, table in _INTEL_TEXT_KINDS:
+            if kind in kinds:
+                rx = self._intel_rx[table]
+                if rx is None:
+                    ok[:] = False
+                else:
+                    ok &= ctx.regex_mask(False, rx)[rows]
+        return ok
+
+    # ------------------------------------------------------------------
     def _residual(self, plan: _RulePlan, ctx: "_BatchCtx", cand: np.ndarray) -> np.ndarray:
         """Per-candidate re-check through ``match_stateless`` — the SAME
         code path the oracle evaluator runs, so residual semantics can
@@ -617,10 +780,24 @@ class RuleClassifier:
                 ri = int(rule_idx[ks[0]])
                 extract, per_match, sp_default, dp_default = self._field_plans[ri]
                 rows = row_idx[ks]
+                # matches that read the .username fallback
+                uks, urows = ks, rows
                 if per_match:
-                    # rows whose field dict is missing fall back below
-                    missed = np.zeros(len(ks), dtype=bool)
+                    # matches decided from the columns take their fields
+                    # from there, the rest from their field dicts; rows
+                    # with neither fall back below
+                    on_col = np.zeros(len(ks), dtype=bool)
+                    col = ctx.col_fields.get(ri)
+                    if col is not None:
+                        at = np.minimum(np.searchsorted(col[0], rows), len(col[0]) - 1)
+                        on_col = col[0][at] == rows
+                        k, at = ks[on_col], at[on_col]
+                        src_ips[k], dst_ips[k] = col[1][at], col[2][at]
+                        src_ports[k], dst_ports[k] = col[3][at], col[4][at]
+                    missed = on_col.copy()
                     for j, (k, i) in enumerate(zip(ks.tolist(), rows.tolist())):
+                        if on_col[j]:
+                            continue
                         f = fields.get((ri, i))
                         if f is None:
                             f = match_stateless(rules[ri], ctx.row_cache(i),
@@ -633,15 +810,16 @@ class RuleClassifier:
                             src_ports[k], dst_ports[k] = f["src_port"], f["dst_port"]
                         if needs_username:
                             usernames[k] = f["username"]
-                    ks, rows = ks[missed], rows[missed]
+                    uks, urows = ks[missed], rows[missed]
+                    ks, rows = ks[missed & ~on_col], rows[missed & ~on_col]
                 if extract:
                     # default-port-only rule: constant fields
                     src_ports[ks] = sp_default
                     dst_ports[ks] = dp_default
-                if needs_username and len(ks):
+                if needs_username and len(uks):
                     if uname_fallback is None:
                         uname_fallback = ctx.username_fallback(row_idx)
-                    usernames[ks] = uname_fallback[rows]
+                    usernames[uks] = uname_fallback[urows]
 
         # ---- one row per (matched turn × class) ----------------------
         # per-match value arrays built once, then sliced per class with a
@@ -700,7 +878,7 @@ class RuleClassifier:
 
 class _BatchCtx:
     def __init__(self, text_col: pa.Array, role_np, tool_np, ts_epoch,
-                 literals: LiteralSet):
+                 literals: LiteralSet, ip_width: int = 0):
         self._text = text_col
         self.role_np = role_np
         self.tool_np = tool_np
@@ -724,6 +902,13 @@ class _BatchCtx:
         # (rule_idx, row) → extracted-field dict, memoized by _residual
         # for reuse in _emit
         self.match_fields: dict = {}
+        # rule_idx → (rows, src_ip, dst_ip, src_port, dst_port) arrays of
+        # the hits _col_verdicts decided, for _emit
+        self.col_fields: dict = {}
+        # "ip"/"hash" → (batch-wide ip_columns / hash_columns arrays,
+        # rows filled so far), see _by_row
+        self._ip_width = ip_width
+        self._row_memos: dict = {}
         # (kind, window, pattern) → full-column bool mask — rules sharing
         # a content atom / regex share one kernel pass per batch
         self._masks: dict = {}
@@ -945,6 +1130,41 @@ class _BatchCtx:
         m = _bool(pc.match_substring_regex(col, rx))
         self._masks[key] = m
         return m
+
+    def ip_cols(self, rows: np.ndarray) -> IpColumns:
+        """``ip_columns`` of ``rows``, computed once per row per batch and
+        only for the rows some rule asks for."""
+        w = self._ip_width
+        return IpColumns(*self._by_row(
+            "ip", rows, lambda text: ip_columns(text, w),
+            lambda n: (np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64),
+                       np.full((n, w), "", dtype=object),
+                       np.zeros((n, w), dtype=np.int32),
+                       np.full((n, w), -1, dtype=np.int64))))
+
+    def hash_cols(self, rows: np.ndarray) -> list[np.ndarray]:
+        """The md5, sha1 and sha256 ``hash_columns`` of ``rows``, computed
+        once per row per batch."""
+        return self._by_row(
+            "hash", rows, lambda text: hash_columns(text).values(),
+            lambda n: [np.full(n, "", dtype=object) for _ in range(3)])
+
+    def _by_row(self, key: str, rows: np.ndarray, compute, blank) -> list:
+        """``compute`` (text → arrays with one row per text row) of
+        ``rows``, memoized by row: batch-wide arrays from ``blank(n)``,
+        filled for the rows asked for so far."""
+        memo = self._row_memos.get(key)
+        if memo is None:
+            n = len(self.ts_epoch)
+            memo = self._row_memos[key] = (blank(n), np.zeros(n, dtype=bool))
+        cols, done = memo
+        todo = rows[~done[rows]]
+        if len(todo):
+            got = compute(self._text.take(pa.array(todo, pa.int64())))
+            for full, part in zip(cols, got):
+                full[todo] = part
+            done[todo] = True
+        return [a[rows] for a in cols]
 
     def json_row(self, i: int):
         return self.row_cache(i).json()

@@ -7,7 +7,6 @@ import re
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pytest
 
 SF = "/root/testdata/sf0.001"
 

@@ -1,9 +1,10 @@
 """No dead private helpers: every module-level ``_``-prefixed name that
 ``sagan_ray/`` defines is used somewhere — in its own module, another
 module, ``tools/``, ``bench.py``, ``perfbench/`` or ``tests/`` (a test
-that uses a reference helper keeps it alive). No unused function-local
-imports either, outside the benchmark's own ``perfbench/`` tree. And no
-``datapipe._EXPORTS`` name that only tests call."""
+that uses a reference helper keeps it alive). No unused imports either,
+function-local or module-level, outside the benchmark's own
+``perfbench/`` tree. And no ``datapipe._EXPORTS`` name that only tests
+call."""
 
 import ast
 import os
@@ -119,6 +120,43 @@ def unused_local_imports():
 
 def test_no_unused_local_imports():
     assert unused_local_imports() == []
+
+
+def unused_module_imports():
+    """``path:line name`` for each name that a module-level import binds
+    and its module never reads. Exempt: ``from __future__``, the
+    re-exports of ``__init__.py`` files and imports marked
+    ``# noqa: F401``."""
+    out = []
+    for rel in SOURCES:
+        if rel == "perfbench":
+            continue
+        for path in _py_files(rel):
+            if os.path.basename(path) == "__init__.py":
+                continue
+            with open(path, encoding="utf-8") as f:
+                src = f.read()
+            lines = src.splitlines()
+            tree = ast.parse(src, path)
+            read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                    and not isinstance(n.ctx, ast.Store)}
+            for node in tree.body:
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if any("noqa: F401" in line for line in
+                       lines[node.lineno - 1:node.end_lineno]):
+                    continue
+                out += [f"{os.path.relpath(path, REPO)}:{node.lineno} {name}"
+                        for name in (a.asname or a.name.split(".")[0]
+                                     for a in node.names if a.name != "*")
+                        if name not in read]
+    return sorted(out)
+
+
+def test_no_unused_module_imports():
+    assert unused_module_imports() == []
 
 
 CALLER_SOURCES = ["sagan_ray", "tools", "bench.py", "__ray_entry__.py"]

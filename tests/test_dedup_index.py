@@ -6,7 +6,6 @@ set, empty/short query text, self-match) must behave. The sf0.01 hash
 gate (dedup_minhash_index) covers corpus-scale parity against the SQL
 exact-Jaccard oracle including the build→append→search chain."""
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 

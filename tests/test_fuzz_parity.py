@@ -4,6 +4,8 @@ interaction bugs the hand-written fixtures miss (random window bounds,
 random stateful parameters, random orderings). Fully deterministic —
 failures reproduce by seed."""
 
+import hashlib
+
 import numpy as np
 import pyarrow as pa
 import pytest
@@ -184,3 +186,87 @@ def test_fuzz_nocase_parity(seed):
     tbl = _with_fold_phrases(gen_transcripts(int(rng.integers(800, 2500)),
                                              seed=seed), rng)
     run_both(ruleset, tbl, expect_hits=False)
+
+
+# IP hazards spliced into texts: the blacklist/intel addresses bare, with
+# every port style and glued to their neighbours, leading-zero and >255
+# octets, v6 in brackets and v4-mapped, non-ASCII digits, port words
+# after \x1c, and the bad hashes (one upper-case)
+IP_HAZARDS = ["10.13.7.7", "10.66.1.2:8080", "203.0.113.99#53",
+              "10.7.7.7 port 22", "10.7.7.7\x1cport 23", "[2001:db8::5]:443",
+              "::ffff:10.13.0.9", "010.13.7.7", "10.13.7.7.1", "a:10.66.1.2",
+              "10.66.1.2:99999", "10.300.1.1", "١٠.١٣.٧.٧", "10.13.7.7:",
+              "x 10.5.5.5 y 10.66.9.9 z 10.13.1.1",
+              hashlib.md5(b"bad0").hexdigest(),
+              hashlib.sha256(b"bad1").hexdigest().upper()]
+_NETS = ["any", "$HOME_NET", "[10.0.0.0/8,!10.13.0.0/16]", "!10.66.0.0/16",
+         "[!10.0.0.0/8]", "[10.13.0.0/16,10.66.0.0/16]"]
+
+
+def _rand_ip_rule(rng: np.random.Generator, sid: int) -> str:
+    """A rule whose slow gates are the IP and hash ones: net groups in the
+    header, parse_src_ip/parse_dst_ip/parse_port, geoip, blacklist and the
+    zeekintel IP, hash and domain kinds, sometimes stateful on the IPs."""
+    opts = []
+    if rng.integers(0, 2) == 0:
+        w = ["connection", "from", "beacon", "login", "authentication",
+             "malware", "to"][int(rng.integers(0, 7))]
+        opts.append(f'content:"{w}"')
+    if rng.integers(0, 3):
+        opts.append(f"parse_src_ip:{int(rng.integers(1, 3))}")
+    if rng.integers(0, 2) == 0:
+        opts.append(f"parse_dst_ip:{int(rng.integers(1, 4))}")
+    if rng.integers(0, 2) == 0:
+        opts.append("parse_port")
+    if rng.integers(0, 4) == 0:
+        opts.append(f"default_src_port:{int(rng.integers(1, 100))}")
+    gate = int(rng.integers(0, 4))
+    if gate == 0:
+        opts.append(f"blacklist: {rng.choice(['by_src', 'by_dst', 'both', 'all'])}")
+    elif gate == 1:
+        kinds = rng.choice(["src_ipaddr", "dst_ipaddr", "both", "all",
+                            "file_hash", "domain", "all,file_hash"])
+        opts.append(f"zeekintel: {kinds}")
+    elif gate == 2:
+        opts.append(f"country_code: track {rng.choice(['by_src', 'by_dst'])}, "
+                    f"{rng.choice(['is', 'isnot'])} RU,US")
+    if rng.integers(0, 4) == 0:
+        opts.append(f"xbits: set,ipx,track {rng.choice(['ip_src', 'ip_pair'])},"
+                    f"expire 300")
+    elif rng.integers(0, 4) == 0:
+        opts.append("after: track by_src&by_dst&by_srcport, count 1, seconds 600")
+    action = rng.choice(["alert"] * 6 + ["drop", "pass"])
+    src = _NETS[int(rng.integers(0, len(_NETS)))]
+    dst = _NETS[int(rng.integers(0, len(_NETS)))] if rng.integers(0, 3) == 0 else "any"
+    opts += [f'msg:"ip fuzz {sid}"', f"sid:{sid}"]
+    return f"{action} any {src} any -> {dst} any ({'; '.join(opts)};)"
+
+
+def _with_ip_hazards(tbl: pa.Table, rng: np.random.Generator) -> pa.Table:
+    """Splice an IP hazard into about half of the texts, at a word
+    boundary or at any character."""
+    texts = tbl.column("text").to_pylist()
+    for i in np.flatnonzero(rng.integers(0, 2, size=len(texts)) == 0):
+        hz = IP_HAZARDS[int(rng.integers(0, len(IP_HAZARDS)))]
+        t = texts[i]
+        at = int(rng.integers(0, len(t) + 1))
+        if rng.integers(0, 2):
+            texts[i] = f"{t[:at]}{hz}{t[at:]}"
+        else:
+            texts[i] = f"{t} {hz}" if rng.integers(0, 2) else f"{hz} {t}"
+    i = tbl.schema.get_field_index("text")
+    return tbl.set_column(i, "text", pa.array(texts, pa.large_string()))
+
+
+@pytest.mark.parametrize("seed", [3101, 3202, 3303, 3404, 3505, 3606])
+def test_fuzz_ip_parity(seed):
+    """Rules gated on IPs and hashes, which the classifier decides from
+    its IP and hash columns on regular rows and through ``match_stateless``
+    on the rest, over texts with IP hazards: oracle ≡ Ray."""
+    rng = np.random.default_rng(seed)
+    text = "var HOME_NET [10.0.0.0/8]\n" + "\n".join(
+        _rand_ip_rule(rng, 6000 + i) for i in range(int(rng.integers(4, 10))))
+    ruleset = parse_rules(text)
+    tbl = _with_ip_hazards(gen_transcripts(int(rng.integers(800, 2500)),
+                                           seed=seed), rng)
+    run_both(ruleset, tbl)

@@ -9,7 +9,6 @@ import os
 import subprocess
 import sys
 
-import pyarrow as pa
 import pyarrow.parquet as pq
 
 REPO = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))

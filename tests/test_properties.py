@@ -384,3 +384,68 @@ def test_literal_masks_are_exact(texts):
                     if nocase:
                         cand = cand | ctx.fold_rows(False, p)
                     assert not (re2 & ~cand).any(), (p, nocase, texts)
+
+
+# IP hazards for the column extractor: leading-zero and >255 octets,
+# dotted runs too long or too short, a word or ':' glued before, ports
+# past 65535, the other port styles, v6 in all its shapes, non-ASCII
+# digits, the \x1c that re's \s takes and RE2's does not
+_IP_TOKENS = ["1.2.3.4", "10.13.7.7", "01.2.3.4", "1.2.3.04", "256.1.2.3",
+              "1.2.3.255", "0.0.0.0", "1.2.3.4.5", "1.2.3", "a:1.2.3.4",
+              "x1.2.3.4", "1.2.3.4x", "_1.2.3.4", ".1.2.3.4", "1.2.3.4.",
+              "1.2.3.4:", ":80", ":65535", ":65536", ":123456", ":0", ":x",
+              "[fe80::1]:80", "[::1]", "::ffff:1.2.3.4", "fe80::1", "a:b:c",
+              "12:34", "#443", " port 53", "port", "١.٢.٣.٤",
+              "\x1cport 7", "\x1c", "é", " ", ",", "/", "-", "=", "(", "\t",
+              "\n", "beacon to"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_IP_TOKENS), max_size=10).map("".join),
+                min_size=1, max_size=12))
+@example(["from 1.2.3.4:22 to 5.6.7.8:99999 and 01.2.3.4 or 256.0.0.1",
+          "ver 1.2.3.4.5 a:1.2.3.4 [fe80::1]:80",
+          "::ffff:1.2.3.4 x", "5.6.7.8#443", "9.9.9.9 port 53",
+          "١.٢.٣.٤ 1.2.3.4", "1.2.3.4\x1cport 7",
+          " ".join(f"10.0.{i}.1:{i}" for i in range(40)),
+          "1.2.3.4:80:90 x 1.2.3.4:8x", "no ip here"])
+def test_ip_columns_equal_extract_ips(texts):
+    """On every row ``ip_columns`` calls regular, its count, IPs, ports
+    and int values are ``extract_ips``'s; the rows it does not call
+    regular are exactly the ones the spec's shortcut must not decide
+    (non-ASCII, ``[``, ``#``, ``port``, or ``:`` hex{0,4} ``:``)."""
+    import ipaddress
+    import re
+
+    from sagan_ray.functions.ip import MAX_PARSE_IP, extract_ips, ip_columns
+
+    for width in (MAX_PARSE_IP, 2):
+        cols = ip_columns(pa.array(texts, pa.large_string()), width)
+        for i, t in enumerate(texts):
+            hazard = (not t.isascii() or "[" in t or "#" in t or "port" in t
+                      or re.search(r":[0-9A-Fa-f]{0,4}:", t) is not None)
+            assert cols.regular[i] == (not hazard), t
+            if hazard:
+                continue
+            want = extract_ips(t)
+            assert cols.count[i] == len(want), (t, want)
+            got = [(cols.ips[i, k], int(cols.ports[i, k]))
+                   for k in range(min(width, len(want)))]
+            assert got == want[:width], (t, want)
+            for k, (ip, _) in enumerate(want[:width]):
+                assert cols.v4[i, k] == int(ipaddress.ip_address(ip))
+            assert (cols.v4[i, len(want):] == -1).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(
+    ["d" * 32, "D" * 31, "e" * 40, "F" * 64, "a" * 65, "0", "g", " ", "-",
+     "\n", "é", "١"]), max_size=8).map("".join), min_size=1,
+    max_size=10))
+def test_hash_columns_equal_extract_hashes(texts):
+    """``hash_columns`` gives every row's ``extract_hashes``."""
+    from sagan_ray.functions.textutil import extract_hashes, hash_columns
+
+    cols = hash_columns(pa.array(texts, pa.large_string()))
+    for i, t in enumerate(texts):
+        assert {k: v[i] for k, v in cols.items()} == extract_hashes(t), t

@@ -1,8 +1,16 @@
 """Unit tests: rule parser details and the shared extractor functions."""
 
+import ipaddress
+
+import numpy as np
 import pytest
 
-from sagan_ray.functions.ip import CidrTable, extract_ips, net_group_contains
+from sagan_ray.functions.ip import (
+    CidrTable,
+    extract_ips,
+    net_group_contains,
+    net_group_contains_v4,
+)
 from sagan_ray.functions.textutil import (
     extract_event_id,
     extract_hashes,
@@ -121,6 +129,31 @@ def test_cidr_table():
     assert "10.0.0.1" in t and "11.0.0.1" not in t
 
 
+def test_cidr_find_v4_on_v6_ranges_over_the_v4_window():
+    """``find_v4`` answers as ``lookup`` for v4 addresses when v6 ranges
+    cover the v4-mapped window (all of it, part of it, or ranges that end
+    below or start above it), and on a table whose ranges overlap."""
+    addrs = ["0.0.0.0", "0.0.0.1", "10.0.0.1", "10.255.255.255", "11.0.0.0",
+             "203.0.113.99", "255.255.255.255"]
+    v4 = np.array([int(ipaddress.ip_address(a)) for a in addrs] + [-1])
+    tables = [
+        [("::/0", "ALL")],
+        [("::ffff:0:0/96", "V4"), ("2001:db8::/48", "JP")],
+        [("::ffff:a00:0/104", "TEN"), ("fe80::/64", "LL")],   # = 10.0.0.0/8
+        [("::/8", "LOW"), ("2001:db8::/48", "JP")],           # ends below
+        [("::/80", "LOW"), ("10.0.0.0/8", "TEN"), ("::1:0:0:0/80", "HIGH")],
+        [("::/0", "ALL"), ("::1/128", "ONE")],                # overlapping
+        [("::/0", "ALL"), ("10.0.0.0/8", "TEN")],
+        [],
+    ]
+    for entries in tables:
+        t = CidrTable(entries)
+        got = [t.values[j] if j >= 0 else None for j in t.find_v4(v4)]
+        assert got == [t.lookup(a) for a in addrs] + [None], entries
+        grid = t.find_v4(np.stack([v4, v4]))
+        assert grid.shape == (2, len(v4)) and (grid[0] == grid[1]).all()
+
+
 def test_net_group_negation():
     from sagan_ray.rules.parser import _parse_net_group
     g = _parse_net_group("[10.0.0.0/8,!10.13.0.0/16]", {})
@@ -129,6 +162,13 @@ def test_net_group_negation():
     only_neg = _parse_net_group("[!10.0.0.0/8]", {})
     assert net_group_contains(only_neg, "11.0.0.1")
     assert not net_group_contains(only_neg, "10.0.0.1")
+    addrs = ["10.5.0.1", "10.13.0.1", "11.0.0.1", "0.0.0.0", "255.255.255.255"]
+    v4 = np.array([int(ipaddress.ip_address(a)) for a in addrs])
+    for spec in ("[10.0.0.0/8,!10.13.0.0/16]", "[!10.0.0.0/8]", "!10.13.0.0/16",
+                 "[::/0,!10.13.0.0/16]", "[]"):
+        grp = _parse_net_group(spec, {})
+        assert net_group_contains_v4(grp, v4).tolist() == [
+            net_group_contains(grp, a) for a in addrs], spec
 
 
 def test_prematch_wildcards():
