@@ -66,3 +66,16 @@ class EngineConfig:
     def with_ignore(self, *items: str) -> "EngineConfig":
         return EngineConfig(sinks=self.sinks, ignore_list=tuple(items),
                             eve_payload_base64=self.eve_payload_base64)
+
+    def sink_fanout(self, rules) -> list[tuple[str, frozenset[int]]]:
+        """The alert fan-out (src/output.c:63-149): each sink that gets
+        alerts, with the ``idx`` of every rule whose alerts it gets. The
+        configured sinks get every rule's; email and external get the
+        rules that carry the option. A sink no rule reaches is left out."""
+        every = frozenset(r.idx for r in rules)
+        out = [(s, every) for s in self.sinks]
+        for s, flag in ((SINK_EMAIL, "email"), (SINK_EXTERNAL, "external")):
+            idx = frozenset(r.idx for r in rules if getattr(r, flag))
+            if idx:
+                out.append((s, idx))
+        return out

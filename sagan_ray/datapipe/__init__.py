@@ -1,12 +1,13 @@
 """Large-scale training-data operations over document tables:
 deduplication (exact, MinHash-LSH, SimHash, n-gram Jaccard, containment,
 content-defined chunks), text analysis (language ID, quality scoring,
-token counts, fingerprints), corpus curation and event analytics. All
-Ray-Data-first: vectorized map_batches + pre-aggregated groupbys.
+token counts, fingerprints) and corpus curation. All Ray-Data-first:
+vectorized map_batches + pre-aggregated groupbys, with keyed work on the
+engine's hash exchange (``sagan_ray.exchange``); this package is its
+client, and the engine core never imports it.
 
 Submodules load on first use of one of their names (PEP 562): a Ray
-worker that imports one submodule, e.g. the exchange tasks, does not
-import the rest."""
+worker that imports one submodule does not import the rest."""
 
 import importlib
 
@@ -28,20 +29,12 @@ _EXPORTS = {
         sample_stratified sample_token_budget
         sample_token_budget_by_group sample_weighted shuffle_shards
     """,
-    "events": """
-        cohort_retention debounce funnel_stages props_key_agg
-        transition_counts
-    """,
-    "exchange": "hash_group_apply",
     "index": "build_inverted_index search_index update_inverted_index",
     "search": "bm25_topk tfidf_similar",
     "sketch": "bloom_membership cms_word_counts hll_vocab",
     "pack": "chunk_documents pack_sequences",
-    "stats": """
-        group_outlier_flags group_percentiles histogram percentiles
-        rank_normalize
-    """,
-    "joins": "asof_join hash_join",
+    "stats": "group_percentiles percentiles rank_normalize",
+    "joins": "hash_join",
     "textstats": """
         bigram_nll byte_entropy collocations corpus_stats cross_doc_dup
         distinctive_terms fingerprint heavy_hitters langid quality

@@ -36,7 +36,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .dedup import _shingle_hashes_batch
-from .exchange import hash_group_apply
+from ..exchange import hash_group_apply
 
 _KNUTH = np.uint64(2654435761)
 _MOD32 = np.uint64(1) << np.uint64(32)
@@ -790,7 +790,7 @@ def filter_funnel(ds, *, text_col: str = "text",
     the tiny partials; document rows never shuffle.
     """
     from .textstats import STOPWORDS, _gram_runs, _split_flat
-    from .hashing import hash_array_pure
+    from ..exchange import hash_array_pure
 
     stops = sorted(stop_words if stop_words is not None
                    else STOPWORDS["en"])

@@ -22,7 +22,7 @@ import re
 import numpy as np
 import pandas as pd
 
-from .hashing import hash_array_pure as _hash_pure
+from ..exchange import hash_array_pure as _hash_pure
 import pyarrow as pa
 
 _WORD_RE = re.compile(r"\S+")
@@ -77,7 +77,7 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     hash_array pass, no per-row hashlib) only PARTITIONS the exchange —
     within a bucket texts are exact-compared, so a hash collision merely
     co-locates two distinct texts, never merges them."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def add_hash(tbl: pa.Table) -> pa.Table:
         texts = tbl.column(text_col).to_numpy(zero_copy_only=False)
@@ -102,7 +102,7 @@ def dedup_against_prior(new, prior, *, text_col: str = "text",
     as exact_dedup: the 8-byte hash only partitions; the in-bucket
     check compares exact texts, so collisions never drop a survivor.
     Returns the surviving ``new`` rows as (id_col, text_col)."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def tag(side):
         def f(tbl: pa.Table) -> pa.Table:
@@ -141,7 +141,7 @@ def snapshot_diff(new, old, *, text_col: str = "text",
     Shape: side-tagged union → one doc_id hash exchange → per-bucket
     outer merge (pandas, bucket-local). Text crosses the wire once per
     side and only ids + status come back. Returns (id_col, status)."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def tag(side):
         def f(tbl: pa.Table) -> pa.Table:
@@ -360,7 +360,7 @@ def minhash_lsh_candidates(ds, *, text_col: str = "text", id_col: str = "doc_id"
         return pd.DataFrame({"a": ids[ai].astype(np.int64),
                              "b": ids[bi].astype(np.int64)})
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
     cands = hash_group_apply(ds.map_batches(sig_batch, batch_format="pyarrow"),
@@ -403,7 +403,7 @@ def verify_pairs_jaccard(ds, cands, *, threshold: float,
 
     Only candidate-sized data crosses the second exchange; the corpus
     crosses the first once, as packed uint64 shingles (no text)."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def corpus_rows(tbl: pa.Table) -> pa.Table:
         ids = tbl.column(id_col).to_pylist()
@@ -580,7 +580,7 @@ def ngram_jaccard_pairs(ds, *, threshold: float = 0.5, text_col: str = "text",
                               "b": b.astype(np.int64)})
                 .drop_duplicates())
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
     posts = hash_group_apply(ds.map_batches(explode, batch_format="pyarrow"),
@@ -703,7 +703,7 @@ def simhash_dedup(ds, *, max_hamming: int = 3, text_col: str = "text",
                              "b": ids[bi][m].astype(np.int64),
                              "hamming": d[m]})
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
                              ("hamming", pa.int64())])
@@ -730,7 +730,7 @@ def connected_components(pairs, *, max_iters: int = 50):
     worst case is the pair-graph diameter (``max_iters`` bounds it)."""
     import pyarrow.compute as pc_
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     label_schema = pa.schema([("node", pa.int64()), ("label", pa.int64())])
     join_schema = pa.schema([("key", pa.int64()), ("v", pa.int64()),
@@ -808,7 +808,7 @@ def dedup_cluster_reps(ds, *, threshold: float = 0.9, text_col: str = "text",
     The rep attach is an exchange join of the corpus ids against the
     component labels (ids only — text never moves), so nothing
     materializes on the driver at any corpus size."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     pairs = minhash_lsh_dedup(ds, threshold=threshold, text_col=text_col,
                               id_col=id_col, k=k, n_perm=n_perm, bands=bands)
@@ -1027,7 +1027,7 @@ def cdc_chunk_stats(ds, *, bits: int = 6, min_size: int = 32,
     totals, one exchange on doc sums — the cross_doc_dup two-exchange
     shape. Totals need no extra text pass: chunks partition the doc,
     so n_bytes = sum of chunk lengths."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     occ_schema, chunks = _cdc_occurrences(bits, min_size, max_size,
                                           text_col, id_col)
@@ -1092,7 +1092,7 @@ def ngram_containment_pairs(ds, *, threshold: float = 0.8,
     oracle. Same stop-shingle skew guard as the Jaccard op."""
     import logging
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def explode(tbl: pa.Table) -> pa.Table:
         ids = np.asarray(tbl.column(id_col).to_pylist(), dtype=np.int64)
@@ -1176,7 +1176,7 @@ def _verify_pairs_containment(ds, cands, *, threshold: float,
     """Exact containment verify over DIRECTED candidate pairs — the
     two-exchange join of ``verify_pairs_jaccard`` with the asymmetric
     score |S_a ∩ S_b| / |S_a| (a is the contained side)."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def corpus_rows(tbl: pa.Table) -> pa.Table:
         ids = [int(i) for i in tbl.column(id_col).to_pylist()]
@@ -1264,7 +1264,7 @@ def cdc_chunk_hashes(ds, *, bits: int = 6, min_size: int = 32,
     uint64 ``g`` column — the prior-corpus snapshot
     ``cdc_coverage_vs_prior`` consumes (write it with ``write_parquet``
     between crawls; 8 bytes per distinct chunk, no text)."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     _, chunks = _cdc_occurrences(bits, min_size, max_size,
                                  text_col, id_col)
@@ -1294,7 +1294,7 @@ def cdc_coverage_vs_prior(ds, prior, *, bits: int = 6, min_size: int = 32,
     forward their totals, a second exchange on doc sums. The prior set
     never broadcasts and never sits on the driver — the scale path for
     a prior corpus with billions of distinct chunks."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     occ_schema, chunks = _cdc_occurrences(bits, min_size, max_size,
                                           text_col, id_col)
@@ -1435,7 +1435,7 @@ def minhash_join(ds_a, ds_b, *, threshold: float = 0.8,
         return pd.DataFrame({"a": a.astype(np.int64),
                              "b": ids[b_idx].astype(np.int64)})
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
     sides = ds_a.map_batches(make_sig(0), batch_format="pyarrow").union(
@@ -1496,7 +1496,7 @@ def fuzzy_dedup_against_prior(new, prior, *, threshold: float = 0.9,
     side pairs never materialize), then one id-keyed anti-join exchange:
     survivors are new ids with no verified prior match. Returns a
     Dataset (id_col) of surviving NEW ids."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     pairs = minhash_join(prior, new, threshold=threshold,
                          text_col=text_col, id_col=id_col)
@@ -1566,7 +1566,7 @@ def _del_variant_rows(words: np.ndarray, k: int, max_word: int):
     so any pair with a long side still shares a key (|Δlen| ≤ k is
     implied by lev ≤ k). Returns (key_hash uint64, word_idx int64) —
     candidate keys only ever bucket; verification is exact."""
-    from .hashing import hash_array_pure
+    from ..exchange import hash_array_pure
 
     lens = np.array([len(w) for w in words], np.int64)
     out_h: list[np.ndarray] = []
@@ -1635,7 +1635,7 @@ def vocab_edit_pairs(ds, *, k: int = 2, text_col: str = "text",
     the exact DP runs vectorized across each bucket's pair axis. A
     final pair-keyed exchange dedups multi-variant hits. Nothing is
     corpus-sized past stage 1; nothing materializes on the driver."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def vocab_parts(tbl: pa.Table) -> pa.Table:
         from .textstats import _words_flat
@@ -1789,7 +1789,7 @@ def dup_growth(ds, edges, *, text_col: str = "text",
     driver never sees ids. Pass ``ids_ds`` (an id-only scan of the
     same table) so the totals pass reads one int column instead of
     re-executing the text read."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     edges = np.asarray(edges, dtype=np.int64)
     assert (np.diff(edges) >= 0).all()
@@ -1864,7 +1864,7 @@ def minhash_calibration(ds_factory, *, text_col: str = "text",
     the two sides into (matches, jaccard) — a single int/int division
     in lockstep with the SQL's i/(sa+sb−i). Driver holds only the
     pairs-sized report. Returns (a, b, matches, jaccard) sorted."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     a_p, b_p = _minhash_params(n_perm, seed)
     cands = minhash_lsh_candidates(

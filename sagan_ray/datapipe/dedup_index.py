@@ -52,7 +52,7 @@ import pyarrow as pa
 
 from .dedup import (_band_keys_from_sigs, _minhash_params,
                     _shingle_hashes_batch, _signature)
-from .exchange import hash_group_apply
+from ..exchange import hash_group_apply
 
 N_KEY_BUCKETS = 256          # band-key partition fan-out per band
 N_SH_BUCKETS = 64            # shingle-set partition fan-out

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .hashing import hash_array_pure
+from ..exchange import hash_array_pure
 
 
 def table_upsert(old_ds, new_ds, *, key_col: str = "doc_id"):
@@ -36,7 +36,7 @@ def table_upsert(old_ds, new_ds, *, key_col: str = "doc_id"):
     ``snapshot_diff`` stance: a snapshot is a keyed table)."""
     import pandas as pd
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     out_schema = old_ds.schema().base_schema
     new_schema = new_ds.schema().base_schema
@@ -74,7 +74,7 @@ def snapshot_diff(old_ds, new_ds, *, key_col: str = "doc_id",
     reduce. Side-tagged union through one key-hashed exchange."""
     import pandas as pd
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def tag(side: int):
         def fn(tbl: pa.Table) -> pa.Table:

@@ -1,34 +1,9 @@
-"""The family-wide vectorized hash primitives: the value-pure 64-bit
-hash of arbitrary values, and the SplitMix64 per-id ordering hash.
-
-``hash_array_pure``: ``pd.util.hash_array`` with its DEFAULT
-``categorize=True`` is NOT a pure function of the element value: the
-categorize path factorizes through a khash table whose string equality
-is C-strlen based, so a string containing a NUL byte is conflated with
-whichever equal-up-to-the-NUL string entered the table first — the hash
-of '\\x000' depends on what ELSE is in the array (found by the
-batch-vs-single hypothesis property test). That breaks both the
-"hash is a pure function of the word" spec every dedup/text operator
-relies on and, worse, conv-id bucket routing in the engine exchange
-(the same conv_id could land in different buckets in different blocks,
-splitting correlation state). ``categorize=False`` hashes each element
-directly (full-length bytes) and is value-pure; on NUL-free input the
-two paths return IDENTICAL values, so switching changes no existing
-gate output. Cost: the hash pass is ~2x slower on heavy-repeat word
-arrays (0.58 -> 1.14 s per 4M Zipf words, measured) — a fraction of
-any operator's total. Every pipeline AND golden call site routes
-through this wrapper so both sides of the gate share one spec.
-"""
+"""The SplitMix64 per-id ordering hash. The value-pure key hash,
+``hash_array_pure``, lives with the exchange in ``sagan_ray.exchange``."""
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-
-
-def hash_array_pure(vals):
-    """Value-pure 64-bit hashes: pd.util.hash_array(categorize=False)."""
-    return pd.util.hash_array(vals, categorize=False)
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:

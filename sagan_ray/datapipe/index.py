@@ -31,7 +31,7 @@ import os
 import numpy as np
 import pandas as pd
 
-from .hashing import hash_array_pure as _hash_pure
+from ..exchange import hash_array_pure as _hash_pure
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -109,7 +109,7 @@ def search_index(index_dir: str, terms: list[str], *, k: int = 50,
     pandas DataFrame (doc_id, score) like ``bm25_topk``."""
     import ray.data as rd
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     terms = [t.lower() for t in terms]
     nt = len(terms)
@@ -239,7 +239,7 @@ def search_index_many(index_dir: str, queries: dict[int, list[str]], *,
     import ray
     import ray.data as rd
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     qids = sorted(queries)
     qterms = {qi: [t.lower() for t in queries[qi]] for qi in qids}

@@ -175,7 +175,7 @@ def length_batches(ds, *, batch_size: int, count_col: str = "n_tokens",
     import ray
     import ray.data as rd
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     assert batch_size > 0
 
@@ -245,7 +245,7 @@ def pack_bins_bfd(ds, *, capacity: int, count_col: str = "n_chars",
 
     import pandas as pd
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     knuth = np.uint64(2654435761)
     mod32 = np.uint64(1) << np.uint64(32)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from .hashing import hash_array_pure
+from ..exchange import hash_array_pure
 
 
 def profile_table(ds, columns: list[str], *, ds_distinct=None):
@@ -30,7 +30,7 @@ def profile_table(ds, columns: list[str], *, ds_distinct=None):
     import pandas as pd
     import ray.data as rd
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     cols = list(columns)
 
@@ -152,7 +152,7 @@ def validate_table(ds, constraints: list[tuple], *, ds_unique=None):
     import pyarrow.compute as pc
     import ray.data as rd
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     cons = [tuple(c) for c in constraints]
     for c in cons:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .hashing import hash_array_pure as _hash_pure
+from ..exchange import hash_array_pure as _hash_pure
 import pyarrow as pa
 
 from .textstats import _words_flat
@@ -147,7 +147,7 @@ def tfidf_similar(ds, query_ids: list[int], *, k: int = 20,
     IEEE expression); cross-bucket sum order differs from the SQL
     oracle's scan order by ~1e-15 relative, collapsed by the rounded
     ranking key."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     qids = [int(x) for x in query_ids]
     nq = len(qids)

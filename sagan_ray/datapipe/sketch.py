@@ -26,7 +26,7 @@ import math
 import numpy as np
 import pandas as pd
 
-from .hashing import hash_array_pure as _hash_pure
+from ..exchange import hash_array_pure as _hash_pure
 import pyarrow as pa
 
 from .textstats import _words_flat

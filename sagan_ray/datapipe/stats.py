@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .exchange import hash_group_apply
+from ..exchange import hash_group_apply
 
 
 def percentiles(ds, col: str, qs: list[float]):
@@ -160,109 +160,3 @@ def rank_normalize(ds, *, group_col: str, col: str, id_col: str = "doc_id"):
             preserve_index=False).replace_schema_metadata(None)
 
     return ds.map_batches(attach, batch_format="pyarrow")
-
-
-def histogram(ds, *, col: str, lo: float, hi: float, nbins: int):
-    """Fixed-bin histogram of a float column: bin = floor((v - lo)/w)
-    clamped into [0, nbins) (outliers land in the edge bins — counted,
-    never dropped), w = (hi - lo)/nbins. Returns a small pandas frame
-    (bin, lo_edge, cnt) with every bin present (zeros included).
-
-    Shape: per-batch ``np.bincount`` partials (nbins rows each,
-    batch_size pinned — the partial-emitting-stage rule), one
-    tree-combine map_batches, driver folds O(combined) rows. Nothing
-    but (bin, cnt) rows ever leave a task. Determinism: the bin
-    expression is the SAME IEEE ops as the SQL oracle's
-    (floor((v-lo)/w), clamp), and counts are exact ints."""
-    w = (hi - lo) / nbins
-    part_schema = pa.schema([("bin", pa.int64()), ("cnt", pa.int64())])
-
-    def part(tbl: pa.Table) -> pa.Table:
-        v = tbl.column(col).to_numpy(zero_copy_only=False)
-        v = v[~np.isnan(v)]
-        b = np.clip(np.floor((v - lo) / w), 0, nbins - 1).astype(np.int64)
-        c = np.bincount(b, minlength=nbins).astype(np.int64)
-        return pa.table({"bin": np.arange(nbins, dtype=np.int64),
-                         "cnt": c})
-
-    def fold(tbl: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(tbl, "bin").aggregate([("cnt", "sum")])
-        return g.rename_columns(["bin", "cnt"])
-
-    parts = (ds.map_batches(part, batch_format="pyarrow",
-                            batch_size=65536)
-               .map_batches(fold, batch_format="pyarrow",
-                            batch_size=nbins * 64))
-    df = parts.to_pandas()
-    if len(df) == 0:
-        df = pd.DataFrame({"bin": np.arange(nbins, dtype=np.int64),
-                           "cnt": np.zeros(nbins, np.int64)})
-    out = (df.groupby("bin", sort=True)["cnt"].sum()
-           .reindex(np.arange(nbins), fill_value=0).reset_index())
-    out["lo_edge"] = lo + out["bin"].to_numpy() * w
-    return out[["bin", "lo_edge", "cnt"]].astype(
-        {"bin": "int64", "cnt": "int64", "lo_edge": "float64"})
-
-
-def group_outlier_flags(ds, *, group_col: str, col: str, id_col: str,
-                        k: float = 1.5):
-    """Per-row Tukey-fence outlier flags within groups: is_outlier iff
-    value < q1 - k·IQR or > q3 + k·IQR, with q1/q3 the NEAREST-RANK
-    group quantiles (the ``percentiles`` spec) — the per-signal anomaly
-    screen a curation pipeline runs before trusting a metric column.
-
-    Shape: one (group, value) histogram exchange (distinct-cardinality
-    ≪ N), driver keeps only the per-group fence table which broadcasts
-    back via ``ray.put`` for a map-side flag pass — full rows never
-    shuffle. Determinism: ranks are exact ints; every float the flag
-    compares is built with the SAME IEEE expression the SQL oracle
-    spells out (q1 - k·(q3 - q1) on identical doubles)."""
-    import ray
-
-    def counts(tbl: pa.Table) -> pa.Table:
-        g = pa.TableGroupBy(tbl.select([group_col, col]),
-                            [group_col, col]).aggregate([([], "count_all")])
-        return g.rename_columns([group_col, col, "cnt"])
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return (df.groupby([group_col, col], sort=False)["cnt"].sum()
-                .reset_index())
-
-    hist_schema = pa.schema([(group_col, pa.string()),
-                             (col, pa.float64()), ("cnt", pa.int64())])
-    hist = hash_group_apply(
-        ds.map_batches(counts, batch_format="pyarrow", batch_size=65536),
-        [group_col], combine, out_schema=hist_schema).to_pandas()
-    out_schema = pa.schema([(id_col, pa.int64()), (group_col, pa.string()),
-                            (col, pa.float64()),
-                            ("is_outlier", pa.bool_())])
-    if len(hist) == 0:
-        import ray.data as rd
-        return rd.from_arrow(out_schema.empty_table())
-    lo_d, hi_d = {}, {}
-    for gval, sub in hist.groupby(group_col, sort=False):
-        sub = sub.sort_values(col)
-        n = int(sub["cnt"].sum())
-        cum = sub["cnt"].cumsum().to_numpy()
-        vals = sub[col].to_numpy()
-        q1 = vals[np.searchsorted(cum, max(1, math.ceil(0.25 * n)),
-                                  side="left")]
-        q3 = vals[np.searchsorted(cum, max(1, math.ceil(0.75 * n)),
-                                  side="left")]
-        lo_d[gval] = q1 - k * (q3 - q1)
-        hi_d[gval] = q3 + k * (q3 - q1)
-    b_ref = ray.put((lo_d, hi_d))
-
-    def flag(tbl: pa.Table) -> pa.Table:
-        lo_m, hi_m = ray.get(b_ref)
-        gv = tbl.column(group_col).to_pandas()
-        v = tbl.column(col).to_numpy(zero_copy_only=False)
-        lo = gv.map(lo_m).to_numpy(dtype=np.float64)
-        hi = gv.map(hi_m).to_numpy(dtype=np.float64)
-        return pa.table({
-            id_col: tbl.column(id_col).cast(pa.int64()),
-            group_col: tbl.column(group_col),
-            col: tbl.column(col).cast(pa.float64()),
-            "is_outlier": pa.array((v < lo) | (v > hi))})
-
-    return ds.map_batches(flag, batch_format="pyarrow")

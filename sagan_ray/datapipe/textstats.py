@@ -17,7 +17,7 @@ import re
 import numpy as np
 import pandas as pd
 
-from .hashing import hash_array_pure as _hash_pure
+from ..exchange import hash_array_pure as _hash_pure
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -354,7 +354,7 @@ def cross_doc_dup(ds, *, k: int = 5, text_col: str = "text",
     cross the wire, never text. Totals ride a second cheap pass over
     the id/text columns (a column-pruned re-scan, not a cached
     materialization)."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     occ_schema = pa.schema([("g", pa.uint64()), (id_col, pa.int64()),
                             ("npos", pa.int64())])
@@ -444,7 +444,7 @@ def unigram_nll(ds, text_col: str = "text", id_col: str = "doc_id"):
     strings). Float S is summed in bucket/arrival order, so nll matches
     the SQL oracle to ~1e-15 relative, not bit-exactly (the driver gate
     compares floats with tolerance)."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def count_partial(tbl: pa.Table) -> pa.Table:
         _, doc_of, _, _, _ = _words_flat(tbl.column(text_col))
@@ -523,7 +523,7 @@ def bigram_nll(ds, text_col: str = "text", id_col: str = "doc_id"):
     sums and divides. 64-bit gram-hash collision stance shared with the
     dedup family; float s sums in bucket/arrival order (~1e-15 relative
     vs the SQL oracle, inside the gate tolerance)."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     tf_schema = pa.schema([("w1h", pa.uint64()), ("bh", pa.uint64()),
                            (id_col, pa.int64()), ("tf", pa.int64())])
@@ -595,7 +595,7 @@ def remove_dup_spans(ds, *, k: int = 5, text_col: str = "text",
     (`_split_flat`), so the SQL oracle replays it with string_split +
     list positions. Gram identity is the 64-bit Horner hash (the
     family's documented collision stance)."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     occ_schema = pa.schema([("g", pa.uint64()), (id_col, pa.int64()),
                             ("pos", pa.int64())])
@@ -697,7 +697,7 @@ def collocations(ds, *, min_count: int = 20, text_col: str = "text",
     grouping shares the dedup family's 64-bit collision stance."""
     import ray.data as rd
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
     from .joins import hash_join
 
     out_schema = pa.schema([("w1", pa.large_string()),
@@ -869,7 +869,7 @@ def distinctive_terms(ds, text_col: str = "text", id_col: str = "doc_id"):
     (term, doc), and the exact STRING groups, so hash collisions only
     co-locate); the (doc, term, tf, df) candidates then re-key by doc
     for the per-doc argmin. Docs with zero words yield no row."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def tfrows(tbl: pa.Table) -> pa.Table:
         n_docs, doc_of, wlen, wh, words = _words_flat(tbl.column(text_col))
@@ -923,7 +923,7 @@ def doc_keywords(ds, *, k: int = 3, text_col: str = "text",
     STRING's row count (hashes only co-locate); candidates re-key by doc
     for the per-doc top-k. Candidate volume is the distinct (doc, word)
     pair count — no vocabulary broadcast, no all-pairs."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def nrows(tbl: pa.Table) -> pa.Table:
         return pa.table({"n": pa.array([tbl.num_rows], pa.int64())})
@@ -999,7 +999,7 @@ def doc_summary(ds, *, k: int = 2, text_col: str = "text",
     stream, which leaves the bucket as bare (doc, sent, df) triples; a
     doc-keyed exchange then reduceats the scores and ranks. Sentence
     text never ships — output is ids, like adjacent_pairs."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def nrows(tbl: pa.Table) -> pa.Table:
         return pa.table({"n": pa.array([tbl.num_rows], pa.int64())})
@@ -1119,7 +1119,7 @@ def corpus_stats(ds, text_col: str = "text", id_col: str = "doc_id"):
     Returns a pandas DataFrame with one row."""
     import pandas as pd
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def parts(tbl: pa.Table) -> pa.Table:
         n_docs, doc_of, wlen, wh, ws = _words_flat(tbl.column(text_col))
@@ -1399,7 +1399,7 @@ def source_overlap(ds, *, k: int = 5, text_col: str = "text",
     gram; per gram-bucket a self-merge yields pairs (bounded by
     |sources|² per gram, NOT docs²), a second tiny exchange sums.
     Output is ≤ |sources|·(|sources|+1)/2 rows."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     occ_schema = pa.schema([("g", pa.uint64()), (source_col, pa.string())])
 
@@ -1472,7 +1472,7 @@ def source_divergence(ds, *, text_col: str = "text",
     in arrival order (~1e-15 relative vs the SQL oracle)."""
     import ray.data as rd
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     tot_schema = pa.schema([(source_col, pa.string()), ("n", pa.int64())])
 
@@ -1562,7 +1562,7 @@ def source_terms(ds, *, k: int = 3, text_col: str = "text",
     only co-locate."""
     import pandas as pd
 
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def tfrows(tbl: pa.Table) -> pa.Table:
         n_docs, doc_of, wlen, wh, words = _words_flat(tbl.column(text_col))
@@ -1635,7 +1635,7 @@ def nll_quality_filter(ds, *, drop_denom: int = 10,
     everything else is a map-side keep/drop."""
     import ray.data as rd
 
-    from .exchange import hash_group_apply  # noqa: F401 (sibling parity)
+    from ..exchange import hash_group_apply  # noqa: F401 (sibling parity)
 
     scored = unigram_nll(ds, text_col=text_col, id_col=id_col) \
         .materialize()
@@ -1698,7 +1698,7 @@ def zipf_fit(ds, *, top_n: int = 100, text_col: str = "text"):
     ≤ top_n × buckets rows and evaluates the closed-form OLS — the
     same float expression the SQL oracle spells out over identical
     exact-int (rank, count) pairs."""
-    from .exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     schema = pa.schema([("w", pa.large_string()), ("c", pa.int64())])
 

@@ -196,17 +196,19 @@ def _bool(arr) -> np.ndarray:
 
 
 class CidrTable:
-    """Sorted disjoint CIDR ranges → value, with bisect lookup.
+    """CIDR ranges → value, with bisect lookup.
 
     The broadcast analog of the reference's GeoIP mmdb / blacklist array
     (src/geoip.c:58-86, src/processors/blacklist.c:70-229): built once on
     the driver, shipped to workers via ``ray.put``, looked up per unique IP
-    per batch with memoization.
+    per batch with memoization. Ranges may nest: an address takes the
+    value of the most specific range that holds it (mmdb longest-prefix
+    semantics; for a membership table, the union of its ranges).
     """
 
     def __init__(self, entries: list[tuple[str, str]]):
-        """entries: [(cidr, value)]; ranges must be disjoint."""
-        rows = []
+        """entries: [(cidr, value)]; of two equal ranges the later wins."""
+        ranges = {}
         for cidr, value in entries:
             n = ipaddress.ip_network(cidr, strict=False)
             if n.version == 4:
@@ -214,8 +216,8 @@ class CidrTable:
                 hi = _V4MAPPED_BASE + int(n.broadcast_address)
             else:
                 lo, hi = int(n.network_address), int(n.broadcast_address)
-            rows.append((lo, hi, value))
-        rows.sort()
+            ranges[lo, hi] = value
+        rows = _flatten_nested(ranges)
         self._los = [r[0] for r in rows]
         self._his = [r[1] for r in rows]
         self._vals = [r[2] for r in rows]
@@ -253,6 +255,30 @@ class CidrTable:
 
     def __len__(self) -> int:
         return len(self._los)
+
+
+def _flatten_nested(ranges: dict[tuple[int, int], str]) -> list:
+    """Nested-or-disjoint ranges (CIDR ranges never partly overlap) as
+    sorted disjoint (lo, hi, value) rows, each point keeping the value
+    of the innermost range that holds it. One sweep in (lo, -hi) order
+    with a stack of the ranges open at the cursor."""
+    rows, open_, at = [], [], 0
+    for lo, hi in sorted(ranges, key=lambda r: (r[0], -r[1])):
+        while open_ and open_[-1][0] < lo:       # ranges that end before lo
+            end, value = open_.pop()
+            if at <= end:
+                rows.append((at, end, value))
+            at = end + 1
+        if open_ and at < lo:                     # the enclosing range's
+            rows.append((at, lo - 1, open_[-1][1]))   # part before lo
+        open_.append((hi, ranges[lo, hi]))
+        at = lo
+    while open_:
+        end, value = open_.pop()
+        if at <= end:
+            rows.append((at, end, value))
+        at = end + 1
+    return rows
 
 
 def _v4_bound(b: int) -> int:

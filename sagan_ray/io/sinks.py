@@ -19,8 +19,6 @@ import os
 import numpy as np
 import pyarrow as pa
 
-from ..config import SINK_EMAIL, SINK_EXTERNAL
-
 
 _B64_ALPHABET = np.frombuffer(
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
@@ -233,11 +231,6 @@ def write_sinks(engine_result, out_dir: str, *, overwrite: bool = False,
                 if info.get("done") and p.startswith("sink=")}
     # a sink that routed zero rows writes no partition dir — record 0
     # so consumers can distinguish 'ran, empty' from 'unknown sink'
-    sinks = set(engine_result.config.sinks)
-    if any(r.email for r in engine_result.ruleset):
-        sinks.add(SINK_EMAIL)
-    if any(r.external for r in engine_result.ruleset):
-        sinks.add(SINK_EXTERNAL)
-    for s in sinks:
+    for s, _ in engine_result.config.sink_fanout(engine_result.ruleset):
         per_sink.setdefault(s, 0)
     return per_sink

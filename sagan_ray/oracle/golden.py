@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from ..datapipe.hashing import hash_array_pure as _hash_pure
+from ..exchange import hash_array_pure as _hash_pure
 import pyarrow as pa
 
 GOLDEN_DIR = "/tmp/sagan_ray_golden"

@@ -31,7 +31,7 @@ def client_stats(ds, key: str = "conv_id", text_col: str = "text",
     reference's arrival-order wall-clock sample).
 
     Pre-aggregates per batch, then combines partials through the SHARED
-    bucketed hash exchange (datapipe.exchange.hash_group_apply — the same
+    bucketed hash exchange (sagan_ray.exchange.hash_group_apply — the same
     streaming split + skew-refined reduce every wide operator uses; for
     HIGH-cardinality keys the sort-based groupby measured ~10× slower at
     4M rows / 150k keys). One vectorized pandas group-aggregate per
@@ -40,7 +40,7 @@ def client_stats(ds, key: str = "conv_id", text_col: str = "text",
     """
     import numpy as np
 
-    from ..datapipe.exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     _partial_schema = pa.schema([
         (key, pa.string()), ("bytes", pa.int64()),
@@ -136,7 +136,7 @@ def track_clients(ds, horizon_ts, *, timeout_seconds: int = 3600,
     import numpy as np
     import pandas as pd
 
-    from ..datapipe.exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     cutoff = horizon_ts - __import__("datetime").timedelta(seconds=timeout_seconds)
 
@@ -243,7 +243,7 @@ def role_transitions(ds, key: str = "conv_id", role_col: str = "role",
     import numpy as np
     import pandas as pd
 
-    from ..datapipe.exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def bucket(df: pd.DataFrame) -> pd.DataFrame:
         ks = df[key].to_numpy()
@@ -300,7 +300,7 @@ def conv_documents(ds, key: str = "conv_id", text_col: str = "text",
     import numpy as np
     import pandas as pd
 
-    from ..datapipe.exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def bucket(df: pd.DataFrame) -> pd.DataFrame:
         ks = df[key].to_numpy()
@@ -352,7 +352,7 @@ def adjacent_pairs(ds, *, prev_role: str, next_role: str,
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from ..datapipe.exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     def slim(tbl: pa.Table) -> pa.Table:
         return pa.table({
@@ -407,7 +407,7 @@ def context_windows(ds, *, window: int = 3, sep: str = " | ",
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from ..datapipe.exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     assert window >= 1
 
@@ -470,8 +470,8 @@ def boilerplate_turns(ds, *, min_convs: int, key: str = "conv_id",
     import pandas as pd
     import ray
 
-    from ..datapipe.exchange import hash_group_apply
-    from ..datapipe.hashing import hash_array_pure
+    from ..exchange import hash_group_apply
+    from ..exchange import hash_array_pure
 
     def pairs(tbl: pa.Table) -> pa.Table:
         txt = tbl.column(text_col).to_numpy(zero_copy_only=False)

@@ -6,7 +6,7 @@ Ray-Data-first shape (SURVEY.md §3.4):
     matches = ds.map_batches(classify_batch)   # fused parse+classify (tasks,
                                                # per-worker compiled ruleset)
     matches → shuffle(conv_id) → _corr_bucket  # the repo's ONE hash
-                                               # exchange (datapipe/
+                                               # exchange (sagan_ray/
                                                # exchange.py): per-bucket
                                                # ordered replay of the
                                                # stateful tail; stateless
@@ -33,7 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..config import SINK_EMAIL, SINK_EXTERNAL, EngineConfig, Lookups
+from ..config import EngineConfig, Lookups
 from ..rules.model import RuleSet
 from ..stages.classify import (
     LIST_MATCH_SCHEMA,
@@ -113,9 +113,8 @@ class EngineResult:
     def routed_exploded(self):
         """One row per (alert × sink) — the Output() fan-out analog
         (reference src/output.c:63-149)."""
-        sinks = tuple(self.config.sinks)
-        email_rules = {r.idx for r in self.ruleset if r.email}
-        external_rules = {r.idx for r in self.ruleset if r.external}
+        fanout = self.config.sink_fanout(self.ruleset)
+        every = frozenset(r.idx for r in self.ruleset)
 
         def explode(tbl: pa.Table) -> pa.Table:
             tbl = tbl.filter(pc.equal(tbl.column("emit"), True))
@@ -123,15 +122,14 @@ class EngineResult:
                 out = tbl.append_column("sink", pa.array([], pa.string()))
                 return out
             parts = []
-            for s in sinks:
-                parts.append(tbl.append_column("sink", pa.array([s] * len(tbl))))
-            for s, idxset in ((SINK_EMAIL, email_rules), (SINK_EXTERNAL, external_rules)):
-                if idxset:
-                    m = pc.is_in(tbl.column("rule_idx"),
-                                 value_set=pa.array(sorted(idxset), pa.int32()))
-                    sub = tbl.filter(m)
-                    if len(sub):
-                        parts.append(sub.append_column("sink", pa.array([s] * len(sub))))
+            for s, idxset in fanout:
+                sub = tbl
+                if idxset != every:
+                    sub = tbl.filter(pc.is_in(
+                        tbl.column("rule_idx"),
+                        value_set=pa.array(sorted(idxset), pa.int32())))
+                if len(sub):
+                    parts.append(sub.append_column("sink", pa.array([s] * len(sub))))
             return pa.concat_tables(parts)
 
         return self.matches.map_batches(explode, batch_format="pyarrow")
@@ -176,15 +174,12 @@ class EngineResult:
         by_sid = {}
         for r in self.ruleset:
             by_sid.setdefault(r.sid, r)
+        fanout = self.config.sink_fanout(self.ruleset)
         for sid, n in per_sid.items():
-            r = by_sid[sid]
-            sinks = list(self.config.sinks)
-            if r.email:
-                sinks.append(SINK_EMAIL)
-            if r.external:
-                sinks.append(SINK_EXTERNAL)
-            for s in sinks:
-                out[(s, sid)] = out.get((s, sid), 0) + n
+            idx = by_sid[sid].idx
+            for s, idxset in fanout:
+                if idx in idxset:
+                    out[(s, sid)] = out.get((s, sid), 0) + n
         return out
 
 
@@ -212,7 +207,7 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
 
     ``task_retries``: max_retries for the exchange's raw Ray tasks; 0
     with a ``state_dir`` is the flat-driver-memory recipe for 1 M+-block
-    inputs (datapipe/exchange.py documents the trade)."""
+    inputs (sagan_ray/exchange.py documents the trade)."""
     config = config or EngineConfig()
     lookups = lookups or Lookups()
     ruleset_ref = ray.put(ruleset)
@@ -245,8 +240,8 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
     )
 
     # imported here: workers that load this module for its tasks never
-    # import the datapipe package for it
-    from ..datapipe.exchange import default_n_buckets, shuffle
+    # import the exchange for it
+    from ..exchange import default_n_buckets, shuffle
 
     # a stateless ruleset needs no reduce: zero buckets, and it neither
     # reads nor writes state_dir nor touches the shared xbit store
@@ -272,7 +267,7 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
         shared_bit_store(shared_bits)
 
     # The correlation stage is a client of the shared hash exchange
-    # (datapipe/exchange.py documents its rationale, failure story and
+    # (sagan_ray/exchange.py documents its rationale, failure story and
     # driver-memory bound). Map side: each classify output block (LIST
     # form — a matched turn's text crosses each wire at most once per
     # class, not once per matching rule) sheds its stateless slice and

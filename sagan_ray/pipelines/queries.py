@@ -787,54 +787,6 @@ LEFT JOIN (
 
 
 # ---------------------------------------------------------------------------
-# event-stream as-of join (streaming-shaped op, ray_guide pattern)
-# ---------------------------------------------------------------------------
-
-
-def q_events_asof(sf_dir: str):
-    """For each purchase, the most recent prior-or-equal click by the
-    same user (backward as-of join via the hash exchange; unmatched
-    purchases kept with sentinel -1 so the id column stays BIGINT)."""
-    import pyarrow.compute as pac
-    import ray.data as rd
-
-    from ..datapipe.joins import asof_join
-
-    def side(et):
-        return rd.read_parquet(
-            f"{sf_dir}/events.parquet",
-            columns=["event_id", "ts", "user_id", "value"],
-            filter=pac.field("event_type") == et)
-
-    out = asof_join(side("purchase"), side("click"), on="ts",
-                    by="user_id", left_cols=["event_id"],
-                    right_cols=["event_id", "value"],
-                    right_prefix="click_").to_pandas()
-    out["click_id"] = out["click_event_id"].fillna(-1).astype("int64")
-    out = out.rename(columns={"click_value": "click_val"})
-    out = out.astype({"event_id": "int64", "user_id": "int64"})
-    return (out.sort_values("event_id").reset_index(drop=True)
-            [["event_id", "user_id", "ts", "click_id", "click_val"]])
-
-
-SQL_EVENTS_ASOF = """
-WITH l AS (SELECT event_id, user_id, ts FROM events
-           WHERE event_type = 'purchase'),
-r AS (SELECT event_id, user_id, ts, value FROM events
-      WHERE event_type = 'click'),
-j AS (SELECT l.event_id, r.event_id AS rid, r.value AS rvalue,
-             row_number() OVER (PARTITION BY l.event_id
-                                ORDER BY r.ts DESC, r.event_id DESC) AS rn
-      FROM l JOIN r ON l.user_id = r.user_id AND r.ts <= l.ts)
-SELECT l.event_id, l.user_id, l.ts,
-       coalesce(j.rid, -1) AS click_id, j.rvalue AS click_val
-FROM l LEFT JOIN (SELECT event_id, rid, rvalue FROM j WHERE rn = 1) j
-  USING (event_id)
-ORDER BY event_id
-"""
-
-
-# ---------------------------------------------------------------------------
 # documents: dedup + text analysis
 # ---------------------------------------------------------------------------
 
@@ -2271,33 +2223,6 @@ FROM documents ORDER BY doc_id
 """
 
 
-def q_events_histogram(sf_dir: str):
-    """Fixed-bin histogram of event values (stats.py::histogram):
-    per-batch bincount partials + a tree fold — only (bin, cnt) rows
-    leave a task; the bin expression is operand-identical IEEE to the
-    SQL's."""
-    import ray.data as rd
-
-    from ..datapipe.stats import histogram
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet", columns=["value"])
-    return histogram(ds, col="value", lo=0.0, hi=500.0, nbins=50)
-
-
-SQL_EVENTS_HISTOGRAM = """
-WITH b AS (
-  SELECT LEAST(GREATEST(CAST(FLOOR((value - 0.0) / 10.0) AS BIGINT),
-                        0), 49) AS bin
-  FROM events WHERE value IS NOT NULL),
-bins AS (SELECT range AS bin FROM range(0, 50))
-SELECT bins.bin, 0.0 + bins.bin * 10.0 AS lo_edge,
-       COALESCE(c.cnt, 0)::BIGINT AS cnt
-FROM bins LEFT JOIN (SELECT bin, count(*)::BIGINT AS cnt
-                     FROM b GROUP BY bin) c USING (bin)
-ORDER BY bins.bin
-"""
-
-
 def q_doc_pack(sf_dir: str):
     """GPT-style sequence packing of the documents table (doc_id order,
     capacity 4096 whitespace tokens): token_counts composed with the
@@ -3240,107 +3165,6 @@ SELECT * FROM (
 """
 
 
-# ---------------------------------------------------------------------------
-# event-stream analytics: funnel / retention (datapipe/events.py)
-# ---------------------------------------------------------------------------
-
-def q_events_funnel(sf_dir: str):
-    """Sequential funnel view → click → purchase: stage i requires an
-    event STRICTLY after the user's first completion of stage i-1. One
-    user_id hash exchange; per-bucket work is len(steps) masked
-    ``np.minimum.at`` passes (datapipe/events.py::funnel_stages)."""
-    import ray.data as rd
-
-    from ..datapipe.events import funnel_stages
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "event_type"])
-    out = funnel_stages(ds, ["view", "click", "purchase"]).to_pandas()
-    out = out.astype({"user_id": "int64", "stage": "int64"})
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-SQL_EVENTS_FUNNEL = """
-WITH s1 AS (SELECT user_id, min(ts) AS t FROM events
-            WHERE event_type = 'view' GROUP BY user_id),
-s2 AS (SELECT e.user_id, min(e.ts) AS t FROM events e JOIN s1 USING (user_id)
-       WHERE e.event_type = 'click' AND e.ts > s1.t GROUP BY e.user_id),
-s3 AS (SELECT e.user_id, min(e.ts) AS t FROM events e JOIN s2 USING (user_id)
-       WHERE e.event_type = 'purchase' AND e.ts > s2.t GROUP BY e.user_id)
-SELECT u.user_id,
-       (CASE WHEN s1.t IS NULL THEN 0 WHEN s2.t IS NULL THEN 1
-             WHEN s3.t IS NULL THEN 2 ELSE 3 END)::BIGINT AS stage
-FROM (SELECT DISTINCT user_id FROM events) u
-LEFT JOIN s1 USING (user_id) LEFT JOIN s2 USING (user_id)
-LEFT JOIN s3 USING (user_id)
-ORDER BY u.user_id
-"""
-
-
-def q_events_funnel_windowed(sf_dir: str):
-    """Funnel with a conversion window: stages 2+ must land within one
-    day of the user's stage-1 (first view) time — the anchored
-    "convert within T" form (funnel_stages(within_us=...))."""
-    import ray.data as rd
-
-    from ..datapipe.events import funnel_stages
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts", "event_type"])
-    out = funnel_stages(ds, ["view", "click", "purchase"],
-                        within_us=86_400_000_000).to_pandas()
-    out = out.astype({"user_id": "int64", "stage": "int64"})
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-SQL_EVENTS_FUNNEL_WINDOWED = """
-WITH s1 AS (SELECT user_id, min(ts) AS t FROM events
-            WHERE event_type = 'view' GROUP BY user_id),
-s2 AS (SELECT e.user_id, min(e.ts) AS t FROM events e JOIN s1 USING (user_id)
-       WHERE e.event_type = 'click' AND e.ts > s1.t
-         AND e.ts <= s1.t + INTERVAL 1 DAY GROUP BY e.user_id),
-s3 AS (SELECT e.user_id, min(e.ts) AS t
-       FROM events e JOIN s2 USING (user_id) JOIN s1 USING (user_id)
-       WHERE e.event_type = 'purchase' AND e.ts > s2.t
-         AND e.ts <= s1.t + INTERVAL 1 DAY GROUP BY e.user_id)
-SELECT u.user_id,
-       (CASE WHEN s1.t IS NULL THEN 0 WHEN s2.t IS NULL THEN 1
-             WHEN s3.t IS NULL THEN 2 ELSE 3 END)::BIGINT AS stage
-FROM (SELECT DISTINCT user_id FROM events) u
-LEFT JOIN s1 USING (user_id) LEFT JOIN s2 USING (user_id)
-LEFT JOIN s3 USING (user_id)
-ORDER BY u.user_id
-"""
-
-
-def q_events_retention(sf_dir: str):
-    """Cohort retention triangle: users grouped by epoch day of their
-    first event, counted once per distinct active day at each day
-    offset (datapipe/events.py::cohort_retention — per-bucket count
-    partials, driver combine bounded by days²)."""
-    import ray.data as rd
-
-    from ..datapipe.events import cohort_retention
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["user_id", "ts"])
-    out = cohort_retention(ds)
-    return out.astype({"cohort_day": "int64", "day_offset": "int64",
-                       "n_users": "int64"})
-
-
-SQL_EVENTS_RETENTION = """
-WITH f AS (SELECT user_id, min(ts) AS ft FROM events GROUP BY user_id),
-a AS (SELECT DISTINCT e.user_id,
-             date_diff('day', DATE '1970-01-01', f.ft::DATE) AS cohort_day,
-             date_diff('day', f.ft::DATE, e.ts::DATE) AS day_offset
-      FROM events e JOIN f USING (user_id))
-SELECT cohort_day::BIGINT AS cohort_day, day_offset::BIGINT AS day_offset,
-       count(*)::BIGINT AS n_users
-FROM a GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
 def q_text_compress_ratio(sf_dir: str):
     """Per-doc zlib compression ratio — the boilerplate/noise quality
     signal (textstats.py::compression_ratio); golden-parquet oracle
@@ -3359,42 +3183,6 @@ SQL_TEXT_COMPRESS = """
 SELECT doc_id, n_bytes, n_deflate, ratio
 FROM read_parquet('/tmp/sagan_ray_golden/text_compress_ratio.parquet')
 ORDER BY doc_id
-"""
-
-
-def q_events_outliers(sf_dir: str):
-    """Per-row Tukey-fence outlier flags of event value within
-    event_type (stats.py::group_outlier_flags — small histogram
-    exchange + broadcast fence table; rows never shuffle). Fence
-    floats use the exact IEEE expression the SQL spells out."""
-    import ray.data as rd
-
-    from ..datapipe.stats import group_outlier_flags
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "event_type", "value"])
-    out = group_outlier_flags(ds, group_col="event_type", col="value",
-                              id_col="event_id").to_pandas()
-    out = out.astype({"event_id": "int64", "value": "float64",
-                      "is_outlier": "bool"})
-    return out.sort_values("event_id").reset_index(drop=True)
-
-
-SQL_EVENTS_OUTLIERS = """
-WITH ranked AS (
-  SELECT event_type, value,
-         row_number() OVER (PARTITION BY event_type ORDER BY value) AS rn,
-         count(*) OVER (PARTITION BY event_type) AS n
-  FROM events),
-q AS (
-  SELECT event_type,
-         min(value) FILTER (rn >= ceil(0.25 * n)) AS q1,
-         min(value) FILTER (rn >= ceil(0.75 * n)) AS q3
-  FROM ranked GROUP BY event_type)
-SELECT e.event_id, e.event_type, e.value,
-       (e.value < (q.q1 - 1.5 * (q.q3 - q.q1))
-        OR e.value > (q.q3 + 1.5 * (q.q3 - q.q1))) AS is_outlier
-FROM events e JOIN q USING (event_type) ORDER BY event_id
 """
 
 
@@ -3772,32 +3560,6 @@ ORDER BY doc_id
 """
 
 
-def q_events_props_agg(sf_dir: str):
-    """Grouped aggregates of the integer 'k' key inside the JSON props
-    blob (events.py::props_key_agg — vectorized RE2 extract, no
-    per-row json.loads; exact int64 columns)."""
-    import ray.data as rd
-
-    from ..datapipe.events import props_key_agg
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_type", "props"])
-    return props_key_agg(ds, key="k")
-
-
-SQL_EVENTS_PROPS_AGG = r"""
-SELECT event_type, count(*)::BIGINT AS n_with_key,
-       sum(k)::BIGINT AS sum_k, min(k)::BIGINT AS min_k,
-       max(k)::BIGINT AS max_k
-FROM (SELECT event_type,
-             CAST(NULLIF(regexp_extract(props,
-                 '"k":\s*(-?\d+)\s*[,}]', 1), '') AS BIGINT) AS k
-      FROM events)
-WHERE k IS NOT NULL
-GROUP BY event_type ORDER BY event_type
-"""
-
-
 def q_dedup_cdc_incremental(sf_dir: str):
     """Incremental-crawl CDC coverage (dedup.py::cdc_coverage_vs_prior):
     prior corpus = docs with doc_id < 250 snapshotted to distinct chunk
@@ -3944,31 +3706,6 @@ def q_compact_bm25_index(sf_dir: str):
                            ascending=[False, True]).reset_index(drop=True)
 
 
-def q_events_transitions(sf_dir: str):
-    """First-order event-type transition matrix over per-user ordered
-    streams (datapipe/events.py::transition_counts)."""
-    import ray.data as rd
-
-    from ..datapipe.events import transition_counts
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "ts",
-                                  "event_type"])
-    return transition_counts(ds)
-
-
-SQL_EVENTS_TRANSITIONS = """
-WITH s AS (
-  SELECT user_id, event_type,
-         lag(event_type) OVER (PARTITION BY user_id
-                               ORDER BY ts, event_id) AS prev
-  FROM events)
-SELECT prev AS from_type, event_type AS to_type, count(*)::BIGINT AS n
-FROM s WHERE prev IS NOT NULL
-GROUP BY 1, 2 ORDER BY 1, 2
-"""
-
-
 _BOTTOMK = 120
 
 
@@ -4112,43 +3849,6 @@ WITH toks AS (
   FROM documents)
 SELECT w AS word, count(*)::BIGINT AS n
 FROM toks GROUP BY w ORDER BY n DESC, word LIMIT {_HH_M}
-"""
-
-
-_DEBOUNCE_GAP_US = 86_400_000_000  # 1 day: drops ~36% at sf0.01
-
-
-def q_events_debounce(sf_dir: str):
-    """Lag-based per-(user, type) debounce (events.py::debounce): keep
-    an event iff it is the first of its stream or arrived strictly more
-    than a day after the PREVIOUS event of the stream (survivor or not
-    — a pure window function, so the spec is one SQL lag()). Exact-int
-    microsecond diffs on both sides; one user-keyed exchange, in-bucket
-    sorted shift-diff."""
-    import ray.data as rd
-
-    from ..datapipe import debounce
-
-    ds = rd.read_parquet(f"{sf_dir}/events.parquet",
-                         columns=["event_id", "user_id", "event_type",
-                                  "ts"])
-    out = debounce(ds, gap_us=_DEBOUNCE_GAP_US).to_pandas()
-    out = _typed(out[["event_id", "user_id", "event_type"]],
-                 {"event_id": "int64", "user_id": "int64",
-                  "event_type": "object"})
-    return out.sort_values("event_id").reset_index(drop=True)
-
-
-SQL_EVENTS_DEBOUNCE = f"""
-SELECT event_id, user_id, event_type
-FROM events
-QUALIFY lag(epoch_us(ts)) OVER (
-          PARTITION BY user_id, event_type ORDER BY ts, event_id)
-        IS NULL
-     OR epoch_us(ts) - lag(epoch_us(ts)) OVER (
-          PARTITION BY user_id, event_type ORDER BY ts, event_id)
-        > {_DEBOUNCE_GAP_US}
-ORDER BY event_id
 """
 
 
@@ -5008,7 +4708,6 @@ QUERIES = {
     "source_quantiles": q_source_quantiles,
     "text_fingerprint": q_text_fingerprint,
     "dedup_incremental": q_dedup_incremental,
-    "events_asof": q_events_asof,
     "group_topk": q_group_topk,
     "distinctive_terms": q_distinctive_terms,
     "text_quantiles": q_text_quantiles,
@@ -5022,10 +4721,6 @@ QUERIES = {
     # new in r5 (behind the window; green in the local full-gate run)
     "corpus_word_bloom": q_corpus_word_bloom,
     "mix_sources": q_mix_sources,
-    "events_funnel": q_events_funnel,
-    "events_funnel_windowed": q_events_funnel_windowed,
-    "events_retention": q_events_retention,
-    "events_transitions": q_events_transitions,
     "sample_bottomk": q_sample_bottomk,
     "text_compress_ratio": q_text_compress_ratio,
     "search_bm25_index": q_search_bm25_index,
@@ -5033,13 +4728,10 @@ QUERIES = {
     "doc_chunks": q_doc_chunks,
     "sample_per_source": q_sample_per_source,
     "source_rank_norm": q_source_rank_norm,
-    "events_histogram": q_events_histogram,
     "dedup_containment": q_dedup_containment,
     "text_entropy": q_text_entropy,
     "source_overlap": q_source_overlap,
-    "events_outliers": q_events_outliers,
     "dedup_cdc_incremental": q_dedup_cdc_incremental,
-    "events_props_agg": q_events_props_agg,
     "split_leakage_safe": q_split_leakage_safe,
     "dedup_cross_join": q_dedup_cross_join,
     "dedup_cdc_filter": q_dedup_cdc_filter,
@@ -5050,7 +4742,6 @@ QUERIES = {
     "dedup_fuzzy_incremental": q_dedup_fuzzy_incremental,
     "snapshot_diff": q_snapshot_diff,
     "table_profile": q_table_profile,
-    "events_debounce": q_events_debounce,
     "dedup_keep_best": q_dedup_keep_best,
     "corpus_compact": q_corpus_compact,
     "table_validate": q_table_validate,
@@ -5111,7 +4802,6 @@ ORACLES = {
     "client_stats": SQL_CLIENT_STATS,
     "track_clients": SQL_TRACK_CLIENTS,
     "rule_tracking": SQL_RULE_TRACKING,
-    "events_asof": SQL_EVENTS_ASOF,
     "dedup_exact": SQL_DEDUP_EXACT,
     "dedup_incremental": SQL_DEDUP_INCREMENTAL,
     "docs_shuffle": SQL_SHUFFLE_GOLDEN,
@@ -5153,10 +4843,6 @@ ORACLES = {
     "corpus_vocab_sketch": SQL_VOCAB_SKETCH,
     "corpus_word_bloom": SQL_CORPUS_WORD_BLOOM,
     "mix_sources": SQL_MIX_SOURCES,
-    "events_funnel": SQL_EVENTS_FUNNEL,
-    "events_funnel_windowed": SQL_EVENTS_FUNNEL_WINDOWED,
-    "events_retention": SQL_EVENTS_RETENTION,
-    "events_transitions": SQL_EVENTS_TRANSITIONS,
     "sample_bottomk": SQL_SAMPLE_BOTTOMK,
     "text_compress_ratio": SQL_TEXT_COMPRESS,
     "search_bm25_index": SQL_SEARCH_BM25,
@@ -5166,13 +4852,10 @@ ORACLES = {
     "sample_per_source": SQL_SAMPLE_PER_SOURCE,
     "dedup_cdc": SQL_DEDUP_CDC,
     "source_rank_norm": SQL_SOURCE_RANK_NORM,
-    "events_histogram": SQL_EVENTS_HISTOGRAM,
     "dedup_containment": SQL_DEDUP_CONTAINMENT,
     "text_entropy": SQL_TEXT_ENTROPY,
     "source_overlap": SQL_SOURCE_OVERLAP,
-    "events_outliers": SQL_EVENTS_OUTLIERS,
     "dedup_cdc_incremental": SQL_DEDUP_CDC_INCREMENTAL,
-    "events_props_agg": SQL_EVENTS_PROPS_AGG,
     "split_leakage_safe": SQL_SPLIT_LEAKAGE_SAFE,
     "dedup_cross_join": SQL_DEDUP_CROSS_JOIN,
     "dedup_cdc_filter": SQL_DEDUP_CDC_FILTER,
@@ -5183,7 +4866,6 @@ ORACLES = {
     "dedup_fuzzy_incremental": SQL_DEDUP_FUZZY_INCREMENTAL,
     "snapshot_diff": SQL_SNAPSHOT_DIFF,
     "table_profile": SQL_TABLE_PROFILE,
-    "events_debounce": SQL_EVENTS_DEBOUNCE,
     "dedup_keep_best": SQL_DEDUP_KEEP_BEST,
     "corpus_compact": SQL_CORPUS_COMPACT,
     "table_validate": SQL_TABLE_VALIDATE,

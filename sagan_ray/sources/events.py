@@ -101,7 +101,7 @@ def read_events_as_transcripts(sf_dir: str):
     import pandas as pd
     import ray.data as rd
 
-    from ..datapipe.exchange import hash_group_apply
+    from ..exchange import hash_group_apply
 
     ds = rd.read_parquet(f"{sf_dir}/events.parquet",
                          columns=["event_id", "ts", "user_id", "event_type", "props"])

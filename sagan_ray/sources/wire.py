@@ -354,11 +354,3 @@ def read_pipe_lines(path: str):
     ds = rd.read_text(path)
     return ds.map_batches(lambda t: parse_pipe_batch(t, "text"),
                           batch_format="pyarrow")
-
-
-def read_json_lines(path: str, field_map: dict[str, str] | None = None):
-    import ray.data as rd
-
-    ds = rd.read_text(path)
-    return ds.map_batches(lambda t: parse_json_batch(t, "text", field_map),
-                          batch_format="pyarrow")

@@ -63,6 +63,7 @@ from ..functions.ip import (
 )
 from ..functions.textutil import (
     EVENT_ID_HEAD,
+    extract_event_id,
     hash_columns,
     prematch_regex,
 )
@@ -973,6 +974,14 @@ class _BatchCtx:
                               EVENT_ID_HEAD))
             out = pc.if_else(pc.fill_null(valid, False), eid_arr,
                              "").to_numpy(zero_copy_only=False)
+            # hazard rows, where RE2's ASCII \s and \d differ from re's
+            # (a non-ASCII char, \v or \x1c-\x1f in the head), are
+            # decided by extract_event_id itself, as refold does for nocase
+            hazard = ~_bool(pc.string_is_ascii(head)) | _bool(
+                pc.match_substring_regex(head, "[\x0b\x1c-\x1f]"))
+            rows = np.flatnonzero(hazard)
+            for i, t in zip(rows.tolist(), self._text.take(rows).to_pylist()):
+                out[i] = extract_event_id(t)
             # oracle fallback (evaluator.py:226-228): when head extraction
             # fails and the message is a JSON object, use its flattened
             # `.event_id` key. Only JSON-candidate rows pay the parse —

@@ -9,7 +9,7 @@ engine.c:1370-1453. The reference shares this state across all threads via
 mmap; here state is scoped per ``conv_id`` (SURVEY.md §4.3 — the track
 fields ≙ conv_id) and rows are replayed in ``(conv_id, turn_idx, row,
 rule_idx)`` order inside one reduce task per bucket of the repo's one
-hash exchange (datapipe/exchange.py; the engine's ``_corr_bucket``
+hash exchange (sagan_ray/exchange.py; the engine's ``_corr_bucket``
 reduce), which makes the verdicts exact and deterministic instead of
 arrival-order-approximate.
 

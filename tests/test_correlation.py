@@ -259,7 +259,7 @@ def test_hash_group_apply_refinement():
     import pyarrow as pa
     import ray.data as rd
 
-    from sagan_ray.datapipe import hash_group_apply
+    from sagan_ray.exchange import hash_group_apply
 
     n = 20_000
     tbl = pa.table({"k": pa.array([f"key-{i % 37}" for i in range(n)]),
@@ -292,7 +292,7 @@ def test_hash_group_apply_nul_key_lands_in_one_bucket():
     import pyarrow as pa
     import ray.data as rd
 
-    from sagan_ray.datapipe import hash_group_apply
+    from sagan_ray.exchange import hash_group_apply
 
     blocks = [pa.table({"k": ["a\x00b"]}), pa.table({"k": ["a", "a\x00b"]})]
 
@@ -318,7 +318,7 @@ def test_hash_group_apply_survives_reduce_worker_death(tmp_path):
     import pyarrow as pa
     import ray.data as rd
 
-    from sagan_ray.datapipe import hash_group_apply
+    from sagan_ray.exchange import hash_group_apply
 
     marker = str(tmp_path / "killed_once")
     n = 5_000

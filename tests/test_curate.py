@@ -441,3 +441,29 @@ def test_filter_funnel_first_fail_attribution():
     # stage_idx column mirrors the cascade order within each source
     s2 = out[out["source"] == "s2"]
     assert s2["stage_idx"].is_monotonic_increasing
+
+
+# ----------------------------------------------------------------------
+# sample_bottomk
+# ----------------------------------------------------------------------
+
+def test_sample_bottomk_matches_sequential_and_is_mergeable():
+    from sagan_ray.datapipe import sample_bottomk
+    ids = np.arange(1000, dtype=np.int64)
+    tbl = pa.table({"doc_id": ids})
+    k = 37
+    out = sample_bottomk(_ds(tbl), k, batch_size=64)  # many partials
+    h = (ids.astype(np.uint64) * np.uint64(2654435761)
+         % (np.uint64(1) << np.uint64(32))).astype(np.int64)
+    sel = np.lexsort((ids, h))[:k]
+    exp = pd.DataFrame({"doc_id": ids[sel], "h": h[sel]}).sort_values(
+        "doc_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(
+        out.reset_index(drop=True).astype("int64"), exp.astype("int64"))
+
+
+def test_sample_bottomk_k_exceeds_n():
+    from sagan_ray.datapipe import sample_bottomk
+    tbl = pa.table({"doc_id": pa.array([3, 1, 2], pa.int64())})
+    out = sample_bottomk(_ds(tbl), 10)
+    assert sorted(out["doc_id"]) == [1, 2, 3]

@@ -309,33 +309,6 @@ def test_cross_doc_dup_planted():
     assert list(got["n_dup"]) == [1, 1, 0, 0, 0]
 
 
-def test_asof_join_ties_and_unmatched():
-    import pandas as pd
-    import ray.data as rd
-
-    from sagan_ray.datapipe import asof_join
-
-    left = rd.from_arrow(pa.table({
-        "k": pa.array([1, 1, 1, 2, 3], pa.int64()),
-        "t": pa.array([10, 5, 1, 7, 4], pa.int64()),
-        "lid": pa.array([100, 101, 102, 103, 104], pa.int64())}))
-    right = rd.from_arrow(pa.table({
-        "k": pa.array([1, 1, 1, 1, 2], pa.int64()),
-        "t": pa.array([5, 5, 2, 9, 8], pa.int64()),
-        "rid": pa.array([7, 9, 3, 6, 5], pa.int64()),
-    })).repartition(3)
-    out = (asof_join(left, right, on="t", by="k", left_cols=["lid"],
-                     right_cols=["rid"]).to_pandas()
-           .sort_values("lid").reset_index(drop=True))
-    # lid 100 (k1,t10): latest r t<=10 is t=9 -> rid 6
-    # lid 101 (k1,t5): tie at t=5 -> greatest rid wins (9, not 7)
-    # lid 102 (k1,t1): no r t<=1 -> null
-    # lid 103 (k2,t7): r t=8 > 7 -> null ; lid 104 (k3): no k3 rows
-    got = out["r_rid"].tolist()
-    assert got[0] == 6 and got[1] == 9
-    assert all(pd.isna(x) for x in (got[2], got[3], got[4]))
-
-
 def test_percentiles_nearest_rank():
     import ray.data as rd
 
@@ -443,45 +416,6 @@ def test_shuffle_shards_deterministic_and_complete(docs):
         assert sorted(g["pos"]) == list(range(len(g)))
 
 
-def test_asof_join_random_vs_brute():
-    """5 random seeds of (key, time, id) frames through asof_join vs a
-    per-row brute force (max (t, rid) among right rows with t <= lt)."""
-    import pandas as pd
-    import ray.data as rd
-
-    from sagan_ray.datapipe import asof_join
-
-    for seed in range(5):
-        rng = np.random.RandomState(seed)
-        nl, nr = rng.randint(1, 40), rng.randint(0, 40)
-        lt = pa.table({
-            "k": pa.array(rng.randint(0, 5, nl), pa.int64()),
-            "t": pa.array(rng.randint(0, 30, nl), pa.int64()),
-            "lid": pa.array(np.arange(nl), pa.int64())})
-        rt = pa.table({
-            "k": pa.array(rng.randint(0, 5, max(nr, 1))[:nr], pa.int64()),
-            "t": pa.array(rng.randint(0, 30, max(nr, 1))[:nr], pa.int64()),
-            "rid": pa.array(np.arange(nr), pa.int64())})
-        got = (asof_join(rd.from_arrow(lt).repartition(3),
-                         rd.from_arrow(rt).repartition(2) if nr else
-                         rd.from_arrow(rt),
-                         on="t", by="k", left_cols=["lid"],
-                         right_cols=["rid"]).to_pandas()
-               .sort_values("lid").reset_index(drop=True))
-        assert len(got) == nl
-        lk, ltm = lt["k"].to_numpy(), lt["t"].to_numpy()
-        rk, rtm = rt["k"].to_numpy(), rt["t"].to_numpy()
-        for i in range(nl):
-            cand = [(rtm[j], j) for j in range(nr)
-                    if rk[j] == lk[i] and rtm[j] <= ltm[i]]
-            want = max(cand)[1] if cand else None
-            g = got["r_rid"].iloc[i]
-            if want is None:
-                assert pd.isna(g), (seed, i)
-            else:
-                assert int(g) == want, (seed, i)
-
-
 def test_empty_input_edge_cases():
     """Operators must return empty (typed) results, not crash, on an
     empty input Dataset."""
@@ -502,29 +436,6 @@ def test_empty_input_edge_cases():
     from sagan_ray.datapipe import corpus_stats
     cs = corpus_stats(empty)
     assert cs["n_docs"].iloc[0] == 0 and cs["n_vocab"].iloc[0] == 0
-
-
-def test_asof_join_forward_direction():
-    import pandas as pd
-    import ray.data as rd
-
-    from sagan_ray.datapipe import asof_join
-
-    left = rd.from_arrow(pa.table({
-        "k": pa.array([1, 1, 1], pa.int64()),
-        "t": pa.array([4, 5, 10], pa.int64()),
-        "lid": pa.array([0, 1, 2], pa.int64())}))
-    right = rd.from_arrow(pa.table({
-        "k": pa.array([1, 1, 1], pa.int64()),
-        "t": pa.array([5, 5, 9], pa.int64()),
-        "rid": pa.array([8, 3, 6], pa.int64())})).repartition(2)
-    out = (asof_join(left, right, on="t", by="k", left_cols=["lid"],
-                     right_cols=["rid"], direction="forward").to_pandas()
-           .sort_values("lid").reset_index(drop=True))
-    got = out["r_rid"].tolist()
-    # lid0 (t4): first t>=4 is t=5, tie -> SMALLEST rid (3)
-    # lid1 (t5): exact match, tie -> 3 ; lid2 (t10): none -> null
-    assert got[0] == 3 and got[1] == 3 and pd.isna(got[2])
 
 
 def test_bm25_topk_matches_brute_force(docs, docs_tbl):
@@ -1180,27 +1091,6 @@ def test_rank_normalize_ties_and_singletons():
     assert list(out["cume_dist"]) == [0.25, 0.75, 0.75, 1.0, 1.0, 1.0]
 
 
-def test_histogram_outliers_and_gaps():
-    """Outliers clamp into the edge bins; empty bins are present with
-    zero counts; NaNs are dropped."""
-    import pandas as pd
-    import ray.data as rd
-
-    from sagan_ray.datapipe.stats import histogram
-
-    df = pd.DataFrame({"value": [-5.0, 0.0, 9.99, 10.0, 35.0, 99.0,
-                                 250.0, float("nan")]})
-    out = histogram(rd.from_pandas(df).repartition(3), col="value",
-                    lo=0.0, hi=100.0, nbins=10)
-    assert list(out["bin"]) == list(range(10))
-    assert out["cnt"].sum() == 7          # NaN dropped
-    assert out.loc[0, "cnt"] == 3          # -5 clamps down, 0.0, 9.99
-    assert out.loc[1, "cnt"] == 1          # 10.0 lands in bin 1
-    assert out.loc[9, "cnt"] == 2          # 99.0 + clamped 250.0
-    assert out.loc[2, "cnt"] == 0          # gap bin present
-    assert list(out["lo_edge"]) == [float(i * 10) for i in range(10)]
-
-
 def test_containment_catches_quotation_jaccard_misses():
     """A short doc quoted verbatim inside a much longer one: directed
     containment ≈ 1 while Jaccard is far below any dedup threshold —
@@ -1250,6 +1140,25 @@ def test_byte_entropy_edges():
     assert out.loc[3, "n_bytes"] == 6 and out.loc[3, "distinct_bytes"] == 5
 
 
+def test_compression_ratio_signals():
+    import ray.data as rd
+
+    from sagan_ray.datapipe.textstats import compression_ratio
+    boiler = "spam ham " * 500
+    prose = ("the quick brown fox jumps over one lazy dog while seven "
+             "wizards brew unique potions under a crimson sky tonight ")
+    noise = "".join(np.random.RandomState(3).choice(
+        list("0123456789abcdef"), 4000))
+    tbl = pa.table({"doc_id": pa.array([0, 1, 2, 3], pa.int64()),
+                    "text": pa.array([boiler, prose * 30, noise, ""],
+                                     pa.string())})
+    out = (compression_ratio(rd.from_arrow(tbl)).to_pandas()
+           .set_index("doc_id"))
+    assert out.loc[0, "ratio"] < 0.05          # boilerplate crushes
+    assert out.loc[2, "ratio"] > out.loc[1, "ratio"]   # noise resists
+    assert out.loc[3, "ratio"] == 1.0 and out.loc[3, "n_bytes"] == 0
+
+
 def test_source_overlap_planted():
     """Two sources sharing one exact doc share all its grams; a third
     disjoint source overlaps nobody; diagonals count each source's own
@@ -1281,29 +1190,6 @@ GROUP BY 1, 2 ORDER BY 1, 2
     m = out.set_index(["sa", "sb"])["n_shared"]
     assert m[("s1", "s2")] == 4        # the 8-word shared doc: 4 grams
     assert ("s1", "s3") not in m.index and ("s2", "s3") not in m.index
-
-
-def test_group_outlier_flags_planted():
-    """A far-out value flags; in-fence values don't; groups get
-    independent fences."""
-    import pandas as pd
-    import ray.data as rd
-
-    from sagan_ray.datapipe import group_outlier_flags
-
-    vals_a = [float(x) for x in range(1, 21)] + [1000.0]
-    vals_b = [500.0, 510.0, 505.0, 507.0]       # 1000 would be normal here
-    df = pd.DataFrame({
-        "event_id": pd.array(range(25), dtype="int64"),
-        "event_type": ["a"] * 21 + ["b"] * 4,
-        "value": vals_a + vals_b})
-    out = (group_outlier_flags(rd.from_pandas(df).repartition(3),
-                               group_col="event_type", col="value",
-                               id_col="event_id")
-           .to_pandas().set_index("event_id").sort_index())
-    assert bool(out.loc[20, "is_outlier"])          # 1000 in group a
-    assert not out.loc[:19, "is_outlier"].any()     # the 1..20 ramp is clean
-    assert not out.loc[21:, "is_outlier"].any()     # group b unaffected
 
 
 def test_cdc_coverage_vs_prior_planted():

@@ -1,7 +1,9 @@
-"""No dead private helpers: every module-level ``_``-prefixed name that
-``sagan_ray/`` defines is used somewhere — in its own module, another
-module, ``tools/``, ``bench.py``, ``perfbench/`` or ``tests/`` (a test
-that uses a reference helper keeps it alive). No unused imports either,
+"""No dead names: every module-level function and class, and every
+``_``-prefixed name, that ``sagan_ray/`` defines is used somewhere — in
+its own module, another module, ``tools/``, ``bench.py``,
+``perfbench/`` or ``tests/`` (a test that uses a reference helper keeps
+it alive); a read inside the name's own definition (recursion) does not
+count. No unused imports either,
 function-local or module-level, outside the benchmark's own
 ``perfbench/`` tree. And no ``datapipe._EXPORTS`` name that only tests
 call."""
@@ -53,26 +55,39 @@ def _used(tree):
     return out
 
 
-def dead_private_names():
+def _checked(node):
+    """The names of a module-level statement that must have a reader:
+    a function or class, or any ``_``-prefixed (non-dunder) name."""
+    public = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef))
+    return [name for name in _defined(node) if not name.startswith("__")
+            and (public or name.startswith("_"))]
+
+
+def dead_names():
     defined, used = [], set()
     for rel in SOURCES:
         for path in _py_files(rel):
             with open(path, encoding="utf-8") as f:
                 tree = ast.parse(f.read(), path)
-            used |= _used(tree)
             if rel != "sagan_ray":
+                used |= _used(tree)
                 continue
             mod = os.path.relpath(path, REPO)
             for node in tree.body:
-                defined += [(mod, name) for name in _defined(node)
-                            if name.startswith("_")
-                            and not name.startswith("__")]
+                own = _checked(node)
+                defined += [(mod, name) for name in own]
+                used |= _used(node) - set(own)
     return sorted(f"{mod}::{name}" for mod, name in defined
                   if name not in used)
 
 
 def test_no_dead_private_names():
-    assert dead_private_names() == []
+    assert [n for n in dead_names() if n.split("::")[1][0] == "_"] == []
+
+
+def test_no_dead_public_names():
+    assert [n for n in dead_names() if n.split("::")[1][0] != "_"] == []
 
 
 def _local_imports(fn):

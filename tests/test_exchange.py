@@ -1,4 +1,4 @@
-"""The shared hash exchange (datapipe/exchange.py): a pinned bucket
+"""The shared hash exchange (sagan_ray/exchange.py): a pinned bucket
 layout, a value-pure key hash, and no driver pulls of bucket outputs."""
 
 import numpy as np
@@ -7,7 +7,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from sagan_ray.datapipe.exchange import hash_group_apply, key_hash
+from sagan_ray.exchange import hash_group_apply, key_hash
 
 CONV_IDS = ["", "a", "a\x00b", "a\x00", "\x000", "c00000", "c04999",
             "conv-1", "conv-42", "sess/ü-7", "x" * 40]

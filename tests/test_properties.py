@@ -194,41 +194,6 @@ def test_bpe_encode_merge_invariants(words, merges):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 3),            # user
-                          st.integers(0, 2),            # type code
-                          st.integers(0, 40)),          # ts (us)
-                max_size=25),
-       st.integers(0, 15))                              # gap
-def test_debounce_frame_matches_sequential(rows, gap):
-    """The sorted shift-diff kernel must equal a per-stream sequential
-    lag loop — incl. ts ties (id order), interleaved streams, gap 0."""
-    import pandas as pd
-
-    from sagan_ray.datapipe.events import debounce_frame
-
-    df = pd.DataFrame({
-        "event_id": np.arange(len(rows), dtype=np.int64),
-        "user_id": np.array([r[0] for r in rows], np.int64),
-        "event_type": np.array([f"t{r[1]}" for r in rows], object),
-        "ts": pd.to_datetime(
-            np.array([r[2] for r in rows], np.int64), unit="us"),
-    })
-    got = set(debounce_frame(df, gap_us=gap)["event_id"].tolist())
-
-    want = set()
-    last: dict = {}
-    order = sorted(range(len(rows)),
-                   key=lambda i: (rows[i][0], rows[i][1], rows[i][2], i))
-    for i in order:
-        k = (rows[i][0], rows[i][1])
-        ts = rows[i][2]
-        if k not in last or ts - last[k] > gap:
-            want.add(i)
-        last[k] = ts
-    assert got == want
-
-
-@settings(max_examples=80, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2),            # conv code
                           st.integers(0, 2)),           # role code
                 max_size=20))
@@ -449,3 +414,37 @@ def test_hash_columns_equal_extract_hashes(texts):
     cols = hash_columns(pa.array(texts, pa.large_string()))
     for i, t in enumerate(texts):
         assert {k: v[i] for k, v in cols.items()} == extract_hashes(t), t
+
+
+# event_id heads: the whitespace that re's \s takes and RE2's does not
+# (\v, \x1c-\x1f, \x85, U+3000, NBSP), and digits that only re's \d takes
+_EID_TOKENS = ["4625", "4625:", ":", " ", "\t", "\n", "\v", "\x1c", "\x1f",
+               "\x85", "　", "\xa0", "٤٦٢٥:", "x",
+               "46250", "é", "12345678901:"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_EID_TOKENS), max_size=6).map("".join),
+                min_size=1, max_size=12))
+@example(["x\x1c4625: y", "x\v4625: y", "x\x854625: y", "x　4625: y",
+          "٤٦٢٥: y", "4625: plain", "a 4625:b",
+          "abcdefghij 4625:"])
+def test_classifier_event_id_equals_match_stateless(texts):
+    """A rule gated on ``event_id`` alone: the classifier's verdict is
+    ``match_stateless``'s on every row, hazard heads included."""
+    from sagan_ray.config import Lookups
+    from sagan_ray.oracle.evaluator import RowCache, match_stateless
+    from sagan_ray.rules import parse_rules
+    from sagan_ray.stages.classify import RuleClassifier
+
+    rules = parse_rules(
+        'alert any any any -> any any (msg:"e"; event_id: 4625; sid:1;)')
+    n = len(texts)
+    tbl = pa.table({
+        "conv_id": ["c"] * n, "turn_idx": pa.array(range(n), pa.int32()),
+        "role": ["user"] * n, "text": pa.array(texts, pa.large_string()),
+        "tool": [""] * n, "ts": pa.array([0] * n, pa.timestamp("us"))})
+    got = sorted(RuleClassifier(rules)(tbl).column("turn_idx").to_pylist())
+    want = [i for i, t in enumerate(texts) if match_stateless(
+        rules.rules[0], RowCache(t, "user", "", 0), Lookups()) is not None]
+    assert got == want, texts

@@ -154,6 +154,78 @@ def test_cidr_find_v4_on_v6_ranges_over_the_v4_window():
         assert grid.shape == (2, len(v4)) and (grid[0] == grid[1]).all()
 
 
+def _longest_prefix(entries, addr):
+    """Reference lookup: the value of the most specific range holding
+    ``addr`` (v4 ranges as their v4-mapped v6 form); the later entry of
+    two equal ranges."""
+    a = ipaddress.ip_address(addr)
+    if a.version == 4:
+        a = ipaddress.IPv6Address(f"::ffff:{addr}")
+    best, best_len = None, -1
+    for cidr, value in entries:
+        n = ipaddress.ip_network(cidr, strict=False)
+        if n.version == 4:
+            n = ipaddress.ip_network(
+                f"::ffff:{n.network_address}/{96 + n.prefixlen}")
+        if a in n and n.prefixlen >= best_len:
+            best, best_len = value, n.prefixlen
+    return best
+
+
+def test_cidr_nested_ranges_take_the_longest_prefix():
+    """Nested ranges (v4, v6, and v6 ranges over the v4-mapped window):
+    ``lookup`` and ``find_v4`` both give the most specific range's value,
+    also for addresses of an outer range that lie after an inner one."""
+    fixed = [
+        [("10.0.0.0/8", "1"), ("10.1.0.0/16", "1")],
+        [("10.0.0.0/8", "US"), ("10.1.0.0/16", "CA")],
+        [("::/0", "ALL"), ("::1/128", "ONE")],
+        [("::/0", "ALL"), ("10.0.0.0/8", "TEN"), ("10.0.0.0/24", "T24"),
+         ("10.0.0.128/25", "T25"), ("10.200.0.0/16", "T16")],
+        [("2001:db8::/32", "A"), ("2001:db8:1::/48", "B"),
+         ("2001:db8:1::/64", "C"), ("10.0.0.0/8", "X"), ("10.0.0.0/8", "Y")],
+    ]
+    rng = np.random.RandomState(7)
+    drawn = []
+    for _ in range(40):
+        entries = []
+        for _ in range(rng.randint(1, 9)):
+            if rng.rand() < 0.7:
+                # within 10.0.0.0/8, few distinct bases: ranges nest
+                base = (0x0A000000 | int(rng.randint(0, 4)) << 16
+                        | int(rng.randint(0, 4)) << 8)
+                n = ipaddress.ip_network(
+                    (ipaddress.IPv4Address(base), int(rng.randint(8, 33))),
+                    strict=False)
+            else:
+                n = ipaddress.ip_network(
+                    (ipaddress.IPv6Address("::ffff:a00:0"),
+                     int(rng.choice([0, 8, 96, 100, 104]))), strict=False)
+            entries.append((str(n), str(rng.randint(0, 4))))
+        drawn.append(entries)
+    for entries in fixed + drawn:
+        v4_addrs = ["0.0.0.0", "1.2.3.4", "9.255.255.255", "255.255.255.255"]
+        v6_addrs = ["::", "::1", "::2", "2001:db8::5", "2001:db8:1::9",
+                    "2001:db8:1:1::9", "2001:db9::"]
+        for cidr, _ in entries:
+            n = ipaddress.ip_network(cidr, strict=False)
+            for v in (int(n.network_address) - 1, int(n.network_address),
+                      int(n.broadcast_address),
+                      int(n.broadcast_address) + 1):
+                if n.version == 4 and 0 <= v <= 0xFFFFFFFF:
+                    v4_addrs.append(str(ipaddress.IPv4Address(v)))
+                elif n.version == 6 and 0 <= v < 1 << 128:
+                    v6_addrs.append(str(ipaddress.IPv6Address(v)))
+        v4_addrs += [str(ipaddress.IPv4Address(0x0A000000 | int(x)))
+                     for x in rng.randint(0, 1 << 24, 20)]
+        t = CidrTable(entries)
+        want = [_longest_prefix(entries, a) for a in v4_addrs + v6_addrs]
+        assert [t.lookup(a) for a in v4_addrs + v6_addrs] == want, entries
+        v4 = np.array([int(ipaddress.ip_address(a)) for a in v4_addrs])
+        got = [t.values[j] if j >= 0 else None for j in t.find_v4(v4)]
+        assert got == want[:len(v4_addrs)], entries
+
+
 def test_net_group_negation():
     from sagan_ray.rules.parser import _parse_net_group
     g = _parse_net_group("[10.0.0.0/8,!10.13.0.0/16]", {})

@@ -4,7 +4,7 @@ transcript inputs, one with the normal Zipf-1.5 conversation sizes and
 one with EXTREME skew (few conversations, the hottest holding a double-
 digit percent of all turns), and report wall time + the hot-conv mass.
 
-What bounds the damage (pipelines/engine.py, datapipe/exchange.py):
+What bounds the damage (pipelines/engine.py, exchange.py):
 - classify is conv-agnostic (pure map) — skew-immune;
 - the correlation exchange moves only matched STATEFUL rows; map-side
   split tasks report per-bucket sizes and any oversized bucket is

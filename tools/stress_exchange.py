@@ -130,7 +130,7 @@ def main():
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
-    from sagan_ray.datapipe.exchange import hash_group_apply
+    from sagan_ray.exchange import hash_group_apply
 
     rng = np.random.default_rng(11)
 
