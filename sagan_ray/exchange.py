@@ -9,11 +9,11 @@ Every keyed repartition runs through ``shuffle`` below. It has two
 clients: ``hash_group_apply`` (the transcript aggregates, client_stats,
 the dedup operators, ...) and every engine run; a ruleset with no
 stateful rule runs it with zero buckets, the map side alone. The shared
-core owns the key hash,
-the map-side split, the salting refine, ref coalescing and the salting
-policy; each client brings only its reduce task. One repartition
-operator serving every client, split into a map and a reduce side, is
-the shape argued for by Hyper Dimension Shuffle (VLDB 2019).
+core owns the key hash, the map-side split, the salting refine, ref
+coalescing and the salting policy; each client brings only its reduce
+task. One repartition operator serving every client, split into a map
+and a reduce side, is the shape argued for by Hyper Dimension Shuffle
+(VLDB 2019).
 
 Why not ``ds.groupby(...).map_groups``: measured on this workload family
 (2M turns / 1.4M matches, 32 CPUs), Ray Data's sort-based groupby costs
@@ -69,23 +69,23 @@ import ray
 def hash_array_pure(vals):
     """Value-pure 64-bit hashes: pd.util.hash_array(categorize=False).
 
-    ``pd.util.hash_array`` with its DEFAULT
-    ``categorize=True`` is NOT a pure function of the element value: the
-    categorize path factorizes through a khash table whose string equality
-    is C-strlen based, so a string containing a NUL byte is conflated with
-    whichever equal-up-to-the-NUL string entered the table first — the hash
-    of '\\x000' depends on what ELSE is in the array (found by the
-    batch-vs-single hypothesis property test). That breaks both the
-    "hash is a pure function of the word" spec every dedup/text operator
-    relies on and, worse, conv-id bucket routing in the engine exchange
-    (the same conv_id could land in different buckets in different blocks,
-    splitting correlation state). ``categorize=False`` hashes each element
-    directly (full-length bytes) and is value-pure; on NUL-free input the
-    two paths return IDENTICAL values, so switching changes no existing
-    gate output. Cost: the hash pass is ~2x slower on heavy-repeat word
-    arrays (0.58 -> 1.14 s per 4M Zipf words, measured) — a fraction of
-    any operator's total. Every pipeline AND golden call site routes
-    through this wrapper so both sides of the gate share one spec.
+    ``pd.util.hash_array`` with its DEFAULT ``categorize=True`` is NOT a
+    pure function of the element value: the categorize path factorizes
+    through a khash table whose string equality is C-strlen based, so a
+    string containing a NUL byte is conflated with whichever
+    equal-up-to-the-NUL string entered the table first — the hash of
+    '\\x000' depends on what ELSE is in the array (found by the
+    batch-vs-single hypothesis property test). That breaks both the "hash is
+    a pure function of the word" spec every dedup/text operator relies on
+    and, worse, conv-id bucket routing in the engine exchange (the same
+    conv_id could land in different buckets in different blocks, splitting
+    correlation state). ``categorize=False`` hashes each element directly
+    (full-length bytes) and is value-pure; on NUL-free input the two paths
+    return IDENTICAL values, so switching changes no existing gate output.
+    Cost: the hash pass is ~2x slower on heavy-repeat word arrays (0.58 ->
+    1.14 s per 4M Zipf words, measured) — a fraction of any operator's
+    total. Every pipeline AND golden call site routes through this wrapper
+    so both sides of the gate share one spec.
     """
     return pd.util.hash_array(vals, categorize=False)
 
