@@ -262,7 +262,6 @@ def run_bench() -> dict:
             "text": pa.array(texts, pa.large_string())}), big_docs_path)
     big_docs = rd.read_parquet(big_docs_path)
     from sagan_ray.datapipe import (
-        bm25_topk,
         cross_doc_dup,
         hll_vocab,
         quality,
@@ -272,21 +271,6 @@ def run_bench() -> dict:
     timed("text_repetition_100k", lambda: repetition(big_docs).count())
     timed("cross_doc_dup_100k", lambda: cross_doc_dup(big_docs).count())
     timed("text_quality_100k", lambda: quality(big_docs).count())
-    timed("search_bm25_100k",
-          lambda: bm25_topk(big_docs, ["w1", "w7", "w42"], k=50))
-
-    # persistent inverted index (round-5): one-time partitioned-postings
-    # build, then bucket-pruned queries — the amortized alternative to
-    # the rescan line above (~4-5× per query once built; pays for
-    # itself after ~4 queries, BASELINE.md)
-    from sagan_ray.datapipe.index import build_inverted_index, search_index
-
-    _IDX = "/tmp/sagan_ray_bench/bm25_index_100k"
-    timed("bm25_index_build_100k",
-          lambda: build_inverted_index(big_docs, _IDX, n_buckets=32))
-    timed("bm25_index_query_100k",
-          lambda: search_index(_IDX, ["w1", "w7", "w42"], k=50), trials=2)
-
     timed("hll_vocab_100k", lambda: hll_vocab(big_docs))
     timed("text_nll_100k", lambda: unigram_nll(big_docs).count())
 

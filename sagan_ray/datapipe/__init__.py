@@ -20,8 +20,6 @@ _EXPORTS = {
         minhash_join minhash_lsh_candidates minhash_lsh_dedup
         ngram_jaccard_pairs simhash_dedup verify_pairs_jaccard
     """,
-    "diff": "snapshot_diff",
-    "profile": "profile_table validate_table",
     "curate": """
         blocklist_flags decontaminate split_by_cluster group_topk
         mix_sources pii_pseudonymize pii_redact
@@ -29,8 +27,6 @@ _EXPORTS = {
         sample_stratified sample_token_budget
         sample_token_budget_by_group sample_weighted shuffle_shards
     """,
-    "index": "build_inverted_index search_index update_inverted_index",
-    "search": "bm25_topk tfidf_similar",
     "sketch": "bloom_membership cms_word_counts hll_vocab",
     "pack": "chunk_documents pack_sequences",
     "stats": "group_percentiles percentiles rank_normalize",

@@ -129,52 +129,6 @@ def dedup_against_prior(new, prior, *, text_col: str = "text",
     return hash_group_apply(both, ["__h"], bucket, out_schema=out_schema)
 
 
-def snapshot_diff(new, old, *, text_col: str = "text",
-                  id_col: str = "doc_id"):
-    """Corpus snapshot audit — what did this rebuild DO: classify every
-    doc_id across two corpus versions as ``added`` (only in new),
-    ``removed`` (only in old) or ``changed`` (both, text differs).
-    UNCHANGED rows are deliberately NOT emitted: at 100 TB they are the
-    overwhelming bulk and emitting them would write the corpus back
-    out; the three emitted classes are exactly the rebuild's footprint.
-
-    Shape: side-tagged union → one doc_id hash exchange → per-bucket
-    outer merge (pandas, bucket-local). Text crosses the wire once per
-    side and only ids + status come back. Returns (id_col, status)."""
-    from ..exchange import hash_group_apply
-
-    def tag(side):
-        def f(tbl: pa.Table) -> pa.Table:
-            return pa.table({
-                id_col: tbl.column(id_col).cast(pa.int64()),
-                "side": pa.array(
-                    np.full(tbl.num_rows, side, np.int8)),
-                text_col: tbl.column(text_col).cast(pa.large_string()),
-            })
-        return f
-
-    both = (new.map_batches(tag(0), batch_format="pyarrow")
-            .union(old.map_batches(tag(1), batch_format="pyarrow")))
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        n = df[df["side"] == 0][[id_col, text_col]]
-        o = df[df["side"] == 1][[id_col, text_col]]
-        m = n.merge(o, on=id_col, how="outer", suffixes=("_n", "_o"),
-                    indicator=True)
-        status = np.where(
-            m["_merge"] == "left_only", "added",
-            np.where(m["_merge"] == "right_only", "removed", "changed"))
-        keep = (m["_merge"] != "both") | (
-            m[f"{text_col}_n"] != m[f"{text_col}_o"])
-        out = pd.DataFrame({id_col: m[id_col].astype(np.int64),
-                            "status": status})[keep.to_numpy()]
-        return out
-
-    out_schema = pa.schema([(id_col, pa.int64()),
-                            ("status", pa.string())])
-    return hash_group_apply(both, [id_col], bucket, out_schema=out_schema)
-
-
 # ----------------------------------------------------------------------
 # shingling + minhash
 # ----------------------------------------------------------------------
@@ -296,8 +250,9 @@ def _band_keys_from_sigs(sigm: np.ndarray, bands: int) -> np.ndarray:
     per-(doc, band) blake2b loop was the stage's hot spot). Keys only
     BUCKET candidates; verification is exact, so the key function needs
     mixing quality, not cryptographic strength. Shared verbatim by the
-    in-line LSH path and the persistent index (dedup_index.py) so the
-    two produce identical buckets by construction."""
+    in-line LSH path and the minhash calibration golden
+    (oracle/golden.py), so the two produce identical buckets by
+    construction."""
     n, n_perm = sigm.shape
     rows_per_band = n_perm // bands
     view = sigm.reshape(n, bands, rows_per_band)

@@ -70,7 +70,7 @@ class QualityModelScorer:
         bucket = (_splitmix64(wh) % self.dim).astype(np.int64)
         logit = np.bincount(doc_of, weights=self.w[bucket],
                             minlength=n_docs)    # exact integer sums
-        # ROUNDED score (the BM25 round(score,6) stance): np.exp's SIMD
+        # ROUNDED score (the round(score, 6) ranking-key stance): np.exp's SIMD
         # array kernel is not guaranteed bit-equal to the golden's
         # per-scalar path, so the published column is rounded to 1e-12 on
         # BOTH sides — the exact integer logit_q carries full precision

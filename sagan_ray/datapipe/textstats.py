@@ -913,7 +913,7 @@ def doc_keywords(ds, *, k: int = 3, text_col: str = "text",
     of ``distinctive_terms`` (which is the k=1 integer-key argmin):
     score(w, d) = tf · ln(N / df) with N the corpus doc count and df the
     word's distinct-doc frequency; rank per doc on (round(score, 6)
-    DESC, word ASC) — the BM25 rounded-ranking-key stance, so the SQL
+    DESC, word ASC) — the rounded-ranking-key stance, so the SQL
     oracle's row_number() agrees exactly while the reported float score
     compares under tolerance. Returns (doc_id, rank, term, tf, df,
     tfidf), rank 1..k.
@@ -989,7 +989,7 @@ def doc_summary(ds, *, k: int = 2, text_col: str = "text",
     are the non-blank trimmed pieces of an RE2 split on ``[.!?]+``
     (sent_idx = 1-based RAW slot, identical in Arrow and DuckDB);
     words are the corpus tokenizer's. Rank per doc on (round(score, 6)
-    DESC, sent_idx ASC) — the BM25 rounded-ranking-key stance (float
+    DESC, sent_idx ASC) — the rounded-ranking-key stance (float
     sum order differs between engines; the reported score compares
     under tolerance). Returns (doc_id, rank, sent_idx, score).
 
@@ -1622,7 +1622,7 @@ def nll_quality_filter(ds, *, drop_denom: int = 10,
     """The perplexity-filter ACTION (CCNet): score every doc with the
     corpus-unigram surprisal (``unigram_nll``) and DROP the worst
     ``n // drop_denom`` docs under the TOTAL order
-    (round(nll, 6), doc_id) — the BM25 rounded-ranking-key stance, so
+    (round(nll, 6), doc_id) — the rounded-ranking-key stance, so
     identical word-multiset docs tie-break deterministically and the
     SQL window oracle selects the identical set. Returns a Dataset
     (doc_id, n_words, nll) of the KEPT docs.

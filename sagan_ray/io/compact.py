@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 
-
 import numpy as np
 
 
@@ -211,65 +210,3 @@ def manifest_diff(old, new):
         "n_rows_old": m["n_rows_old"].fillna(-1).astype("int64"),
         "n_rows_new": m["n_rows_new"].fillna(-1).astype("int64")})
     return out.sort_values("file").reset_index(drop=True)
-
-
-def zorder_values(a: "np.ndarray", b: "np.ndarray",
-                  bits: int = 16) -> "np.ndarray":
-    """Morton/Z-order key of two non-negative int columns: bit i of
-    ``a`` lands at position 2i, bit i of ``b`` at 2i+1 (``bits`` low
-    bits each, values clipped). Sorting / range-partitioning a table by
-    this key clusters BOTH dimensions, so per-file min/max footer
-    statistics prune 2-D predicates — the lakehouse OPTIMIZE ZORDER
-    primitive. Pure int64 bit arithmetic, replayed exactly by a
-    generated SQL expression (``zorder_sql_expr``)."""
-    am = np.minimum(np.asarray(a, np.int64), (1 << bits) - 1)
-    bm = np.minimum(np.asarray(b, np.int64), (1 << bits) - 1)
-    z = np.zeros(len(am), np.int64)
-    for i in range(bits):
-        z |= ((am >> i) & 1) << (2 * i)
-        z |= ((bm >> i) & 1) << (2 * i + 1)
-    return z
-
-
-def zorder_sql_expr(col_a: str, col_b: str, bits: int = 16) -> str:
-    """The exact SQL replay of ``zorder_values`` — a sum of per-bit
-    shift terms over least(col, 2^bits − 1); DuckDB's BIGINT bit ops
-    match numpy int64 bit-for-bit."""
-    cap = (1 << bits) - 1
-    a = f"least({col_a}, {cap})"
-    b = f"least({col_b}, {cap})"
-    terms = []
-    for i in range(bits):
-        terms.append(f"((({a} >> {i}) & 1) << {2 * i})")
-        terms.append(f"((({b} >> {i}) & 1) << {2 * i + 1})")
-    return " | ".join(terms)
-
-
-def zorder_compact(in_dir: str, out_dir: str, *, col_a: str,
-                   col_b: str, bits: int = 16, target_bytes: int = 1 << 20,
-                   id_col: str | None = None):
-    """Rewrite a parquet dir Z-ordered on (col_a, col_b): one streaming
-    pass adds the Morton key, a single sort range-partitions by it, and
-    the write inherits ``compact_corpus``'s sizing — output files get
-    tight min/max ranges in BOTH columns, so a 2-D predicate prunes
-    files instead of scanning them (verify with
-    ``file_stats``). Returns {files_in, files_out, n_rows}."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    def add_z(tbl: pa.Table) -> pa.Table:
-        z = zorder_values(
-            tbl.column(col_a).to_numpy(zero_copy_only=False),
-            tbl.column(col_b).to_numpy(zero_copy_only=False), bits)
-        return tbl.append_column("_z", pa.array(z, pa.int64()))
-
-    src = rd.read_parquet(in_dir)
-    bytes_in, files_in = _dir_stats(in_dir)
-    n_rows = src.count()
-    rows_per_file = max(1, int(n_rows * target_bytes / max(bytes_in, 1)))
-    (src.map_batches(add_z, batch_format="pyarrow")
-     .sort("_z")
-     .write_parquet(out_dir, max_rows_per_file=rows_per_file))
-    _bytes_out, files_out = _dir_stats(out_dir)
-    return {"files_in": files_in, "files_out": files_out,
-            "n_rows": int(n_rows)}

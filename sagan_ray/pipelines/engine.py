@@ -238,6 +238,11 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
         batch_size=batch_size,
         num_cpus=1,
     )
+    # the replay breaks a (conv_id, turn_idx) tie by arrival order, which
+    # is input order only when the executor emits blocks in input order:
+    # then a turn whose rows sit in two blocks replays as the oracle
+    # evaluates it (the setting lives in the context ``ds`` shares)
+    matches.context.execution_options.preserve_order = True
 
     # imported here: workers that load this module for its tasks never
     # import the exchange for it

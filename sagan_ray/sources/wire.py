@@ -26,6 +26,7 @@ from ..synth import SCHEMA
 
 PIPE_FIELDS = 6
 _SENTINEL_TS = datetime(1970, 1, 1)
+_I32 = np.iinfo(np.int32)
 
 DEFAULT_JSON_MAP = {
     "conv_id": ".conv_id",
@@ -114,7 +115,7 @@ def parse_pipe_batch(tbl: pa.Table, text_col: str = "text") -> pa.Table:
         f[1], r"^[+-]?\d+$"), False).to_numpy(zero_copy_only=False)
     turn_num = pd.to_numeric(f[1].to_pandas(), errors="coerce")
     # two-sided compare, not abs(): int64-min's abs() overflows silently
-    lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
+    lo, hi = _I32.min, _I32.max
     in_range = ((turn_num >= lo) & (turn_num <= hi)).fillna(False)
     turn_ok &= in_range.to_numpy()
     bad |= ok & ~turn_ok
@@ -322,11 +323,15 @@ def parse_json_batch(tbl: pa.Table, text_col: str = "text",
                 continue
             if field == "turn_idx":
                 try:
-                    # OverflowError: int() fine but the value exceeds
-                    # int32 — malformed for the wire schema, flag it
-                    turn[i] = int(v)
+                    t = int(v)          # OverflowError: int(Infinity)
                 except (TypeError, ValueError, OverflowError):
+                    t = None
+                # outside int32 is malformed for the wire schema, as in
+                # the pipe parser; the slot keeps 0
+                if t is None or not _I32.min <= t <= _I32.max:
                     bad[i] = True
+                else:
+                    turn[i] = t
             elif field == "ts":
                 t = _parse_ts(str(v))
                 if t is None:

@@ -35,6 +35,13 @@ since neither an ASCII fold nor RE2's Unicode fold agrees with it there.
 Shorter literals (1-byte ones hit almost every row and would flood the
 pass) and ``append_program`` atoms keep one Arrow kernel pass each.
 
+A pcre runs through RE2 when RE2 can compile it. If the pattern has a
+token RE2 reads differently from ``re`` (ASCII-only ``\\w \\d \\s \\b``,
+``$`` before a trailing newline, a case fold), its candidate rows with
+a non-ASCII char, ``\\v``, ``\\x1c``–``\\x1f`` or a trailing newline are
+decided by the rule's compiled ``re`` pattern, the one
+``match_stateless`` runs.
+
 Used from plain Ray Data tasks: ``pipelines.engine.run_engine`` maps
 batches through a ``RuleClassifier`` that each worker process builds once
 per ``compile_key`` and caches — rule compilation (regexes, window plans,
@@ -49,6 +56,8 @@ per (input row × matched rule); ``list_form=False`` returns that view.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pyarrow as pa
@@ -158,6 +167,14 @@ def _re2_ok(pattern: str) -> bool:
         return False
 
 
+# pcre tokens RE2 decides differently from re on some rows (ASCII-only
+# \w \d \s \b, $ before a trailing newline) and scoped (?i) folds
+_RE2_DIVERGES = re.compile(r"\\[wWdDsSbB]|\$|\(\?[a-zA-Z]*i")
+# rows where those tokens can diverge: a non-ASCII char, \v or
+# \x1c-\x1f (whitespace to re, not to RE2), or a trailing newline
+_RE2_HAZARD_RX = "[\x0b\x1c-\x1f]|\n\\z"
+
+
 def _required_literal(rx: str) -> tuple[str, bool] | None:
     """A literal substring every match of ``rx`` must contain, or None.
     Used to prefilter full-column RE2 scans with a (much cheaper, and
@@ -246,23 +263,30 @@ class _RulePlan:
         # meta_content → one RE2 alternation per atom (with its window)
         self.meta_regexes = []
         for mc in rule.meta_contents:
-            alt = "|".join(__import__("re").escape(p) for p in mc.patterns)
+            alt = "|".join(re.escape(p) for p in mc.patterns)
             rx = ("(?i)" if mc.nocase else "") + "(?:" + alt + ")"
             self.meta_regexes.append((rx, mc))
 
-        self.pcre_re2 = []       # (pattern_with_flags, negated, literal|None)
+        # (pattern_with_flags, negated, literal|None, exact re|None): the
+        # compiled re pattern re-decides the hazard rows of a pcre that
+        # RE2 can decide differently (_BatchCtx.regex_mask)
+        self.pcre_re2 = []
         self.pcre_py = []        # (compiled, negated)
         for patom in rule.pcres:
-            import re as _re
             rx = patom.pattern
-            if patom.flags & _re.IGNORECASE:
+            if patom.flags & re.IGNORECASE:
                 rx = "(?i)" + rx
-            if patom.flags & _re.DOTALL:
+            if patom.flags & re.DOTALL:
                 rx = "(?s)" + rx
-            if patom.flags & _re.MULTILINE:
+            if patom.flags & re.MULTILINE:
                 rx = "(?m)" + rx
             if _re2_ok(rx):
-                self.pcre_re2.append((rx, patom.negated, _required_literal(rx)))
+                exact = patom.compiled()
+                if not (exact.flags & re.IGNORECASE
+                        or _RE2_DIVERGES.search(patom.pattern)):
+                    exact = None
+                self.pcre_re2.append((rx, patom.negated, _required_literal(rx),
+                                      exact))
             else:
                 self.pcre_py.append((patom.compiled(), patom.negated))
 
@@ -288,9 +312,9 @@ class _RulePlan:
         )
         # every slow gate of the rule is one the IP and hash columns decide
         # (RuleClassifier._col_verdicts), and all its other predicates
-        # are exact vector masks: no pcre (RE2 and re differ even on ASCII
-        # text, ROADMAP item 4; the same \s gap leaves event_id out), no
-        # JSON, remap, normalize, bluedot, offload or proto/port gate
+        # are exact vector masks: no pcre or event_id (exact too, but not
+        # yet admitted here), no JSON, remap, normalize, bluedot, offload
+        # or proto/port gate
         self.col_decided = self.slow_gates and not (
             rule.pcres or rule.event_ids or self.needs_json or rule.json_maps
             or rule.normalize or rule.bluedot_kind or rule.offload is not None
@@ -330,7 +354,7 @@ class LiteralSet:
             if plan.rule.append_program:
                 continue
             lits = [(a.pattern, a.nocase) for a in plan.rule.contents]
-            lits += [lit for _, _, lit in plan.pcre_re2 if lit is not None]
+            lits += [lit for _, _, lit, _ in plan.pcre_re2 if lit is not None]
             for p, nocase in lits:
                 if len(p) >= 3 and p.isascii():
                     if nocase:
@@ -418,13 +442,11 @@ class RuleClassifier:
         # one RE2 alternation per intel table (compiled once per worker,
         # one kernel pass per kind — not one pass per intel value, which
         # is O(|feed|) kernel launches with a real 100k-entry feed)
-        import re as _re
-
         self._intel_rx: dict[str, str | None] = {}
         for table in ("domain", "url", "software", "filename"):
             vals = sorted(self.lookups.intel_set(table))
             self._intel_rx[table] = (
-                "|".join(_re.escape(v) for v in vals) if vals else None)
+                "|".join(re.escape(v) for v in vals) if vals else None)
         # the literals each batch's multi-pattern pass scans for — fixed
         # at compile time; batches never change the classifier
         self.literals = LiteralSet(self.plans)
@@ -546,8 +568,8 @@ class RuleClassifier:
         # ---- pcre via RE2 (src/pcre-s.c); a required literal (if one
         # exists) turns the full-column regex scan into a substring scan
         # + a subset regex over the few literal-matching rows -----------
-        for rx, negated, lit in plan.pcre_re2:
-            m = ctx.regex_mask(rule.append_program, rx, literal=lit)
+        for rx, negated, lit, exact in plan.pcre_re2:
+            m = ctx.regex_mask(rule.append_program, rx, literal=lit, exact=exact)
             if negated:
                 m = ~m
             mask = _and(mask, m)
@@ -951,11 +973,9 @@ class _BatchCtx:
         key = (which, regex)
         m = self._factor.get(key)
         if m is None:
-            import re as _re
-
             arr = self.role_np if which == "role" else self.tool_np
             uniq, codes = np.unique(arr.astype(str), return_inverse=True)
-            rx = _re.compile(regex)
+            rx = re.compile(regex)
             um = np.array([rx.match(u) is not None for u in uniq], dtype=bool)
             m = um[codes]
             self._factor[key] = m
@@ -1114,31 +1134,69 @@ class _BatchCtx:
 
     def regex_mask(self, append: bool, rx: str,
                    literal: tuple[str, bool] | None = None,
-                   start: int = 0, stop=None) -> np.ndarray:
+                   start: int = 0, stop=None, exact=None) -> np.ndarray:
         """Full-column regex mask over the (start, stop) window, memoized.
-        When the regex has a required literal, the literal's hits (plus,
-        for a ``nocase`` literal, its fold rows, where RE2 may fold more
-        than the pass does) are the only rows the regex can match: the
-        regex runs on that subset only, so the result is still the exact
-        full-column truth (and safely memoizable)."""
-        key = ("rx", append, rx, start, stop)
+        When the regex has a required literal, its ``regex_candidates``
+        are the only rows the regex can match: the regex runs on that
+        subset only, so the result is still the exact full-column truth
+        (and safely memoizable). ``exact``, a pcre's compiled ``re``
+        pattern over the whole message, re-decides the candidates among
+        ``hazard_rows``, where RE2 can differ from ``re`` (as ``refold``
+        does for ``nocase``)."""
+        key = ("rx", append, rx, start, stop, exact is not None)
         m = self._masks.get(key)
         if m is not None:
             return m
         col = self.sliced(append, start, stop)
+        m = None
         if literal is not None:
-            lit, lit_nocase = literal
-            lm = self.literal_hits(append, start, stop, lit, lit_nocase)
-            if lit_nocase:
-                lm = lm | self.fold_rows(append, lit)
+            lm = self.regex_candidates(append, start, stop, literal)
             idx = np.flatnonzero(lm)
             if len(idx) * 8 < len(lm):
                 m = _on_rows(col, idx, lambda sub: pc.match_substring_regex(sub, rx))
-                self._masks[key] = m
-                return m
-        m = _bool(pc.match_substring_regex(col, rx))
+        if m is None:
+            m = _bool(pc.match_substring_regex(col, rx))
+        if exact is not None:
+            rows = self.hazard_rows(append, literal, bool(
+                exact.flags & re.IGNORECASE) and not exact.pattern.isascii())
+            if len(rows):
+                texts = self.text(append).take(pa.array(rows, pa.int64()))
+                m = m.copy()
+                m[rows] = [exact.search(t) is not None for t in texts.to_pylist()]
         self._masks[key] = m
         return m
+
+    def regex_candidates(self, append: bool, start: int, stop,
+                         literal: tuple[str, bool]) -> np.ndarray:
+        """Rows a regex with this required literal can match: the
+        literal's hits plus, for a ``nocase`` literal, its fold rows,
+        where RE2 may fold more than the pass does."""
+        lit, lit_nocase = literal
+        lm = self.literal_hits(append, start, stop, lit, lit_nocase)
+        return lm | self.fold_rows(append, lit) if lit_nocase else lm
+
+    def hazard_rows(self, append: bool, literal: tuple[str, bool] | None,
+                    every: bool) -> np.ndarray:
+        """Indices of a whole-message regex's candidate rows (those of its
+        required ``literal``, or all rows without one) where RE2 and
+        ``re`` can decide ``\\w \\d \\s \\b $`` or a case fold differently:
+        a non-ASCII char, ``\\v`` or ``\\x1c``–``\\x1f``, or a trailing
+        newline. With ``every`` (a case-insensitive non-ASCII pattern,
+        which can fold onto ASCII text) every candidate row. Memoized."""
+        key = ("hz", append, literal, every)
+        rows = self._masks.get(key)
+        if rows is None:
+            col = self.text(append)
+            if literal is None:
+                rows = np.arange(len(col))
+            else:
+                rows = np.flatnonzero(self.regex_candidates(append, 0, None, literal))
+                col = col.take(pa.array(rows, pa.int64()))
+            if not every:
+                rows = rows[~_bool(pc.string_is_ascii(col)) | _bool(
+                    pc.match_substring_regex(col, _RE2_HAZARD_RX))]
+            self._masks[key] = rows
+        return rows
 
     def ip_cols(self, rows: np.ndarray) -> IpColumns:
         """``ip_columns`` of ``rows``, computed once per row per batch and

@@ -445,7 +445,8 @@ def make_list_correlator(ruleset: RuleSet):
 
         # (conv, turn, row, rule) order over the exploded matches: a turn
         # duplicated across rows replays row by row, as the oracle
-        # evaluates each row as its own record. Classify emits each row's
+        # evaluates each row as its own record; rows arrive in input
+        # order (run_engine keeps block order), also across blocks. Classify emits each row's
         # matches in rule order, so unless two rows share a (conv, turn)
         # the row order, exploded, is that order
         by_ct = [("c", "ascending"), ("t", "ascending")]

@@ -9,6 +9,15 @@ for mod in ("ray", "pyarrow", "pandas", "numpy"):
 warnings.filterwarnings("ignore", category=ResourceWarning)
 
 
+@pytest.fixture(autouse=True)
+def deprecation_in_sagan_ray_is_an_error():
+    """A DeprecationWarning raised from sagan_ray code fails the test.
+    Set per test: pytest's own per-test filters show every
+    DeprecationWarning and would override a module-level filter."""
+    warnings.filterwarnings("error", category=DeprecationWarning,
+                            module="sagan_ray")
+
+
 @pytest.fixture(scope="session", autouse=True)
 def ray_session():
     """One Ray session for the whole pytest run (per project contract)."""

@@ -25,18 +25,22 @@ def load_ruleset(name_or_text: str):
     return parse_rules(name_or_text)
 
 
-def run_both(ruleset, tbl: pa.Table, config: EngineConfig | None = None,
-             lookups=None, expect_hits: bool = True):
+def run_both(ruleset, tbl, config: EngineConfig | None = None,
+             lookups=None, expect_hits: bool = True, batch_size: int = 512):
+    """``tbl``: one table, or a list of tables that become the input's
+    blocks in that order (the oracle reads their rows in that order)."""
     import ray.data as rd
 
+    blocks = tbl if isinstance(tbl, list) else [tbl]
+    tbl = pa.concat_tables(blocks)
     if isinstance(ruleset, str):
         ruleset = load_ruleset(ruleset)
     config = config or EngineConfig()
     lookups = lookups if lookups is not None else build_lookups()
 
     oracle = ReferenceEvaluator(ruleset, lookups, config).evaluate(tbl.to_pylist())
-    engine = run_engine(rd.from_arrow(tbl), ruleset, lookups, config,
-                        batch_size=512)
+    engine = run_engine(rd.from_arrow(blocks), ruleset, lookups, config,
+                        batch_size=batch_size)
 
     matches = engine.matches.to_pandas()
     routed = engine.routed_exploded().to_pandas()

@@ -206,6 +206,33 @@ def test_pass_in_one_row_spares_a_duplicated_turns_other_row():
         assert oracle.hit_counts() == {passed: 1, 52: 3}
 
 
+# a stateful pass rule that sets the bit, one that clears it, and a
+# reader of the bit with an ``after`` rule on the same rows
+SPLIT_TURN = """
+pass any any any -> any any (msg:"open"; content:"alpha"; xbits: set,b,track ip_src,expire 600; sid:61;)
+pass any any any -> any any (msg:"close"; content:"gamma"; xbits: unset,b,track ip_src; sid:62;)
+alert any any any -> any any (msg:"read"; content:"beta"; xbits: isset,b,track ip_src; sid:63;)
+alert any any any -> any any (msg:"ev"; content:"beta"; after: track by_src, count 1, seconds 300; sid:64;)
+"""
+
+
+def test_turn_split_across_blocks_replays_in_input_order():
+    """One (conv, turn) with rows in different input blocks: the replay
+    takes them in input order, as the oracle does, whatever order the
+    blocks' classify tasks finish in. Every row is its own block, and
+    set, unset and isset rows alternate within turn 1 (which starts and
+    ends with a reader row), so any reordered pair of blocks changes a
+    verdict; both block orders are checked."""
+    rows = [("a", 0, "beta", 0), ("a", 1, "beta", 5), ("a", 1, "alpha", 5),
+            ("a", 1, "beta", 5), ("a", 1, "gamma", 5), ("a", 1, "beta", 5),
+            ("a", 1, "beta", 5), ("a", 2, "beta", 9)]
+    blocks = [mk([r]) for r in rows]
+    oracle, _ = run_both(SPLIT_TURN, blocks, batch_size=1)
+    assert oracle.hit_counts() == {61: 1, 62: 1, 63: 1, 64: 6}
+    oracle, _ = run_both(SPLIT_TURN, blocks[::-1], batch_size=1)
+    assert oracle.hit_counts() == {61: 1, 62: 1, 63: 2, 64: 6}
+
+
 def test_disk_order_irrelevant():
     """The same logical rows in scrambled on-disk order must yield
     identical verdicts (the stable-(conv_id, turn_idx) ordering contract)."""

@@ -438,116 +438,6 @@ def test_empty_input_edge_cases():
     assert cs["n_docs"].iloc[0] == 0 and cs["n_vocab"].iloc[0] == 0
 
 
-def test_bm25_topk_matches_brute_force(docs, docs_tbl):
-    """Distributed two-pass BM25 vs a single-process recomputation of
-    the same formula over the whole corpus (numpy, no Ray)."""
-    import re
-
-    from sagan_ray.datapipe import bm25_topk
-    from sagan_ray.datapipe.search import B, K1
-
-    terms = ["spark", "merge", "window"]
-    texts = docs_tbl["text"].to_pylist()
-    ids = np.asarray(docs_tbl["doc_id"].to_pylist(), dtype=np.int64)
-    word_re = re.compile(r"[a-z0-9_]+")
-    toks = [word_re.findall(t.lower()) for t in texts]
-    n = len(toks)
-    dl = np.array([len(t) for t in toks], dtype=np.float64)
-    avgdl = dl.sum() / n
-    score = np.zeros(n)
-    for t in terms:
-        tf = np.array([doc.count(t) for doc in toks], dtype=np.float64)
-        df = float((tf > 0).sum())
-        idf = np.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        score = score + idf * tf * (K1 + 1.0) / (tf + K1 * (1 - B + B * dl / avgdl))
-    score = np.round(score, 6)
-    order = np.lexsort((ids, -score))
-    want = [(int(ids[i]), score[i]) for i in order if score[i] > 0][:50]
-
-    out = bm25_topk(docs, terms, k=50)
-    got = list(zip(out["doc_id"].astype(int), out["score"]))
-    assert [g[0] for g in got] == [w[0] for w in want]
-    assert np.allclose([g[1] for g in got], [w[1] for w in want],
-                       rtol=1e-9, atol=1e-9)
-
-
-def test_tfidf_similar_matches_brute_force(docs, docs_tbl):
-    """Distributed three-pass TF-IDF cosine vs a single-process numpy
-    recomputation of the same formula (same tokenization, same rounded
-    ranking key)."""
-    import re
-
-    from sagan_ray.datapipe import tfidf_similar
-
-    qids, k = [3, 17], 10
-    texts = docs_tbl["text"].to_pylist()
-    ids = np.asarray(docs_tbl["doc_id"].to_pylist(), dtype=np.int64)
-    word_re = re.compile(r"[a-z0-9_]+")
-    toks = [word_re.findall(t.lower()) for t in texts]
-    vocab = sorted({w for t in toks for w in t})
-    vidx = {w: i for i, w in enumerate(vocab)}
-    n = len(toks)
-    tf = np.zeros((n, len(vocab)))
-    for d, t in enumerate(toks):
-        for w in t:
-            tf[d, vidx[w]] += 1
-    df = (tf > 0).sum(axis=0).astype(np.float64)
-    wt = tf * np.log(float(n) / df)
-    nrm = np.sqrt((wt * wt).sum(axis=1))
-    want = {}
-    for q in qids:
-        qi = int(np.nonzero(ids == q)[0][0])
-        cos = np.round(wt @ wt[qi] / (nrm * nrm[qi]), 6)
-        cand = [i for i in range(n) if ids[i] != q]
-        order = sorted(cand, key=lambda i: (-cos[i], ids[i]))[:k]
-        want[q] = [(int(ids[i]), cos[i]) for i in order]
-
-    out = tfidf_similar(docs, qids, k=k)
-    for q in qids:
-        got = out[out["qid"] == q]
-        assert list(got["doc_id"]) == [w[0] for w in want[q]]
-        assert np.allclose(got["cosine"], [w[1] for w in want[q]],
-                           rtol=1e-9, atol=1e-9)
-
-
-def test_tfidf_similar_tiny_and_missing():
-    import ray.data as rd
-
-    from sagan_ray.datapipe import tfidf_similar
-
-    ds = rd.from_arrow(pa.table({"doc_id": [1, 2, 3],
-                                 "text": ["a b", "a b", "c d"]}))
-    out = tfidf_similar(ds, [1], k=5)
-    # doc 2 is identical to the query → cosine 1.0; doc 3 shares nothing
-    assert list(out["doc_id"]) == [2]
-    assert abs(out["cosine"].iloc[0] - 1.0) < 1e-12
-    try:
-        tfidf_similar(ds, [99], k=5)
-        raise AssertionError("expected ValueError for missing query id")
-    except ValueError:
-        pass
-
-
-def test_bm25_empty_and_absent_terms():
-    import ray.data as rd
-
-    from sagan_ray.datapipe import bm25_topk
-
-    empty = rd.from_arrow(pa.table({"doc_id": pa.array([], pa.int64()),
-                                    "text": pa.array([], pa.string())}))
-    out = bm25_topk(empty, ["spark"], k=5)
-    assert len(out) == 0 and list(out.columns) == ["doc_id", "score"]
-
-    ds = rd.from_arrow(pa.table({"doc_id": [1, 2],
-                                 "text": ["alpha beta", "beta gamma"]}))
-    out = bm25_topk(ds, ["zzz_not_there"], k=5)
-    assert len(out) == 0
-    out = bm25_topk(ds, ["beta"], k=5)
-    # 'beta' is in every doc — equal tf/dl, scores tie, doc_id order
-    assert list(out["doc_id"]) == [1, 2]
-    assert out["score"].iloc[0] == out["score"].iloc[1] > 0
-
-
 def test_hll_vocab_accuracy_and_layout_invariance(docs, docs_tbl):
     import duckdb
     import ray.data as rd
@@ -1322,61 +1212,6 @@ def test_pack_bins_bfd_hand_check():
     assert fills == {0: 15, 1: 10, 2: 10}
 
 
-# ----------------------------------------------------------------------
-# snapshot diff (diff.py)
-# ----------------------------------------------------------------------
-
-def test_snapshot_diff_statuses():
-    import ray.data as rd
-
-    from sagan_ray.datapipe.diff import snapshot_diff
-
-    old = pa.table({"doc_id": pa.array([1, 2, 3, 4], pa.int64()),
-                    "text": pa.array(["a", "b", "c", "d"])})
-    new = pa.table({"doc_id": pa.array([2, 3, 4, 5], pa.int64()),
-                    "text": pa.array(["b", "C2", "d", "e"])})
-    out = (snapshot_diff(rd.from_arrow(old), rd.from_arrow(new))
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    got = list(map(tuple, out.itertuples(index=False)))
-    assert got == [(1, "removed"), (3, "changed"), (5, "added")]
-
-
-def test_snapshot_diff_duplicate_key_raises():
-    import pytest as _pytest
-    import ray.data as rd
-    from ray.exceptions import RayTaskError
-
-    from sagan_ray.datapipe.diff import snapshot_diff
-
-    old = pa.table({"doc_id": pa.array([1, 1], pa.int64()),
-                    "text": pa.array(["a", "b"])})
-    new = pa.table({"doc_id": pa.array([1], pa.int64()),
-                    "text": pa.array(["a"])})
-    with _pytest.raises((RayTaskError, ValueError)):
-        snapshot_diff(rd.from_arrow(old), rd.from_arrow(new)).to_pandas()
-
-
-def test_profile_table_cross_block_integer_minmax():
-    """Typed partials: the global integer min/max must combine
-    numerically across blocks ('10' < '9' lexicographically — a
-    stringified partial would corrupt the range)."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.profile import profile_table
-
-    tbl = pa.table({"v": pa.array([9, 10, 100, 2], pa.int64()),
-                    "s": pa.array(["b", "a", "c", "a"])})
-    ds = rd.from_arrow(tbl).repartition(4)
-    out = (profile_table(ds, ["v", "s"],
-                         ds_distinct=rd.from_arrow(tbl).repartition(4))
-           .to_pandas().set_index("column"))
-    assert out.loc["v", "min_v"] == "2" and out.loc["v", "max_v"] == "100"
-    assert out.loc["v", "n_distinct"] == 4
-    assert out.loc["s", "min_v"] == "a" and out.loc["s", "max_v"] == "c"
-    assert out.loc["s", "n_distinct"] == 3
-    assert (out["n_rows"] == 4).all() and (out["n_nulls"] == 0).all()
-
-
 def test_dedup_cluster_best_keeps_longest():
     """Quality-aware ACTION: within a dup cluster the LONGEST doc wins
     (ties → lowest id), singletons keep themselves, and an explicit
@@ -1403,37 +1238,6 @@ def test_dedup_cluster_best_keeps_longest():
     out2 = (dedup_cluster_best(ds, threshold=0.8, quality_col="prio")
             .to_pandas().sort_values("doc_id"))
     assert out2["doc_id"].tolist() == [1, 4, 5]
-
-
-def test_validate_table_hand_check():
-    """Nulls excluded from range/regex/in_set (counted only by
-    not_null); unique counts excess non-null rows; int in_set casts;
-    unknown kind raises."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe import validate_table
-
-    tbl = pa.table({
-        "v": pa.array([1, 5, 11, None, 5], pa.int64()),
-        "s": pa.array(["ab", "zz", None, "ab", "a1"]),
-    })
-    ds = rd.from_arrow(tbl)
-    out = (validate_table(ds, [
-        ("not_null", "v"),
-        ("not_null", "s"),
-        ("unique", "s"),                 # 4 non-null, 3 distinct → 1
-        ("range", "v", (1, 10)),         # 11 → 1 (null ignored)
-        ("regex", "s", "^[a-z]+$"),      # a1 → 1
-        ("in_set", "v", (1, 5)),         # 11 → 1
-    ], ds_unique=rd.from_arrow(tbl)).to_pandas())
-    got = {(r.kind, r.col): int(r.violations) for r in out.itertuples()}
-    assert got == {("not_null", "v"): 1, ("not_null", "s"): 1,
-                   ("unique", "s"): 1, ("range", "v"): 1,
-                   ("regex", "s"): 1, ("in_set", "v"): 1}
-
-    import pytest
-    with pytest.raises(ValueError):
-        validate_table(ds, [("bogus", "v")])
 
 
 def test_length_batches_matches_row_number_spec():
@@ -1542,34 +1346,6 @@ def test_doc_keywords_ranking_and_ties():
     # other df=2 > common df=3 (score 0); both rows present
     assert list(d2["term"]) == ["other", "common"]
     assert d2["tfidf"].tolist()[1] == 0.0
-
-
-def test_table_upsert_semantics_and_guards():
-    """New wins on key conflict, old-only keys survive (no deletes),
-    new-only keys appear; mismatched schemas and within-snapshot
-    duplicate keys raise."""
-    import ray.data as rd
-    import pytest
-    from sagan_ray.datapipe.diff import table_upsert
-
-    old = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()),
-                    "text": pa.array(["a1", "a2", "a3"])})
-    new = pa.table({"doc_id": pa.array([2, 4], pa.int64()),
-                    "text": pa.array(["b2", "b4"])})
-    out = (table_upsert(rd.from_arrow(old), rd.from_arrow(new))
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    assert list(zip(out["doc_id"], out["text"])) == [
-        (1, "a1"), (2, "b2"), (3, "a3"), (4, "b4")]
-
-    bad = pa.table({"doc_id": pa.array([1], pa.int64()),
-                    "body": pa.array(["x"])})
-    with pytest.raises(ValueError, match="schemas differ"):
-        table_upsert(rd.from_arrow(old), rd.from_arrow(bad))
-
-    dup = pa.table({"doc_id": pa.array([5, 5], pa.int64()),
-                    "text": pa.array(["x", "y"])})
-    with pytest.raises(Exception, match="duplicate key"):
-        table_upsert(rd.from_arrow(old), rd.from_arrow(dup)).to_pandas()
 
 
 def test_dup_growth_hand_check():
@@ -1753,128 +1529,6 @@ def test_sample_balanced_equalizes_classes():
     assert a.groupby("label").size().tolist() == [20, 20, 20]
     # smallest class is kept whole
     assert set(a[a["label"] == 2]["vec_id"]) == set(range(80, 100))
-
-
-def test_simhash_index_append_equals_rebuild():
-    """search over build(A)+append(B) is bit-equal to build(A∪B);
-    self-matches at hamming 0; max_hamming >= 4 rejected (no recall
-    guarantee)."""
-    import shutil
-
-    import pytest
-    import ray.data as rd
-
-    from sagan_ray.datapipe.dedup_index import (build_simhash_index,
-                                                search_simhash_index,
-                                                update_simhash_index)
-
-    texts = [f"alpha beta gamma delta {i % 4} epsilon zeta" for i in
-             range(24)]
-    tbl = pa.table({"doc_id": pa.array(range(24), pa.int64()),
-                    "text": texts})
-    i1, i2 = "/tmp/simhash_idx_a", "/tmp/simhash_idx_b"
-    for p in (i1, i2):
-        shutil.rmtree(p, ignore_errors=True)
-    build_simhash_index(rd.from_arrow(tbl), i1)
-    build_simhash_index(rd.from_arrow(tbl.slice(0, 12)), i2)
-    update_simhash_index(i2, rd.from_arrow(tbl.slice(12)))
-
-    def run(idx):
-        return (search_simhash_index(idx, [0, 5, 23], [texts[0],
-                                                       texts[5],
-                                                       texts[23]],
-                                     max_hamming=2).to_pandas()
-                .sort_values(["query_id", "doc_id"])
-                .reset_index(drop=True))
-
-    a, b = run(i1), run(i2)
-    assert a.equals(b) and len(a) > 0
-    self0 = a[(a["query_id"] == 0) & (a["doc_id"] == 0)]
-    assert len(self0) == 1 and self0["hamming"].iloc[0] == 0
-    with pytest.raises(ValueError):
-        search_simhash_index(i1, [0], [texts[0]], max_hamming=4)
-
-
-def test_zorder_improves_2d_pruning():
-    """Against a linear (a-sorted) layout, the Z-ordered rewrite lets a
-    predicate on the OTHER column prune files: fewer files' footer
-    [min,max] ranges overlap b in [8,15]."""
-    import shutil
-
-    import ray.data as rd
-
-    from sagan_ray.io.compact import (compact_corpus, file_stats,
-                                      zorder_compact, zorder_values)
-
-    base = "/tmp/sagan_ray_zorder_test"
-    shutil.rmtree(base, ignore_errors=True)
-    # 64x64 grid: every (a, b) pair once
-    a = np.repeat(np.arange(64), 64)
-    b = np.tile(np.arange(64), 64)
-    tbl = pa.table({"a": pa.array(a, pa.int64()),
-                    "b": pa.array(b, pa.int64())})
-    rd.from_arrow(tbl).repartition(8).write_parquet(
-        f"{base}/in", max_rows_per_file=256)
-    compact_corpus(f"{base}/in", f"{base}/lin", target_bytes=2 << 10,
-                   order_by="a")
-    zorder_compact(f"{base}/in", f"{base}/z", col_a="a", col_b="b",
-                   target_bytes=2 << 10)
-
-    def overlapping(path):
-        st = file_stats(path, "b").to_pandas()
-        return int(((st["min_v"] <= 15) & (st["max_v"] >= 8)).sum()), \
-            len(st)
-
-    lin_hit, lin_all = overlapping(f"{base}/lin")
-    z_hit, z_all = overlapping(f"{base}/z")
-    # z-order must prune a strictly larger FRACTION of files on the
-    # b predicate than the a-sorted layout (whose files mostly span b)
-    assert z_hit * lin_all < lin_hit * z_all
-    assert z_hit < z_all
-    # z key spec: interleave matches the naive per-bit loop
-    za = zorder_values(np.array([3]), np.array([5]))
-    want = sum(((3 >> i) & 1) << (2 * i) for i in range(16)) \
-        | sum(((5 >> i) & 1) << (2 * i + 1) for i in range(16))
-    assert za[0] == want
-
-
-def test_compact_simhash_index_preserves_search():
-    """After several appends, compaction shrinks the file count and the
-    search result is bit-equal."""
-    import os
-    import shutil
-
-    import ray.data as rd
-
-    from sagan_ray.datapipe.dedup_index import (build_simhash_index,
-                                                compact_simhash_index,
-                                                search_simhash_index,
-                                                update_simhash_index)
-
-    texts = [f"tok{i % 7} alpha beta gamma {i % 3}" for i in range(40)]
-    tbl = pa.table({"doc_id": pa.array(range(40), pa.int64()),
-                    "text": texts})
-    idx = "/tmp/simhash_idx_compact"
-    shutil.rmtree(idx, ignore_errors=True)
-    build_simhash_index(rd.from_arrow(tbl.slice(0, 10)), idx)
-    for s in (10, 20, 30):
-        update_simhash_index(idx, rd.from_arrow(tbl.slice(s, 10)))
-
-    def run():
-        return (search_simhash_index(idx, [0, 39], [texts[0], texts[39]],
-                                     max_hamming=2).to_pandas()
-                .sort_values(["query_id", "doc_id"])
-                .reset_index(drop=True))
-
-    def nfiles():
-        return sum(1 for _r, _d, fs in os.walk(os.path.join(idx, "bands"))
-                   for f in fs if f.endswith(".parquet"))
-
-    before, files_before = run(), nfiles()
-    files_after = compact_simhash_index(idx)
-    after = run()
-    assert after.equals(before) and len(after) > 0
-    assert files_after < files_before and nfiles() == files_after
 
 
 def test_line_filter_predicates():

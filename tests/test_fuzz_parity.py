@@ -29,8 +29,7 @@ FOLD_PHRASES = ["\u212aELVIN sign", "\u017fecret login", "\u0130stanbul timeout"
 
 
 def _rand_rule(rng: np.random.Generator, sid: int, words=WORDS,
-               nocase_rng: np.random.Generator | None = None,
-               pcre: bool = True) -> str:
+               nocase_rng: np.random.Generator | None = None) -> str:
     opts = []
     action = rng.choice(["alert"] * 6 + ["drop", "pass"])
     # 1-3 content atoms with random windows
@@ -61,7 +60,7 @@ def _rand_rule(rng: np.random.Generator, sid: int, words=WORDS,
             opts.append(f"meta_distance:{int(rng.integers(1, 10))}")
             if rng.integers(0, 2) == 0:
                 opts.append(f"meta_within:{int(rng.integers(1, 30))}")
-    if pcre and rng.integers(0, 3) == 0:
+    if rng.integers(0, 3) == 0:
         w = words[int(rng.integers(0, len(words)))]
         opts.append(f'pcre:"/{w} \\w+/"')
     if rng.integers(0, 4) == 0:
@@ -174,13 +173,12 @@ def _with_fold_phrases(tbl: pa.Table, rng: np.random.Generator) -> pa.Table:
 def test_fuzz_nocase_parity(seed):
     """Content atoms with ``nocase`` over case-fold hazard words and
     texts: the multi-pattern literal pass, the per-literal kernel and
-    meta_nocase must all decide as ``match_stateless`` does. No pcre
-    atoms here: RE2's ``\\w`` is ASCII-only and Python's is not, a
-    separate known divergence that these texts would reach."""
+    meta_nocase must all decide as ``match_stateless`` does, and so
+    must the pcre atoms, whose ``\\w`` RE2 reads as ASCII-only and
+    Python does not."""
     rng = np.random.default_rng(seed)
     nocase_rng = np.random.default_rng(seed + 1)
-    text = "\n".join(_rand_rule(rng, 5000 + i, FOLD_WORDS, nocase_rng,
-                                pcre=False)
+    text = "\n".join(_rand_rule(rng, 5000 + i, FOLD_WORDS, nocase_rng)
                      for i in range(int(rng.integers(4, 10))))
     ruleset = parse_rules(text)
     tbl = _with_fold_phrases(gen_transcripts(int(rng.integers(800, 2500)),

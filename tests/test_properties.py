@@ -448,3 +448,45 @@ def test_classifier_event_id_equals_match_stateless(texts):
     want = [i for i, t in enumerate(texts) if match_stateless(
         rules.rules[0], RowCache(t, "user", "", 0), Lookups()) is not None]
     assert got == want, texts
+
+
+# pcre hazards: characters re's \w, \d and \s take and RE2's do not, a
+# trailing newline before $, and case folds RE2 and re disagree on
+# (U+0130 folds to i in re only, in the text and in the pattern, where
+# it reaches ASCII text)
+_PCRE_RULES = [r"/on \w+/", r"/\d/", r"/a\sb/", r"/a$/",
+               r"/ERROR: \w+ timeout/", r"/istanbul/i", "/\u0130stanbul/i",
+               r"/\bé/"]
+_PCRE_TOKENS = ["on ", "İstanbul", "istanbul", "x", "٣", "3", "a", "b",
+                " ", "\v", "\x1c", "\x1f", "\x85", "\n", "ERROR: ",
+                " timeout", "é"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(_PCRE_TOKENS), min_size=1,
+                         max_size=6).map("".join), min_size=1, max_size=12))
+@example(["on İstanbul", "٣", "a\vb", "a\x1cb", "a\n", "on x",
+          "ERROR: é timeout", "İSTANBUL", "kelvin", "x é"])
+def test_classifier_pcre_equals_match_stateless(texts):
+    """Rules gated on one RE2-compilable pcre each: the classifier's
+    verdict is ``match_stateless``'s on every row, hazard rows included."""
+    from sagan_ray.config import Lookups
+    from sagan_ray.oracle.evaluator import RowCache, match_stateless
+    from sagan_ray.rules import parse_rules
+    from sagan_ray.stages.classify import RuleClassifier
+
+    rules = parse_rules("\n".join(
+        f'alert any any any -> any any (msg:"p"; pcre:"{p}"; sid:{i + 1};)'
+        for i, p in enumerate(_PCRE_RULES)))
+    n = len(texts)
+    tbl = pa.table({
+        "conv_id": ["c"] * n, "turn_idx": pa.array(range(n), pa.int32()),
+        "role": ["user"] * n, "text": pa.array(texts, pa.large_string()),
+        "tool": [""] * n, "ts": pa.array([0] * n, pa.timestamp("us"))})
+    out = RuleClassifier(rules, list_form=False)(tbl)
+    got = sorted(zip(out.column("sid").to_pylist(),
+                     out.column("turn_idx").to_pylist()))
+    want = sorted((r.sid, i) for r in rules.rules
+                  for i, t in enumerate(texts) if match_stateless(
+                      r, RowCache(t, "user", "", 0), Lookups()) is not None)
+    assert got == want, texts

@@ -104,6 +104,38 @@ def test_parse_json_fast_path_parity():
     assert w._fast_map_ok(DEFAULT_JSON_MAP)
 
 
+def test_json_turn_idx_outside_int32_is_malformed():
+    """A JSON turn_idx outside int32 marks the row malformed with turn 0,
+    as in the pipe parser; both int32 bounds stay valid. Checked on both
+    paths: the fast path takes the in-range rows alone and declines the
+    whole batch, and the per-row loop decides it."""
+    import numpy as np
+
+    import sagan_ray.sources.wire as w
+
+    lo, hi = int(np.iinfo(np.int32).min), int(np.iinfo(np.int32).max)
+    turns = [lo, hi, lo - 1, hi + 1, 372369790981]
+    want = [(lo, False), (hi, False), (0, True), (0, True), (0, True)]
+    col = pa.array([json.dumps({"conv_id": "c", "turn_idx": v, "text": "x"})
+                    for v in turns], pa.large_string())
+
+    def rows(t):
+        return [(r["turn_idx"], r["malformed"]) for r in t.to_pylist()]
+
+    fast = w._parse_json_fast(col[:2], w.DEFAULT_JSON_MAP)
+    assert fast is not None and rows(fast) == want[:2]
+    assert w._parse_json_fast(col, w.DEFAULT_JSON_MAP) is None
+    assert rows(w.parse_json_batch(pa.table({"text": col}))) == want
+    orig = w._fast_map_ok
+    w._fast_map_ok = lambda f: False
+    try:
+        for i in range(len(turns)):
+            one = w.parse_json_batch(pa.table({"text": col[i:i + 1]}))
+            assert rows(one) == want[i:i + 1]
+    finally:
+        w._fast_map_ok = orig
+
+
 def test_json_map_percent_json_keeps_raw():
     from sagan_ray.sources.wire import parse_json_batch
 
