@@ -1191,8 +1191,9 @@ class _BatchCtx:
                 rows = np.arange(len(col))
             else:
                 rows = np.flatnonzero(self.regex_candidates(append, 0, None, literal))
-                col = col.take(pa.array(rows, pa.int64()))
             if not every:
+                if literal is not None:
+                    col = col.take(pa.array(rows, pa.int64()))
                 rows = rows[~_bool(pc.string_is_ascii(col)) | _bool(
                     pc.match_substring_regex(col, _RE2_HAZARD_RX))]
             self._masks[key] = rows
