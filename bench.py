@@ -309,23 +309,6 @@ def run_bench() -> dict:
     timed("dedup_cdc_100k",
           lambda: cdc_chunk_stats(big_docs).count())
 
-    # generation-metric family at the same scale (candidate = first 10
-    # words doubled, built inside the timed pipeline — the gate fixture
-    # shape at 100k docs)
-    from sagan_ray.datapipe.lines import bleu_scores, chrf_scores
-    from sagan_ray.pipelines.queries import _first10_doubled_cand
-
-    timed("text_bleu_100k",
-          lambda: bleu_scores(
-              big_docs.map_batches(_first10_doubled_cand,
-                                   batch_format="pyarrow"),
-              ref_col="text", cand_col="cand").count())
-    timed("text_chrf_100k",
-          lambda: chrf_scores(
-              big_docs.map_batches(_first10_doubled_cand,
-                                   batch_format="pyarrow"),
-              ref_col="text", cand_col="cand").count())
-
     result = {
         "metric": "end-to-end routed turns/sec (parse→classify→correlate→route→aggregate)",
         "value": round(headline, 3),

@@ -1,7 +1,7 @@
 """Large-scale training-data operations over document tables:
-deduplication (exact, MinHash-LSH, SimHash, n-gram Jaccard, containment,
-content-defined chunks), text analysis (language ID, quality scoring,
-token counts, fingerprints) and corpus curation. All Ray-Data-first:
+deduplication (exact, MinHash-LSH near-dup, content-defined chunks),
+text analysis (language ID, quality scoring, token counts,
+fingerprints) and corpus curation. All Ray-Data-first:
 vectorized map_batches + pre-aggregated groupbys, with keyed work on the
 engine's hash exchange (``sagan_ray.exchange``); this package is its
 client, and the engine core never imports it.
@@ -14,11 +14,11 @@ import importlib
 _EXPORTS = {
     "dedup": """
         cdc_chunk_hashes cdc_chunk_stats cdc_coverage_vs_prior
-        connected_components ngram_containment_pairs normalize_text_col
+        connected_components normalize_text_col
         dedup_against_prior dedup_cluster_best dedup_cluster_reps
         exact_dedup fuzzy_dedup_against_prior exact_dedup_normalized
         minhash_join minhash_lsh_candidates minhash_lsh_dedup
-        ngram_jaccard_pairs simhash_dedup verify_pairs_jaccard
+        verify_pairs_jaccard
     """,
     "curate": """
         blocklist_flags decontaminate split_by_cluster group_topk

@@ -7,25 +7,21 @@ Shapes (ray_guide 'Aggregation at scale' / MinHash-LSH pattern):
 - MinHash-LSH: shingle→minhash signature per batch → explode to
   (band, band_hash, doc_id) rows → groupby bands → candidate pairs →
   verify true Jaccard. Signature math is vectorized numpy universal
-  hashing; determinism comes from fixed seeds.
-- SimHash: 64-bit signature, banded into 4×16-bit keys so any pair within
-  Hamming distance 3 shares at least one band bucket.
+  hashing; determinism comes from fixed seeds. This is the one
+  near-dup detector: clusters, keep-best, the source report and the
+  fuzzy joins all build on it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import logging
-import re
 
 import numpy as np
 import pandas as pd
 
 from ..exchange import hash_array_pure as _hash_pure
 import pyarrow as pa
-
-_WORD_RE = re.compile(r"\S+")
 
 _MERSENNE = (1 << 61) - 1
 
@@ -34,10 +30,8 @@ def _group_pairs_idx(counts: np.ndarray, keep=None):
     the given sizes (rows 0..counts.sum()-1, groups back to back) —
     one repeat + one offset-arange gather, no per-group Python; groups
     with ``keep``=False contribute no pairs (the stop-bucket skew
-    guard). The shared construction behind the minhash-band and
-    simhash-block candidate buckets (the jaccard/containment buckets
-    inline the same construction with their stop-posting / probe×full
-    twists)."""
+    guard). The pair construction behind the minhash-band and
+    vocab-edit candidate buckets."""
     counts = counts.astype(np.int64)
     ends = np.cumsum(counts)
     n_after = np.repeat(ends, counts) - np.arange(int(counts.sum())) - 1
@@ -52,19 +46,6 @@ def _group_pairs_idx(counts: np.ndarray, keep=None):
     off = np.concatenate([[0], np.cumsum(na)[:-1]])
     bi = np.arange(na.sum()) - np.repeat(off, na) + np.repeat(lead + 1, na)
     return ai, bi
-
-
-def _popcount_u64(x: np.ndarray) -> np.ndarray:
-    """SWAR popcount over a uint64 array (numpy<2 has no bitwise_count)
-    — same kernel as oracle/golden.py's, duplicated so the operator
-    stays independent of the oracle module."""
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = ((x & np.uint64(0x3333333333333333))
-         + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333)))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).astype(
-        np.int64)
-
 
 
 # ----------------------------------------------------------------------
@@ -133,23 +114,7 @@ def dedup_against_prior(new, prior, *, text_col: str = "text",
 # shingling + minhash
 # ----------------------------------------------------------------------
 
-# word → stable 64-bit hash, memoized per process (vocabulary is small
-# relative to corpus; blake2b only runs once per distinct word)
-_WORD_HASHES: dict[str, int] = {}
 _HORNER = np.uint64(1099511628211)
-
-
-def _word_hash(w: str) -> int:
-    h = _WORD_HASHES.get(w)
-    if h is None:
-        if len(_WORD_HASHES) > 2_000_000:
-            _WORD_HASHES.clear()
-        h = int.from_bytes(hashlib.blake2b(w.encode("utf-8", "surrogatepass"),
-                                           digest_size=8).digest(), "little")
-        _WORD_HASHES[w] = h
-    return h
-
-
 _EMPTY_WORD_HASH: int | None = None
 
 
@@ -458,216 +423,6 @@ def minhash_lsh_dedup(ds, *, threshold: float = 0.8, text_col: str = "text",
                                    k=k, n_perm=n_perm, bands=bands)
     return verify_pairs_jaccard(ds, cands, threshold=threshold,
                                 text_col=text_col, id_col=id_col, k=k)
-
-
-def ngram_jaccard_pairs(ds, *, threshold: float = 0.5, text_col: str = "text",
-                        id_col: str = "doc_id", k: int = 3,
-                        max_posting: int = 4096):
-    """Similar pairs by exact word-k-shingle Jaccard via inverted-shingle
-    candidate generation + exact verification join.
-
-    Prefix filter (PPJoin-style, exactness-preserving): with shingles in
-    a canonical order (ascending hash), any pair with J ≥ t must share a
-    shingle within each doc's first ``L - ⌈t·L⌉ + 1`` shingles — only
-    those prefix shingles enter the inverted index, cutting posting
-    volume ~(1-t)× and candidate pairs quadratically. Verification is
-    exact over the FULL shingle sets, so no true pair is lost.
-
-    Skew guard: a shingle still shared by more than ``max_posting`` docs
-    (a stop-shingle) would produce O(n²) candidate pairs in one bucket;
-    such posting lists are dropped from candidate generation (count
-    logged). Results then only change for pairs whose EVERY shared
-    prefix shingle is a stop-shingle (impossible at high thresholds in
-    practice; the fixture's max posting list is ~7)."""
-    import logging
-
-    def explode(tbl: pa.Table) -> pa.Table:
-        ids = np.asarray(tbl.column(id_col).to_pylist(), dtype=np.int64)
-        texts = tbl.column(text_col).to_pylist()
-        shs = []
-        for sh in _shingle_hashes_batch(texts, k):
-            u = np.unique(sh)                    # sorted = canonical order
-            # int() truncation of the float product never EXCEEDS the
-            # exact ⌈t·L⌉ (a float rounding a hair past the exact
-            # integer truncates back to it; below, the prefix just gets
-            # one element longer — safe), unlike math.ceil which can
-            # overshoot on products like 0.55*100 = 55.000000000000006
-            p = len(u) - int(threshold * len(u)) + 1
-            shs.append(u[:max(1, p)])
-        counts = np.array([len(s) for s in shs], dtype=np.int64)
-        return pa.table({"did": pa.array(np.repeat(ids, counts), pa.int64()),
-                         "sh": pa.array(np.concatenate(shs) if shs else
-                                        np.empty(0, np.uint64), pa.uint64())})
-
-    def postings_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        """Unordered within-group pairs (a < b) per shingle group,
-        fully vectorized: each row pairs with every LATER row of its
-        group (ids ascend within a group, and (sh, did) rows are
-        globally unique — one batch per doc, np.unique per doc
-        map-side), built with one repeat + one offset-arange gather —
-        no per-group Python, no itertools."""
-        df = df.sort_values(["sh", "did"], kind="mergesort")
-        sh = df["sh"].to_numpy()
-        ids = df["did"].to_numpy()
-        _, starts, counts = np.unique(sh, return_index=True,
-                                      return_counts=True)
-        keep = counts <= max_posting
-        dropped = int((~keep).sum())
-        if dropped:
-            logging.getLogger(__name__).warning(
-                "ngram_jaccard_pairs: dropped %d stop-shingle posting lists "
-                "(> %d docs) from candidate generation", dropped, max_posting)
-        gid = np.repeat(np.arange(len(starts)), counts)
-        ends = starts + counts                     # group end per group
-        n_after = np.where(keep[gid], ends[gid] - np.arange(len(ids)) - 1,
-                           0)                      # later rows in group
-        lead = np.flatnonzero(n_after > 0)
-        if not len(lead):
-            return pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                                 "b": pd.Series([], dtype="int64")})
-        na = n_after[lead]
-        a = np.repeat(ids[lead], na)
-        off = np.concatenate([[0], np.cumsum(na)[:-1]])
-        b_idx = (np.arange(na.sum()) - np.repeat(off, na)
-                 + np.repeat(lead + 1, na))
-        b = ids[b_idx]
-        return (pd.DataFrame({"a": a.astype(np.int64),
-                              "b": b.astype(np.int64)})
-                .drop_duplicates())
-
-    from ..exchange import hash_group_apply
-
-    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-    posts = hash_group_apply(ds.map_batches(explode, batch_format="pyarrow"),
-                             ["sh"], postings_bucket, out_schema=pair_schema)
-    cands = hash_group_apply(posts, ["a", "b"],
-                             lambda g: g.drop_duplicates(),
-                             out_schema=pair_schema)
-    return verify_pairs_jaccard(ds, cands, threshold=threshold,
-                                text_col=text_col, id_col=id_col, k=k)
-
-
-# ----------------------------------------------------------------------
-# simhash
-# ----------------------------------------------------------------------
-
-def _simhash64(text: str) -> int:
-    """Per-row SimHash SPEC (word → blake2b-64 hash, ±1 per bit, sign
-    accumulate). The batched kernel ``_simhash64_batch`` and the golden
-    oracle (oracle/golden.py) both anchor to this definition."""
-    words = _WORD_RE.findall(text.lower())
-    if not words:
-        return 0
-    wh = np.fromiter((_word_hash(w) for w in words), dtype=np.uint64,
-                     count=len(words))
-    # vectorized bit unpack: (n_words, 64) sign contributions
-    bits = (wh[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1)
-    acc = np.where(bits.astype(bool), 1, -1).sum(axis=0)
-    v = 0
-    for i in range(64):
-        if acc[i] > 0:
-            v |= 1 << i
-    return v
-
-
-def _simhash64_batch(texts: list[str]) -> np.ndarray:
-    """Batched ``_simhash64``: ONE Arrow lower+split pass over the whole
-    batch, blake2b only per DISTINCT word (factorize + memoized vocab),
-    and sign accumulation as a cumulative-sum difference over the flat
-    per-word contribution matrix — no per-row python. Parity with the
-    per-row spec is pinned by tests/test_datapipe.py."""
-    import pyarrow.compute as pc_
-
-    n = len(texts)
-    if n == 0:
-        return np.empty(0, np.uint64)
-    col = pc_.utf8_lower(pa.array(texts, pa.large_string()))
-    la = pc_.split_pattern_regex(col, r"\s+")
-    if isinstance(la, pa.ChunkedArray):
-        la = la.combine_chunks()
-    flat = la.values
-    offs = np.asarray(la.offsets, dtype=np.int64)
-    wlen = pc_.utf8_length(flat).to_numpy(zero_copy_only=False).astype(np.int64)
-    keep = wlen > 0                     # split can yield empty edge tokens
-    words = flat.to_numpy(zero_copy_only=False)[keep]
-    keep_cum = np.concatenate([[0], np.cumsum(keep)])
-    starts = keep_cum[offs[:-1]]
-    ends = keep_cum[offs[1:]]
-    codes, uniq = pd.factorize(words)
-    vocab = np.fromiter((_word_hash(w) for w in uniq), dtype=np.uint64,
-                        count=len(uniq))
-    wh = vocab[codes] if len(codes) else np.empty(0, np.uint64)
-    # (m, 64) ±1 contributions; per-doc sums via cumsum difference so
-    # zero-word docs fall out as all-zero accumulators (sig 0, per spec)
-    bits = ((wh[:, None] >> np.arange(64, dtype=np.uint64)[None, :])
-            & np.uint64(1)).astype(np.int32)
-    contrib = 2 * bits - 1
-    csum = np.zeros((len(wh) + 1, 64), dtype=np.int64)
-    np.cumsum(contrib, axis=0, out=csum[1:])
-    acc = csum[ends] - csum[starts]     # (n, 64)
-    return ((acc > 0).astype(np.uint64)
-            << np.arange(64, dtype=np.uint64)[None, :]).sum(axis=1,
-                                                            dtype=np.uint64)
-
-
-def simhash_dedup(ds, *, max_hamming: int = 3, text_col: str = "text",
-                  id_col: str = "doc_id", max_band: int = 8192):
-    """Pairs within Hamming distance ≤ max_hamming of 64-bit SimHash.
-    Banding into 4×16-bit keys guarantees recall for distance ≤ 3
-    (pigeonhole: 3 differing bits can touch at most 3 of 4 bands)."""
-
-    def sig(tbl: pa.Table) -> pa.Table:
-        ids = np.asarray(tbl.column(id_col).to_pylist(), dtype=np.int64)
-        texts = tbl.column(text_col).to_pylist()
-        s = _simhash64_batch(texts)
-        bands = np.arange(4, dtype=np.uint64)
-        s_rep = np.repeat(s, 4)
-        keys = ((s_rep >> np.tile(bands, len(s)) * np.uint64(16))
-                & np.uint64(0xFFFF)).astype(np.int64)
-        return pa.table({id_col: pa.array(np.repeat(ids, 4), pa.int64()),
-                         "band": pa.array(np.tile(bands.astype(np.int32),
-                                                  len(s)), pa.int32()),
-                         "key": pa.array(keys, pa.int64()),
-                         "sig": pa.array(s_rep, pa.uint64())})
-
-    def pairs_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # within-(band, key) pairs via the shared offset-arange
-        # construction, Hamming distance as one SWAR popcount pass
-        df = df.sort_values(["band", "key", id_col], kind="mergesort")
-        band = df["band"].to_numpy()
-        key = df["key"].to_numpy()
-        ids = df[id_col].to_numpy()
-        sigs = df["sig"].to_numpy()
-        if not len(df):
-            return pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                                 "b": pd.Series([], dtype="int64"),
-                                 "hamming": pd.Series([], dtype="int64")})
-        bnd = np.flatnonzero((band[1:] != band[:-1]) | (key[1:] != key[:-1]))
-        counts = np.diff(np.concatenate([[0], bnd + 1, [len(df)]]))
-        keep = counts <= max_band
-        dropped = int((~keep).sum())
-        if dropped:
-            logging.getLogger(__name__).warning(
-                "simhash_dedup: dropped %d band buckets (> %d docs) "
-                "from candidate generation", dropped, max_band)
-        ai, bi = _group_pairs_idx(counts, keep)
-        d = _popcount_u64(sigs[ai].astype(np.uint64)
-                          ^ sigs[bi].astype(np.uint64))
-        m = d <= max_hamming
-        return pd.DataFrame({"a": ids[ai][m].astype(np.int64),
-                             "b": ids[bi][m].astype(np.int64),
-                             "hamming": d[m]})
-
-    from ..exchange import hash_group_apply
-
-    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                             ("hamming", pa.int64())])
-    cands = hash_group_apply(ds.map_batches(sig, batch_format="pyarrow"),
-                             ["band", "key"], pairs_bucket,
-                             out_schema=pair_schema)
-    return hash_group_apply(cands, ["a", "b"],
-                            lambda g: g.drop_duplicates(subset=["a", "b"]),
-                            out_schema=pair_schema)
 
 
 # ----------------------------------------------------------------------
@@ -1019,197 +774,6 @@ def cdc_chunk_stats(ds, *, bits: int = 6, min_size: int = 32,
 
     return hash_group_apply(marked.union(z), [id_col], combine,
                             out_schema=stat_schema)
-
-
-# ----------------------------------------------------------------------
-# n-gram containment (asymmetric near-dup: quotation / inclusion)
-# ----------------------------------------------------------------------
-
-def ngram_containment_pairs(ds, *, threshold: float = 0.8,
-                            text_col: str = "text", id_col: str = "doc_id",
-                            k: int = 3, max_posting: int = 4096):
-    """DIRECTED pairs (a, b, containment) with
-    C(a→b) = |S_a ∩ S_b| / |S_a| ≥ threshold over word-k-shingle sets —
-    the asymmetric complement of ``ngram_jaccard_pairs``: a short doc
-    quoted inside a long one scores C ≈ 1 while its Jaccard is tiny
-    (the quotation/inclusion dedup case Jaccard misses by design).
-
-    Prefix filter (exactness-preserving, one-sided): C(a→b) ≥ t needs
-    |S_a ∩ S_b| ≥ ⌈t·L_a⌉, so the pair must share a shingle within a's
-    first ``L_a - ⌈t·L_a⌉ + 1`` canonical-order shingles; only the
-    CONTAINED side is prefix-pruned — the container side must post its
-    full set. Postings therefore carry a prefix flag: bucket candidates
-    are prefix(a) × full(b), a ≠ b, directed. Verification recomputes
-    the exact intersection over full sets via the same two-exchange
-    join shape as ``verify_pairs_jaccard`` (corpus crosses once as
-    packed uint64 shingles; pair traffic is candidate-sized); the
-    published float is ONE int/int division — bit-equal to the SQL
-    oracle. Same stop-shingle skew guard as the Jaccard op."""
-    import logging
-
-    from ..exchange import hash_group_apply
-
-    def explode(tbl: pa.Table) -> pa.Table:
-        ids = np.asarray(tbl.column(id_col).to_pylist(), dtype=np.int64)
-        texts = tbl.column(text_col).to_pylist()
-        shs, prefs = [], []
-        for sh in _shingle_hashes_batch(texts, k):
-            u = np.unique(sh)                    # sorted = canonical order
-            # int() truncation never exceeds the exact ⌈t·L⌉ (see
-            # ngram_jaccard_pairs) — the prefix only ever gets longer
-            p = max(1, len(u) - int(threshold * len(u)) + 1)
-            shs.append(u)
-            flag = np.zeros(len(u), bool)
-            flag[:p] = True
-            prefs.append(flag)
-        counts = np.array([len(s) for s in shs], dtype=np.int64)
-        return pa.table({
-            "did": pa.array(np.repeat(ids, counts), pa.int64()),
-            "sh": pa.array(np.concatenate(shs) if shs else
-                           np.empty(0, np.uint64), pa.uint64()),
-            "pref": pa.array(np.concatenate(prefs) if prefs else
-                             np.empty(0, bool), pa.bool_())})
-
-    def postings_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        """Directed candidate pairs probe(a) × full(b) per shingle
-        group, fully vectorized: group run-lengths via np.unique, the
-        variable-size cross products built with one repeat (probe side)
-        and one offset-arange gather (full side) — no per-group Python.
-        (sh, did) rows are globally unique (one batch per doc, np.unique
-        per doc map-side), so groups need no internal dedup."""
-        df = df.sort_values(["sh", "did"], kind="mergesort")
-        sh = df["sh"].to_numpy()
-        ids = df["did"].to_numpy()
-        pref = df["pref"].to_numpy()
-        _, starts, counts = np.unique(sh, return_index=True,
-                                      return_counts=True)
-        keep = counts <= max_posting
-        dropped = int((~keep).sum())
-        if dropped:
-            logging.getLogger(__name__).warning(
-                "ngram_containment_pairs: dropped %d stop-shingle posting "
-                "lists (> %d docs) from candidate generation", dropped,
-                max_posting)
-        gid = np.repeat(np.arange(len(starts)),
-                        counts)                 # group id per row
-        row_ok = keep[gid] & (counts[gid] > 1)
-        # probe rows drive the pairs: each probe row pairs with every
-        # row of its group (self filtered after)
-        pr = np.flatnonzero(pref & row_ok)
-        if not len(pr):
-            return pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                                 "b": pd.Series([], dtype="int64")})
-        n_full = counts[gid[pr]]
-        a = np.repeat(ids[pr], n_full)
-        # full-side gather: for probe row r in group g, indices
-        # starts[g] .. starts[g]+counts[g]-1
-        off = np.concatenate([[0], np.cumsum(n_full)[:-1]])
-        b_idx = (np.arange(n_full.sum()) - np.repeat(off, n_full)
-                 + np.repeat(starts[gid[pr]], n_full))
-        b = ids[b_idx]
-        m = a != b
-        return (pd.DataFrame({"a": a[m].astype(np.int64),
-                              "b": b[m].astype(np.int64)})
-                .drop_duplicates())
-
-    pair_schema = pa.schema([("a", pa.int64()), ("b", pa.int64())])
-    posts = hash_group_apply(ds.map_batches(explode, batch_format="pyarrow"),
-                             ["sh"], postings_bucket, out_schema=pair_schema)
-    cands = hash_group_apply(posts, ["a", "b"],
-                             lambda g: g.drop_duplicates(),
-                             out_schema=pair_schema)
-    return _verify_pairs_containment(ds, cands, threshold=threshold,
-                                     text_col=text_col, id_col=id_col, k=k)
-
-
-_PAIR_C_SCHEMA = pa.schema([("a", pa.int64()), ("b", pa.int64()),
-                            ("containment", pa.float64())])
-
-
-def _verify_pairs_containment(ds, cands, *, threshold: float,
-                              text_col: str, id_col: str, k: int):
-    """Exact containment verify over DIRECTED candidate pairs — the
-    two-exchange join of ``verify_pairs_jaccard`` with the asymmetric
-    score |S_a ∩ S_b| / |S_a| (a is the contained side)."""
-    from ..exchange import hash_group_apply
-
-    def corpus_rows(tbl: pa.Table) -> pa.Table:
-        ids = [int(i) for i in tbl.column(id_col).to_pylist()]
-        texts = tbl.column(text_col).to_pylist()
-        if ids and min(ids) < 0:
-            raise ValueError(
-                "ngram_containment_pairs requires non-negative doc ids "
-                "(-1 is the corpus-row sentinel)")
-        packed = [np.unique(sh).tobytes()
-                  for sh in _shingle_hashes_batch(texts, k)]
-        n = len(ids)
-        return pa.table({
-            "did": pa.array(ids, pa.int64()),
-            "a": pa.array(np.full(n, -1, np.int64), pa.int64()),
-            "b": pa.array(np.full(n, -1, np.int64), pa.int64()),
-            "sh": pa.array(packed, pa.binary()),
-        }, schema=_VERIFY_SCHEMA)
-
-    def request_rows(tbl: pa.Table) -> pa.Table:
-        a = tbl.column("a").combine_chunks().cast(pa.int64())
-        b = tbl.column("b").combine_chunks().cast(pa.int64())
-        n = len(tbl)
-        did = pa.chunked_array([a, b]).combine_chunks()
-        aa = pa.chunked_array([a, a]).combine_chunks()
-        bb = pa.chunked_array([b, b]).combine_chunks()
-        return pa.table({"did": did, "a": aa, "b": bb,
-                         "sh": pa.array([b""] * (2 * n), pa.binary())},
-                        schema=_VERIFY_SCHEMA)
-
-    def attach(df: pd.DataFrame) -> pd.DataFrame:
-        is_corpus = df["a"].to_numpy() < 0
-        lut = dict(zip(df.loc[is_corpus, "did"], df.loc[is_corpus, "sh"]))
-        req = df.loc[~is_corpus]
-        sh = req["did"].map(lut)
-        out = pd.DataFrame({
-            "did": req["did"].astype("int64"),
-            "a": req["a"].astype("int64"),
-            "b": req["b"].astype("int64"),
-            "sh": sh,
-        })
-        return out[out["sh"].notna()]
-
-    def pair_containment(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["a", "b", "did"], kind="mergesort")
-        a = df["a"].to_numpy()
-        b = df["b"].to_numpy()
-        did = df["did"].to_numpy()
-        sh = df["sh"].to_numpy()
-        oa, ob, oc = [], [], []
-        start = 0
-        for i in range(1, len(df) + 1):
-            if i == len(df) or a[i] != a[start] or b[i] != b[start]:
-                sa = sb = None
-                for j in range(start, i):
-                    if did[j] == a[start]:
-                        sa = np.frombuffer(sh[j], dtype=np.uint64)
-                    if did[j] == b[start]:
-                        sb = np.frombuffer(sh[j], dtype=np.uint64)
-                if sa is not None and sb is not None and sa.size:
-                    inter = np.intersect1d(sa, sb, assume_unique=True).size
-                    c = inter / sa.size
-                    if c >= threshold:
-                        oa.append(int(a[start]))
-                        ob.append(int(b[start]))
-                        oc.append(float(c))
-                start = i
-        return pd.DataFrame({"a": pd.Series(oa, dtype="int64"),
-                             "b": pd.Series(ob, dtype="int64"),
-                             "containment": pd.Series(oc, dtype="float64")})
-
-    sides = ds.map_batches(corpus_rows, batch_format="pyarrow").union(
-        cands.map_batches(request_rows, batch_format="pyarrow"))
-    joined = hash_group_apply(sides, ["did"], attach,
-                              out_schema=pa.schema(
-                                  [("did", pa.int64()), ("a", pa.int64()),
-                                   ("b", pa.int64()), ("sh", pa.binary())]))
-    return hash_group_apply(joined, ["a", "b"], pair_containment,
-                            out_schema=_PAIR_C_SCHEMA)
 
 
 def cdc_chunk_hashes(ds, *, bits: int = 6, min_size: int = 32,

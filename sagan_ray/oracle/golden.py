@@ -33,45 +33,6 @@ def _write(tbl: pa.Table, name: str) -> str:
     return path
 
 
-def _popcount64(x: np.ndarray) -> np.ndarray:
-    """SWAR popcount for uint64 arrays (numpy<2 lacks bitwise_count)."""
-    x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = ((x & np.uint64(0x3333333333333333))
-         + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333)))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-
-def write_golden_simhash(sf_dir: str, max_hamming: int) -> str:
-    """Expected output of ``dedup_simhash``: per-row ``_simhash64`` (the
-    transcription spec) + a chunked brute-force O(n²) Hamming scan — no
-    banding, no batched kernel, no exchange."""
-    import pyarrow.parquet as pq
-
-    from ..datapipe.dedup import _simhash64
-
-    t = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                      columns=["doc_id", "text"])
-    ids = np.asarray(t.column("doc_id").to_pylist(), dtype=np.int64)
-    sigs = np.array([_simhash64(x) for x in t.column("text").to_pylist()],
-                    dtype=np.uint64)
-    order = np.argsort(ids, kind="stable")
-    ids, sigs = ids[order], sigs[order]
-    oa, ob, oh = [], [], []
-    chunk = 1024
-    for s in range(0, len(ids), chunk):
-        ham = _popcount64(sigs[s:s + chunk, None] ^ sigs[None, :])
-        ii, jj = np.where(ham <= max_hamming)
-        m = ids[ii + s] < ids[jj]       # each unordered pair once, no self
-        oa.extend(ids[ii + s][m].tolist())
-        ob.extend(ids[jj][m].tolist())
-        oh.extend(ham[ii, jj][m].astype(np.int64).tolist())
-    tbl = pa.table({"a": pa.array(oa, pa.int64()),
-                    "b": pa.array(ob, pa.int64()),
-                    "hamming": pa.array(oh, pa.int64())})
-    return _write(tbl, "dedup_simhash")
-
-
 def _splitmix64_int(x: int) -> int:
     """Per-id SplitMix64 in plain Python ints (independent of the
     numpy-vectorized sampler it checks)."""
@@ -694,224 +655,3 @@ def write_golden_minhash_calibration(sf_dir: str, *, k: int, n_perm: int,
                     "b": pa.array([r[1] for r in rows], pa.int64()),
                     "matches": pa.array([r[2] for r in rows], pa.int64())})
     return _write(tbl, "minhash_calibration")
-
-
-def write_golden_rouge_l(sf_dir: str) -> str:
-    """Expected output of ``text_rouge_l``: the candidate is each
-    document's first 10 (whitespace) words doubled — exactly the
-    text_rouge fixture — and the LCS comes from the classic FULL 2-D
-    DP table (the operator uses a rolling two-row sweep; same spec,
-    different mechanics). rouge_l = one int/int division."""
-    import pyarrow.parquet as pq
-
-    from ..datapipe.lines import _words
-
-    t = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                      columns=["doc_id", "text"])
-    rows = []
-    for did, text in zip(t.column("doc_id").to_pylist(),
-                         t.column("text").to_pylist()):
-        head = _words(text)[:10]
-        cand_tokens = [tok.lower() for tok in head + head]
-        ref = _words((text or "").lower())
-        m, n = len(ref), len(cand_tokens)
-        dp = [[0] * (n + 1) for _ in range(m + 1)]
-        for i in range(1, m + 1):
-            for j in range(1, n + 1):
-                if ref[i - 1] == cand_tokens[j - 1]:
-                    dp[i][j] = dp[i - 1][j - 1] + 1
-                else:
-                    dp[i][j] = max(dp[i - 1][j], dp[i][j - 1])
-        l = dp[m][n]
-        rows.append((did, l, m, l / m if m else 0.0))
-    tbl = pa.table({
-        "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-        "lcs": pa.array([r[1] for r in rows], pa.int64()),
-        "ref_total": pa.array([r[2] for r in rows], pa.int64()),
-        "rouge_l": pa.array([r[3] for r in rows], pa.float64())})
-    return _write(tbl, "text_rouge_l")
-
-
-_BLEU_GOLDEN_CACHE: dict = {}
-
-
-def write_golden_bleu(sf_dir: str, max_n: int = 4) -> str:
-    """Expected output of ``text_bleu``: candidate = each document's
-    first 10 (whitespace) words doubled (the ROUGE fixture — the
-    repetition exercises clipping, the short candidate exercises the
-    brevity penalty). Counts come from per-row ``collections.Counter``
-    over TUPLE n-grams (entirely different mechanics from the
-    operator's incremental factorize), then ONE vectorized call into
-    the operator's own ``_bleu_from_counts`` float kernel over the
-    collected integer arrays (the text_entropy stance: share the float
-    kernel, derive the integers independently; per ADVICE_r4 the
-    kernel call is vectorized, not per-scalar)."""
-    from collections import Counter
-
-    import pyarrow.parquet as pq
-
-    from ..datapipe.lines import _bleu_from_counts, _words
-
-    t = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                      columns=["doc_id", "text"])
-    ids, clip_rows, tot_rows, rl_rows, cl_rows = [], [], [], [], []
-    for did, text in zip(t.column("doc_id").to_pylist(),
-                         t.column("text").to_pylist()):
-        ref = _words((text or "").lower())
-        head = _words(text)[:10]
-        cand = [w.lower() for w in head + head]
-        clips, tots = [], []
-        for ng in range(1, max_n + 1):
-            rc = Counter(tuple(ref[i:i + ng])
-                         for i in range(len(ref) - ng + 1))
-            cc = Counter(tuple(cand[i:i + ng])
-                         for i in range(len(cand) - ng + 1))
-            clips.append(sum(min(c, rc.get(g, 0))
-                             for g, c in cc.items()))
-            tots.append(max(len(cand) - ng + 1, 0))
-        ids.append(did)
-        clip_rows.append(clips)
-        tot_rows.append(tots)
-        rl_rows.append(len(ref))
-        cl_rows.append(len(cand))
-    clip = np.asarray(clip_rows, np.int64).reshape(len(ids), max_n)
-    tot = np.asarray(tot_rows, np.int64).reshape(len(ids), max_n)
-    ref_len = np.asarray(rl_rows, np.int64)
-    cand_len = np.asarray(cl_rows, np.int64)
-    bleu = _bleu_from_counts(clip, tot, ref_len, cand_len, max_n)
-    _BLEU_GOLDEN_CACHE[(sf_dir, max_n)] = (clip, tot, ref_len, cand_len)
-    cols = {"doc_id": pa.array(ids, pa.int64())}
-    for j in range(max_n):
-        cols[f"clip{j + 1}"] = pa.array(clip[:, j], pa.int64())
-        cols[f"tot{j + 1}"] = pa.array(tot[:, j], pa.int64())
-    cols["ref_len"] = pa.array(ref_len, pa.int64())
-    cols["cand_len"] = pa.array(cand_len, pa.int64())
-    cols["bleu"] = pa.array(bleu, pa.float64())
-    return _write(pa.table(cols), "text_bleu")
-
-
-def write_golden_chrf(sf_dir: str, max_n: int = 6) -> str:
-    """Expected output of ``text_chrf``: candidate = first 10 words
-    doubled (the ROUGE/BLEU fixture). Counts come from per-row dict
-    counting over BYTES-substring n-grams of the lowercased utf-8 text
-    with exactly the operator's 6 ASCII whitespace bytes removed —
-    the golden implements the SAME documented byte-level deviation
-    (not str.split, which also strips unicode whitespace and counts
-    characters: on non-ASCII text the two diverge, per the
-    fifth-session review). Mechanics stay independent (Python bytes
-    slices vs packed int64 codes); one vectorized call into the
-    operator's ``_chrf_from_counts`` kernel."""
-    from collections import Counter
-
-    import pyarrow.parquet as pq
-
-    from ..datapipe.lines import _chrf_from_counts, _words
-
-    _ws = frozenset(b"\t\n\x0b\x0c\r ")
-
-    t = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                      columns=["doc_id", "text"])
-    ids, clip_r, ctot_r, rtot_r = [], [], [], []
-    for did, text in zip(t.column("doc_id").to_pylist(),
-                         t.column("text").to_pylist()):
-        head = _words(text)[:10]
-        cand_s = " ".join(head) + " " + " ".join(head)
-        cand = bytes(c for c in cand_s.lower().encode("utf-8")
-                     if c not in _ws)
-        ref = bytes(c for c in (text or "").lower().encode("utf-8")
-                    if c not in _ws)
-        clips, cts, rts = [], [], []
-        for ng in range(1, max_n + 1):
-            rc = Counter(ref[i:i + ng]
-                         for i in range(len(ref) - ng + 1))
-            cc = Counter(cand[i:i + ng]
-                         for i in range(len(cand) - ng + 1))
-            clips.append(sum(min(v, rc.get(g, 0))
-                             for g, v in cc.items()))
-            cts.append(max(len(cand) - ng + 1, 0))
-            rts.append(max(len(ref) - ng + 1, 0))
-        ids.append(did)
-        clip_r.append(clips)
-        ctot_r.append(cts)
-        rtot_r.append(rts)
-    clip = np.asarray(clip_r, np.int64).reshape(len(ids), max_n)
-    ctot = np.asarray(ctot_r, np.int64).reshape(len(ids), max_n)
-    rtot = np.asarray(rtot_r, np.int64).reshape(len(ids), max_n)
-    chrf = _chrf_from_counts(clip, ctot, rtot)
-    cols = {"doc_id": pa.array(ids, pa.int64())}
-    for j in range(max_n):
-        cols[f"clip{j + 1}"] = pa.array(clip[:, j], pa.int64())
-        cols[f"ctot{j + 1}"] = pa.array(ctot[:, j], pa.int64())
-        cols[f"rtot{j + 1}"] = pa.array(rtot[:, j], pa.int64())
-    cols["chrf"] = pa.array(chrf, pa.float64())
-    return _write(pa.table(cols), "text_chrf")
-
-
-def write_golden_corpus_bleu(sf_dir: str, max_n: int = 4) -> str:
-    """Expected output of ``text_bleu_corpus``: the SAME sequential
-    per-doc Counter derivation as ``write_golden_bleu`` (shared via a
-    cache keyed on sf_dir), integer components summed corpus-wide,
-    one call into the shared kernel — micro-average semantics."""
-    from ..datapipe.lines import _bleu_from_counts
-
-    if (sf_dir, max_n) not in _BLEU_GOLDEN_CACHE:
-        write_golden_bleu(sf_dir, max_n)
-    clip, tot, ref_len, cand_len = _BLEU_GOLDEN_CACHE[(sf_dir, max_n)]
-    cs = clip.sum(axis=0, keepdims=True)
-    ts = tot.sum(axis=0, keepdims=True)
-    rl = np.array([int(ref_len.sum())], np.int64)
-    cl = np.array([int(cand_len.sum())], np.int64)
-    bleu = _bleu_from_counts(cs, ts, rl, cl, max_n)
-    cols = {}
-    for j in range(max_n):
-        cols[f"clip{j + 1}"] = pa.array([int(cs[0, j])], pa.int64())
-    for j in range(max_n):
-        cols[f"tot{j + 1}"] = pa.array([int(ts[0, j])], pa.int64())
-    cols["ref_len"] = pa.array(rl, pa.int64())
-    cols["cand_len"] = pa.array(cl, pa.int64())
-    cols["bleu"] = pa.array(bleu, pa.float64())
-    return _write(pa.table(cols), "text_bleu_corpus")
-
-
-def write_golden_corpus_chrf(sf_dir: str, max_n: int = 6) -> str:
-    """Expected output of ``text_chrf_corpus``: the write_golden_chrf
-    sequential byte-substring derivation re-run (cheap), components
-    summed corpus-wide, one call into the shared kernel."""
-    from collections import Counter
-
-    import pyarrow.parquet as pq
-
-    from ..datapipe.lines import _chrf_from_counts, _words
-
-    _ws = frozenset(b"\t\n\x0b\x0c\r ")
-    t = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                      columns=["doc_id", "text"])
-    clip = np.zeros((1, max_n), np.int64)
-    ctot = np.zeros((1, max_n), np.int64)
-    rtot = np.zeros((1, max_n), np.int64)
-    for text in t.column("text").to_pylist():
-        head = _words(text)[:10]
-        cand_s = " ".join(head) + " " + " ".join(head)
-        cand = bytes(c for c in cand_s.lower().encode("utf-8")
-                     if c not in _ws)
-        ref = bytes(c for c in (text or "").lower().encode("utf-8")
-                    if c not in _ws)
-        for ng in range(1, max_n + 1):
-            rc = Counter(ref[i:i + ng]
-                         for i in range(len(ref) - ng + 1))
-            cc = Counter(cand[i:i + ng]
-                         for i in range(len(cand) - ng + 1))
-            clip[0, ng - 1] += sum(min(v, rc.get(g, 0))
-                                   for g, v in cc.items())
-            ctot[0, ng - 1] += max(len(cand) - ng + 1, 0)
-            rtot[0, ng - 1] += max(len(ref) - ng + 1, 0)
-    score = _chrf_from_counts(clip, ctot, rtot)
-    cols = {}
-    for j in range(max_n):
-        cols[f"clip{j + 1}"] = pa.array([int(clip[0, j])], pa.int64())
-    for j in range(max_n):
-        cols[f"ctot{j + 1}"] = pa.array([int(ctot[0, j])], pa.int64())
-    for j in range(max_n):
-        cols[f"rtot{j + 1}"] = pa.array([int(rtot[0, j])], pa.int64())
-    cols["chrf"] = pa.array(score, pa.float64())
-    return _write(pa.table(cols), "text_chrf_corpus")

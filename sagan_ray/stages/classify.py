@@ -167,6 +167,11 @@ def _re2_ok(pattern: str) -> bool:
         return False
 
 
+# pcre syntax RE2 and re parse apart, so they differ on plain ASCII
+# too: a POSIX bracket class (a class to RE2; to re a set, then literal
+# text) and an open-lower {,n} repeat (literal text to RE2). Such a pcre
+# takes the re path. Conservative: an escaped look-alike also matches.
+_RE2_PARSES_APART = re.compile(r"\[:\^?[A-Za-z]+:\]|\{,\d*\}")
 # pcre tokens RE2 decides differently from re on some rows (ASCII-only
 # \w \d \s \b, $ before a trailing newline) and scoped (?i) folds
 _RE2_DIVERGES = re.compile(r"\\[wWdDsSbB]|\$|\(\?[a-zA-Z]*i")
@@ -280,7 +285,7 @@ class _RulePlan:
                 rx = "(?s)" + rx
             if patom.flags & re.MULTILINE:
                 rx = "(?m)" + rx
-            if _re2_ok(rx):
+            if _re2_ok(rx) and not _RE2_PARSES_APART.search(patom.pattern):
                 exact = patom.compiled()
                 if not (exact.flags & re.IGNORECASE
                         or _RE2_DIVERGES.search(patom.pattern)):

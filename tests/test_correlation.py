@@ -233,6 +233,18 @@ def test_turn_split_across_blocks_replays_in_input_order():
     assert oracle.hit_counts() == {61: 1, 62: 1, 63: 2, 64: 6}
 
 
+def test_routed_row_need_not_be_its_turns_last_row():
+    """A turn of two rows with different texts where only the first row
+    hits: the routed row carries that row's text, and ``run_both`` must
+    accept it (it compares each routed text with every input text of
+    its turn, not with the turn's last one)."""
+    rows = [("a", 0, "alpha", 0), ("a", 0, "beta", 0)]
+    oracle, _ = run_both(
+        'alert any any any -> any any (msg:"a"; content:"alpha"; sid:71;)',
+        mk(rows))
+    assert {r[1:] for r in oracle.routed} == {(71, "a", 0)}
+
+
 def test_disk_order_irrelevant():
     """The same logical rows in scrambled on-disk order must yield
     identical verdicts (the stable-(conv_id, turn_idx) ordering contract)."""

@@ -57,17 +57,6 @@ def test_minhash_candidates_catch_true_dups(docs, docs_tbl):
         assert _jaccard(texts[a], texts[b]) >= 0.9
 
 
-def test_simhash_identical_docs_pair(docs, docs_tbl):
-    from sagan_ray.datapipe import simhash_dedup
-
-    texts = dict(zip(docs_tbl["doc_id"].to_pylist(), docs_tbl["text"].to_pylist()))
-    dup_pairs = {(a, b) for a, b in itertools.combinations(sorted(texts), 2)
-                 if texts[a] == texts[b]}
-    got_df = simhash_dedup(docs).to_pandas()
-    got = {(int(a), int(b)) for a, b in zip(got_df["a"], got_df["b"])}
-    assert dup_pairs <= got    # hamming 0 pairs always found
-
-
 def test_connected_components_chain_and_clusters():
     """Min-label propagation must converge on the worst case for it — a
     long CHAIN (label travels one hop per round) — and on disjoint
@@ -100,66 +89,6 @@ def test_connected_components_chain_and_clusters():
     got_df = connected_components(ds).to_pandas()
     got = dict(zip(got_df["node"].astype(int), got_df["label"].astype(int)))
     assert got == want
-
-
-def test_simhash_batch_kernel_matches_per_row_spec(docs_tbl):
-    from sagan_ray.datapipe.dedup import _simhash64, _simhash64_batch
-
-    texts = docs_tbl["text"].to_pylist()[:100] + [
-        "", " ", "one", "two  spaced   words", "UPPER lower MiXeD",
-        "repeat repeat repeat repeat", "tab\tand\nnewline separated",
-        "punct! (x) [y] {z} #tag", "a " * 500]
-    got = _simhash64_batch(texts)
-    want = np.array([_simhash64(t) for t in texts], dtype=np.uint64)
-    assert np.array_equal(got, want)
-
-
-def test_ngram_jaccard_exact(docs, docs_tbl):
-    from sagan_ray.datapipe import ngram_jaccard_pairs
-    from sagan_ray.datapipe.dedup import _jaccard
-
-    texts = dict(zip(docs_tbl["doc_id"].to_pylist(), docs_tbl["text"].to_pylist()))
-    got = ngram_jaccard_pairs(docs, threshold=0.8).to_pandas()
-    got_pairs = {(int(a), int(b)): j for a, b, j in
-                 zip(got["a"], got["b"], got["jaccard"])}
-    truth = {(a, b): _jaccard(texts[a], texts[b])
-             for a, b in itertools.combinations(sorted(texts), 2)
-             if _jaccard(texts[a], texts[b]) >= 0.8}
-    assert set(got_pairs) == set(truth)
-    for k in truth:
-        assert abs(got_pairs[k] - truth[k]) < 1e-9
-
-
-def test_ngram_stop_shingle_cap(docs_tbl):
-    """A shingle shared by every doc (stop-shingle) must not explode into
-    O(n²) candidate pairs: with max_posting below corpus size the posting
-    list is dropped, while planted near-dup pairs (which share rare
-    shingles) are still found with their exact Jaccard."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from sagan_ray.datapipe import ngram_jaccard_pairs
-    from sagan_ray.datapipe.dedup import _jaccard
-
-    common = "the quick brown fox"          # shared 3-shingles everywhere
-    texts = [f"{common} doc {i} unique tail {i * 7} content {i * 13}"
-             for i in range(120)]
-    # plant two near-dup pairs that share rare shingles
-    texts[100] = "alpha beta gamma delta epsilon zeta eta theta"
-    texts[101] = "alpha beta gamma delta epsilon zeta eta iota"
-    texts[110] = texts[111] = "exact duplicate body with many words here"
-    ds = rd.from_arrow(pa.table({
-        "doc_id": pa.array(range(120), pa.int64()),
-        "text": pa.array(texts, pa.large_string())}))
-    got = ngram_jaccard_pairs(ds, threshold=0.6, max_posting=50).to_pandas()
-    pairs = {(int(a), int(b)): j for a, b, j in
-             zip(got["a"], got["b"], got["jaccard"])}
-    assert (110, 111) in pairs and abs(pairs[(110, 111)] - 1.0) < 1e-9
-    assert (100, 101) in pairs
-    assert abs(pairs[(100, 101)] - _jaccard(texts[100], texts[101])) < 1e-9
-    # the stop-shingle postings were dropped, so no all-pairs blowup from
-    # the 120-doc common prefix (those pairs' true jaccard is < 0.6 anyway)
-    assert len(pairs) < 50
 
 
 def test_token_counts_match_duckdb(docs):
@@ -197,29 +126,6 @@ def test_fingerprint_deterministic_and_normalizing(docs):
     fp = fingerprint(rd.from_arrow(t)).to_pandas().sort_values("doc_id")
     assert fp["fp_md5"].iloc[0] == fp["fp_md5"].iloc[1]
     assert fp["fp_md5"].iloc[0] != fp["fp_md5"].iloc[2]
-
-
-def test_ngram_prefix_boundary_threshold():
-    """Regression (self-review round 2): math.ceil on binary floats
-    (0.55*100 = 55.000000000000006) shortened the PPJoin prefix below the
-    safe bound; a planted boundary pair (J exactly = t) must be found."""
-    import pyarrow as pa
-    import ray.data as rd
-
-    from sagan_ray.datapipe import ngram_jaccard_pairs
-    from sagan_ray.datapipe.dedup import _jaccard
-
-    # doc A: 102 words → 100 shingles; doc B shares a 57-shingle suffix
-    words = [f"w{i}" for i in range(102)]
-    a = " ".join(words)
-    b = " ".join(words[43:] + [f"z{i}" for i in range(2)])
-    j = _jaccard(a, b)
-    assert 0.5 < j < 0.6
-    ds = rd.from_arrow(pa.table({
-        "doc_id": pa.array([0, 1], pa.int64()),
-        "text": pa.array([a, b], pa.large_string())}))
-    got = ngram_jaccard_pairs(ds, threshold=j).to_pandas()
-    assert len(got) == 1 and abs(got["jaccard"].iloc[0] - j) < 1e-12
 
 
 def _brute_repetition(texts):
@@ -981,35 +887,6 @@ def test_rank_normalize_ties_and_singletons():
     assert list(out["cume_dist"]) == [0.25, 0.75, 0.75, 1.0, 1.0, 1.0]
 
 
-def test_containment_catches_quotation_jaccard_misses():
-    """A short doc quoted verbatim inside a much longer one: directed
-    containment ≈ 1 while Jaccard is far below any dedup threshold —
-    the asymmetric case the operator exists for."""
-    import pandas as pd
-    import ray.data as rd
-
-    from sagan_ray.datapipe.dedup import (_jaccard, ngram_containment_pairs)
-
-    quote = "to be or not to be that is the question"
-    filler = " ".join(f"word{i} token{i * 7 % 93} thing{i * 3}"
-                      for i in range(60))
-    host = filler + " " + quote + " " + " ".join(
-        f"tail{i} extra{i * 11 % 71}" for i in range(60))
-    df = pd.DataFrame({
-        "doc_id": pd.array([0, 1, 2], dtype="int64"),
-        "text": [quote, host, "completely unrelated third text entirely"]})
-    out = (ngram_containment_pairs(rd.from_pandas(df).repartition(2),
-                                   threshold=0.9)
-           .to_pandas().sort_values(["a", "b"]).reset_index(drop=True))
-    assert _jaccard(quote, host) < 0.2          # jaccard would miss it
-    pairs = set(zip(out["a"].astype(int), out["b"].astype(int)))
-    assert (0, 1) in pairs                       # directed: 0 inside 1
-    assert (1, 0) not in pairs                   # host not inside quote
-    assert out.loc[(out.a == 0) & (out.b == 1),
-                   "containment"].iloc[0] == 1.0
-    assert not {(0, 2), (2, 0), (1, 2), (2, 1)} & pairs
-
-
 def test_byte_entropy_edges():
     """Known-entropy edges: empty (0), uniform single byte (0), two
     equiprobable bytes (1 bit), and a non-ASCII doc counted in UTF-8
@@ -1619,378 +1496,6 @@ def test_concat_chunk_spans_invariants():
     with pytest.raises(ValueError):
         concat_chunk_spans(rd.from_arrow(shuffled).repartition(2),
                            capacity=2, count_col="n_tokens").to_pandas()
-
-
-def test_rouge1_recall_clipping():
-    """Clipped-count semantics against hand values: repeats in the
-    candidate clip at the reference count; identical text scores 1.0;
-    disjoint scores 0.0; empty reference scores 0.0."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.lines import rouge1_recall
-
-    tbl = pa.table({
-        "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
-        "ref": ["a a b c", "x y z", "q r", ""],
-        "cand": ["a a a b", "x y z", "s t", "anything"]})
-    out = (rouge1_recall(rd.from_arrow(tbl).repartition(2),
-                         ref_col="ref", cand_col="cand")
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    # doc 1: ref counts a:2 b:1 c:1; cand a:3 b:1 -> min sums 2+1=3 of 4
-    assert list(zip(out["overlap"], out["ref_total"])) == [
-        (3, 4), (3, 3), (0, 2), (0, 0)]
-    assert out["rouge1"].tolist() == [0.75, 1.0, 0.0, 0.0]
-
-
-def test_rouge2_gram_semantics():
-    """Bigram clipping vs hand values; n-grams never span rows; a
-    one-word reference has no bigrams."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.lines import rouge_recall
-
-    tbl = pa.table({
-        "doc_id": pa.array([1, 2], pa.int64()),
-        "ref": ["a b a b c", "solo"],
-        "cand": ["a b a b", "solo solo"]})
-    out = (rouge_recall(rd.from_arrow(tbl).repartition(2), ref_col="ref",
-                        cand_col="cand", n_gram=2)
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    # ref bigrams: ab, ba, ab, bc (ab:2 ba:1 bc:1); cand: ab:2 ba:1
-    assert list(zip(out["overlap"], out["ref_total"])) == [(3, 4),
-                                                           (0, 0)]
-    assert out["rouge1"].tolist() == [0.75, 0.0]
-
-
-def test_rouge_l_order_sensitivity():
-    """LCS distinguishes order where bag overlap cannot: reversed
-    candidate drops ROUGE-L but not ROUGE-1; identical text = 1.0."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.lines import rouge_l_recall, rouge_recall
-
-    tbl = pa.table({
-        "doc_id": pa.array([1, 2], pa.int64()),
-        "ref": ["a b c d e", "a b c"],
-        "cand": ["e d c b a", "a b c"]})
-    ds = rd.from_arrow(tbl)
-    l = (rouge_l_recall(ds, ref_col="ref", cand_col="cand").to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    r1 = (rouge_recall(rd.from_arrow(tbl), ref_col="ref",
-                       cand_col="cand").to_pandas()
-          .sort_values("doc_id").reset_index(drop=True))
-    assert r1.loc[0, "rouge1"] == 1.0       # bag overlap is blind
-    assert l.loc[0, "lcs"] == 1             # LCS of x vs reversed x
-    assert l.loc[0, "rouge_l"] == 0.2
-    assert l.loc[1, "rouge_l"] == 1.0
-
-
-def test_text_metrics_split_words_on_re2_space(tmp_path):
-    """The text metrics share one word definition, RE2 ``\\s`` =
-    [\\t\\n\\f\\r ]: \\xa0, \\v, U+2003 and \\x1c stay inside a word,
-    though Python's ``str.split()`` splits on them. ROUGE-L counts the
-    same reference words as ROUGE-N, ROUGE-1 equals the DuckDB oracle
-    on the shared gate candidate, and the BLEU golden's spec equals
-    ``bleu_scores`` on such rows."""
-    import duckdb
-    import pandas as pd
-    import pyarrow.parquet as pq
-    import ray.data as rd
-
-    from sagan_ray.datapipe.lines import (bleu_scores, rouge_l_recall,
-                                          rouge_recall)
-    from sagan_ray.oracle.golden import write_golden_bleu
-    from sagan_ray.pipelines.queries import (SQL_TEXT_ROUGE,
-                                             _first10_doubled_cand)
-
-    texts = ["alpha\xa0beta gamma delta alpha\xa0beta",
-             "one\vtwo three\tfour five one\vtwo",
-             "x\u2003y z x\u2003y z w",
-             "p\x1cq r s\nt u v w x y z end p\x1cq",
-             "\xa0lead\xa0 mid\u2003 tail\v"]
-    docs = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
-                     "text": texts})
-    pq.write_table(docs, str(tmp_path / "documents.parquet"))
-    ds = rd.from_arrow(_first10_doubled_cand(docs))
-
-    def by_id(d):
-        return (d.to_pandas().sort_values("doc_id")
-                .reset_index(drop=True))
-
-    rl = by_id(rouge_l_recall(ds, ref_col="text", cand_col="cand"))
-    r1 = by_id(rouge_recall(ds, ref_col="text", cand_col="cand"))
-    assert rl["ref_total"].tolist() == r1["ref_total"].tolist()
-    assert r1["ref_total"].tolist() == [4, 5, 5, 12, 3]
-    # the candidate keeps the metrics' words: "\xa0lead\xa0" stays whole,
-    # so row 5 overlaps on all 3 reference words
-    con = duckdb.connect()
-    con.execute("CREATE VIEW documents AS SELECT * FROM read_parquet("
-                f"'{tmp_path / 'documents.parquet'}')")
-    sql = con.execute(SQL_TEXT_ROUGE).df()
-    cols = ["doc_id", "overlap", "ref_total", "rouge1"]
-    pd.testing.assert_frame_equal(r1[cols], sql[cols], check_dtype=False,
-                                  check_exact=True)
-    assert r1["overlap"].tolist()[4] == 3
-
-    got = by_id(bleu_scores(ds, ref_col="text", cand_col="cand"))
-    want = (pq.read_table(write_golden_bleu(str(tmp_path))).to_pandas()
-            .sort_values("doc_id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(got[list(want.columns)], want,
-                                  check_exact=True)
-
-
-def test_bleu_hand_values():
-    """BLEU-4 component counts vs hand values: identical text has all
-    precisions 1 and bleu 1.0; a clipped repeat candidate matches the
-    hand-computed smoothed geometric mean; disjoint text scores 0.0;
-    an empty candidate scores 0.0 with zero totals."""
-    import math
-
-    import ray.data as rd
-
-    from sagan_ray.datapipe.lines import bleu_scores
-
-    tbl = pa.table({
-        "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
-        "ref": ["a b c d", "a b c d e f", "x y", "a b"],
-        "cand": ["a b c d", "a b a b", "q r s", ""]})
-    out = (bleu_scores(rd.from_arrow(tbl).repartition(2), ref_col="ref",
-                       cand_col="cand")
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    # doc 1: every n-gram matches, cand_len == ref_len -> bleu 1.0
-    assert out.loc[0, "bleu"] == 1.0
-    assert list(out.loc[0, ["clip1", "tot1", "clip4", "tot4"]]) == \
-        [4, 4, 1, 1]
-    # doc 2: cand a b a b vs ref a b c d e f
-    # clip1: a,b each clipped at 1 -> 2 of 4; clip2: 'a b' x2 clipped
-    # at ref count 1 -> 1 of 3; 'b a' miss; clip3/clip4: 0
-    assert list(out.loc[1, ["clip1", "tot1", "clip2", "tot2",
-                            "clip3", "tot3", "clip4", "tot4"]]) == \
-        [2, 4, 1, 3, 0, 2, 0, 1]
-    p = [2 / 4, (1 + 1) / (3 + 1), (0 + 1) / (2 + 1), (0 + 1) / (1 + 1)]
-    bp = math.exp(1.0 - 6 / 4)
-    want = bp * math.exp(sum(math.log(x) for x in p) / 4)
-    assert abs(out.loc[1, "bleu"] - want) < 1e-12
-    # doc 3: no unigram overlap -> hard 0
-    assert out.loc[2, "bleu"] == 0.0 and out.loc[2, "clip1"] == 0
-    # doc 4: empty candidate -> 0, zero totals
-    assert out.loc[3, "bleu"] == 0.0
-    assert list(out.loc[3, ["tot1", "cand_len"]]) == [0, 0]
-
-
-def test_bleu_matches_golden_kernel_multibatch():
-    """The incremental-factorize batch path equals a sequential
-    Counter replay through the shared kernel, across multiple batches
-    with a vocabulary large enough to stress the re-factorize step."""
-    from collections import Counter
-
-    import ray.data as rd
-
-    from sagan_ray.datapipe.lines import _bleu_from_counts, bleu_scores
-
-    rng = np.random.default_rng(7)
-    vocab = [f"w{i}" for i in range(200)]
-    refs, cands = [], []
-    for i in range(60):
-        n = int(rng.integers(0, 30))
-        ref = [vocab[int(rng.integers(0, len(vocab)))]
-               for _ in range(n)]
-        m = int(rng.integers(0, 20))
-        cand = (ref[:m // 2]
-                + [vocab[int(rng.integers(0, len(vocab)))]
-                   for _ in range(m - m // 2)])
-        refs.append(" ".join(ref))
-        cands.append(" ".join(cand))
-    tbl = pa.table({"doc_id": pa.array(np.arange(60, dtype=np.int64)),
-                    "ref": refs, "cand": cands})
-    out = (bleu_scores(rd.from_arrow(tbl).repartition(5), ref_col="ref",
-                       cand_col="cand")
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
-
-    clip = np.zeros((60, 4), np.int64)
-    tot = np.zeros((60, 4), np.int64)
-    rl = np.zeros(60, np.int64)
-    cl = np.zeros(60, np.int64)
-    for i, (r, c) in enumerate(zip(refs, cands)):
-        ra, ca = r.split(), c.split()
-        rl[i], cl[i] = len(ra), len(ca)
-        for ng in range(1, 5):
-            rc = Counter(tuple(ra[j:j + ng])
-                         for j in range(len(ra) - ng + 1))
-            cc = Counter(tuple(ca[j:j + ng])
-                         for j in range(len(ca) - ng + 1))
-            clip[i, ng - 1] = sum(min(v, rc.get(g, 0))
-                                  for g, v in cc.items())
-            tot[i, ng - 1] = max(len(ca) - ng + 1, 0)
-    want = _bleu_from_counts(clip, tot, rl, cl)
-    for j in range(4):
-        assert out[f"clip{j + 1}"].to_numpy().tolist() == \
-            clip[:, j].tolist()
-        assert out[f"tot{j + 1}"].to_numpy().tolist() == \
-            tot[:, j].tolist()
-    assert out["bleu"].to_numpy().tolist() == want.tolist()
-
-
-def test_chrf_hand_values():
-    """chrF components vs hand values on tiny strings: identical text
-    scores 1.0; whitespace removal makes grams cross word boundaries;
-    disjoint text scores 0.0; empty candidate scores 0.0."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.lines import chrf_scores
-
-    tbl = pa.table({
-        "doc_id": pa.array([1, 2, 3], pa.int64()),
-        "ref": ["a b", "xy", "ab"],
-        "cand": ["ab", "qq", ""]})
-    out = (chrf_scores(rd.from_arrow(tbl).repartition(2), ref_col="ref",
-                       cand_col="cand")
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    # doc 1: ref de-spaced == cand ("ab") -> perfect up to n=2,
-    # orders 3..6 excluded (no grams on either side) -> chrf 1.0
-    assert out.loc[0, "chrf"] == 1.0
-    assert list(out.loc[0, ["clip1", "ctot1", "rtot1",
-                            "clip2", "ctot2", "rtot2"]]) == \
-        [2, 2, 2, 1, 1, 1]
-    assert out.loc[1, "chrf"] == 0.0          # disjoint chars
-    assert out.loc[2, "chrf"] == 0.0          # empty candidate
-    assert out.loc[2, "ctot1"] == 0
-
-
-def test_chrf_matches_sequential_counts():
-    """Packed-byte gram codes equal per-row substring Counters through
-    the shared kernel across multiple batches (incl. repeats and
-    longer-than-6-char rows)."""
-    from collections import Counter
-
-    import ray.data as rd
-
-    from sagan_ray.datapipe.lines import _chrf_from_counts, chrf_scores
-
-    rng = np.random.default_rng(11)
-    alpha = "abcdef "
-    refs = ["".join(alpha[int(rng.integers(0, len(alpha)))]
-                    for _ in range(int(rng.integers(0, 25))))
-            for _ in range(40)]
-    cands = [r[: int(rng.integers(0, len(r) + 1))] + "xx"
-             for r in refs]
-    # non-ASCII rows: the documented BYTE-level deviation — multi-byte
-    # chars count as byte grams on BOTH sides (operator and reference)
-    refs[7] = "caf\u00e9 r\u00e9sum\u00e9"
-    cands[7] = "caf\u00e9 menu"
-    tbl = pa.table({"doc_id": pa.array(np.arange(40, dtype=np.int64)),
-                    "ref": refs, "cand": cands})
-    out = (chrf_scores(rd.from_arrow(tbl).repartition(4), ref_col="ref",
-                       cand_col="cand")
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    clip = np.zeros((40, 6), np.int64)
-    ctot = np.zeros((40, 6), np.int64)
-    rtot = np.zeros((40, 6), np.int64)
-    ws = frozenset(b"\t\n\x0b\x0c\r ")
-    for i, (r, c) in enumerate(zip(refs, cands)):
-        rs = bytes(x for x in r.lower().encode() if x not in ws)
-        cs = bytes(x for x in c.lower().encode() if x not in ws)
-        for ng in range(1, 7):
-            rc = Counter(rs[j:j + ng] for j in range(len(rs) - ng + 1))
-            cc = Counter(cs[j:j + ng] for j in range(len(cs) - ng + 1))
-            clip[i, ng - 1] = sum(min(v, rc.get(g, 0))
-                                  for g, v in cc.items())
-            ctot[i, ng - 1] = max(len(cs) - ng + 1, 0)
-            rtot[i, ng - 1] = max(len(rs) - ng + 1, 0)
-    want = _chrf_from_counts(clip, ctot, rtot)
-    for j in range(6):
-        assert out[f"clip{j + 1}"].tolist() == clip[:, j].tolist()
-        assert out[f"ctot{j + 1}"].tolist() == ctot[:, j].tolist()
-        assert out[f"rtot{j + 1}"].tolist() == rtot[:, j].tolist()
-    assert out["chrf"].tolist() == want.tolist()
-
-
-def test_corpus_bleu_micro_not_macro():
-    """Corpus BLEU sums integer components before the ratio — on a
-    corpus where one doc matches perfectly and one not at all, the
-    micro score differs from the mean of per-doc scores; components
-    equal the summed per-doc components across blocks."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.lines import bleu_scores, corpus_bleu
-
-    tbl = pa.table({
-        "doc_id": pa.array([1, 2], pa.int64()),
-        "ref": ["a b c d e", "x y z w"],
-        "cand": ["a b c d e", "q r"]})
-    ds = rd.from_arrow(tbl).repartition(2)
-    per = (bleu_scores(ds, ref_col="ref", cand_col="cand").to_pandas()
-           .sort_values("doc_id").reset_index(drop=True))
-    corp = corpus_bleu(rd.from_arrow(tbl).repartition(2),
-                       ref_col="ref", cand_col="cand")
-    assert len(corp) == 1
-    for j in range(1, 5):
-        assert corp.loc[0, f"clip{j}"] == per[f"clip{j}"].sum()
-        assert corp.loc[0, f"tot{j}"] == per[f"tot{j}"].sum()
-    assert corp.loc[0, "ref_len"] == 9
-    assert corp.loc[0, "cand_len"] == 7
-    macro = per["bleu"].mean()
-    assert corp.loc[0, "bleu"] != macro
-    assert 0.0 < corp.loc[0, "bleu"] < 1.0
-
-
-def test_wer_hand_values():
-    """Word-level Levenshtein vs hand values: identity 0; one
-    substitution; pure insertion/deletion; reversed order costs
-    (classic WER > 0 where bag metrics say perfect); empty sides."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.lines import wer_scores
-
-    tbl = pa.table({
-        "doc_id": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
-        "ref": ["a b c", "a b c", "a b", "a b c d", "", "a b c"],
-        "cand": ["a b c", "a x c", "a b c d", "a b", "x y", ""]})
-    out = (wer_scores(rd.from_arrow(tbl).repartition(3), ref_col="ref",
-                      cand_col="cand")
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    assert out["dist"].tolist() == [0, 1, 2, 2, 2, 3]
-    assert out["ref_total"].tolist() == [3, 3, 2, 4, 0, 3]
-    assert out.loc[0, "wer"] == 0.0
-    assert out.loc[1, "wer"] == 1 / 3
-    assert out.loc[4, "wer"] == 0.0          # empty ref convention
-    assert out.loc[5, "wer"] == 1.0
-
-
-def test_wer_matches_python_dp_multibatch():
-    """Row-axis-vectorized DP equals a classic per-row 2-D table over
-    random token sequences across blocks (variable lengths, repeats,
-    empty rows)."""
-    import ray.data as rd
-
-    from sagan_ray.datapipe.lines import wer_scores
-
-    rng = np.random.default_rng(5)
-    vocab = [f"t{i}" for i in range(12)]
-    refs, cands = [], []
-    for _ in range(50):
-        refs.append(" ".join(vocab[int(rng.integers(0, 12))]
-                             for _ in range(int(rng.integers(0, 15)))))
-        cands.append(" ".join(vocab[int(rng.integers(0, 12))]
-                              for _ in range(int(rng.integers(0, 12)))))
-    tbl = pa.table({"doc_id": pa.array(np.arange(50, dtype=np.int64)),
-                    "ref": refs, "cand": cands})
-    out = (wer_scores(rd.from_arrow(tbl).repartition(5), ref_col="ref",
-                      cand_col="cand")
-           .to_pandas().sort_values("doc_id").reset_index(drop=True))
-
-    def lev(a, b):
-        dp = list(range(len(b) + 1))
-        for i, x in enumerate(a, 1):
-            nd = [i] + [0] * len(b)
-            for j, y in enumerate(b, 1):
-                nd[j] = min(dp[j] + 1, nd[j - 1] + 1,
-                            dp[j - 1] + (x != y))
-            dp = nd
-        return dp[-1]
-
-    for i, (r, c) in enumerate(zip(refs, cands)):
-        assert out.loc[i, "dist"] == lev(r.split(), c.split()), i
 
 
 def test_splitmix64_matches_int_reference():

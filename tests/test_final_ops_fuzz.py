@@ -76,34 +76,6 @@ def test_cdc_fuzz_matches_sequential_walk(seed, bits, mn, mx):
     pd.testing.assert_frame_equal(got.astype("int64"), exp.astype("int64"))
 
 
-@pytest.mark.parametrize("seed,t", [(4, 0.6), (5, 0.85)])
-def test_containment_fuzz_matches_bruteforce(seed, t):
-    import ray.data as rd
-
-    from sagan_ray.datapipe.dedup import (_shingle_hashes_batch,
-                                          ngram_containment_pairs)
-
-    docs = _rand_docs(seed, 50, dup_frac=0.4)
-    got = (ngram_containment_pairs(rd.from_pandas(docs).repartition(4),
-                                   threshold=t)
-           .to_pandas().sort_values(["a", "b"]).reset_index(drop=True))
-    sets = {did: set(np.unique(sh).tolist()) for did, sh in
-            zip(docs.doc_id,
-                _shingle_hashes_batch(list(docs.text), 3))}
-    rows = []
-    for a in sorted(sets):
-        for b in sorted(sets):
-            if a == b or not sets[a]:
-                continue
-            c = len(sets[a] & sets[b]) / len(sets[a])
-            if c >= t:
-                rows.append((a, b, c))
-    exp = pd.DataFrame(rows, columns=["a", "b", "containment"])
-    pd.testing.assert_frame_equal(
-        got.astype({"a": "int64", "b": "int64"}),
-        exp.astype({"a": "int64", "b": "int64"}))
-
-
 @pytest.mark.parametrize("seed", [6, 7])
 def test_rank_normalize_fuzz_matches_window_spec(seed):
     import duckdb

@@ -342,10 +342,7 @@ def test_query_registry_consistent():
     # no duplicate result-column aliases drifting: spot that every SQL
     # has an ORDER BY (the compare sorts, but deterministic oracles are
     # part of the contract) except golden reads that end with one anyway
-    single_row = {"corpus_stats", "corpus_vocab_sketch",
-                  "text_bleu_corpus",
-                  "text_chrf_corpus",
-                  "text_wer_corpus"}                      # 1-row aggs
+    single_row = {"corpus_stats", "corpus_vocab_sketch"}  # 1-row aggs
     assert single_row <= set(ORACLES)       # no stale exemptions
     missing = [k for k, v in ORACLES.items()
                if "ORDER BY" not in v.upper() and k not in single_row]

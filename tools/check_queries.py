@@ -8,8 +8,10 @@ names) and order-insensitive values. Usage:
 ``--hashes`` writes name → [rows, sha256 of the normalized output] for
 every entry run (and ``entry()`` on a full run). ``--against`` compares
 this run with such a file, prints only the entries whose rows or hash
-differ, and exits non-zero if any do — a refactor's bit-equality proof
-is then one command per tree:
+differ (``DIFF``; an entry the file lacks counts too) and, on a full
+run, every entry of the file that did not run (``GONE``), and exits
+non-zero if any — a refactor's bit-equality proof is then one command
+per tree:
 
     python tools/check_queries.py DIR --hashes base.json     # parent tree
     python tools/check_queries.py DIR --against base.json    # changed tree
@@ -59,6 +61,18 @@ def frame_hash(df) -> str:
                              for c in df.columns]).encode())
     h.update(pd.util.hash_pandas_object(df, index=False).to_numpy().tobytes())
     return h.hexdigest()
+
+
+def hash_diffs(base: dict, now: dict, full: bool) -> list[str]:
+    """One line per mismatch between two ``--hashes`` maps: ``DIFF`` for
+    an entry of ``now`` whose [rows, sha256] differs from (or is missing
+    in) ``base``; on a ``full`` run also ``GONE`` for each ``base`` entry
+    that did not run, so a deleted entry is spelled out, not skipped."""
+    out = [f"DIFF {name}: base={base.get(name)} now={got}"
+           for name, got in now.items() if base.get(name) != got]
+    if full:
+        out += [f"GONE {name}" for name in base if name not in now]
+    return out
 
 
 def compare(name, ray_df, sql_df) -> list[str]:
@@ -178,11 +192,11 @@ def main():
     if args.against:
         with open(args.against) as f:
             base = json.load(f)
-        diffs = [name for name, got in hashes.items() if base.get(name) != got]
-        for name in diffs:
-            print(f"DIFF {name}: base={base.get(name)} now={hashes[name]}")
-        print(f"{len(hashes) - len(diffs)}/{len(hashes)} entries equal to "
-              f"{args.against}")
+        diffs = hash_diffs(base, hashes, full=not only)
+        for line in diffs:
+            print(line)
+        n_equal = sum(base.get(name) == got for name, got in hashes.items())
+        print(f"{n_equal}/{len(hashes)} entries equal to {args.against}")
         failures += len(diffs)
     sys.exit(1 if failures else 0)
 
