@@ -95,9 +95,9 @@ def bench_input(sf_dir: str) -> tuple[str, int]:
     n_events = pq.ParquetFile(os.path.join(sf_dir, "events.parquet")).metadata.num_rows
     n_turns = n_events * TURNS_PER_EVENT
     out = f"/tmp/sagan_ray_bench/transcripts_{n_turns}"
-    # many small files + 32k row groups so the read splits into enough
-    # blocks to feed every core (a 16-file input caps fused read+classify
-    # parallelism at 16 tasks)
+    # many small files: the engine runs one map task per file, so the
+    # file count is its read+classify parallelism (a 16-file input caps
+    # it at 16 tasks)
     write_transcripts(out, n_turns, seed=42, rows_per_file=62_500)
     total = sum(pq.ParquetFile(os.path.join(out, f)).metadata.num_rows
                 for f in os.listdir(out) if f.endswith(".parquet"))
@@ -131,9 +131,9 @@ def run_bench() -> dict:
     # warm-up: page cache for the input AND the worker pool (imports +
     # compiled ruleset) via a miniature end-to-end run, so the timed run
     # measures steady-state compute+shuffle, not process spin-up
-    _ = read_transcripts(tdir).count()
-    warm = run_engine(read_transcripts(tdir).limit(20_000), ruleset, lookups, cfg,
-                      batch_size=4096)
+    _ = read_transcripts(tdir).dataset().count()
+    warm = run_engine(read_transcripts(tdir).dataset().limit(20_000), ruleset,
+                      lookups, cfg, batch_size=4096)
     _ = warm.routed_counts()
 
     # best-of-4: the VM's minute-scale CPU-steal noise is ±20-50% (r4
@@ -143,8 +143,8 @@ def run_bench() -> dict:
     counts = {}
     for _ in range(4):
         t0 = time.time()
-        eng = run_engine(read_transcripts(tdir, override_num_blocks=4 * NUM_CPUS),
-                         ruleset, lookups, cfg, batch_size=32768)
+        eng = run_engine(read_transcripts(tdir), ruleset, lookups, cfg,
+                         batch_size=32768)
         counts = eng.routed_counts()
         headline = min(headline, time.time() - t0)
     queries["engine_full"] = round(headline, 3)
@@ -192,7 +192,8 @@ def run_bench() -> dict:
     timed("text_tokens", lambda: token_counts(docs).count(), trials=2)
 
     timed("client_stats",
-          lambda: client_stats(read_transcripts(tdir)).count(), trials=2)
+          lambda: client_stats(read_transcripts(tdir).dataset()).count(),
+          trials=2)
 
     # wire-format ingest throughput (vectorized pipe parser over 500k
     # synthetic lines; single process so the number is a per-core rate)

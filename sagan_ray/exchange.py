@@ -20,8 +20,11 @@ Why not ``ds.groupby(...).map_groups``: measured on this workload family
 10-70 s of shuffle/convert overhead where the grouped work itself is
 <1 s — per-key ordered stateful scanning is the one operator the Dataset
 API can't express efficiently (SURVEY.md §4.2). This exchange is two
-stages of plain Ray tasks with streaming map-side submission
-(``iter_internal_ref_bundles``), so it overlaps whatever produced ``ds``.
+stages of plain Ray tasks with streaming map-side submission: a
+Dataset's block refs (``block_refs``) are submitted as its executor
+yields them, so the map side overlaps whatever produced the Dataset; the
+engine can instead hand it one input file per map task, which then reads
+its own input and no Ray Data executor runs at all.
 
 Scale behavior: map-side split tasks report per-bucket byte sizes (tiny
 arrays); before launching a reduce the driver re-splits any bucket whose
@@ -37,8 +40,9 @@ state snapshots) passes ``max_bucket_bytes=None`` to turn salting off.
 Failure story (documented stance): split and reduce tasks are
 deterministic ``@ray.remote`` tasks, so a worker crash retries
 transparently (``task_retries``, Ray's default 3) and a lost task OUTPUT
-is lineage-reconstructed while its inputs remain addressable; what is
-NOT recoverable is a lost INPUT block (streaming-executor output — no
+is lineage-reconstructed while its inputs remain addressable. A map task
+fed a file re-reads that file on retry. What is NOT recoverable is a
+lost INPUT block of a ``Dataset`` input (streaming-executor output — no
 lineage once its bundle is consumed). On that loss the run fails and
 re-runs — and the engine's ``state_dir`` makes that re-run incremental
 at BUCKET granularity (each reduce snapshots its correlation state +
@@ -56,7 +60,11 @@ specs pinned while the coalesced outputs live). ``task_retries=0`` makes
 driver memory flat (~8 KB/block incl. all fixed costs), and with the
 engine's ``state_dir`` a mid-run loss then degrades to a bucket-granular
 incremental re-run instead of a task retry (tools/stress_exchange.py;
-numbers in BASELINE.md)."""
+numbers in BASELINE.md). The map side keeps at most 2 × CPUs map tasks
+in flight: a file list or an already materialized Dataset would
+otherwise queue every task at once, and a queued task's spec costs the
+driver ~25 KB (``--engine 2000 64 0``: 30 KB/block of RssAnon left
+behind unbounded, 7.7 KB/block bounded)."""
 
 from __future__ import annotations
 
@@ -140,9 +148,11 @@ def split_block(tbl: pa.Table, key_cols: list[str], nb: int, k: int = 0,
     refine task instead: one oversized bucket's part splits ``k`` ways by
     the finer ``(h // nb) % k``, independent of the coarse assignment.
 
-    ``side(tbl, block)`` (a module-level function) may peel extra
-    per-block outputs off first: it returns the table to split and a
-    tuple of outputs, which lead the returns."""
+    ``side(tbl, block)`` (a module-level function, or a partial of one)
+    may peel extra per-block outputs off first: it returns the table to
+    split and a tuple of outputs, which lead the returns. With a
+    ``side``, ``tbl`` is whatever ``side`` takes: the engine's side
+    reads and classifies the task's input."""
     extra = ()
     if side is not None:
         tbl, extra = side(tbl, block)
@@ -191,14 +201,23 @@ class Coalescer:
         return self.supers + self.chunks + self.fresh
 
 
-def shuffle(ds, key_cols: list[str], n_buckets: int, *, side=None,
+def block_refs(ds):
+    """``ds``'s block refs, streamed as its executor yields them."""
+    for bundle in ds.iter_internal_ref_bundles():
+        yield from bundle.block_refs
+
+
+def shuffle(inputs, key_cols: list[str], n_buckets: int, *, side=None,
             n_side: int = 0,
             max_bucket_bytes: int | None = DEFAULT_MAX_BUCKET_BYTES,
             task_retries: int = 3):
     """Map side and salting of the exchange; the caller launches the
-    reduces. ``side``/``n_side``: see ``split_block``. ``n_buckets`` may
-    be 0 when ``side`` peels every row: the map side then yields only
-    the side outputs, and there is no reduce to launch.
+    reduces. ``inputs``: the map tasks' first arguments, one task each,
+    submitted in order as the iterable yields them — block refs
+    (``block_refs``), or whatever ``side`` turns into a table.
+    ``side``/``n_side``: see ``split_block``. ``n_buckets`` may be 0
+    when ``side`` peels every row: the map side then yields only the
+    side outputs, and there is no reduce to launch.
 
     Returns ``(sides, buckets)``: one Coalescer per side output, and one
     ``(bucket, label, parts, nbytes)`` per reduce to launch in bucket
@@ -210,13 +229,18 @@ def shuffle(ds, key_cols: list[str], n_buckets: int, *, side=None,
     buckets = [Coalescer(coalesce) for _ in range(n_buckets)]
     split = split_block.options(num_returns=n_side + 1 + n_buckets,
                                 max_retries=task_retries)
-    n_blocks = 0
-    for bundle in ds.iter_internal_ref_bundles():
-        for ref in bundle.block_refs:
-            outs = split.remote(ref, key_cols, n_buckets, 0, side, n_blocks)
-            for c, out in zip(sides + [sizes] + buckets, outs):
-                c.add(out)
-            n_blocks += 1
+    # unfinished map tasks: every CPU busy with one more queued, and no
+    # more (see "Driver memory" above)
+    max_inflight = 2 * int(ray.cluster_resources().get("CPU", 1))
+    inflight = []
+    for block, inp in enumerate(inputs):
+        outs = split.remote(inp, key_cols, n_buckets, 0, side, block)
+        for c, out in zip(sides + [sizes] + buckets, outs):
+            c.add(out)
+        inflight.append(outs[n_side])
+        if len(inflight) > max_inflight:
+            _, inflight = ray.wait(inflight, fetch_local=False,
+                                   num_returns=len(inflight) - max_inflight)
     bucket_bytes = sum(ray.get(sizes.parts()), np.zeros(n_buckets, np.int64))
 
     refined = {}
@@ -267,7 +291,8 @@ def hash_group_apply(ds, key_cols: list[str], bucket_fn,
     groupby.apply)."""
     import ray.data as rd
 
-    _, buckets = shuffle(ds, key_cols, n_buckets or default_n_buckets(),
+    _, buckets = shuffle(block_refs(ds), key_cols,
+                         n_buckets or default_n_buckets(),
                          max_bucket_bytes=max_bucket_bytes)
     # the driver holds every bucket's byte size, so empty buckets launch
     # no reduce and no output is ever pulled to the driver

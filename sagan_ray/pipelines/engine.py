@@ -1,31 +1,33 @@
 """The end-to-end engine pipeline: parse/classify → correlate → route.
 
-Ray-Data-first shape (SURVEY.md §3.4):
+Shape (SURVEY.md §3.4):
 
-    ds = ray.data.read_parquet(transcripts)
-    matches = ds.map_batches(classify_batch)   # fused parse+classify (tasks,
-                                               # per-worker compiled ruleset)
-    matches → shuffle(conv_id) → _corr_bucket  # the repo's ONE hash
-                                               # exchange (sagan_ray/
-                                               # exchange.py): per-bucket
-                                               # ordered replay of the
-                                               # stateful tail; stateless
-                                               # verdicts pass through
+    src = read_transcripts(dir)                # the file list, no Dataset
+    shuffle(per-file inputs, conv_id)          # the repo's ONE hash
+        map task (_classify_split): read one   # exchange (sagan_ray/
+        file → classify → peel the stateless   # exchange.py); per-worker
+        rows → split the stateful rows         # compiled ruleset
+        → _corr_bucket                         # per-bucket ordered replay
+                                               # of the stateful tail
     routed  = matches.filter(emit) × sinks     # fan-out + parity counts
                                                # (from inline partials)
 
-Every ruleset takes this one path. Only matched rows cross the exchange
+A Dataset input feeds its block refs to the same map task instead of
+files. Either way no Ray Data stage runs inside ``run_engine``: its
+executor costs a fixed ~0.1 s per run. Every ruleset takes this one
+path. Only matched rows cross the exchange
 (stateful ones carry state); a ruleset with no stateful rule runs it
 with zero buckets, so its whole match stream leaves the map side with
 its count partials and no reduce launches. The ruleset and lookup
 tables are broadcast once via ``ray.put`` and compiled once per worker.
 This module keeps only the exchange's correlation client: the
-``_peel_stateless`` side function of its map task, the ``_corr_bucket``
+``_classify_split`` side function of its map task, the ``_corr_bucket``
 reduce task and, in ``run_engine``, the driver loop between them.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import pickle
 
@@ -34,7 +36,9 @@ import pyarrow.compute as pc
 import ray
 
 from ..config import EngineConfig, Lookups
+from ..exchange import block_refs, default_n_buckets, shuffle
 from ..rules.model import RuleSet
+from ..sources.transcripts import TranscriptFiles
 from ..stages.classify import (
     LIST_MATCH_SCHEMA,
     RuleClassifier,
@@ -46,8 +50,8 @@ from ..stages.correlate import make_list_correlator
 # per-worker cache of compiled classifiers and correlators, keyed on
 # (kind, ``compile_key``) — equal inputs hit across runs. Only
 # ``_worker_cached`` touches it: workers import that plain function by
-# reference, whereas a dict named directly in a task or a Ray Data
-# closure is pickled by value, a fresh empty copy on every run.
+# reference, whereas a dict named directly in a task or a closure is
+# pickled by value, a fresh empty copy on every run.
 _WORKER_COMPILED: dict = {}
 _WORKER_CACHE_SIZE = 8
 
@@ -183,14 +187,17 @@ class EngineResult:
         return out
 
 
-def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
+def run_engine(source, ruleset: RuleSet, lookups: Lookups | None = None,
                config: EngineConfig | None = None, *,
                batch_size: int = 16384,
                state_dir: str | None = None,
                max_bucket_bytes: int = 256 << 20,
                task_retries: int = 3,
                shared_bits: str | None = None) -> EngineResult:
-    """Build the lazy match pipeline over a transcript Dataset.
+    """Run the engine over ``source``: a ``TranscriptFiles``
+    (``read_transcripts``; one map task per file, which reads it) or any
+    transcript Dataset (one map task per block). Returns once the
+    exchange is complete; the public match Dataset is built lazily.
 
     ``shared_bits``: name of a cluster-wide shared xbit store (a named
     detached actor, created on first use) — the xbit-redis analog
@@ -226,27 +233,19 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
     # bucket slices, correlated output — never duplicate a turn's text
     # per matching rule.
     key = compile_key(ruleset, lookups, config)
+    classify = functools.partial(
+        _classify_split, (key, [ruleset_ref, lookups_ref], config, batch_size))
 
-    def classify_batch(tbl: pa.Table) -> pa.Table:
-        cls = _worker_cached("classifier", key, lambda: RuleClassifier(
-            ray.get(ruleset_ref), ray.get(lookups_ref), config))
-        return cls(tbl)
-
-    matches = ds.map_batches(
-        classify_batch,
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        num_cpus=1,
-    )
     # the replay breaks a (conv_id, turn_idx) tie by arrival order, which
-    # is input order only when the executor emits blocks in input order:
-    # then a turn whose rows sit in two blocks replays as the oracle
-    # evaluates it (the setting lives in the context ``ds`` shares)
-    matches.context.execution_options.preserve_order = True
-
-    # imported here: workers that load this module for its tasks never
-    # import the exchange for it
-    from ..exchange import default_n_buckets, shuffle
+    # must be input order, so a turn whose rows sit in two files or
+    # blocks replays as the oracle evaluates it: map tasks are submitted
+    # in input order, and a Dataset's executor must yield its blocks in
+    # order too
+    if isinstance(source, TranscriptFiles):
+        inputs = source.per_file()
+    else:
+        source.context.execution_options.preserve_order = True
+        inputs = block_refs(source)
 
     # a stateless ruleset needs no reduce: zero buckets, and it neither
     # reads nor writes state_dir nor touches the shared xbit store
@@ -273,16 +272,16 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
 
     # The correlation stage is a client of the shared hash exchange
     # (sagan_ray/exchange.py documents its rationale, failure story and
-    # driver-memory bound). Map side: each classify output block (LIST
-    # form — a matched turn's text crosses each wire at most once per
-    # class, not once per matching rule) sheds its stateless slice and
-    # count partial, and its stateful rows split by hash(conv_id), so
-    # every conversation lands wholly in one bucket. Reduce side: one
-    # ordered replay per bucket. With zero buckets the side outputs are
-    # the whole result. state_dir runs keep the 1:1 bucket↔snapshot-file
-    # layout, so they never salt.
+    # driver-memory bound). Map side: each task classifies its input
+    # (LIST form — a matched turn's text crosses each wire at most once
+    # per class, not once per matching rule), sheds the stateless slice
+    # and its count partial, and splits the stateful rows by
+    # hash(conv_id), so every conversation lands wholly in one bucket.
+    # Reduce side: one ordered replay per bucket. With zero buckets the
+    # side outputs are the whole result. state_dir runs keep the 1:1
+    # bucket↔snapshot-file layout, so they never salt.
     (stateless, counts), buckets = shuffle(
-        matches, ["conv_id"], n_buckets, side=_peel_stateless, n_side=2,
+        inputs, ["conv_id"], n_buckets, side=classify, n_side=2,
         max_bucket_bytes=None if state_dir is not None else max_bucket_bytes,
         task_retries=task_retries)
     run = (key, [ruleset_ref], state_dir, shared_bits)
@@ -303,7 +302,7 @@ def run_engine(ds, ruleset: RuleSet, lookups: Lookups | None = None,
                         count_refs=count_refs, list_refs=list_refs)
 
 
-def run_engine_dynamic(ds, ruleset: RuleSet, lookups: Lookups | None = None,
+def run_engine_dynamic(source, ruleset: RuleSet, lookups: Lookups | None = None,
                        config: EngineConfig | None = None, *,
                        batch_size: int = 16384):
     """Two-pass dynamic_load analog (reference
@@ -318,13 +317,14 @@ def run_engine_dynamic(ds, ruleset: RuleSet, lookups: Lookups | None = None,
     the first fire, so which records see the new rules depends on arrival
     order and thread timing; the batch analog applies the expanded
     ruleset to the WHOLE input, which is deterministic and a superset.
-    Returns (EngineResult, loaded_paths). ``ds`` is consumed once per
-    pass — pass a re-readable source (read_parquet / materialized)."""
+    Returns (EngineResult, loaded_paths). ``source`` is read once per
+    pass — pass a re-readable one (``read_transcripts``, a
+    ``read_parquet`` Dataset, a materialized one)."""
     import copy
 
     from ..rules.parser import parse_rules_file
 
-    first = run_engine(ds, ruleset, lookups, config, batch_size=batch_size)
+    first = run_engine(source, ruleset, lookups, config, batch_size=batch_size)
     dynamic_rules = [r for r in ruleset if r.dynamic_ruleset]
     if not dynamic_rules:
         return first, []
@@ -340,7 +340,7 @@ def run_engine_dynamic(ds, ruleset: RuleSet, lookups: Lookups | None = None,
         extra.extend(copy.copy(r) for r in parse_rules_file(path))
     expanded = RuleSet(rules=[copy.copy(r) for r in ruleset] + extra,
                        variables=dict(ruleset.variables))
-    return (run_engine(ds, expanded, lookups, config,
+    return (run_engine(source, expanded, lookups, config,
                        batch_size=batch_size), loaded)
 
 
@@ -364,14 +364,31 @@ def _count_partial(tbl: pa.Table, label: str) -> pa.Table:
     return g.append_column("part", pa.array([label] * len(g), pa.string()))
 
 
-def _peel_stateless(tbl: pa.Table, block: int):
-    """``split_block`` side function: the stateless slice (verdicts
-    already final) and its count partial leave before the conv_id split
-    of the stateful rows."""
-    if len(tbl) == 0:
-        # an empty input block can pass the classify map unmapped, in the
-        # input's schema
-        tbl = LIST_MATCH_SCHEMA.empty_table()
+def _classify_split(run, src, block: int):
+    """``split_block`` side function, the map task's own work: classify
+    ``src`` in ``batch_size`` slices, then peel the stateless slice
+    (verdicts already final) and its count partial off before the
+    conv_id split of the stateful rows. ``src`` is one file's
+    ``TranscriptFiles``, read here (so a retried task reads it again),
+    or one Dataset block.
+
+    ``run`` is ``(compile_key, [ruleset_ref, lookups_ref], config,
+    batch_size)``; the refs ride in a list so Ray does not resolve them
+    per task — the worker builds its classifier once per key."""
+    key, (ruleset_ref, lookups_ref), config, batch_size = run
+    cls = _worker_cached("classifier", key, lambda: RuleClassifier(
+        ray.get(ruleset_ref), ray.get(lookups_ref), config))
+    if isinstance(src, TranscriptFiles):
+        batches = src.batches(batch_size)
+    else:
+        if not isinstance(src, pa.Table):
+            from ray.data.block import BlockAccessor
+
+            src = BlockAccessor.for_block(src).to_arrow()
+        batches = (src.slice(i, batch_size)
+                   for i in range(0, len(src), batch_size))
+    outs = [cls(b) for b in batches]
+    tbl = pa.concat_tables(outs) if outs else LIST_MATCH_SCHEMA.empty_table()
     sf = tbl.column("stateful").combine_chunks()
     stateless = tbl.filter(pc.invert(sf))
     return (tbl.filter(sf),

@@ -7,9 +7,15 @@ Parquet files into: each poll picks up files not yet recorded in the
 processed manifest, runs the engine over ONLY those files with the
 correlation-state snapshots carried across runs
 (sagan_ray.state.snapshot — the mmap-persistence analog), appends routed
-alerts to the sink directory, and marks the files done. Crash-safe: the
-manifest is written after the sink write, so a crashed iteration replays
-its files (at-least-once, like the reference's un-acked pipe reads).
+alerts to the sink directory, and marks the files done. The manifest is
+written after the alert write, so a poll that fails before it replays
+its files on the next poll. That replay is NOT exact: a poll that fails
+after ``run_engine`` returns (in the alert write, say) has already
+saved its buckets' advanced correlation state, and the replay runs its
+files again on top of that state, so alert counts can differ from an
+uninterrupted run (seen: 4 sids change on ``rulesets/correlate.rules``
+over ``gen_transcripts(4000, seed=3)`` split at ``turn_idx`` 8). State,
+alerts and manifest do not yet commit together (ROADMAP item 1).
 
 Ordering contract (same as the snapshot module): later-arriving files
 must carry per-conversation turns that are ≥ all previously processed
@@ -51,9 +57,8 @@ def poll_once(input_dir: str, out_dir: str, ruleset: RuleSet,
     """One follow-loop iteration: process new parquet files (if any)
     against the carried correlation state; returns
     {"files": [...], "routed": N}."""
-    import ray.data as rd
-
     from ..pipelines.engine import run_engine
+    from .transcripts import read_transcripts
 
     os.makedirs(out_dir, exist_ok=True)
     done = _load_manifest(out_dir)
@@ -64,7 +69,7 @@ def poll_once(input_dir: str, out_dir: str, ruleset: RuleSet,
         return {"files": [], "routed": 0}
 
     state_dir = os.path.join(out_dir, "state")
-    eng = run_engine(rd.read_parquet(new), ruleset, lookups, config,
+    eng = run_engine(read_transcripts(new), ruleset, lookups, config,
                      batch_size=batch_size, state_dir=state_dir,
                      shared_bits=shared_bits)
     # materialize once: count + write must not re-execute the pipeline

@@ -22,13 +22,14 @@ normalize, pcre, bluedot, offload, proto/port-eq) go through the
 per-row ``match_stateless`` residual, which stays the spec.
 
 Content literals are matched the way Suricata's multi-pattern matcher
-does it: one ``LiteralSet`` per classifier holds every content and pcre
-required literal that is ASCII and at least 3 bytes long, and each batch
-runs one overlapping Aho-Corasick pass over the text for the
-case-sensitive ones and one ASCII-case-insensitive pass for the
-``nocase`` ones (polars ``str.extract_many``). The pass yields every
-literal's row mask at once. It is exact for unwindowed case-sensitive
-atoms; windowed atoms run the Arrow kernel on its candidate rows only;
+does it: one ``LiteralSet`` per classifier holds every content literal
+and every required literal run of a pcre that is ASCII and at least 3
+bytes long, and each batch runs one overlapping Aho-Corasick pass over
+the text for the case-sensitive ones and one ASCII-case-insensitive pass
+for the ``nocase`` ones (polars ``str.extract_many``). The pass yields
+every literal's row mask at once. It is exact for unwindowed
+case-sensitive atoms; windowed atoms run the Arrow kernel on its
+candidate rows only;
 ``nocase`` atoms take it on ASCII rows, and rows with a non-ASCII
 character are decided by ``match_stateless``'s own ``str.lower`` test,
 since neither an ASCII fold nor RE2's Unicode fold agrees with it there.
@@ -42,9 +43,10 @@ a non-ASCII char, ``\\v``, ``\\x1c``–``\\x1f`` or a trailing newline are
 decided by the rule's compiled ``re`` pattern, the one
 ``match_stateless`` runs.
 
-Used from plain Ray Data tasks: ``pipelines.engine.run_engine`` maps
-batches through a ``RuleClassifier`` that each worker process builds once
-per ``compile_key`` and caches — rule compilation (regexes, window plans,
+Used from plain Ray tasks: the exchange's map task in
+``pipelines.engine.run_engine`` classifies its input in batches through
+a ``RuleClassifier`` that each worker process builds once per
+``compile_key`` and caches — rule compilation (regexes, window plans,
 lookup tables) happens once per worker in ``__init__``, never per batch.
 
 Output is the *list-form match table* (LIST_MATCH_SCHEMA): one row per
@@ -180,12 +182,16 @@ _RE2_DIVERGES = re.compile(r"\\[wWdDsSbB]|\$|\(\?[a-zA-Z]*i")
 _RE2_HAZARD_RX = "[\x0b\x1c-\x1f]|\n\\z"
 
 
-def _required_literal(rx: str) -> tuple[str, bool] | None:
-    """A literal substring every match of ``rx`` must contain, or None.
-    Used to prefilter full-column RE2 scans with a (much cheaper, and
-    batch-memoized) substring scan. Conservative: bails on alternation,
-    groups and counted repeats; a literal char followed by a quantifier
-    is dropped from its run."""
+def _required_literals(rx: str) -> tuple[tuple[str, ...], bool] | None:
+    """The literal runs of at least 4 chars that every match of ``rx``
+    must contain, and whether they match case-insensitively, or None.
+    Used to prefilter full-column RE2 scans with (much cheaper, and
+    batch-memoized) substring scans: a row must contain every run, so
+    the rows holding all of them are the candidates. All runs, not the
+    longest: ``/ERROR: query \\w+ with timeout after \\d+s/`` has the
+    rare ``ERROR: query `` and the common `` with timeout after ``.
+    Conservative: bails on alternation, groups and counted repeats; a
+    literal char followed by a quantifier is dropped from its run."""
     body = rx
     nocase = False
     while body[:2] == "(?" and len(body) >= 4 and body[3] == ")":
@@ -239,8 +245,8 @@ def _required_literal(rx: str) -> tuple[str, bool] | None:
             cur += c
             i += 1
     runs.append(cur)
-    lit = max(runs, key=len)
-    return (lit, nocase) if len(lit) >= 4 else None
+    runs = tuple(dict.fromkeys(r for r in runs if len(r) >= 4))
+    return (runs, nocase) if runs else None
 
 
 class _RulePlan:
@@ -272,9 +278,9 @@ class _RulePlan:
             rx = ("(?i)" if mc.nocase else "") + "(?:" + alt + ")"
             self.meta_regexes.append((rx, mc))
 
-        # (pattern_with_flags, negated, literal|None, exact re|None): the
-        # compiled re pattern re-decides the hazard rows of a pcre that
-        # RE2 can decide differently (_BatchCtx.regex_mask)
+        # (pattern_with_flags, negated, literals|None, exact re|None):
+        # the compiled re pattern re-decides the hazard rows of a pcre
+        # that RE2 can decide differently (_BatchCtx.regex_mask)
         self.pcre_re2 = []
         self.pcre_py = []        # (compiled, negated)
         for patom in rule.pcres:
@@ -290,8 +296,8 @@ class _RulePlan:
                 if not (exact.flags & re.IGNORECASE
                         or _RE2_DIVERGES.search(patom.pattern)):
                     exact = None
-                self.pcre_re2.append((rx, patom.negated, _required_literal(rx),
-                                      exact))
+                self.pcre_re2.append((rx, patom.negated,
+                                      _required_literals(rx), exact))
             else:
                 self.pcre_py.append((patom.compiled(), patom.negated))
 
@@ -342,8 +348,8 @@ _INTEL_TEXT_KINDS = (("domain", "domain"), ("url", "url"),
 
 class LiteralSet:
     """Every literal one Aho-Corasick pass per batch can answer for: the
-    content atoms (positive and negated, any window) and the pcre
-    required literals of rules without ``append_program``, when the
+    content atoms (positive and negated, any window) and every pcre
+    required literal run of rules without ``append_program``, when the
     pattern is ASCII and at least 3 bytes long. Shorter literals hit most
     rows (``" "``, ``"e"``) and would flood the overlapping pass with
     matches; non-ASCII and ``append_program`` literals keep the
@@ -359,7 +365,9 @@ class LiteralSet:
             if plan.rule.append_program:
                 continue
             lits = [(a.pattern, a.nocase) for a in plan.rule.contents]
-            lits += [lit for _, _, lit, _ in plan.pcre_re2 if lit is not None]
+            for _, _, req, _ in plan.pcre_re2:
+                if req is not None:
+                    lits += [(run, req[1]) for run in req[0]]
             for p, nocase in lits:
                 if len(p) >= 3 and p.isascii():
                     if nocase:
@@ -570,11 +578,12 @@ class RuleClassifier:
                 return mask
             meta_prev_depth = mc.depth
 
-        # ---- pcre via RE2 (src/pcre-s.c); a required literal (if one
-        # exists) turns the full-column regex scan into a substring scan
-        # + a subset regex over the few literal-matching rows -----------
-        for rx, negated, lit, exact in plan.pcre_re2:
-            m = ctx.regex_mask(rule.append_program, rx, literal=lit, exact=exact)
+        # ---- pcre via RE2 (src/pcre-s.c); required literals (if any)
+        # turn the full-column regex scan into substring scans + a subset
+        # regex over the few rows that hold all of them ----------------
+        for rx, negated, lits, exact in plan.pcre_re2:
+            m = ctx.regex_mask(rule.append_program, rx, literals=lits,
+                               exact=exact)
             if negated:
                 m = ~m
             mask = _and(mask, m)
@@ -1138,10 +1147,10 @@ class _BatchCtx:
         return out
 
     def regex_mask(self, append: bool, rx: str,
-                   literal: tuple[str, bool] | None = None,
+                   literals: tuple[tuple[str, ...], bool] | None = None,
                    start: int = 0, stop=None, exact=None) -> np.ndarray:
         """Full-column regex mask over the (start, stop) window, memoized.
-        When the regex has a required literal, its ``regex_candidates``
+        When the regex has required literals, its ``regex_candidates``
         are the only rows the regex can match: the regex runs on that
         subset only, so the result is still the exact full-column truth
         (and safely memoizable). ``exact``, a pcre's compiled ``re``
@@ -1154,15 +1163,15 @@ class _BatchCtx:
             return m
         col = self.sliced(append, start, stop)
         m = None
-        if literal is not None:
-            lm = self.regex_candidates(append, start, stop, literal)
+        if literals is not None:
+            lm = self.regex_candidates(append, start, stop, literals)
             idx = np.flatnonzero(lm)
             if len(idx) * 8 < len(lm):
                 m = _on_rows(col, idx, lambda sub: pc.match_substring_regex(sub, rx))
         if m is None:
             m = _bool(pc.match_substring_regex(col, rx))
         if exact is not None:
-            rows = self.hazard_rows(append, literal, bool(
+            rows = self.hazard_rows(append, literals, bool(
                 exact.flags & re.IGNORECASE) and not exact.pattern.isascii())
             if len(rows):
                 texts = self.text(append).take(pa.array(rows, pa.int64()))
@@ -1172,32 +1181,41 @@ class _BatchCtx:
         return m
 
     def regex_candidates(self, append: bool, start: int, stop,
-                         literal: tuple[str, bool]) -> np.ndarray:
-        """Rows a regex with this required literal can match: the
-        literal's hits plus, for a ``nocase`` literal, its fold rows,
-        where RE2 may fold more than the pass does."""
-        lit, lit_nocase = literal
-        lm = self.literal_hits(append, start, stop, lit, lit_nocase)
-        return lm | self.fold_rows(append, lit) if lit_nocase else lm
+                         literals: tuple[tuple[str, ...], bool]) -> np.ndarray:
+        """Rows a regex with these required literals can match: the rows
+        that hold every one of them. A ``nocase`` literal counts its
+        hits plus its fold rows, where RE2 may fold more than the pass
+        does. Each literal's rows are a superset of the regex's matches,
+        so their intersection is too."""
+        runs, nocase = literals
+        m = None
+        for lit in runs:
+            lm = self.literal_hits(append, start, stop, lit, nocase)
+            if nocase:
+                lm = lm | self.fold_rows(append, lit)
+            m = lm if m is None else m & lm
+        return m
 
-    def hazard_rows(self, append: bool, literal: tuple[str, bool] | None,
+    def hazard_rows(self, append: bool,
+                    literals: tuple[tuple[str, ...], bool] | None,
                     every: bool) -> np.ndarray:
         """Indices of a whole-message regex's candidate rows (those of its
-        required ``literal``, or all rows without one) where RE2 and
+        required ``literals``, or all rows without any) where RE2 and
         ``re`` can decide ``\\w \\d \\s \\b $`` or a case fold differently:
         a non-ASCII char, ``\\v`` or ``\\x1c``–``\\x1f``, or a trailing
         newline. With ``every`` (a case-insensitive non-ASCII pattern,
         which can fold onto ASCII text) every candidate row. Memoized."""
-        key = ("hz", append, literal, every)
+        key = ("hz", append, literals, every)
         rows = self._masks.get(key)
         if rows is None:
             col = self.text(append)
-            if literal is None:
+            if literals is None:
                 rows = np.arange(len(col))
             else:
-                rows = np.flatnonzero(self.regex_candidates(append, 0, None, literal))
+                rows = np.flatnonzero(
+                    self.regex_candidates(append, 0, None, literals))
             if not every:
-                if literal is not None:
+                if literals is not None:
                     col = col.take(pa.array(rows, pa.int64()))
                 rows = rows[~_bool(pc.string_is_ascii(col)) | _bool(
                     pc.match_substring_regex(col, _RE2_HAZARD_RX))]

@@ -26,10 +26,17 @@ def load_ruleset(name_or_text: str):
 
 
 def run_both(ruleset, tbl, config: EngineConfig | None = None,
-             lookups=None, expect_hits: bool = True, batch_size: int = 512):
+             lookups=None, expect_hits: bool = True, batch_size: int = 512,
+             files_dir: str | None = None):
     """``tbl``: one table, or a list of tables that become the input's
-    blocks in that order (the oracle reads their rows in that order)."""
+    blocks in that order (the oracle reads their rows in that order).
+    With ``files_dir``, each block is written there as its own Parquet
+    file instead, named so that the file order is the block order, and
+    the engine runs on ``read_transcripts(files_dir)``."""
+    import pyarrow.parquet as pq
     import ray.data as rd
+
+    from sagan_ray.sources.transcripts import read_transcripts
 
     blocks = tbl if isinstance(tbl, list) else [tbl]
     tbl = pa.concat_tables(blocks)
@@ -39,7 +46,14 @@ def run_both(ruleset, tbl, config: EngineConfig | None = None,
     lookups = lookups if lookups is not None else build_lookups()
 
     oracle = ReferenceEvaluator(ruleset, lookups, config).evaluate(tbl.to_pylist())
-    engine = run_engine(rd.from_arrow(blocks), ruleset, lookups, config,
+    if files_dir is None:
+        source = rd.from_arrow(blocks)
+    else:
+        os.makedirs(files_dir)
+        for i, b in enumerate(blocks):
+            pq.write_table(b, os.path.join(files_dir, f"part-{i:05d}.parquet"))
+        source = read_transcripts(files_dir)
+    engine = run_engine(source, ruleset, lookups, config,
                         batch_size=batch_size)
 
     matches = engine.matches.to_pandas()

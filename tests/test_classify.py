@@ -1,5 +1,6 @@
 """RuleClassifier contracts outside oracle parity: batches leave the
-compiled classifier untouched, and the Ray driver never loads the
+compiled classifier untouched, a pcre's RE2 scan runs only on the rows
+that hold all its required literals, and the Ray driver never loads the
 multi-pattern matcher's dependency."""
 
 import os
@@ -9,9 +10,11 @@ import sys
 
 import pyarrow as pa
 
-from sagan_ray.config import EngineConfig
+from sagan_ray.config import EngineConfig, Lookups
+from sagan_ray.oracle.evaluator import RowCache, match_stateless
 from sagan_ray.rules import parse_rules
-from sagan_ray.stages.classify import RuleClassifier
+from sagan_ray.stages import classify
+from sagan_ray.stages.classify import RuleClassifier, _required_literals
 from sagan_ray.synth import gen_transcripts
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -58,6 +61,39 @@ def test_batches_leave_the_classifier_unchanged():
     assert _state(cls) == before
     fresh = RuleClassifier(rules, None, EngineConfig())(cold)
     assert out.num_rows > 0 and out.equals(fresh)
+
+
+def test_pcre_scans_only_rows_holding_every_required_literal(monkeypatch):
+    """Both literal runs of ``/ERROR: query \\w+ with timeout after \\d+s/``
+    join the literal pass, and RE2 runs on the two rows holding both,
+    not on the nine holding the common `` with timeout after ``; the
+    verdicts are ``match_stateless``'s."""
+    pat = r"ERROR: query \w+ with timeout after \d+s"
+    runs = ("ERROR: query ", " with timeout after ")
+    assert _required_literals(pat) == (runs, False)
+    rules = parse_rules(
+        f'alert any any any -> any any (msg:"p"; pcre:"/{pat}/"; sid:1;)')
+    texts = (["ERROR: query q1 with timeout after 3s"]
+             + [f"WARN: scan {i} with timeout after 3s" for i in range(6)]
+             + ["ERROR: query q2 with timeout after xs", "ERROR: query q3",
+                "ERROR: sort q4 with timeout after 9s"]
+             + [f"idle {i}" for i in range(8)])
+    n = len(texts)
+    tbl = pa.table({
+        "conv_id": ["c"] * n, "turn_idx": pa.array(range(n), pa.int32()),
+        "role": ["user"] * n, "text": pa.array(texts, pa.large_string()),
+        "tool": [""] * n, "ts": pa.array([0] * n, pa.timestamp("us"))})
+    cls = RuleClassifier(rules, None, EngineConfig())
+    assert set(runs) <= set(cls.literals.cs)
+    scanned = []
+    on_rows = classify._on_rows
+    monkeypatch.setattr(classify, "_on_rows", lambda col, idx, kernel: (
+        scanned.append(idx.tolist()) or on_rows(col, idx, kernel)))
+    got = cls(tbl).column("turn_idx").to_pylist()
+    assert scanned == [[0, 7]]
+    assert got == [i for i, t in enumerate(texts) if match_stateless(
+        rules.rules[0], RowCache(t, "user", "", 0), Lookups()) is not None]
+    assert got == [0]
 
 
 def test_driver_never_imports_polars():

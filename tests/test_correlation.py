@@ -233,6 +233,22 @@ def test_turn_split_across_blocks_replays_in_input_order():
     assert oracle.hit_counts() == {61: 1, 62: 1, 63: 2, 64: 6}
 
 
+def test_turn_split_across_files_replays_in_file_order(tmp_path):
+    """The file-source twin of the block test above: every row is its
+    own Parquet file, and the replay takes them in file order, whatever
+    order the files' map tasks finish in; both file orders are checked."""
+    rows = [("a", 0, "beta", 0), ("a", 1, "beta", 5), ("a", 1, "alpha", 5),
+            ("a", 1, "beta", 5), ("a", 1, "gamma", 5), ("a", 1, "beta", 5),
+            ("a", 1, "beta", 5), ("a", 2, "beta", 9)]
+    blocks = [mk([r]) for r in rows]
+    oracle, _ = run_both(SPLIT_TURN, blocks, batch_size=1,
+                         files_dir=str(tmp_path / "fwd"))
+    assert oracle.hit_counts() == {61: 1, 62: 1, 63: 1, 64: 6}
+    oracle, _ = run_both(SPLIT_TURN, blocks[::-1], batch_size=1,
+                         files_dir=str(tmp_path / "rev"))
+    assert oracle.hit_counts() == {61: 1, 62: 1, 63: 2, 64: 6}
+
+
 def test_routed_row_need_not_be_its_turns_last_row():
     """A turn of two rows with different texts where only the first row
     hits: the routed row carries that row's text, and ``run_both`` must

@@ -1,24 +1,29 @@
 """``run_engine`` returns only once the exchange is complete, but builds
 the public match Dataset lazily; its consumers never read the input
-again; and the per-worker compile cache keys on the compile inputs, not
-on per-run object refs."""
+again; a file source is read by the exchange's map tasks, one per file,
+with no Ray Data read; and the per-worker compile cache keys on the
+compile inputs, not on per-run object refs."""
 
 import collections
 import os
 import re
 
+import pyarrow.parquet as pq
 import pytest
 import ray.data
 
+from sagan_ray import exchange
 from sagan_ray.config import EngineConfig, Lookups
 from sagan_ray.io.sinks import write_sinks
 from sagan_ray.oracle import ReferenceEvaluator
 from sagan_ray.pipelines import engine
 from sagan_ray.pipelines.engine import compile_key, run_engine
 from sagan_ray.rules import parse_rules
+from sagan_ray.sources.transcripts import TranscriptFiles, read_transcripts
 from sagan_ray.state.snapshot import read_state_meta
-from sagan_ray.synth import build_lookups
+from sagan_ray.synth import build_lookups, gen_transcripts
 
+from .helpers import run_both
 from .test_correlation import mk
 from .test_replay import RULES
 
@@ -142,6 +147,49 @@ def test_a_run_reads_its_input_once(tmp_path, rules):
 
 @pytest.mark.parametrize("rules", [STATELESS_RULES, RULES],
                          ids=["stateless", "stateful"])
+def test_a_file_source_run_reads_its_input_once(tmp_path, monkeypatch, rules):
+    """The file-source case: one map task per file reads it, and no
+    consumer of the result reads the files again — they are gone by the
+    time routed_counts(), metrics() and write_sinks(thin=True) run."""
+    tbl = mk(ROWS)
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for i, (off, n) in enumerate([(0, 3), (3, 3), (6, 2)]):
+        pq.write_table(tbl.slice(off, n), str(in_dir / f"part-{i}.parquet"))
+    source = read_transcripts(str(in_dir))
+    calls = []
+    monkeypatch.setattr(exchange, "split_block",
+                        _TaskRecorder(exchange.split_block, calls))
+    ruleset = parse_rules(rules)
+    lookups = build_lookups()
+    eng = run_engine(source, ruleset, lookups, EngineConfig(), batch_size=2)
+    read = [a[0].paths for a in calls if isinstance(a[0], TranscriptFiles)]
+    assert read == [(p,) for p in source.paths] and len(read) == 3
+    for p in source.paths:
+        os.remove(p)
+    oracle = ReferenceEvaluator(ruleset, lookups).evaluate(tbl.to_pylist())
+    assert eng.routed_counts() == oracle.routed_counts()
+    assert eng.metrics().num_rows
+    per_sink = write_sinks(eng, str(tmp_path / "sinks"), thin=True)
+    assert sum(per_sink.values()) == sum(oracle.routed_counts().values())
+
+
+def test_file_source_needs_no_ray_data_read(tmp_path, monkeypatch):
+    """A file-source run over several files, each read in several
+    ``batch_size`` slices, matches the oracle with Ray Data's
+    ``read_parquet`` made to raise."""
+    def no_read(*args, **kwargs):
+        raise AssertionError("read_parquet called for a file source")
+
+    monkeypatch.setattr(ray.data, "read_parquet", no_read)
+    tbl = gen_transcripts(900, seed=3)
+    blocks = [tbl.slice(off, 300) for off in range(0, len(tbl), 300)]
+    run_both("correlate.rules", blocks, batch_size=128,
+             files_dir=str(tmp_path / "in"))
+
+
+@pytest.mark.parametrize("rules", [STATELESS_RULES, RULES],
+                         ids=["stateless", "stateful"])
 def test_empty_input(rules):
     """An empty input block passes the classify map in the input's
     schema; the exchange's map side still takes it."""
@@ -152,50 +200,52 @@ def test_empty_input(rules):
     assert eng.matches.count() == 0
 
 
-class _MapRecorder:
-    """Dataset stand-in that records the batch functions mapped over it."""
-
-    def __init__(self, ds):
-        self.ds, self.fns = ds, []
-
-    def map_batches(self, fn, **kwargs):
-        self.fns.append(fn)
-        return self.ds.map_batches(fn, **kwargs)
+def test_pandas_blocks():
+    """A Dataset of pandas blocks feeds the map task as Arrow tables."""
+    ruleset = parse_rules(RULES)
+    lookups = build_lookups()
+    tbl = mk(ROWS)
+    eng = run_engine(ray.data.from_pandas(tbl.to_pandas()), ruleset, lookups,
+                     EngineConfig(), batch_size=4)
+    oracle = ReferenceEvaluator(ruleset, lookups).evaluate(tbl.to_pylist())
+    assert eng.routed_counts() == oracle.routed_counts()
 
 
 class _TaskRecorder:
-    """Remote-function stand-in that records the first argument of each
-    task it submits."""
+    """Remote-function stand-in that records the arguments of each task
+    it submits."""
 
-    def __init__(self, task, firsts):
-        self.task, self.firsts = task, firsts
+    def __init__(self, task, calls):
+        self.task, self.calls = task, calls
 
     def options(self, **kwargs):
-        return _TaskRecorder(self.task.options(**kwargs), self.firsts)
+        return _TaskRecorder(self.task.options(**kwargs), self.calls)
 
-    def remote(self, first, *args):
-        self.firsts.append(first)
-        return self.task.remote(first, *args)
+    def remote(self, *args):
+        self.calls.append(args)
+        return self.task.remote(*args)
 
 
 def _cache_keys(monkeypatch, rules: str) -> list:
-    """Run the engine once over ROWS, then replay its classify function
-    and one bucket's correlate task in this process and return the
-    (kind, key) pairs they hand to the per-worker compile cache."""
+    """Run the engine once over ROWS, then replay its map task's classify
+    (the side function of the first split task) and one bucket's
+    correlate task in this process and return the (kind, key) pairs they
+    hand to the per-worker compile cache."""
     tbl = mk(ROWS)
-    ds = _MapRecorder(ray.data.from_arrow(tbl))
-    corr, runs = engine._corr_bucket, []
+    corr, splits, runs = engine._corr_bucket, [], []
     with monkeypatch.context() as m:
+        m.setattr(exchange, "split_block",
+                  _TaskRecorder(exchange.split_block, splits))
         m.setattr(engine, "_corr_bucket", _TaskRecorder(corr, runs))
-        run_engine(ds, parse_rules(rules), build_lookups(), EngineConfig(),
-                   batch_size=4)
+        run_engine(ray.data.from_arrow(tbl), parse_rules(rules),
+                   build_lookups(), EngineConfig(), batch_size=4)
     seen = []
     with monkeypatch.context() as m:
         m.setattr(engine, "_worker_cached",
                   lambda kind, key, build: seen.append((kind, key)) or build())
-        (classify,) = ds.fns
-        classify(tbl)
-        corr._function(runs[0], 0, "b0")
+        classify = splits[0][4]
+        classify(tbl, 0)
+        corr._function(runs[0][0], 0, "b0")
     return seen
 
 

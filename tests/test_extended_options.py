@@ -304,13 +304,13 @@ alert any any any -> any any (msg:"pcre b64"; json_pcre:".p","/attack-s/"; json_
 
 
 def test_pcre_char_class_no_false_literal():
-    """Regression (self-review): _required_literal must not treat a
+    """Regression (self-review): _required_literals must not treat a
     character class's contents as a required literal — '/foo[abcd]bar/'
     matches 'fooabar' which contains no 'abcd' substring."""
-    from sagan_ray.stages.classify import _required_literal
+    from sagan_ray.stages.classify import _required_literals
 
-    assert _required_literal(r"foo[abcd]bar") is None
-    assert _required_literal(r"x[^y]z after more text") is None
+    assert _required_literals(r"foo[abcd]bar") is None
+    assert _required_literals(r"x[^y]z after more text") is None
     rules = """
 alert any any any -> any any (msg:"cls"; pcre:"/fail[aeiou]d log/"; sid:1;)
 """
@@ -326,11 +326,12 @@ def test_pcre_escape_literal_extraction():
     """Regression (self-review round 2): hex/octal escapes must not leak
     pseudo-literals into the RE2 prefilter; \\d-style classes still allow
     the surrounding runs."""
-    from sagan_ray.stages.classify import _required_literal
+    from sagan_ray.stages.classify import _required_literals
 
-    assert _required_literal(r"\x0d\x0aSTOPHERE") == ("STOPHERE", False)
-    assert _required_literal(r"\101ABCDEFGH") is None          # octal
-    assert _required_literal(r"timeout after \d+s") == ("timeout after ", False)
+    assert _required_literals(r"\x0d\x0aSTOPHERE") == (("STOPHERE",), False)
+    assert _required_literals(r"\101ABCDEFGH") is None          # octal
+    assert _required_literals(r"timeout after \d+s") == (("timeout after ",),
+                                                          False)
     rules = """
 alert any any any -> any any (msg:"hex"; pcre:"/\\x2aSTARRED\\x2a block/"; sid:1;)
 """

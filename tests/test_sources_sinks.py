@@ -600,3 +600,31 @@ def test_compact_corpus_clustered_files_are_range_disjoint(tmp_path):
     back = pq.read_table(out)
     assert sorted(back["doc_id"].to_pylist()) == sorted(
         tbl["doc_id"].to_pylist())
+
+
+def test_read_transcripts_lists_files_as_read_parquet_does(tmp_path):
+    """``read_transcripts`` finds a directory's files as
+    ``ray.data.read_parquet`` discovers them: recursive, sorted, skipping
+    names that start with ``.`` or ``_`` (a ``_DONE`` marker, a hidden
+    file, a ``_tmp`` dir); a list keeps its order. ``dataset()`` reads
+    the same rows."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from sagan_ray.sources.transcripts import read_transcripts
+    from sagan_ray.synth import gen_transcripts
+
+    tbl = gen_transcripts(40, seed=1)
+    for name in ["b.parquet", "a.parquet", ".hidden.parquet", "sub/c.parquet",
+                 "sub/_x.parquet", "_tmp/d.parquet"]:
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        pq.write_table(tbl, str(path))
+    (tmp_path / "_DONE").touch()
+    src = read_transcripts(str(tmp_path))
+    assert list(src.paths) == sorted(rd.read_parquet(str(tmp_path)).input_files())
+    assert [os.path.relpath(p, tmp_path) for p in src.paths] == [
+        "a.parquet", "b.parquet", os.path.join("sub", "c.parquet")]
+    assert src.dataset().count() == 3 * len(tbl)
+    pair = [str(tmp_path / "b.parquet"), str(tmp_path / "a.parquet")]
+    assert read_transcripts(pair).paths == tuple(pair)

@@ -65,14 +65,15 @@ def main() -> None:
         ruleset = parse_rules_file(args.rules)
 
     cfg = EngineConfig(ignore_list=tuple(args.ignore))
-    eng = run_engine(read_transcripts(args.input), ruleset, build_lookups(),
+    src = read_transcripts(args.input)
+    eng = run_engine(src, ruleset, build_lookups(),
                      cfg, batch_size=args.batch_size,
                      state_dir=args.state_dir)
 
     os.makedirs(args.output, exist_ok=True)
     per_sink = write_sinks(eng, os.path.join(args.output, "sinks"))
     pq.write_table(eng.metrics(), os.path.join(args.output, "metrics.parquet"))
-    snap = stats_snapshot(input_counters(read_transcripts(args.input), cfg), eng)
+    snap = stats_snapshot(input_counters(src.dataset(), cfg), eng)
     with open(os.path.join(args.output, "stats.json"), "w") as f:
         json.dump(snap, f, indent=2)
     print(json.dumps({"sinks": per_sink, "stats": snap}))

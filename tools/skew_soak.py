@@ -67,7 +67,7 @@ def run_once(tdir: str) -> tuple[float, int]:
     ruleset = parse_rules(BENCH_RULES)
     cfg = EngineConfig(ignore_list=("DEBUG heartbeat",))
     lookups = build_lookups()
-    _ = read_transcripts(tdir).count()          # page-cache warm
+    _ = read_transcripts(tdir).dataset().count()   # page-cache warm
     best, routed = float("inf"), 0
     for _ in range(2):
         t0 = time.time()
