@@ -17,6 +17,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import pyarrow as pa
+import pyarrow.parquet as pq
+
 from ..synth import SCHEMA
 
 COLUMNS = [f.name for f in SCHEMA]
@@ -55,9 +58,6 @@ class TranscriptFiles:
 
     def batches(self, batch_size: int):
         """The rows as tables of at most ``batch_size`` rows."""
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
         for p in self.paths:
             for b in pq.ParquetFile(p).iter_batches(
                     batch_size=batch_size, columns=list(self.columns)):
@@ -74,7 +74,6 @@ def read_transcripts(path, *, columns=None) -> TranscriptFiles:
     """The transcript files at ``path``: a directory (``_list_parquet``),
     a file, or a list of either, in the given order."""
     out: list[str] = []
-    for p in [path] if isinstance(path, (str, os.PathLike)) else path:
-        p = os.fspath(p)
+    for p in [path] if isinstance(path, str) else path:
         out += _list_parquet(p) if os.path.isdir(p) else [p]
     return TranscriptFiles(tuple(out), tuple(columns or COLUMNS))
