@@ -20,23 +20,39 @@ matches all land in one bucket; the classify-side reduction bounds bucket
 size, and pathological convs degrade to one sequential task without
 blocking other buckets.
 
-Two deciders share the replay order. The per-match loop (``replay``) is
-the spec and decides every match it is given. A rule is *column-eligible*
-when its only state is one ``after`` or one ``threshold`` window: no
-xbits, no flexbits, not a ``pass`` rule, and no other rule keeping a
-window of the same kind under its sid. Such a window (conv, sid, track
-key) is read and written by that rule alone, so ``_window_verdicts``
-decides all of its matches at once as arrays: ``threshold suppress``
-windows are gap-delimited runs, ``threshold limit`` and ``after`` windows
-advance every group's anchor per round with ``searchsorted``. A group
-falls back to the loop when its ``ts`` decreases in replay order (or
-precedes its resumed ``utime``), when an earlier ``pass`` match of one of
-its turns could set ``skip_row`` over it (a stateful pass rule, or a
-stateless one in a turn duplicated across rows), or when it needs more
-than ``_MAX_ROUNDS`` windows. Final window states are written back in
-the loop's dict insertion order (resumed keys first, then first
-occurrence in replay order), so state snapshots are the same bytes
-whichever decider ran.
+Three deciders share the replay order. The per-match loop (``replay``)
+is the spec and decides every match it is given. A rule is
+*column-eligible* when its only state is one ``after`` or one
+``threshold`` window: no xbits, no flexbits, not a ``pass`` rule, and no
+other rule keeping a window of the same kind under its sid. Such a window
+(conv, sid, track key) is read and written by that rule alone, so
+``_window_verdicts`` decides all of its matches at once as arrays:
+``threshold suppress`` windows are gap-delimited runs, ``threshold
+limit`` and ``after`` windows advance every group's anchor per round with
+``searchsorted``. A group falls back to the loop when its ``ts``
+decreases in replay order (or precedes its resumed ``utime``), when an
+earlier ``pass`` match of one of its turns could set ``skip_row`` over it
+(a stateful pass rule, or a stateless one in a turn duplicated across
+rows), or when it needs more than ``_MAX_ROUNDS`` windows.
+
+The third decider, ``_xbit_verdicts``, takes the rules whose only state
+is xbit atoms (no flexbits, after or threshold; not a ``pass`` rule), on
+the bit names that no other rule touches (``_xbit_rules``). Such a rule
+is a *writer* (any ``set``/``unset``: it always fires, and the loop
+ignores its ``isset`` atoms, routing.c:73-86) or a *reader* (only
+``isset``/``isnotset``). So every write is known before any verdict: a
+reader's atom reads the latest write to its (conv, name, ``_xbit_key``)
+at an earlier replay position (``ts + expire`` for a set, 0 for an
+unset), else the resumed value, else 0, and is live when that value is
+non-zero and above its ``ts``. A conv whose xbit matches an earlier
+``pass`` match could skip, or with a ``|ts|`` of ``_LIM`` or more, keeps
+all of them in the loop; so do ``shared_bits`` runs, whose store merges
+xbits into the state before the replay.
+
+Final window and xbit states are written back in the loop's dict
+insertion order (resumed keys first, then first insertion in replay
+order: first occurrence for a window, first ``set`` for an xbit), so
+state snapshots are the same bytes whichever decider ran.
 """
 
 from __future__ import annotations
@@ -58,9 +74,13 @@ _AFTER, _LIMIT, _SUPPRESS = 0, 1, 2
 _KEY_FIELDS = ("src_ip", "src_port", "dst_ip", "dst_port", "username")
 # window rounds per bucket before the groups still open go to the loop
 _MAX_ROUNDS = 64
-# |ts|, |utime|, count and seconds stay below this, so no int64 sum of
-# two of them overflows (the loop's Python ints never do)
+# |ts|, |utime|, count, seconds and xbit expire stay below this, so no
+# int64 sum of two of them overflows (the loop's Python ints never do)
 _LIM = 1 << 61
+# xbit atom ops and tracks (``_xbit_key``), coded by their index here
+_XBIT_OPS = ("set", "unset", "isset", "isnotset")
+_SET, _UNSET, _ISSET = 0, 1, 2
+_XBIT_TRACKS = ("ip_src", "ip_dst", "ip_pair")
 
 
 class _Counters:
@@ -169,6 +189,50 @@ def _window_verdicts(ts, starts, kind, count, seconds, has0, count0, utime0):
     return suppressed[real], cnt[last], utime, capped
 
 
+def _xbit_qualifies(rule) -> bool:
+    """Whether a rule's only state is xbit atoms that the column path can
+    decide: no flexbits, after or threshold, not a ``pass`` rule, and
+    expiries with int64 headroom (module docstring)."""
+    return (bool(rule.xbits) and not rule.flexbits and rule.after is None
+            and rule.threshold is None and rule.action != "pass"
+            and all(abs(x.expire) < _LIM for x in rule.xbits))
+
+
+def _xbit_rules(rules) -> np.ndarray:
+    """Per rule: its matches are decided by ``_xbit_verdicts``. A bit
+    name is column-decided only if every rule that touches it qualifies,
+    and a qualifying rule that touches a loop name keeps all its names in
+    the loop."""
+    loop = {x.name for r in rules if not _xbit_qualifies(r) for x in r.xbits}
+    while True:
+        more = {x.name for r in rules if any(y.name in loop for y in r.xbits)
+                for x in r.xbits}
+        if more <= loop:
+            break
+        loop |= more
+    return np.array([_xbit_qualifies(r) and not any(x.name in loop
+                                                    for x in r.xbits)
+                     for r in rules], dtype=bool)
+
+
+def _xbit_verdicts(starts, write, wval, ts, v0):
+    """Decide xbit atoms as arrays. The atoms of the matches come grouped
+    by (conv, name, track key), each group in replay order; ``starts``:
+    each group's first index. A ``write`` atom stores ``wval``; any
+    other reads the group's latest earlier write, or the group's resumed
+    value ``v0`` (0 when none), and sees it live when it is non-zero and
+    above the atom's ``ts``.
+
+    Returns (live per atom, each group's last write index or -1)."""
+    n = len(ts)
+    gid = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, n)))
+    last = np.maximum.accumulate(np.where(write, np.arange(n), -1))
+    seen = last >= starts[gid]
+    val = np.where(seen, wval[last], v0[gid])
+    ends = np.append(starts[1:], n) - 1
+    return (val != 0) & (ts < val), np.where(seen[ends], last[ends], -1)
+
+
 def make_list_correlator(ruleset: RuleSet):
     """Build the reduce-side replay over ``stages.classify.LIST_MATCH_SCHEMA``
     tables (one row per matched turn × class, per-match list columns).
@@ -227,18 +291,35 @@ def make_list_correlator(ruleset: RuleSet):
     is_pass = np.array([r.action == "pass" for r in rules], dtype=bool)
     alerts = np.array([p[-1] for p in plans], dtype=bool)
 
+    # the xbit decider's atoms, rule by rule: a writer's set/unset atoms
+    # (the loop ignores its isset atoms), a reader's isset/isnotset atoms
+    xbit_col = _xbit_rules(rules)
+    atoms = [(i, x) for i, (r, p) in enumerate(zip(rules, plans))
+             if xbit_col[i] for x in r.xbits
+             if (x.op in ("set", "unset")) == p[6]]     # p[6]: a writer
+    n_atoms = np.bincount(np.array([i for i, _ in atoms], np.int64),
+                          minlength=len(rules))
+    atom_at = np.cumsum(n_atoms) - n_atoms
+    x_names = sorted({x.name for _, x in atoms})
+    a_name = np.array([x_names.index(x.name) for _, x in atoms], np.int64)
+    a_track = np.array([_XBIT_TRACKS.index(x.track) for _, x in atoms],
+                       np.int8)
+    a_op = np.array([_XBIT_OPS.index(x.op) for _, x in atoms], np.int8)
+    a_expire = np.array([x.expire for _, x in atoms], np.int64)
+
     def replay(matches, states):
         """The state machine — the spec every column verdict is checked
         against — over (pos, conv, row, stateful, ts, rule_idx, emit,
         src_ip, dst_ip, src_port, dst_port, username) match tuples sorted
         by (conv, turn, row, rule); ``states`` holds every conv's state.
-        Returns (positions that route, their emit verdicts, and the
-        positions that inserted a new after / threshold key, in order,
+        Returns (positions that route, their emit verdicts, and per
+        state dict the positions that inserted a new key, in order,
         which ``store`` merges the column keys with)."""
         keep: list[int] = []
         keep_emit: list[bool] = []
         new_after: list[int] = []
         new_thresh: list[int] = []
+        new_xbits: list[int] = []
         res = _Counters()
         cur_conv = None
         skip_row = -1  # pass short-circuit: skip remaining matches of row
@@ -292,7 +373,9 @@ def make_list_correlator(ruleset: RuleSet):
 
             # ---- sets ------------------------------------------------
             if setunset:
+                n = len(st.xbits)
                 helper._xbit_set(rule, st, s_ip, d_ip, now)
+                new_xbits += [k] * (len(st.xbits) - n)
             for is_set, f in flex_writes:
                 if is_set:
                     helper._flexbit_set(f, st, s_ip, d_ip, sp, dp, u, now)
@@ -304,15 +387,18 @@ def make_list_correlator(ruleset: RuleSet):
                 skip_row = r
                 continue
             keep_emit.append(alerts)
-        return keep, keep_emit, new_after, new_thresh
+        return keep, keep_emit, {"after": new_after,
+                                 "threshold": new_thresh,
+                                 "xbits": new_xbits}
 
     def decide_columns(cand, skipped, ri, ts, conv_idx, fi, flat, conv_states,
                        resumed):
         """Column verdicts for the candidate positions ``cand`` (replay
         order); ``skipped`` marks positions an earlier pass match of their
-        turn may skip. Returns (decided positions, their emit verdicts,
-        window writes ``(first position, conv idx, is after, (sid, key),
-        [count, utime], resumed?)``)."""
+        turn may skip. Returns (decided positions, the routed ones (all
+        of them), their emit verdicts, window writes ``(first position,
+        conv idx, state dict name, (sid, key), [count, utime],
+        resumed?)``)."""
         rc = ri[cand]
         take = pa.array(fi[cand])
         parts = []
@@ -376,7 +462,8 @@ def make_list_correlator(ruleset: RuleSet):
         ok = ~bad[gid]
         g = np.flatnonzero(~bad)
         if not len(g):
-            return np.empty(0, np.int64), np.empty(0, bool), []
+            return np.empty(0, np.int64), np.empty(0, np.int64), \
+                np.empty(0, bool), []
         pos, rc, t = pos[ok], rc[ok], t[ok]
         starts = np.flatnonzero(new[ok])
         gr = g_rule[g]
@@ -386,36 +473,114 @@ def make_list_correlator(ruleset: RuleSet):
         keep = ~np.repeat(capped, np.diff(np.append(starts, len(t))))
         g = g[~capped]
         writes = list(zip(
-            g_first[g].tolist(), g_conv[g].tolist(), g_after[g].tolist(),
+            g_first[g].tolist(), g_conv[g].tolist(),
+            ["after" if a else "threshold" for a in g_after[g].tolist()],
             [(sids[r], g_key[j]) for r, j in zip(g_rule[g].tolist(), g.tolist())],
             [[x, y] for x, y in zip(cnt[~capped].tolist(),
                                     utime[~capped].tolist())],
             has0[g].tolist()))
-        return pos[keep], alerts[rc[keep]] & ~suppressed[keep], writes
+        return (pos[keep], pos[keep], alerts[rc[keep]] & ~suppressed[keep],
+                writes)
 
-    def store(conv_states, conv_idx, writes, new_after, new_thresh):
-        """Write column windows into their conv states in the loop's
-        insertion order: resumed keys keep their place; new keys go by
-        first occurrence in replay order, merged with the keys the loop
-        inserted."""
-        writes.sort(key=itemgetter(0))
-        for is_after, loop_new in ((True, new_after), (False, new_thresh)):
+    def decide_xbits(cand, skipped, ri, ts, conv_idx, fi, flat, conv_states,
+                     resumed):
+        """Column verdicts for the xbit candidate positions ``cand``
+        (replay order), in ``decide_columns``' form; every candidate of
+        a conv that a pass match could cut short, or with a ``|ts|`` out
+        of range, stays in the loop, and so do all of them when a resumed
+        value is."""
+        empty = (np.empty(0, np.int64), np.empty(0, np.int64),
+                 np.empty(0, bool), [])
+        bad = np.zeros(len(conv_states), dtype=bool)
+        bad[conv_idx[cand[np.abs(ts[cand]) >= _LIM]]] = True
+        if skipped is not None:
+            bad[conv_idx[cand[skipped[cand]]]] = True
+        cand = cand[~bad[conv_idx[cand]]]
+        if not len(cand):
+            return empty
+
+        # one event per atom, match by match in replay order
+        rc = ri[cand]
+        na = n_atoms[rc]
+        at = np.cumsum(na) - na
+        m = np.repeat(np.arange(len(cand)), na)
+        a = np.arange(len(m)) - at[m] + atom_at[rc][m]
+        take = pa.array(fi[cand[m]])
+        src, dst = flat["src_ip"].take(take), flat["dst_ip"].take(take)
+        track = a_track[a]
+        # exactly ``_xbit_key``'s src, dst or f"{src}:{dst}"
+        keys = pc.if_else(pa.array(track == 0), src, pc.if_else(
+            pa.array(track == 1), dst, pc.binary_join_element_wise(
+                src, dst, ":")))
+        kcode = pc.dictionary_encode(keys).indices.to_numpy()
+
+        # groups = (conv, name, key); lexsort is stable, so each group
+        # keeps replay order
+        ci, nm = conv_idx[cand[m]], a_name[a]
+        by = np.lexsort((kcode, nm, ci))
+        ci, nm, kc = ci[by], nm[by], kcode[by]
+        new = np.ones(len(by), dtype=bool)
+        new[1:] = (ci[1:] != ci[:-1]) | (nm[1:] != nm[:-1]) | (kc[1:] != kc[:-1])
+        starts = np.flatnonzero(new)
+        op, t = a_op[a][by], ts[cand[m]][by]
+        g_conv = ci[starts].tolist()
+        g_key = list(zip([x_names[j] for j in nm[starts].tolist()],
+                         keys.take(pa.array(by[starts])).to_pylist()))
+        v0 = np.zeros(len(starts), dtype=np.int64)
+        had = np.zeros(len(starts), dtype=bool)
+        if resumed:
+            for j, (c, key) in enumerate(zip(g_conv, g_key)):
+                v = conv_states[c].xbits.get(key)
+                if v is None:
+                    continue
+                if not -_LIM < v < _LIM:
+                    return empty
+                had[j] = True
+                v0[j] = v
+        write = op <= _UNSET
+        wval = np.where(op == _SET, t + a_expire[a][by], 0)
+        live, last = _xbit_verdicts(starts, write, wval, t, v0)
+        ok = np.empty(len(m), dtype=bool)
+        ok[by] = write | (live == (op == _ISSET))   # isnotset: not live
+        fires = np.logical_and.reduceat(ok, at)
+
+        # final values: a resumed key keeps its place (its position is
+        # not used); a new key is inserted by its first set (an unset of
+        # an absent key inserts nothing), in (position, atom) order
+        sets = np.flatnonzero(op == _SET)
+        g_set, first_set = np.unique(np.cumsum(new)[sets] - 1,
+                                     return_index=True)
+        first = np.full(len(starts), -1, dtype=np.int64)
+        first[g_set] = by[sets[first_set]]
+        g = np.flatnonzero((last >= 0) & (had | (first >= 0)))
+        g = g[np.argsort(first[g], kind="stable")]
+        writes = list(zip(
+            cand[m[np.maximum(first[g], 0)]].tolist(), [g_conv[j] for j in g],
+            ["xbits"] * len(g), [g_key[j] for j in g],
+            wval[last[g]].tolist(), had[g].tolist()))
+        return cand, cand[fires], alerts[rc[fires]], writes
+
+    def store(conv_states, conv_idx, writes, inserted):
+        """Write column windows and xbits into their conv states in the
+        loop's insertion order: resumed keys keep their place; new keys
+        go by first insertion in replay order, merged with the keys the
+        loop inserted (``inserted``: per state dict, their positions)."""
+        writes.sort(key=itemgetter(0))         # stable: keeps atom order
+        for attr, loop_new in inserted.items():
             loop_at: dict[int, list[int]] = {}
             for c, p in zip(conv_idx[np.asarray(loop_new, np.int64)].tolist(),
                             loop_new):
                 loop_at.setdefault(c, []).append(p)
             pending: dict[int, list] = {}
-            for first, c, aft, key, val, resumed in writes:
-                if aft != is_after:
+            for first, c, kind, key, val, resumed in writes:
+                if kind != attr:
                     continue
                 if resumed or c not in loop_at:
-                    st = conv_states[c]
-                    (st.after if is_after else st.threshold)[key] = val
+                    getattr(conv_states[c], attr)[key] = val
                 else:
                     pending.setdefault(c, []).append((first, key, val))
             for c, new in pending.items():
-                st = conv_states[c]
-                d = st.after if is_after else st.threshold
+                d = getattr(conv_states[c], attr)
                 lp = loop_at[c]
                 tail = list(d.items())[len(d) - len(lp):]
                 for key, _ in tail:
@@ -425,15 +590,16 @@ def make_list_correlator(ruleset: RuleSet):
                         key=itemgetter(0)):
                     d[key] = val
 
-    def correlate_lists(tbl: pa.Table, init_states=None, out_states=None) -> pa.Table:
+    def correlate_lists(tbl: pa.Table, init_states=None, out_states=None,
+                        xbit_columns: bool = True) -> pa.Table:
         """Replay one bucket that may hold MANY conversations: per-conv
         state resets at each conv boundary — one Python call per bucket
-        instead of one per conversation. Column-eligible windows are
-        decided as arrays first; the loop decides the rest (including the
-        groups the column path leaves to it), the column windows are then
-        written into ``out_states`` in the loop's insertion order, and
-        both verdict sets merge back in exploded order (module
-        docstring)."""
+        instead of one per conversation. Column-eligible windows and
+        xbits (unless ``xbit_columns`` is False) are decided as arrays
+        first; the loop decides the rest (including what the column
+        paths leave to it), the column states are then written into
+        ``out_states`` in the loop's insertion order, and all verdict
+        sets merge back in exploded order (module docstring)."""
         if len(tbl) == 0:
             return tbl
         cols = {n: tbl.column(n).combine_chunks() for n in tbl.column_names}
@@ -491,10 +657,10 @@ def make_list_correlator(ruleset: RuleSet):
         ri = ri[order]
         sf = cols["stateful"].to_numpy(zero_copy_only=False)[row]
         cand = np.flatnonzero((col_kind[ri] >= 0) & sf)
-        done = np.empty(0, np.int64)
-        done_emit = np.empty(0, bool)
+        xcand = np.flatnonzero(xbit_col[ri] & sf if xbit_columns else 0)
+        decided = []        # per column decider: (positions, kept, emit)
         writes = []
-        if len(cand) and not any(x.null_count for x in (
+        if (len(cand) or len(xcand)) and not any(x.null_count for x in (
                 cols["ts_epoch"], cols["turn_idx"],
                 *(flat[f] for f in _KEY_FIELDS))):
             # an earlier pass match of the same row may set ``skip_row``
@@ -509,13 +675,18 @@ def make_list_correlator(ruleset: RuleSet):
                 before = np.cumsum(passed) - passed
                 seg_of = np.searchsorted(seg, np.arange(len(order)), "right") - 1
                 skipped = before > before[seg[seg_of]]
-            done, done_emit, writes = decide_columns(
-                cand, skipped, ri, cols["ts_epoch"].to_numpy()[row], conv_idx,
-                order, flat, conv_states, bool(init))
+            ts = cols["ts_epoch"].to_numpy()[row]
+            for c, decide in ((cand, decide_columns), (xcand, decide_xbits)):
+                if len(c):
+                    *verdicts, w = decide(c, skipped, ri, ts, conv_idx, order,
+                                          flat, conv_states, bool(init))
+                    decided.append(verdicts)
+                    writes += w
         rest = np.arange(len(order))
-        if len(done):
+        if decided:
             loop_mask = np.ones(len(order), dtype=bool)
-            loop_mask[done] = False
+            for done, _, _ in decided:
+                loop_mask[done] = False
             rest = np.flatnonzero(loop_mask)
         rrow, rfi = row[rest], order[rest]
 
@@ -525,20 +696,22 @@ def make_list_correlator(ruleset: RuleSet):
         def per_match(name):
             return flat[name].to_numpy(zero_copy_only=False)[rfi].tolist()
 
-        keep, keep_emit, new_after, new_thresh = replay(zip(
+        keep, keep_emit, inserted = replay(zip(
             rest.tolist(), per_row("conv_id"), rrow.tolist(),
             per_row("stateful"), per_row("ts_epoch"), per_match("rule_idx"),
             per_match("emit"), per_match("src_ip"), per_match("dst_ip"),
             per_match("src_port"), per_match("dst_port"),
             per_match("username")), states)
         if writes:
-            store(conv_states, conv_idx, writes, new_after, new_thresh)
+            store(conv_states, conv_idx, writes, inserted)
         if out_states is not None:
             out_states.update(states)
-        keep = np.concatenate((np.asarray(keep, dtype=np.int64), done))
+        keep = np.concatenate([np.asarray(keep, dtype=np.int64)]
+                              + [k for _, k, _ in decided])
         if not len(keep):
             return LIST_MATCH_SCHEMA.empty_table()
-        emit = np.concatenate((np.asarray(keep_emit, dtype=bool), done_emit))
+        emit = np.concatenate([np.asarray(keep_emit, dtype=bool)]
+                              + [e for _, _, e in decided])
 
         # survivors back in exploded (parent-major) order
         kept = np.zeros(len(order), dtype=bool)

@@ -5,11 +5,13 @@ with no Ray Data read; and the per-worker compile cache keys on the
 compile inputs, not on per-run object refs."""
 
 import collections
+import json
 import os
 import re
 
 import pyarrow.parquet as pq
 import pytest
+import ray
 import ray.data
 
 from sagan_ray import exchange
@@ -113,6 +115,27 @@ def test_stateless_metrics_agree_with_counts():
     assert eng.routed_counts() == {(s, sid): n for sid, n in emits.items()
                                    if n for s in EngineConfig().sinks}
     assert sum(hits.values()) > sum(emits.values())     # the pass rule
+
+
+def test_one_cpu_run_replays_in_one_bucket(tmp_path, monkeypatch):
+    """The engine sizes its exchange at one bucket per 2 CPUs, so a
+    1-CPU session writes a 1-bucket state layout, and metrics() labels
+    its one reduce partial ``b0000``."""
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    ruleset = parse_rules(RULES)
+    state_dir = str(tmp_path / "state")
+    eng = run_engine(ray.data.from_arrow(mk(ROWS)), ruleset, build_lookups(),
+                     EngineConfig(), batch_size=4, state_dir=state_dir)
+    monkeypatch.undo()
+    with open(os.path.join(state_dir, "_STATE.json")) as f:
+        assert json.load(f) == {"n_buckets": 1, "v": 1}
+    assert sorted(os.listdir(state_dir)) == ["_STATE.json", "bucket=0"]
+    parts = set(eng.metrics().column("part").to_pylist())
+    assert "b0000" in parts and not any(
+        p.startswith("b") and p != "b0000" for p in parts)
+    oracle = ReferenceEvaluator(ruleset, build_lookups()).evaluate(
+        mk(ROWS).to_pylist())
+    assert eng.routed_counts() == oracle.routed_counts()
 
 
 @pytest.mark.parametrize("rules", [STATELESS_RULES, RULES],

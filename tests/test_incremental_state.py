@@ -207,6 +207,34 @@ def test_follow_loop_incremental(tmp_path):
     assert ("a", 4, 2) in got      # xbit isset only via carried state
 
 
+def test_poll_skips_hidden_files(tmp_path):
+    """A hidden ``.parquet`` name is a producer's in-progress write: the
+    poll neither runs nor records it, as ``read_transcripts(dir)`` skips
+    it."""
+    import json
+
+    import pyarrow.parquet as pq
+
+    from sagan_ray.sources.stream import MANIFEST, poll_once
+
+    in_dir = tmp_path / "in"
+    out_dir = tmp_path / "out"
+    in_dir.mkdir()
+    rules = parse_rules(RULES)
+    pq.write_table(mk(ROWS[:5]), str(in_dir / "a.parquet"))
+    pq.write_table(mk(ROWS[5:]), str(in_dir / ".b.parquet"))
+    res = poll_once(str(in_dir), str(out_dir), rules, build_lookups(),
+                    EngineConfig())
+    oracle = ReferenceEvaluator(rules, build_lookups(), EngineConfig()
+                                ).evaluate(mk(ROWS[:5]).to_pylist())
+    assert res == {"files": ["a.parquet"],
+                   "routed": sum(n for (sink, _), n in
+                                 oracle.routed_counts().items()
+                                 if sink == "alert")}
+    with open(out_dir / MANIFEST) as f:
+        assert json.load(f) == ["a.parquet"]
+
+
 def test_follow_loop_ruleset_reload(tmp_path):
     """SIGHUP analog: a rule added to the rules FILE between polls fires
     on the next poll, with correlation state carried across the reload

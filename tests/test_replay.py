@@ -300,3 +300,95 @@ pass any any any -> any any (msg:"quiet unless"; content:"quiet"; xbits: isnotse
     assert ("a", 1, 52, True) in got
     monkeypatch.setattr(correlate_mod, "_col_kind", lambda *_: -1)
     assert got == _routed(make_list_correlator(rules)(shipped))
+
+
+# xbit rules of each column kind. "seen": two writers with different
+# expiries, an isset, an isnotset and an unset; "brute": a set, a
+# two-name reader and an unset that often finds no key; "multi": set
+# under two keys by a rule that also unsets "seen" and carries an isset
+# the loop ignores. "mixed" is also read by an after rule, so it, its
+# writer and "chain", which that writer also sets, stay in the loop. The
+# stateful pass rule comes first, so it can cut the rest of its row
+# short.
+XBITS = """
+pass any any any -> any any (msg:"pass"; content:"ERROR: block"; threshold: type limit, track by_src, count 1, seconds 30; sid:60;)
+alert any any any -> any any (msg:"set seen"; content:"e"; xbits: set,seen,track ip_pair,expire 300; sid:61;)
+alert any any any -> any any (msg:"set seen short"; content:"connection from"; parse_src_ip:1; parse_dst_ip:2; xbits: set,seen,track ip_pair,expire 120; sid:62;)
+alert any any any -> any any (msg:"isset seen"; content:"a"; xbits: isset,seen,track ip_pair; sid:63;)
+alert any any any -> any any (msg:"isnotset seen"; content:"o"; xbits: isnotset,seen,track ip_pair; sid:64;)
+alert any any any -> any any (msg:"unset seen"; content:"logout"; xbits: unset,seen,track ip_pair; sid:65;)
+alert any any any -> any any (msg:"set brute"; content:"login failed"; xbits: set,brute,track ip_src,expire 600; sid:66;)
+alert any any any -> any any (msg:"brute not seen"; content:"login success"; xbits: isset,brute,track ip_src; xbits: isnotset,seen,track ip_dst; sid:67;)
+drop any any any -> any any (msg:"unset brute"; content:"user"; xbits: unset,brute,track ip_src; sid:68;)
+alert any any any -> any any (msg:"multi"; content:"from"; parse_src_ip:1; xbits: set,multi,track ip_src,expire 50; xbits: unset,seen,track ip_pair; xbits: isset,brute,track ip_src; xbits: set,multi,track ip_dst,expire 70; sid:69;)
+alert any any any -> any any (msg:"isset multi"; content:"i"; parse_src_ip:1; xbits: isset,multi,track ip_src; sid:70;)
+alert any any any -> any any (msg:"set mixed"; content:"t"; xbits: set,mixed,track ip_dst,expire 200; xbits: set,chain,track ip_src,expire 90; sid:71;)
+alert any any any -> any any (msg:"mixed after"; content:"s"; xbits: isset,mixed,track ip_dst; after: track by_src, count 1, seconds 60; sid:72;)
+alert any any any -> any any (msg:"isset chain"; content:"n"; xbits: isset,chain,track ip_src; sid:73;)
+"""
+
+# hand-made convs: "x" reads brute at exactly its expiry (not live), one
+# second before it and, resumed, later; "y" unsets absent keys, sets and
+# reads brute in one turn, then leaves it unset (expire 0) for the resumed
+# run to read
+XBIT_ROWS = [
+    ("x", 0, "login failed", 0), ("x", 1, "login success", 600),
+    ("x", 2, "login success", 599), ("x", 7, "login success", 100),
+    ("y", 0, "user logout", 5), ("y", 1, "login failed login success", 6),
+    ("y", 2, "login failed", 10), ("y", 3, "user", 20),
+    ("y", 8, "login success", 30),
+]
+
+
+def test_xbit_column_path_writes_the_loops_state(monkeypatch):
+    """The xbit column path against the per-match loop alone, whole and
+    resumed: equal verdicts, every conv's state in insertion order and
+    the same snapshot bytes."""
+    ruleset = parse_rules(XBITS)
+    assert [r.sid for r, on in zip(
+        ruleset.rules, correlate_mod._xbit_rules(ruleset.rules)) if on] == [
+            61, 62, 63, 64, 65, 66, 67, 68, 69, 70]
+    # an expiry without int64 headroom keeps its rule in the loop
+    assert not correlate_mod._xbit_qualifies(parse_rules(XBITS.replace(
+        "expire 300", f"expire {1 << 62}")).rules[1])
+    gen = gen_transcripts(1500, seed=31)
+    # every 9th turn again, as a second row with the next row's text
+    idx = pa.array(range(0, len(gen) - 1, 9))
+    dup = gen.take(idx).set_column(
+        gen.schema.get_field_index("text"), "text",
+        gen.column("text").take(pc.add(idx, 1)))
+    tbl = pa.concat_tables([gen, dup, mk(XBIT_ROWS)])
+    shipped = _bucket(ruleset, tbl)
+    early = pc.less(shipped.column("turn_idx"), 6)
+
+    def run(correlate):
+        whole: dict = {}
+        out = correlate(shipped, init_states={}, out_states=whole)
+        first: dict = {}
+        parts = [correlate(shipped.filter(early), init_states={},
+                           out_states=first)]
+        assert first["y"].xbits[("brute", "")] == 0
+        resumed = dict(first)
+        parts.append(correlate(shipped.filter(pc.invert(early)),
+                               init_states=first, out_states=resumed))
+        return ([_routed(t) for t in [out] + parts],
+                _canon(whole), _canon(resumed),
+                _snapshot_sha(whole), _snapshot_sha(resumed))
+
+    seen = []
+    real = correlate_mod._xbit_verdicts
+
+    def spy(starts, write, *args):
+        seen.append(len(write))
+        return real(starts, write, *args)
+
+    monkeypatch.setattr(correlate_mod, "_xbit_verdicts", spy)
+    got = run(make_list_correlator(ruleset))
+    assert sum(seen) > 3000
+    routed = set(got[0][0])
+    assert ("x", 1, 67, True) not in routed and ("x", 2, 67, True) in routed
+    assert ("y", 1, 67, True) in routed and ("y", 8, 67, True) not in routed
+    monkeypatch.setattr(correlate_mod, "_xbit_qualifies", lambda rule: False)
+    assert got == run(make_list_correlator(ruleset))
+    oracle = ReferenceEvaluator(ruleset).evaluate(tbl.to_pylist())
+    assert sorted((c, t, s) for c, t, s, _ in got[0][0]) == sorted(oracle.hits)
