@@ -102,17 +102,25 @@ DEFAULT_MAX_BUCKET_BYTES = 256 << 20
 COALESCE_PARTS = 32
 
 
-def default_n_buckets(floor: int = 4) -> int:
-    """One reduce task per ~2 cores, and at least ``floor``: fewer
-    buckets = fewer tiny object transfers and per-bucket tasks. The
-    engine passes ``floor=1``, so a 1-CPU session replays in one bucket:
-    on 1 vCPU, one bucket instead of 4 cut a ``correlate_heavy`` op's
-    p50 by about a quarter (5 of 6 alternating pairs), most of it the
-    per-bucket objects and tasks rather than the per-bucket replay.
-    ``hash_group_apply`` keeps the floor of 4. Coalescing small buckets
+def default_n_buckets() -> int:
+    """One reduce task per ~2 cores, and at least 4: fewer buckets =
+    fewer tiny object transfers; raise for bigger clusters/inputs. The
+    engine sizes its exchange with ``engine_n_buckets``."""
+    return max(4, int(ray.cluster_resources().get("CPU", 8)) // 2)
+
+
+def engine_n_buckets() -> int:
+    """The engine's bucket count: 1 on a session with fewer than 2 CPUs,
+    else ``default_n_buckets()``. On 1 vCPU, one bucket instead of 4 cut
+    a ``correlate_heavy`` op's p50 by about a quarter (5 of 6 alternating
+    pairs), most of it the per-bucket objects and tasks rather than the
+    per-bucket replay. Whether fewer than 4 buckets also pays on 2-7 CPUs
+    was not measured, so those sessions keep 4. Coalescing small buckets
     into grouped reduces on multi-CPU clusters (the inverse of salting)
     is still open."""
-    return max(floor, int(ray.cluster_resources().get("CPU", 8)) // 2)
+    if ray.cluster_resources().get("CPU", 8) < 2:
+        return 1
+    return default_n_buckets()
 
 
 def key_hash(tbl: pa.Table, cols: list[str]) -> np.ndarray:

@@ -36,7 +36,7 @@ import pyarrow.compute as pc
 import ray
 
 from ..config import EngineConfig, Lookups
-from ..exchange import block_refs, default_n_buckets, shuffle
+from ..exchange import block_refs, engine_n_buckets, shuffle
 from ..rules.model import RuleSet
 from ..sources.transcripts import TranscriptFiles
 from ..stages.classify import (
@@ -249,8 +249,8 @@ def run_engine(source, ruleset: RuleSet, lookups: Lookups | None = None,
 
     # a stateless ruleset needs no reduce: zero buckets, and it neither
     # reads nor writes state_dir nor touches the shared xbit store; a
-    # stateful one gets one bucket per 2 CPUs, so 1 on a 1-CPU session
-    n_buckets = default_n_buckets(floor=1) if ruleset.has_stateful else 0
+    # stateful one gets one bucket on a 1-CPU session
+    n_buckets = engine_n_buckets() if ruleset.has_stateful else 0
     if n_buckets and state_dir is not None:
         from ..state.snapshot import read_state_meta, write_state_meta
 
@@ -434,10 +434,7 @@ def _corr_bucket(run, bucket_id, label, *tables):
         convs = set(tbl.column("conv_id").to_pylist())
         pre = merge_shared_bits(init_states, convs,
                                 ray.get(store.fetch.remote()))
-    # the shared store merges xbits into the state before the replay, so
-    # their matches take the per-match loop
-    out = correlate_lists(tbl, init_states=init_states, out_states=out_states,
-                          xbit_columns=shared_bits is None)
+    out = correlate_lists(tbl, init_states=init_states, out_states=out_states)
     if store is not None:
         ops = bit_delta_ops(pre, out_states, convs)
         if ops:

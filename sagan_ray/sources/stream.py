@@ -58,15 +58,15 @@ def poll_once(input_dir: str, out_dir: str, ruleset: RuleSet,
     against the carried correlation state; returns
     {"files": [...], "routed": N}."""
     from ..pipelines.engine import run_engine
-    from .transcripts import _skipped, read_transcripts
+    from .transcripts import is_transcript_file, read_transcripts
 
     os.makedirs(out_dir, exist_ok=True)
     done = _load_manifest(out_dir)
-    # hidden and ``_`` names are a producer's in-progress writes, skipped
-    # as ``read_transcripts(dir)`` skips them
+    # the files ``read_transcripts(dir)`` reads at the top level: hidden
+    # and ``_`` names are a producer's in-progress writes
     new = sorted(
         os.path.join(input_dir, f) for f in os.listdir(input_dir)
-        if f.endswith(".parquet") and not _skipped(f) and f not in done)
+        if is_transcript_file(f) and f not in done)
     if not new:
         return {"files": [], "routed": 0}
 

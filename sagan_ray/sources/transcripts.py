@@ -29,17 +29,22 @@ def _skipped(name: str) -> bool:
     return name.startswith((".", "_"))
 
 
+def is_transcript_file(name: str) -> bool:
+    """Whether a file name is a transcript input: ``.parquet`` in any
+    case, and not starting with ``.`` or ``_`` (``_DONE`` markers,
+    ``.tmp`` and other in-progress writes)."""
+    return not _skipped(name) and name.lower().endswith(".parquet")
+
+
 def _list_parquet(path: str) -> list[str]:
-    """The Parquet files under the directory ``path``, as
-    ``ray.data.read_parquet`` discovers them: recursive, ``.parquet``
-    files only (any case), every file or directory whose name starts
-    with ``.`` or ``_`` skipped (``_DONE`` markers, ``.tmp`` writes),
-    sorted."""
+    """The transcript files under the directory ``path``, as
+    ``ray.data.read_parquet`` discovers them: recursive, every directory
+    whose name starts with ``.`` or ``_`` skipped, files by
+    ``is_transcript_file``, sorted."""
     out = []
     for d, dirs, names in os.walk(path):
         dirs[:] = [n for n in dirs if not _skipped(n)]
-        out += [os.path.join(d, n) for n in names
-                if not _skipped(n) and n.lower().endswith(".parquet")]
+        out += [os.path.join(d, n) for n in names if is_transcript_file(n)]
     return sorted(out)
 
 

@@ -46,8 +46,9 @@ at an earlier replay position (``ts + expire`` for a set, 0 for an
 unset), else the resumed value, else 0, and is live when that value is
 non-zero and above its ``ts``. A conv whose xbit matches an earlier
 ``pass`` match could skip, or with a ``|ts|`` of ``_LIM`` or more, keeps
-all of them in the loop; so do ``shared_bits`` runs, whose store merges
-xbits into the state before the replay.
+all of them in the loop. A ``shared_bits`` run merges the store's view
+into the resumed xbits before the replay (state/shared.py), so the
+column path reads it as any resumed value.
 
 Final window and xbit states are written back in the loop's dict
 insertion order (resumed keys first, then first insertion in replay
@@ -590,16 +591,16 @@ def make_list_correlator(ruleset: RuleSet):
                         key=itemgetter(0)):
                     d[key] = val
 
-    def correlate_lists(tbl: pa.Table, init_states=None, out_states=None,
-                        xbit_columns: bool = True) -> pa.Table:
+    def correlate_lists(tbl: pa.Table, init_states=None,
+                        out_states=None) -> pa.Table:
         """Replay one bucket that may hold MANY conversations: per-conv
         state resets at each conv boundary — one Python call per bucket
         instead of one per conversation. Column-eligible windows and
-        xbits (unless ``xbit_columns`` is False) are decided as arrays
-        first; the loop decides the rest (including what the column
-        paths leave to it), the column states are then written into
-        ``out_states`` in the loop's insertion order, and all verdict
-        sets merge back in exploded order (module docstring)."""
+        xbits are decided as arrays first; the loop decides the rest
+        (including what the column paths leave to it), the column states
+        are then written into ``out_states`` in the loop's insertion
+        order, and all verdict sets merge back in exploded order (module
+        docstring)."""
         if len(tbl) == 0:
             return tbl
         cols = {n: tbl.column(n).combine_chunks() for n in tbl.column_names}
@@ -657,7 +658,7 @@ def make_list_correlator(ruleset: RuleSet):
         ri = ri[order]
         sf = cols["stateful"].to_numpy(zero_copy_only=False)[row]
         cand = np.flatnonzero((col_kind[ri] >= 0) & sf)
-        xcand = np.flatnonzero(xbit_col[ri] & sf if xbit_columns else 0)
+        xcand = np.flatnonzero(xbit_col[ri] & sf)
         decided = []        # per column decider: (positions, kept, emit)
         writes = []
         if (len(cand) or len(xcand)) and not any(x.null_count for x in (

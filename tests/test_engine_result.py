@@ -118,9 +118,9 @@ def test_stateless_metrics_agree_with_counts():
 
 
 def test_one_cpu_run_replays_in_one_bucket(tmp_path, monkeypatch):
-    """The engine sizes its exchange at one bucket per 2 CPUs, so a
-    1-CPU session writes a 1-bucket state layout, and metrics() labels
-    its one reduce partial ``b0000``."""
+    """The engine replays a 1-CPU session in one bucket: it writes a
+    1-bucket state layout, and metrics() labels its one reduce partial
+    ``b0000``."""
     monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
     ruleset = parse_rules(RULES)
     state_dir = str(tmp_path / "state")

@@ -7,7 +7,7 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from sagan_ray.exchange import hash_group_apply, key_hash
+from sagan_ray.exchange import engine_n_buckets, hash_group_apply, key_hash
 
 CONV_IDS = ["", "a", "a\x00b", "a\x00", "\x000", "c00000", "c04999",
             "conv-1", "conv-42", "sess/ü-7", "x" * 40]
@@ -20,6 +20,16 @@ def test_conv_bucket_layout_is_pinned():
     h = key_hash(pa.table({"conv_id": CONV_IDS}), ["conv_id"])
     assert (h % 4).tolist() == [2, 0, 2, 1, 3, 2, 0, 3, 0, 2, 3]
     assert (h % 7).tolist() == [6, 3, 6, 1, 5, 1, 6, 2, 0, 3, 4]
+
+
+def test_engine_n_buckets(monkeypatch):
+    """One bucket below 2 CPUs; otherwise one per 2 CPUs, at least 4."""
+    got = {}
+    for cpus in (1, 2, 4, 7, 8, 16):
+        monkeypatch.setattr(ray, "cluster_resources",
+                            lambda: {"CPU": float(cpus)})
+        got[cpus] = engine_n_buckets()
+    assert got == {1: 1, 2: 4, 4: 4, 7: 4, 8: 4, 16: 8}
 
 
 def test_key_hash_is_value_pure():

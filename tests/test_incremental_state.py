@@ -209,13 +209,15 @@ def test_follow_loop_incremental(tmp_path):
 
 def test_poll_skips_hidden_files(tmp_path):
     """A hidden ``.parquet`` name is a producer's in-progress write: the
-    poll neither runs nor records it, as ``read_transcripts(dir)`` skips
-    it."""
+    poll neither runs nor records it, and it reads an upper-case
+    ``.PARQUET`` name, as ``read_transcripts(dir)`` does."""
     import json
+    import os
 
     import pyarrow.parquet as pq
 
     from sagan_ray.sources.stream import MANIFEST, poll_once
+    from sagan_ray.sources.transcripts import read_transcripts
 
     in_dir = tmp_path / "in"
     out_dir = tmp_path / "out"
@@ -223,16 +225,19 @@ def test_poll_skips_hidden_files(tmp_path):
     rules = parse_rules(RULES)
     pq.write_table(mk(ROWS[:5]), str(in_dir / "a.parquet"))
     pq.write_table(mk(ROWS[5:]), str(in_dir / ".b.parquet"))
+    pq.write_table(mk(ROWS[5:7]), str(in_dir / "c.PARQUET"))
+    assert [os.path.basename(p) for p in read_transcripts(
+        str(in_dir)).paths] == ["a.parquet", "c.PARQUET"]
     res = poll_once(str(in_dir), str(out_dir), rules, build_lookups(),
                     EngineConfig())
     oracle = ReferenceEvaluator(rules, build_lookups(), EngineConfig()
-                                ).evaluate(mk(ROWS[:5]).to_pylist())
-    assert res == {"files": ["a.parquet"],
+                                ).evaluate(mk(ROWS[:7]).to_pylist())
+    assert res == {"files": ["a.parquet", "c.PARQUET"],
                    "routed": sum(n for (sink, _), n in
                                  oracle.routed_counts().items()
                                  if sink == "alert")}
     with open(out_dir / MANIFEST) as f:
-        assert json.load(f) == ["a.parquet"]
+        assert json.load(f) == ["a.parquet", "c.PARQUET"]
 
 
 def test_follow_loop_ruleset_reload(tmp_path):

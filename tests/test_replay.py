@@ -2,6 +2,7 @@
 replays every conversation of a bucket, so conversation boundaries and
 checkpoint resume must be exact at that level, not only end to end."""
 
+import copy
 import hashlib
 
 import pyarrow as pa
@@ -13,6 +14,7 @@ from sagan_ray.rules import parse_rules
 from sagan_ray.stages import correlate as correlate_mod
 from sagan_ray.stages.classify import RuleClassifier, explode_match_lists
 from sagan_ray.stages.correlate import make_list_correlator
+from sagan_ray.state.shared import bit_delta_ops, merge_shared_bits
 from sagan_ray.state.snapshot import states_to_table
 from sagan_ray.synth import gen_transcripts
 
@@ -341,9 +343,10 @@ XBIT_ROWS = [
 
 
 def test_xbit_column_path_writes_the_loops_state(monkeypatch):
-    """The xbit column path against the per-match loop alone, whole and
-    resumed: equal verdicts, every conv's state in insertion order and
-    the same snapshot bytes."""
+    """The xbit column path against the per-match loop alone, whole,
+    resumed and resumed from a shared store's view: equal verdicts,
+    every conv's state in insertion order, the same snapshot bytes and
+    the same shared-store delta."""
     ruleset = parse_rules(XBITS)
     assert [r.sid for r, on in zip(
         ruleset.rules, correlate_mod._xbit_rules(ruleset.rules)) if on] == [
@@ -361,6 +364,9 @@ def test_xbit_column_path_writes_the_loops_state(monkeypatch):
     shipped = _bucket(ruleset, tbl)
     early = pc.less(shipped.column("turn_idx"), 6)
 
+    later = shipped.filter(pc.invert(early))
+    convs = set(later.column("conv_id").to_pylist())
+
     def run(correlate):
         whole: dict = {}
         out = correlate(shipped, init_states={}, out_states=whole)
@@ -368,12 +374,22 @@ def test_xbit_column_path_writes_the_loops_state(monkeypatch):
         parts = [correlate(shipped.filter(early), init_states={},
                            out_states=first)]
         assert first["y"].xbits[("brute", "")] == 0
+        # a shared_bits run: the store's view (here the first part's
+        # xbits in reverse order) replaces the xbits before the replay
+        shared = copy.deepcopy(first)
+        pre = merge_shared_bits(shared, convs, [
+            (c, n, k, e) for c, st in reversed(list(first.items()))
+            for (n, k), e in reversed(list(st.xbits.items()))])
+        shared_out = dict(shared)
         resumed = dict(first)
-        parts.append(correlate(shipped.filter(pc.invert(early)),
-                               init_states=first, out_states=resumed))
+        parts.append(correlate(later, init_states=first, out_states=resumed))
+        parts.append(correlate(later, init_states=shared,
+                               out_states=shared_out))
         return ([_routed(t) for t in [out] + parts],
-                _canon(whole), _canon(resumed),
-                _snapshot_sha(whole), _snapshot_sha(resumed))
+                _canon(whole), _canon(resumed), _canon(shared_out),
+                _snapshot_sha(whole), _snapshot_sha(resumed),
+                _snapshot_sha(shared_out),
+                bit_delta_ops(pre, shared_out, convs))
 
     seen = []
     real = correlate_mod._xbit_verdicts
