@@ -86,7 +86,12 @@ def _flatten(obj, prefix: str, out: dict[str, str]) -> None:
         return
     if isinstance(obj, dict):
         for k, v in obj.items():
-            _flatten(v, f"{prefix}.{k}", out)
+            if type(v) is str:      # the common leaf, without a call
+                if len(out) >= JSON_MAX_OBJECTS:
+                    return
+                out[f"{prefix}.{k}"] = v
+            else:
+                _flatten(v, f"{prefix}.{k}", out)
     elif isinstance(obj, bool):
         out[prefix] = "true" if obj else "false"
     elif obj is None:
@@ -115,19 +120,31 @@ def _reject_constant(val):
     raise ValueError(f"non-standard JSON constant {val!r}")
 
 
+# one decoder for every message: json.loads(s, parse_constant=...) would
+# build a new decoder (and scanner) per call
+_JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def try_parse_json_text(text: str) -> dict[str, str] | None:
     """If the message *is* a JSON object (json input mode analog,
-    src/input-json.c:47-547), return its flattened k/v map, else None."""
+    src/input-json.c:47-547), return its flattened k/v map, else None.
+    A number out of float range (``1e400``) parses to ``inf``, which
+    ``_flatten`` cannot render as an integer: such a message is non-JSON
+    too, as NaN/Infinity are (``_reject_constant``), and so is one nested
+    too deep to flatten."""
     s = text.lstrip()
     if not s.startswith("{"):
         return None
     try:
-        obj = json.loads(s, parse_constant=_reject_constant)
+        obj = _JSON_DECODER.decode(s)
     except (ValueError, RecursionError):
         return None
     if not isinstance(obj, dict):
         return None
-    return flatten_json(obj)
+    try:
+        return flatten_json(obj)
+    except (OverflowError, RecursionError):
+        return None
 
 
 def json_atom_match(ja, val) -> bool:

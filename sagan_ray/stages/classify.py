@@ -17,22 +17,31 @@ net groups, geoip, blacklist, the zeekintel IP, hash and text kinds) and
 whose other predicates are exact masks is decided from those columns on
 every *regular* row, where they provably equal ``extract_ips`` (ASCII,
 no ``[``, ``#``, ``port`` or ``:`` hex{0,4} ``:``). Its irregular rows,
-v6 addresses among them, and every other slow-gated rule (JSON, remaps,
+v6 addresses among them, and every other slow-gated rule (remaps,
 normalize, pcre, bluedot, offload, proto/port-eq) go through the
 per-row ``match_stateless`` residual, which stays the spec.
 
+JSON is decoded once per row per batch (``_BatchCtx.json_rows``), and
+every JSON reader reads that decode: the ``event_id`` fallback, the
+``.username`` fallback and ``match_stateless`` (through the batch's row
+caches). A rule that reaches the residual only for its JSON atoms
+(``json_decided``) is decided by ``json_atom_match`` over the decode.
+
 Content literals are matched the way Suricata's multi-pattern matcher
-does it: one ``LiteralSet`` per classifier holds every content literal
-and every required literal run of a pcre that is ASCII and at least 3
-bytes long, and each batch runs one overlapping Aho-Corasick pass over
-the text for the case-sensitive ones and one ASCII-case-insensitive pass
-for the ``nocase`` ones (polars ``str.extract_many``). The pass yields
-every literal's row mask at once. It is exact for unwindowed
-case-sensitive atoms; windowed atoms run the Arrow kernel on its
-candidate rows only;
-``nocase`` atoms take it on ASCII rows, and rows with a non-ASCII
-character are decided by ``match_stateless``'s own ``str.lower`` test,
-since neither an ASCII fold nor RE2's Unicode fold agrees with it there.
+does it: one ``LiteralSet`` per classifier holds every content literal,
+every meta_content pattern of an atom whose patterns all qualify, every
+required literal run of a pcre, and the zeekintel text tables' values,
+when ASCII and at least 3 bytes long, and each batch runs one
+overlapping Aho-Corasick pass over the text for the case-sensitive ones
+and one ASCII-case-insensitive pass for the ``nocase`` ones (polars
+``str.extract_many``). The pass yields every literal's hits at once. It
+is exact for unwindowed case-sensitive atoms; windowed atoms run the
+Arrow kernel on its candidate rows only; a meta atom is the OR of its
+patterns' masks, an intel table's mask the rows any of its values hit.
+``nocase`` atoms take the pass on every row but those holding U+0130,
+U+017F or U+212A, the only characters where an ASCII fold, RE2's
+Unicode fold and ``str.lower`` can disagree for an ASCII pattern; those
+rows are decided by ``match_stateless``'s own ``str.lower`` test.
 Shorter literals (1-byte ones hit almost every row and would flood the
 pass) and ``append_program`` atoms keep one Arrow kernel pass each.
 
@@ -76,7 +85,9 @@ from ..functions.textutil import (
     EVENT_ID_HEAD,
     extract_event_id,
     hash_columns,
+    json_atom_match,
     prematch_regex,
+    try_parse_json_text,
 )
 from ..oracle.evaluator import RowCache, match_stateless
 from ..rules.model import Rule, RuleSet
@@ -180,6 +191,9 @@ _RE2_DIVERGES = re.compile(r"\\[wWdDsSbB]|\$|\(\?[a-zA-Z]*i")
 # rows where those tokens can diverge: a non-ASCII char, \v or
 # \x1c-\x1f (whitespace to re, not to RE2), or a trailing newline
 _RE2_HAZARD_RX = "[\x0b\x1c-\x1f]|\n\\z"
+# the non-ASCII code points an ASCII pattern's case folds reach:
+# U+0130 (str.lower → i + U+0307), U+017F (RE2 s), U+212A (k in both)
+_FOLD_HAZARD_RX = "[\u0130\u017f\u212a]"
 
 
 def _required_literals(rx: str) -> tuple[tuple[str, ...], bool] | None:
@@ -249,13 +263,18 @@ def _required_literals(rx: str) -> tuple[tuple[str, ...], bool] | None:
     return (runs, nocase) if runs else None
 
 
+def _pass_literal(p: str) -> bool:
+    """Can the multi-pattern literal pass answer for ``p``?"""
+    return len(p) >= 3 and p.isascii()
+
+
 class _RulePlan:
     """Per-rule compiled evaluation plan (built once per classifier)."""
 
-    __slots__ = ("rule", "prematch_role", "prematch_tool", "meta_regexes",
+    __slots__ = ("rule", "prematch_role", "prematch_tool", "meta_atoms",
                  "pcre_re2", "pcre_py", "needs_ips", "needs_json",
                  "slow_gates", "jm_fields", "remaps_text",
-                 "col_decided", "reads_ips")
+                 "col_decided", "reads_ips", "json_decided")
 
     def __init__(self, rule: Rule):
         self.rule = rule
@@ -271,12 +290,16 @@ class _RulePlan:
             tools.append(prematch_regex(lv, wildcards=False).pattern)
         self.prematch_tool = tools
 
-        # meta_content → one RE2 alternation per atom (with its window)
-        self.meta_regexes = []
+        # meta_content → (RE2 alternation, atom), or (None, atom) when
+        # every pattern is read from the batch's literal pass
+        self.meta_atoms = []
         for mc in rule.meta_contents:
-            alt = "|".join(re.escape(p) for p in mc.patterns)
-            rx = ("(?i)" if mc.nocase else "") + "(?:" + alt + ")"
-            self.meta_regexes.append((rx, mc))
+            rx = None
+            if rule.append_program or not mc.patterns or not all(
+                    map(_pass_literal, mc.patterns)):
+                alt = "|".join(re.escape(p) for p in mc.patterns)
+                rx = ("(?i)" if mc.nocase else "") + "(?:" + alt + ")"
+            self.meta_atoms.append((rx, mc))
 
         # (pattern_with_flags, negated, literals|None, exact re|None):
         # the compiled re pattern re-decides the hazard rows of a pcre
@@ -336,6 +359,11 @@ class _RulePlan:
         self.reads_ips = bool(rule.parse_src_ip or rule.parse_dst_ip
                               or rule.blacklist == "all"
                               or "all" in rule.zeekintel)
+        # its JSON atoms are all the residual would decide: every other
+        # predicate is an exact vector mask, so json_atom_match over the
+        # batch's JSON decode decides it (RuleClassifier._json_verdicts)
+        self.json_decided = self.needs_json and not (
+            self.pcre_py or self.slow_gates or self.remaps_text)
 
 
 # zeekintel kinds the columns decide (user_name reads the JSON username)
@@ -348,62 +376,88 @@ _INTEL_TEXT_KINDS = (("domain", "domain"), ("url", "url"),
 
 class LiteralSet:
     """Every literal one Aho-Corasick pass per batch can answer for: the
-    content atoms (positive and negated, any window) and every pcre
-    required literal run of rules without ``append_program``, when the
-    pattern is ASCII and at least 3 bytes long. Shorter literals hit most
+    content atoms (positive and negated, any window), the patterns of
+    every meta_content atom whose patterns all qualify, and every pcre
+    required literal run, of rules without ``append_program``, when the
+    pattern is ASCII and at least 3 bytes long; and the values of each
+    zeekintel text table a rule reads (``intel``: table → values) that
+    qualify, as one pass *group* per table. Shorter literals hit most
     rows (``" "``, ``"e"``) and would flood the overlapping pass with
     matches; non-ASCII and ``append_program`` literals keep the
-    per-literal Arrow kernel. ``nocase`` literals go to a second,
+    per-literal Arrow kernel, and a table's other values one RE2
+    alternation (``intel_rx``). ``nocase`` literals go to a second,
     ASCII-case-insensitive pass, keyed by their lowercase form."""
 
-    __slots__ = ("cs", "ci")
+    __slots__ = ("cs", "ci", "ids", "groups", "intel_rx", "_values")
 
-    def __init__(self, plans: list[_RulePlan]):
+    def __init__(self, plans: list[_RulePlan],
+                 intel: dict[str, set[str]] | None = None):
         cs: set[str] = set()
         ci: set[str] = set()
         for plan in plans:
             if plan.rule.append_program:
                 continue
             lits = [(a.pattern, a.nocase) for a in plan.rule.contents]
+            for rx, mc in plan.meta_atoms:
+                if rx is None:
+                    lits += [(p, mc.nocase) for p in mc.patterns]
             for _, _, req, _ in plan.pcre_re2:
                 if req is not None:
                     lits += [(run, req[1]) for run in req[0]]
             for p, nocase in lits:
-                if len(p) >= 3 and p.isascii():
+                if _pass_literal(p):
                     if nocase:
                         ci.add(p.lower())
                     else:
                         cs.add(p)
+        self.intel_rx: dict[str, str | None] = {}
+        grouped = {}
+        for table, vals in (intel or {}).items():
+            grouped[table] = [v for v in vals if _pass_literal(v)]
+            cs.update(grouped[table])
+            rest = sorted(v for v in vals if not _pass_literal(v))
+            self.intel_rx[table] = (
+                "|".join(re.escape(v) for v in rest) if rest else None)
         self.cs = tuple(sorted(cs))
         self.ci = tuple(sorted(ci))
+        # per pass: pattern → its index in cs / ci
+        self.ids = tuple({p: k for k, p in enumerate(pats)}
+                         for pats in (self.cs, self.ci))
+        # table → which cs patterns are its values
+        self.groups: dict[str, np.ndarray] = {}
+        for table, vals in grouped.items():
+            member = np.zeros(len(self.cs), dtype=bool)
+            member[[self.ids[0][v] for v in vals]] = True
+            self.groups[table] = member
+        self._values = tuple(pa.array(pats, pa.large_string())
+                             for pats in (self.cs, self.ci))
         if cs or ci:
             # loaded with the compiled ruleset, once per worker: only the
             # processes that classify import polars, never the Ray driver
             import polars  # noqa: F401
 
-    def scan(self, text: pa.Array, nocase: bool) -> dict[str, np.ndarray]:
-        """pattern → row mask of ``text`` containing it, from one
-        overlapping pass (every occurrence of every pattern is reported,
-        so a literal that is a prefix of another is still seen). Exact
-        for case-sensitive patterns. The ``nocase`` pass folds ASCII
-        only: exact on ASCII rows, and on other rows it can miss what
-        ``str.lower`` or RE2 fold (U+212A KELVIN SIGN → ``k``)."""
+    def scan(self, text: pa.Array, nocase: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(pattern index, row) of every occurrence in ``text`` of every
+        pattern, from one overlapping pass (so a literal that is a prefix
+        of another is still seen). Exact for case-sensitive patterns.
+        The ``nocase`` pass folds ASCII only: exact on ASCII rows, and on
+        other rows it can miss what ``str.lower`` or RE2 fold (U+212A
+        KELVIN SIGN → ``k``). Hits, not a patterns × rows matrix: a large
+        intel feed has far more patterns than hits."""
         pats = self.ci if nocase else self.cs
         if not pats:
-            return {}
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         import polars as pl
 
         found = pl.Series(text).str.extract_many(
             list(pats), overlapping=True,
             ascii_case_insensitive=nocase).to_arrow()
         lens = pc.fill_null(pc.list_value_length(found), 0).to_numpy()
-        flat = pc.list_flatten(found)
+        flat = pc.cast(pc.list_flatten(found), pa.large_string())
         if nocase:
             flat = pc.ascii_lower(flat)
-        pid = pc.index_in(flat, value_set=pa.array(pats, flat.type)).to_numpy()
-        masks = np.zeros((len(pats), len(text)), dtype=bool)
-        masks[pid, np.repeat(np.arange(len(text)), lens)] = True
-        return dict(zip(pats, masks))
+        pid = pc.index_in(flat, value_set=self._values[nocase]).to_numpy()
+        return pid, np.repeat(np.arange(len(text)), lens)
 
 
 class RuleClassifier:
@@ -452,17 +506,15 @@ class RuleClassifier:
             r.idx for r in ruleset if r.action == "pass" and not r.is_stateful)
         self.stateful_pass_set = frozenset(
             r.idx for r in ruleset if r.action == "pass" and r.is_stateful)
-        # one RE2 alternation per intel table (compiled once per worker,
-        # one kernel pass per kind — not one pass per intel value, which
-        # is O(|feed|) kernel launches with a real 100k-entry feed)
-        self._intel_rx: dict[str, str | None] = {}
-        for table in ("domain", "url", "software", "filename"):
-            vals = sorted(self.lookups.intel_set(table))
-            self._intel_rx[table] = (
-                "|".join(re.escape(v) for v in vals) if vals else None)
-        # the literals each batch's multi-pattern pass scans for — fixed
-        # at compile time; batches never change the classifier
-        self.literals = LiteralSet(self.plans)
+        # the literals each batch's multi-pattern pass scans for, with the
+        # values of the intel text tables the rules read (a group per
+        # table: one pass for the whole feed, where one RE2 alternation
+        # of a 100k-value feed fails to compile) — fixed at compile
+        # time; batches never change the classifier
+        self.literals = LiteralSet(self.plans, {
+            table: self.lookups.intel_set(table)
+            for kind, table in _INTEL_TEXT_KINDS
+            if any(kind in r.zeekintel for r in ruleset)})
         # IP columns a batch needs: up to the largest position a
         # col_decided rule reads, or every IP for an `all` gate
         self.ip_width = min(MAX_PARSE_IP, max(
@@ -531,6 +583,8 @@ class RuleClassifier:
         cand = np.flatnonzero(mask)
         if plan.col_decided:
             return self._col_verdicts(plan, ctx, cand)
+        if plan.json_decided:
+            return self._json_verdicts(plan, ctx, cand)
         if plan.pcre_py or plan.needs_json or plan.slow_gates:
             cand = self._residual(plan, ctx, cand)
         return cand
@@ -565,12 +619,20 @@ class RuleClassifier:
             prev_depth = atom.depth
 
         # ---- meta_content (src/meta-content.c; content-style windows) -
+        # (an atom of pass literals is the OR of their content masks)
         meta_prev_depth = 0
-        for rx, mc in plan.meta_regexes:
+        for rx, mc in plan.meta_atoms:
             start, stop = mc.window(meta_prev_depth)
-            m = ctx.regex_mask(rule.append_program, rx, start=start, stop=stop)
-            if mc.nocase:
-                m = ctx.refold(m, rule.append_program, start, stop, mc.patterns)
+            if rx is None:
+                m = np.logical_or.reduce([
+                    ctx.content_mask(False, start, stop, p, mc.nocase)
+                    for p in mc.patterns])
+            else:
+                m = ctx.regex_mask(rule.append_program, rx, start=start,
+                                   stop=stop)
+                if mc.nocase:
+                    m = ctx.refold(m, rule.append_program, start, stop,
+                                   mc.patterns)
             if mc.negated:
                 m = ~m
             mask = _and(mask, m)
@@ -620,20 +682,14 @@ class RuleClassifier:
                 return mask
 
         # zeekintel text kinds (domain/url/software/file_name) are exact
-        # substring scans of the message against small tables — fully
-        # vectorizable, and they prefilter the residual for the other
-        # kinds; a rule gated on file_hash can only match rows that
-        # contain a 32+-char hex run
+        # substring scans of the plain message against the intel tables,
+        # read from the literal pass — fully vectorized, and they
+        # prefilter the residual for the other kinds; a rule gated on
+        # file_hash can only match rows that contain a 32+-char hex run
         if rule.zeekintel:
-            for kind, table in (("domain", "domain"), ("url", "url"),
-                                ("software", "software"), ("file_name", "filename")):
+            for kind, table in _INTEL_TEXT_KINDS:
                 if kind in rule.zeekintel:
-                    rx = self._intel_rx[table]
-                    if rx is None:
-                        m = np.zeros(n, dtype=bool)
-                    else:
-                        m = ctx.regex_mask(rule.append_program, rx)
-                    mask = _and(mask, m)
+                    mask = _and(mask, ctx.intel_mask(table))
                     if not mask.any():
                         return mask
             if "file_hash" in rule.zeekintel:
@@ -713,9 +769,9 @@ class RuleClassifier:
     def _intel_gate(self, rule: Rule, ctx: "_BatchCtx", rows: np.ndarray,
                     src: np.ndarray, dst: np.ndarray, ipc) -> np.ndarray:
         """``_zeekintel`` over ``rows``: every listed lookup must hit. The
-        text kinds are the same alternation masks ``_vector_mask`` uses,
-        over the plain text (``match_stateless`` never appends the
-        program to it)."""
+        text kinds are the same intel masks ``_vector_mask`` uses, over
+        the plain text (``match_stateless`` never appends the program to
+        it)."""
         ok = np.ones(len(rows), dtype=bool)
         kinds = rule.zeekintel
 
@@ -735,12 +791,20 @@ class RuleClassifier:
             ok &= (in_intel("hash", hashes) & (hashes != "")).any(axis=1)
         for kind, table in _INTEL_TEXT_KINDS:
             if kind in kinds:
-                rx = self._intel_rx[table]
-                if rx is None:
-                    ok[:] = False
-                else:
-                    ok &= ctx.regex_mask(False, rx)[rows]
+                ok &= ctx.intel_mask(table)[rows]
         return ok
+
+    def _json_verdicts(self, plan: _RulePlan, ctx: "_BatchCtx",
+                       cand: np.ndarray) -> np.ndarray:
+        """The hits among ``cand`` of a ``json_decided`` rule: the rows
+        whose decoded JSON passes every JSON atom, the test
+        ``match_stateless`` makes."""
+        atoms = plan.rule.json_atoms
+        keep = [j is not None and all(
+                    json_atom_match(ja, j.get(ja.key)) != ja.negated
+                    for ja in atoms)
+                for j in ctx.json_rows(cand)]
+        return cand[np.asarray(keep, dtype=bool)]
 
     # ------------------------------------------------------------------
     def _residual(self, plan: _RulePlan, ctx: "_BatchCtx", cand: np.ndarray) -> np.ndarray:
@@ -921,10 +985,14 @@ class _BatchCtx:
         self.tool_np = tool_np
         self.ts_epoch = ts_epoch
         self._literals = literals
-        # nocase → {pattern: row mask} from the batch's multi-pattern pass
+        # nocase → the batch's multi-pattern pass: (pattern index, row) of
+        # each hit, and the rows again grouped by pattern with their
+        # offsets
         self._passes: dict = {}
         # append_program → rows with a non-ASCII byte
         self._non_ascii: dict = {}
+        # append_program → rows holding a fold hazard (see fold_hazards)
+        self._fold_hazards: dict = {}
         # (append_program, start, stop, every row?) → (fold rows, their
         # lowercased windows)
         self._lowered: dict = {}
@@ -1016,15 +1084,13 @@ class _BatchCtx:
             rows = np.flatnonzero(hazard)
             for i, t in zip(rows.tolist(), self._text.take(rows).to_pylist()):
                 out[i] = extract_event_id(t)
-            # oracle fallback (evaluator.py:226-228): when head extraction
+            # oracle fallback (RowCache.event_id): when head extraction
             # fails and the message is a JSON object, use its flattened
-            # `.event_id` key. Only JSON-candidate rows pay the parse —
-            # try_parse_json_text rejects non-'{' texts anyway.
-            for i in np.flatnonzero(self.json_candidates()):
-                if not out[i]:
-                    j = self.json_row(i)
-                    if j is not None:
-                        out[i] = j.get(".event_id", "")
+            # `.event_id` key, from the batch's JSON decode
+            rows = np.flatnonzero(self.json_candidates() & (out == ""))
+            for i, j in zip(rows.tolist(), self.json_rows(rows)):
+                if j is not None:
+                    out[i] = j.get(".event_id", "")
             self._eids = out
         return self._eids
 
@@ -1050,9 +1116,10 @@ class _BatchCtx:
 
     def literal_hits(self, append: bool, start: int, stop, pattern: str,
                      nocase: bool) -> np.ndarray:
-        """Rows whose (start, stop) window contains ``pattern`` — exact on
-        every row outside ``fold_rows(append, pattern)`` when ``nocase``,
-        exact on all rows otherwise. A literal of the batch's
+        """Rows whose (start, stop) window contains ``pattern``. Exact,
+        but under ``nocase`` only outside ``fold_hazards(append)`` for an
+        ASCII pattern, and nowhere for a non-ASCII one (``refold``
+        re-decides every row of it). A literal of the batch's
         ``LiteralSet`` is read from the multi-pattern pass: as is when
         unwindowed (the pass is exact there), else as the candidate rows
         of the Arrow kernel over the sliced column (a window is a
@@ -1063,10 +1130,10 @@ class _BatchCtx:
         if m is not None:
             return m
         col = self.sliced(append, start, stop)
-        lit = pattern.lower() if nocase else pattern
+        k = self._literals.ids[nocase].get(pattern.lower() if nocase else pattern)
         hits = None
-        if not append and lit in (self._literals.ci if nocase else self._literals.cs):
-            hits = self.literal_pass(nocase)[lit]
+        if not append and k is not None:
+            hits = self.pass_mask(nocase, k)
         if hits is None:
             m = _bool(pc.match_substring(col, pattern, ignore_case=nocase))
         elif start == 0 and stop is None:
@@ -1083,13 +1150,12 @@ class _BatchCtx:
         ``pattern.lower() in win.lower()`` under ``nocase`` — the test
         ``match_stateless`` makes. ``literal_hits`` (the batch's
         multi-pattern pass for ASCII literals of ≥3 bytes, else one Arrow
-        kernel) decides every row it is exact on: all rows, or the ASCII
-        rows under ``nocase``. A ``nocase`` atom's ``fold_rows`` are
-        re-decided by that same ``str.lower`` test, because both the
-        ASCII-only pass and RE2's ``ignore_case`` fold differently from
-        it there (RE2 folds ``s`` ↔ U+017F LONG S, ``str.lower`` does
-        not; ``str.lower`` maps U+0130 to ``i`` + U+0307, RE2 does not).
-        Memoized."""
+        kernel) decides every row it is exact on. Under ``nocase``,
+        ``refold`` re-decides the others by that same ``str.lower`` test,
+        because both the ASCII-only pass and RE2's ``ignore_case`` fold
+        differently from it there (RE2 folds ``s`` ↔ U+017F LONG S,
+        ``str.lower`` does not; ``str.lower`` maps U+0130 to ``i`` +
+        U+0307, RE2 does not). Memoized."""
         key = ("ct", append, start, stop, pattern, nocase)
         m = self._masks.get(key)
         if m is None:
@@ -1099,11 +1165,41 @@ class _BatchCtx:
             self._masks[key] = m
         return m
 
-    def literal_pass(self, nocase: bool) -> dict[str, np.ndarray]:
+    def literal_pass(self, nocase: bool):
         p = self._passes.get(nocase)
         if p is None:
-            p = self._passes[nocase] = self._literals.scan(self._text, nocase)
+            pid, row = self._literals.scan(self._text, nocase)
+            order = np.argsort(pid, kind="stable")
+            npats = len(self._literals.ids[nocase])
+            p = self._passes[nocase] = (pid, row, row[order], np.searchsorted(
+                pid[order], np.arange(npats + 1)))
         return p
+
+    def pass_mask(self, nocase: bool, k: int) -> np.ndarray:
+        """Rows the batch's literal pass found pattern ``k`` in."""
+        _, _, rows, off = self.literal_pass(nocase)
+        m = np.zeros(len(self.ts_epoch), dtype=bool)
+        m[rows[off[k]:off[k + 1]]] = True
+        return m
+
+    def intel_mask(self, table: str) -> np.ndarray:
+        """Rows whose plain text holds a value of intel ``table``:
+        ``_zeekintel``'s ``any(v in text for v in table)``, from the
+        table's group of the case-sensitive literal pass and one RE2
+        alternation of its other values. Memoized."""
+        key = ("intel", table)
+        m = self._masks.get(key)
+        if m is None:
+            m = np.zeros(len(self.ts_epoch), dtype=bool)
+            member = self._literals.groups.get(table)
+            if member is not None and member.any():
+                pid, row, _, _ = self.literal_pass(False)
+                m[row[member[pid]]] = True
+            rx = self._literals.intel_rx.get(table)
+            if rx is not None:
+                m |= self.regex_mask(False, rx)
+            self._masks[key] = m
+        return m
 
     def non_ascii(self, append: bool) -> np.ndarray:
         m = self._non_ascii.get(append)
@@ -1114,23 +1210,41 @@ class _BatchCtx:
 
     def fold_rows(self, append: bool, pattern: str) -> np.ndarray:
         """Rows where case-insensitive matching of ``pattern`` can differ
-        between ``str.lower``, RE2's Unicode folding and an ASCII fold:
-        the rows with a non-ASCII character, or every row when the
-        pattern itself is non-ASCII."""
+        between ``re``'s ``IGNORECASE`` (which also folds U+0131 ↔ ``i``),
+        RE2's Unicode folding and an ASCII fold: the rows with a
+        non-ASCII character, or every row when the pattern itself is
+        non-ASCII."""
         if not pattern.isascii():
             return np.ones(len(self.ts_epoch), dtype=bool)
         return self.non_ascii(append)
 
+    def fold_hazards(self, append: bool) -> np.ndarray:
+        """Indices of the rows holding U+0130, U+017F or U+212A: the only
+        rows where an ASCII pattern's ``str.lower`` containment, RE2's
+        ``ignore_case`` and an ASCII fold can disagree. No other
+        non-ASCII code point lowercases to anything holding ASCII, and no
+        other RE2 simple case-fold orbit has an ASCII member
+        (``tests/test_classify.py`` checks every code point)."""
+        rows = self._fold_hazards.get(append)
+        if rows is None:
+            na = np.flatnonzero(self.non_ascii(append))
+            sub = self.text(append).take(pa.array(na, pa.int64()))
+            rows = self._fold_hazards[append] = na[_bool(
+                pc.match_substring_regex(sub, _FOLD_HAZARD_RX))]
+        return rows
+
     def refold(self, m: np.ndarray, append: bool, start: int, stop,
                patterns) -> np.ndarray:
-        """``m`` with its fold rows re-decided by ``match_stateless``'s
-        nocase test, ``any(p.lower() in win.lower() for p in patterns)``."""
+        """``m`` with the rows where folds can differ re-decided by
+        ``match_stateless``'s nocase test, ``any(p.lower() in win.lower()
+        for p in patterns)``: the ``fold_hazards`` rows for ASCII
+        patterns, every row otherwise."""
         every = not all(p.isascii() for p in patterns)
         key = (append, start, stop, every)
         folded = self._lowered.get(key)
         if folded is None:
             rows = (np.arange(len(m)) if every
-                    else np.flatnonzero(self.non_ascii(append)))
+                    else self.fold_hazards(append))
             texts = self.texts_np()
             wins = [(self.append_text_row(i) if append else texts[i])[start:stop].lower()
                     for i in rows.tolist()]
@@ -1257,34 +1371,60 @@ class _BatchCtx:
             done[todo] = True
         return [a[rows] for a in cols]
 
+    def json_rows(self, rows: np.ndarray) -> np.ndarray:
+        """``try_parse_json_text`` of each of ``rows`` (JSON candidates),
+        decoded once per row per batch: the rows not decoded yet in one
+        ``take(...).to_pylist()``. Every JSON reader of the batch reads
+        it: the ``event_id`` fallback, ``json_decided`` rules, the
+        username fallback and, through ``row_cache``, ``match_stateless``."""
+        return self._by_row("json", rows, _decode_json,
+                            lambda n: [np.full(n, None, dtype=object)])[0]
+
     def json_row(self, i: int):
-        return self.row_cache(i).json()
+        if not self.json_candidates()[i]:
+            return None     # no '{' after leading whitespace: not JSON
+        return self.json_rows(np.array([i]))[0]
 
     def row_cache(self, i: int) -> RowCache:
-        """Per-row RowCache for match_stateless (shared across rules)."""
+        """Per-row RowCache for match_stateless (shared across rules),
+        reading its JSON from the batch's decode."""
         rc = self._rc.get(i)
         if rc is None:
-            rc = RowCache(self.texts_np()[i], self.role_np[i],
-                          self.tool_np[i], int(self.ts_epoch[i]))
+            rc = _BatchRowCache(self, i)
             self._rc[i] = rc
         return rc
 
-    def username_row(self, i: int) -> str:
-        j = self.json_row(i)
-        return j.get(".username", "") if j else ""
-
     def username_fallback(self, rows: np.ndarray) -> np.ndarray:
-        """Per-row ``.username`` JSON fallback (length-n object array),
-        parsed once per distinct row of ``rows`` that contains a ``{`` —
-        an exact superset of the rows ``try_parse_json_text`` accepts; the
-        rest read ""."""
+        """Per-row ``.username`` JSON fallback (length-n object array) of
+        the distinct JSON-candidate rows among ``rows``; the rest read
+        ""."""
         out = np.full(len(self.ts_epoch), "", dtype=object)
-        brace = pc.match_substring(self._text, "{").to_numpy(
-            zero_copy_only=False).astype(bool, copy=False)
         uniq = np.unique(rows)
-        for i in uniq[brace[uniq]].tolist():
-            out[i] = self.username_row(i)
+        uniq = uniq[self.json_candidates()[uniq]]
+        for i, j in zip(uniq.tolist(), self.json_rows(uniq)):
+            if j is not None:
+                out[i] = j.get(".username", "")
         return out
+
+
+class _BatchRowCache(RowCache):
+    """A ``RowCache`` whose JSON is the batch context's decode of its row,
+    so ``match_stateless`` never parses a row the batch has decoded, nor
+    one twice."""
+
+    __slots__ = ("_ctx", "_i")
+
+    def __init__(self, ctx: _BatchCtx, i: int):
+        super().__init__(ctx.texts_np()[i], ctx.role_np[i], ctx.tool_np[i],
+                         int(ctx.ts_epoch[i]))
+        self._ctx = ctx
+        self._i = i
+
+    def json(self):
+        if not self._json_done:
+            self._json = self._ctx.json_row(self._i)
+            self._json_done = True
+        return self._json
 
 
 # ----------------------------------------------------------------------
@@ -1304,6 +1444,12 @@ def _on_rows(col, idx: np.ndarray, kernel) -> np.ndarray:
     if len(idx):
         m[idx] = _bool(kernel(col.take(pa.array(idx, pa.int64()))))
     return m
+
+
+def _decode_json(text: pa.Array) -> list[np.ndarray]:
+    out = np.empty(len(text), dtype=object)
+    out[:] = [try_parse_json_text(t) for t in text.to_pylist()]
+    return [out]
 
 
 def _drop_invalid(tbl: pa.Table, config: EngineConfig) -> pa.Table:

@@ -115,6 +115,30 @@ alert any any any -> any any (msg:"eid2"; event_id: 4625,4624; sid:2;)
                                ("a", 1, 2), ("a", 2, 2)]
 
 
+def test_json_out_of_float_range_is_not_json():
+    """A JSON number beyond float range parses to ``inf``, which the
+    flatten cannot render: the message is non-JSON (as NaN/Infinity
+    are) for the event_id fallback and the JSON atoms, and a plain
+    content rule still sees it, in the oracle and the engine alike."""
+    from sagan_ray.functions.textutil import try_parse_json_text
+
+    assert try_parse_json_text('{"x": 1e400}') is None
+    rules = """
+alert any any any -> any any (msg:"eid"; event_id: 4625; sid:1;)
+alert any any any -> any any (msg:"json"; json_content:".severity","high"; sid:2;)
+alert any any any -> any any (msg:"content"; content:"severity"; sid:3;)
+"""
+    tbl = mk([
+        ("a", 0, '{"event_id": "4625", "severity": "high", "x": 1e400}', 0),
+        ("a", 1, '{"event_id": "4625", "severity": "high", '
+                 '"x": 1.7976931348623157e309}', 10),
+        ("a", 2, '{"event_id": "4625", "severity": "high", "x": 1.5e300}', 20),
+    ])
+    oracle, _ = run_both(rules, tbl)
+    assert hits_of(oracle) == [("a", 0, 3), ("a", 1, 3), ("a", 2, 1),
+                               ("a", 2, 2), ("a", 2, 3)]
+
+
 def test_json_map_message_program_remap():
     """json_map of message/program (engine.c:321-488, restored per rule
     at 1514-1529): text predicates run against the remapped message, the

@@ -5,6 +5,7 @@ random stateful parameters, random orderings). Fully deterministic —
 failures reproduce by seed."""
 
 import hashlib
+import json
 
 import numpy as np
 import pyarrow as pa
@@ -267,4 +268,66 @@ def test_fuzz_ip_parity(seed):
     ruleset = parse_rules(text)
     tbl = _with_ip_hazards(gen_transcripts(int(rng.integers(800, 2500)),
                                            seed=seed), rng)
+    run_both(ruleset, tbl)
+
+
+def _deep(depth: int, leaf: dict) -> str:
+    return '{"a": ' * depth + json.dumps(leaf) + "}" * depth
+
+
+# JSON hazards: duplicate keys, an escaped key, non-object JSON, more
+# leaves than the flatten keeps (256), nesting deep enough to parse and
+# too deep to, big and float integers, numbers beyond float range
+JSON_HAZARDS = [
+    '{"event_id": "4624", "severity": "low", "event_id": "4625", '
+    '"username": "alice", "username": "mallory"}',
+    '{"\\u0065vent_id": "4625", "sev\\u0065rity": "critical", '
+    '"event": "merge", "us\\u0065rname": "mallory"}',
+    '[{"event_id": "4625", "severity": "high"}]',
+    '{"event_id": "4625"} login failed trailing text',
+    "{" + ", ".join(f'"k{i}": {i}' for i in range(300))
+    + ', "event_id": "4625", "severity": "high"}',
+    _deep(3, {"event_id": "4625", "username": "mallory"}),
+    _deep(300, {"event_id": "4625", "severity": "HIGH", "event": "sort"}),
+    _deep(2000, {"event_id": "4625"}),
+    '{"event_id": 123456789012345678901234567890, "severity": "low", '
+    '"username": "bob"}',
+    '{"event_id": 4625.0, "severity": "critical", "event": "merge"}',
+    '{"event_id": "4625", "severity": "high", "x": 1e400}',
+    '{"event_id": "4625", "username": "mallory", "r": -1.7976931348623157e309}',
+    '  {"severity": "low", "event": "sort", "username": "alice", '
+    '"msg": "login failed for user alice"}',
+]
+JSON_RULES = """
+alert any any any -> any any (msg:"j eid"; event_id: 4625,123456789012345678901234567890; sid:7001;)
+alert any any any -> any any (msg:"j user"; json_content:".username","mallory"; sid:7002;)
+alert any any any -> any any (msg:"j deep"; json_pcre:".a.a.a.event_id","/^46/"; sid:7003;)
+alert any any any -> any any (msg:"j after"; content:"{"; after: track by_username, count 1, seconds 300; sid:7004;)
+alert any any any -> any any (msg:"j neg"; json_content:!".severity","low"; content:"event"; sid:7005;)
+alert tcp any any -> any any (msg:"j tcp"; json_content:".severity","critical"; parse_proto; sid:7006;)
+"""
+
+
+def _with_json_hazards(tbl: pa.Table, rng: np.random.Generator) -> pa.Table:
+    """Replace about a quarter of the texts with a JSON hazard."""
+    texts = tbl.column("text").to_pylist()
+    for i in np.flatnonzero(rng.integers(0, 4, size=len(texts)) == 0):
+        texts[i] = JSON_HAZARDS[int(rng.integers(0, len(JSON_HAZARDS)))]
+    i = tbl.schema.get_field_index("text")
+    return tbl.set_column(i, "text", pa.array(texts, pa.large_string()))
+
+
+@pytest.mark.parametrize("seed", [4101, 4202, 4303, 4404])
+def test_fuzz_json_parity(seed):
+    """Random rules plus event_id, JSON and by_username rules over texts
+    with JSON hazards: every JSON reader of the classifier (the
+    ``event_id`` fallback, JSON-only rules, the residual and the
+    username fallback) reads the batch's one decode as the oracle parses
+    each row: oracle ≡ Ray."""
+    rng = np.random.default_rng(seed)
+    text = "\n".join(_rand_rule(rng, 5000 + i)
+                     for i in range(int(rng.integers(4, 10))))
+    ruleset = parse_rules(text + JSON_RULES)
+    tbl = _with_json_hazards(gen_transcripts(int(rng.integers(800, 2500)),
+                                             seed=seed), rng)
     run_both(ruleset, tbl)
