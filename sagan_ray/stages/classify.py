@@ -1354,15 +1354,19 @@ class _BatchCtx:
             "hash", rows, lambda text: hash_columns(text).values(),
             lambda n: [np.full(n, "", dtype=object) for _ in range(3)])
 
-    def _by_row(self, key: str, rows: np.ndarray, compute, blank) -> list:
-        """``compute`` (text → arrays with one row per text row) of
-        ``rows``, memoized by row: batch-wide arrays from ``blank(n)``,
-        filled for the rows asked for so far."""
+    def _memo(self, key: str, blank) -> tuple:
+        """(batch-wide arrays from ``blank(n)``, row filled?) of ``key``."""
         memo = self._row_memos.get(key)
         if memo is None:
             n = len(self.ts_epoch)
             memo = self._row_memos[key] = (blank(n), np.zeros(n, dtype=bool))
-        cols, done = memo
+        return memo
+
+    def _by_row(self, key: str, rows: np.ndarray, compute, blank) -> list:
+        """``compute`` (text → arrays with one row per text row) of
+        ``rows``, memoized by row: batch-wide arrays from ``blank(n)``,
+        filled for the rows asked for so far."""
+        cols, done = self._memo(key, blank)
         todo = rows[~done[rows]]
         if len(todo):
             got = compute(self._text.take(pa.array(todo, pa.int64())))
@@ -1376,14 +1380,20 @@ class _BatchCtx:
         decoded once per row per batch: the rows not decoded yet in one
         ``take(...).to_pylist()``. Every JSON reader of the batch reads
         it: the ``event_id`` fallback, ``json_decided`` rules, the
-        username fallback and, through ``row_cache``, ``match_stateless``."""
-        return self._by_row("json", rows, _decode_json,
-                            lambda n: [np.full(n, None, dtype=object)])[0]
+        username fallback and, row by row through ``row_cache`` and
+        ``json_row``, ``match_stateless``."""
+        return self._by_row("json", rows, _decode_json, _no_json)[0]
 
     def json_row(self, i: int):
+        """``json_rows`` of row ``i`` alone: ``match_stateless`` asks row
+        by row, where a take costs more than the parse."""
         if not self.json_candidates()[i]:
             return None     # no '{' after leading whitespace: not JSON
-        return self.json_rows(np.array([i]))[0]
+        (dec,), done = self._memo("json", _no_json)
+        if not done[i]:
+            dec[i] = try_parse_json_text(self._text[i].as_py())
+            done[i] = True
+        return dec[i]
 
     def row_cache(self, i: int) -> RowCache:
         """Per-row RowCache for match_stateless (shared across rules),
@@ -1444,6 +1454,10 @@ def _on_rows(col, idx: np.ndarray, kernel) -> np.ndarray:
     if len(idx):
         m[idx] = _bool(kernel(col.take(pa.array(idx, pa.int64()))))
     return m
+
+
+def _no_json(n: int) -> list[np.ndarray]:
+    return [np.full(n, None, dtype=object)]
 
 
 def _decode_json(text: pa.Array) -> list[np.ndarray]:

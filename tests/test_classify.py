@@ -111,15 +111,16 @@ def test_pcre_scans_only_rows_holding_every_required_literal(monkeypatch):
 
 
 def test_json_candidate_rows_are_decoded_once(monkeypatch):
-    """The ``event_id`` fallback, a JSON-only rule, a JSON rule that
-    takes ``match_stateless`` and an ``after by_username`` rule all read
-    one decode of the batch: ``try_parse_json_text`` runs exactly once
-    per JSON-candidate row and on no other row, and the verdicts are
-    ``match_stateless``'s."""
+    """A JSON rule that takes ``match_stateless`` (first, so it decodes
+    its candidate rows one by one before the batch decodes the rest),
+    the ``event_id`` fallback, a JSON-only rule and an ``after
+    by_username`` rule all read one decode of the batch:
+    ``try_parse_json_text`` runs exactly once per JSON-candidate row and
+    on no other row, and the verdicts are ``match_stateless``'s."""
     rules = parse_rules("""
+alert any any any -> any any (msg:"json ip"; content:"high"; json_content:".severity","high"; parse_src_ip:1; sid:3;)
 alert any any any -> any any (msg:"eid"; event_id: 4625; sid:1;)
 alert any any any -> any any (msg:"json"; json_content:".severity","high"; sid:2;)
-alert any any any -> any any (msg:"json ip"; json_content:".severity","high"; parse_src_ip:1; sid:3;)
 alert any any any -> any any (msg:"user"; content:"login"; after: track by_username, count 1, seconds 60; sid:4;)
 """)
     docs = [{"event_id": "4625", "severity": "high", "username": "alice",
@@ -143,9 +144,9 @@ alert any any any -> any any (msg:"user"; content:"login"; after: track by_usern
     assert collections.Counter(calls) == collections.Counter(cand)
     got = sorted(zip(out.column("turn_idx").to_pylist(),
                      out.column("sid").to_pylist()))
-    assert got == [(i, r.sid) for i, t in enumerate(texts) for r in rules
-                   if match_stateless(r, RowCache(t, "user", "", 0),
-                                      Lookups()) is not None]
+    assert got == sorted(
+        (i, r.sid) for i, t in enumerate(texts) for r in rules
+        if match_stateless(r, RowCache(t, "user", "", 0), Lookups()) is not None)
     assert {sid for _, sid in got} == {1, 2, 3, 4}
 
 
