@@ -124,6 +124,31 @@ def _reject_constant(val):
 # build a new decoder (and scanner) per call
 _JSON_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
+# deepest object/array nesting a JSON message may have. The decoder and
+# the flatten recurse once per level, so without a cap the answer for a
+# deep message would depend on how deep the caller's stack already is;
+# the cap sits well below the recursion limit less a Ray worker's stack
+JSON_MAX_DEPTH = 512
+# a whole string (skipped, its brackets are text) or one bracket
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|[\[\]{}]', re.S)
+
+
+def _too_deep(s: str) -> bool:
+    """Whether JSON text ``s`` nests deeper than ``JSON_MAX_DEPTH``
+    (scanned only when it holds more opening brackets than that)."""
+    if s.count("{") + s.count("[") <= JSON_MAX_DEPTH:
+        return False
+    depth = 0
+    for m in _JSON_TOKEN.finditer(s):
+        c = s[m.start()]
+        if c in "{[":
+            depth += 1
+            if depth > JSON_MAX_DEPTH:
+                return True
+        elif c != '"':
+            depth -= 1
+    return False
+
 
 def try_parse_json_text(text: str) -> dict[str, str] | None:
     """If the message *is* a JSON object (json input mode analog,
@@ -131,9 +156,9 @@ def try_parse_json_text(text: str) -> dict[str, str] | None:
     A number out of float range (``1e400``) parses to ``inf``, which
     ``_flatten`` cannot render as an integer: such a message is non-JSON
     too, as NaN/Infinity are (``_reject_constant``), and so is one nested
-    too deep to flatten."""
+    deeper than ``JSON_MAX_DEPTH``."""
     s = text.lstrip()
-    if not s.startswith("{"):
+    if not s.startswith("{") or (len(s) > JSON_MAX_DEPTH and _too_deep(s)):
         return None
     try:
         obj = _JSON_DECODER.decode(s)

@@ -486,7 +486,7 @@ class RuleClassifier:
             any(f == "username" for f, _ in r.json_maps)
             for r in ruleset)
         self.any_json = any(p.needs_json for p in self.plans) or self.needs_username
-        # per-rule field-fill plan for _emit: (fills ip/port fields?,
+        # per-rule field-fill plan for _fields: (fills ip/port fields?,
         # needs its match_stateless field dict per match?, default
         # src_port, default dst_port). Rules whose username can only be the
         # .username JSON fallback (no json_map/normalize source) never need
@@ -709,7 +709,7 @@ class RuleClassifier:
         decided as arrays over the batch's IP and hash columns, in
         ``match_stateless``'s terms, on every candidate the IP columns
         cover; the rest (irregular rows of a rule that reads IPs) take the
-        residual. The fields of the column hits are kept for ``_emit``."""
+        residual. The fields of the column hits are kept for ``_fields``."""
         rule = plan.rule
         rows, rest, ipc = cand, cand[:0], None
         if plan.reads_ips:
@@ -811,7 +811,7 @@ class RuleClassifier:
         """Per-candidate re-check through ``match_stateless`` — the SAME
         code path the oracle evaluator runs, so residual semantics can
         never drift from the spec. The vectorized masks only prefilter;
-        the field dicts are memoized for ``_emit``."""
+        the field dicts are memoized for ``_fields``."""
         rule = plan.rule
         lk = self.lookups
         keep = []
@@ -851,6 +851,13 @@ class RuleClassifier:
                 pass_cond[rows] = True
         pc_flag = pass_cond[row_idx]
 
+        # each rule's alive hits are still one run, in rule order: the
+        # fields are filled run by run, then permuted with the matches
+        ends = np.cumsum([len(rows) for rows in hit_rows])
+        run_ends = np.cumsum(alive)[ends - 1]
+        pool, src_at, dst_at, un_at, src_ports, dst_ports = self._fields(
+            ctx, row_idx, rule_idx, np.append(0, run_ends))
+
         order = np.lexsort((rule_idx, row_idx))
         row_idx, rule_idx, pc_flag = row_idx[order], rule_idx[order], pc_flag[order]
 
@@ -859,82 +866,16 @@ class RuleClassifier:
         emits = np.array([r.action == "alert" and not (r.flexbits and r.flexbit_noalert)
                           for r in rules], dtype=bool)[rule_idx]
         emits = emits & ~stateful  # stateful verdicts decided by correlator
-
-        # per-hit extracted fields, filled rule by rule: constant-field
-        # rules (no parse_*/json_map/normalize source) fill their matches
-        # with one numpy assignment; only dynamic-field rules loop, each
-        # over its own matches, reading the field dicts ``_residual``
-        # memoized
-        m = len(row_idx)
-        src_ips = np.full(m, "", dtype=object)
-        dst_ips = np.full(m, "", dtype=object)
-        src_ports = np.zeros(m, dtype=np.int32)
-        dst_ports = np.zeros(m, dtype=np.int32)
-        usernames = np.full(m, "", dtype=object)
-        needs_username = self.needs_username
-        if m and (needs_username or self.any_extract):
-            fields = ctx.match_fields
-            by_rule = np.argsort(rule_idx, kind="stable")
-            runs = np.split(by_rule, np.flatnonzero(np.diff(rule_idx[by_rule])) + 1)
-            uname_fallback = None
-            for ks in runs:
-                ri = int(rule_idx[ks[0]])
-                extract, per_match, sp_default, dp_default = self._field_plans[ri]
-                rows = row_idx[ks]
-                # matches that read the .username fallback
-                uks, urows = ks, rows
-                if per_match:
-                    # matches decided from the columns take their fields
-                    # from there, the rest from their field dicts; rows
-                    # with neither fall back below
-                    on_col = np.zeros(len(ks), dtype=bool)
-                    col = ctx.col_fields.get(ri)
-                    if col is not None:
-                        at = np.minimum(np.searchsorted(col[0], rows), len(col[0]) - 1)
-                        on_col = col[0][at] == rows
-                        k, at = ks[on_col], at[on_col]
-                        src_ips[k], dst_ips[k] = col[1][at], col[2][at]
-                        src_ports[k], dst_ports[k] = col[3][at], col[4][at]
-                    missed = on_col.copy()
-                    for j, (k, i) in enumerate(zip(ks.tolist(), rows.tolist())):
-                        if on_col[j]:
-                            continue
-                        f = fields.get((ri, i))
-                        if f is None:
-                            f = match_stateless(rules[ri], ctx.row_cache(i),
-                                                self.lookups)
-                        if f is None:
-                            missed[j] = True
-                            continue
-                        if extract:
-                            src_ips[k], dst_ips[k] = f["src_ip"], f["dst_ip"]
-                            src_ports[k], dst_ports[k] = f["src_port"], f["dst_port"]
-                        if needs_username:
-                            usernames[k] = f["username"]
-                    uks, urows = ks[missed], rows[missed]
-                    ks, rows = ks[missed & ~on_col], rows[missed & ~on_col]
-                if extract:
-                    # default-port-only rule: constant fields
-                    src_ports[ks] = sp_default
-                    dst_ports[ks] = dp_default
-                if needs_username and len(uks):
-                    if uname_fallback is None:
-                        uname_fallback = ctx.username_fallback(row_idx)
-                    usernames[uks] = uname_fallback[urows]
+        # (sorted values, Arrow type; None: indices into the pool)
+        per_match = [(rule_idx, pa.int32()), (sids, pa.int64()),
+                     (emits, pa.bool_()), (src_at[order], None),
+                     (dst_at[order], None), (src_ports[order], pa.int32()),
+                     (dst_ports[order], pa.int32()), (un_at[order], None)]
 
         # ---- one row per (matched turn × class) ----------------------
-        # per-match value arrays built once, then sliced per class with a
-        # take — the turn's text is gathered once per class row, never
-        # once per rule
-        rule_full = pa.array(rule_idx, pa.int32())
-        sid_full = pa.array(sids, pa.int64())
-        emit_full = pa.array(emits, pa.bool_())
-        src_full = pa.array(src_ips, pa.string())
-        dst_full = pa.array(dst_ips, pa.string())
-        sp_full = pa.array(src_ports, pa.int32())
-        dp_full = pa.array(dst_ports, pa.int32())
-        un_full = pa.array(usernames, pa.string())
-
+        # each per-match list is its class's slice of the sorted values
+        # (the string fields a take of the pool) — the turn's text is
+        # gathered once per class row, never once per rule
         parts = []
         for cls_val in (False, True):
             sub = np.flatnonzero(stateful == cls_val)
@@ -948,10 +889,12 @@ class RuleClassifier:
                 np.concatenate((starts, [len(rows)])).astype(np.int32))
             parents = rows[starts]
             take_rows = pa.array(parents, pa.int64())
-            take_sub = pa.array(sub, pa.int64())
 
-            def lst(full):
-                return pa.ListArray.from_arrays(offsets, full.take(take_sub))
+            def lst(vals, typ):
+                vals = vals[sub]
+                return pa.ListArray.from_arrays(offsets, pool.take(
+                    pa.array(vals, pa.int64())) if typ is None
+                    else pa.array(vals, typ))
 
             parts.append(pa.Table.from_arrays([
                 tbl.column("conv_id").take(take_rows).combine_chunks(),
@@ -959,9 +902,7 @@ class RuleClassifier:
                 pa.array(np.full(len(parents), cls_val, dtype=bool)),
                 pa.array(pass_cond[parents]),
                 pa.array(ctx.ts_epoch[parents], pa.int64()),
-                lst(rule_full), lst(sid_full), lst(emit_full),
-                lst(src_full), lst(dst_full), lst(sp_full), lst(dp_full),
-                lst(un_full),
+                *(lst(vals, typ) for vals, typ in per_match),
                 pc.cast(tbl.column("text").take(take_rows).combine_chunks(),
                         pa.large_string()),
                 tbl.column("role").take(take_rows).combine_chunks(),
@@ -970,6 +911,101 @@ class RuleClassifier:
         if not parts:
             return LIST_MATCH_SCHEMA.empty_table()
         return parts[0] if len(parts) == 1 else pa.concat_tables(parts)
+
+    def _fields(self, ctx: "_BatchCtx", row_idx: np.ndarray,
+                rule_idx: np.ndarray, bounds: np.ndarray) -> tuple:
+        """The extracted fields of the matches ``(row_idx, rule_idx)``,
+        whose rules run between consecutive ``bounds``: (string pool,
+        src_ip, dst_ip and username as indices into it, src_port,
+        dst_port). The pool holds ``""`` at 0, then the per-row
+        ``.username`` fallback, the IPs of column-decided hits and the
+        values of the residual's field dicts, so no string is converted
+        per match. Constant-field rules (no parse_*/json_map/normalize
+        source) fill their run with one assignment; only dynamic-field
+        rules loop, each over its own residual matches, reading the field
+        dicts ``_residual`` memoized."""
+        m = len(row_idx)
+        src_at = np.zeros(m, dtype=np.int64)
+        dst_at = np.zeros(m, dtype=np.int64)
+        un_at = np.zeros(m, dtype=np.int64)
+        src_ports = np.zeros(m, dtype=np.int32)
+        dst_ports = np.zeros(m, dtype=np.int32)
+        pool = [pa.array([""], pa.string())]
+        size = 1
+
+        def add(values) -> int:
+            """Appends ``values`` to the pool; the index of the first."""
+            nonlocal size
+            pool.append(pa.array(values, pa.string()))
+            size += len(values)
+            return size - len(values)
+
+        needs_username = self.needs_username
+        if m and (needs_username or self.any_extract):
+            rules = self.ruleset.rules
+            fields = ctx.match_fields
+            uname_at = None
+            # the residual matches and their field dicts, run by run
+            res_k, res_f = [], []
+            for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                if s == e:
+                    continue
+                ri = int(rule_idx[s])
+                extract, per_match, sp_default, dp_default = self._field_plans[ri]
+                rows = row_idx[s:e]
+                # the run's matches that read the .username fallback
+                # (all of them, unless per-match) and that take the
+                # default ports
+                fall = dflt = slice(s, e)
+                if per_match:
+                    # matches decided from the columns take their fields
+                    # from there, the rest from their field dicts; rows
+                    # with neither fall back below (a per-match rule
+                    # always extracts: it has a dynamic field source)
+                    on_col = np.zeros(e - s, dtype=bool)
+                    col = ctx.col_fields.get(ri)
+                    if col is not None:
+                        at = np.minimum(np.searchsorted(col[0], rows), len(col[0]) - 1)
+                        on_col = col[0][at] == rows
+                        k, at = np.flatnonzero(on_col) + s, at[on_col]
+                        src_at[k] = add(col[1]) + at
+                        dst_at[k] = add(col[2]) + at
+                        src_ports[k], dst_ports[k] = col[3][at], col[4][at]
+                    missed = on_col.copy()
+                    for j, i in enumerate(rows.tolist()):
+                        if on_col[j]:
+                            continue
+                        f = fields.get((ri, i))
+                        if f is None:
+                            f = match_stateless(rules[ri], ctx.row_cache(i),
+                                                self.lookups)
+                        if f is None:
+                            missed[j] = True
+                            continue
+                        res_k.append(s + j)
+                        res_f.append(f)
+                    fall = np.flatnonzero(missed) + s
+                    dflt = np.flatnonzero(missed & ~on_col) + s
+                if extract:
+                    # default-port-only rule: constant fields
+                    src_ports[dflt] = sp_default
+                    dst_ports[dflt] = dp_default
+                if needs_username:
+                    if uname_at is None:
+                        uname_at, values = ctx.username_fallback(row_idx)
+                        uname_at += add(values)
+                    un_at[fall] = uname_at[row_idx[fall]]
+            if res_k:
+                k = np.asarray(res_k, dtype=np.int64)
+                at = np.arange(len(k))
+                src_at[k] = add([f["src_ip"] for f in res_f]) + at
+                dst_at[k] = add([f["dst_ip"] for f in res_f]) + at
+                src_ports[k] = [f["src_port"] for f in res_f]
+                dst_ports[k] = [f["dst_port"] for f in res_f]
+                if needs_username:
+                    un_at[k] = add([f["username"] for f in res_f]) + at
+        return (pa.concat_arrays(pool), src_at, dst_at, un_at, src_ports,
+                dst_ports)
 
 
 # ----------------------------------------------------------------------
@@ -1005,10 +1041,10 @@ class _BatchCtx:
         self._hhmm = None
         self._rc: dict = {}
         # (rule_idx, row) → extracted-field dict, memoized by _residual
-        # for reuse in _emit
+        # for reuse in _fields
         self.match_fields: dict = {}
         # rule_idx → (rows, src_ip, dst_ip, src_port, dst_port) arrays of
-        # the hits _col_verdicts decided, for _emit
+        # the hits _col_verdicts decided, for _fields
         self.col_fields: dict = {}
         # "ip"/"hash" → (batch-wide ip_columns / hash_columns arrays,
         # rows filled so far), see _by_row
@@ -1404,17 +1440,22 @@ class _BatchCtx:
             self._rc[i] = rc
         return rc
 
-    def username_fallback(self, rows: np.ndarray) -> np.ndarray:
-        """Per-row ``.username`` JSON fallback (length-n object array) of
-        the distinct JSON-candidate rows among ``rows``; the rest read
-        ""."""
-        out = np.full(len(self.ts_epoch), "", dtype=object)
+    def username_fallback(self, rows: np.ndarray) -> tuple[np.ndarray, list]:
+        """Per-row ``.username`` JSON fallback of the distinct
+        JSON-candidate rows among ``rows``: (each batch row's index into
+        ``values``, ``values``), where ``values[0]`` is the "" every other
+        row reads."""
+        at = np.zeros(len(self.ts_epoch), dtype=np.int64)
+        values = [""]
         uniq = np.unique(rows)
         uniq = uniq[self.json_candidates()[uniq]]
         for i, j in zip(uniq.tolist(), self.json_rows(uniq)):
             if j is not None:
-                out[i] = j.get(".username", "")
-        return out
+                u = j.get(".username")
+                if u:
+                    at[i] = len(values)
+                    values.append(u)
+        return at, values
 
 
 class _BatchRowCache(RowCache):

@@ -53,7 +53,12 @@ column path reads it as any resumed value.
 Final window and xbit states are written back in the loop's dict
 insertion order (resumed keys first, then first insertion in replay
 order: first occurrence for a window, first ``set`` for an xbit), so
-state snapshots are the same bytes whichever decider ran.
+state snapshots are the same bytes whichever decider ran. They are
+written back only when the caller keeps the states (``out_states``: the
+``state_dir`` and ``shared_bits`` runs). A batch run passes none, so
+the column deciders build no writes and read their group keys only for
+a resumed lookup; no verdict changes, since the loop never reads a key
+the column paths decide.
 """
 
 from __future__ import annotations
@@ -234,6 +239,37 @@ def _xbit_verdicts(starts, write, wval, ts, v0):
     return (val != 0) & (ts < val), np.where(seen[ends], last[ends], -1)
 
 
+def _store(conv_states, conv_idx, writes, inserted):
+    """Write column windows and xbits into their conv states in the
+    loop's insertion order: resumed keys keep their place; new keys
+    go by first insertion in replay order, merged with the keys the
+    loop inserted (``inserted``: per state dict, their positions)."""
+    writes.sort(key=itemgetter(0))         # stable: keeps atom order
+    for attr, loop_new in inserted.items():
+        loop_at: dict[int, list[int]] = {}
+        for c, p in zip(conv_idx[np.asarray(loop_new, np.int64)].tolist(),
+                        loop_new):
+            loop_at.setdefault(c, []).append(p)
+        pending: dict[int, list] = {}
+        for first, c, kind, key, val, resumed in writes:
+            if kind != attr:
+                continue
+            if resumed or c not in loop_at:
+                getattr(conv_states[c], attr)[key] = val
+            else:
+                pending.setdefault(c, []).append((first, key, val))
+        for c, new in pending.items():
+            d = getattr(conv_states[c], attr)
+            lp = loop_at[c]
+            tail = list(d.items())[len(d) - len(lp):]
+            for key, _ in tail:
+                del d[key]
+            for _, key, val in sorted(
+                    new + [(p, k, v) for p, (k, v) in zip(lp, tail)],
+                    key=itemgetter(0)):
+                d[key] = val
+
+
 def make_list_correlator(ruleset: RuleSet):
     """Build the reduce-side replay over ``stages.classify.LIST_MATCH_SCHEMA``
     tables (one row per matched turn × class, per-match list columns).
@@ -315,7 +351,7 @@ def make_list_correlator(ruleset: RuleSet):
         by (conv, turn, row, rule); ``states`` holds every conv's state.
         Returns (positions that route, their emit verdicts, and per
         state dict the positions that inserted a new key, in order,
-        which ``store`` merges the column keys with)."""
+        which ``_store`` merges the column keys with)."""
         keep: list[int] = []
         keep_emit: list[bool] = []
         new_after: list[int] = []
@@ -393,30 +429,38 @@ def make_list_correlator(ruleset: RuleSet):
                                  "xbits": new_xbits}
 
     def decide_columns(cand, skipped, ri, ts, conv_idx, fi, flat, conv_states,
-                       resumed):
+                       resumed, writes):
         """Column verdicts for the candidate positions ``cand`` (replay
         order); ``skipped`` marks positions an earlier pass match of their
         turn may skip. Returns (decided positions, the routed ones (all
-        of them), their emit verdicts, window writes ``(first position,
-        conv idx, state dict name, (sid, key), [count, utime],
-        resumed?)``)."""
+        of them), their emit verdicts), and appends the window writes
+        ``(first position, conv idx, state dict name, (sid, key), [count,
+        utime], resumed?)`` to ``writes`` unless it is None."""
         rc = ri[cand]
         take = pa.array(fi[cand])
-        parts = []
-        for f in _KEY_FIELDS:
+        # exactly ``_track_key``'s f"{s}|{sp}|{d}|{dp}|{u}"; a field no
+        # candidate tracks is a constant, folded into the separator
+        # (each joined part costs a pass over the candidates)
+        keys, sep = None, ""
+        for i, f in enumerate(_KEY_FIELDS):
             on = tracked[f][rc]
             off = "0" if f.endswith("port") else ""
+            sep += "|" * (i > 0)
             if not on.any():
-                parts.append(off)
+                sep += off
                 continue
             col = flat[f].take(take)
             if off:
                 col = pc.cast(col, pa.string())
-            parts.append(col if on.all() else pc.if_else(pa.array(on), col, off))
-        # exactly ``_track_key``'s f"{s}|{sp}|{d}|{dp}|{u}"
-        keys = pc.binary_join_element_wise(*parts, "|")
-        if not isinstance(keys, pa.Array):      # no field tracked at all
-            keys = pa.array([keys.as_py()] * len(cand), pa.string())
+            if not on.all():
+                col = pc.if_else(pa.array(on), col, off)
+            keys = col if keys is None and not sep else \
+                pc.binary_join_element_wise("" if keys is None else keys, col, sep)
+            sep = ""
+        if keys is None:                        # no field tracked at all
+            keys = pa.array([sep] * len(cand), pa.string())
+        elif sep:
+            keys = pc.binary_join_element_wise(keys, "", sep)
         kcode = pc.dictionary_encode(keys).indices.to_numpy()
 
         # groups = (conv, rule, key); lexsort is stable, so each group
@@ -431,7 +475,8 @@ def make_list_correlator(ruleset: RuleSet):
         gid = np.cumsum(new) - 1
         g_rule, g_conv, g_first = rc[starts], ci[starts], pos[starts]
         g_after = col_kind[g_rule] == _AFTER
-        g_key = keys.take(pa.array(by_g[starts])).to_pylist()
+        if resumed or writes is not None:
+            g_key = keys.take(pa.array(by_g[starts])).to_pylist()
 
         ng = len(starts)
         has0 = np.zeros(ng, dtype=bool)
@@ -464,7 +509,7 @@ def make_list_correlator(ruleset: RuleSet):
         g = np.flatnonzero(~bad)
         if not len(g):
             return np.empty(0, np.int64), np.empty(0, np.int64), \
-                np.empty(0, bool), []
+                np.empty(0, bool)
         pos, rc, t = pos[ok], rc[ok], t[ok]
         starts = np.flatnonzero(new[ok])
         gr = g_rule[g]
@@ -472,26 +517,27 @@ def make_list_correlator(ruleset: RuleSet):
             t, starts, col_kind[gr].astype(np.int64), col_count[gr],
             col_seconds[gr], has0[g], count0[g], utime0[g])
         keep = ~np.repeat(capped, np.diff(np.append(starts, len(t))))
-        g = g[~capped]
-        writes = list(zip(
-            g_first[g].tolist(), g_conv[g].tolist(),
-            ["after" if a else "threshold" for a in g_after[g].tolist()],
-            [(sids[r], g_key[j]) for r, j in zip(g_rule[g].tolist(), g.tolist())],
-            [[x, y] for x, y in zip(cnt[~capped].tolist(),
-                                    utime[~capped].tolist())],
-            has0[g].tolist()))
-        return (pos[keep], pos[keep], alerts[rc[keep]] & ~suppressed[keep],
-                writes)
+        if writes is not None:
+            g = g[~capped]
+            writes += zip(
+                g_first[g].tolist(), g_conv[g].tolist(),
+                ["after" if a else "threshold" for a in g_after[g].tolist()],
+                [(sids[r], g_key[j])
+                 for r, j in zip(g_rule[g].tolist(), g.tolist())],
+                [[x, y] for x, y in zip(cnt[~capped].tolist(),
+                                        utime[~capped].tolist())],
+                has0[g].tolist())
+        return pos[keep], pos[keep], alerts[rc[keep]] & ~suppressed[keep]
 
     def decide_xbits(cand, skipped, ri, ts, conv_idx, fi, flat, conv_states,
-                     resumed):
+                     resumed, writes):
         """Column verdicts for the xbit candidate positions ``cand``
         (replay order), in ``decide_columns``' form; every candidate of
         a conv that a pass match could cut short, or with a ``|ts|`` out
         of range, stays in the loop, and so do all of them when a resumed
         value is."""
         empty = (np.empty(0, np.int64), np.empty(0, np.int64),
-                 np.empty(0, bool), [])
+                 np.empty(0, bool))
         bad = np.zeros(len(conv_states), dtype=bool)
         bad[conv_idx[cand[np.abs(ts[cand]) >= _LIM]]] = True
         if skipped is not None:
@@ -524,9 +570,10 @@ def make_list_correlator(ruleset: RuleSet):
         new[1:] = (ci[1:] != ci[:-1]) | (nm[1:] != nm[:-1]) | (kc[1:] != kc[:-1])
         starts = np.flatnonzero(new)
         op, t = a_op[a][by], ts[cand[m]][by]
-        g_conv = ci[starts].tolist()
-        g_key = list(zip([x_names[j] for j in nm[starts].tolist()],
-                         keys.take(pa.array(by[starts])).to_pylist()))
+        if resumed or writes is not None:
+            g_conv = ci[starts].tolist()
+            g_key = list(zip([x_names[j] for j in nm[starts].tolist()],
+                             keys.take(pa.array(by[starts])).to_pylist()))
         v0 = np.zeros(len(starts), dtype=np.int64)
         had = np.zeros(len(starts), dtype=bool)
         if resumed:
@@ -544,6 +591,8 @@ def make_list_correlator(ruleset: RuleSet):
         ok = np.empty(len(m), dtype=bool)
         ok[by] = write | (live == (op == _ISSET))   # isnotset: not live
         fires = np.logical_and.reduceat(ok, at)
+        if writes is None:
+            return cand, cand[fires], alerts[rc[fires]]
 
         # final values: a resumed key keeps its place (its position is
         # not used); a new key is inserted by its first set (an unset of
@@ -555,41 +604,11 @@ def make_list_correlator(ruleset: RuleSet):
         first[g_set] = by[sets[first_set]]
         g = np.flatnonzero((last >= 0) & (had | (first >= 0)))
         g = g[np.argsort(first[g], kind="stable")]
-        writes = list(zip(
+        writes += zip(
             cand[m[np.maximum(first[g], 0)]].tolist(), [g_conv[j] for j in g],
             ["xbits"] * len(g), [g_key[j] for j in g],
-            wval[last[g]].tolist(), had[g].tolist()))
-        return cand, cand[fires], alerts[rc[fires]], writes
-
-    def store(conv_states, conv_idx, writes, inserted):
-        """Write column windows and xbits into their conv states in the
-        loop's insertion order: resumed keys keep their place; new keys
-        go by first insertion in replay order, merged with the keys the
-        loop inserted (``inserted``: per state dict, their positions)."""
-        writes.sort(key=itemgetter(0))         # stable: keeps atom order
-        for attr, loop_new in inserted.items():
-            loop_at: dict[int, list[int]] = {}
-            for c, p in zip(conv_idx[np.asarray(loop_new, np.int64)].tolist(),
-                            loop_new):
-                loop_at.setdefault(c, []).append(p)
-            pending: dict[int, list] = {}
-            for first, c, kind, key, val, resumed in writes:
-                if kind != attr:
-                    continue
-                if resumed or c not in loop_at:
-                    getattr(conv_states[c], attr)[key] = val
-                else:
-                    pending.setdefault(c, []).append((first, key, val))
-            for c, new in pending.items():
-                d = getattr(conv_states[c], attr)
-                lp = loop_at[c]
-                tail = list(d.items())[len(d) - len(lp):]
-                for key, _ in tail:
-                    del d[key]
-                for _, key, val in sorted(
-                        new + [(p, k, v) for p, (k, v) in zip(lp, tail)],
-                        key=itemgetter(0)):
-                    d[key] = val
+            wval[last[g]].tolist(), had[g].tolist())
+        return cand, cand[fires], alerts[rc[fires]]
 
     def correlate_lists(tbl: pa.Table, init_states=None,
                         out_states=None) -> pa.Table:
@@ -600,7 +619,9 @@ def make_list_correlator(ruleset: RuleSet):
         (including what the column paths leave to it), the column states
         are then written into ``out_states`` in the loop's insertion
         order, and all verdict sets merge back in exploded order (module
-        docstring)."""
+        docstring). The loop updates the ``init_states`` entries in
+        place; without ``out_states`` no column state is written into
+        them, so they are no state to resume from."""
         if len(tbl) == 0:
             return tbl
         cols = {n: tbl.column(n).combine_chunks() for n in tbl.column_names}
@@ -650,7 +671,8 @@ def make_list_correlator(ruleset: RuleSet):
         conv_new = np.ones(len(order), dtype=bool)
         conv_new[1:] = conv_code[1:] != conv_code[:-1]
         conv_idx = np.cumsum(conv_new) - 1
-        conv_names = cols["conv_id"].take(pa.array(row[conv_new])).to_pylist()
+        conv_names = cols["conv_id"].take(pa.array(row[conv_new])).to_numpy(
+            zero_copy_only=False).tolist()
         init = init_states or {}
         states = {c: init.get(c) or _ConvState() for c in conv_names}
         conv_states = list(states.values())     # by conv_idx
@@ -660,7 +682,8 @@ def make_list_correlator(ruleset: RuleSet):
         cand = np.flatnonzero((col_kind[ri] >= 0) & sf)
         xcand = np.flatnonzero(xbit_col[ri] & sf)
         decided = []        # per column decider: (positions, kept, emit)
-        writes = []
+        # the column states, only when the caller keeps the states
+        writes = None if out_states is None else []
         if (len(cand) or len(xcand)) and not any(x.null_count for x in (
                 cols["ts_epoch"], cols["turn_idx"],
                 *(flat[f] for f in _KEY_FIELDS))):
@@ -679,23 +702,26 @@ def make_list_correlator(ruleset: RuleSet):
             ts = cols["ts_epoch"].to_numpy()[row]
             for c, decide in ((cand, decide_columns), (xcand, decide_xbits)):
                 if len(c):
-                    *verdicts, w = decide(c, skipped, ri, ts, conv_idx, order,
-                                          flat, conv_states, bool(init))
-                    decided.append(verdicts)
-                    writes += w
+                    decided.append(decide(c, skipped, ri, ts, conv_idx, order,
+                                          flat, conv_states, bool(init),
+                                          writes))
         rest = np.arange(len(order))
         if decided:
             loop_mask = np.ones(len(order), dtype=bool)
             for done, _, _ in decided:
                 loop_mask[done] = False
             rest = np.flatnonzero(loop_mask)
-        rrow, rfi = row[rest], order[rest]
+        # the loop's columns, as Python values of its matches only
+        rrow = row[rest]
+        take_row, take_fi = pa.array(rrow), pa.array(order[rest])
 
         def per_row(name):
-            return cols[name].to_numpy(zero_copy_only=False)[rrow].tolist()
+            return cols[name].take(take_row).to_numpy(
+                zero_copy_only=False).tolist()
 
         def per_match(name):
-            return flat[name].to_numpy(zero_copy_only=False)[rfi].tolist()
+            return flat[name].take(take_fi).to_numpy(
+                zero_copy_only=False).tolist()
 
         keep, keep_emit, inserted = replay(zip(
             rest.tolist(), per_row("conv_id"), rrow.tolist(),
@@ -704,7 +730,7 @@ def make_list_correlator(ruleset: RuleSet):
             per_match("src_port"), per_match("dst_port"),
             per_match("username")), states)
         if writes:
-            store(conv_states, conv_idx, writes, inserted)
+            _store(conv_states, conv_idx, writes, inserted)
         if out_states is not None:
             out_states.update(states)
         keep = np.concatenate([np.asarray(keep, dtype=np.int64)]

@@ -245,3 +245,56 @@ def test_driver_never_imports_polars():
     code = ("import sys, sagan_ray.pipelines.engine, sagan_ray.stages.classify;"
             "sys.exit('polars' in sys.modules)")
     subprocess.run([sys.executable, "-c", code], cwd=REPO, check=True)
+
+
+FIELD_RULES = """
+alert any any any -> any any (msg:"ips"; content:"from"; parse_src_ip:1; parse_dst_ip:2; parse_port; sid:1;)
+alert any any any -> any any (msg:"ports"; content:"login"; default_src_port:1234; default_dst_port:22; sid:2;)
+alert any any any -> any any (msg:"mapped user"; json_map:"username",".u"; json_content:".act","fail"; sid:3;)
+pass  any any any -> any any (msg:"quiet"; content:"quiet"; sid:4;)
+alert any any any -> any any (msg:"by user"; content:"user"; after: track by_username, count 1, seconds 60; sid:5;)
+"""
+
+FIELD_TEXTS = [
+    # column-decided IPs (regular rows), with and without ports
+    "login from 10.0.0.1 to 10.0.0.2 user x",
+    "from 192.168.1.5:2222 to 172.16.0.9:80",
+    "from 8.8.8.8 only",
+    # residual IPs (irregular rows: IPv6, a port word, brackets)
+    "from 2001:db8::1 to 10.1.1.1 user y",
+    "from 10.9.9.9 port 443 to 10.8.8.8 login",
+    "from [::1]:8080 to 10.2.2.2:25",
+    # JSON: mapped and fallback usernames, a quiet row cut by the pass
+    '{"u": "mallory", "act": "fail", "username": "eve", "m": "user from 1.2.3.4"}',
+    '{"act": "fail", "username": "bob", "m": "login user"}',
+    '{"username": "carol", "m": "user quiet from 4.3.2.1 login"}',
+    "quiet login from 10.3.3.3 user z",
+    "nothing here",
+]
+
+
+def test_match_fields_equal_match_stateless():
+    """Every exploded match's src/dst IPs, ports and username equal the
+    fields ``match_stateless`` extracts for its rule and row, over
+    several batches: IPs from the columns and from the residual, a
+    default-port-only rule, a json_map username and the ``.username``
+    fallback a by_username rule makes every rule read."""
+    ruleset = parse_rules(FIELD_RULES)
+    lookups = Lookups()
+    cls = RuleClassifier(ruleset, lookups, EngineConfig(), list_form=False)
+    rng = np.random.default_rng(7)
+    keys = ("src_ip", "dst_ip", "src_port", "dst_port", "username")
+    checked = collections.Counter()
+    for _ in range(4):
+        texts = [FIELD_TEXTS[i] for i in
+                 rng.integers(0, len(FIELD_TEXTS), size=40)]
+        out = cls(_table(texts))
+        for row in out.to_pylist():
+            rule = ruleset.rules[row["rule_idx"]]
+            want = match_stateless(rule, RowCache(
+                texts[row["turn_idx"]], "user", "", 0), lookups)
+            assert want is not None
+            assert {k: row[k] for k in keys} == {k: want[k] for k in keys}, (
+                rule.sid, texts[row["turn_idx"]])
+            checked[rule.sid] += 1
+    assert set(checked) == {1, 2, 3, 4, 5}

@@ -5,6 +5,7 @@ checkpoint resume must be exact at that level, not only end to end."""
 import copy
 import hashlib
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -408,3 +409,49 @@ def test_xbit_column_path_writes_the_loops_state(monkeypatch):
     assert got == run(make_list_correlator(ruleset))
     oracle = ReferenceEvaluator(ruleset).evaluate(tbl.to_pylist())
     assert sorted((c, t, s) for c, t, s, _ in got[0][0]) == sorted(oracle.hits)
+
+
+def _window_mix(seed: int) -> pa.Table:
+    """Generated conversations whose texts are WINDOWS' tokens."""
+    gen = gen_transcripts(1500, seed=seed)
+    tokens = ["after-ev", "limit-ev", "supp-ev", "after-ev limit-ev supp-ev",
+              "noise"]
+    pick = np.random.default_rng(seed).integers(0, len(tokens), len(gen))
+    return gen.set_column(gen.schema.get_field_index("text"), "text",
+                          pa.array([tokens[i] for i in pick], pa.large_string()))
+
+
+def test_discarded_state_changes_no_verdict(monkeypatch):
+    """A batch run keeps no state (no ``out_states``): the column deciders
+    write nothing back, ``_store`` never runs, and the output equals a
+    state-keeping run's, whole and resumed, on each ruleset of the
+    column paths."""
+    stored = []
+    real = correlate_mod._store
+
+    def spy(*args):
+        stored.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(correlate_mod, "_store", spy)
+    seen = _spy_columns(monkeypatch)
+    for rules, tbl in ((RULES + BROAD, gen_transcripts(1500, seed=17)),
+                       (XBITS, gen_transcripts(1500, seed=31)),
+                       (WINDOWS, _window_mix(37))):
+        ruleset = parse_rules(rules)
+        shipped = _bucket(ruleset, tbl)
+        early = pc.less(shipped.column("turn_idx"), 6)
+        correlate = make_list_correlator(ruleset)
+        first: dict = {}
+        parts = [shipped, shipped.filter(pc.invert(early))]
+        inits = [{}, first]
+        correlate(shipped.filter(early), init_states={}, out_states=first)
+        for part, init in zip(parts, inits):
+            stored.clear()
+            kept = correlate(part, init_states=copy.deepcopy(init),
+                             out_states={})
+            assert stored
+            stored.clear()
+            assert correlate(part, init_states=copy.deepcopy(init)).equals(kept)
+            assert stored == []
+    assert sum(seen) > 1000

@@ -12,6 +12,7 @@ from sagan_ray.functions.ip import (
     net_group_contains_v4,
 )
 from sagan_ray.functions.textutil import (
+    JSON_MAX_DEPTH,
     extract_event_id,
     extract_hashes,
     flatten_json,
@@ -113,6 +114,32 @@ def test_json_flatten_nested():
     assert j == {".a.b": "1", ".a.c": "true", ".d": "x", ".e": "[1,2]"}
     assert try_parse_json_text("not json") is None
     assert try_parse_json_text("[1,2]") is None
+
+
+def _at_depth(frames: int, fn, *args):
+    """``fn(*args)``, called ``frames`` stack frames deeper."""
+    return fn(*args) if frames == 0 else _at_depth(frames - 1, fn, *args)
+
+
+def test_json_nesting_is_decided_by_the_text_not_the_stack():
+    """A Ray worker parses from a far deeper stack than the oracle: a
+    message nested too deep is non-JSON from any depth, one at the cap
+    parses from any depth, and brackets inside strings do not nest."""
+    def deep(k):
+        return '{"a":' * k + "1" + "}" * k
+
+    quoted = '{"s": "' + "{" * 900 + '", "t": "\\\"[["}'
+    texts = [deep(700), deep(985), deep(JSON_MAX_DEPTH),
+             deep(JSON_MAX_DEPTH + 1),
+             '{"a": ' + "[" * 600 + "]" * 600 + "}", quoted]
+    for text in texts:
+        assert (_at_depth(0, try_parse_json_text, text)
+                == _at_depth(300, try_parse_json_text, text))
+    assert try_parse_json_text(deep(985)) is None
+    assert try_parse_json_text(deep(JSON_MAX_DEPTH + 1)) is None
+    assert try_parse_json_text(deep(JSON_MAX_DEPTH)) == {
+        ".a" * JSON_MAX_DEPTH: "1"}
+    assert try_parse_json_text(quoted) == {".s": "{" * 900, ".t": '"[['}
 
 
 def test_flatten_max_objects():

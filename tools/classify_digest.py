@@ -12,6 +12,13 @@ output to Parquet and prints the file's sha256:
 ``--against`` prints ``DIFF`` for each (workload, seed) whose digest
 differs and exits 1 if any does. ``--reps N`` also prints the minimum
 in-process classify seconds of N runs per (workload, seed).
+
+``--replay`` also digests the per-bucket replay (``correlate_lists``) over
+each output's stateful rows, the rows the exchange ships, as one bucket:
+``<workload>:<seed>:replay`` is its output as a batch run gets it (no
+``out_states``), ``...:replay_states`` its output when the states are
+kept, together with every conv's final state in insertion order. A
+reduce-side change gets the same proof as a classify change.
 """
 
 from __future__ import annotations
@@ -55,12 +62,31 @@ def digest(tbl) -> str:
             return hashlib.sha256(f.read()).hexdigest()
 
 
+def replay_digests(ruleset, out) -> dict[str, str]:
+    """The ``--replay`` digests of the replay over ``out``'s stateful
+    rows."""
+    from sagan_ray.stages.correlate import make_list_correlator
+
+    shipped = out.filter(out.column("stateful"))
+    correlate = make_list_correlator(ruleset)
+    states: dict = {}
+    kept = correlate(shipped, init_states={}, out_states=states)
+    canon = repr([(c, list(st.xbits.items()), st.flexbits,
+                   list(st.after.items()), list(st.threshold.items()))
+                  for c, st in states.items()])
+    return {"replay": digest(correlate(shipped)),
+            "replay_states": hashlib.sha256(
+                (digest(kept) + canon).encode()).hexdigest()}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--turns", type=int, default=20000)
     ap.add_argument("--workloads", nargs="+", default=None)
     ap.add_argument("--reps", type=int, default=0)
+    ap.add_argument("--replay", action="store_true",
+                    help="also digest the replay of the stateful rows")
     ap.add_argument("--hashes", help="write the digests to this JSON file")
     ap.add_argument("--against", help="compare with a --hashes JSON file")
     args = ap.parse_args(argv)
@@ -78,7 +104,8 @@ def main(argv=None) -> int:
             ruleset, lookups, config = build(WORKLOADS[name])
             classifier = RuleClassifier(ruleset, lookups, config)
             key = f"{name}:{seed}"
-            got[key] = digest(classify_table(classifier, tbl))
+            out = classify_table(classifier, tbl)
+            got[key] = digest(out)
             line = f"{key} {got[key]}"
             if args.reps:
                 times = []
@@ -88,6 +115,10 @@ def main(argv=None) -> int:
                     times.append(time.perf_counter() - t0)
                 line += f" min_s={min(times):.4f}"
             print(line, flush=True)
+            if args.replay:
+                for part, sha in replay_digests(ruleset, out).items():
+                    got[f"{key}:{part}"] = sha
+                    print(f"{key}:{part} {sha}", flush=True)
     if args.hashes:
         with open(args.hashes, "w") as f:
             json.dump(got, f, indent=1, sort_keys=True)
