@@ -27,23 +27,17 @@ def entry() -> Any:
         RS_ROUTING,
         RS_STATEFUL,
         _transcripts,
+        routed_counts_df,
     )
     from sagan_ray.rules import parse_rules
     from sagan_ray.synth import build_lookups
-
-    import pandas as pd
 
     ruleset = parse_rules(RS_CONTENT + RS_ROUTING + RS_STATEFUL)
     eng = run_engine(_transcripts("/root/testdata/sf0.001"), ruleset,
                      build_lookups(), EngineConfig())
     # per-(sink, sid) counts ride the correlation exchange's inline
     # partials (routed_counts) — no explode + shuffle + groupby pass
-    counts = eng.routed_counts()
-    df = pd.DataFrame([(s, sid, n) for (s, sid), n in counts.items()],
-                      columns=["sink", "sid", "n"])
-    df["sid"] = df["sid"].astype("int64")
-    df["n"] = df["n"].astype("int64")
-    return df.sort_values(["sink", "sid"]).reset_index(drop=True)
+    return routed_counts_df(eng)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

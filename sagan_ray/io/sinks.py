@@ -4,20 +4,37 @@ Sink analogs (SURVEY.md §2.1): alert (src/output-plugins/alert.c), fast
 (fast.c), eve (eve.c + src/json-handler.c:54-232 Format_JSON_Alert_EVE),
 syslog (syslog-handler.c), email (esmtp.c), external (external.c).
 
-Resumable layout: each sink writes into ``out_dir/sink=<name>/`` through
-``state.checkpoint.partitioned_write`` — staged dirs swap in atomically
-and ``_manifest.json`` records finished sinks + row counts, so a rerun
-filters done sinks out of the explode pass and rewrites only the rest
-(the batch analog of the reference's mmap-persisted restart state,
-src/ipc.c:458-733; input position is *not* checkpointed there either).
+One pass, no Ray Data stage: ``write_routed`` launches one raw Ray task
+per match block, which explodes the block, keeps its routed rows and
+writes them into every target dir with ``pq.write_table`` — the batch
+analog of Sagan fanning each alert out to its output plugins inline
+(src/output.c:63-149). ``write_sinks`` and the follow loop's alert write
+(``sources.stream.poll_once``) share it.
+
+Resumable layout: ``write_sinks`` stages each ``sink=<name>/`` (and
+``part=payload/``) dir under a ``_stage_*`` dir and swaps it into
+``out_dir`` once every task is done; ``_manifest.json`` records the
+committed dirs + row counts, and a rerun leaves the done dirs out of
+every task's targets, so it rewrites only the rest (the batch analog of
+the reference's mmap-persisted restart state, src/ipc.c:458-733; input
+position is *not* checkpointed there either).
 """
 
 from __future__ import annotations
 
+import json
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+import ray
+
+from ..exchange import block_refs
+from ..stages.classify import explode_match_lists
 
 
 _B64_ALPHABET = np.frombuffer(
@@ -180,57 +197,149 @@ THIN_ALERT_COLS = ["conv_id", "turn_idx", "rule_idx", "sid", "ts_epoch",
                    "src_ip", "dst_ip", "src_port", "dst_port", "username"]
 
 
-def write_sinks(engine_result, out_dir: str, *, overwrite: bool = False,
-                thin: bool = False) -> dict:
+class RunManifest:
+    """``out_dir/_manifest.json``: {dir name: {"rows": n, "done": bool}}
+    for the dirs ``write_sinks`` committed there."""
+
+    def __init__(self, out_dir: str):
+        self.path = os.path.join(out_dir, "_manifest.json")
+        self._data: dict = {}
+        if os.path.exists(self.path):
+            try:
+                with open(self.path) as f:
+                    self._data = json.load(f)
+            except (ValueError, OSError):
+                self._data = {}
+
+    def done(self, partition: str) -> bool:
+        return bool(self._data.get(partition, {}).get("done"))
+
+    def rows(self, partition: str) -> int:
+        return self._data.get(partition, {}).get("rows", 0)
+
+    def mark(self, partition: str, rows: int) -> None:
+        self._data[partition] = {"rows": rows, "done": True}
+        self._flush()
+
+    def unmark(self, partition: str) -> None:
+        """Clear done BEFORE overwriting an existing dir, so a crash
+        mid-swap leaves it flagged for rewrite, never silently skipped
+        while its data is gone."""
+        if partition in self._data:
+            self._data[partition]["done"] = False
+            self._flush()
+
+    def _flush(self) -> None:
+        tmp = self.path + ".tmp"
+        with open(tmp, "w") as f:
+            json.dump(self._data, f, indent=0, sort_keys=True)
+        os.replace(tmp, self.path)
+
+
+@ray.remote
+def _write_block(block, explode: bool, name: str, targets) -> list[int]:
+    """One match block's routed rows into each target ``(dir, rule_idx,
+    cols)``: the rows of the rules in ``rule_idx`` (None: every rule),
+    cut to ``cols`` (None: every MATCH_SCHEMA column), as ``dir/name``;
+    a target with no rows gets no file. ``explode``: the block is
+    LIST_MATCH_SCHEMA. Returns each target's row count."""
+    if len(block) == 0:
+        return [0] * len(targets)
+    tbl = explode_match_lists(block) if explode else block
+    tbl = tbl.filter(tbl.column("emit"))
+    counts = []
+    for path, rule_idx, cols in targets:
+        sub = tbl if rule_idx is None else tbl.filter(pc.is_in(
+            tbl.column("rule_idx"), value_set=pa.array(rule_idx, pa.int32())))
+        if cols is not None:
+            sub = sub.select(cols)
+        if len(sub):
+            pq.write_table(sub, os.path.join(path, name))
+        counts.append(len(sub))
+    return counts
+
+
+def write_routed(engine_result, targets: list, prefix: str = "") -> list[int]:
+    """Write ``engine_result``'s routed rows in one pass: one raw Ray task
+    per match block, which writes ``<prefix>m<block>.parquet`` into each
+    of ``targets`` (see ``_write_block``), so a retried task rewrites
+    only its own files. Returns each target's row count. The blocks are
+    the exchange's own (a ``run_engine`` result), or those of a result's
+    ``matches`` Dataset, streamed as its executor yields them."""
+    if engine_result._list_refs is not None:
+        refs, explode = engine_result._list_refs, True
+    else:
+        refs, explode = block_refs(engine_result.matches), False
+    counts = ray.get([
+        _write_block.remote(ref, explode, f"{prefix}m{i:05d}.parquet", targets)
+        for i, ref in enumerate(refs)])
+    return [sum(c[j] for c in counts) for j in range(len(targets))]
+
+
+def _check_sink_name(name: str) -> None:
+    """A sink name is a dir name as it is: one plain path component."""
+    if name in ("", ".", "..") or any(c in name for c in "/=\0"):
+        raise ValueError(f"sink name {name!r} is not one plain path component")
+
+
+def write_sinks(engine_result, out_dir: str, *, thin: bool = False) -> dict:
     """Fan routed alerts out to one Parquet directory per sink and return
     {sink: rows} — every CONFIGURED sink appears (0 when it routed
-    nothing). Delegates to ``state.checkpoint.partitioned_write``, so the
-    resume genuinely is per sink: finished sinks are filtered out of the
-    explode pass, staged dirs swap in atomically, and a crashed run
-    rewrites only what its manifest doesn't mark done.
+    nothing). One pass (``write_routed``): each match block's task writes
+    its routed rows into a staged dir per sink, then the driver swaps the
+    staged dirs in. The resume is per dir: a dir the manifest marks done
+    is left out of every task's targets (a call where every dir is done
+    launches no task), so a crashed run rewrites only what its manifest
+    doesn't mark done.
 
-    ``thin=True`` is the at-scale layout: each ``sink=<name>/`` dir gets
-    only the fast.c-shaped THIN_ALERT_COLS rows, and the payload
-    (text/role/tool, one row per routed alert) is written ONCE into a
-    shared ``part=payload/`` dir — n_sinks × metadata + 1 × text instead
-    of n_sinks × full rows (text dominates alert bytes; readers re-join
-    on (conv_id, turn_idx, rule_idx)). Both legs resume through the same
-    manifest."""
-    import shutil
-
-    from ..state.checkpoint import RunManifest, partitioned_write
+    ``thin=False``: each ``sink=<name>/`` dir gets the full routed rows
+    (every MATCH_SCHEMA column). ``thin=True`` is the at-scale layout:
+    each sink dir gets only the fast.c-shaped THIN_ALERT_COLS, and the
+    full routed rows (text included, one row per routed alert) are
+    written ONCE into a shared ``part=payload/`` dir — n_sinks × metadata
+    + 1 × text instead of n_sinks × full rows (text dominates alert
+    bytes; readers re-join on (conv_id, turn_idx, rule_idx)). No file
+    holds a ``sink`` or ``part`` column: the dir names carry them. A sink
+    name becomes a dir name as it is, so a name that is not one plain
+    path component raises ValueError before anything is written."""
+    fanout = engine_result.config.sink_fanout(engine_result.ruleset)
+    for s, _ in fanout:
+        _check_sink_name(s)
+    every = frozenset(r.idx for r in engine_result.ruleset)
+    cols = THIN_ALERT_COLS if thin else None
+    wanted = [(f"sink={s}", None if idx == every else sorted(idx), cols)
+              for s, idx in fanout]
+    if thin:
+        wanted.insert(0, ("part=payload", None, None))
 
     os.makedirs(out_dir, exist_ok=True)
-    if overwrite:
-        for entry in os.listdir(out_dir):
-            p = os.path.join(out_dir, entry)
-            if (entry.startswith("sink=") or entry.startswith("part=")
-                    or entry == "_manifest.json"):
-                shutil.rmtree(p) if os.path.isdir(p) else os.remove(p)
-
-    if thin:
-        def tag_payload(tbl: pa.Table) -> pa.Table:
-            return tbl.append_column(
-                "part", pa.array(["payload"] * len(tbl), pa.string()))
-
-        def thin_rows(tbl: pa.Table) -> pa.Table:
-            return tbl.select(THIN_ALERT_COLS + ["sink"])
-
-        partitioned_write(engine_result.routed().map_batches(
-            tag_payload, batch_format="pyarrow"), out_dir, "part")
-        exploded = engine_result.routed_exploded().map_batches(
-            thin_rows, batch_format="pyarrow")
-        partitioned_write(exploded, out_dir, "sink")
-    else:
-        exploded = engine_result.routed_exploded()
-        partitioned_write(exploded, out_dir, "sink")
-
+    # sweep staging dirs stranded by crashed prior runs (their dirs are
+    # not marked done, so they get rewritten below)
+    for entry in os.listdir(out_dir):
+        if entry.startswith("_stage_"):
+            shutil.rmtree(os.path.join(out_dir, entry), ignore_errors=True)
     manifest = RunManifest(out_dir)
-    per_sink = {p.split("=", 1)[1]: info.get("rows", 0)
-                for p, info in manifest.partitions().items()
-                if info.get("done") and p.startswith("sink=")}
-    # a sink that routed zero rows writes no partition dir — record 0
-    # so consumers can distinguish 'ran, empty' from 'unknown sink'
-    for s, _ in engine_result.config.sink_fanout(engine_result.ruleset):
-        per_sink.setdefault(s, 0)
-    return per_sink
+    todo = [t for t in wanted if not manifest.done(t[0])]
+    if todo:
+        stage = tempfile.mkdtemp(prefix="_stage_", dir=out_dir)
+        for part, _, _ in todo:
+            os.mkdir(os.path.join(stage, part))
+        rows = write_routed(engine_result, [
+            (os.path.join(stage, part), idx, c) for part, idx, c in todo])
+        for (part, _, _), n in zip(todo, rows):
+            src, dst = os.path.join(stage, part), os.path.join(out_dir, part)
+            if os.path.exists(dst):
+                # unmark → swap aside → swap in: a crash anywhere in here
+                # leaves done=False, so the rerun rewrites instead of
+                # skipping a deleted dir
+                manifest.unmark(part)
+                old = dst + ".old"
+                shutil.rmtree(old, ignore_errors=True)
+                os.replace(dst, old)
+                os.replace(src, dst)
+                shutil.rmtree(old, ignore_errors=True)
+            else:
+                os.replace(src, dst)
+            manifest.mark(part, n)
+        shutil.rmtree(stage, ignore_errors=True)
+    return {s: manifest.rows(f"sink={s}") for s, _ in fanout}

@@ -77,8 +77,8 @@ def _worker_cached(kind: str, key: str, build):
 class EngineResult:
     """Lazy handles over the match stream. ``matches`` rows are the
     saganfound analog (one row per routed rule match, pre-suppression);
-    ``routed()`` filters to post-suppression alerts; ``routed_exploded()``
-    fans out per sink.
+    ``routed()`` filters to post-suppression alerts. The per-sink fan-out
+    is ``io.sinks.write_sinks`` (rows) and ``routed_counts()`` (counts).
 
     ``count_refs``: per-task partial (sid, hits, emits, part) table refs
     produced inline by the exchange — counts come from these tiny tables,
@@ -113,30 +113,6 @@ class EngineResult:
         return self.matches.map_batches(
             lambda t: t.filter(t.column("emit").combine_chunks()),
             batch_format="pyarrow")
-
-    def routed_exploded(self):
-        """One row per (alert × sink) — the Output() fan-out analog
-        (reference src/output.c:63-149)."""
-        fanout = self.config.sink_fanout(self.ruleset)
-        every = frozenset(r.idx for r in self.ruleset)
-
-        def explode(tbl: pa.Table) -> pa.Table:
-            tbl = tbl.filter(pc.equal(tbl.column("emit"), True))
-            if len(tbl) == 0:
-                out = tbl.append_column("sink", pa.array([], pa.string()))
-                return out
-            parts = []
-            for s, idxset in fanout:
-                sub = tbl
-                if idxset != every:
-                    sub = tbl.filter(pc.is_in(
-                        tbl.column("rule_idx"),
-                        value_set=pa.array(sorted(idxset), pa.int32())))
-                if len(sub):
-                    parts.append(sub.append_column("sink", pa.array([s] * len(sub))))
-            return pa.concat_tables(parts)
-
-        return self.matches.map_batches(explode, batch_format="pyarrow")
 
     # ---- aggregates (parity gates) -----------------------------------
     def _count_tables(self) -> list[pa.Table]:

@@ -253,13 +253,19 @@ def q_engine_enrich(sf_dir: str):
     return _hit_counts_df(sf_dir, RS_ENRICH)
 
 
-def q_engine_routing(sf_dir: str):
-    eng = _engine(sf_dir, RS_ROUTING)
-    df = eng.routed_exploded().groupby(["sink", "sid"]).count().to_pandas()
-    df = df.rename(columns={"count()": "n"})
+def routed_counts_df(eng) -> pd.DataFrame:
+    """``eng.routed_counts()`` as a (sink, sid, n) frame sorted by (sink,
+    sid): the counts ride the exchange's inline partials, so no explode,
+    shuffle or groupby pass runs."""
+    df = pd.DataFrame([(s, sid, n) for (s, sid), n in eng.routed_counts().items()],
+                      columns=["sink", "sid", "n"])
     df["sid"] = df["sid"].astype("int64")
     df["n"] = df["n"].astype("int64")
-    return df.sort_values(["sink", "sid"]).reset_index(drop=True)[["sink", "sid", "n"]]
+    return df.sort_values(["sink", "sid"]).reset_index(drop=True)
+
+
+def q_engine_routing(sf_dir: str):
+    return routed_counts_df(_engine(sf_dir, RS_ROUTING))
 
 
 # normalize (liblognorm analog): the rulebase sample extracts

@@ -7,15 +7,18 @@ Parquet files into: each poll picks up files not yet recorded in the
 processed manifest, runs the engine over ONLY those files with the
 correlation-state snapshots carried across runs
 (sagan_ray.state.snapshot — the mmap-persistence analog), appends routed
-alerts to the sink directory, and marks the files done. The manifest is
+alerts to the sink directory, and marks the files done. The alerts are
+written in one pass of raw Ray tasks, one per match block
+(``io.sinks.write_routed``), with no Ray Data stage. The manifest is
 written after the alert write, so a poll that fails before it replays
 its files on the next poll. That replay is NOT exact: a poll that fails
 after ``run_engine`` returns (in the alert write, say) has already
 saved its buckets' advanced correlation state, and the replay runs its
 files again on top of that state, so alert counts can differ from an
-uninterrupted run (seen: 4 sids change on ``rulesets/correlate.rules``
-over ``gen_transcripts(4000, seed=3)`` split at ``turn_idx`` 8). State,
-alerts and manifest do not yet commit together (ROADMAP item 1).
+uninterrupted run (seen: 8 sids change, 968 → 878 alerts, on
+``rulesets/correlate.rules`` over ``gen_transcripts(4000, seed=3)``
+split at ``turn_idx`` 8). State, alerts and manifest do not yet commit
+together (ROADMAP item 2).
 
 Ordering contract (same as the snapshot module): later-arriving files
 must carry per-conversation turns that are ≥ all previously processed
@@ -27,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 import time
+import uuid
 
 from ..config import EngineConfig, Lookups
 from ..rules.model import RuleSet
@@ -57,6 +61,7 @@ def poll_once(input_dir: str, out_dir: str, ruleset: RuleSet,
     """One follow-loop iteration: process new parquet files (if any)
     against the carried correlation state; returns
     {"files": [...], "routed": N}."""
+    from ..io.sinks import write_routed
     from ..pipelines.engine import run_engine
     from .transcripts import is_transcript_file, read_transcripts
 
@@ -74,17 +79,15 @@ def poll_once(input_dir: str, out_dir: str, ruleset: RuleSet,
     eng = run_engine(read_transcripts(new), ruleset, lookups, config,
                      batch_size=batch_size, state_dir=state_dir,
                      shared_bits=shared_bits)
-    # materialize once: count + write must not re-execute the pipeline
-    # (a poll's routed set is small — the filtered alert stream)
-    routed = eng.routed().materialize()
     alert_dir = os.path.join(out_dir, "alerts")
     os.makedirs(alert_dir, exist_ok=True)
-    n = routed.count()
-    if n:
-        routed.write_parquet(alert_dir)
+    # the flat alert dir gathers every poll's files: this poll's names
+    # start with a tag of their own
+    (n,) = write_routed(eng, [(alert_dir, None, None)],
+                        prefix=f"{uuid.uuid4().hex}-")
     done.update(os.path.basename(f) for f in new)
     _save_manifest(out_dir, done)
-    return {"files": [os.path.basename(f) for f in new], "routed": int(n)}
+    return {"files": [os.path.basename(f) for f in new], "routed": n}
 
 
 def follow(input_dir: str, out_dir: str, ruleset: RuleSet | None = None,

@@ -1,18 +1,23 @@
 """Shared test harness: run the oracle evaluator and the Ray pipeline on
-the same table + ruleset and compare hit counts, routed row-sets, and
-byte-exact text of routed rows (FIXTURES.md §4 artifacts)."""
+the same table + ruleset and compare hit counts, the routed row-sets
+that ``write_sinks`` ships, and byte-exact text of routed rows
+(FIXTURES.md §4 artifacts)."""
 
 from __future__ import annotations
 
 import collections
 import os
+import tempfile
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from sagan_ray.config import EngineConfig
+from sagan_ray.io.sinks import write_sinks
 from sagan_ray.oracle import ReferenceEvaluator
 from sagan_ray.pipelines.engine import run_engine
 from sagan_ray.rules import parse_rules, parse_rules_file
+from sagan_ray.stages.classify import MATCH_SCHEMA
 from sagan_ray.synth import build_lookups
 
 RULESET_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -25,6 +30,23 @@ def load_ruleset(name_or_text: str):
     return parse_rules(name_or_text)
 
 
+def shipped_rows(engine):
+    """The routed rows ``write_sinks`` ships in its full layout, read
+    back as one frame: one row per (alert × sink), the MATCH_SCHEMA
+    columns plus ``sink`` (from the dir name)."""
+    parts = [MATCH_SCHEMA.append(pa.field("sink", pa.string())).empty_table()]
+    with tempfile.TemporaryDirectory() as out:
+        write_sinks(engine, out)
+        for entry in sorted(os.listdir(out)):
+            if not entry.startswith("sink="):
+                continue
+            for f in sorted(os.listdir(os.path.join(out, entry))):
+                t = pq.read_table(os.path.join(out, entry, f))
+                parts.append(t.append_column(
+                    "sink", pa.array([entry[len("sink="):]] * len(t), pa.string())))
+    return pa.concat_tables(parts).to_pandas()
+
+
 def run_both(ruleset, tbl, config: EngineConfig | None = None,
              lookups=None, expect_hits: bool = True, batch_size: int = 512,
              files_dir: str | None = None):
@@ -33,7 +55,6 @@ def run_both(ruleset, tbl, config: EngineConfig | None = None,
     With ``files_dir``, each block is written there as its own Parquet
     file instead, named so that the file order is the block order, and
     the engine runs on ``read_transcripts(files_dir)``."""
-    import pyarrow.parquet as pq
     import ray.data as rd
 
     from sagan_ray.sources.transcripts import read_transcripts
@@ -57,12 +78,9 @@ def run_both(ruleset, tbl, config: EngineConfig | None = None,
                         batch_size=batch_size)
 
     matches = engine.matches.to_pandas()
-    routed = engine.routed_exploded().to_pandas()
+    routed = shipped_rows(engine)
     # empty Ray results lose their schema — reindex to the expected columns
-    from sagan_ray.stages.classify import MATCH_SCHEMA
-
     matches = matches.reindex(columns=[f.name for f in MATCH_SCHEMA])
-    routed = routed.reindex(columns=list(matches.columns) + ["sink"])
 
     # (a) rule-hit counts per sid
     ray_hits = collections.Counter(matches["sid"].dropna().astype(int))

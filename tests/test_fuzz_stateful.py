@@ -17,7 +17,7 @@ from sagan_ray.pipelines.engine import run_engine
 from sagan_ray.rules import parse_rules
 from sagan_ray.synth import build_lookups, gen_transcripts
 
-from .helpers import run_both
+from .helpers import run_both, shipped_rows
 
 # anchors of the generated transcript templates (synth._mk_text) — the
 # IP:port lines, the JSON lines that carry a .username, the login lines
@@ -98,7 +98,7 @@ def _case(seed: int):
 
 
 def _routed_and_hits(eng):
-    routed = eng.routed_exploded().to_pandas()
+    routed = shipped_rows(eng)
     hits = eng.hit_counts()
     return (collections.Counter(zip(
         routed["sink"], routed["sid"].astype(int), routed["conv_id"],

@@ -4,6 +4,7 @@ import json
 import os
 
 import pyarrow as pa
+import pytest
 
 
 def test_parse_pipe_batch_fields_and_malformed():
@@ -277,22 +278,62 @@ def test_write_sinks_and_resume(tmp_path):
     assert again == counts
 
 
-def test_partitioned_write_resume(tmp_path):
+SINK_RULES = (
+    'alert any any any -> any any (msg:"m"; content:"login"; email:a@b; sid:1;)\n'
+    'alert any any any -> any any (msg:"t"; content:"user"; '
+    'threshold: type limit, track by_src, count 2, seconds 600; sid:2;)')
+
+
+def _sink_engine(config=None):
+    """A run over gen_transcripts(1500, seed=3) with a stateless rule that
+    reaches the email sink and a stateful one, so the exchange's map-side
+    and reduce-side blocks both carry routed rows."""
     import ray.data as rd
 
-    from sagan_ray.state import RunManifest, partitioned_write
+    from sagan_ray.config import EngineConfig
+    from sagan_ray.pipelines.engine import run_engine
+    from sagan_ray.rules import parse_rules
+    from sagan_ray.synth import gen_transcripts
 
-    ds = rd.from_items([{"k": "a", "v": i} for i in range(10)]
-                       + [{"k": "b", "v": i} for i in range(5)])
-    out = str(tmp_path / "o")
-    r1 = partitioned_write(ds, out, "k")
-    assert r1["written"] == {"k=a": 10, "k=b": 5}
-    # simulate a rerun: both partitions done → nothing rewritten
-    r2 = partitioned_write(ds, out, "k")
-    assert r2["written"] == {}
-    assert set(r2["skipped"]) == {"k=a", "k=b"}
-    m = RunManifest(out)
-    assert m.done("k=a") and m.done("k=b")
+    return run_engine(rd.from_arrow(gen_transcripts(1500, seed=3)),
+                      parse_rules(SINK_RULES), None,
+                      config or EngineConfig(), batch_size=512)
+
+
+def _rows(path):
+    import collections
+
+    import pyarrow.parquet as pq
+
+    return collections.Counter(
+        tuple(r.values()) for r in pq.read_table(path).to_pylist())
+
+
+def _inodes(path):
+    return {f: os.stat(os.path.join(path, f)).st_ino for f in os.listdir(path)}
+
+
+def test_write_sinks_sweeps_stage_and_rewrites_nothing(tmp_path, monkeypatch):
+    """A staging dir stranded by a crashed run is swept, and a second
+    call over a finished out dir launches no write task."""
+    from sagan_ray.io import sinks
+
+    eng = _sink_engine()
+    out = str(tmp_path / "sinks")
+    counts = sinks.write_sinks(eng, out, thin=True)
+    before = {e: _inodes(os.path.join(out, e)) for e in os.listdir(out)
+              if "=" in e}
+    assert set(before) == {"part=payload"} | {f"sink={s}" for s in counts}
+    os.makedirs(os.path.join(out, "_stage_dead"))
+
+    class NoTask:
+        def remote(self, *args):
+            raise AssertionError("a done out dir launched a write task")
+
+    monkeypatch.setattr(sinks, "_write_block", NoTask())
+    assert sinks.write_sinks(eng, out, thin=True) == counts
+    assert not any(e.startswith("_stage_") for e in os.listdir(out))
+    assert {e: _inodes(os.path.join(out, e)) for e in before} == before
 
 
 def test_eve_format():
@@ -424,28 +465,83 @@ def test_gzip_pipe_lines(tmp_path):
     assert out["text"].iloc[0].startswith("msg ")
 
 
-def test_partitioned_write_hive_encoded_resume(tmp_path):
-    """Regression (self-review round 3): partition values needing hive
-    percent-encoding (or null) must still be skipped on resume — the
-    manifest stores encoded dir names while the filter sees raw values."""
-    import os
+def test_write_sinks_rewrites_a_sink_not_done(tmp_path):
+    """A sink the manifest marks not done, its dir left in place with a
+    stale file in it (a crash after the unmark), is rewritten to the
+    right rows; the done sinks are left as they are."""
+    import pyarrow.parquet as pq
 
-    import pyarrow as pa
-    import ray.data as rd
+    from sagan_ray.io.sinks import RunManifest, write_sinks
 
-    from sagan_ray.state import partitioned_write
+    eng = _sink_engine()
+    out = str(tmp_path / "sinks")
+    counts = write_sinks(eng, out)
+    alert, fast = os.path.join(out, "sink=alert"), os.path.join(out, "sink=fast")
+    want, fast_files = _rows(alert), _inodes(fast)
+    assert sum(want.values()) == counts["alert"] > 0
+    RunManifest(out).unmark("sink=alert")
+    pq.write_table(pq.read_table(alert).slice(0, 1),
+                   os.path.join(alert, "stale.parquet"))
+    assert write_sinks(eng, out) == counts
+    assert "stale.parquet" not in os.listdir(alert)
+    assert _rows(alert) == want
+    assert RunManifest(out).done("sink=alert")
+    assert _inodes(fast) == fast_files
 
-    out = str(tmp_path / "o")
-    tbl = pa.table({"k": pa.array(["a b", "a b", "x/y", None, "plain"]),
-                    "v": pa.array(range(5), pa.int64())})
-    r1 = partitioned_write(rd.from_arrow(tbl), out, "k")
-    assert sum(r1["written"].values()) == 5
-    # stranded staging dir from a "crashed" run must be swept
-    os.makedirs(os.path.join(out, "_stage_dead"), exist_ok=True)
 
-    r2 = partitioned_write(rd.from_arrow(tbl), out, "k")
-    assert r2["written"] == {}, f"resume rewrote partitions: {r2}"
-    assert not any(e.startswith("_stage_") for e in os.listdir(out))
+@pytest.mark.parametrize("name", ["a/b", ".."], ids=["slash", "dotdot"])
+def test_write_sinks_rejects_unsafe_sink_names(tmp_path, name):
+    """A configured sink name becomes a dir name, so one that is not a
+    plain path component raises before anything is written."""
+    from sagan_ray.config import EngineConfig
+    from sagan_ray.io.sinks import write_sinks
+
+    eng = _sink_engine(EngineConfig(sinks=("alert", name)))
+    with pytest.raises(ValueError, match="path component"):
+        write_sinks(eng, str(tmp_path / "sinks"))
+    assert not any(tmp_path.iterdir())
+
+
+def test_output_side_runs_no_ray_data(tmp_path, monkeypatch):
+    """Once run_engine has returned, write_sinks in both layouts and a
+    follow-loop poll (whose engine run reads files, not a Dataset) write
+    every routed row with Ray Data's map_batches and write_parquet made
+    to raise."""
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from sagan_ray.config import EngineConfig
+    from sagan_ray.io.sinks import write_sinks
+    from sagan_ray.rules import parse_rules
+    from sagan_ray.sources.stream import poll_once
+    from sagan_ray.synth import gen_transcripts
+
+    eng = _sink_engine()
+
+    def no_ray_data(*args, **kwargs):
+        raise AssertionError("the output side ran a Ray Data stage")
+
+    monkeypatch.setattr(ray.data.Dataset, "map_batches", no_ray_data)
+    monkeypatch.setattr(ray.data.Dataset, "write_parquet", no_ray_data)
+    want = {}
+    for (s, _), n in eng.routed_counts().items():
+        want[s] = want.get(s, 0) + n
+    assert set(want) == {"alert", "fast", "eve", "syslog", "email"}
+    assert write_sinks(eng, str(tmp_path / "full")) == want
+    assert write_sinks(eng, str(tmp_path / "thin"), thin=True) == want
+    assert sum(_rows(str(tmp_path / "thin" / "part=payload")).values()) \
+        == want["alert"]
+
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    pq.write_table(gen_transcripts(1500, seed=3),
+                   str(in_dir / "part-0.parquet"))
+    res = poll_once(str(in_dir), str(tmp_path / "follow"),
+                    parse_rules(SINK_RULES), None, EngineConfig(),
+                    batch_size=512)
+    assert res["routed"] == want["alert"]
+    assert sum(_rows(str(tmp_path / "follow" / "alerts")).values()) \
+        == want["alert"]
 
 
 def test_write_sinks_thin_layout(tmp_path):
